@@ -15,7 +15,15 @@ import time
 import numpy as np
 
 from .geometry import Box, Disc, Polytope, extreme_points, jnr_sandwich, polytope_facets_2d
-from .linalg import OperatorTuple, herm_part, op_norm, random_hermitian, random_isometry, skew_part
+from .linalg import (
+    OperatorTuple,
+    compressed_ampliation,
+    herm_part,
+    op_norm,
+    random_hermitian,
+    random_isometry,
+    skew_part,
+)
 from .models import (
     DiagonalTuple,
     NormalTuple,
@@ -389,15 +397,6 @@ def criterion_10() -> CriterionResult:
     )
 
 
-def _member_probe(
-    x: OperatorTuple, n: int, rng: np.random.Generator
-) -> OperatorTuple:
-    r = -(-n // x.n)
-    v = random_isometry(x.n * r, n, rng)
-    mats = tuple(v.conj().T @ np.kron(m, np.eye(r)) @ v for m in x.mats)
-    return OperatorTuple(mats, x.hermitian)
-
-
 def criterion_11() -> CriterionResult:
     """Direct sums and compressions of range members stay members."""
     t0 = time.perf_counter()
@@ -414,8 +413,8 @@ def criterion_11() -> CriterionResult:
                 hermitian=True,
             )
         for _ in range(50):
-            b1 = _member_probe(x, int(rng.integers(1, 3)), rng)
-            b2 = _member_probe(x, int(rng.integers(1, 3)), rng)
+            b1 = compressed_ampliation(x, int(rng.integers(1, 3)), rng)
+            b2 = compressed_ampliation(x, int(rng.integers(1, 3)), rng)
             mats = tuple(
                 np.block(
                     [
@@ -432,7 +431,7 @@ def criterion_11() -> CriterionResult:
             elif res.status is MembershipStatus.UNKNOWN:
                 unresolved += 1
         for _ in range(50):
-            b = _member_probe(x, int(rng.integers(2, 4)), rng)
+            b = compressed_ampliation(x, int(rng.integers(2, 4)), rng)
             k = int(rng.integers(1, b.n))
             v = random_isometry(b.n, k, rng)
             comp = OperatorTuple(

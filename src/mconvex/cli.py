@@ -30,7 +30,6 @@ from ._jsonio import (
     decode_tuple,
     dump_report,
     polygon_svg,
-    to_jsonable,
     trace_svg,
 )
 from .errors import MConvexError
@@ -51,7 +50,6 @@ from .models import (
     verify_local_sw,
 )
 from .ranges import (
-    calibrate_choi_li,
     choi_li_equiv_check,
     is_matrix_extreme_free_symmetric,
     is_matrix_extreme_free_unitary,
@@ -524,6 +522,7 @@ def _run_batch(args: argparse.Namespace) -> tuple[dict, int]:
                 "error": f"{type(exc).__name__}: {exc}",
             }, EX_DATAERR
 
+    t0 = time.perf_counter()
     cap = os.environ.get("MCONVEX_THREADS")
     workers = max(1, int(cap)) if cap else min(4, os.cpu_count() or 1)
     if workers == 1 or len(jobs) == 1:
@@ -537,7 +536,7 @@ def _run_batch(args: argparse.Namespace) -> tuple[dict, int]:
         "command": "batch",
         "status": "ok" if all(c == EX_OK for _, c in outcomes) else "Error",
         "jobs": [r for r, _ in outcomes],
-        "wall_time_s": 0.0,
+        "wall_time_s": round(time.perf_counter() - t0, 6),
     }
     return report, max((c for _, c in outcomes), default=EX_OK)
 

@@ -155,10 +155,6 @@ def body_support(body: ConvexBody, c: np.ndarray) -> float:
     raise DimensionMismatch(f"unknown body type {type(body)!r}")
 
 
-def body_dim(body: ConvexBody) -> int:
-    return body.dim
-
-
 def scale_body(body: ConvexBody, factor: float, center=None) -> ConvexBody:
     """Dilate a body by ``factor`` about ``center`` (default: the origin)."""
     if isinstance(body, Polytope):
@@ -224,22 +220,6 @@ def hull_distance(points: np.ndarray, p: np.ndarray) -> float:
             break
         x = x + gamma * dvec
     return float(np.linalg.norm(x - p))
-
-
-def point_in_hull(points: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> bool:
-    """Membership of ``p`` in conv(points) via a feasibility LP."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    p = np.asarray(p, dtype=float)
-    k = pts.shape[0]
-    a_eq = np.vstack([pts.T, np.ones((1, k))])
-    b_eq = np.concatenate([p, [1.0]])
-    res = linprog(
-        np.zeros(k), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * k,
-        method="highs",
-    )
-    if res.status == 0:
-        return True
-    return hull_distance(pts, p) <= tol
 
 
 def hull2d(points: np.ndarray) -> np.ndarray:

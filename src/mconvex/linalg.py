@@ -10,8 +10,7 @@ bounds.
 from __future__ import annotations
 
 import dataclasses
-from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -41,18 +40,25 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes (a stack of matrices)."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
 def herm_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    """Return (m + m*) / 2, matrix by matrix over leading axes."""
+    return 0.5 * (m + _adjoint(m))
 
 
 def skew_part(m: np.ndarray) -> np.ndarray:
     """Return the Hermitian matrix (m - m*) / 2i."""
-    return (m - m.conj().T) / 2j
+    return (m - _adjoint(m)) / 2j
 
 
 def is_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> bool:
+    """Every matrix of the stack ``m`` is Hermitian relative to the largest entry."""
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    return float(np.abs(m - m.conj().T).max(initial=0.0)) <= rtol * scale
+    return float(np.abs(m - _adjoint(m)).max(initial=0.0)) <= rtol * scale
 
 
 def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
@@ -414,6 +420,18 @@ def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np
     """Gaussian Hermitian matrix, handy for seeded probes and tests."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * herm_part(g)
+
+
+def compressed_ampliation(
+    x: OperatorTuple, n: int, rng: np.random.Generator
+) -> OperatorTuple:
+    """A guaranteed level-n member of the matrix range of ``x``: compress
+    the ampliation ``x kron I_r`` by a random isometry."""
+    r = -(-n // x.n)
+    eye = np.eye(r)
+    v = random_isometry(x.n * r, n, rng)
+    mats = tuple(v.conj().T @ np.kron(m, eye) @ v for m in x.mats)
+    return OperatorTuple(mats, x.hermitian)
 
 
 def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -36,7 +36,7 @@ from .linalg import (
     direct_sum,
     herm_part,
     op_norm,
-    random_isometry,
+    compressed_ampliation,
     simdiag_hermitian,
     skew_part,
     words_equivalent,
@@ -487,18 +487,12 @@ def finite_truncation(
     return OperatorTuple(mats, hermitian)
 
 
-def _diag_probe(
-    points: np.ndarray, n: int, rng: np.random.Generator
-) -> OperatorTuple:
-    """Random level-n member of the matrix range of a diagonal model."""
-    s = points.shape[0]
-    r = max(1, -(-n // s))
-    v = random_isometry(s * r, n, rng)
-    mats = []
-    for j in range(points.shape[1]):
-        big = np.kron(np.diag(points[:, j].astype(complex)), np.eye(r))
-        mats.append(v.conj().T @ big @ v)
-    return OperatorTuple(tuple(mats), hermitian=True)
+def _diagonal(points: np.ndarray) -> OperatorTuple:
+    """The Hermitian diagonal tuple ``diag(points[:, j])``."""
+    return OperatorTuple(
+        tuple(np.diag(points[:, j]) for j in range(points.shape[1])),
+        hermitian=True,
+    )
 
 
 def verify_local_sw(
@@ -544,21 +538,22 @@ def verify_local_sw(
 
     ess_body = Polytope(ess)
     trunc_body = Polytope(trunc_pts)
-    ess_model_pts = np.repeat(ess, q, axis=0)
+    ess_model = _diagonal(np.repeat(ess, q, axis=0))
+    trunc_model = _diagonal(trunc_pts)
     levels: dict[int, dict] = {}
     for n in range(1, q + 1):
         outside = 0
         unresolved = 0
         worst = 0.0
         for _ in range(samples):
-            probe = _diag_probe(ess_model_pts, n, rng)
+            probe = compressed_ampliation(ess_model, n, rng)
             res = kmin_member(trunc_body, probe, tol)
             if res.status is MembershipStatus.OUT:
                 outside += 1
                 worst = max(worst, res.margin)
             elif res.status is MembershipStatus.UNKNOWN:
                 unresolved += 1
-            probe = _diag_probe(trunc_pts, n, rng)
+            probe = compressed_ampliation(trunc_model, n, rng)
             res = kmin_member(ess_body, probe, tol)
             if res.status is MembershipStatus.OUT:
                 outside += 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -45,10 +46,10 @@ from .geometry import (
 )
 from .linalg import (
     OperatorTuple,
+    compressed_ampliation,
     herm_part,
     numerical_radius,
     op_norm,
-    random_isometry,
     simdiag_hermitian,
     skew_part,
 )
@@ -230,27 +231,21 @@ def _kmin_problem(
     vertices: np.ndarray, mats: Sequence[np.ndarray]
 ) -> SdpFeasibility:
     """Decomposition SDP: blocks ``h_j >= 0``, ``sum h_j = I``,
-    ``sum_j vertices[j, l] h_j = mats[l]``."""
+    ``sum_j vertices[j, l] h_j = mats[l]``, one coefficient per block."""
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
     m = verts.shape[0]
     n = mats[0].shape[0]
     basis = _herm_basis(n)
-    size = m * n
-    cons = []
-
-    def embed(blocks: list[np.ndarray]) -> np.ndarray:
-        full = np.zeros((size, size), dtype=complex)
-        for j, blk in enumerate(blocks):
-            full[j * n:(j + 1) * n, j * n:(j + 1) * n] = blk
-        return full
-
-    for zk in basis:
-        cons.append(AffineConstraint(embed([zk] * m), float(np.trace(zk).real)))
+    cons = [
+        AffineConstraint(np.broadcast_to(zk, (m, n, n)), float(np.trace(zk).real))
+        for zk in basis
+    ]
     for l, al in enumerate(mats):
         for zk in basis:
-            coeff = embed([verts[j, l] * zk for j in range(m)])
-            cons.append(AffineConstraint(coeff, float(np.trace(zk @ al).real)))
-    return SdpFeasibility(size, tuple(cons), block_sizes=(n,) * m)
+            cons.append(AffineConstraint(
+                verts[:, l, None, None] * zk, float(np.trace(zk @ al).real)
+            ))
+    return SdpFeasibility(m * n, tuple(cons), block_sizes=(n,) * m)
 
 
 def _kmin_solve(
@@ -651,16 +646,6 @@ def ucp_member(
     )
 
 
-def _range_probe(x: OperatorTuple, n: int, rng: np.random.Generator) -> OperatorTuple:
-    """A guaranteed level-n member of the matrix range of ``x``:
-    compress an ampliation by a random isometry."""
-    r = -(-n // x.n)
-    eye = np.eye(r)
-    v = random_isometry(x.n * r, n, rng)
-    mats = tuple(v.conj().T @ np.kron(m, eye) @ v for m in x.mats)
-    return OperatorTuple(mats, x.hermitian)
-
-
 def mrange_equal(
     x: OperatorTuple,
     y: OperatorTuple,
@@ -701,13 +686,13 @@ def mrange_equal(
         fail_yx = 0
         unknown = 0
         for _ in range(probes):
-            b = _range_probe(x, n, rng)
+            b = compressed_ampliation(x, n, rng)
             res = ucp_member(y, b, tol)
             if res.status is MembershipStatus.OUT:
                 fail_xy += 1
             elif res.status is MembershipStatus.UNKNOWN:
                 unknown += 1
-            c = _range_probe(y, n, rng)
+            c = compressed_ampliation(y, n, rng)
             res = ucp_member(x, c, tol)
             if res.status is MembershipStatus.OUT:
                 fail_yx += 1
@@ -844,6 +829,13 @@ def calibrate_choi_li(tol: float = 1e-9) -> dict:
     }
 
 
+@functools.cache
+def _calibration() -> tuple:
+    """``calibrate_choi_li()`` at its default tolerance, once per process,
+    frozen as items so that no caller can change the shared record."""
+    return tuple(calibrate_choi_li().items())
+
+
 def choi_li_equiv_check(y, tol: float = 1e-6) -> dict:
     """Cross-check square^min membership against the transform's radius.
 
@@ -874,5 +866,5 @@ def choi_li_equiv_check(y, tol: float = 1e-6) -> dict:
         "radius": radius,
         "consistent": consistent,
         "excluded": excluded,
-        "calibration": calibrate_choi_li(),
+        "calibration": dict(_calibration()),
     }

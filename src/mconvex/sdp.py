@@ -49,9 +49,15 @@ class Status(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class AffineConstraint:
-    """One real-linear equation ``Re tr(coeff* V) = rhs``, coeff Hermitian."""
+    """One real-linear equation ``sum_j Re tr(coeff_j* V_j) = rhs``.
 
-    coeff: np.ndarray
+    ``coeff`` holds one Hermitian coefficient per diagonal block ``V_j`` of
+    the variable, in the order of ``SdpFeasibility.block_sizes`` (a list of
+    matrices, or an array stacking equal-size ones).  A 2-D array is the
+    one-block form.
+    """
+
+    coeff: np.ndarray | Sequence[np.ndarray]
     rhs: float
 
 
@@ -59,10 +65,12 @@ class AffineConstraint:
 class SdpFeasibility:
     """Find Hermitian ``V >= 0`` of size ``var_size`` meeting the constraints.
 
-    ``block_sizes``, when given, restricts the variable to a block-diagonal
-    structure (the PSD cone becomes a product of smaller cones, which both
-    tightens the model and speeds the projections).  ``trace_normalization``
-    appends the constraint ``tr V = value``.
+    ``block_sizes``, when given, makes the variable block-diagonal with
+    blocks of these sizes (the PSD cone becomes a product of smaller cones,
+    which both tightens the model and speeds the projections); every
+    constraint then gives one coefficient per block, and nothing couples
+    two blocks.  ``trace_normalization`` appends the constraint
+    ``tr V = value``.
     """
 
     var_size: int
@@ -81,16 +89,17 @@ class Separator:
     """Infeasibility certificate.
 
     ``dual`` are coefficients against the original constraints; the pencil
-    ``sum_i dual_i coeff_i`` has ``lambda_max <= psd_slack`` (a hair above
-    zero at machine scale) while ``sum_i dual_i rhs_i = margin > 0``.  Any
-    PSD matrix therefore violates the constraint system by at least
+    ``sum_i dual_i coeff_i``, given as one block per declared block in
+    declared order, has ``lambda_max <= psd_slack`` on every block (a hair
+    above zero at machine scale) while ``sum_i dual_i rhs_i = margin > 0``.
+    Any PSD matrix therefore violates the constraint system by at least
     ``margin`` in the preconditioned 2-norm, up to ``psd_slack`` times its
     trace.
     """
 
     dual: np.ndarray
     margin: float
-    pencil: np.ndarray
+    pencil: list[np.ndarray]
     psd_slack: float
 
 
@@ -103,70 +112,76 @@ class Verdict:
     residual: float
 
 
-class _Compiled:
-    """Preprocessed problem: grouped blocks, normalized constraints, Gram."""
+def _groups(sizes: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """Block indices grouped by size, so eigendecompositions batch."""
+    order: dict[int, list[int]] = {}
+    for idx, s in enumerate(sizes):
+        order.setdefault(s, []).append(idx)
+    return sorted(order.items())
 
-    def __init__(self, problem: SdpFeasibility):
-        n = int(problem.var_size)
-        if n <= 0:
-            raise BadProblem("variable size must be positive")
-        sizes = problem.block_sizes or (n,)
-        if sum(sizes) != n or any(s <= 0 for s in sizes):
-            raise BadProblem("block sizes must be positive and sum to var_size")
-        self.var_size = n
-        self.block_sizes = tuple(int(s) for s in sizes)
-        offs = np.concatenate([[0], np.cumsum(self.block_sizes)])
-        self.block_offsets = offs
 
-        cons = list(problem.constraints)
-        if problem.trace_normalization is not None:
-            cons.append(
-                AffineConstraint(np.eye(n, dtype=complex),
-                                 float(problem.trace_normalization))
+def _compile(problem: SdpFeasibility) -> _Compiled:
+    """Validate a problem and stack its coefficients into size groups."""
+    n = int(problem.var_size)
+    if n <= 0:
+        raise BadProblem("variable size must be positive")
+    sizes = tuple(int(s) for s in (problem.block_sizes or (n,)))
+    if sum(sizes) != n or any(s <= 0 for s in sizes):
+        raise BadProblem("block sizes must be positive and sum to var_size")
+
+    cons = list(problem.constraints)
+    if problem.trace_normalization is not None:
+        cons.append(
+            AffineConstraint([np.eye(s) for s in sizes],
+                             float(problem.trace_normalization))
+        )
+    blocks = []
+    for i, c in enumerate(cons):
+        coeff = c.coeff
+        if isinstance(coeff, np.ndarray) and coeff.ndim == 2:
+            coeff = (coeff,)
+        if len(coeff) != len(sizes):
+            raise BadProblem(
+                f"constraint {i} has {len(coeff)} coefficient blocks "
+                f"for {len(sizes)} declared blocks"
             )
-        m = len(cons)
+        if not np.isfinite(c.rhs):
+            raise BadProblem(f"constraint {i} rhs is not finite")
+        blocks.append(coeff)
+
+    tensors = []
+    for s, idxs in _groups(sizes):
+        shape = (len(cons), len(idxs), s, s)
+        rows = [[c[j] for j in idxs] for c in blocks]
+        try:
+            t = np.array(rows, dtype=complex) if rows else np.empty(shape, complex)
+        except ValueError:  # blocks of unequal shapes
+            t = None
+        if t is None or t.shape != shape:
+            raise BadProblem(f"coefficient blocks do not match block size {s}")
+        if not np.all(np.isfinite(t.view(float))):
+            raise BadProblem(f"a coefficient block of size {s} is not finite")
+        if not is_hermitian(t, rtol=1e-10):
+            raise BadProblem(f"a coefficient block of size {s} is not Hermitian")
+        tensors.append(t)
+    return _Compiled(sizes, tensors, np.array([float(c.rhs) for c in cons]))
+
+
+class _Compiled:
+    """Preprocessed problem: grouped blocks, normalized constraints, Gram.
+
+    ``coeff_groups[g]`` stacks the coefficients of size group ``g`` of
+    ``_groups(block_sizes)`` as an ``(m, count, s, s)`` tensor.
+    """
+
+    def __init__(self, block_sizes, coeff_groups: list[np.ndarray], b):
+        self.block_sizes = tuple(block_sizes)
+        self.var_size = sum(self.block_sizes)
+        self.block_offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
+        self.groups = _groups(self.block_sizes)
+        coeff_groups = [herm_part(t) for t in coeff_groups]
+        m = len(b)
         self.m = m
-
-        # group equal block sizes so eigendecompositions batch
-        order = {}
-        for idx, s in enumerate(self.block_sizes):
-            order.setdefault(s, []).append(idx)
-        self.groups = [(s, idxs) for s, idxs in sorted(order.items())]
-
-        coeff_groups: list[np.ndarray] = []
-        b = np.empty(m)
-        norms = np.empty(m)
-        full_coeffs = []
-        for i, c in enumerate(cons):
-            a = np.asarray(c.coeff, dtype=complex)
-            if a.shape != (n, n):
-                raise BadProblem(f"constraint {i} coeff has shape {a.shape}")
-            if not np.all(np.isfinite(a.view(float))):
-                raise BadProblem(f"constraint {i} coeff is not finite")
-            if not is_hermitian(a, rtol=1e-10):
-                raise BadProblem(f"constraint {i} coeff is not Hermitian")
-            if not np.isfinite(c.rhs):
-                raise BadProblem(f"constraint {i} rhs is not finite")
-            a = herm_part(a)
-            off_mass = 0.0
-            for j in range(len(self.block_sizes)):
-                lo, hi = offs[j], offs[j + 1]
-                off_mass += float(np.abs(a[lo:hi, :lo]).sum())
-                off_mass += float(np.abs(a[lo:hi, hi:]).sum())
-            if off_mass > 1e-10 * max(1.0, float(np.abs(a).max())):
-                raise BadProblem(
-                    f"constraint {i} has weight outside the declared blocks"
-                )
-            full_coeffs.append(a)
-            b[i] = float(c.rhs)
-
-        for g, (s, idxs) in enumerate(self.groups):
-            tensor = np.empty((m, len(idxs), s, s), dtype=complex)
-            for i, a in enumerate(full_coeffs):
-                for pos, j in enumerate(idxs):
-                    lo, hi = offs[j], offs[j + 1]
-                    tensor[i, pos] = a[lo:hi, lo:hi]
-            coeff_groups.append(tensor)
 
         # diagonal preconditioning: unit Frobenius norm per constraint
         sq = np.zeros(m)
@@ -240,8 +255,7 @@ class _Compiled:
     def psd_project(self, v: list[np.ndarray]) -> list[np.ndarray]:
         out = []
         for vg in v:
-            h = 0.5 * (vg + np.conj(np.swapaxes(vg, -1, -2)))
-            vals, vecs = np.linalg.eigh(h)
+            vals, vecs = np.linalg.eigh(herm_part(vg))
             vals = np.maximum(vals, 0.0)
             out.append(
                 np.einsum("nik,nk,njk->nij", vecs, vals, vecs.conj())
@@ -251,8 +265,7 @@ class _Compiled:
     def min_eig(self, v: list[np.ndarray]) -> float:
         worst = np.inf
         for vg in v:
-            h = 0.5 * (vg + np.conj(np.swapaxes(vg, -1, -2)))
-            vals = np.linalg.eigvalsh(h)
+            vals = np.linalg.eigvalsh(herm_part(vg))
             worst = min(worst, float(vals[..., 0].min()))
         return worst
 
@@ -261,20 +274,33 @@ class _Compiled:
             return 0.0
         return float(np.abs(self.apply(v) - self.b).max())
 
+    def blocks(self, v: list[np.ndarray]) -> list[np.ndarray]:
+        """The blocks of a group variable, in declared order."""
+        out = [None] * len(self.block_sizes)
+        for (s, idxs), vg in zip(self.groups, v):
+            for pos, j in enumerate(idxs):
+                out[j] = vg[pos]
+        return out
+
     def assemble(self, v: list[np.ndarray]) -> np.ndarray:
         full = np.zeros((self.var_size, self.var_size), dtype=complex)
         offs = self.block_offsets
-        for (s, idxs), vg in zip(self.groups, v):
-            for pos, j in enumerate(idxs):
-                lo, hi = offs[j], offs[j + 1]
-                full[lo:hi, lo:hi] = herm_part(vg[pos])
+        for j, blk in enumerate(self.blocks(v)):
+            full[offs[j]:offs[j + 1], offs[j]:offs[j + 1]] = herm_part(blk)
         return full
+
+    def split(self, w: np.ndarray) -> list[np.ndarray]:
+        """The diagonal blocks of an assembled matrix, as a group variable."""
+        offs = self.block_offsets
+        return [
+            np.stack([w[offs[j]:offs[j + 1], offs[j]:offs[j + 1]] for j in idxs])
+            for (s, idxs) in self.groups
+        ]
 
     def max_eig_pencil(self, s_blocks: list[np.ndarray]) -> float:
         worst = -np.inf
         for sg in s_blocks:
-            h = 0.5 * (sg + np.conj(np.swapaxes(sg, -1, -2)))
-            vals = np.linalg.eigvalsh(h)
+            vals = np.linalg.eigvalsh(herm_part(sg))
             worst = max(worst, float(vals[..., -1].max()))
         return worst
 
@@ -314,7 +340,7 @@ def _certificate_from_dual(
             return Separator(
                 dual=y / comp.norms,
                 margin=margin,
-                pencil=comp.assemble(s_blocks),
+                pencil=comp.blocks(s_blocks),
                 psd_slack=max(mx, 0.0),
             )
     return None
@@ -361,11 +387,7 @@ def _facial_polish(
     else None.  Cuts are tried from coarse to fine so a strictly feasible
     face is found even when small eigenvalues are still noisy.
     """
-    spectra = []
-    for vg in v:
-        h = 0.5 * (vg + np.conj(np.swapaxes(vg, -1, -2)))
-        vals, vecs = np.linalg.eigh(h)
-        spectra.append((vals, vecs))
+    spectra = [np.linalg.eigh(herm_part(vg)) for vg in v]
     top = max(
         (float(vals.max()) for vals, _ in spectra if vals.size), default=0.0
     )
@@ -373,87 +395,55 @@ def _facial_polish(
         return None
     for cut in (0.2, 0.05, 0.01, 1e-3, 1e-5):
         thresh = cut * top
-        basis: list[list[np.ndarray]] = []
-        reduced_sizes: list[int] = []
-        for (vals, vecs), (s, idxs) in zip(spectra, comp.groups):
-            qs = []
-            for pos in range(len(idxs)):
-                sel = vals[pos] > thresh
-                qs.append(vecs[pos][:, sel])
-                reduced_sizes.append(int(sel.sum()))
-            basis.append(qs)
-        total = sum(reduced_sizes)
-        if total == 0 or total == comp.var_size:
+        # face basis of every block with a nonzero face, group by group
+        faces = [
+            (g, pos, vecs[pos][:, vals[pos] > thresh])
+            for g, (vals, vecs) in enumerate(spectra)
+            for pos in range(len(vals))
+        ]
+        faces = [f for f in faces if f[2].shape[1] > 0]
+        sizes = [q.shape[1] for _, _, q in faces]
+        if not faces or sum(sizes) == comp.var_size:
             continue
-        # rebuild a reduced problem in the face coordinates
-        keep_sizes = [s for s in reduced_sizes if s > 0]
-        cons = []
-        for i in range(comp.m):
-            blocks = []
-            for tensor, qs in zip(comp.coeff_groups, basis):
-                for pos, q in enumerate(qs):
-                    if q.shape[1] == 0:
-                        continue
-                    blocks.append(q.conj().T @ tensor[i, pos] @ q)
-            full = _block_diag(blocks, total)
-            cons.append(AffineConstraint(full, comp.b[i]))
+        # the reduced problem in the face coordinates: Q* C Q blockwise
+        tensors = [
+            np.stack(
+                [
+                    q.conj().T @ comp.coeff_groups[g][:, pos] @ q
+                    for g, pos, q in (faces[k] for k in idxs)
+                ],
+                axis=1,
+            )
+            for _, idxs in _groups(sizes)
+        ]
         try:
-            reduced = SdpFeasibility(
-                var_size=total,
-                constraints=tuple(cons),
-                block_sizes=tuple(keep_sizes),
-            )
-            verdict = solve_feasibility(
-                reduced, tol=tol, max_iter=max_iter, _allow_polish=False
-            )
+            reduced = _Compiled(sizes, tensors, comp.b)
         except BadProblem:
             continue
-        if verdict.status is not Status.FEASIBLE:
+        status, w, _, _, _ = _iterate(reduced, tol, max_iter, polish_left=0)
+        if status is not Status.FEASIBLE:
             continue
         # lift back: witness = Q W Q* blockwise
         lifted = comp.zero()
-        w = verdict.witness
-        pos_in_w = 0
-        for gi, ((s, idxs), qs) in enumerate(zip(comp.groups, basis)):
-            for pos, q in enumerate(qs):
-                r = q.shape[1]
-                if r == 0:
-                    continue
-                wb = w[pos_in_w:pos_in_w + r, pos_in_w:pos_in_w + r]
-                lifted[gi][pos] = q @ wb @ q.conj().T
-                pos_in_w += r
+        for (_, idxs), wg in zip(reduced.groups, w):
+            for k, wb in zip(idxs, wg):
+                g, pos, q = faces[k]
+                lifted[g][pos] = q @ herm_part(wb) @ q.conj().T
         ok, _ = _witness_ok(comp, lifted)
         if ok:
             return lifted
     return None
 
 
-def _block_diag(blocks: list[np.ndarray], total: int) -> np.ndarray:
-    out = np.zeros((total, total), dtype=complex)
-    at = 0
-    for blk in blocks:
-        r = blk.shape[0]
-        out[at:at + r, at:at + r] = blk
-        at += r
-    return out
-
-
-def solve_feasibility(
-    problem: SdpFeasibility,
-    tol: float = 1e-7,
-    max_iter: int = 50000,
-    _allow_polish: bool = True,
-) -> Verdict:
-    """Decide PSD feasibility of an affine slice, with certificates.
-
-    Deterministic: identical problems give bit-identical statuses and
-    witnesses matching to 1e-12.  ``Unknown`` only appears when the budget
-    runs out without either certificate closing.
-    """
-    comp = _Compiled(problem)
-
+def _iterate(
+    comp: _Compiled, tol: float, max_iter: int, polish_left: int
+) -> tuple[Status, list[np.ndarray] | None, Separator | None, int, float]:
+    """Douglas-Rachford on a compiled problem, with certificate checks and
+    up to ``polish_left`` facial polishes.  Returns the status, the witness
+    as a group variable, the separator, the iteration count and the
+    residual."""
     if comp.m == 0:
-        return Verdict(Status.FEASIBLE, comp.assemble(comp.zero()), None, 0, 0.0)
+        return Status.FEASIBLE, comp.zero(), None, 0, 0.0
 
     # inconsistent affine systems short-circuit with a pencil-free separator
     proj_b = comp.gram @ (comp.gram_pinv @ comp.b)
@@ -462,14 +452,13 @@ def solve_feasibility(
     if res_norm > 1e-10 * max(1.0, float(np.linalg.norm(comp.b))):
         sep = _certificate_from_dual(comp, res_b, tol)
         if sep is not None:
-            return Verdict(Status.INFEASIBLE, None, sep, 0, res_norm)
+            return Status.INFEASIBLE, None, sep, 0, res_norm
 
     z = comp.zero()
     best_resid = np.inf
     best_v: list[np.ndarray] | None = None
     last_gap: list[np.ndarray] | None = None
     stall_mark = np.inf
-    polish_left = 3 if _allow_polish else 0
 
     it = 0
     while it < max_iter:
@@ -484,17 +473,13 @@ def solve_feasibility(
             if comp.min_eig(x) >= WITNESS_MIN_EIG:
                 ok, resid = _witness_ok(comp, x)
                 if ok:
-                    return Verdict(
-                        Status.FEASIBLE, comp.assemble(x), None, it, resid
-                    )
+                    return Status.FEASIBLE, x, None, it, resid
             # cone-exact candidate
             resid_y = comp.residual(y)
             if resid_y <= WITNESS_RESIDUAL:
                 ok, resid = _witness_ok(comp, y)
                 if ok:
-                    return Verdict(
-                        Status.FEASIBLE, comp.assemble(y), None, it, resid
-                    )
+                    return Status.FEASIBLE, y, None, it, resid
             if resid_y < best_resid:
                 best_resid = resid_y
                 best_v = [yg.copy() for yg in y]
@@ -505,9 +490,7 @@ def solve_feasibility(
             if gap_size > tol:
                 sep = _try_certificate(comp, last_gap, tol)
                 if sep is not None:
-                    return Verdict(
-                        Status.INFEASIBLE, None, sep, it, best_resid
-                    )
+                    return Status.INFEASIBLE, None, sep, it, best_resid
 
         if it % STALL_WINDOW == 0 and polish_left > 0 and best_v is not None:
             if best_resid > WITNESS_RESIDUAL and best_resid > 0.9 * stall_mark:
@@ -518,42 +501,46 @@ def solve_feasibility(
                 if lifted is not None:
                     ok, resid = _witness_ok(comp, lifted)
                     if ok:
-                        return Verdict(
-                            Status.FEASIBLE, comp.assemble(lifted), None,
-                            it, resid,
-                        )
+                        return Status.FEASIBLE, lifted, None, it, resid
             stall_mark = best_resid
 
     # budget exhausted: one last certificate attempt on both sides
     if last_gap is not None:
         sep = _try_certificate(comp, last_gap, tol)
         if sep is not None:
-            return Verdict(Status.INFEASIBLE, None, sep, it, best_resid)
+            return Status.INFEASIBLE, None, sep, it, best_resid
     if polish_left > 0 and best_v is not None:
         lifted = _facial_polish(comp, best_v, tol, max_iter=4000)
         if lifted is not None:
             ok, resid = _witness_ok(comp, lifted)
             if ok:
-                return Verdict(
-                    Status.FEASIBLE, comp.assemble(lifted), None, it, resid
-                )
-    return Verdict(Status.UNKNOWN, None, None, it, best_resid)
+                return Status.FEASIBLE, lifted, None, it, resid
+    return Status.UNKNOWN, None, None, it, best_resid
+
+
+def solve_feasibility(
+    problem: SdpFeasibility,
+    tol: float = 1e-7,
+    max_iter: int = 50000,
+) -> Verdict:
+    """Decide PSD feasibility of an affine slice, with certificates.
+
+    Deterministic: identical problems give bit-identical statuses and
+    witnesses matching to 1e-12.  ``Unknown`` only appears when the budget
+    runs out without either certificate closing.
+    """
+    comp = _compile(problem)
+    status, v, sep, it, resid = _iterate(comp, tol, max_iter, polish_left=3)
+    witness = None if v is None else comp.assemble(v)
+    return Verdict(status, witness, sep, it, resid)
 
 
 def verify_witness(
     problem: SdpFeasibility, witness: np.ndarray
 ) -> tuple[float, float]:
     """Re-verify a witness: (min eigenvalue, preconditioned residual)."""
-    comp = _Compiled(problem)
-    offs = comp.block_offsets
-    v = []
-    w = np.asarray(witness, dtype=complex)
-    for (s, idxs) in comp.groups:
-        vg = np.empty((len(idxs), s, s), dtype=complex)
-        for pos, j in enumerate(idxs):
-            lo, hi = offs[j], offs[j + 1]
-            vg[pos] = w[lo:hi, lo:hi]
-        v.append(vg)
+    comp = _compile(problem)
+    v = comp.split(np.asarray(witness, dtype=complex))
     return comp.min_eig(v), comp.residual(v)
 
 
@@ -561,22 +548,21 @@ def dual_witness(problem: SdpFeasibility, verdict: Verdict) -> dict:
     """Re-derive and check the separating pencil of an Infeasible verdict.
 
     Raises ``NoCertificate`` unless the verdict is Infeasible.  Returns a
-    report with the recomputed margin and pencil top eigenvalue; the
-    recomputation agrees with the stored margin to 1e-9 by construction.
+    report with the recomputed margin, the pencil (one block per declared
+    block) and its top eigenvalue; the recomputation agrees with the
+    stored margin to 1e-9 by construction.
     """
     if verdict.status is not Status.INFEASIBLE or verdict.separator is None:
         raise NoCertificate("verdict carries no separating certificate")
-    comp = _Compiled(problem)
+    comp = _compile(problem)
     sep = verdict.separator
     y_norm = np.asarray(sep.dual, dtype=float) * comp.norms
     s_blocks = comp.pencil(y_norm)
     margin = float(comp.b @ y_norm)
-    mx = comp.max_eig_pencil(s_blocks)
-    pencil = comp.assemble(s_blocks)
     return {
         "margin": margin,
         "margin_gap": abs(margin - sep.margin),
-        "pencil_max_eig": mx,
-        "pencil": pencil,
+        "pencil_max_eig": comp.max_eig_pencil(s_blocks),
+        "pencil": comp.blocks(s_blocks),
         "dual": sep.dual.copy(),
     }

@@ -201,6 +201,24 @@ class TestCommands:
         assert code == 0
         assert [j["status"] for j in rep["jobs"]] == ["In", "Simplex"]
 
+    def test_batch_reports_its_wall_time(self, tmp_path, capsys):
+        jobs = write(
+            tmp_path / "jobs.json",
+            [
+                {
+                    "command": "member",
+                    "inputs": {
+                        "kind": "kmin",
+                        "tuple": pauli_tuple(),
+                        "body": SQUARE_BODY,
+                    },
+                },
+            ],
+        )
+        code, rep = run(capsys, ["batch", "--jobs", jobs])
+        assert code == 0
+        assert rep["wall_time_s"] > 0
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage(self, capsys):

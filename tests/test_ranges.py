@@ -20,6 +20,7 @@ from mconvex.ranges import (
     kmin_member,
     mrange_equal,
     theta_min_alpha,
+    _kmin_problem,
     ucp_member,
 )
 
@@ -121,6 +122,20 @@ class TestKmin:
         outside = nilpotent_pair().scaled(0.55)
         res = kmin_member(UNIT_DISC, outside)
         assert res.status is MembershipStatus.OUT
+
+    def test_disc_problem_is_block_native(self):
+        # 96-gon, n = 6, d = 2: (d + 1) n^2 = 108 constraints, each stated as
+        # 96 blocks of 6 x 6 and none as a dense (96 * 6)^2 matrix
+        angles = 2.0 * np.pi * np.arange(96) / 96
+        verts = np.column_stack([np.cos(angles), np.sin(angles)])
+        rng = np.random.default_rng(0)
+        mats = [herm_part(rng.standard_normal((6, 6))) for _ in range(2)]
+        problem = _kmin_problem(verts, mats)
+        shapes = {np.shape(c.coeff) for c in problem.constraints}
+        assert shapes == {(96, 6, 6)}
+        assert len(problem.constraints) == 108
+        entries = sum(np.asarray(c.coeff).size for c in problem.constraints)
+        assert entries == 108 * 96 * 36
 
     def test_box_body(self):
         res = kmin_member(UNIT_BOX, pauli(1.0 / ROOT2))
@@ -262,6 +277,12 @@ class TestChoiLi:
         assert cal["calibrated_corner_radius"] == pytest.approx(1.0, abs=1e-9)
         # the tempting reference constant overshoots the corner by sqrt(2)
         assert cal["reference_corner_radius"] == pytest.approx(ROOT2, abs=1e-9)
+
+    def test_calibration_is_shared_but_not_mutable(self):
+        first = choi_li_equiv_check(np.array([[0.5]]))["calibration"]
+        first["calibrated_constant"] = 7.0
+        again = choi_li_equiv_check(np.array([[0.5]]))["calibration"]
+        assert again["calibrated_constant"] == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize(
         "y,expected",
