@@ -53,13 +53,22 @@ from .linalg import (
     simdiag_hermitian,
     skew_part,
 )
-from .sdp import AffineConstraint, SdpFeasibility, Status, solve_feasibility
+from .sdp import (
+    AffineConstraint,
+    SdpFeasibility,
+    Status,
+    _compile,
+    solve_feasibility,
+)
 
 #: default membership tolerance; the Boundary band is 10x this
 MEMBER_TOL = 1e-7
 
 #: circle discretization for minimal-set membership over a disc
 DISC_GRID = 96
+
+#: iteration budget of each decomposition SDP
+KMIN_MAX_ITER = 50000
 
 #: deviation allowed when testing a_j^2 = I or a_j* a_j = I
 EXTREME_DEV = 1e-8
@@ -103,8 +112,10 @@ class MembershipResult:
 class ThetaEstimate:
     """Bisection bracket for the minimal alpha with ``a`` in (alpha K)^min.
 
-    ``witness_point`` is ``a`` rescaled by ``1/upper``, a certified point
-    of K^min at the upper end of the bracket.
+    ``witness_point`` is ``a`` rescaled by ``1/upper``.  It is certified
+    in the minimal set of K's relaxed body (the circumscribed polygon of
+    a disc, the vertices scaled by ``1 + 10 member_tol`` otherwise), just
+    as a Boundary answer of ``kmin_member`` is.
     """
 
     lower: float
@@ -264,6 +275,16 @@ def _witness_blocks(witness: np.ndarray, m: int, n: int) -> list[np.ndarray]:
     return [witness[j * n:(j + 1) * n, j * n:(j + 1) * n] for j in range(m)]
 
 
+def _decomposition(verdict, vertices: np.ndarray, n: int) -> MembershipResult:
+    """The In answer of a feasible decomposition SDP: the blocks ``h_j``,
+    with their smallest eigenvalue (one batched call) as the margin."""
+    h = _witness_blocks(verdict.witness, vertices.shape[0], n)
+    slack = float(np.linalg.eigvalsh(herm_part(np.stack(h)))[:, 0].min())
+    return MembershipResult(
+        MembershipStatus.IN, max(slack, 0.0), {"h": h, "vertices": vertices}
+    )
+
+
 def _is_commuting(a: OperatorTuple) -> bool:
     for j in range(a.d):
         for k in range(j + 1, a.d):
@@ -300,33 +321,61 @@ def _singleton_point(K: ConvexBody) -> np.ndarray | None:
     return None
 
 
+def _vertex_sets(
+    K: ConvexBody, tol: float, m_grid: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The nominal, relaxed and tightened vertex sets of ``kmin_member``.
+
+    A disc gives its inscribed and circumscribed ``m_grid``-gons and no
+    tightened set; polytopes, boxes and planar sampled bodies give their
+    vertices and the vertices scaled by ``1 +- 10 tol`` about their
+    center.  An Out answer rests on the relaxed set being infeasible, a
+    Boundary answer on it being feasible.
+    """
+    if isinstance(K, Disc):
+        angles = 2.0 * np.pi * np.arange(m_grid) / m_grid
+        ring = np.column_stack([np.cos(angles), np.sin(angles)])
+        inner = K.center + K.radius * ring
+        outer = K.center + (K.radius / np.cos(np.pi / m_grid)) * ring
+        return inner, outer, None
+    if isinstance(K, (Polytope, Box)):
+        verts = K.vertices if isinstance(K, Polytope) else box_vertices(K)
+        center = body_center(K)
+    elif isinstance(K, Sampled):
+        if K.dim != 2:
+            raise DimensionMismatch(
+                "minimal-set membership for sampled bodies is planar only"
+            )
+        radius = 4.0 * max(1.0, float(np.abs(K.support_values).max()))
+        verts = clip_by_halfplanes(K.directions, K.support_values, radius)
+        if verts.shape[0] == 0:
+            raise BadProblem("sampled body clips to the empty set")
+        center = verts.mean(axis=0)
+    else:
+        raise DimensionMismatch(f"unknown body type {type(K)!r}")
+    eps = 10.0 * tol
+    return (
+        verts,
+        center + (1.0 + eps) * (verts - center),
+        center + (1.0 - eps) * (verts - center),
+    )
+
+
 def _poly_kmin(
-    vertices: np.ndarray,
     a: OperatorTuple,
     tol: float,
     max_iter: int,
-    center: np.ndarray,
+    vertices: np.ndarray,
+    relaxed: np.ndarray,
+    tightened: np.ndarray,
 ) -> MembershipResult:
     """Minimal-set membership over an explicit vertex list, with bracketing."""
-    n = a.n
-    m = vertices.shape[0]
     eps = 10.0 * tol
-
-    def scaled_verts(factor: float) -> np.ndarray:
-        return center + factor * (vertices - center)
-
     verdict = _kmin_solve(vertices, a, tol, max_iter)
     if verdict.status is Status.FEASIBLE:
-        h = _witness_blocks(verdict.witness, m, n)
-        slack = min(float(np.linalg.eigvalsh(herm_part(b))[0]) for b in h)
-        return MembershipResult(
-            MembershipStatus.IN,
-            max(slack, 0.0),
-            {"h": h, "vertices": vertices},
-        )
+        return _decomposition(verdict, vertices, a.n)
     if verdict.status is Status.INFEASIBLE:
-        relaxed = _kmin_solve(scaled_verts(1.0 + eps), a, tol, max_iter)
-        if relaxed.status is Status.FEASIBLE:
+        if _kmin_solve(relaxed, a, tol, max_iter).status is Status.FEASIBLE:
             return MembershipResult(
                 MembershipStatus.BOUNDARY,
                 eps,
@@ -337,27 +386,24 @@ def _poly_kmin(
             MembershipStatus.OUT, verdict.separator.margin, verdict.separator
         )
     # solver budget ran out at the nominal scale: bracket both ways
-    tightened = _kmin_solve(scaled_verts(1.0 - eps), a, tol, max_iter)
-    if tightened.status is Status.FEASIBLE:
-        h = _witness_blocks(tightened.witness, m, n)
+    inner = _kmin_solve(tightened, a, tol, max_iter)
+    if inner.status is Status.FEASIBLE:
+        h = _witness_blocks(inner.witness, vertices.shape[0], a.n)
         return MembershipResult(
             MembershipStatus.IN,
             eps,
-            {"h": h, "vertices": scaled_verts(1.0 - eps)},
+            {"h": h, "vertices": tightened},
             "resolved on the tightened body",
         )
-    relaxed = _kmin_solve(scaled_verts(1.0 + eps), a, tol, max_iter)
-    if relaxed.status is Status.INFEASIBLE:
+    outer = _kmin_solve(relaxed, a, tol, max_iter)
+    if outer.status is Status.INFEASIBLE:
         return MembershipResult(
             MembershipStatus.OUT,
-            relaxed.separator.margin,
-            relaxed.separator,
+            outer.separator.margin,
+            outer.separator,
             "resolved on the relaxed body",
         )
-    if (
-        tightened.status is Status.INFEASIBLE
-        and relaxed.status is Status.FEASIBLE
-    ):
+    if inner.status is Status.INFEASIBLE and outer.status is Status.FEASIBLE:
         return MembershipResult(
             MembershipStatus.BOUNDARY, eps, None, "bracketing straddles"
         )
@@ -371,7 +417,7 @@ def kmin_member(
     a: OperatorTuple,
     tol: float = MEMBER_TOL,
     m_grid: int = DISC_GRID,
-    max_iter: int = 50000,
+    max_iter: int = KMIN_MAX_ITER,
 ) -> MembershipResult:
     """Does ``a`` admit a positive decomposition over points of K?
 
@@ -408,51 +454,28 @@ def kmin_member(
             "commuting tuple: decided through the joint spectrum",
         )
 
-    if isinstance(K, (Polytope, Box)):
-        verts = K.vertices if isinstance(K, Polytope) else box_vertices(K)
-        return _poly_kmin(verts, a, tol, max_iter, body_center(K))
+    verts, relaxed, tightened = _vertex_sets(K, tol, m_grid)
+    if not isinstance(K, Disc):
+        return _poly_kmin(a, tol, max_iter, verts, relaxed, tightened)
 
-    if isinstance(K, Disc):
-        angles = 2.0 * np.pi * np.arange(m_grid) / m_grid
-        ring = np.column_stack([np.cos(angles), np.sin(angles)])
-        inner = K.center + K.radius * ring
-        outer = K.center + (K.radius / np.cos(np.pi / m_grid)) * ring
-        gap = K.radius * (1.0 / np.cos(np.pi / m_grid) - 1.0)
-        v_in = _kmin_solve(inner, a, tol, max_iter)
-        if v_in.status is Status.FEASIBLE:
-            h = _witness_blocks(v_in.witness, m_grid, a.n)
-            slack = min(float(np.linalg.eigvalsh(herm_part(b))[0]) for b in h)
-            return MembershipResult(
-                MembershipStatus.IN, max(slack, 0.0), {"h": h, "vertices": inner}
-            )
-        v_out = _kmin_solve(outer, a, tol, max_iter)
-        if v_out.status is Status.INFEASIBLE:
-            return MembershipResult(
-                MembershipStatus.OUT, v_out.separator.margin, v_out.separator
-            )
-        if v_in.status is Status.INFEASIBLE and v_out.status is Status.FEASIBLE:
-            return MembershipResult(
-                MembershipStatus.BOUNDARY,
-                gap,
-                None,
-                f"inscribed/circumscribed {m_grid}-gon sandwich straddles",
-            )
+    v_in = _kmin_solve(verts, a, tol, max_iter)
+    if v_in.status is Status.FEASIBLE:
+        return _decomposition(v_in, verts, a.n)
+    v_out = _kmin_solve(relaxed, a, tol, max_iter)
+    if v_out.status is Status.INFEASIBLE:
         return MembershipResult(
-            MembershipStatus.UNKNOWN, 0.0, None, "solver budget exhausted"
+            MembershipStatus.OUT, v_out.separator.margin, v_out.separator
         )
-
-    if isinstance(K, Sampled):
-        if K.dim != 2:
-            raise DimensionMismatch(
-                "minimal-set membership for sampled bodies is planar only"
-            )
-        radius = 4.0 * max(1.0, float(np.abs(K.support_values).max()))
-        verts = clip_by_halfplanes(K.directions, K.support_values, radius)
-        if verts.shape[0] == 0:
-            raise BadProblem("sampled body clips to the empty set")
-        return _poly_kmin(verts, a, tol, max_iter, verts.mean(axis=0))
-
-    raise DimensionMismatch(f"unknown body type {type(K)!r}")
+    if v_in.status is Status.INFEASIBLE and v_out.status is Status.FEASIBLE:
+        return MembershipResult(
+            MembershipStatus.BOUNDARY,
+            K.radius * (1.0 / np.cos(np.pi / m_grid) - 1.0),
+            None,
+            f"inscribed/circumscribed {m_grid}-gon sandwich straddles",
+        )
+    return MembershipResult(
+        MembershipStatus.UNKNOWN, 0.0, None, "solver budget exhausted"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +494,16 @@ def theta_min_alpha(
 
     Requires ``a`` to be a maximal-set point of K (raises ``NotInKmax``
     otherwise) and 0 to be interior to K (raises ``NoInteriorZero``), so
-    the scaled bodies ``alpha K`` are nested.  Scales the body, not the
-    tuple, which keeps the decomposition SDP data conditioned.  Values
-    below 1 are reported as the degenerate bracket [1, 1].  Pass a list
-    as ``trace`` to collect the (lower, upper) bracket after each step.
+    the scaled bodies ``alpha K`` are nested.  Scales the tuple, not the
+    body: ``a`` is in (alpha K)^min exactly when ``a / alpha`` is in K^min,
+    and with every constraint normalized the two SDPs are the same up to
+    rounding.  So the decomposition SDP over K's relaxed vertex set (the
+    one a Boundary answer of ``kmin_member`` rests on) is compiled once,
+    and each step re-solves it for the right-hand side of ``a / alpha``:
+    Feasible means inside, anything else outside.  Commuting tuples are
+    decided through their joint spectrum, with no SDP.  Values below 1
+    are reported as the degenerate bracket [1, 1].  Pass a list as
+    ``trace`` to collect the (lower, upper) bracket after each step.
     """
     pre = kmax_member(K, a, member_tol)
     if pre.status not in (MembershipStatus.IN, MembershipStatus.BOUNDARY):
@@ -484,9 +513,21 @@ def theta_min_alpha(
         )
     slack = require_interior_zero(K)
 
-    def inside(alpha: float) -> bool:
-        res = kmin_member(scale_body(K, alpha), a, member_tol)
-        return res.status in (MembershipStatus.IN, MembershipStatus.BOUNDARY)
+    if _is_commuting(a):
+        def inside(alpha: float) -> bool:
+            res = kmin_member(scale_body(K, alpha), a, member_tol)
+            return res.status in (MembershipStatus.IN, MembershipStatus.BOUNDARY)
+    else:
+        _, relaxed, _ = _vertex_sets(K, member_tol, DISC_GRID)
+        problem = _kmin_problem(relaxed, a.mats)
+        comp = _compile(problem)
+        rhs = np.array([c.rhs for c in problem.constraints])
+        n2 = a.n * a.n  # the rows of sum_j h_j = I; the tuple rows follow
+
+        def inside(alpha: float) -> bool:
+            step = comp.with_rhs(np.concatenate([rhs[:n2], rhs[n2:] / alpha]))
+            verdict = step.solve(min(member_tol, 1e-7), KMIN_MAX_ITER)
+            return verdict.status is Status.FEASIBLE
 
     def record(lo: float, hi: float) -> None:
         if trace is not None:

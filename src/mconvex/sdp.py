@@ -22,18 +22,32 @@ restores Slater-style convergence and yields exact-rank witnesses.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
+import logging
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BadProblem, NoCertificate
-from .linalg import herm_part, is_hermitian
+from .linalg import herm_part
+
+_LOG = logging.getLogger("mconvex")
 
 #: witness acceptance thresholds, fixed across the library
 WITNESS_MIN_EIG = -1e-8
 WITNESS_RESIDUAL = 1e-7
+
+#: a constraint whose coefficient norm is at most ZERO_ROW_NORM is a zero
+#: row (rounding noise, e.g. left by a face restriction); its rhs must be
+#: at most ZERO_ROW_RHS in size
+ZERO_ROW_NORM = 1e-14
+ZERO_ROW_RHS = 1e-12
+
+#: bytes of the coefficient stack symmetrized, conjugated or normed at
+#: once while compiling
+CHUNK_BYTES = 1 << 20
 
 #: how often (iterations) candidate and certificate checks run
 CHECK_EVERY = 16
@@ -145,8 +159,6 @@ def _compile(problem: SdpFeasibility) -> _Compiled:
                 f"constraint {i} has {len(coeff)} coefficient blocks "
                 f"for {len(sizes)} declared blocks"
             )
-        if not np.isfinite(c.rhs):
-            raise BadProblem(f"constraint {i} rhs is not finite")
         blocks.append(coeff)
 
     tensors = []
@@ -161,50 +173,83 @@ def _compile(problem: SdpFeasibility) -> _Compiled:
             raise BadProblem(f"coefficient blocks do not match block size {s}")
         if not np.all(np.isfinite(t.view(float))):
             raise BadProblem(f"a coefficient block of size {s} is not finite")
-        if not is_hermitian(t, rtol=1e-10):
+        dev, scale = _hermitize(t)
+        if dev > 1e-10 * max(1.0, scale):
             raise BadProblem(f"a coefficient block of size {s} is not Hermitian")
         tensors.append(t)
-    return _Compiled(sizes, tensors, np.array([float(c.rhs) for c in cons]))
+    return _Compiled(sizes, tensors, [float(c.rhs) for c in cons])
+
+
+def _hermitize(t: np.ndarray) -> tuple[float, float]:
+    """Replace a stack of matrices by its Hermitian part, in place.
+
+    Returns the largest entry of ``|t - t*|`` and of ``|t|`` before the
+    change.  Works chunk by chunk (``_chunks``), so the temporaries stay
+    near ``CHUNK_BYTES`` instead of copying the stack.
+    """
+    dev = scale = 0.0
+    for rows in _chunks(t):
+        chunk = t[rows]
+        adj = np.conj(np.swapaxes(chunk, -1, -2))
+        dev = max(dev, float(np.abs(chunk - adj).max()))
+        scale = max(scale, float(np.abs(chunk).max()))
+        t[rows] = 0.5 * (chunk + adj)
+    return dev, scale
+
+
+def _chunks(t: np.ndarray) -> list[slice]:
+    """Slices of the leading axis of ``t`` of about ``CHUNK_BYTES`` each."""
+    step = max(1, CHUNK_BYTES // max(1, t.nbytes // max(1, len(t))))
+    return [slice(i, i + step) for i in range(0, len(t), step)]
 
 
 class _Compiled:
     """Preprocessed problem: grouped blocks, normalized constraints, Gram.
 
-    ``coeff_groups[g]`` stacks the coefficients of size group ``g`` of
-    ``_groups(block_sizes)`` as an ``(m, count, s, s)`` tensor.
+    ``coeff_groups[g]`` stacks the Hermitian coefficients of size group
+    ``g`` of ``_groups(block_sizes)`` as an ``(m, count, s, s)`` tensor;
+    the constructor takes the stacks over and normalizes them in place.
+    ``with_rhs`` re-poses the problem for another right-hand side and
+    shares everything else.
     """
 
-    def __init__(self, block_sizes, coeff_groups: list[np.ndarray], b):
+    def __init__(self, block_sizes, coeff_groups: list[np.ndarray], rhs):
         self.block_sizes = tuple(block_sizes)
         self.var_size = sum(self.block_sizes)
         self.block_offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
         self.groups = _groups(self.block_sizes)
-        coeff_groups = [herm_part(t) for t in coeff_groups]
-        m = len(b)
+        m = len(rhs)
         self.m = m
 
-        # diagonal preconditioning: unit Frobenius norm per constraint
+        # diagonal preconditioning: unit Frobenius norm per constraint; rows
+        # of rounding noise become zero rows (zero coefficient, zero rhs,
+        # zero dual) instead of unit-norm equations of noise
         sq = np.zeros(m)
         for tensor in coeff_groups:
-            sq += np.einsum("mnij,mnij->m", tensor.conj(), tensor).real
+            for rows in _chunks(tensor):
+                sq[rows] += np.einsum(
+                    "mnij,mnij->m", tensor[rows].conj(), tensor[rows]
+                ).real
         norms = np.sqrt(np.maximum(sq, 1e-300))
-        if m and float(norms.min()) <= 1e-14:
-            bad = int(np.argmin(norms))
-            if abs(b[bad]) > 1e-12:
-                raise BadProblem(f"constraint {bad} has zero coeff, nonzero rhs")
+        self.zero_rows = norms <= ZERO_ROW_NORM
+        norms[self.zero_rows] = 1.0
+        for tensor in coeff_groups:
+            tensor[self.zero_rows] = 0.0
+            tensor /= norms[:, None, None, None]
         self.norms = norms
-        self.coeff_groups = [
-            t / norms[:, None, None, None] for t in coeff_groups
-        ] if m else coeff_groups
-        self.b = b / norms if m else b
+        self.coeff_groups = coeff_groups
+        self._set_rhs(rhs)
 
         gram = np.zeros((m, m))
         for tensor in self.coeff_groups:
-            gram += np.einsum(
-                "mnij,knij->mk", tensor.conj(), tensor
-            ).real
+            for rows in _chunks(tensor):
+                gram[rows] += np.einsum(
+                    "mnij,knij->mk", tensor[rows].conj(), tensor
+                ).real
         self.gram = gram
         self.gram_pinv = np.linalg.pinv(gram, rcond=1e-12) if m else gram
+        self.gram_pinv[self.zero_rows] = 0.0
+        self.gram_pinv[:, self.zero_rows] = 0.0
 
         # can the identity be written as a pencil of the constraints?
         self.ident = [
@@ -223,6 +268,42 @@ class _Compiled:
         else:
             self.identity_combo = None
 
+    def _set_rhs(self, rhs) -> None:
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (self.m,):
+            raise BadProblem(f"rhs of shape {rhs.shape} for {self.m} constraints")
+        finite = np.isfinite(rhs)
+        if not finite.all():
+            raise BadProblem(f"constraint {int(np.argmin(finite))} rhs is not finite")
+        bad = self.zero_rows & (np.abs(rhs) > ZERO_ROW_RHS)
+        if bad.any():
+            raise BadProblem(
+                f"constraint {int(np.argmax(bad))} has zero coeff, nonzero rhs"
+            )
+        self.b = np.where(self.zero_rows, 0.0, rhs / self.norms)
+
+    def with_rhs(self, rhs) -> _Compiled:
+        """The same constraint operator with another right-hand side.
+
+        Shares the normalized coefficients, the Gram pseudo-inverse and
+        ``identity_combo``; re-checks the new rhs as ``_compile`` does.
+        """
+        out = copy.copy(self)
+        out._set_rhs(rhs)
+        return out
+
+    def solve(self, tol: float, max_iter: int) -> Verdict:
+        """Run the certified iteration; one DEBUG line per solve."""
+        status, v, sep, it, resid = _iterate(self, tol, max_iter, polish_left=3)
+        if _LOG.isEnabledFor(logging.DEBUG):
+            _LOG.debug(
+                "sdp solve: %s after %d iterations, residual %.3e, "
+                "m=%d, %d blocks",
+                status.value, it, resid, self.m, len(self.block_sizes),
+            )
+        witness = None if v is None else self.assemble(v)
+        return Verdict(status, witness, sep, it, resid)
+
     # --- variable helpers (variables are lists of (count, s, s) arrays) ---
 
     def zero(self) -> list[np.ndarray]:
@@ -233,9 +314,11 @@ class _Compiled:
 
     def apply(self, v: list[np.ndarray]) -> np.ndarray:
         """The constraint map A(V), a real m-vector."""
+        # Re tr(C* V) = Re tr(C conj(V)) term by term: conjugating the
+        # variable spares a copy of the whole coefficient stack
         out = np.zeros(self.m)
         for tensor, vg in zip(self.coeff_groups, v):
-            out += np.einsum("mnij,nij->m", tensor.conj(), vg).real
+            out += np.einsum("mnij,nij->m", tensor, vg.conj()).real
         return out
 
     def pencil(self, y: np.ndarray) -> list[np.ndarray]:
@@ -416,6 +499,8 @@ def _facial_polish(
             )
             for _, idxs in _groups(sizes)
         ]
+        for t in tensors:
+            _hermitize(t)
         try:
             reduced = _Compiled(sizes, tensors, comp.b)
         except BadProblem:
@@ -529,10 +614,7 @@ def solve_feasibility(
     witnesses matching to 1e-12.  ``Unknown`` only appears when the budget
     runs out without either certificate closing.
     """
-    comp = _compile(problem)
-    status, v, sep, it, resid = _iterate(comp, tol, max_iter, polish_left=3)
-    witness = None if v is None else comp.assemble(v)
-    return Verdict(status, witness, sep, it, resid)
+    return _compile(problem).solve(tol, max_iter)
 
 
 def verify_witness(

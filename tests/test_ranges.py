@@ -1,14 +1,30 @@
+import logging
+
 import numpy as np
 import pytest
 
+import mconvex.ranges as ranges
 from mconvex.errors import (
     DimensionMismatch,
     NonHermitianInput,
     NotInKmax,
     TupleMismatch,
 )
-from mconvex.geometry import Box, Disc, Polytope, Sampled
-from mconvex.linalg import OperatorTuple, herm_part, numerical_radius, skew_part
+from mconvex.geometry import (
+    Box,
+    Disc,
+    Polytope,
+    Sampled,
+    require_interior_zero,
+    scale_body,
+)
+from mconvex.linalg import (
+    OperatorTuple,
+    herm_part,
+    numerical_radius,
+    op_norm,
+    skew_part,
+)
 from mconvex.ranges import (
     MembershipStatus,
     calibrate_choi_li,
@@ -23,6 +39,7 @@ from mconvex.ranges import (
     _kmin_problem,
     ucp_member,
 )
+from mconvex.sdp import _Compiled
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -119,6 +136,9 @@ class TestKmin:
         inside = nilpotent_pair().scaled(0.45)
         res = kmin_member(UNIT_DISC, inside)
         assert res.status is MembershipStatus.IN
+        # the margin is the smallest eigenvalue of the blocks h_j
+        slack = min(float(np.linalg.eigvalsh(h)[0]) for h in res.certificate["h"])
+        assert res.margin == max(slack, 0.0)
         outside = nilpotent_pair().scaled(0.55)
         res = kmin_member(UNIT_DISC, outside)
         assert res.status is MembershipStatus.OUT
@@ -176,6 +196,127 @@ class TestTheta:
         assert len(trace) >= 3
         widths = [hi - lo for lo, hi in trace]
         assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
+
+
+def _scaled_body_theta(K, a, tol):
+    """The bisection of theta_min_alpha with the scaled-body oracle:
+    ``kmin_member(scale_body(K, alpha), a)`` returning In or Boundary."""
+
+    def inside(alpha):
+        res = kmin_member(scale_body(K, alpha), a)
+        return res.status in (MembershipStatus.IN, MembershipStatus.BOUNDARY)
+
+    if inside(1.0):
+        return (1.0, 1.0), [(1.0, 1.0)]
+    lo = 1.0
+    hi = max(2.0, 2.0 * a.d * max(op_norm(m) for m in a.mats)
+             / require_interior_zero(K))
+    while not inside(hi):
+        lo, hi = hi, 2.0 * hi
+    trace = [(lo, hi)]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            hi = mid
+        else:
+            lo = mid
+        trace.append((lo, hi))
+    return (lo, hi), trace
+
+
+def _count_compiles_and_solves(monkeypatch) -> dict:
+    counts = {"compile": 0, "solve": 0}
+    compile_, solve = ranges._compile, _Compiled.solve
+
+    def counted_compile(*args, **kwargs):
+        counts["compile"] += 1
+        return compile_(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        counts["solve"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ranges, "_compile", counted_compile)
+    monkeypatch.setattr(_Compiled, "solve", counted_solve)
+    return counts
+
+
+SQUARE_SAMPLED = Sampled(
+    np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(4)
+)
+
+
+class TestThetaCompiledOnce:
+    @pytest.mark.parametrize(
+        "body, pair", [(SQUARE, pauli), (UNIT_DISC, nilpotent_pair)]
+    )
+    def test_one_compile_and_one_solve_per_step(self, monkeypatch, body, pair):
+        counts = _count_compiles_and_solves(monkeypatch)
+        trace = []
+        theta_min_alpha(body, pair(), tol=0.02, trace=trace)
+        # alpha = 1, the first upper end (inside for both pairs), then one
+        # solve per bisection step
+        assert counts == {"compile": 1, "solve": len(trace) + 1}
+
+    @pytest.mark.parametrize("tol", [0.02, 0.05])
+    @pytest.mark.parametrize(
+        "body, pair",
+        [
+            (SQUARE, pauli),
+            (UNIT_DISC, nilpotent_pair),
+            (UNIT_BOX, pauli),
+            (SQUARE_SAMPLED, pauli),
+        ],
+    )
+    def test_matches_the_scaled_body_bisection(self, body, pair, tol):
+        trace = []
+        est = theta_min_alpha(body, pair(), tol=tol, trace=trace)
+        bracket, want = _scaled_body_theta(body, pair(), tol)
+        assert (est.lower, est.upper) == bracket
+        assert trace == want
+
+    def test_decides_a_maximal_boundary_point_in_one_solve(self, monkeypatch):
+        # a seeded 3 x 3 pair bisected onto the boundary of square^max:
+        # ||a_2|| = 1 + 1e-6 is inside kmax_member's Boundary band.  The
+        # nominal square cannot decide alpha = 1 within the budget; the
+        # relaxed square holds a decomposition
+        rng = np.random.default_rng(0)
+        g = [herm_part(rng.standard_normal((3, 3))
+                       + 1j * rng.standard_normal((3, 3))) for _ in range(2)]
+        base = (0.2 * g[0] / op_norm(g[0]), g[1] / op_norm(g[1]))
+
+        def pair(s):
+            return OperatorTuple(tuple(s * m for m in base), hermitian=True)
+
+        lo, hi = 0.5, 1.5
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if kmax_member(SQUARE, pair(mid)).status is MembershipStatus.OUT:
+                hi = mid
+            else:
+                lo = mid
+        a = pair(lo)
+        assert kmax_member(SQUARE, a).status is MembershipStatus.BOUNDARY
+        assert op_norm(a.mats[1]) == pytest.approx(1.0 + 1e-6, abs=1e-8)
+        counts = _count_compiles_and_solves(monkeypatch)
+        est = theta_min_alpha(SQUARE, a, tol=0.01)
+        assert (est.lower, est.upper) == (1.0, 1.0)
+        assert counts == {"compile": 1, "solve": 1}
+
+    def test_commuting_tuple_runs_no_sdp(self, monkeypatch):
+        counts = _count_compiles_and_solves(monkeypatch)
+        est = theta_min_alpha(SQUARE, OperatorTuple((Z, Z), hermitian=True))
+        assert (est.lower, est.upper) == (1.0, 1.0)
+        assert counts == {"compile": 0, "solve": 0}
+
+    def test_logs_one_debug_line_per_solve(self, caplog):
+        trace = []
+        with caplog.at_level(logging.DEBUG, logger="mconvex"):
+            theta_min_alpha(SQUARE, pauli(), tol=0.05, trace=trace)
+        lines = [r.getMessage() for r in caplog.records if r.name == "mconvex"]
+        assert len(lines) == len(trace) + 1
+        assert all(line.startswith("sdp solve: ") for line in lines)
+        assert all("m=12, 4 blocks" in line for line in lines)
 
 
 class TestUcp:

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from mconvex.errors import BadProblem
-from mconvex.linalg import random_hermitian
+from mconvex.linalg import herm_part, random_hermitian
 from mconvex.sdp import (
     AffineConstraint,
     SdpFeasibility,
     Status,
     _compile,
     _facial_polish,
+    _hermitize,
+    _witness_ok,
     dual_witness,
     solve_feasibility,
     verify_witness,
@@ -174,3 +176,120 @@ def test_trace_normalization_field():
     verdict = solve_feasibility(problem)
     assert verdict.status is Status.FEASIBLE
     assert np.trace(verdict.witness).real == pytest.approx(1.0, abs=1e-6)
+
+
+def test_facial_polish_drops_rows_of_rounding_noise():
+    # tr((I - u u*) V) = 0 restricted to the face span(u) leaves a ~1e-16
+    # coefficient; it must become a zero row, not the unit equation w = 0
+    u = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    uu = np.outer(u, u).astype(complex)
+    problem = SdpFeasibility(
+        2, (AffineConstraint(np.eye(2) - uu, 0.0),), trace_normalization=1.0
+    )
+    comp = _compile(problem)
+    lifted = _facial_polish(comp, comp.split(uu), tol=1e-7, max_iter=4000)
+    assert lifted is not None
+    ok, residual = _witness_ok(comp, lifted)
+    assert ok and residual <= 1e-7
+
+
+def test_zero_rows_carry_a_zero_dual():
+    # a zero row with a zero rhs is dropped; the separator of tr V = -1
+    # gives it dual entry exactly 0
+    problem = SdpFeasibility(
+        2,
+        (AffineConstraint(np.zeros((2, 2)), 0.0),
+         AffineConstraint(np.eye(2), -1.0)),
+    )
+    verdict = solve_feasibility(problem)
+    assert verdict.status is Status.INFEASIBLE
+    assert verdict.separator.dual[0] == 0.0
+    assert dual_witness(problem, verdict)["margin_gap"] <= 1e-9
+
+
+def _planted(rng, size: int, count: int):
+    g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    c0 = g @ g.conj().T
+    c0 /= np.trace(c0).real
+    coeffs = [random_hermitian(size, rng) for _ in range(count)]
+    rhs = [float(np.trace(c @ c0).real) for c in coeffs]
+    return coeffs, rhs
+
+
+def test_with_rhs_gives_the_verdict_of_a_fresh_compile():
+    rng = np.random.default_rng(3)
+    coeffs, rhs = _planted(rng, 4, 5)
+    problems = [
+        SdpFeasibility(4, tuple(map(AffineConstraint, coeffs, r)),
+                       trace_normalization=1.0)
+        for r in (rhs, [2.0 * v for v in rhs], [-v for v in rhs])
+    ]
+    comp = _compile(problems[0])
+    for problem in problems:
+        new_rhs = [c.rhs for c in problem.constraints] + [1.0]
+        got = comp.with_rhs(new_rhs).solve(1e-7, 50000)
+        want = solve_feasibility(problem)
+        assert got.status is want.status
+        assert got.iterations == want.iterations
+        assert got.residual == want.residual
+        if want.witness is None:
+            assert got.witness is None
+        else:
+            assert np.array_equal(got.witness, want.witness)
+        if want.separator is None:
+            assert got.separator is None
+        else:
+            assert np.array_equal(got.separator.dual, want.separator.dual)
+            assert got.separator.margin == want.separator.margin
+    assert {solve_feasibility(p).status for p in problems} >= {
+        Status.FEASIBLE, Status.INFEASIBLE
+    }
+
+
+def test_with_rhs_checks_the_new_rhs():
+    problem = SdpFeasibility(
+        2,
+        (AffineConstraint(np.zeros((2, 2)), 0.0),
+         AffineConstraint(np.eye(2), 1.0)),
+    )
+    comp = _compile(problem)
+    with pytest.raises(BadProblem):
+        comp.with_rhs([0.0, np.nan])
+    with pytest.raises(BadProblem):
+        comp.with_rhs([0.0, np.inf])
+    with pytest.raises(BadProblem):
+        comp.with_rhs([1e-3, 1.0])
+    with pytest.raises(BadProblem):
+        _compile(SdpFeasibility(2, (AffineConstraint(np.zeros((2, 2)), 1e-3),)))
+    assert comp.with_rhs([0.0, 2.0]).solve(1e-7, 50000).status is Status.FEASIBLE
+
+
+def test_compiled_data_match_the_whole_stack_formulas():
+    # the chunked, in-place compile against the whole-stack formulas it
+    # replaces, bit for bit; the stack spans several CHUNK_BYTES chunks
+    rng = np.random.default_rng(5)
+    shape = (70, 96, 4, 4)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    t = raw.copy()
+    dev, scale = _hermitize(t)
+    adj = np.conj(np.swapaxes(raw, -1, -2))
+    assert np.array_equal(t, herm_part(raw))
+    assert dev == np.abs(raw - adj).max() and scale == np.abs(raw).max()
+
+    coeffs = [herm_part(raw[i]) for i in range(shape[0])]
+    rhs = rng.standard_normal(shape[0]).tolist()
+    problem = SdpFeasibility(
+        96 * 4, tuple(map(AffineConstraint, coeffs, rhs)),
+        block_sizes=(4,) * 96,
+    )
+    comp = _compile(problem)
+    sq = np.einsum("mnij,mnij->m", t.conj(), t).real
+    norms = np.sqrt(np.maximum(sq, 1e-300))
+    unit = t / norms[:, None, None, None]
+    assert np.array_equal(comp.coeff_groups[0], unit)
+    assert np.array_equal(comp.b, np.array(rhs) / norms)
+    gram = np.einsum("mnij,knij->mk", unit.conj(), unit).real
+    assert np.array_equal(comp.gram, gram)
+    v = herm_part(rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:]))
+    want = np.einsum("mnij,nij->m", unit.conj(), v).real
+    assert np.array_equal(comp.apply([v]), want)
