@@ -50,6 +50,8 @@ from .models import (
     verify_local_sw,
 )
 from .ranges import (
+    DISC_GRID,
+    MAX_ITER,
     choi_li_equiv_check,
     is_matrix_extreme_free_symmetric,
     is_matrix_extreme_free_unitary,
@@ -147,14 +149,14 @@ def _run_member(job: JobSpec) -> dict:
             decode_body(_need(job, "body")),
             a,
             tol=tol,
-            m_grid=int(_opt(job, "grid", 96)),
-            max_iter=int(_opt(job, "max_iter", 50000)),
+            m_grid=int(_opt(job, "grid", DISC_GRID)),
+            max_iter=int(_opt(job, "max_iter", MAX_ITER)),
         )
     elif kind == "kmax":
         res = kmax_member(decode_body(_need(job, "body")), a, tol=tol)
     elif kind == "ucp":
         x = decode_tuple(_need(job, "range_of"))
-        res = ucp_member(x, a, tol=tol, max_iter=int(_opt(job, "max_iter", 50000)))
+        res = ucp_member(x, a, tol=tol, max_iter=int(_opt(job, "max_iter", MAX_ITER)))
     else:
         raise UsageError(f"unknown member kind {kind!r} (ucp | kmin | kmax)")
     return _membership_payload(res)

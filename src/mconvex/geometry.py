@@ -384,6 +384,19 @@ def _hull_reconstruction_gap(others: np.ndarray, p: np.ndarray) -> float:
     return float(res.fun)
 
 
+def _ray_reach(points: np.ndarray, p: np.ndarray) -> float:
+    """The largest ``t >= 0`` with ``t p`` in conv(points), 0 if none: an
+    LP over weights ``w >= 0`` and ``t`` with ``points^T w = t p``,
+    ``sum w = 1``."""
+    k, d = points.shape
+    a_eq = np.vstack([np.column_stack([points.T, -p]), np.r_[np.ones(k), 0.0]])
+    res = linprog(
+        np.r_[np.zeros(k), -1.0], A_eq=a_eq, b_eq=np.r_[np.zeros(d), 1.0],
+        bounds=(0, None), method="highs",
+    )
+    return float(-res.fun) if res.status == 0 else 0.0
+
+
 def is_simplex(points: np.ndarray, tol: float = 1e-9) -> tuple[bool, dict]:
     """Whether the hull of ``points`` is a simplex.
 
@@ -496,16 +509,14 @@ def require_interior_zero(body: ConvexBody, tol: float = 1e-9) -> float:
     if isinstance(body, Polytope):
         if body.dim == 2:
             normals, offsets = polytope_facets_2d(body)
-            slack = float(np.min(offsets))
+            slack = reach = float(np.min(offsets))
         else:
-            # affine hull must be full and 0 strictly inside: probe support
-            rng = np.random.default_rng(7)
-            slack = float("inf")
-            for _ in range(64 * body.dim):
-                c = rng.standard_normal(body.dim)
-                c /= np.linalg.norm(c)
-                slack = min(slack, float(np.max(body.vertices @ c)))
-        if slack <= tol:
+            # the largest r with +-r e_i in K for every i; the cross-polytope
+            # of radius r lies in K and has inradius r / sqrt(d)
+            axes = np.eye(body.dim)
+            reach = min(_ray_reach(body.vertices, p) for p in (*axes, *-axes))
+            slack = reach / np.sqrt(body.dim)
+        if reach <= tol:
             raise NoInteriorZero("0 is not interior to the polytope")
         return slack
     if isinstance(body, Box):

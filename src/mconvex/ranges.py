@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,8 +57,8 @@ from .sdp import (
     AffineConstraint,
     SdpFeasibility,
     Status,
+    Verdict,
     _compile,
-    solve_feasibility,
 )
 
 #: default membership tolerance; the Boundary band is 10x this
@@ -67,8 +67,8 @@ MEMBER_TOL = 1e-7
 #: circle discretization for minimal-set membership over a disc
 DISC_GRID = 96
 
-#: iteration budget of each decomposition SDP
-KMIN_MAX_ITER = 50000
+#: iteration budget of each decomposition or Choi SDP solve
+MAX_ITER = 50000
 
 #: deviation allowed when testing a_j^2 = I or a_j* a_j = I
 EXTREME_DEV = 1e-8
@@ -259,26 +259,41 @@ def _kmin_problem(
     return SdpFeasibility(m * n, tuple(cons), block_sizes=(n,) * m)
 
 
-def _kmin_solve(
+def _kmin_solver(
     vertices: np.ndarray,
+    center: np.ndarray,
     a: OperatorTuple,
     tol: float,
     max_iter: int,
-):
-    verdict = solve_feasibility(
-        _kmin_problem(vertices, a.mats), tol=min(tol, 1e-7), max_iter=max_iter
-    )
-    return verdict
+) -> Callable[..., Verdict]:
+    """Compile the decomposition SDP of ``a`` over ``vertices`` once.
 
+    Returns ``solve(scale, alpha=1)``, which decides whether ``a / alpha``
+    is in the minimal set of K dilated by ``scale`` about ``center``: that
+    is when ``center + (a / alpha - center) / scale`` is in K^min, and as
+    ``sum h_j = I`` only the rhs of the tuple rows moves.
+    """
+    problem = _kmin_problem(vertices, a.mats)
+    comp = _compile(problem)
+    rhs = np.array([c.rhs for c in problem.constraints])
+    n2 = a.n * a.n  # the rows of sum_j h_j = I; the tuple rows follow
+    # tr(Z_k center_l I), the tuple rows' rhs at the center
+    at_center = np.outer(center, rhs[:n2]).ravel()
 
-def _witness_blocks(witness: np.ndarray, m: int, n: int) -> list[np.ndarray]:
-    return [witness[j * n:(j + 1) * n, j * n:(j + 1) * n] for j in range(m)]
+    def solve(scale: float, alpha: float = 1.0) -> Verdict:
+        # at scale 1 and alpha 1 this is the nominal rhs to the last bit
+        tuple_rhs = rhs[n2:] / alpha / scale + (1.0 - 1.0 / scale) * at_center
+        step = comp.with_rhs(np.concatenate([rhs[:n2], tuple_rhs]))
+        return step.solve(min(tol, 1e-7), max_iter)
+
+    return solve
 
 
 def _decomposition(verdict, vertices: np.ndarray, n: int) -> MembershipResult:
     """The In answer of a feasible decomposition SDP: the blocks ``h_j``,
     with their smallest eigenvalue (one batched call) as the margin."""
-    h = _witness_blocks(verdict.witness, vertices.shape[0], n)
+    w = verdict.witness
+    h = [w[j * n:(j + 1) * n, j * n:(j + 1) * n] for j in range(len(vertices))]
     slack = float(np.linalg.eigvalsh(herm_part(np.stack(h)))[:, 0].min())
     return MembershipResult(
         MembershipStatus.IN, max(slack, 0.0), {"h": h, "vertices": vertices}
@@ -323,21 +338,20 @@ def _singleton_point(K: ConvexBody) -> np.ndarray | None:
 
 def _vertex_sets(
     K: ConvexBody, tol: float, m_grid: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The nominal, relaxed and tightened vertex sets of ``kmin_member``.
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The vertices, center, relaxed and tightened scales of ``kmin_member``.
 
-    A disc gives its inscribed and circumscribed ``m_grid``-gons and no
-    tightened set; polytopes, boxes and planar sampled bodies give their
-    vertices and the vertices scaled by ``1 +- 10 tol`` about their
-    center.  An Out answer rests on the relaxed set being infeasible, a
-    Boundary answer on it being feasible.
+    A disc gives its inscribed ``m_grid``-gon, whose dilation by
+    ``1 / cos(pi / m_grid)`` is the circumscribed one, and tightened
+    scale 1 (the inscribed polygon is already inside); polytopes, boxes
+    and planar sampled bodies give their vertices and the scales
+    ``1 +- 10 tol`` about their center.  An Out answer rests on the
+    relaxed body being infeasible, a Boundary answer on it being feasible.
     """
     if isinstance(K, Disc):
         angles = 2.0 * np.pi * np.arange(m_grid) / m_grid
         ring = np.column_stack([np.cos(angles), np.sin(angles)])
-        inner = K.center + K.radius * ring
-        outer = K.center + (K.radius / np.cos(np.pi / m_grid)) * ring
-        return inner, outer, None
+        return K.center + K.radius * ring, K.center, 1.0 / np.cos(np.pi / m_grid), 1.0
     if isinstance(K, (Polytope, Box)):
         verts = K.vertices if isinstance(K, Polytope) else box_vertices(K)
         center = body_center(K)
@@ -354,58 +368,38 @@ def _vertex_sets(
     else:
         raise DimensionMismatch(f"unknown body type {type(K)!r}")
     eps = 10.0 * tol
-    return (
-        verts,
-        center + (1.0 + eps) * (verts - center),
-        center + (1.0 - eps) * (verts - center),
-    )
+    return verts, center, 1.0 + eps, 1.0 - eps
 
 
-def _poly_kmin(
-    a: OperatorTuple,
-    tol: float,
-    max_iter: int,
-    vertices: np.ndarray,
-    relaxed: np.ndarray,
-    tightened: np.ndarray,
+def _sandwich(
+    solve: Callable[[float], Verdict | MembershipResult],
+    inner: float,
+    outer: float,
+    inside: Callable[[Verdict], MembershipResult],
+    boundary_margin: float,
+    details: tuple[str, str],
 ) -> MembershipResult:
-    """Minimal-set membership over an explicit vertex list, with bracketing."""
-    eps = 10.0 * tol
-    verdict = _kmin_solve(vertices, a, tol, max_iter)
+    """In / Out / Boundary / Unknown from one solve on each side of a query.
+
+    ``solve(inner)`` asks a harder question than the query (the point
+    pushed away from the center, or the body shrunk about it) and
+    ``solve(outer)`` an easier one.  Feasible at ``inner`` is In, through
+    ``inside``; Infeasible at ``outer`` is Out, with that separator;
+    Feasible at ``outer`` is Boundary, since the point then lies in the
+    relaxed set; anything else is Unknown.  ``details`` are the Out and
+    Boundary details.  An answer that ``solve`` returns in place of a
+    verdict (ucp's zero-coefficient Out) counts as undecided.
+    """
+    verdict = solve(inner)
     if verdict.status is Status.FEASIBLE:
-        return _decomposition(verdict, vertices, a.n)
+        return inside(verdict)
+    verdict = solve(outer)
     if verdict.status is Status.INFEASIBLE:
-        if _kmin_solve(relaxed, a, tol, max_iter).status is Status.FEASIBLE:
-            return MembershipResult(
-                MembershipStatus.BOUNDARY,
-                eps,
-                verdict.separator,
-                "outside at scale 1, inside at scale 1 + 10 tol",
-            )
+        sep = verdict.separator
+        return MembershipResult(MembershipStatus.OUT, sep.margin, sep, details[0])
+    if verdict.status is Status.FEASIBLE:
         return MembershipResult(
-            MembershipStatus.OUT, verdict.separator.margin, verdict.separator
-        )
-    # solver budget ran out at the nominal scale: bracket both ways
-    inner = _kmin_solve(tightened, a, tol, max_iter)
-    if inner.status is Status.FEASIBLE:
-        h = _witness_blocks(inner.witness, vertices.shape[0], a.n)
-        return MembershipResult(
-            MembershipStatus.IN,
-            eps,
-            {"h": h, "vertices": tightened},
-            "resolved on the tightened body",
-        )
-    outer = _kmin_solve(relaxed, a, tol, max_iter)
-    if outer.status is Status.INFEASIBLE:
-        return MembershipResult(
-            MembershipStatus.OUT,
-            outer.separator.margin,
-            outer.separator,
-            "resolved on the relaxed body",
-        )
-    if inner.status is Status.INFEASIBLE and outer.status is Status.FEASIBLE:
-        return MembershipResult(
-            MembershipStatus.BOUNDARY, eps, None, "bracketing straddles"
+            MembershipStatus.BOUNDARY, boundary_margin, None, details[1]
         )
     return MembershipResult(
         MembershipStatus.UNKNOWN, 0.0, None, "solver budget exhausted"
@@ -417,21 +411,26 @@ def kmin_member(
     a: OperatorTuple,
     tol: float = MEMBER_TOL,
     m_grid: int = DISC_GRID,
-    max_iter: int = KMIN_MAX_ITER,
+    max_iter: int = MAX_ITER,
 ) -> MembershipResult:
     """Does ``a`` admit a positive decomposition over points of K?
 
     Polytopes and boxes run the decomposition SDP on their vertices.  A
     disc is sandwiched between inscribed and circumscribed regular
     ``m_grid``-gons: feasible on the inscribed polygon means In,
-    infeasible on the circumscribed one means Out, and a straddle is
-    reported as Boundary.  Commuting tuples short-circuit through their
-    joint spectrum (the decomposition exists exactly when every joint
+    infeasible on the circumscribed one means Out, and feasible there
+    means Boundary; a polytope whose nominal solve runs out of budget is
+    bracketed alike between its dilations by ``1 -+ 10 tol``.  The SDP is
+    compiled once: a is in K dilated by s about its center c exactly when
+    ``c + (a - c) / s`` is in K^min, so each scale moves only the
+    right-hand side.  Commuting tuples short-circuit through their joint
+    spectrum (the decomposition exists exactly when every joint
     eigenvalue point lies in K).  Sampled bodies (d = 2) are clipped to
     the polygon they describe.
 
     In answers carry the decomposition ``h_j`` as certificate; Out
-    answers carry the verified separating functional.
+    answers carry the verified separating functional over the nominal
+    vertices (for the rescaled point when the Out rests on a dilation).
     """
     if not a.hermitian:
         raise NonHermitianInput("minimal-set membership needs a Hermitian tuple")
@@ -454,27 +453,42 @@ def kmin_member(
             "commuting tuple: decided through the joint spectrum",
         )
 
-    verts, relaxed, tightened = _vertex_sets(K, tol, m_grid)
-    if not isinstance(K, Disc):
-        return _poly_kmin(a, tol, max_iter, verts, relaxed, tightened)
+    verts, center, relax, tight = _vertex_sets(K, tol, m_grid)
+    solve = _kmin_solver(verts, center, a, tol, max_iter)
+    if isinstance(K, Disc):
+        return _sandwich(
+            solve, tight, relax,
+            lambda verdict: _decomposition(verdict, verts, a.n),
+            K.radius * (relax - 1.0),
+            ("", f"inscribed/circumscribed {m_grid}-gon sandwich straddles"),
+        )
 
-    v_in = _kmin_solve(verts, a, tol, max_iter)
-    if v_in.status is Status.FEASIBLE:
-        return _decomposition(v_in, verts, a.n)
-    v_out = _kmin_solve(relaxed, a, tol, max_iter)
-    if v_out.status is Status.INFEASIBLE:
+    eps = 10.0 * tol
+    verdict = solve(1.0)
+    if verdict.status is Status.FEASIBLE:
+        return _decomposition(verdict, verts, a.n)
+    if verdict.status is Status.INFEASIBLE:
+        if solve(relax).status is Status.FEASIBLE:
+            return MembershipResult(
+                MembershipStatus.BOUNDARY,
+                eps,
+                verdict.separator,
+                "outside at scale 1, inside at scale 1 + 10 tol",
+            )
         return MembershipResult(
-            MembershipStatus.OUT, v_out.separator.margin, v_out.separator
+            MembershipStatus.OUT, verdict.separator.margin, verdict.separator
         )
-    if v_in.status is Status.INFEASIBLE and v_out.status is Status.FEASIBLE:
-        return MembershipResult(
-            MembershipStatus.BOUNDARY,
-            K.radius * (1.0 / np.cos(np.pi / m_grid) - 1.0),
-            None,
-            f"inscribed/circumscribed {m_grid}-gon sandwich straddles",
-        )
-    return MembershipResult(
-        MembershipStatus.UNKNOWN, 0.0, None, "solver budget exhausted"
+    # solver budget ran out at the nominal scale: bracket both ways; a
+    # witness for the pushed-out point decomposes a over the tightened body
+    tightened = center + tight * (verts - center)
+    return _sandwich(
+        solve, tight, relax,
+        lambda verdict: dataclasses.replace(
+            _decomposition(verdict, tightened, a.n),
+            margin=eps, detail="resolved on the tightened body",
+        ),
+        eps,
+        ("resolved on the relaxed body", "bracketing straddles"),
     )
 
 
@@ -495,15 +509,15 @@ def theta_min_alpha(
     Requires ``a`` to be a maximal-set point of K (raises ``NotInKmax``
     otherwise) and 0 to be interior to K (raises ``NoInteriorZero``), so
     the scaled bodies ``alpha K`` are nested.  Scales the tuple, not the
-    body: ``a`` is in (alpha K)^min exactly when ``a / alpha`` is in K^min,
-    and with every constraint normalized the two SDPs are the same up to
-    rounding.  So the decomposition SDP over K's relaxed vertex set (the
-    one a Boundary answer of ``kmin_member`` rests on) is compiled once,
-    and each step re-solves it for the right-hand side of ``a / alpha``:
-    Feasible means inside, anything else outside.  Commuting tuples are
-    decided through their joint spectrum, with no SDP.  Values below 1
-    are reported as the degenerate bracket [1, 1].  Pass a list as
-    ``trace`` to collect the (lower, upper) bracket after each step.
+    body: ``a`` is in (alpha K)^min exactly when ``a / alpha`` is in K^min.
+    So the decomposition SDP of ``kmin_member`` is compiled once, and
+    each step re-solves it, with only the right-hand side moved, for
+    ``a / alpha`` in the relaxed body (the one a Boundary answer of
+    ``kmin_member`` rests on): Feasible means inside, anything else
+    outside.  Commuting tuples are decided through their joint spectrum,
+    with no SDP.  Values below 1 are reported as the degenerate bracket
+    [1, 1].  Pass a list as ``trace`` to collect the (lower, upper)
+    bracket after each step.
     """
     pre = kmax_member(K, a, member_tol)
     if pre.status not in (MembershipStatus.IN, MembershipStatus.BOUNDARY):
@@ -518,16 +532,11 @@ def theta_min_alpha(
             res = kmin_member(scale_body(K, alpha), a, member_tol)
             return res.status in (MembershipStatus.IN, MembershipStatus.BOUNDARY)
     else:
-        _, relaxed, _ = _vertex_sets(K, member_tol, DISC_GRID)
-        problem = _kmin_problem(relaxed, a.mats)
-        comp = _compile(problem)
-        rhs = np.array([c.rhs for c in problem.constraints])
-        n2 = a.n * a.n  # the rows of sum_j h_j = I; the tuple rows follow
+        verts, center, relax, _ = _vertex_sets(K, member_tol, DISC_GRID)
+        solve = _kmin_solver(verts, center, a, member_tol, MAX_ITER)
 
         def inside(alpha: float) -> bool:
-            step = comp.with_rhs(np.concatenate([rhs[:n2], rhs[n2:] / alpha]))
-            verdict = step.solve(min(member_tol, 1e-7), KMIN_MAX_ITER)
-            return verdict.status is Status.FEASIBLE
+            return solve(relax, alpha).status is Status.FEASIBLE
 
     def record(lo: float, hi: float) -> None:
         if trace is not None:
@@ -562,51 +571,66 @@ def theta_min_alpha(
 
 
 def _choi_problem(
-    x: OperatorTuple, a: OperatorTuple, tol: float
-) -> tuple[SdpFeasibility | None, MembershipResult | None]:
-    """Feasibility program for a unital completely positive map x -> a.
+    x: OperatorTuple, a: OperatorTuple, tol: float, max_iter: int
+) -> Callable[[float], Verdict | MembershipResult]:
+    """Compile, once, the program for a unital completely positive map x -> a.
 
     The variable is the Choi matrix ``C`` of a map ``M_m -> M_n`` (an
     m x m grid of n x n blocks): complete positivity is ``C >= 0``,
     unitality is ``sum_p C_pp = I``, and each image equation
     ``Phi(x_j) = a_j`` splits into two Hermitian pairings through
     ``tr((conj(x_j) kron Z)* C) = tr(Z a_j)`` over a Hermitian basis Z.
+
+    Returns ``solve(f)``, which asks for the map onto ``c + f (a - c)``,
+    the point pulled toward the scalar tuple ``c_j = tr(x_j) / m`` (always
+    a member).  The coefficients depend on x alone, so only the rhs of the
+    image rows moves with f.  An image equation whose coefficient vanishes
+    is dropped; ``solve`` answers Out when its rhs at f exceeds 10 tol.
     """
     m, n = x.n, a.n
     basis = _herm_basis(n)
-    cons = []
-    eye_m = np.eye(m)
-    for zk in basis:
-        cons.append(
-            AffineConstraint(np.kron(eye_m, zk), float(np.trace(zk).real))
-        )
-    for xj, aj in zip(x.mats, a.mats):
+    unital = np.array([np.trace(zk).real for zk in basis])
+    cons = [AffineConstraint(np.kron(np.eye(m), zk), t) for zk, t in zip(basis, unital)]
+    coeffs, kept = [], []  # the nonzero coefficients; which pairings they are
+    for xj in x.mats:
         for zk in basis:
             mfull = np.kron(np.conj(xj), zk)
-            rhs = complex(np.trace(zk @ aj))
-            for coeff, val in (
-                (herm_part(mfull), rhs.real),
-                (skew_part(mfull), -rhs.imag),
-            ):
-                size = float(np.abs(coeff).max(initial=0.0))
-                if size <= 1e-14:
-                    if abs(val) > 10.0 * tol:
-                        return None, MembershipResult(
-                            MembershipStatus.OUT,
-                            abs(val),
-                            None,
-                            "image equation with zero coefficient",
-                        )
-                    continue
-                cons.append(AffineConstraint(coeff, val))
-    return SdpFeasibility(m * n, tuple(cons)), None
+            for coeff in (herm_part(mfull), skew_part(mfull)):
+                kept.append(float(np.abs(coeff).max(initial=0.0)) > 1e-14)
+                if kept[-1]:
+                    coeffs.append(coeff)
+    kept = np.array(kept)
+
+    # tr(Z_k a_j) and tr(Z_k c_j I) as the image rows pair them: the real
+    # part, then minus the imaginary part
+    r_a = np.array([complex(np.trace(zk @ aj)) for aj in a.mats for zk in basis])
+    r_c = np.outer([np.trace(xj) / m for xj in x.mats], unital).ravel()
+    at_a = np.column_stack([r_a.real, -r_a.imag]).ravel()
+    at_c = np.column_stack([r_c.real, -r_c.imag]).ravel()
+    cons += [AffineConstraint(c, v) for c, v in zip(coeffs, at_a[kept])]
+    comp = _compile(SdpFeasibility(m * n, tuple(cons)))
+
+    def solve(f: float) -> Verdict | MembershipResult:
+        # at f = 1 this is the rhs at a to the last bit
+        rhs = f * at_a + (1.0 - f) * at_c
+        off = np.abs(rhs[~kept])
+        off = off[off > 10.0 * tol]
+        if off.size:
+            return MembershipResult(
+                MembershipStatus.OUT, float(off[0]), None,
+                "image equation with zero coefficient",
+            )
+        step = comp.with_rhs(np.concatenate([unital, rhs[kept]]))
+        return step.solve(min(tol, 1e-7), max_iter)
+
+    return solve
 
 
 def ucp_member(
     x: OperatorTuple,
     a: OperatorTuple,
     tol: float = MEMBER_TOL,
-    max_iter: int = 50000,
+    max_iter: int = MAX_ITER,
 ) -> MembershipResult:
     """Is there a unital completely positive map sending ``x_j`` to ``a_j``?
 
@@ -614,16 +638,18 @@ def ucp_member(
     ``x``; the map is asked for on the full matrix algebra, which loses
     nothing since matrix states extend.  Hermiticity of the Choi
     variable makes the map a *-map, so ``x_j* -> a_j*`` comes for free.
-    When the solver budget runs out, the query is bracketed by pulling
-    ``a`` toward the scalar tuple ``tr(x_j)/m`` (always a member) and
-    pushing it outward; a certified straddle reports Boundary.
+    When the solver budget runs out, ``a`` is pushed away from the scalar
+    tuple ``tr(x_j)/m`` (always a member) by ``1 + 10 tol`` (feasible means
+    In) and pulled toward it by ``1 - 10 tol`` (infeasible means Out,
+    feasible Boundary).  The program is compiled once per query: these
+    solves move only the right-hand side of its image rows.
     """
     if x.d != a.d:
         raise TupleMismatch(f"tuple lengths differ: {x.d} vs {a.d}")
-    problem, early = _choi_problem(x, a, tol)
-    if early is not None:
-        return early
-    verdict = solve_feasibility(problem, tol=min(tol, 1e-7), max_iter=max_iter)
+    solve = _choi_problem(x, a, tol, max_iter)
+    verdict = solve(1.0)
+    if isinstance(verdict, MembershipResult):
+        return verdict
     if verdict.status is Status.FEASIBLE:
         slack = float(np.linalg.eigvalsh(herm_part(verdict.witness))[0])
         return MembershipResult(
@@ -633,57 +659,15 @@ def ucp_member(
         return MembershipResult(
             MembershipStatus.OUT, verdict.separator.margin, verdict.separator
         )
-
     eps = 10.0 * tol
-    center = np.array([np.trace(m) / x.n for m in x.mats])
-    eye = np.eye(a.n)
-
-    def pulled(factor: float) -> OperatorTuple:
-        mats = tuple(
-            c * eye + factor * (m - c * eye)
-            for c, m in zip(center, a.mats)
-        )
-        return OperatorTuple(mats, a.hermitian and bool(
-            np.allclose(center.imag, 0.0, atol=1e-12)
-        ))
-
-    prob_r, early_r = _choi_problem(x, pulled(1.0 + eps), tol)
-    relaxed = (
-        solve_feasibility(prob_r, tol=min(tol, 1e-7), max_iter=max_iter)
-        if early_r is None
-        else None
-    )
-    if relaxed is not None and relaxed.status is Status.FEASIBLE:
-        return MembershipResult(
-            MembershipStatus.IN,
-            eps,
-            {"choi": relaxed.witness},
+    return _sandwich(
+        solve, 1.0 + eps, 1.0 - eps,
+        lambda verdict: MembershipResult(
+            MembershipStatus.IN, eps, {"choi": verdict.witness},
             "resolved by outward bracketing",
-        )
-    prob_t, early_t = _choi_problem(x, pulled(1.0 - eps), tol)
-    tightened = (
-        solve_feasibility(prob_t, tol=min(tol, 1e-7), max_iter=max_iter)
-        if early_t is None
-        else None
-    )
-    if tightened is not None and tightened.status is Status.INFEASIBLE:
-        return MembershipResult(
-            MembershipStatus.OUT,
-            tightened.separator.margin,
-            tightened.separator,
-            "resolved by inward bracketing",
-        )
-    if (
-        tightened is not None
-        and relaxed is not None
-        and tightened.status is Status.FEASIBLE
-        and relaxed.status is Status.INFEASIBLE
-    ):
-        return MembershipResult(
-            MembershipStatus.BOUNDARY, eps, None, "bracketing straddles"
-        )
-    return MembershipResult(
-        MembershipStatus.UNKNOWN, 0.0, None, "solver budget exhausted"
+        ),
+        eps,
+        ("resolved by inward bracketing", "bracketing straddles"),
     )
 
 

@@ -158,6 +158,25 @@ def test_require_interior_zero():
         require_interior_zero(shifted)
 
 
+def test_require_interior_zero_decides_a_polytope_off_the_plane():
+    # the base triangle sits at height 1e-3, so 0 lies just below the
+    # tetrahedron; sampled support directions all reached past it
+    delta = 1e-3
+    tetrahedron = Polytope(np.array([
+        [-1.0, -1.0, delta], [1.0, -1.0, delta], [0.0, 1.0, delta], [0.0, 0.0, 5.0],
+    ]))
+    with pytest.raises(NoInteriorZero):
+        require_interior_zero(tetrahedron)
+
+
+def test_require_interior_zero_bounds_the_cube_inradius():
+    cube = Polytope(box_vertices(Box(-np.ones(3), np.ones(3))))
+    bound = require_interior_zero(cube)
+    assert 0.0 < bound <= 1.0
+    # +-e_i are vertices of the cube's cross-polytope, of inradius 1/sqrt(3)
+    assert bound == pytest.approx(1.0 / np.sqrt(3.0))
+
+
 def test_sampled_body_support():
     dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     body = Sampled(dirs, np.ones(4))

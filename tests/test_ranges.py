@@ -39,7 +39,7 @@ from mconvex.ranges import (
     _kmin_problem,
     ucp_member,
 )
-from mconvex.sdp import _Compiled
+from mconvex.sdp import Status, _Compiled, solve_feasibility
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -198,6 +198,31 @@ class TestTheta:
         assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
 
 
+def square_max_boundary_pair() -> OperatorTuple:
+    """A seeded 3 x 3 pair bisected onto the boundary of square^max.
+
+    ``||a_2|| = 1 + 1e-6`` is inside kmax_member's Boundary band.  The
+    nominal square cannot decide it within the budget; the relaxed square
+    holds a decomposition.
+    """
+    rng = np.random.default_rng(0)
+    g = [herm_part(rng.standard_normal((3, 3))
+                   + 1j * rng.standard_normal((3, 3))) for _ in range(2)]
+    base = (0.2 * g[0] / op_norm(g[0]), g[1] / op_norm(g[1]))
+
+    def pair(s):
+        return OperatorTuple(tuple(s * m for m in base), hermitian=True)
+
+    lo, hi = 0.5, 1.5
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if kmax_member(SQUARE, pair(mid)).status is MembershipStatus.OUT:
+            hi = mid
+        else:
+            lo = mid
+    return pair(lo)
+
+
 def _scaled_body_theta(K, a, tol):
     """The bisection of theta_min_alpha with the scaled-body oracle:
     ``kmin_member(scale_body(K, alpha), a)`` returning In or Boundary."""
@@ -276,26 +301,7 @@ class TestThetaCompiledOnce:
         assert trace == want
 
     def test_decides_a_maximal_boundary_point_in_one_solve(self, monkeypatch):
-        # a seeded 3 x 3 pair bisected onto the boundary of square^max:
-        # ||a_2|| = 1 + 1e-6 is inside kmax_member's Boundary band.  The
-        # nominal square cannot decide alpha = 1 within the budget; the
-        # relaxed square holds a decomposition
-        rng = np.random.default_rng(0)
-        g = [herm_part(rng.standard_normal((3, 3))
-                       + 1j * rng.standard_normal((3, 3))) for _ in range(2)]
-        base = (0.2 * g[0] / op_norm(g[0]), g[1] / op_norm(g[1]))
-
-        def pair(s):
-            return OperatorTuple(tuple(s * m for m in base), hermitian=True)
-
-        lo, hi = 0.5, 1.5
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if kmax_member(SQUARE, pair(mid)).status is MembershipStatus.OUT:
-                hi = mid
-            else:
-                lo = mid
-        a = pair(lo)
+        a = square_max_boundary_pair()
         assert kmax_member(SQUARE, a).status is MembershipStatus.BOUNDARY
         assert op_norm(a.mats[1]) == pytest.approx(1.0 + 1e-6, abs=1e-8)
         counts = _count_compiles_and_solves(monkeypatch)
@@ -317,6 +323,155 @@ class TestThetaCompiledOnce:
         assert len(lines) == len(trace) + 1
         assert all(line.startswith("sdp solve: ") for line in lines)
         assert all("m=12, 4 blocks" in line for line in lines)
+
+
+def exact_compression(seed: int, m: int, n: int):
+    """A random pair x of size m and a level-n compression of an
+    ampliation of x: a point on the boundary of the matrix range of x."""
+    rng = np.random.default_rng(seed)
+    x = [herm_part(rng.standard_normal((m, m))
+                   + 1j * rng.standard_normal((m, m))) for _ in range(2)]
+    r = -(-n // m)
+    g = rng.standard_normal((m * r, n)) + 1j * rng.standard_normal((m * r, n))
+    v, _ = np.linalg.qr(g)
+    b = [v.conj().T @ np.kron(xj, np.eye(r)) @ v for xj in x]
+    return OperatorTuple(tuple(x), hermitian=True), OperatorTuple(tuple(b), hermitian=True)
+
+
+def _ucp_scalar_past_one():
+    # 1 + 5e-7 lies past W(Z) = [-1, 1] by less than any certificate can
+    # show (10 tol = 1e-6); pulled in by 1 - 1e-6 it is a member
+    point = OperatorTuple((np.array([[1.0 + 5e-7 + 0j]]),), hermitian=True)
+    return ucp_member(OperatorTuple((Z,), hermitian=True), point, max_iter=200)
+
+
+class TestMembershipCompiledOnce:
+    @pytest.mark.parametrize(
+        "query, status, solves",
+        [
+            # inscribed 96-gon feasible
+            (lambda: kmin_member(UNIT_DISC, nilpotent_pair().scaled(0.45)),
+             "In", 1),
+            # inscribed Infeasible, circumscribed Infeasible
+            (lambda: kmin_member(UNIT_DISC, nilpotent_pair().scaled(0.55)),
+             "Out", 2),
+            # nominal Infeasible, relaxed square Infeasible
+            (lambda: kmin_member(SQUARE, pauli()), "Out", 2),
+            # nominal, pushed-out and pulled-in points all Unknown
+            (lambda: ucp_member(*exact_compression(0, 2, 3), max_iter=64),
+             "Unknown", 3),
+        ],
+        ids=["disc-in", "disc-out", "square-out", "ucp-unknown"],
+    )
+    def test_one_compile_per_query(self, monkeypatch, query, status, solves):
+        counts = _count_compiles_and_solves(monkeypatch)
+        assert query().status.value == status
+        assert counts == {"compile": 1, "solve": solves}
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            # nominal and tightened square Unknown, relaxed square Feasible
+            lambda: kmin_member(SQUARE, square_max_boundary_pair(), max_iter=300),
+            # nominal and pushed-out point Unknown, pulled-in point Feasible
+            _ucp_scalar_past_one,
+        ],
+        ids=["kmin", "ucp"],
+    )
+    def test_relaxed_feasible_is_boundary(self, monkeypatch, query):
+        # a Feasible relaxed solve puts the point within the Boundary band,
+        # whatever the solve on the other side gave
+        counts = _count_compiles_and_solves(monkeypatch)
+        res = query()
+        assert res.status is MembershipStatus.BOUNDARY
+        assert res.margin == pytest.approx(1e-6)
+        assert counts == {"compile": 1, "solve": 3}
+
+
+def _body_scaled_kmin(K, a, max_iter):
+    """kmin_member's bracketing with one compile per scale: the
+    decomposition SDP over the dilated vertices ``c + s (v - c)``.
+    Returns the status and, for Out, the margin."""
+    verts, center, relax, tight = ranges._vertex_sets(
+        K, ranges.MEMBER_TOL, ranges.DISC_GRID
+    )
+
+    def solve(s):
+        problem = _kmin_problem(center + s * (verts - center), a.mats)
+        return solve_feasibility(problem, 1e-7, max_iter)
+
+    disc = isinstance(K, Disc)
+    nominal = solve(1.0)
+    if nominal.status is Status.FEASIBLE:
+        return "In", None
+    if nominal.status is Status.INFEASIBLE and not disc:
+        if solve(relax).status is Status.FEASIBLE:
+            return "Boundary", None
+        return "Out", nominal.separator.margin
+    if not disc and solve(tight).status is Status.FEASIBLE:
+        return "In", None
+    relaxed = solve(relax)
+    if relaxed.status is Status.INFEASIBLE:
+        return "Out", relaxed.separator.margin
+    return ("Boundary" if relaxed.status is Status.FEASIBLE else "Unknown"), None
+
+
+def _around(center, scale, pair) -> OperatorTuple:
+    return OperatorTuple(
+        tuple(c * np.eye(2) + scale * m for c, m in zip(center, pair.mats)),
+        hermitian=True,
+    )
+
+
+OFF_DISC = Disc(np.array([0.3, -0.2]), 1.2)
+OFF_BOX = Box(np.array([-0.5, -1.0]), np.array([1.5, 1.0]))
+OFF_TRIANGLE = Polytope(np.array([[-1.0, -0.5], [1.5, -0.5], [0.2, 1.5]]))
+TRIANGLE_CENTER = OFF_TRIANGLE.vertices.mean(axis=0)
+
+
+class TestBodyScaledReference:
+    # In, Out and near-boundary points of off-center bodies.  The disc's
+    # minimal set is the contractions (recentered and rescaled), so the
+    # nilpotent pair, of norm 2, leaves it at scale 1/2; the box is a
+    # translated square, whose minimal set the Pauli pair leaves at
+    # 1/sqrt(2); the triangle is a simplex, whose minimal and maximal sets
+    # agree, and 0.3 (X, Z) reaches its nearest edge at scale 20/9
+    @pytest.mark.parametrize(
+        "body, a, status",
+        [
+            (OFF_DISC, _around(OFF_DISC.center, 1.2 * 0.4, nilpotent_pair()),
+             "In"),
+            (OFF_DISC, _around(OFF_DISC.center, 1.2 * 0.6, nilpotent_pair()),
+             "Out"),
+            (OFF_DISC, _around(OFF_DISC.center, 0.6 * (1 + 3e-4),
+                               nilpotent_pair()), "Boundary"),
+            (OFF_BOX, _around((0.5, 0.0), 0.5, pauli()), "In"),
+            (OFF_BOX, _around((0.5, 0.0), 0.9, pauli()), "Out"),
+            (OFF_BOX, _around((0.5, 0.0), (1 + 8e-7) / ROOT2, pauli()),
+             "Boundary"),
+            (OFF_TRIANGLE, _around(TRIANGLE_CENTER, 10 / 9, pauli(0.3)), "In"),
+            (OFF_TRIANGLE, _around(TRIANGLE_CENTER, 30 / 9, pauli(0.3)), "Out"),
+            (OFF_TRIANGLE, _around(TRIANGLE_CENTER, 20 / 9 * (1 + 8e-7),
+                                   pauli(0.3)), "Boundary"),
+        ],
+        ids=["disc-in", "disc-out", "disc-near", "box-in", "box-out",
+             "box-near", "triangle-in", "triangle-out", "triangle-near"],
+    )
+    def test_off_center_statuses(self, body, a, status):
+        res = kmin_member(body, a, max_iter=300)
+        want, _ = _body_scaled_kmin(body, a, 300)
+        assert res.status.value == want == status
+
+    @pytest.mark.parametrize(
+        "body, a",
+        [(UNIT_DISC, nilpotent_pair().scaled(0.55)), (SQUARE, pauli())],
+        ids=["disc", "square"],
+    )
+    def test_centered_out_margins(self, body, a):
+        res = kmin_member(body, a)
+        want, margin = _body_scaled_kmin(body, a, ranges.MAX_ITER)
+        assert (res.status.value, want) == ("Out", "Out")
+        assert res.margin == pytest.approx(margin, rel=1e-9)
 
 
 class TestUcp:
