@@ -130,31 +130,6 @@ def support_value(t: OperatorTuple, c: Sequence[float]) -> float:
     return float(vals[-1])
 
 
-def body_support(body: ConvexBody, c: np.ndarray) -> float:
-    """Support function h_K(c) of a body.  Sampled bodies only answer at
-    their own directions (within 1e-12), anything else raises."""
-    c = np.asarray(c, dtype=float)
-    if isinstance(body, Polytope):
-        return float(np.max(body.vertices @ c))
-    if isinstance(body, Box):
-        return float(np.sum(np.where(c >= 0, body.hi * c, body.lo * c)))
-    if isinstance(body, Disc):
-        return float(body.center @ c + body.radius * np.linalg.norm(c))
-    if isinstance(body, Sampled):
-        nrm = np.linalg.norm(c)
-        if nrm == 0:
-            return 0.0
-        u = c / nrm
-        gaps = np.linalg.norm(body.directions - u[None, :], axis=1)
-        k = int(np.argmin(gaps))
-        if gaps[k] > 1e-12:
-            raise DimensionMismatch(
-                "sampled body evaluated off its direction grid"
-            )
-        return float(body.support_values[k] * nrm)
-    raise DimensionMismatch(f"unknown body type {type(body)!r}")
-
-
 def scale_body(body: ConvexBody, factor: float, center=None) -> ConvexBody:
     """Dilate a body by ``factor`` about ``center`` (default: the origin)."""
     if isinstance(body, Polytope):
@@ -170,19 +145,6 @@ def scale_body(body: ConvexBody, factor: float, center=None) -> ConvexBody:
         if center is not None and np.any(np.asarray(center) != 0):
             raise DimensionMismatch("sampled bodies only scale about 0")
         return Sampled(body.directions, factor * body.support_values)
-    raise DimensionMismatch(f"unknown body type {type(body)!r}")
-
-
-def body_center(body: ConvexBody) -> np.ndarray:
-    """A canonical interior-ish point: vertex centroid, box middle, center."""
-    if isinstance(body, Polytope):
-        return body.vertices.mean(axis=0)
-    if isinstance(body, Box):
-        return 0.5 * (body.lo + body.hi)
-    if isinstance(body, Disc):
-        return body.center.copy()
-    if isinstance(body, Sampled):
-        return np.zeros(body.dim)
     raise DimensionMismatch(f"unknown body type {type(body)!r}")
 
 
@@ -488,50 +450,68 @@ def box_vertices(box: Box) -> np.ndarray:
     return corners
 
 
-def body_contains_point(body: ConvexBody, p: np.ndarray, tol: float = 1e-9) -> bool:
-    """Closed membership test for a point, exact per body type."""
-    p = np.asarray(p, dtype=float)
-    if isinstance(body, Polytope):
-        return hull_distance(body.vertices, p) <= tol
+def halfplanes(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
+    """The facet list of a body: unit ``directions`` and ``offsets`` with
+    ``body = {x : directions @ x <= offsets}`` exactly.
+
+    A box gives ``e_j`` and ``-e_j`` in coordinate order, a sampled body
+    its own directions, a polytope its outward edge normals (d = 2) or
+    ``+-1`` (d = 1).  Discs and polytopes in d >= 3 have no such list
+    here and raise ``DimensionMismatch``.
+    """
     if isinstance(body, Box):
-        return bool(np.all(p >= body.lo - tol) and np.all(p <= body.hi + tol))
-    if isinstance(body, Disc):
-        return float(np.linalg.norm(p - body.center)) <= body.radius + tol
+        dirs = np.repeat(np.eye(body.dim), 2, axis=0)
+        dirs[1::2] *= -1.0
+        return dirs, np.column_stack([body.hi, -body.lo]).ravel()
     if isinstance(body, Sampled):
-        return bool(
-            np.all(body.directions @ p <= body.support_values + tol)
+        return body.directions, body.support_values
+    if isinstance(body, Polytope) and body.dim == 1:
+        v = body.vertices[:, 0]
+        return np.array([[1.0], [-1.0]]), np.array([v.max(), -v.min()])
+    if isinstance(body, Polytope) and body.dim == 2:
+        return polytope_facets_2d(body)
+    if isinstance(body, Polytope):
+        raise DimensionMismatch(
+            "a polytope's facet list is available for d <= 2 only; "
+            "use Box or Sampled in higher d"
         )
-    raise DimensionMismatch(f"unknown body type {type(body)!r}")
+    raise DimensionMismatch(f"no facet list for body type {type(body)!r}")
+
+
+def point_gap(body: ConvexBody, p: np.ndarray) -> float:
+    """Signed slack of a point against a body: positive outside, at most
+    0 inside.  A disc gives the distance to its center minus its radius,
+    a polytope its LP hull gap (``hull_membership_gap``, 0 inside), every
+    other body ``max(c . p - h)`` over its facet list."""
+    p = np.asarray(p, dtype=float)
+    if isinstance(body, Disc):
+        return float(np.linalg.norm(p - body.center)) - body.radius
+    if isinstance(body, Polytope):
+        return hull_membership_gap(body.vertices, p)
+    dirs, offsets = halfplanes(body)
+    return float(np.max(dirs @ p - offsets))
 
 
 def require_interior_zero(body: ConvexBody, tol: float = 1e-9) -> float:
-    """Return a positive inradius bound at 0, or raise ``NoInteriorZero``."""
-    if isinstance(body, Polytope):
-        if body.dim == 2:
-            normals, offsets = polytope_facets_2d(body)
-            slack = reach = float(np.min(offsets))
-        else:
-            # the largest r with +-r e_i in K for every i; the cross-polytope
-            # of radius r lies in K and has inradius r / sqrt(d)
-            axes = np.eye(body.dim)
-            reach = min(_ray_reach(body.vertices, p) for p in (*axes, *-axes))
-            slack = reach / np.sqrt(body.dim)
-        if reach <= tol:
-            raise NoInteriorZero("0 is not interior to the polytope")
-        return slack
-    if isinstance(body, Box):
-        slack = float(min(np.min(body.hi), np.min(-body.lo)))
-        if slack <= tol:
-            raise NoInteriorZero("0 is not interior to the box")
-        return slack
+    """Return a positive inradius bound at 0, or raise ``NoInteriorZero``.
+
+    A disc gives its radius less the distance to its center, a polytope
+    in d >= 3 an LP bound, and every other body the least offset of its
+    facet list (``halfplanes``), the distance from 0 to its nearest facet.
+    """
     if isinstance(body, Disc):
-        slack = body.radius - float(np.linalg.norm(body.center))
-        if slack <= tol:
-            raise NoInteriorZero("0 is not interior to the disc")
-        return slack
-    if isinstance(body, Sampled):
-        slack = float(np.min(body.support_values))
-        if slack <= tol:
-            raise NoInteriorZero("0 is not interior to the sampled body")
-        return slack
-    raise DimensionMismatch(f"unknown body type {type(body)!r}")
+        slack = reach = body.radius - float(np.linalg.norm(body.center))
+    elif isinstance(body, Polytope) and body.dim > 2:
+        # the largest r with +-r e_i in K for every i; the cross-polytope
+        # of radius r lies in K and has inradius r / sqrt(d)
+        axes = np.eye(body.dim)
+        reach = min(_ray_reach(body.vertices, p) for p in (*axes, *-axes))
+        slack = reach / np.sqrt(body.dim)
+    else:
+        slack = reach = float(np.min(halfplanes(body)[1]))
+    if reach <= tol:
+        raise NoInteriorZero(
+            f"0 is not interior to the {type(body).__name__.lower()} "
+            f"(slack {slack:.3e})"
+        )
+    return slack

@@ -36,11 +36,10 @@ from .geometry import (
     Disc,
     Polytope,
     Sampled,
-    body_center,
     box_vertices,
     clip_by_halfplanes,
-    hull_membership_gap,
-    polytope_facets_2d,
+    halfplanes,
+    point_gap,
     require_interior_zero,
     scale_body,
 )
@@ -160,57 +159,24 @@ def _statuses(violation: float, tol: float) -> MembershipStatus:
 def _support_gaps(
     body: ConvexBody, a: OperatorTuple, tol: float
 ) -> tuple[float, dict]:
-    """Worst violation of ``lambda_max(sum c_j a_j) <= h_K(c)`` and a trace."""
-    if isinstance(body, Polytope):
-        if body.dim == 1:
-            vals = np.linalg.eigvalsh(herm_part(a.mats[0]))
-            hi = float(body.vertices.max())
-            lo = float(body.vertices.min())
-            gaps = np.array([float(vals[-1]) - hi, lo - float(vals[0])])
-            dirs = np.array([[1.0], [-1.0]])
-        elif body.dim == 2:
-            dirs, offsets = polytope_facets_2d(body)
-            gaps = np.empty(len(dirs))
-            for i, c in enumerate(dirs):
-                acc = c[0] * a.mats[0] + c[1] * a.mats[1]
-                gaps[i] = float(np.linalg.eigvalsh(herm_part(acc))[-1]) - offsets[i]
-        else:
-            raise DimensionMismatch(
-                "maximal-set membership over a polytope needs facet data, "
-                "available for d <= 2 only; use Box or Sampled in higher d"
-            )
-        k = int(np.argmax(gaps))
-        return float(gaps[k]), {"direction": dirs[k], "gaps": gaps}
-    if isinstance(body, Box):
-        gaps = []
-        dirs = []
-        for j, m in enumerate(a.mats):
-            vals = np.linalg.eigvalsh(herm_part(m))
-            gaps.append(float(vals[-1]) - float(body.hi[j]))
-            gaps.append(float(body.lo[j]) - float(vals[0]))
-            e = np.zeros(a.d)
-            e[j] = 1.0
-            dirs.extend([e, -e])
-        gaps = np.asarray(gaps)
-        k = int(np.argmax(gaps))
-        return float(gaps[k]), {"direction": dirs[k], "gaps": gaps}
+    """Worst violation of ``lambda_max(sum c_j a_j) <= h_K(c)`` and a trace:
+    over a disc through the numerical radius, over any other body on its
+    facet list (``halfplanes``) with one ``eigvalsh`` over the pencils."""
     if isinstance(body, Disc):
         m = (a.mats[0] - body.center[0] * np.eye(a.n)) + 1j * (
             a.mats[1] - body.center[1] * np.eye(a.n)
         )
         w = numerical_radius(m, tol=min(tol * 1e-2, 1e-9))
         return w - body.radius, {"radius": w}
-    if isinstance(body, Sampled):
-        gaps = np.empty(len(body.directions))
-        for i, c in enumerate(body.directions):
-            acc = sum(cj * m for cj, m in zip(c, a.mats))
-            gaps[i] = (
-                float(np.linalg.eigvalsh(herm_part(acc))[-1])
-                - body.support_values[i]
-            )
-        k = int(np.argmax(gaps))
-        return float(gaps[k]), {"direction": body.directions[k], "gaps": gaps}
-    raise DimensionMismatch(f"unknown body type {type(body)!r}")
+    dirs, offsets = halfplanes(body)
+    # sum_j c_j a_j term by term in coordinate order, so that every gap
+    # repeats to the bit
+    pencils = dirs[:, 0, None, None] * a.mats[0]
+    for j in range(1, a.d):
+        pencils = pencils + dirs[:, j, None, None] * a.mats[j]
+    gaps = np.linalg.eigvalsh(herm_part(pencils))[:, -1] - offsets
+    k = int(np.argmax(gaps))
+    return float(gaps[k]), {"direction": dirs[k], "gaps": gaps}
 
 
 def kmax_member(
@@ -218,11 +184,12 @@ def kmax_member(
 ) -> MembershipResult:
     """Is the joint numerical range of ``a`` contained in K?
 
-    Polytopes (planar) and boxes are checked exactly on their facet
-    normals; discs through the numerical radius of the recentered
-    complex combination; sampled bodies on their own direction grid.
-    Status is Boundary when the worst support gap lands in
-    ``(tol, 10 tol]``.
+    Discs are checked through the numerical radius of the recentered
+    complex combination; every other body exactly on its facet list
+    (``geometry.halfplanes``: a box's +-e_j, a sampled body's own
+    directions, a polytope's edge normals for d <= 2; a polytope in
+    d >= 3 raises ``DimensionMismatch``).  Status is Boundary when the
+    worst support gap lands in ``(tol, 10 tol]``.
     """
     if not a.hermitian:
         raise NonHermitianInput("maximal-set membership needs a Hermitian tuple")
@@ -309,21 +276,6 @@ def _is_commuting(a: OperatorTuple) -> bool:
     return True
 
 
-def _point_violation(body: ConvexBody, p: np.ndarray) -> float:
-    """Nonnegative-ish slack of a scalar point against a body (0 inside)."""
-    if isinstance(body, Polytope):
-        return hull_membership_gap(body.vertices, p)
-    if isinstance(body, Box):
-        over = np.maximum(p - body.hi, 0.0)
-        under = np.maximum(body.lo - p, 0.0)
-        return float(max(over.max(initial=0.0), under.max(initial=0.0)))
-    if isinstance(body, Disc):
-        return float(np.linalg.norm(p - body.center)) - body.radius
-    if isinstance(body, Sampled):
-        return float(np.max(body.directions @ p - body.support_values))
-    raise DimensionMismatch(f"unknown body type {type(body)!r}")
-
-
 def _singleton_point(K: ConvexBody) -> np.ndarray | None:
     if isinstance(K, Polytope):
         uniq = np.unique(np.round(K.vertices, 12), axis=0)
@@ -343,25 +295,29 @@ def _vertex_sets(
 
     A disc gives its inscribed ``m_grid``-gon, whose dilation by
     ``1 / cos(pi / m_grid)`` is the circumscribed one, and tightened
-    scale 1 (the inscribed polygon is already inside); polytopes, boxes
-    and planar sampled bodies give their vertices and the scales
-    ``1 +- 10 tol`` about their center.  An Out answer rests on the
-    relaxed body being infeasible, a Boundary answer on it being feasible.
+    scale 1 (the inscribed polygon is already inside).  A polytope gives
+    its vertices about their mean, a box its corners about its middle,
+    and a planar sampled body the polygon its facet list (``halfplanes``)
+    clips to, about that polygon's vertex mean; each with the scales
+    ``1 +- 10 tol``.  An Out answer rests on the relaxed body being
+    infeasible, a Boundary answer on it being feasible.
     """
     if isinstance(K, Disc):
         angles = 2.0 * np.pi * np.arange(m_grid) / m_grid
         ring = np.column_stack([np.cos(angles), np.sin(angles)])
         return K.center + K.radius * ring, K.center, 1.0 / np.cos(np.pi / m_grid), 1.0
-    if isinstance(K, (Polytope, Box)):
-        verts = K.vertices if isinstance(K, Polytope) else box_vertices(K)
-        center = body_center(K)
+    if isinstance(K, Polytope):
+        verts, center = K.vertices, K.vertices.mean(axis=0)
+    elif isinstance(K, Box):
+        verts, center = box_vertices(K), 0.5 * (K.lo + K.hi)
     elif isinstance(K, Sampled):
         if K.dim != 2:
             raise DimensionMismatch(
                 "minimal-set membership for sampled bodies is planar only"
             )
-        radius = 4.0 * max(1.0, float(np.abs(K.support_values).max()))
-        verts = clip_by_halfplanes(K.directions, K.support_values, radius)
+        dirs, offsets = halfplanes(K)
+        radius = 4.0 * max(1.0, float(np.abs(offsets).max()))
+        verts = clip_by_halfplanes(dirs, offsets, radius)
         if verts.shape[0] == 0:
             raise BadProblem("sampled body clips to the empty set")
         center = verts.mean(axis=0)
@@ -445,7 +401,7 @@ def kmin_member(
 
     if _is_commuting(a):
         u, values = simdiag_hermitian(a.mats, tol=1e-9)
-        viol = max(_point_violation(K, p) for p in values)
+        viol = max(point_gap(K, p) for p in values)
         return MembershipResult(
             _statuses(viol, tol),
             abs(viol),

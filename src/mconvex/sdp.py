@@ -429,26 +429,6 @@ def _certificate_from_dual(
     return None
 
 
-def _try_certificate(
-    comp: _Compiled, gap: list[np.ndarray] | None, tol: float
-) -> Separator | None:
-    """Try Farkas certificates from a gap vector and from affine residue."""
-    if comp.m == 0:
-        return None
-    if gap is not None:
-        sep = _certificate_from_dual(
-            comp, comp.gram_pinv @ comp.apply(gap), tol
-        )
-        if sep is not None:
-            return sep
-    # inconsistent affine part: the residue of b against range(Gram) pairs
-    # to a zero pencil while hitting b, which is the strongest separation
-    res_b = comp.b - comp.gram @ (comp.gram_pinv @ comp.b)
-    if float(np.linalg.norm(res_b)) > 1e-13:
-        return _certificate_from_dual(comp, res_b, tol)
-    return None
-
-
 def _witness_ok(comp: _Compiled, v: list[np.ndarray]) -> tuple[bool, float]:
     resid = comp.residual(v)
     if resid > WITNESS_RESIDUAL:
@@ -463,12 +443,13 @@ def _facial_polish(
     v: list[np.ndarray],
     tol: float,
     max_iter: int,
-) -> list[np.ndarray] | None:
+) -> tuple[list[np.ndarray], float] | None:
     """Restrict to the face suggested by ``v`` and re-solve there.
 
-    Returns a lifted exact-PSD witness when the reduced problem closes,
-    else None.  Cuts are tried from coarse to fine so a strictly feasible
-    face is found even when small eigenvalues are still noisy.
+    Returns a lifted exact-PSD witness, checked by ``_witness_ok``, and
+    its residual when the reduced problem closes, else None.  Cuts are
+    tried from coarse to fine so a strictly feasible face is found even
+    when small eigenvalues are still noisy.
     """
     spectra = [np.linalg.eigh(herm_part(vg)) for vg in v]
     top = max(
@@ -514,9 +495,9 @@ def _facial_polish(
             for k, wb in zip(idxs, wg):
                 g, pos, q = faces[k]
                 lifted[g][pos] = q @ herm_part(wb) @ q.conj().T
-        ok, _ = _witness_ok(comp, lifted)
+        ok, resid = _witness_ok(comp, lifted)
         if ok:
-            return lifted
+            return lifted, resid
     return None
 
 
@@ -530,14 +511,16 @@ def _iterate(
     if comp.m == 0:
         return Status.FEASIBLE, comp.zero(), None, 0, 0.0
 
-    # inconsistent affine systems short-circuit with a pencil-free separator
-    proj_b = comp.gram @ (comp.gram_pinv @ comp.b)
-    res_b = comp.b - proj_b
+    # inconsistent affine systems short-circuit with a separator: the
+    # residue of b against range(Gram) has a zero pencil and margin
+    # ||res_b||, and depends on b alone, so it is tried once
+    res_b = comp.b - comp.gram @ (comp.gram_pinv @ comp.b)
     res_norm = float(np.linalg.norm(res_b))
-    if res_norm > 1e-10 * max(1.0, float(np.linalg.norm(comp.b))):
+    if res_norm > 1e-13:
         sep = _certificate_from_dual(comp, res_b, tol)
         if sep is not None:
             return Status.INFEASIBLE, None, sep, 0, res_norm
+    polish_iter = min(max_iter, 4000)
 
     z = comp.zero()
     best_resid = np.inf
@@ -573,33 +556,33 @@ def _iterate(
         if it % CERT_EVERY == 0 and last_gap is not None:
             gap_size = max(float(np.abs(g).max()) for g in last_gap)
             if gap_size > tol:
-                sep = _try_certificate(comp, last_gap, tol)
+                sep = _certificate_from_dual(
+                    comp, comp.gram_pinv @ comp.apply(last_gap), tol
+                )
                 if sep is not None:
                     return Status.INFEASIBLE, None, sep, it, best_resid
 
         if it % STALL_WINDOW == 0 and polish_left > 0 and best_v is not None:
             if best_resid > WITNESS_RESIDUAL and best_resid > 0.9 * stall_mark:
                 polish_left -= 1
-                lifted = _facial_polish(
-                    comp, best_v, tol, max_iter=min(max_iter, 4000)
-                )
-                if lifted is not None:
-                    ok, resid = _witness_ok(comp, lifted)
-                    if ok:
-                        return Status.FEASIBLE, lifted, None, it, resid
+                polished = _facial_polish(comp, best_v, tol, polish_iter)
+                if polished is not None:
+                    lifted, resid = polished
+                    return Status.FEASIBLE, lifted, None, it, resid
             stall_mark = best_resid
 
     # budget exhausted: one last certificate attempt on both sides
     if last_gap is not None:
-        sep = _try_certificate(comp, last_gap, tol)
+        sep = _certificate_from_dual(
+            comp, comp.gram_pinv @ comp.apply(last_gap), tol
+        )
         if sep is not None:
             return Status.INFEASIBLE, None, sep, it, best_resid
     if polish_left > 0 and best_v is not None:
-        lifted = _facial_polish(comp, best_v, tol, max_iter=4000)
-        if lifted is not None:
-            ok, resid = _witness_ok(comp, lifted)
-            if ok:
-                return Status.FEASIBLE, lifted, None, it, resid
+        polished = _facial_polish(comp, best_v, tol, polish_iter)
+        if polished is not None:
+            lifted, resid = polished
+            return Status.FEASIBLE, lifted, None, it, resid
     return Status.UNKNOWN, None, None, it, best_resid
 
 

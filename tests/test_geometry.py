@@ -7,9 +7,6 @@ from mconvex.geometry import (
     Box,
     Disc,
     Polytope,
-    Sampled,
-    body_contains_point,
-    body_support,
     box_vertices,
     clip_by_halfplanes,
     essential_range_hull,
@@ -18,6 +15,7 @@ from mconvex.geometry import (
     hull_membership_gap,
     is_simplex,
     jnr_sandwich,
+    point_gap,
     polytope_facets_2d,
     require_interior_zero,
     scale_body,
@@ -37,13 +35,6 @@ def test_support_value_pauli():
     # sX + tZ has top eigenvalue sqrt(s^2 + t^2)
     assert support_value(t, [1.0, 0.0]) == pytest.approx(1.0)
     assert support_value(t, [1.0, 1.0]) == pytest.approx(np.sqrt(2.0))
-
-
-def test_body_support_square_box_disc():
-    c = np.array([0.6, 0.8])
-    assert body_support(SQUARE, c) == pytest.approx(1.4)
-    assert body_support(Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])), c) == pytest.approx(1.4)
-    assert body_support(Disc(np.zeros(2), 2.0), c) == pytest.approx(2.0)
 
 
 def test_jnr_sandwich_nesting_and_shrinking():
@@ -138,7 +129,7 @@ def test_clip_by_halfplanes_square():
 
 def test_scale_body_about_center():
     scaled = scale_body(SQUARE, 2.0)
-    assert body_support(scaled, np.array([1.0, 0.0])) == pytest.approx(2.0)
+    assert scaled.vertices[:, 0].max() == pytest.approx(2.0)
     disc = scale_body(Disc(np.array([1.0, 0.0]), 1.0), 3.0, center=np.array([1.0, 0.0]))
     assert disc.radius == pytest.approx(3.0)
     assert disc.center[0] == pytest.approx(1.0)
@@ -148,7 +139,7 @@ def test_box_vertices_count():
     box = Box(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 1.0, 3.0]))
     verts = box_vertices(box)
     assert verts.shape == (8, 3)
-    assert body_contains_point(box, verts[0])
+    assert point_gap(box, verts[0]) <= 0.0
 
 
 def test_require_interior_zero():
@@ -175,12 +166,6 @@ def test_require_interior_zero_bounds_the_cube_inradius():
     assert 0.0 < bound <= 1.0
     # +-e_i are vertices of the cube's cross-polytope, of inradius 1/sqrt(3)
     assert bound == pytest.approx(1.0 / np.sqrt(3.0))
-
-
-def test_sampled_body_support():
-    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    body = Sampled(dirs, np.ones(4))
-    assert body_support(body, np.array([1.0, 0.0])) == pytest.approx(1.0)
 
 
 def test_nilpotent_range_is_disc():

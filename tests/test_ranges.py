@@ -2,8 +2,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mconvex.ranges as ranges
+import mconvex.sdp as sdp
 from mconvex.errors import (
     DimensionMismatch,
     NonHermitianInput,
@@ -15,6 +17,10 @@ from mconvex.geometry import (
     Disc,
     Polytope,
     Sampled,
+    box_vertices,
+    halfplanes,
+    hull_membership_gap,
+    point_gap,
     require_interior_zero,
     scale_body,
 )
@@ -23,6 +29,7 @@ from mconvex.linalg import (
     herm_part,
     numerical_radius,
     op_norm,
+    random_hermitian,
     skew_part,
 )
 from mconvex.ranges import (
@@ -42,6 +49,7 @@ from mconvex.ranges import (
 from mconvex.sdp import Status, _Compiled, solve_feasibility
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 Z = np.diag([1.0, -1.0]).astype(complex)
 ROOT2 = np.sqrt(2.0)
 
@@ -94,6 +102,51 @@ class TestKmax:
         with pytest.raises(DimensionMismatch):
             kmax_member(SQUARE, OperatorTuple((X,), hermitian=True))
 
+    def test_box_in_three_dimensions(self):
+        # W_1 of the Pauli triple is the unit ball, whose extent along
+        # each axis is 1
+        cube = Box(-np.ones(3), np.ones(3))
+        triple = OperatorTuple((X, Y, Z), hermitian=True)
+        res = kmax_member(cube, triple.scaled(0.5))
+        assert res.status is MembershipStatus.IN
+        assert res.margin == pytest.approx(0.5, abs=1e-12)
+        res = kmax_member(cube, triple.scaled(1.2))
+        assert res.status is MembershipStatus.OUT
+        assert res.margin == pytest.approx(0.2, abs=1e-12)
+
+    def test_polytope_in_three_dimensions_has_no_facet_list(self):
+        cube = Polytope(box_vertices(Box(-np.ones(3), np.ones(3))))
+        triple = OperatorTuple((X, Y, Z), hermitian=True)
+        with pytest.raises(DimensionMismatch, match="use Box or Sampled"):
+            kmax_member(cube, triple)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=7
+    ),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_polytope_agrees_with_its_halfplanes(corners, seed):
+    # a planar polytope and the sampled body of its facet list are one set
+    poly = Polytope(np.array(corners, dtype=float) / 4.0)
+    sampled = Sampled(*halfplanes(poly))
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3):
+        a = OperatorTuple(
+            tuple(random_hermitian(n, rng) for _ in range(2)), hermitian=True
+        )
+        want, got = kmax_member(poly, a), kmax_member(sampled, a)
+        assert want.status is got.status
+        np.testing.assert_allclose(
+            got.certificate["gaps"], want.certificate["gaps"], rtol=0, atol=1e-12
+        )
+    for p in rng.uniform(-3.0, 3.0, size=(12, 2)):
+        gap = point_gap(sampled, p)
+        if abs(gap) > 1e-6:
+            assert (gap > 0) == (hull_membership_gap(poly.vertices, p) > 1e-9)
+
 
 class TestKmin:
     def test_square_boundary_point(self):
@@ -119,6 +172,16 @@ class TestKmin:
         res = kmin_member(SQUARE, t)
         assert res.status is MembershipStatus.IN
         assert "joint spectrum" in res.detail
+
+    def test_commuting_in_box_reports_the_support_slack(self):
+        t = OperatorTuple(
+            (np.diag([0.5, -0.2]).astype(complex), np.diag([0.1, 0.3]).astype(complex)),
+            hermitian=True,
+        )
+        res = kmin_member(UNIT_BOX, t)
+        assert res.status is MembershipStatus.IN
+        # the joint points (0.5, 0.1) and (-0.2, 0.3) lie 0.5 and 0.7 inside
+        assert res.margin == pytest.approx(0.5, abs=1e-12)
 
     def test_commuting_outside(self):
         t = OperatorTuple((2.0 * Z, Z), hermitian=True)
@@ -386,6 +449,22 @@ class TestMembershipCompiledOnce:
         assert res.status is MembershipStatus.BOUNDARY
         assert res.margin == pytest.approx(1e-6)
         assert counts == {"compile": 1, "solve": 3}
+
+
+def test_polish_keeps_the_callers_budget(monkeypatch):
+    # the 200-iteration solves of _ucp_scalar_past_one end in facial polish;
+    # its reduced solves (polish_left=0) may not run past the caller's 200
+    budgets = []
+    iterate = sdp._iterate
+
+    def recorded(comp, tol, max_iter, polish_left):
+        if polish_left == 0:
+            budgets.append(max_iter)
+        return iterate(comp, tol, max_iter, polish_left)
+
+    monkeypatch.setattr(sdp, "_iterate", recorded)
+    assert _ucp_scalar_past_one().status is MembershipStatus.BOUNDARY
+    assert budgets and max(budgets) <= 200
 
 
 def _body_scaled_kmin(K, a, max_iter):

@@ -158,9 +158,9 @@ def test_facial_polish_lifts_a_blockwise_witness():
     planted[4, 4] = 2.0
     comp = _compile(problem)
     start = comp.split(planted + 1e-3 * np.eye(5))
-    lifted = _facial_polish(comp, start, tol=1e-7, max_iter=4000)
-    assert lifted is not None
-    witness = comp.assemble(lifted)
+    polished = _facial_polish(comp, start, tol=1e-7, max_iter=4000)
+    assert polished is not None
+    witness = comp.assemble(polished[0])
     min_eig, residual = verify_witness(problem, witness)
     assert min_eig >= -1e-9
     assert residual <= 1e-7
@@ -187,10 +187,11 @@ def test_facial_polish_drops_rows_of_rounding_noise():
         2, (AffineConstraint(np.eye(2) - uu, 0.0),), trace_normalization=1.0
     )
     comp = _compile(problem)
-    lifted = _facial_polish(comp, comp.split(uu), tol=1e-7, max_iter=4000)
-    assert lifted is not None
-    ok, residual = _witness_ok(comp, lifted)
-    assert ok and residual <= 1e-7
+    polished = _facial_polish(comp, comp.split(uu), tol=1e-7, max_iter=4000)
+    assert polished is not None
+    lifted, residual = polished
+    ok, resid = _witness_ok(comp, lifted)
+    assert ok and resid == residual <= 1e-7
 
 
 def test_zero_rows_carry_a_zero_dual():
