@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .geometry import Box, Disc, Polytope, extreme_points, jnr_sandwich, polytope_facets_2d
+from .geometry import Box, Disc, Polytope, extreme_points, halfplanes, jnr_sandwich
 from .linalg import (
     OperatorTuple,
     compressed_ampliation,
@@ -204,7 +204,7 @@ def criterion_5() -> CriterionResult:
     """Over a triangle, maximal-set members are already minimal-set members."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(5)
-    normals, offsets = polytope_facets_2d(TRIANGLE)
+    normals, offsets = halfplanes(TRIANGLE)
     tol = 1e-7
     failures = boundary = 0
     for _ in range(200):

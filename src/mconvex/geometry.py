@@ -2,10 +2,12 @@
 
 Bodies come in four flavours: explicit polytopes (vertex lists), coordinate
 boxes, planar discs, and support-sampled bodies (direction/value pairs).
-Planar hull work is done by a small Graham scan and half-plane clipping;
-extreme-point and hull-membership questions in any dimension go through
-per-point linear programs (``scipy.optimize.linprog``) rather than a hull
-library, so each answer carries an explicit margin.
+A polytope's facet list, in any dimension, comes from Qhull
+(``scipy.spatial.ConvexHull``) inside the affine span of its vertices.
+Planar hull drawing is done by a small Graham scan and half-plane
+clipping; extreme-point and hull-membership questions on point lists go
+through per-point linear programs (``scipy.optimize.linprog``), so each
+answer carries an explicit margin.
 """
 
 from __future__ import annotations
@@ -16,12 +18,18 @@ from typing import Sequence, Union
 import numpy as np
 import scipy.optimize
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from .errors import DimensionMismatch, NoInteriorZero
 from .linalg import OperatorTuple, herm_eig
 
 #: default slack used when classifying a point as extreme
 EXTREME_TOL = 1e-9
+
+
+def _require_finite(what: str, *values) -> None:
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise DimensionMismatch(f"{what} must be finite")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,6 +42,7 @@ class Polytope:
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if v.ndim != 2 or v.shape[0] == 0:
             raise DimensionMismatch("polytope needs a (k, d) vertex array")
+        _require_finite("polytope vertices", v)
         object.__setattr__(self, "vertices", v)
 
     @property
@@ -51,6 +60,7 @@ class Box:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        _require_finite("box bounds", lo, hi)
         if lo.shape != hi.shape or np.any(lo > hi):
             raise DimensionMismatch("box needs lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
@@ -72,6 +82,7 @@ class Disc:
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         if c.shape != (2,):
             raise DimensionMismatch("disc center must live in R^2")
+        _require_finite("disc center and radius", c, self.radius)
         if self.radius < 0:
             raise DimensionMismatch("disc radius must be nonnegative")
         object.__setattr__(self, "center", c)
@@ -93,6 +104,7 @@ class Sampled:
         s = np.atleast_1d(np.asarray(self.support_values, dtype=float))
         if d.shape[0] != s.shape[0] or d.shape[0] == 0:
             raise DimensionMismatch("need one support value per direction")
+        _require_finite("sampled directions and support values", d, s)
         norms = np.linalg.norm(d, axis=1)
         if np.any(norms <= 0):
             raise DimensionMismatch("directions must be nonzero")
@@ -346,19 +358,6 @@ def _hull_reconstruction_gap(others: np.ndarray, p: np.ndarray) -> float:
     return float(res.fun)
 
 
-def _ray_reach(points: np.ndarray, p: np.ndarray) -> float:
-    """The largest ``t >= 0`` with ``t p`` in conv(points), 0 if none: an
-    LP over weights ``w >= 0`` and ``t`` with ``points^T w = t p``,
-    ``sum w = 1``."""
-    k, d = points.shape
-    a_eq = np.vstack([np.column_stack([points.T, -p]), np.r_[np.ones(k), 0.0]])
-    res = linprog(
-        np.r_[np.zeros(k), -1.0], A_eq=a_eq, b_eq=np.r_[np.zeros(d), 1.0],
-        bounds=(0, None), method="highs",
-    )
-    return float(-res.fun) if res.status == 0 else 0.0
-
-
 def is_simplex(points: np.ndarray, tol: float = 1e-9) -> tuple[bool, dict]:
     """Whether the hull of ``points`` is a simplex.
 
@@ -402,42 +401,6 @@ def essential_range_hull(samples: Sequence[complex]) -> tuple[np.ndarray, np.nda
     return hull, ext
 
 
-def polytope_facets_2d(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """Outward unit edge normals and offsets of a planar polytope."""
-    if poly.dim != 2:
-        raise DimensionMismatch("facet enumeration implemented for d = 2 only")
-    hull = hull2d(poly.vertices)
-    k = hull.shape[0]
-    if k == 1:
-        # degenerate: a point, represent as four boxing halfplanes
-        normals = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
-        offsets = normals @ hull[0]
-        return normals, offsets
-    if k == 2:
-        e = hull[1] - hull[0]
-        e = e / np.linalg.norm(e)
-        n1 = np.array([-e[1], e[0]])
-        normals = np.array([n1, -n1, e, -e])
-        offsets = np.array(
-            [n1 @ hull[0], -(n1 @ hull[0]), e @ hull[1], -(e @ hull[0])]
-        )
-        return normals, offsets
-    normals = []
-    offsets = []
-    for i in range(k):
-        a, b = hull[i], hull[(i + 1) % k]
-        e = b - a
-        nrm = np.array([e[1], -e[0]])
-        ln = np.linalg.norm(nrm)
-        if ln <= 1e-15:
-            continue
-        nrm = nrm / ln
-        # hull2d is counterclockwise, so this normal points outward
-        normals.append(nrm)
-        offsets.append(nrm @ a)
-    return np.array(normals), np.array(offsets)
-
-
 def box_vertices(box: Box) -> np.ndarray:
     """All 2^d corner points of a box (d is small here)."""
     d = box.dim
@@ -455,9 +418,13 @@ def halfplanes(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     ``body = {x : directions @ x <= offsets}`` exactly.
 
     A box gives ``e_j`` and ``-e_j`` in coordinate order, a sampled body
-    its own directions, a polytope its outward edge normals (d = 2) or
-    ``+-1`` (d = 1).  Discs and polytopes in d >= 3 have no such list
-    here and raise ``DimensionMismatch``.
+    its own directions.  A polytope, in any dimension, gives the facets
+    of its hull inside the affine span of its vertices (Qhull's
+    triangulated facets merged back into one per hyperplane; a point or
+    a segment gives its extent), followed by each normal ``u`` of that
+    span as the pair ``u . x <= u . c`` and ``-u . x <= -u . c``, so a
+    flat polytope has an offset of at most 0.  A disc has no such list
+    and raises ``DimensionMismatch``.
     """
     if isinstance(body, Box):
         dirs = np.repeat(np.eye(body.dim), 2, axis=0)
@@ -465,15 +432,28 @@ def halfplanes(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
         return dirs, np.column_stack([body.hi, -body.lo]).ravel()
     if isinstance(body, Sampled):
         return body.directions, body.support_values
-    if isinstance(body, Polytope) and body.dim == 1:
-        v = body.vertices[:, 0]
-        return np.array([[1.0], [-1.0]]), np.array([v.max(), -v.min()])
-    if isinstance(body, Polytope) and body.dim == 2:
-        return polytope_facets_2d(body)
     if isinstance(body, Polytope):
-        raise DimensionMismatch(
-            "a polytope's facet list is available for d <= 2 only; "
-            "use Box or Sampled in higher d"
+        v = body.vertices
+        center = v.mean(axis=0)
+        _, s, vt = np.linalg.svd(v - center)
+        rank = int(np.sum(s > EXTREME_TOL * s[0]))
+        # a full-dimensional hull stays in its own coordinates, so that
+        # axis-aligned facets come out exact
+        span = np.eye(body.dim) if rank == body.dim else vt[:rank]
+        y = v @ span.T
+        if rank >= 2:
+            eq = ConvexHull(y).equations
+            _, first = np.unique(eq, axis=0, return_index=True)
+            eq = eq[np.sort(first)]
+            dirs, offsets = eq[:, :-1] @ span, -eq[:, -1]
+        else:
+            dirs = np.vstack([span, -span])
+            offsets = np.concatenate([y.max(axis=0), -y.min(axis=0)])
+        normals = vt[rank:]
+        along = normals @ center
+        return (
+            np.vstack([dirs, normals, -normals]),
+            np.concatenate([offsets, along, -along]),
         )
     raise DimensionMismatch(f"no facet list for body type {type(body)!r}")
 
@@ -481,13 +461,10 @@ def halfplanes(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
 def point_gap(body: ConvexBody, p: np.ndarray) -> float:
     """Signed slack of a point against a body: positive outside, at most
     0 inside.  A disc gives the distance to its center minus its radius,
-    a polytope its LP hull gap (``hull_membership_gap``, 0 inside), every
-    other body ``max(c . p - h)`` over its facet list."""
+    every other body ``max(c . p - h)`` over its facet list."""
     p = np.asarray(p, dtype=float)
     if isinstance(body, Disc):
         return float(np.linalg.norm(p - body.center)) - body.radius
-    if isinstance(body, Polytope):
-        return hull_membership_gap(body.vertices, p)
     dirs, offsets = halfplanes(body)
     return float(np.max(dirs @ p - offsets))
 
@@ -495,21 +472,16 @@ def point_gap(body: ConvexBody, p: np.ndarray) -> float:
 def require_interior_zero(body: ConvexBody, tol: float = 1e-9) -> float:
     """Return a positive inradius bound at 0, or raise ``NoInteriorZero``.
 
-    A disc gives its radius less the distance to its center, a polytope
-    in d >= 3 an LP bound, and every other body the least offset of its
-    facet list (``halfplanes``), the distance from 0 to its nearest facet.
+    A disc gives its radius less the distance to its center, every other
+    body the least offset of its facet list (``halfplanes``), the
+    distance from 0 to its nearest facet; a flat polytope's span normals
+    give an offset of at most 0, so it raises.
     """
     if isinstance(body, Disc):
-        slack = reach = body.radius - float(np.linalg.norm(body.center))
-    elif isinstance(body, Polytope) and body.dim > 2:
-        # the largest r with +-r e_i in K for every i; the cross-polytope
-        # of radius r lies in K and has inradius r / sqrt(d)
-        axes = np.eye(body.dim)
-        reach = min(_ray_reach(body.vertices, p) for p in (*axes, *-axes))
-        slack = reach / np.sqrt(body.dim)
+        slack = body.radius - float(np.linalg.norm(body.center))
     else:
-        slack = reach = float(np.min(halfplanes(body)[1]))
-    if reach <= tol:
+        slack = float(np.min(halfplanes(body)[1]))
+    if slack <= tol:
         raise NoInteriorZero(
             f"0 is not interior to the {type(body).__name__.lower()} "
             f"(slack {slack:.3e})"

@@ -187,9 +187,8 @@ def kmax_member(
     Discs are checked through the numerical radius of the recentered
     complex combination; every other body exactly on its facet list
     (``geometry.halfplanes``: a box's +-e_j, a sampled body's own
-    directions, a polytope's edge normals for d <= 2; a polytope in
-    d >= 3 raises ``DimensionMismatch``).  Status is Boundary when the
-    worst support gap lands in ``(tol, 10 tol]``.
+    directions, a polytope's hull facets in any dimension).  Status is
+    Boundary when the worst support gap lands in ``(tol, 10 tol]``.
     """
     if not a.hermitian:
         raise NonHermitianInput("maximal-set membership needs a Hermitian tuple")

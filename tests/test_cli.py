@@ -57,6 +57,22 @@ class TestCommands:
         assert rep["status"] == "Out"
         assert rep["margin"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_member_kmax_polytope_in_three_dimensions(self, tmp_path, capsys):
+        # the cube [-1, 1]^3 as a vertex list, against the Pauli triple,
+        # whose joint numerical range is the unit ball
+        cube = [[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)]
+        b = write(tmp_path / "b.json", {"type": "polytope", "vertices": cube})
+        for scale, status, margin in ((0.5, "In", 0.5), (1.2, "Out", 0.2)):
+            doc = pauli_tuple(scale)
+            doc["mats"].append([[[0.0, 0.0], [0.0, -scale]], [[0.0, scale], [0.0, 0.0]]])
+            t = write(tmp_path / "t.json", doc)
+            code, rep = run(
+                capsys, ["member", "--kind", "kmax", "--tuple", t, "--body", b]
+            )
+            assert code == 0
+            assert rep["status"] == status
+            assert rep["margin"] == pytest.approx(margin, abs=1e-12)
+
     def test_member_ucp(self, tmp_path, capsys):
         x = write(
             tmp_path / "x.json",

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mconvex.errors import NoInteriorZero
+from mconvex._jsonio import decode_body
+from mconvex.errors import DimensionMismatch, NoInteriorZero
 from mconvex.geometry import (
     Box,
     Disc,
@@ -11,12 +12,12 @@ from mconvex.geometry import (
     clip_by_halfplanes,
     essential_range_hull,
     extreme_points,
+    halfplanes,
     hull_distance,
     hull_membership_gap,
     is_simplex,
     jnr_sandwich,
     point_gap,
-    polytope_facets_2d,
     require_interior_zero,
     scale_body,
     support_value,
@@ -44,7 +45,7 @@ def test_jnr_sandwich_nesting_and_shrinking():
         sw = jnr_sandwich(t, m=m)
         bounds.append(sw.hausdorff_bound)
         # every inner vertex lies inside the outer polygon
-        normals, offsets = polytope_facets_2d(sw.outer)
+        normals, offsets = halfplanes(sw.outer)
         assert (sw.inner.vertices @ normals.T - offsets[None, :]).max() <= 1e-9
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     # W_1 of the Pauli pair is the unit disc
@@ -111,7 +112,7 @@ def test_essential_range_hull_cases():
 
 
 def test_polytope_facets_triangle():
-    normals, offsets = polytope_facets_2d(TRIANGLE)
+    normals, offsets = halfplanes(TRIANGLE)
     assert normals.shape == (3, 2)
     # every vertex satisfies all facet inequalities with equality on two
     vals = TRIANGLE.vertices @ normals.T - offsets[None, :]
@@ -160,12 +161,42 @@ def test_require_interior_zero_decides_a_polytope_off_the_plane():
         require_interior_zero(tetrahedron)
 
 
-def test_require_interior_zero_bounds_the_cube_inradius():
+def test_require_interior_zero_is_the_cube_inradius():
     cube = Polytope(box_vertices(Box(-np.ones(3), np.ones(3))))
-    bound = require_interior_zero(cube)
-    assert 0.0 < bound <= 1.0
-    # +-e_i are vertices of the cube's cross-polytope, of inradius 1/sqrt(3)
-    assert bound == pytest.approx(1.0 / np.sqrt(3.0))
+    assert require_interior_zero(cube) == 1.0
+    # Qhull's triangles merge back into the cube's six faces
+    assert halfplanes(cube)[0].shape == (6, 3)
+
+
+def test_require_interior_zero_rejects_a_segment_in_space():
+    # 0 lies on the segment, but a segment has no interior in R^3
+    segment = Polytope(np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]]))
+    with pytest.raises(NoInteriorZero):
+        require_interior_zero(segment)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"type": "polytope", "vertices": [[1.0, 0.0], [NAN, 1.0], [-1.0, -1.0]]},
+        {"type": "box", "lo": [-1.0, -1.0], "hi": [1.0, NAN]},
+        {"type": "box", "lo": [-float("inf"), -1.0], "hi": [1.0, 1.0]},
+        {"type": "disc", "center": [0.0, 0.0], "radius": NAN},
+        {"type": "disc", "center": [NAN, 0.0], "radius": 1.0},
+        {"type": "sampled", "directions": [[1.0, 0.0], [0.0, 1.0]],
+         "support_values": [1.0, NAN]},
+        {"type": "sampled", "directions": [[1.0, NAN], [0.0, 1.0]],
+         "support_values": [1.0, 1.0]},
+    ],
+    ids=["polytope", "box-nan", "box-inf", "disc-radius", "disc-center",
+         "sampled-value", "sampled-direction"],
+)
+def test_bodies_reject_non_finite_data(doc):
+    with pytest.raises(DimensionMismatch, match="must be finite"):
+        decode_body(doc)
 
 
 def test_nilpotent_range_is_disc():

@@ -114,38 +114,58 @@ class TestKmax:
         assert res.status is MembershipStatus.OUT
         assert res.margin == pytest.approx(0.2, abs=1e-12)
 
-    def test_polytope_in_three_dimensions_has_no_facet_list(self):
-        cube = Polytope(box_vertices(Box(-np.ones(3), np.ones(3))))
-        triple = OperatorTuple((X, Y, Z), hermitian=True)
-        with pytest.raises(DimensionMismatch, match="use Box or Sampled"):
-            kmax_member(cube, triple)
+    def test_cube_polytope_agrees_with_the_box(self):
+        # the cube's Qhull facets are the box's +-e_j, so the two bodies
+        # give the same gaps up to rounding
+        box = Box(-np.ones(3), np.ones(3))
+        cube = Polytope(box_vertices(box))
+        rng = np.random.default_rng(7)
+        statuses = set()
+        for n in (1, 2, 3):
+            for scale in (0.3, 0.7, 1.0, 1.5):
+                mats = tuple(random_hermitian(n, rng) for _ in range(3))
+                a = OperatorTuple(mats, hermitian=True)
+                a = a.scaled(scale / max(op_norm(m) for m in mats))
+                want, got = kmax_member(box, a), kmax_member(cube, a)
+                assert got.status is want.status
+                assert got.margin == pytest.approx(want.margin, rel=0, abs=1e-12)
+                statuses.add(got.status)
+        assert statuses == {MembershipStatus.IN, MembershipStatus.OUT}
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=7
-    ),
-    st.integers(min_value=0, max_value=10**6),
-)
-def test_polytope_agrees_with_its_halfplanes(corners, seed):
-    # a planar polytope and the sampled body of its facet list are one set
-    poly = Polytope(np.array(corners, dtype=float) / 4.0)
+@st.composite
+def lattice_polytopes(draw):
+    """Lattice polytopes in d = 1, 2, 3, points and flat ones included."""
+    d = draw(st.integers(1, 3))
+    corners = draw(st.lists(
+        st.tuples(*[st.integers(-8, 8)] * d), min_size=1, max_size=7
+    ))
+    return Polytope(np.array(corners, dtype=float) / 4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_polytopes(), st.integers(min_value=0, max_value=10**6))
+def test_polytope_agrees_with_its_halfplanes(poly, seed):
+    # a polytope and the sampled body of its facet list are one set
     sampled = Sampled(*halfplanes(poly))
     rng = np.random.default_rng(seed)
     for n in (1, 2, 3):
         a = OperatorTuple(
-            tuple(random_hermitian(n, rng) for _ in range(2)), hermitian=True
+            tuple(random_hermitian(n, rng) for _ in range(poly.dim)), hermitian=True
         )
         want, got = kmax_member(poly, a), kmax_member(sampled, a)
         assert want.status is got.status
         np.testing.assert_allclose(
             got.certificate["gaps"], want.certificate["gaps"], rtol=0, atol=1e-12
         )
-    for p in rng.uniform(-3.0, 3.0, size=(12, 2)):
+    # points about the vertex mean, so that some of them fall inside
+    center = poly.vertices.mean(axis=0)
+    for p in center + rng.uniform(-1.5, 1.5, size=(12, poly.dim)):
         gap = point_gap(sampled, p)
         if abs(gap) > 1e-6:
             assert (gap > 0) == (hull_membership_gap(poly.vertices, p) > 1e-9)
+    for v in poly.vertices:
+        assert point_gap(poly, v) <= 1e-12
 
 
 class TestKmin:
@@ -173,12 +193,13 @@ class TestKmin:
         assert res.status is MembershipStatus.IN
         assert "joint spectrum" in res.detail
 
-    def test_commuting_in_box_reports_the_support_slack(self):
+    @pytest.mark.parametrize("body", [UNIT_BOX, SQUARE], ids=["box", "polytope"])
+    def test_commuting_in_box_reports_the_support_slack(self, body):
         t = OperatorTuple(
             (np.diag([0.5, -0.2]).astype(complex), np.diag([0.1, 0.3]).astype(complex)),
             hermitian=True,
         )
-        res = kmin_member(UNIT_BOX, t)
+        res = kmin_member(body, t)
         assert res.status is MembershipStatus.IN
         # the joint points (0.5, 0.1) and (-0.2, 0.3) lie 0.5 and 0.7 inside
         assert res.margin == pytest.approx(0.5, abs=1e-12)
@@ -252,6 +273,16 @@ class TestTheta:
     def test_requires_kmax(self):
         with pytest.raises(NotInKmax):
             theta_min_alpha(SQUARE, pauli(3.0))
+
+    def test_cube_brackets_root3_as_polytope_and_box(self):
+        # theta of the cube [-1, 1]^3 is sqrt(3), attained by the Pauli
+        # triple, whose joint numerical range is the unit ball
+        box = Box(-np.ones(3), np.ones(3))
+        triple = OperatorTuple((X, Y, Z), hermitian=True)
+        est = theta_min_alpha(Polytope(box_vertices(box)), triple)
+        ref = theta_min_alpha(box, triple)
+        assert (est.lower, est.upper) == (ref.lower, ref.upper)
+        assert est.lower <= np.sqrt(3.0) <= est.upper
 
     def test_trace_collects_brackets(self):
         trace = []
