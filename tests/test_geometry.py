@@ -161,7 +161,7 @@ def test_require_interior_zero_decides_a_polytope_off_the_plane():
         require_interior_zero(tetrahedron)
 
 
-def test_require_interior_zero_is_the_cube_inradius():
+def test_require_interior_zero_bounds_the_cube_inradius():
     cube = Polytope(box_vertices(Box(-np.ones(3), np.ones(3))))
     assert require_interior_zero(cube) == 1.0
     # Qhull's triangles merge back into the cube's six faces
