@@ -459,14 +459,16 @@ def halfplanes(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
 
 
 def point_gap(body: ConvexBody, p: np.ndarray) -> float:
-    """Signed slack of a point against a body: positive outside, at most
-    0 inside.  A disc gives the distance to its center minus its radius,
-    every other body ``max(c . p - h)`` over its facet list."""
+    """Signed slack of a point, or the largest over a ``(k, d)`` stack of
+    points, against a body: positive outside, at most 0 inside.  A disc
+    gives the distance to its center minus its radius, every other body
+    ``max(c . p - h)`` over its facet list, built once for the stack."""
     p = np.asarray(p, dtype=float)
     if isinstance(body, Disc):
-        return float(np.linalg.norm(p - body.center)) - body.radius
+        dist = np.linalg.norm(p - body.center, axis=-1)
+        return float(np.max(dist)) - body.radius
     dirs, offsets = halfplanes(body)
-    return float(np.max(dirs @ p - offsets))
+    return float(np.max(p @ dirs.T - offsets))
 
 
 def require_interior_zero(body: ConvexBody, tol: float = 1e-9) -> float:

@@ -400,7 +400,7 @@ def kmin_member(
 
     if _is_commuting(a):
         u, values = simdiag_hermitian(a.mats, tol=1e-9)
-        viol = max(point_gap(K, p) for p in values)
+        viol = point_gap(K, values)
         return MembershipResult(
             _statuses(viol, tol),
             abs(viol),

@@ -45,13 +45,14 @@ WITNESS_RESIDUAL = 1e-7
 ZERO_ROW_NORM = 1e-14
 ZERO_ROW_RHS = 1e-12
 
-#: bytes of the coefficient stack symmetrized, conjugated or normed at
-#: once while compiling
+#: bytes of the coefficient stack symmetrized or normed at once while
+#: compiling
 CHUNK_BYTES = 1 << 20
 
-#: how often (iterations) candidate and certificate checks run
-CHECK_EVERY = 16
-CERT_EVERY = 64
+#: iterations between witness checks and between dual-certificate tries;
+#: most solves close at their first check.  Checking before iteration 4
+#: certifies cone-projected witnesses of least eigenvalue 0 (kmin margin 0)
+CHECK_EVERY, CERT_EVERY = 4, 16
 STALL_WINDOW = 512
 
 
@@ -208,7 +209,10 @@ class _Compiled:
 
     ``coeff_groups[g]`` stacks the Hermitian coefficients of size group
     ``g`` of ``_groups(block_sizes)`` as an ``(m, count, s, s)`` tensor;
-    the constructor takes the stacks over and normalizes them in place.
+    the constructor takes the stacks over, normalizes them in place and
+    keeps each C-contiguous, so ``coeff_mats`` reads it as a real
+    ``(m, 2 count s^2)`` matrix and ``apply``, ``pencil`` and the Gram are
+    single BLAS products.
     ``with_rhs`` re-poses the problem for another right-hand side and
     shares everything else.
     """
@@ -220,6 +224,7 @@ class _Compiled:
         self.groups = _groups(self.block_sizes)
         m = len(rhs)
         self.m = m
+        coeff_groups = [np.ascontiguousarray(t) for t in coeff_groups]
 
         # diagonal preconditioning: unit Frobenius norm per constraint; rows
         # of rounding noise become zero rows (zero coefficient, zero rhs,
@@ -238,15 +243,13 @@ class _Compiled:
             tensor /= norms[:, None, None, None]
         self.norms = norms
         self.coeff_groups = coeff_groups
+        self.coeff_mats = [
+            t.view(float).reshape(m, 2 * len(idxs) * s * s)
+            for t, (s, idxs) in zip(coeff_groups, self.groups)
+        ]
         self._set_rhs(rhs)
 
-        gram = np.zeros((m, m))
-        for tensor in self.coeff_groups:
-            for rows in _chunks(tensor):
-                gram[rows] += np.einsum(
-                    "mnij,knij->mk", tensor[rows].conj(), tensor
-                ).real
-        self.gram = gram
+        self.gram = gram = sum(mat @ mat.T for mat in self.coeff_mats)
         self.gram_pinv = np.linalg.pinv(gram, rcond=1e-12) if m else gram
         self.gram_pinv[self.zero_rows] = 0.0
         self.gram_pinv[:, self.zero_rows] = 0.0
@@ -256,17 +259,12 @@ class _Compiled:
             np.broadcast_to(np.eye(s, dtype=complex), (len(idxs), s, s)).copy()
             for (s, idxs) in self.groups
         ]
-        if m:
-            ai = self.apply(self.ident)
-            t = self.gram_pinv @ ai
-            pencil = self.pencil(t)
-            gap = sum(
-                float(np.abs(pg - ig).max())
-                for pg, ig in zip(pencil, self.ident)
-            )
-            self.identity_combo = t if gap <= 1e-9 else None
-        else:
-            self.identity_combo = None
+        t = self.gram_pinv @ self.apply(self.ident)
+        gap = sum(
+            float(np.abs(pg - ig).max())
+            for pg, ig in zip(self.pencil(t), self.ident)
+        )
+        self.identity_combo = t if gap <= 1e-9 else None
 
     def _set_rhs(self, rhs) -> None:
         rhs = np.asarray(rhs, dtype=float)
@@ -314,23 +312,20 @@ class _Compiled:
 
     def apply(self, v: list[np.ndarray]) -> np.ndarray:
         """The constraint map A(V), a real m-vector."""
-        # Re tr(C* V) = Re tr(C conj(V)) term by term: conjugating the
-        # variable spares a copy of the whole coefficient stack
-        out = np.zeros(self.m)
-        for tensor, vg in zip(self.coeff_groups, v):
-            out += np.einsum("mnij,nij->m", tensor, vg.conj()).real
-        return out
+        # Re tr(C* V) = <Re C, Re V> + <Im C, Im V>: one real matrix-vector
+        # product per group on the interleaved real view
+        return sum(
+            mat @ vg.view(float).ravel() for mat, vg in zip(self.coeff_mats, v)
+        )
 
     def pencil(self, y: np.ndarray) -> list[np.ndarray]:
         """The adjoint map A*(y) = sum_i y_i C_i as a block variable."""
         return [
-            np.einsum("m,mnij->nij", y, tensor)
-            for tensor in self.coeff_groups
+            (y @ mat).view(complex).reshape(len(idxs), s, s)
+            for mat, (s, idxs) in zip(self.coeff_mats, self.groups)
         ]
 
     def affine_project(self, v: list[np.ndarray]) -> list[np.ndarray]:
-        if self.m == 0:
-            return [vg.copy() for vg in v]
         y = self.gram_pinv @ (self.apply(v) - self.b)
         corr = self.pencil(y)
         return [vg - cg for vg, cg in zip(v, corr)]

@@ -32,3 +32,7 @@ def test_criterion(criterion):
     line = "PASS" if result.passed else "FAIL"
     print(f"{line} {result.name} ({result.seconds:.1f}s): {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+    if result.name == "square/disc transform consistency":
+        # no probe excluded: the solver's check schedule leaves kmin In
+        # witnesses a positive margin (checks from iteration 2 exclude 104)
+        assert result.detail.startswith("500 compared, 0 excluded"), result.detail

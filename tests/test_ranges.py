@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mconvex.geometry as geometry
 import mconvex.ranges as ranges
 import mconvex.sdp as sdp
 from mconvex.errors import (
@@ -210,6 +211,24 @@ class TestKmin:
     def test_commuting_in_polytope_reports_the_support_slack(self):
         # the square's facet list gives the box's slack
         self._check_commuting_support_slack(SQUARE)
+
+    def test_commuting_path_builds_the_facet_list_once(self, monkeypatch):
+        # 60 joint points, one Qhull run; the Box reads the same slack
+        rng = np.random.default_rng(0)
+        diags = rng.uniform(-0.9, 0.9, size=(3, 60))
+        t = OperatorTuple(tuple(np.diag(x).astype(complex) for x in diags), hermitian=True)
+        cube = Box(-np.ones(3), np.ones(3))
+        calls = []
+        hull = geometry.ConvexHull
+        monkeypatch.setattr(
+            geometry, "ConvexHull", lambda *a, **k: calls.append(1) or hull(*a, **k)
+        )
+        res = kmin_member(Polytope(box_vertices(cube)), t)
+        assert len(calls) == 1
+        want = kmin_member(cube, t)
+        assert res.status is want.status is MembershipStatus.IN
+        assert res.margin == pytest.approx(want.margin, abs=1e-12)
+        assert want.margin == pytest.approx(0.10493, abs=1e-5)
 
     def test_commuting_outside(self):
         t = OperatorTuple((2.0 * Z, Z), hermitian=True)

@@ -7,6 +7,7 @@ from mconvex.sdp import (
     AffineConstraint,
     SdpFeasibility,
     Status,
+    _Compiled,
     _compile,
     _facial_polish,
     _hermitize,
@@ -266,8 +267,10 @@ def test_with_rhs_checks_the_new_rhs():
 
 
 def test_compiled_data_match_the_whole_stack_formulas():
-    # the chunked, in-place compile against the whole-stack formulas it
-    # replaces, bit for bit; the stack spans several CHUNK_BYTES chunks
+    # the chunked, in-place compile against the whole-stack formulas: the
+    # normalized stack and rhs bit for bit, the BLAS products (which add
+    # in another order) to rounding; the stack spans several CHUNK_BYTES
+    # chunks
     rng = np.random.default_rng(5)
     shape = (70, 96, 4, 4)
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -290,7 +293,39 @@ def test_compiled_data_match_the_whole_stack_formulas():
     assert np.array_equal(comp.coeff_groups[0], unit)
     assert np.array_equal(comp.b, np.array(rhs) / norms)
     gram = np.einsum("mnij,knij->mk", unit.conj(), unit).real
-    assert np.array_equal(comp.gram, gram)
+    assert np.abs(comp.gram - gram).max() <= 1e-13
     v = herm_part(rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:]))
     want = np.einsum("mnij,nij->m", unit.conj(), v).real
-    assert np.array_equal(comp.apply([v]), want)
+    assert np.abs(comp.apply([v]) - want).max() <= 1e-13
+    # pencil is the adjoint of apply: y . A(V) = Re tr(A*(y)* V)
+    y = rng.standard_normal(shape[0])
+    pairing = np.vdot(comp.pencil(y)[0], v).real
+    assert abs(y @ comp.apply([v]) - pairing) <= 1e-13
+
+
+def test_no_constraints_is_feasible():
+    assert solve_feasibility(SdpFeasibility(2, ())).status is Status.FEASIBLE
+
+
+def test_compiled_reads_a_non_contiguous_stack():
+    # a transposed view of a Hermitian stack is Hermitian but not
+    # C-contiguous; the compile copies it once and agrees with the copy
+    rng = np.random.default_rng(7)
+
+    def herm(*shape):
+        return herm_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    sizes, m = (2, 3, 2, 2), 5
+    stacks = [herm(m, 3, 2, 2), herm(m, 1, 3, 3)]
+    views = [np.swapaxes(t, -1, -2) for t in stacks]
+    assert not any(t.flags.c_contiguous for t in views)
+    rhs = rng.standard_normal(m)
+    strided = _Compiled(sizes, views, rhs)
+    dense = _Compiled(sizes, [np.ascontiguousarray(t) for t in views], rhs)
+    assert len(strided.groups) == 2
+    assert np.array_equal(strided.gram, dense.gram)
+    v = [herm(*t.shape[1:]) for t in stacks]
+    assert np.array_equal(strided.apply(v), dense.apply(v))
+    y = rng.standard_normal(m)
+    for a, b in zip(strided.pencil(y), dense.pencil(y)):
+        assert np.array_equal(a, b)
