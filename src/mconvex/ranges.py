@@ -122,26 +122,6 @@ class ThetaEstimate:
     witness_point: OperatorTuple
 
 
-def _herm_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal basis of Hermitian n x n matrices (Frobenius inner product)."""
-    out = []
-    for p in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[p, p] = 1.0
-        out.append(e)
-    inv = 1.0 / np.sqrt(2.0)
-    for p in range(n):
-        for q in range(p + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[p, q] = e[q, p] = inv
-            out.append(e)
-            f = np.zeros((n, n), dtype=complex)
-            f[p, q] = 1j * inv
-            f[q, p] = -1j * inv
-            out.append(f)
-    return out
-
-
 def _statuses(violation: float, tol: float) -> MembershipStatus:
     """In / Out / Boundary from a signed support violation."""
     if violation <= tol:
@@ -207,22 +187,19 @@ def kmax_member(
 def _kmin_problem(
     vertices: np.ndarray, mats: Sequence[np.ndarray]
 ) -> SdpFeasibility:
-    """Decomposition SDP: blocks ``h_j >= 0``, ``sum h_j = I``,
-    ``sum_j vertices[j, l] h_j = mats[l]``, one coefficient per block."""
+    """Decomposition SDP: one block ``h_j >= 0`` per vertex and the d + 1
+    matrix equations ``sum_j h_j = I`` and ``sum_j vertices[j, l] h_j =
+    mats[l]``.  The coefficients are the columns of ``W = [1 | vertices]``,
+    each as an (m, 1, 1) stack: one 1 x 1 pattern per n x n block."""
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
     m = verts.shape[0]
     n = mats[0].shape[0]
-    basis = _herm_basis(n)
-    cons = [
-        AffineConstraint(np.broadcast_to(zk, (m, n, n)), float(np.trace(zk).real))
-        for zk in basis
-    ]
-    for l, al in enumerate(mats):
-        for zk in basis:
-            cons.append(AffineConstraint(
-                verts[:, l, None, None] * zk, float(np.trace(zk @ al).real)
-            ))
-    return SdpFeasibility(m * n, tuple(cons), block_sizes=(n,) * m)
+    w = np.column_stack([np.ones(m), verts])
+    cons = tuple(
+        AffineConstraint(w[:, l, None, None], rhs)
+        for l, rhs in enumerate([np.eye(n), *mats])
+    )
+    return SdpFeasibility(m * n, cons, block_sizes=(n,) * m)
 
 
 def _kmin_solver(
@@ -239,27 +216,24 @@ def _kmin_solver(
     is when ``center + (a / alpha - center) / scale`` is in K^min, and as
     ``sum h_j = I`` only the rhs of the tuple rows moves.
     """
-    problem = _kmin_problem(vertices, a.mats)
-    comp = _compile(problem)
-    rhs = np.array([c.rhs for c in problem.constraints])
-    n2 = a.n * a.n  # the rows of sum_j h_j = I; the tuple rows follow
-    # tr(Z_k center_l I), the tuple rows' rhs at the center
-    at_center = np.outer(center, rhs[:n2]).ravel()
+    comp = _compile(_kmin_problem(vertices, a.mats))
+    eye = np.eye(a.n)
+    mats = np.array(a.mats, dtype=complex)
+    at_center = np.asarray(center, dtype=float)[:, None, None] * eye
 
     def solve(scale: float, alpha: float = 1.0) -> Verdict:
         # at scale 1 and alpha 1 this is the nominal rhs to the last bit
-        tuple_rhs = rhs[n2:] / alpha / scale + (1.0 - 1.0 / scale) * at_center
-        step = comp.with_rhs(np.concatenate([rhs[:n2], tuple_rhs]))
+        tuple_rhs = mats / alpha / scale + (1.0 - 1.0 / scale) * at_center
+        step = comp.with_rhs(np.concatenate([eye[None], tuple_rhs]))
         return step.solve(min(tol, 1e-7), max_iter)
 
     return solve
 
 
-def _decomposition(verdict, vertices: np.ndarray, n: int) -> MembershipResult:
+def _decomposition(verdict, vertices: np.ndarray) -> MembershipResult:
     """The In answer of a feasible decomposition SDP: the blocks ``h_j``,
     with their smallest eigenvalue (one batched call) as the margin."""
-    w = verdict.witness
-    h = [w[j * n:(j + 1) * n, j * n:(j + 1) * n] for j in range(len(vertices))]
+    h = verdict.blocks
     slack = float(np.linalg.eigvalsh(herm_part(np.stack(h)))[:, 0].min())
     return MembershipResult(
         MembershipStatus.IN, max(slack, 0.0), {"h": h, "vertices": vertices}
@@ -289,22 +263,21 @@ def _singleton_point(K: ConvexBody) -> np.ndarray | None:
 
 def _vertex_sets(
     K: ConvexBody, tol: float, m_grid: int
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The vertices, center, relaxed and tightened scales of ``kmin_member``.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The vertices, center and relaxed scale of ``kmin_member``.
 
     A disc gives its inscribed ``m_grid``-gon, whose dilation by
-    ``1 / cos(pi / m_grid)`` is the circumscribed one, and tightened
-    scale 1 (the inscribed polygon is already inside).  A polytope gives
+    ``1 / cos(pi / m_grid)`` is the circumscribed one.  A polytope gives
     its vertices about their mean, a box its corners about its middle,
     and a planar sampled body the polygon its facet list (``halfplanes``)
-    clips to, about that polygon's vertex mean; each with the scales
-    ``1 +- 10 tol``.  An Out answer rests on the relaxed body being
+    clips to, about that polygon's vertex mean; each with the relaxed
+    scale ``1 + 10 tol``.  An Out answer rests on the relaxed body being
     infeasible, a Boundary answer on it being feasible.
     """
     if isinstance(K, Disc):
         angles = 2.0 * np.pi * np.arange(m_grid) / m_grid
         ring = np.column_stack([np.cos(angles), np.sin(angles)])
-        return K.center + K.radius * ring, K.center, 1.0 / np.cos(np.pi / m_grid), 1.0
+        return K.center + K.radius * ring, K.center, 1.0 / np.cos(np.pi / m_grid)
     if isinstance(K, Polytope):
         verts, center = K.vertices, K.vertices.mean(axis=0)
     elif isinstance(K, Box):
@@ -322,33 +295,22 @@ def _vertex_sets(
         center = verts.mean(axis=0)
     else:
         raise DimensionMismatch(f"unknown body type {type(K)!r}")
-    eps = 10.0 * tol
-    return verts, center, 1.0 + eps, 1.0 - eps
+    return verts, center, 1.0 + 10.0 * tol
 
 
-def _sandwich(
-    solve: Callable[[float], Verdict | MembershipResult],
-    inner: float,
-    outer: float,
-    inside: Callable[[Verdict], MembershipResult],
+def _relaxed(
+    verdict: Verdict | MembershipResult,
     boundary_margin: float,
     details: tuple[str, str],
 ) -> MembershipResult:
-    """In / Out / Boundary / Unknown from one solve on each side of a query.
+    """Out / Boundary / Unknown from a solve of an easier question than
+    the query (the point pulled toward the center, or the body dilated).
 
-    ``solve(inner)`` asks a harder question than the query (the point
-    pushed away from the center, or the body shrunk about it) and
-    ``solve(outer)`` an easier one.  Feasible at ``inner`` is In, through
-    ``inside``; Infeasible at ``outer`` is Out, with that separator;
-    Feasible at ``outer`` is Boundary, since the point then lies in the
-    relaxed set; anything else is Unknown.  ``details`` are the Out and
-    Boundary details.  An answer that ``solve`` returns in place of a
-    verdict (ucp's zero-coefficient Out) counts as undecided.
+    Infeasible is Out, with that separator; Feasible is Boundary, since
+    the point then lies in the relaxed set; anything else is Unknown.
+    ``details`` are the Out and Boundary details.  An answer returned in
+    place of a verdict (ucp's zero-coefficient Out) counts as undecided.
     """
-    verdict = solve(inner)
-    if verdict.status is Status.FEASIBLE:
-        return inside(verdict)
-    verdict = solve(outer)
     if verdict.status is Status.INFEASIBLE:
         sep = verdict.separator
         return MembershipResult(MembershipStatus.OUT, sep.margin, sep, details[0])
@@ -374,8 +336,9 @@ def kmin_member(
     disc is sandwiched between inscribed and circumscribed regular
     ``m_grid``-gons: feasible on the inscribed polygon means In,
     infeasible on the circumscribed one means Out, and feasible there
-    means Boundary; a polytope whose nominal solve runs out of budget is
-    bracketed alike between its dilations by ``1 -+ 10 tol``.  The SDP is
+    means Boundary.  A polytope whose nominal solve runs out of budget is
+    decided on its dilation by ``1 + 10 tol`` alone: infeasible there is
+    Out, feasible Boundary, anything else Unknown.  The SDP is
     compiled once: a is in K dilated by s about its center c exactly when
     ``c + (a - c) / s`` is in K^min, so each scale moves only the
     right-hand side.  Commuting tuples short-circuit through their joint
@@ -408,20 +371,17 @@ def kmin_member(
             "commuting tuple: decided through the joint spectrum",
         )
 
-    verts, center, relax, tight = _vertex_sets(K, tol, m_grid)
+    verts, center, relax = _vertex_sets(K, tol, m_grid)
     solve = _kmin_solver(verts, center, a, tol, max_iter)
-    if isinstance(K, Disc):
-        return _sandwich(
-            solve, tight, relax,
-            lambda verdict: _decomposition(verdict, verts, a.n),
-            K.radius * (relax - 1.0),
-            ("", f"inscribed/circumscribed {m_grid}-gon sandwich straddles"),
-        )
-
-    eps = 10.0 * tol
     verdict = solve(1.0)
     if verdict.status is Status.FEASIBLE:
-        return _decomposition(verdict, verts, a.n)
+        return _decomposition(verdict, verts)
+    if isinstance(K, Disc):
+        return _relaxed(
+            solve(relax), K.radius * (relax - 1.0),
+            ("", f"inscribed/circumscribed {m_grid}-gon sandwich straddles"),
+        )
+    eps = 10.0 * tol
     if verdict.status is Status.INFEASIBLE:
         if solve(relax).status is Status.FEASIBLE:
             return MembershipResult(
@@ -433,17 +393,11 @@ def kmin_member(
         return MembershipResult(
             MembershipStatus.OUT, verdict.separator.margin, verdict.separator
         )
-    # solver budget ran out at the nominal scale: bracket both ways; a
-    # witness for the pushed-out point decomposes a over the tightened body
-    tightened = center + tight * (verts - center)
-    return _sandwich(
-        solve, tight, relax,
-        lambda verdict: dataclasses.replace(
-            _decomposition(verdict, tightened, a.n),
-            margin=eps, detail="resolved on the tightened body",
-        ),
-        eps,
-        ("resolved on the relaxed body", "bracketing straddles"),
+    # solver budget ran out at the nominal scale: the relaxed body decides
+    return _relaxed(
+        solve(relax), eps,
+        ("resolved on the relaxed body",
+         "undecided at scale 1, inside at scale 1 + 10 tol"),
     )
 
 
@@ -487,7 +441,7 @@ def theta_min_alpha(
             res = kmin_member(scale_body(K, alpha), a, member_tol)
             return res.status in (MembershipStatus.IN, MembershipStatus.BOUNDARY)
     else:
-        verts, center, relax, _ = _vertex_sets(K, member_tol, DISC_GRID)
+        verts, center, relax = _vertex_sets(K, member_tol, DISC_GRID)
         solve = _kmin_solver(verts, center, a, member_tol, MAX_ITER)
 
         def inside(alpha: float) -> bool:
@@ -531,52 +485,45 @@ def _choi_problem(
     """Compile, once, the program for a unital completely positive map x -> a.
 
     The variable is the Choi matrix ``C`` of a map ``M_m -> M_n`` (an
-    m x m grid of n x n blocks): complete positivity is ``C >= 0``,
-    unitality is ``sum_p C_pp = I``, and each image equation
-    ``Phi(x_j) = a_j`` splits into two Hermitian pairings through
-    ``tr((conj(x_j) kron Z)* C) = tr(Z a_j)`` over a Hermitian basis Z.
+    m x m grid of n x n blocks ``C_pq``): complete positivity is
+    ``C >= 0``, and the 1 + 2d matrix equations are unitality
+    ``sum_p C_pp = I`` and the Hermitian and skew parts of each image
+    equation ``Phi(x_j) = sum_pq (x_j)_pq C_pq = a_j``.  Their patterns
+    are ``I_m``, ``herm(conj(x_j))`` and ``skew(conj(x_j))``, their
+    right-hand sides ``I``, ``herm(a_j)`` and ``-skew(a_j)``.
 
     Returns ``solve(f)``, which asks for the map onto ``c + f (a - c)``,
     the point pulled toward the scalar tuple ``c_j = tr(x_j) / m`` (always
     a member).  The coefficients depend on x alone, so only the rhs of the
-    image rows moves with f.  An image equation whose coefficient vanishes
-    is dropped; ``solve`` answers Out when its rhs at f exceeds 10 tol.
+    image rows moves with f.  An image equation whose pattern vanishes is
+    a zero row; ``solve`` answers Out when its rhs at f has an entry
+    above 10 tol, and otherwise poses it as 0 = 0.
     """
     m, n = x.n, a.n
-    basis = _herm_basis(n)
-    unital = np.array([np.trace(zk).real for zk in basis])
-    cons = [AffineConstraint(np.kron(np.eye(m), zk), t) for zk, t in zip(basis, unital)]
-    coeffs, kept = [], []  # the nonzero coefficients; which pairings they are
-    for xj in x.mats:
-        for zk in basis:
-            mfull = np.kron(np.conj(xj), zk)
-            for coeff in (herm_part(mfull), skew_part(mfull)):
-                kept.append(float(np.abs(coeff).max(initial=0.0)) > 1e-14)
-                if kept[-1]:
-                    coeffs.append(coeff)
-    kept = np.array(kept)
-
-    # tr(Z_k a_j) and tr(Z_k c_j I) as the image rows pair them: the real
-    # part, then minus the imaginary part
-    r_a = np.array([complex(np.trace(zk @ aj)) for aj in a.mats for zk in basis])
-    r_c = np.outer([np.trace(xj) / m for xj in x.mats], unital).ravel()
-    at_a = np.column_stack([r_a.real, -r_a.imag]).ravel()
-    at_c = np.column_stack([r_c.real, -r_c.imag]).ravel()
-    cons += [AffineConstraint(c, v) for c, v in zip(coeffs, at_a[kept])]
-    comp = _compile(SdpFeasibility(m * n, tuple(cons)))
+    eye = np.eye(n)
+    patterns, at_a, at_c = [np.eye(m)], [eye], [eye]
+    for xj, aj in zip(x.mats, a.mats):
+        c = np.trace(xj) / m
+        patterns += [herm_part(np.conj(xj)), skew_part(np.conj(xj))]
+        at_a += [herm_part(aj), -skew_part(aj)]
+        at_c += [c.real * eye, -c.imag * eye]
+    at_a, at_c = np.array(at_a, dtype=complex), np.array(at_c, dtype=complex)
+    comp = _compile(SdpFeasibility(
+        m * n, tuple(map(AffineConstraint, patterns, at_a))
+    ))
 
     def solve(f: float) -> Verdict | MembershipResult:
         # at f = 1 this is the rhs at a to the last bit
         rhs = f * at_a + (1.0 - f) * at_c
-        off = np.abs(rhs[~kept])
+        off = np.abs(rhs[comp.zero_rows]).max(axis=(1, 2), initial=0.0)
         off = off[off > 10.0 * tol]
         if off.size:
             return MembershipResult(
                 MembershipStatus.OUT, float(off[0]), None,
                 "image equation with zero coefficient",
             )
-        step = comp.with_rhs(np.concatenate([unital, rhs[kept]]))
-        return step.solve(min(tol, 1e-7), max_iter)
+        rhs[comp.zero_rows] = 0.0
+        return comp.with_rhs(rhs).solve(min(tol, 1e-7), max_iter)
 
     return solve
 
@@ -615,13 +562,14 @@ def ucp_member(
             MembershipStatus.OUT, verdict.separator.margin, verdict.separator
         )
     eps = 10.0 * tol
-    return _sandwich(
-        solve, 1.0 + eps, 1.0 - eps,
-        lambda verdict: MembershipResult(
+    verdict = solve(1.0 + eps)
+    if verdict.status is Status.FEASIBLE:
+        return MembershipResult(
             MembershipStatus.IN, eps, {"choi": verdict.witness},
             "resolved by outward bracketing",
-        ),
-        eps,
+        )
+    return _relaxed(
+        solve(1.0 - eps), eps,
         ("resolved by inward bracketing", "bracketing straddles"),
     )
 

@@ -25,13 +25,16 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
+import functools
 import logging
+import math
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import BadProblem, NoCertificate
-from .linalg import herm_part
+from .linalg import herm_part, is_hermitian
 
 _LOG = logging.getLogger("mconvex")
 
@@ -45,9 +48,8 @@ WITNESS_RESIDUAL = 1e-7
 ZERO_ROW_NORM = 1e-14
 ZERO_ROW_RHS = 1e-12
 
-#: bytes of the coefficient stack symmetrized or normed at once while
-#: compiling
-CHUNK_BYTES = 1 << 20
+#: relative deviation from Hermitian allowed in coefficients and rhs
+HERM_RTOL = 1e-10
 
 #: iterations between witness checks and between dual-certificate tries;
 #: most solves close at their first check.  Checking before iteration 4
@@ -64,16 +66,23 @@ class Status(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class AffineConstraint:
-    """One real-linear equation ``sum_j Re tr(coeff_j* V_j) = rhs``.
+    """One linear equation on the diagonal blocks ``V_j`` of the variable.
 
-    ``coeff`` holds one Hermitian coefficient per diagonal block ``V_j`` of
-    the variable, in the order of ``SdpFeasibility.block_sizes`` (a list of
-    matrices, or an array stacking equal-size ones).  A 2-D array is the
-    one-block form.
+    ``coeff`` holds one Hermitian coefficient per block, in the order of
+    ``SdpFeasibility.block_sizes`` (a list of matrices, or an array
+    stacking equal-size ones).  A 2-D array is the one-block form.
+
+    ``rhs`` is a float or an n x n Hermitian matrix.  With a matrix, each
+    block ``V_j`` is read as a grid of n x n sub-blocks ``(V_j)_pq``, its
+    coefficient is the grid-sized pattern ``P_j``, and the constraint is
+    the matrix equation ``sum_j sum_pq conj(P_j[p, q]) (V_j)_pq = rhs``.
+    A float is the case n = 1: the scalar equation
+    ``sum_j tr(coeff_j* V_j) = rhs``.  Every constraint of a problem
+    shares one n.
     """
 
     coeff: np.ndarray | Sequence[np.ndarray]
-    rhs: float
+    rhs: float | np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,7 +93,7 @@ class SdpFeasibility:
     blocks of these sizes (the PSD cone becomes a product of smaller cones,
     which both tightens the model and speeds the projections); every
     constraint then gives one coefficient per block, and nothing couples
-    two blocks.  ``trace_normalization`` appends the constraint
+    two blocks.  ``trace_normalization`` appends the scalar constraint
     ``tr V = value``.
     """
 
@@ -103,11 +112,13 @@ class SdpFeasibility:
 class Separator:
     """Infeasibility certificate.
 
-    ``dual`` are coefficients against the original constraints; the pencil
-    ``sum_i dual_i coeff_i``, given as one block per declared block in
-    declared order, has ``lambda_max <= psd_slack`` on every block (a hair
-    above zero at machine scale) while ``sum_i dual_i rhs_i = margin > 0``.
-    Any PSD matrix therefore violates the constraint system by at least
+    ``dual`` is the stack of n x n Hermitian matrices ``Y_r``, one per
+    constraint (1 x 1 for scalar constraints); the pencil
+    ``sum_r P_r kron Y_r`` (the adjoint of the constraint map), given as
+    one block per declared block in declared order, has
+    ``lambda_max <= psd_slack`` on every block (a hair above zero at
+    machine scale) while ``sum_r Re tr(rhs_r Y_r) = margin > 0``.  Any PSD
+    matrix therefore violates the constraint system by at least
     ``margin`` in the preconditioned 2-norm, up to ``psd_slack`` times its
     trace.
     """
@@ -120,11 +131,19 @@ class Separator:
 
 @dataclasses.dataclass(frozen=True)
 class Verdict:
+    """A solve's answer.  ``blocks`` are the diagonal blocks of a Feasible
+    witness in declared order; ``witness`` assembles them into one
+    block-diagonal matrix on first use."""
+
     status: Status
-    witness: np.ndarray | None
+    blocks: list[np.ndarray] | None
     separator: Separator | None
     iterations: int
     residual: float
+
+    @functools.cached_property
+    def witness(self) -> np.ndarray | None:
+        return None if self.blocks is None else scipy.linalg.block_diag(*self.blocks)
 
 
 def _groups(sizes: Sequence[int]) -> list[tuple[int, list[int]]]:
@@ -137,11 +156,11 @@ def _groups(sizes: Sequence[int]) -> list[tuple[int, list[int]]]:
 
 def _compile(problem: SdpFeasibility) -> _Compiled:
     """Validate a problem and stack its coefficients into size groups."""
-    n = int(problem.var_size)
-    if n <= 0:
+    size = int(problem.var_size)
+    if size <= 0:
         raise BadProblem("variable size must be positive")
-    sizes = tuple(int(s) for s in (problem.block_sizes or (n,)))
-    if sum(sizes) != n or any(s <= 0 for s in sizes):
+    sizes = tuple(int(s) for s in (problem.block_sizes or (size,)))
+    if sum(sizes) != size or any(s <= 0 for s in sizes):
         raise BadProblem("block sizes must be positive and sum to var_size")
 
     cons = list(problem.constraints)
@@ -150,6 +169,16 @@ def _compile(problem: SdpFeasibility) -> _Compiled:
             AffineConstraint([np.eye(s) for s in sizes],
                              float(problem.trace_normalization))
         )
+    shapes = {np.shape(c.rhs) for c in cons} or {()}
+    if len(shapes) > 1:
+        raise BadProblem(f"constraints mix right-hand sides of shapes {shapes}")
+    shape = shapes.pop()
+    n = shape[0] if shape else 1
+    if shape not in ((), (n, n)) or n == 0:
+        raise BadProblem(f"a right-hand side of shape {shape} is not square")
+    if any(s % n for s in sizes):
+        raise BadProblem(f"block sizes {sizes} are not multiples of n = {n}")
+
     blocks = []
     for i, c in enumerate(cons):
         coeff = c.coeff
@@ -164,57 +193,42 @@ def _compile(problem: SdpFeasibility) -> _Compiled:
 
     tensors = []
     for s, idxs in _groups(sizes):
-        shape = (len(cons), len(idxs), s, s)
+        k = s // n
+        shape = (len(cons), len(idxs), k, k)
         rows = [[c[j] for j in idxs] for c in blocks]
         try:
             t = np.array(rows, dtype=complex) if rows else np.empty(shape, complex)
         except ValueError:  # blocks of unequal shapes
             t = None
         if t is None or t.shape != shape:
-            raise BadProblem(f"coefficient blocks do not match block size {s}")
-        if not np.all(np.isfinite(t.view(float))):
+            raise BadProblem(
+                f"coefficient blocks do not match the {k} x {k} pattern "
+                f"of block size {s}"
+            )
+        if not np.all(np.isfinite(t)):
             raise BadProblem(f"a coefficient block of size {s} is not finite")
-        dev, scale = _hermitize(t)
-        if dev > 1e-10 * max(1.0, scale):
+        if not is_hermitian(t, HERM_RTOL):
             raise BadProblem(f"a coefficient block of size {s} is not Hermitian")
-        tensors.append(t)
-    return _Compiled(sizes, tensors, [float(c.rhs) for c in cons])
-
-
-def _hermitize(t: np.ndarray) -> tuple[float, float]:
-    """Replace a stack of matrices by its Hermitian part, in place.
-
-    Returns the largest entry of ``|t - t*|`` and of ``|t|`` before the
-    change.  Works chunk by chunk (``_chunks``), so the temporaries stay
-    near ``CHUNK_BYTES`` instead of copying the stack.
-    """
-    dev = scale = 0.0
-    for rows in _chunks(t):
-        chunk = t[rows]
-        adj = np.conj(np.swapaxes(chunk, -1, -2))
-        dev = max(dev, float(np.abs(chunk - adj).max()))
-        scale = max(scale, float(np.abs(chunk).max()))
-        t[rows] = 0.5 * (chunk + adj)
-    return dev, scale
-
-
-def _chunks(t: np.ndarray) -> list[slice]:
-    """Slices of the leading axis of ``t`` of about ``CHUNK_BYTES`` each."""
-    step = max(1, CHUNK_BYTES // max(1, t.nbytes // max(1, len(t))))
-    return [slice(i, i + step) for i in range(0, len(t), step)]
+        tensors.append(herm_part(t))
+    rhs = np.array([c.rhs for c in cons], dtype=complex).reshape(len(cons), n, n)
+    return _Compiled(sizes, tensors, rhs)
 
 
 class _Compiled:
     """Preprocessed problem: grouped blocks, normalized constraints, Gram.
 
-    ``coeff_groups[g]`` stacks the Hermitian coefficients of size group
-    ``g`` of ``_groups(block_sizes)`` as an ``(m, count, s, s)`` tensor;
-    the constructor takes the stacks over, normalizes them in place and
-    keeps each C-contiguous, so ``coeff_mats`` reads it as a real
-    ``(m, 2 count s^2)`` matrix and ``apply``, ``pencil`` and the Gram are
-    single BLAS products.
-    ``with_rhs`` re-poses the problem for another right-hand side and
-    shares everything else.
+    Constraint r is the matrix equation ``A(V)_r = B_r`` between n x n
+    Hermitian matrices, where ``A(V)_r`` sums ``conj(P_r[p, q]) (V_j)_pq``
+    over the n x n sub-blocks of every block (n = 1 for scalar
+    constraints).  ``coeff_groups[g]`` stacks the patterns ``P_r`` of size
+    group ``g`` of ``_groups(block_sizes)`` as an ``(m, count, s/n, s/n)``
+    tensor, each constraint scaled to unit Frobenius norm; a pattern of
+    norm at most ``ZERO_ROW_NORM`` is a zero row.  ``apply`` and
+    ``pencil`` are one matrix product per group, and the Gram is the
+    m x m pattern Gram (the Gram over a Hermitian basis of the n x n
+    matrices is that Gram kron ``I_{n^2}``).  ``b`` is the (m, n, n)
+    stack of normalized ``B_r``.  ``with_rhs`` re-poses the problem for
+    another right-hand side and shares everything else.
     """
 
     def __init__(self, block_sizes, coeff_groups: list[np.ndarray], rhs):
@@ -222,34 +236,32 @@ class _Compiled:
         self.var_size = sum(self.block_sizes)
         self.block_offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
         self.groups = _groups(self.block_sizes)
-        m = len(rhs)
-        self.m = m
-        coeff_groups = [np.ascontiguousarray(t) for t in coeff_groups]
+        rhs = np.asarray(rhs, dtype=complex)
+        m = self.m = len(rhs)
+        n = self.n = rhs.shape[-1] if rhs.ndim == 3 else 1
 
         # diagonal preconditioning: unit Frobenius norm per constraint; rows
         # of rounding noise become zero rows (zero coefficient, zero rhs,
         # zero dual) instead of unit-norm equations of noise
-        sq = np.zeros(m)
-        for tensor in coeff_groups:
-            for rows in _chunks(tensor):
-                sq[rows] += np.einsum(
-                    "mnij,mnij->m", tensor[rows].conj(), tensor[rows]
-                ).real
+        sq = sum(np.einsum("rcpq,rcpq->r", t.conj(), t).real for t in coeff_groups)
         norms = np.sqrt(np.maximum(sq, 1e-300))
         self.zero_rows = norms <= ZERO_ROW_NORM
         norms[self.zero_rows] = 1.0
-        for tensor in coeff_groups:
-            tensor[self.zero_rows] = 0.0
-            tensor /= norms[:, None, None, None]
         self.norms = norms
-        self.coeff_groups = coeff_groups
-        self.coeff_mats = [
-            t.view(float).reshape(m, 2 * len(idxs) * s * s)
-            for t, (s, idxs) in zip(coeff_groups, self.groups)
+        zero = self.zero_rows[:, None, None, None]
+        self.coeff_groups = [
+            np.where(zero, 0.0, t / norms[:, None, None, None]) for t in coeff_groups
         ]
+        # each group as an (m, count (s/n)^2) matrix, and its conjugate
+        self.coeff_mats = [
+            t.reshape(m, math.prod(t.shape[1:])) for t in self.coeff_groups
+        ]
+        self.coeff_conj = [mat.conj() for mat in self.coeff_mats]
         self._set_rhs(rhs)
 
-        self.gram = gram = sum(mat @ mat.T for mat in self.coeff_mats)
+        self.gram = gram = sum(
+            (c @ mat.T).real for c, mat in zip(self.coeff_conj, self.coeff_mats)
+        )
         self.gram_pinv = np.linalg.pinv(gram, rcond=1e-12) if m else gram
         self.gram_pinv[self.zero_rows] = 0.0
         self.gram_pinv[:, self.zero_rows] = 0.0
@@ -259,7 +271,7 @@ class _Compiled:
             np.broadcast_to(np.eye(s, dtype=complex), (len(idxs), s, s)).copy()
             for (s, idxs) in self.groups
         ]
-        t = self.gram_pinv @ self.apply(self.ident)
+        t = np.tensordot(self.gram_pinv, self.apply(self.ident), 1)
         gap = sum(
             float(np.abs(pg - ig).max())
             for pg, ig in zip(self.pencil(t), self.ident)
@@ -267,24 +279,35 @@ class _Compiled:
         self.identity_combo = t if gap <= 1e-9 else None
 
     def _set_rhs(self, rhs) -> None:
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.m,):
-            raise BadProblem(f"rhs of shape {rhs.shape} for {self.m} constraints")
-        finite = np.isfinite(rhs)
+        m, n = self.m, self.n
+        rhs = np.asarray(rhs, dtype=complex)
+        if n == 1 and rhs.shape == (m,):
+            rhs = rhs.reshape(m, 1, 1)
+        if rhs.shape != (m, n, n):
+            raise BadProblem(
+                f"rhs of shape {rhs.shape} for {m} constraints of size {n}"
+            )
+        finite = np.isfinite(rhs).all(axis=(1, 2))
         if not finite.all():
             raise BadProblem(f"constraint {int(np.argmin(finite))} rhs is not finite")
-        bad = self.zero_rows & (np.abs(rhs) > ZERO_ROW_RHS)
+        if not is_hermitian(rhs, HERM_RTOL):
+            raise BadProblem("a right-hand side is not Hermitian")
+        rhs = herm_part(rhs)
+        bad = self.zero_rows & (np.abs(rhs).max(axis=(1, 2)) > ZERO_ROW_RHS)
         if bad.any():
             raise BadProblem(
                 f"constraint {int(np.argmax(bad))} has zero coeff, nonzero rhs"
             )
-        self.b = np.where(self.zero_rows, 0.0, rhs / self.norms)
+        self.b = np.where(
+            self.zero_rows[:, None, None], 0.0, rhs / self.norms[:, None, None]
+        )
 
     def with_rhs(self, rhs) -> _Compiled:
         """The same constraint operator with another right-hand side.
 
         Shares the normalized coefficients, the Gram pseudo-inverse and
-        ``identity_combo``; re-checks the new rhs as ``_compile`` does.
+        ``identity_combo``; re-checks the new rhs (m floats when n = 1,
+        else an (m, n, n) stack) as ``_compile`` does.
         """
         out = copy.copy(self)
         out._set_rhs(rhs)
@@ -296,11 +319,11 @@ class _Compiled:
         if _LOG.isEnabledFor(logging.DEBUG):
             _LOG.debug(
                 "sdp solve: %s after %d iterations, residual %.3e, "
-                "m=%d, %d blocks",
-                status.value, it, resid, self.m, len(self.block_sizes),
+                "m=%d, n=%d, %d blocks",
+                status.value, it, resid, self.m, self.n, len(self.block_sizes),
             )
-        witness = None if v is None else self.assemble(v)
-        return Verdict(status, witness, sep, it, resid)
+        blocks = None if v is None else [herm_part(b) for b in self.blocks(v)]
+        return Verdict(status, blocks, sep, it, resid)
 
     # --- variable helpers (variables are lists of (count, s, s) arrays) ---
 
@@ -311,22 +334,29 @@ class _Compiled:
         ]
 
     def apply(self, v: list[np.ndarray]) -> np.ndarray:
-        """The constraint map A(V), a real m-vector."""
-        # Re tr(C* V) = <Re C, Re V> + <Im C, Im V>: one real matrix-vector
-        # product per group on the interleaved real view
-        return sum(
-            mat @ vg.view(float).ravel() for mat, vg in zip(self.coeff_mats, v)
+        """The constraint map A(V), an (m, n, n) Hermitian stack."""
+        # each (s, s) block as its (s/n)^2 sub-blocks (p, q), flattened to
+        # rows of n^2 entries, so every group is one matrix product
+        n = self.n
+        out = sum(
+            c @ vg.reshape(-1, s // n, n, s // n, n)
+            .transpose(0, 1, 3, 2, 4).reshape(-1, n * n)
+            for c, vg, (s, _) in zip(self.coeff_conj, v, self.groups)
         )
+        return herm_part(out.reshape(self.m, n, n))
 
     def pencil(self, y: np.ndarray) -> list[np.ndarray]:
-        """The adjoint map A*(y) = sum_i y_i C_i as a block variable."""
+        """The adjoint map A*(Y) = sum_r P_r kron Y_r as a block variable."""
+        n = self.n
+        ys = y.reshape(self.m, n * n)
         return [
-            (y @ mat).view(complex).reshape(len(idxs), s, s)
+            (mat.T @ ys).reshape(-1, s // n, s // n, n, n)
+            .transpose(0, 1, 3, 2, 4).reshape(len(idxs), s, s)
             for mat, (s, idxs) in zip(self.coeff_mats, self.groups)
         ]
 
     def affine_project(self, v: list[np.ndarray]) -> list[np.ndarray]:
-        y = self.gram_pinv @ (self.apply(v) - self.b)
+        y = np.tensordot(self.gram_pinv, self.apply(v) - self.b, 1)
         corr = self.pencil(y)
         return [vg - cg for vg, cg in zip(v, corr)]
 
@@ -348,6 +378,7 @@ class _Compiled:
         return worst
 
     def residual(self, v: list[np.ndarray]) -> float:
+        """The largest entry of ``|A(V)_r - B_r|`` over all constraints."""
         if self.m == 0:
             return 0.0
         return float(np.abs(self.apply(v) - self.b).max())
@@ -359,13 +390,6 @@ class _Compiled:
             for pos, j in enumerate(idxs):
                 out[j] = vg[pos]
         return out
-
-    def assemble(self, v: list[np.ndarray]) -> np.ndarray:
-        full = np.zeros((self.var_size, self.var_size), dtype=complex)
-        offs = self.block_offsets
-        for j, blk in enumerate(self.blocks(v)):
-            full[offs[j]:offs[j + 1], offs[j]:offs[j + 1]] = herm_part(blk)
-        return full
 
     def split(self, w: np.ndarray) -> list[np.ndarray]:
         """The diagonal blocks of an assembled matrix, as a group variable."""
@@ -392,7 +416,7 @@ class _Compiled:
 def _certificate_from_dual(
     comp: _Compiled, coeffs: np.ndarray, tol: float
 ) -> Separator | None:
-    """Verify (possibly after an identity shift) a candidate dual vector."""
+    """Verify (possibly after an identity shift) a candidate dual stack."""
     for sign in (1.0, -1.0):
         y = sign * coeffs
         nrm = float(np.linalg.norm(y))
@@ -413,10 +437,10 @@ def _certificate_from_dual(
         slack_cap = 1e-12 * max(1.0, comp.pencil_norm(s_blocks))
         if mx > slack_cap:
             continue
-        margin = float(comp.b @ y)
+        margin = float(np.vdot(comp.b, y).real)
         if margin >= 10.0 * tol:
             return Separator(
-                dual=y / comp.norms,
+                dual=y / comp.norms[:, None, None],
                 margin=margin,
                 pencil=comp.blocks(s_blocks),
                 psd_slack=max(mx, 0.0),
@@ -433,6 +457,22 @@ def _witness_ok(comp: _Compiled, v: list[np.ndarray]) -> tuple[bool, float]:
     return True, resid
 
 
+def _herm_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of Hermitian n x n matrices (real Frobenius inner
+    product), as an (n^2, n, n) stack: the diagonal units, then the real
+    and imaginary units of each pair p < q."""
+    pairs = [(p, p) for p in range(n)]
+    pairs += [(p, q) for p in range(n) for q in range(p + 1, n)]
+    inv = 1.0 / np.sqrt(2.0)
+    out = []
+    for p, q in pairs:
+        for w in [1.0] if p == q else [inv, 1j * inv]:
+            e = np.zeros((n, n), dtype=complex)
+            e[p, q], e[q, p] = w, np.conj(w)
+            out.append(e)
+    return np.array(out)
+
+
 def _facial_polish(
     comp: _Compiled,
     v: list[np.ndarray],
@@ -441,10 +481,13 @@ def _facial_polish(
 ) -> tuple[list[np.ndarray], float] | None:
     """Restrict to the face suggested by ``v`` and re-solve there.
 
-    Returns a lifted exact-PSD witness, checked by ``_witness_ok``, and
-    its residual when the reduced problem closes, else None.  Cuts are
-    tried from coarse to fine so a strictly feasible face is found even
-    when small eigenvalues are still noisy.
+    A face does not respect the n x n sub-blocks, so the face problem is
+    posed in scalar rows: constraint r paired with each element ``Z_k`` of
+    a Hermitian basis gives the row with coefficient ``P_r kron Z_k`` and
+    rhs ``tr(Z_k B_r)``.  Returns a lifted exact-PSD witness, checked by
+    ``_witness_ok``, and its residual when the reduced problem closes,
+    else None.  Cuts are tried from coarse to fine so a strictly feasible
+    face is found even when small eigenvalues are still noisy.
     """
     spectra = [np.linalg.eigh(herm_part(vg)) for vg in v]
     top = max(
@@ -452,6 +495,16 @@ def _facial_polish(
     )
     if top <= 0:
         return None
+    basis = _herm_basis(comp.n)
+    rhs = np.einsum("kij,rij->rk", basis.conj(), comp.b).real.ravel()
+
+    def face_rows(g: int, pos: int, q: np.ndarray) -> np.ndarray:
+        # Q* (P_r kron Z_k) Q for every (r, k), the rows in that order
+        pat = comp.coeff_groups[g][:, pos]
+        s = pat.shape[-1] * comp.n
+        rows = np.einsum("rpq,kij->rkpiqj", pat, basis).reshape(-1, s, s)
+        return q.conj().T @ rows @ q
+
     for cut in (0.2, 0.05, 0.01, 1e-3, 1e-5):
         thresh = cut * top
         # face basis of every block with a nonzero face, group by group
@@ -464,21 +517,13 @@ def _facial_polish(
         sizes = [q.shape[1] for _, _, q in faces]
         if not faces or sum(sizes) == comp.var_size:
             continue
-        # the reduced problem in the face coordinates: Q* C Q blockwise
+        # the reduced problem in the face coordinates, blockwise
         tensors = [
-            np.stack(
-                [
-                    q.conj().T @ comp.coeff_groups[g][:, pos] @ q
-                    for g, pos, q in (faces[k] for k in idxs)
-                ],
-                axis=1,
-            )
+            herm_part(np.stack([face_rows(*faces[k]) for k in idxs], axis=1))
             for _, idxs in _groups(sizes)
         ]
-        for t in tensors:
-            _hermitize(t)
         try:
-            reduced = _Compiled(sizes, tensors, comp.b)
+            reduced = _Compiled(sizes, tensors, rhs)
         except BadProblem:
             continue
         status, w, _, _, _ = _iterate(reduced, tol, max_iter, polish_left=0)
@@ -509,7 +554,7 @@ def _iterate(
     # inconsistent affine systems short-circuit with a separator: the
     # residue of b against range(Gram) has a zero pencil and margin
     # ||res_b||, and depends on b alone, so it is tried once
-    res_b = comp.b - comp.gram @ (comp.gram_pinv @ comp.b)
+    res_b = comp.b - np.tensordot(comp.gram, np.tensordot(comp.gram_pinv, comp.b, 1), 1)
     res_norm = float(np.linalg.norm(res_b))
     if res_norm > 1e-13:
         sep = _certificate_from_dual(comp, res_b, tol)
@@ -552,7 +597,7 @@ def _iterate(
             gap_size = max(float(np.abs(g).max()) for g in last_gap)
             if gap_size > tol:
                 sep = _certificate_from_dual(
-                    comp, comp.gram_pinv @ comp.apply(last_gap), tol
+                    comp, np.tensordot(comp.gram_pinv, comp.apply(last_gap), 1), tol
                 )
                 if sep is not None:
                     return Status.INFEASIBLE, None, sep, it, best_resid
@@ -569,7 +614,7 @@ def _iterate(
     # budget exhausted: one last certificate attempt on both sides
     if last_gap is not None:
         sep = _certificate_from_dual(
-            comp, comp.gram_pinv @ comp.apply(last_gap), tol
+            comp, np.tensordot(comp.gram_pinv, comp.apply(last_gap), 1), tol
         )
         if sep is not None:
             return Status.INFEASIBLE, None, sep, it, best_resid
@@ -616,9 +661,9 @@ def dual_witness(problem: SdpFeasibility, verdict: Verdict) -> dict:
         raise NoCertificate("verdict carries no separating certificate")
     comp = _compile(problem)
     sep = verdict.separator
-    y_norm = np.asarray(sep.dual, dtype=float) * comp.norms
+    y_norm = np.asarray(sep.dual, dtype=complex) * comp.norms[:, None, None]
     s_blocks = comp.pencil(y_norm)
-    margin = float(comp.b @ y_norm)
+    margin = float(np.vdot(comp.b, y_norm).real)
     return {
         "margin": margin,
         "margin_gap": abs(margin - sep.margin),

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +48,14 @@ from mconvex.ranges import (
     _kmin_problem,
     ucp_member,
 )
-from mconvex.sdp import Status, _Compiled, solve_feasibility
+from mconvex.sdp import (
+    AffineConstraint,
+    SdpFeasibility,
+    Status,
+    _Compiled,
+    _compile,
+    solve_feasibility,
+)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -254,18 +262,20 @@ class TestKmin:
         assert res.status is MembershipStatus.OUT
 
     def test_disc_problem_is_block_native(self):
-        # 96-gon, n = 6, d = 2: (d + 1) n^2 = 108 constraints, each stated as
-        # 96 blocks of 6 x 6 and none as a dense (96 * 6)^2 matrix
+        # 96-gon, n = 6, d = 2: d + 1 = 3 matrix equations, each stated as
+        # 96 one-entry patterns (a column of W = [1 | vertices]) with a 6 x 6
+        # right-hand side, and none as a dense (96 * 6)^2 matrix
         angles = 2.0 * np.pi * np.arange(96) / 96
         verts = np.column_stack([np.cos(angles), np.sin(angles)])
         rng = np.random.default_rng(0)
         mats = [herm_part(rng.standard_normal((6, 6))) for _ in range(2)]
         problem = _kmin_problem(verts, mats)
         shapes = {np.shape(c.coeff) for c in problem.constraints}
-        assert shapes == {(96, 6, 6)}
-        assert len(problem.constraints) == 108
+        assert shapes == {(96, 1, 1)}
+        assert {np.shape(c.rhs) for c in problem.constraints} == {(6, 6)}
+        assert len(problem.constraints) == 3
         entries = sum(np.asarray(c.coeff).size for c in problem.constraints)
-        assert entries == 108 * 96 * 36
+        assert entries == 3 * 96
 
     def test_box_body(self):
         res = kmin_member(UNIT_BOX, pauli(1.0 / ROOT2))
@@ -442,7 +452,7 @@ class TestThetaCompiledOnce:
         lines = [r.getMessage() for r in caplog.records if r.name == "mconvex"]
         assert len(lines) == len(trace) + 1
         assert all(line.startswith("sdp solve: ") for line in lines)
-        assert all("m=12, 4 blocks" in line for line in lines)
+        assert all("m=3, n=2, 4 blocks" in line for line in lines)
 
 
 def exact_compression(seed: int, m: int, n: int):
@@ -489,23 +499,24 @@ class TestMembershipCompiledOnce:
         assert counts == {"compile": 1, "solve": solves}
 
     @pytest.mark.parametrize(
-        "query",
+        "query, solves",
         [
-            # nominal and tightened square Unknown, relaxed square Feasible
-            lambda: kmin_member(SQUARE, square_max_boundary_pair(), max_iter=300),
+            # nominal square Unknown, relaxed square Feasible
+            (lambda: kmin_member(SQUARE, square_max_boundary_pair(), max_iter=300),
+             2),
             # nominal and pushed-out point Unknown, pulled-in point Feasible
-            _ucp_scalar_past_one,
+            (_ucp_scalar_past_one, 3),
         ],
         ids=["kmin", "ucp"],
     )
-    def test_relaxed_feasible_is_boundary(self, monkeypatch, query):
+    def test_relaxed_feasible_is_boundary(self, monkeypatch, query, solves):
         # a Feasible relaxed solve puts the point within the Boundary band,
         # whatever the solve on the other side gave
         counts = _count_compiles_and_solves(monkeypatch)
         res = query()
         assert res.status is MembershipStatus.BOUNDARY
         assert res.margin == pytest.approx(1e-6)
-        assert counts == {"compile": 1, "solve": 3}
+        assert counts == {"compile": 1, "solve": solves}
 
 
 def test_polish_keeps_the_callers_budget(monkeypatch):
@@ -528,7 +539,7 @@ def _body_scaled_kmin(K, a, max_iter):
     """kmin_member's bracketing with one compile per scale: the
     decomposition SDP over the dilated vertices ``c + s (v - c)``.
     Returns the status and, for Out, the margin."""
-    verts, center, relax, tight = ranges._vertex_sets(
+    verts, center, relax = ranges._vertex_sets(
         K, ranges.MEMBER_TOL, ranges.DISC_GRID
     )
 
@@ -536,16 +547,13 @@ def _body_scaled_kmin(K, a, max_iter):
         problem = _kmin_problem(center + s * (verts - center), a.mats)
         return solve_feasibility(problem, 1e-7, max_iter)
 
-    disc = isinstance(K, Disc)
     nominal = solve(1.0)
     if nominal.status is Status.FEASIBLE:
         return "In", None
-    if nominal.status is Status.INFEASIBLE and not disc:
+    if nominal.status is Status.INFEASIBLE and not isinstance(K, Disc):
         if solve(relax).status is Status.FEASIBLE:
             return "Boundary", None
         return "Out", nominal.separator.margin
-    if not disc and solve(tight).status is Status.FEASIBLE:
-        return "In", None
     relaxed = solve(relax)
     if relaxed.status is Status.INFEASIBLE:
         return "Out", relaxed.separator.margin
@@ -608,6 +616,105 @@ class TestBodyScaledReference:
         want, margin = _body_scaled_kmin(body, a, ranges.MAX_ITER)
         assert (res.status.value, want) == ("Out", "Out")
         assert res.margin == pytest.approx(margin, rel=1e-9)
+
+
+def _reference_basis(n: int) -> np.ndarray:
+    """An orthonormal basis of the Hermitian n x n matrices, as a stack."""
+    out = []
+    for p in range(n):
+        for q in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            if p == q:
+                e[p, p] = 1.0
+            elif p < q:
+                e[p, q] = e[q, p] = 1.0 / ROOT2
+            else:
+                e[q, p], e[p, q] = 1j / ROOT2, -1j / ROOT2
+            out.append(e)
+    return np.array(out)
+
+
+def _scalar_rows(problem: SdpFeasibility):
+    """A problem of n x n matrix equations lowered to scalar rows: row
+    (r, k) has coefficient ``P_r kron Z_k`` on every block and rhs
+    ``tr(Z_k B_r)``, over the basis ``Z_k``."""
+    basis = _reference_basis(np.shape(problem.constraints[0].rhs)[0])
+    rows = []
+    for c in problem.constraints:
+        patterns = [c.coeff] if np.ndim(c.coeff) == 2 else list(c.coeff)
+        for z in basis:
+            rows.append(AffineConstraint(
+                [np.kron(p, z) for p in patterns], float(np.trace(z @ c.rhs).real)
+            ))
+    return (
+        SdpFeasibility(problem.var_size, tuple(rows), block_sizes=problem.block_sizes),
+        basis,
+    )
+
+
+def _kmin_square_pauli(monkeypatch) -> SdpFeasibility:
+    return _kmin_problem(SQUARE.vertices, pauli().mats)
+
+
+def _choi_pair_to_level_two(monkeypatch) -> SdpFeasibility:
+    # a non-Hermitian 3 x 3 pair and a level-2 point inside its range; the
+    # problem is the one _choi_problem compiles
+    rng = np.random.default_rng(4)
+    x = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+         for _ in range(2)]
+    v, _ = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+    b = [0.9 * v.conj().T @ xj @ v + 0.1 * np.trace(xj) / 3 * np.eye(2) for xj in x]
+    posed = []
+    compile_ = ranges._compile
+    monkeypatch.setattr(ranges, "_compile", lambda p: posed.append(p) or compile_(p))
+    ranges._choi_problem(OperatorTuple(tuple(x)), OperatorTuple(tuple(b)), 1e-7, 50000)
+    return posed[0]
+
+
+@pytest.mark.parametrize(
+    "pose", [_kmin_square_pauli, _choi_pair_to_level_two], ids=["kmin", "choi"]
+)
+def test_matrix_equations_match_their_scalar_rows(monkeypatch, pose):
+    problem = pose(monkeypatch)
+    lowered, basis = _scalar_rows(problem)
+    mat, rows = _compile(problem), _compile(lowered)
+    n2 = mat.n * mat.n
+    assert mat.n > 1 and rows.n == 1 and rows.m == mat.m * n2
+    assert mat.solve(1e-7, 50000).status is rows.solve(1e-7, 50000).status
+
+    def coords(y):  # basis coordinates, in the row order (r, k)
+        return np.einsum("kij,rij->rk", basis.conj(), y).real.reshape(-1, 1, 1)
+
+    # the Gram over the basis is the pattern Gram kron I_{n^2}
+    assert np.abs(rows.gram - np.kron(mat.gram, np.eye(n2))).max() <= 1e-13
+    rng = np.random.default_rng(0)
+    v = [herm_part(g + 1j * rng.standard_normal(g.shape))
+         for g in (rng.standard_normal(z.shape) for z in mat.zero())]
+    assert np.abs(rows.apply(v) - coords(mat.apply(v))).max() <= 1e-13
+    y = herm_part(rng.standard_normal((mat.m, mat.n, mat.n))
+                  + 1j * rng.standard_normal((mat.m, mat.n, mat.n)))
+    for got, want in zip(mat.pencil(y), rows.pencil(coords(y))):
+        assert np.abs(got - want).max() <= 1e-13
+    # pencil is the adjoint of apply: sum_r Re tr(Y_r A(V)_r) = Re tr(A*(Y) V)
+    pairing = sum(np.vdot(p, vg).real for p, vg in zip(mat.pencil(y), v))
+    assert abs(np.vdot(y, mat.apply(v)).real - pairing) <= 1e-12
+
+
+def test_kmin_at_level_twelve_stays_small():
+    # kmin over the 96-gon disc at n = 12: three 12 x 12 matrix equations
+    # over 96 blocks; spelt out over a Hermitian basis it took ~210 MB
+    rng = np.random.default_rng(0)
+    mats = [herm_part(rng.standard_normal((12, 12))
+                      + 1j * rng.standard_normal((12, 12))) for _ in range(2)]
+    a = OperatorTuple(tuple(0.3 * m / op_norm(m) for m in mats), hermitian=True)
+    tracemalloc.start()
+    try:
+        res = kmin_member(UNIT_DISC, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status is MembershipStatus.IN
+    assert peak < 10e6
 
 
 class TestUcp:

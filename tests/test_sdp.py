@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mconvex.errors import BadProblem
 from mconvex.linalg import herm_part, random_hermitian
@@ -10,7 +13,6 @@ from mconvex.sdp import (
     _Compiled,
     _compile,
     _facial_polish,
-    _hermitize,
     _witness_ok,
     dual_witness,
     solve_feasibility,
@@ -161,7 +163,7 @@ def test_facial_polish_lifts_a_blockwise_witness():
     start = comp.split(planted + 1e-3 * np.eye(5))
     polished = _facial_polish(comp, start, tol=1e-7, max_iter=4000)
     assert polished is not None
-    witness = comp.assemble(polished[0])
+    witness = scipy.linalg.block_diag(*comp.blocks(polished[0]))
     min_eig, residual = verify_witness(problem, witness)
     assert min_eig >= -1e-9
     assert residual <= 1e-7
@@ -267,20 +269,15 @@ def test_with_rhs_checks_the_new_rhs():
 
 
 def test_compiled_data_match_the_whole_stack_formulas():
-    # the chunked, in-place compile against the whole-stack formulas: the
-    # normalized stack and rhs bit for bit, the BLAS products (which add
-    # in another order) to rounding; the stack spans several CHUNK_BYTES
-    # chunks
+    # the compile against the whole-stack formulas: the normalized stack
+    # and rhs bit for bit, the matrix products (which add in another order)
+    # to rounding
     rng = np.random.default_rng(5)
     shape = (70, 96, 4, 4)
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    t = raw.copy()
-    dev, scale = _hermitize(t)
-    adj = np.conj(np.swapaxes(raw, -1, -2))
-    assert np.array_equal(t, herm_part(raw))
-    assert dev == np.abs(raw - adj).max() and scale == np.abs(raw).max()
+    t = herm_part(raw)
 
-    coeffs = [herm_part(raw[i]) for i in range(shape[0])]
+    coeffs = [t[i] for i in range(shape[0])]
     rhs = rng.standard_normal(shape[0]).tolist()
     problem = SdpFeasibility(
         96 * 4, tuple(map(AffineConstraint, coeffs, rhs)),
@@ -290,17 +287,17 @@ def test_compiled_data_match_the_whole_stack_formulas():
     sq = np.einsum("mnij,mnij->m", t.conj(), t).real
     norms = np.sqrt(np.maximum(sq, 1e-300))
     unit = t / norms[:, None, None, None]
-    assert np.array_equal(comp.coeff_groups[0], unit)
-    assert np.array_equal(comp.b, np.array(rhs) / norms)
+    assert np.abs(comp.coeff_groups[0] - unit).max() <= 1e-15
+    assert np.abs(comp.b[:, 0, 0] - np.array(rhs) / norms).max() <= 1e-15
     gram = np.einsum("mnij,knij->mk", unit.conj(), unit).real
     assert np.abs(comp.gram - gram).max() <= 1e-13
     v = herm_part(rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:]))
     want = np.einsum("mnij,nij->m", unit.conj(), v).real
-    assert np.abs(comp.apply([v]) - want).max() <= 1e-13
+    assert np.abs(comp.apply([v])[:, 0, 0] - want).max() <= 1e-13
     # pencil is the adjoint of apply: y . A(V) = Re tr(A*(y)* V)
-    y = rng.standard_normal(shape[0])
+    y = rng.standard_normal(shape[0])[:, None, None]
     pairing = np.vdot(comp.pencil(y)[0], v).real
-    assert abs(y @ comp.apply([v]) - pairing) <= 1e-13
+    assert abs(np.vdot(y, comp.apply([v])).real - pairing) <= 1e-13
 
 
 def test_no_constraints_is_feasible():
@@ -326,6 +323,71 @@ def test_compiled_reads_a_non_contiguous_stack():
     assert np.array_equal(strided.gram, dense.gram)
     v = [herm(*t.shape[1:]) for t in stacks]
     assert np.array_equal(strided.apply(v), dense.apply(v))
-    y = rng.standard_normal(m)
+    y = rng.standard_normal((m, 1, 1))
     for a, b in zip(strided.pencil(y), dense.pencil(y)):
         assert np.array_equal(a, b)
+
+
+def _matrix_problem(rhs, sizes=(2, 2), second=None):
+    # sum_j V_j = rhs over two blocks, and optionally V_1 = second
+    cons = [AffineConstraint(np.ones((len(sizes), 1, 1)), rhs)]
+    if second is not None:
+        cons.append(AffineConstraint(np.array([[[0.0]], [[1.0]]]), second))
+    return SdpFeasibility(sum(sizes), tuple(cons), block_sizes=sizes)
+
+
+def test_matrix_rhs_solves_blockwise():
+    verdict = solve_feasibility(_matrix_problem(np.eye(2), second=0.25 * np.eye(2)))
+    assert verdict.status is Status.FEASIBLE
+    h = verdict.blocks
+    assert np.abs(h[0] + h[1] - np.eye(2)).max() <= 1e-7
+    assert np.abs(h[1] - 0.25 * np.eye(2)).max() <= 1e-7
+    verdict = solve_feasibility(_matrix_problem(np.eye(2), second=2.0 * np.eye(2)))
+    assert verdict.status is Status.INFEASIBLE
+    assert verdict.separator.dual.shape == (2, 2, 2)
+    assert dual_witness(_matrix_problem(np.eye(2), second=2.0 * np.eye(2)),
+                        verdict)["margin_gap"] <= 1e-9
+
+
+def test_matrix_rhs_sizes_must_agree():
+    with pytest.raises(BadProblem):
+        _compile(_matrix_problem(np.eye(2), second=np.eye(3)))
+    with pytest.raises(BadProblem):
+        _compile(_matrix_problem(np.eye(2), second=1.0))
+    with pytest.raises(BadProblem):
+        _compile(_matrix_problem(np.ones((2, 3))))
+    # a scalar trace normalization beside 2 x 2 matrix equations
+    with pytest.raises(BadProblem):
+        _compile(dataclasses.replace(_matrix_problem(np.eye(2)),
+                                     trace_normalization=1.0))
+
+
+def test_matrix_rhs_must_be_finite():
+    bad = np.eye(2, dtype=complex)
+    bad[0, 1] = np.nan
+    with pytest.raises(BadProblem):
+        _compile(_matrix_problem(bad))
+    comp = _compile(_matrix_problem(np.eye(2)))
+    with pytest.raises(BadProblem):
+        comp.with_rhs(np.inf * np.ones((1, 2, 2)))
+
+
+def test_matrix_rhs_must_be_hermitian():
+    # the relative rule of the coefficients: 1e-10 of the largest entry
+    near = np.array([[2.0, 1.0], [1.0 + 1e-11, 2.0]])
+    far = np.array([[2.0, 1.0], [1.0 + 1e-9, 2.0]])
+    comp = _compile(_matrix_problem(near))
+    with pytest.raises(BadProblem):
+        _compile(_matrix_problem(far))
+    with pytest.raises(BadProblem):
+        comp.with_rhs(far[None])
+    with pytest.raises(BadProblem):
+        comp.with_rhs(np.eye(2))  # a matrix, not a stack of one
+    assert comp.with_rhs(near[None]).solve(1e-7, 50000).status is Status.FEASIBLE
+
+
+def test_block_sizes_must_be_multiples_of_n():
+    with pytest.raises(BadProblem):
+        _compile(_matrix_problem(np.eye(2), sizes=(2, 3)))
+    with pytest.raises(BadProblem):
+        _compile(SdpFeasibility(3, (AffineConstraint(np.eye(1), np.eye(2)),)))
