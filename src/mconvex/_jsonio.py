@@ -163,8 +163,9 @@ def to_jsonable(obj):
             for f in dataclasses.fields(obj)
         }
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 2 and np.iscomplexobj(obj):
-            return encode_matrix(obj)
+        if np.iscomplexobj(obj):
+            # every entry as [re, im], as encode_complex writes it
+            return np.stack([obj.real, obj.imag], axis=-1).tolist()
         return to_jsonable(obj.tolist())
     if isinstance(obj, (np.integer,)):
         return int(obj)

@@ -26,6 +26,7 @@ import copy
 import dataclasses
 import enum
 import functools
+import itertools
 import logging
 import math
 from typing import Sequence
@@ -223,10 +224,11 @@ class _Compiled:
     constraints).  ``coeff_groups[g]`` stacks the patterns ``P_r`` of size
     group ``g`` of ``_groups(block_sizes)`` as an ``(m, count, s/n, s/n)``
     tensor, each constraint scaled to unit Frobenius norm; a pattern of
-    norm at most ``ZERO_ROW_NORM`` is a zero row.  ``apply`` and
-    ``pencil`` are one matrix product per group, and the Gram is the
-    m x m pattern Gram (the Gram over a Hermitian basis of the n x n
-    matrices is that Gram kron ``I_{n^2}``).  ``b`` is the (m, n, n)
+    norm at most ``ZERO_ROW_NORM`` is a zero row.  The Gram is the m x m
+    pattern Gram (the Gram over a Hermitian basis of the n x n matrices
+    is that Gram kron ``I_{n^2}``); its pseudo-inverse is folded into the
+    patterns, so ``apply``, ``lsq_dual`` and ``pencil`` are one matrix
+    product per group.  ``b`` is the (m, n, n)
     stack of normalized ``B_r``.  ``with_rhs`` re-poses the problem for
     another right-hand side and shares everything else.
     """
@@ -257,7 +259,6 @@ class _Compiled:
             t.reshape(m, math.prod(t.shape[1:])) for t in self.coeff_groups
         ]
         self.coeff_conj = [mat.conj() for mat in self.coeff_mats]
-        self._set_rhs(rhs)
 
         self.gram = gram = sum(
             (c @ mat.T).real for c, mat in zip(self.coeff_conj, self.coeff_mats)
@@ -265,16 +266,15 @@ class _Compiled:
         self.gram_pinv = np.linalg.pinv(gram, rcond=1e-12) if m else gram
         self.gram_pinv[self.zero_rows] = 0.0
         self.gram_pinv[:, self.zero_rows] = 0.0
+        # G+ A as one matrix per group, so a least-squares dual is one product
+        self.coeff_lsq = [self.gram_pinv @ c for c in self.coeff_conj]
+        self._set_rhs(rhs)
 
         # can the identity be written as a pencil of the constraints?
-        self.ident = [
-            np.broadcast_to(np.eye(s, dtype=complex), (len(idxs), s, s)).copy()
-            for (s, idxs) in self.groups
-        ]
-        t = np.tensordot(self.gram_pinv, self.apply(self.ident), 1)
+        ident = [z + np.eye(s) for z, (s, _) in zip(self.zero(), self.groups)]
+        t = self.lsq_dual(ident)
         gap = sum(
-            float(np.abs(pg - ig).max())
-            for pg, ig in zip(self.pencil(t), self.ident)
+            float(np.abs(pg - ig).max()) for pg, ig in zip(self.pencil(t), ident)
         )
         self.identity_combo = t if gap <= 1e-9 else None
 
@@ -301,6 +301,7 @@ class _Compiled:
         self.b = np.where(
             self.zero_rows[:, None, None], 0.0, rhs / self.norms[:, None, None]
         )
+        self.b_lsq = (self.gram_pinv @ self.b.reshape(m, n * n)).reshape(m, n, n)
 
     def with_rhs(self, rhs) -> _Compiled:
         """The same constraint operator with another right-hand side.
@@ -333,17 +334,26 @@ class _Compiled:
             for (s, idxs) in self.groups
         ]
 
-    def apply(self, v: list[np.ndarray]) -> np.ndarray:
-        """The constraint map A(V), an (m, n, n) Hermitian stack."""
-        # each (s, s) block as its (s/n)^2 sub-blocks (p, q), flattened to
-        # rows of n^2 entries, so every group is one matrix product
+    def _rows(self, mats: list[np.ndarray], v: list[np.ndarray]) -> np.ndarray:
+        """``sum_g mats[g] @ V_g`` as an (m, n, n) stack, with each (s, s)
+        block of ``V_g`` read as its (s/n)^2 sub-blocks (p, q), flattened
+        to rows of n^2 entries: one matrix product per group."""
         n = self.n
-        out = sum(
-            c @ vg.reshape(-1, s // n, n, s // n, n)
-            .transpose(0, 1, 3, 2, 4).reshape(-1, n * n)
-            for c, vg, (s, _) in zip(self.coeff_conj, v, self.groups)
-        )
-        return herm_part(out.reshape(self.m, n, n))
+        out = None
+        for mat, vg, (s, _) in zip(mats, v, self.groups):
+            rows = vg.reshape(-1, s // n, n, s // n, n).transpose(0, 1, 3, 2, 4)
+            term = mat @ rows.reshape(-1, n * n)
+            out = term if out is None else out + term
+        return out.reshape(self.m, n, n)
+
+    def apply(self, v: list[np.ndarray]) -> np.ndarray:
+        """The constraint map A(V), an (m, n, n) stack (Hermitian up to
+        rounding when V is)."""
+        return self._rows(self.coeff_conj, v)
+
+    def lsq_dual(self, v: list[np.ndarray]) -> np.ndarray:
+        """``G+ A(V)``: the duals whose pencil is the least-squares fit."""
+        return self._rows(self.coeff_lsq, v)
 
     def pencil(self, y: np.ndarray) -> list[np.ndarray]:
         """The adjoint map A*(Y) = sum_r P_r kron Y_r as a block variable."""
@@ -356,8 +366,7 @@ class _Compiled:
         ]
 
     def affine_project(self, v: list[np.ndarray]) -> list[np.ndarray]:
-        y = np.tensordot(self.gram_pinv, self.apply(v) - self.b, 1)
-        corr = self.pencil(y)
+        corr = self.pencil(self.lsq_dual(v) - self.b_lsq)
         return [vg - cg for vg, cg in zip(v, corr)]
 
     def psd_project(self, v: list[np.ndarray]) -> list[np.ndarray]:
@@ -379,9 +388,7 @@ class _Compiled:
 
     def residual(self, v: list[np.ndarray]) -> float:
         """The largest entry of ``|A(V)_r - B_r|`` over all constraints."""
-        if self.m == 0:
-            return 0.0
-        return float(np.abs(self.apply(v) - self.b).max())
+        return float(np.abs(self.apply(v) - self.b).max(initial=0.0))
 
     def blocks(self, v: list[np.ndarray]) -> list[np.ndarray]:
         """The blocks of a group variable, in declared order."""
@@ -461,15 +468,11 @@ def _herm_basis(n: int) -> np.ndarray:
     """Orthonormal basis of Hermitian n x n matrices (real Frobenius inner
     product), as an (n^2, n, n) stack: the diagonal units, then the real
     and imaginary units of each pair p < q."""
-    pairs = [(p, p) for p in range(n)]
-    pairs += [(p, q) for p in range(n) for q in range(p + 1, n)]
-    inv = 1.0 / np.sqrt(2.0)
-    out = []
-    for p, q in pairs:
-        for w in [1.0] if p == q else [inv, 1j * inv]:
-            e = np.zeros((n, n), dtype=complex)
-            e[p, q], e[q, p] = w, np.conj(w)
-            out.append(e)
+    units = np.eye(n * n).reshape(n, n, n, n)  # units[p, q] = E_pq
+    out = [units[p, p] + 0j for p in range(n)]
+    for p, q in itertools.combinations(range(n), 2):
+        e = units[p, q]
+        out += [(e + e.T) / np.sqrt(2.0), 1j * (e - e.T) / np.sqrt(2.0)]
     return np.array(out)
 
 
@@ -554,7 +557,7 @@ def _iterate(
     # inconsistent affine systems short-circuit with a separator: the
     # residue of b against range(Gram) has a zero pencil and margin
     # ||res_b||, and depends on b alone, so it is tried once
-    res_b = comp.b - np.tensordot(comp.gram, np.tensordot(comp.gram_pinv, comp.b, 1), 1)
+    res_b = comp.b - (comp.gram @ comp.b_lsq.reshape(comp.m, -1)).reshape(comp.b.shape)
     res_norm = float(np.linalg.norm(res_b))
     if res_norm > 1e-13:
         sep = _certificate_from_dual(comp, res_b, tol)
@@ -597,7 +600,7 @@ def _iterate(
             gap_size = max(float(np.abs(g).max()) for g in last_gap)
             if gap_size > tol:
                 sep = _certificate_from_dual(
-                    comp, np.tensordot(comp.gram_pinv, comp.apply(last_gap), 1), tol
+                    comp, comp.lsq_dual(last_gap), tol
                 )
                 if sep is not None:
                     return Status.INFEASIBLE, None, sep, it, best_resid
@@ -614,7 +617,7 @@ def _iterate(
     # budget exhausted: one last certificate attempt on both sides
     if last_gap is not None:
         sep = _certificate_from_dual(
-            comp, np.tensordot(comp.gram_pinv, comp.apply(last_gap), 1), tol
+            comp, comp.lsq_dual(last_gap), tol
         )
         if sep is not None:
             return Status.INFEASIBLE, None, sep, it, best_resid

@@ -322,3 +322,19 @@ class TestReports:
         assert rep["command"] == "jnr"
         assert rep["seed"] == 0
         assert rep["tolerances"] == {"tol": 0.1, "grid": 16}
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2), (3, 2, 2)])
+def test_complex_arrays_encode_entrywise_at_any_rank(shape):
+    # an Out certificate's dual is a stack of complex matrices: every entry
+    # is written as [re, im], whatever the rank
+    from mconvex._jsonio import encode_complex, to_jsonable
+
+    def entrywise(a):
+        return encode_complex(complex(a)) if np.ndim(a) == 0 else [
+            entrywise(x) for x in a
+        ]
+
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert to_jsonable(a) == entrywise(a)

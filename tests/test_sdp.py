@@ -270,8 +270,8 @@ def test_with_rhs_checks_the_new_rhs():
 
 def test_compiled_data_match_the_whole_stack_formulas():
     # the compile against the whole-stack formulas: the normalized stack
-    # and rhs bit for bit, the matrix products (which add in another order)
-    # to rounding
+    # bit for bit, the rhs (divided as a complex stack) and the matrix
+    # products (which add in another order) to rounding
     rng = np.random.default_rng(5)
     shape = (70, 96, 4, 4)
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -287,7 +287,7 @@ def test_compiled_data_match_the_whole_stack_formulas():
     sq = np.einsum("mnij,mnij->m", t.conj(), t).real
     norms = np.sqrt(np.maximum(sq, 1e-300))
     unit = t / norms[:, None, None, None]
-    assert np.abs(comp.coeff_groups[0] - unit).max() <= 1e-15
+    assert np.array_equal(comp.coeff_groups[0], unit)
     assert np.abs(comp.b[:, 0, 0] - np.array(rhs) / norms).max() <= 1e-15
     gram = np.einsum("mnij,knij->mk", unit.conj(), unit).real
     assert np.abs(comp.gram - gram).max() <= 1e-13
