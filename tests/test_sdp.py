@@ -141,33 +141,44 @@ def test_infeasible_blocks_give_a_blockwise_pencil():
     assert [blk.shape for blk in cert["pencil"]] == [(2, 2), (3, 3)]
 
 
-def test_facial_polish_lifts_a_blockwise_witness():
-    # blocks of sizes 3 and 2, held to the faces span(e0, e1) and span(e1)
-    # by tr(P_j V_j) = 0, with P_j the projector off the face
+def _polish_two_faces(n: int) -> None:
+    # blocks of sizes 3n and 2n, held to the faces span(e0, e1) and span(e1)
+    # (tensored with C^n) by tr(P_j V_j) = 0, with P_j the projector off the
+    # face; for n > 1 each equation is the n x n matrix equation with rhs
+    # times I, which facial polish lowers to scalar rows
     re01 = np.zeros((3, 3), dtype=complex)
     re01[0, 1] = re01[1, 0] = 0.5
+    rows = [
+        ([np.diag([0.0, 0.0, 1.0]), np.diag([1.0, 0.0])], 0.0),
+        ([np.eye(3), np.zeros((2, 2))], 1.0),
+        ([re01, np.zeros((2, 2))], 0.4),
+        ([np.zeros((3, 3)), np.eye(2)], 2.0),
+    ]
     problem = SdpFeasibility(
-        5,
-        (
-            AffineConstraint([np.diag([0.0, 0.0, 1.0]), np.diag([1.0, 0.0])], 0.0),
-            AffineConstraint([np.eye(3), np.zeros((2, 2))], 1.0),
-            AffineConstraint([re01, np.zeros((2, 2))], 0.4),
-            AffineConstraint([np.zeros((3, 3)), np.eye(2)], 2.0),
-        ),
-        block_sizes=(3, 2),
+        5 * n,
+        tuple(AffineConstraint(c, r if n == 1 else r * np.eye(n)) for c, r in rows),
+        block_sizes=(3 * n, 2 * n),
     )
     planted = np.zeros((5, 5), dtype=complex)
     planted[:2, :2] = [[0.5, 0.4], [0.4, 0.5]]
     planted[4, 4] = 2.0
     comp = _compile(problem)
-    start = comp.split(planted + 1e-3 * np.eye(5))
+    start = comp.split(np.kron(planted + 1e-3 * np.eye(5), np.eye(n)))
     polished = _facial_polish(comp, start, tol=1e-7, max_iter=4000)
     assert polished is not None
     witness = scipy.linalg.block_diag(*comp.blocks(polished[0]))
     min_eig, residual = verify_witness(problem, witness)
     assert min_eig >= -1e-9
     assert residual <= 1e-7
-    assert abs(witness[2, 2]) <= 1e-12 and abs(witness[3, 3]) <= 1e-12
+    assert np.abs(np.diag(witness)[2 * n:4 * n]).max() <= 1e-12
+
+
+def test_facial_polish_lifts_a_blockwise_witness():
+    _polish_two_faces(1)
+
+
+def test_facial_polish_lowers_matrix_equations_to_scalar_rows():
+    _polish_two_faces(2)
 
 
 def test_trace_normalization_field():
