@@ -5,6 +5,13 @@ accepted on input), a matrix is a row-major list of rows, a tuple is
 ``{"n", "d", "hermitian", "mats"}``, a convex body is a tagged union on
 ``"type"``, and a diagonal-tuple presentation spells atoms as
 ``[point, multiplicity]`` with ``null`` multiplicity meaning infinite.
+Non-finite reals are written as the strings ``"inf"``, ``"-inf"`` and
+``"nan"``, so every report is strict JSON.
+
+Report layout: objects are written one member per line, indented two
+spaces, with sorted keys, and so is a list that holds objects; every
+other value, such as an array of numbers, a matrix or a stack of
+matrices, sits on one line.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 from typing import IO
 
 import numpy as np
@@ -48,10 +56,6 @@ def encode_complex(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    return [[encode_complex(v) for v in row] for row in np.asarray(m)]
-
-
 def decode_tuple(doc) -> OperatorTuple:
     if not isinstance(doc, dict) or "mats" not in doc:
         raise SchemaError('tuple document needs a "mats" field')
@@ -71,7 +75,7 @@ def encode_tuple(t: OperatorTuple) -> dict:
         "n": t.n,
         "d": t.d,
         "hermitian": t.hermitian,
-        "mats": [encode_matrix(m) for m in t.mats],
+        "mats": [to_jsonable(np.asarray(m, dtype=complex)) for m in t.mats],
     }
 
 
@@ -146,9 +150,28 @@ def to_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        return obj if np.isfinite(obj) else repr(obj)
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, np.ndarray):
+        if np.can_cast(obj.dtype, complex) and np.isfinite(obj).all():
+            if obj.dtype.kind == "c":
+                # every entry as [re, im], as encode_complex writes it
+                pairs = np.ascontiguousarray(obj).view(obj.real.dtype)
+                return pairs.reshape(obj.shape + (2,)).tolist()
+            return obj.tolist()
+        # non-finite entries or non-numbers: the scalar rules entry by entry
+        return to_jsonable(obj.tolist())
     if isinstance(obj, complex):
-        return encode_complex(obj)
+        return to_jsonable(encode_complex(obj))
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set)):
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return to_jsonable(float(obj))
+    if isinstance(obj, np.complexfloating):
+        return to_jsonable(complex(obj))
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, OperatorTuple):
@@ -162,27 +185,38 @@ def to_jsonable(obj):
             f.name: to_jsonable(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
         }
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            # every entry as [re, im], as encode_complex writes it
-            return np.stack([obj.real, obj.imag], axis=-1).tolist()
-        return to_jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return to_jsonable(float(obj))
-    if isinstance(obj, (np.complexfloating,)):
-        return encode_complex(complex(obj))
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set)):
-        return [to_jsonable(v) for v in obj]
     return repr(obj)
 
 
+#: one-line JSON through the C encoder; to_jsonable leaves no non-finite float
+_inline = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+
+def _layout(obj, indent: str, out: list[str]) -> None:
+    """Append ``obj`` to ``out``: objects, and lists that hold objects, one
+    member per line; anything else on one line."""
+    if isinstance(obj, dict) and obj:
+        members = [(_inline(k) + ": ", obj[k]) for k in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, list) and any(isinstance(v, dict) for v in obj):
+        members = [("", v) for v in obj]
+        brackets = "[]"
+    else:
+        out.append(_inline(obj))
+        return
+    inner = indent + "  "
+    out.append(brackets[0])
+    for i, (key, value) in enumerate(members):
+        out.append((",\n" if i else "\n") + inner + key)
+        _layout(value, inner, out)
+    out.append("\n" + indent + brackets[1])
+
+
 def dump_report(report: dict, fp: IO[str]) -> None:
-    json.dump(to_jsonable(report), fp, indent=2, sort_keys=True)
-    fp.write("\n")
+    out: list[str] = []
+    _layout(to_jsonable(report), "", out)
+    out.append("\n")
+    fp.write("".join(out))
 
 
 # ---------------------------------------------------------------------------

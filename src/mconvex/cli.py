@@ -558,11 +558,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     except (SchemaError, MConvexError, ValueError) as exc:
-        print(
-            json.dumps(
-                {"status": "DataError", "error": f"{type(exc).__name__}: {exc}"},
-                indent=2,
-            )
+        dump_report(
+            {"status": "DataError", "error": f"{type(exc).__name__}: {exc}"},
+            sys.stdout,
         )
         return EX_DATAERR
     dump_report(report, sys.stdout)

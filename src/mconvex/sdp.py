@@ -582,15 +582,13 @@ def _iterate(
         if it % CHECK_EVERY == 0 or it == max_iter:
             # affine-exact candidate
             if comp.min_eig(x) >= WITNESS_MIN_EIG:
-                ok, resid = _witness_ok(comp, x)
-                if ok:
+                resid = comp.residual(x)
+                if resid <= WITNESS_RESIDUAL:
                     return Status.FEASIBLE, x, None, it, resid
             # cone-exact candidate
             resid_y = comp.residual(y)
-            if resid_y <= WITNESS_RESIDUAL:
-                ok, resid = _witness_ok(comp, y)
-                if ok:
-                    return Status.FEASIBLE, y, None, it, resid
+            if resid_y <= WITNESS_RESIDUAL and comp.min_eig(y) >= WITNESS_MIN_EIG:
+                return Status.FEASIBLE, y, None, it, resid_y
             if resid_y < best_resid:
                 best_resid = resid_y
                 best_v = [yg.copy() for yg in y]

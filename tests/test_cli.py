@@ -1,9 +1,11 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
 import mconvex.cli as cli
+from mconvex._jsonio import to_jsonable
 from mconvex.ranges import MembershipResult, MembershipStatus
 
 ROOT2 = float(np.sqrt(2.0))
@@ -250,8 +252,10 @@ class TestExitCodes:
         t = str(bad)
         code = cli.main(["jnr", "--tuple", t])
         assert code == 65
-        rep = json.loads(capsys.readouterr().out)
-        assert rep["status"] == "DataError"
+        out = capsys.readouterr().out
+        # written by dump_report, as every report is
+        assert out.startswith('{\n  "error": "')
+        assert json.loads(out)["status"] == "DataError"
 
     def test_wrong_schema_is_data_error(self, tmp_path, capsys):
         t = write(tmp_path / "t.json", {"mats": "nope"})
@@ -324,17 +328,116 @@ class TestReports:
         assert rep["tolerances"] == {"tol": 0.1, "grid": 16}
 
 
-@pytest.mark.parametrize("shape", [(), (3,), (2, 2), (3, 2, 2)])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2), (3, 2, 2), "transposed"])
 def test_complex_arrays_encode_entrywise_at_any_rank(shape):
     # an Out certificate's dual is a stack of complex matrices: every entry
-    # is written as [re, im], whatever the rank
-    from mconvex._jsonio import encode_complex, to_jsonable
+    # is written as [re, im], whatever the rank or memory layout
+    from mconvex._jsonio import encode_complex
 
     def entrywise(a):
         return encode_complex(complex(a)) if np.ndim(a) == 0 else [
             entrywise(x) for x in a
         ]
 
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
     rng = np.random.default_rng(0)
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if shape == "transposed":
+        a = draw((3, 4, 2)).transpose(0, 2, 1)
+        assert not a.flags.c_contiguous
+    else:
+        a = draw(shape)
     assert to_jsonable(a) == entrywise(a)
+
+
+def _strict_loads(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _dumped(report):
+    buf = io.StringIO()
+    cli.dump_report(report, buf)
+    return buf.getvalue()
+
+
+def test_non_finite_entries_are_written_as_strings():
+    inf, nan = float("inf"), float("nan")
+    report = {
+        "complex": np.array([complex(inf, 0.0), 1 + 2j]),
+        "complex_scalar": complex(0.0, -inf),
+        "numpy_complex": np.complex64(complex(nan, 1.0)),
+        "real": np.array([[nan, 1.0], [2.0, -inf]]),
+        "scalar": inf,
+    }
+    assert _strict_loads(_dumped(report)) == {
+        "complex": [["inf", 0.0], [1.0, 2.0]],
+        "complex_scalar": [0.0, "-inf"],
+        "numpy_complex": ["nan", 1.0],
+        "real": [["nan", 1.0], [2.0, "-inf"]],
+        "scalar": "inf",
+    }
+
+
+def test_report_layout():
+    rng = np.random.default_rng(1)
+    stack = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    report = {
+        "status": "In",
+        "certificate": {"dual": stack, "pencil": [stack[0].T, stack[1]]},
+        "jobs": [{"b": 1, "a": [1.5, 2.5]}, {"empty": {}, "none": []}],
+        "transposed": stack.transpose(2, 0, 1),
+        "margin": float("nan"),
+        "trace": [(0.5, 1.0), (0.75, 1.0)],
+    }
+    text = _dumped(report)
+    assert _strict_loads(text) == to_jsonable(report)
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    assert lines[1] == '  "certificate": {'
+    # objects one member per line, keys sorted, two spaces per level
+    assert '    {\n      "a": [1.5, 2.5],\n      "b": 1\n    },' in text
+    assert '      "empty": {},\n      "none": []\n' in text
+    # every array of numbers on one line
+    doc = to_jsonable(report)
+    for path in (("certificate", "dual"), ("certificate", "pencil"),
+                 ("margin",), ("trace",), ("transposed",)):
+        (line,) = [ln for ln in lines if ln.lstrip().startswith(f'"{path[-1]}": ')]
+        value = doc
+        for key in path:
+            value = value[key]
+        assert json.loads(line.split(": ", 1)[1].rstrip(",")) == value
+
+
+def test_member_disc_report_is_compact():
+    # kmin over the disc: the In certificate is 96 complex 4 x 4 blocks,
+    # written as one stack on one line
+    rng = np.random.default_rng(2)
+    mats = []
+    for _ in range(2):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = g + g.conj().T
+        mats.append(0.2 * h / np.linalg.norm(h, 2))
+    tuple_doc = {
+        "hermitian": True,
+        "mats": [[[[v.real, v.imag] for v in row] for row in m] for m in mats],
+    }
+    job = cli.JobSpec(
+        "member",
+        {
+            "kind": "kmin",
+            "tuple": tuple_doc,
+            "body": {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
+        },
+        {},
+    )
+    report, code = cli.execute(job)
+    assert code == 0
+    text = _dumped(report)
+    rep = _strict_loads(text)
+    assert rep["status"] == "In"
+    assert np.shape(rep["certificate"]["h"]) == (96, 4, 4, 2)
+    assert len(text.splitlines()) < 50
