@@ -323,7 +323,7 @@ class _Compiled:
                 "m=%d, n=%d, %d blocks",
                 status.value, it, resid, self.m, self.n, len(self.block_sizes),
             )
-        blocks = None if v is None else [herm_part(b) for b in self.blocks(v)]
+        blocks = None if v is None else self.blocks([herm_part(vg) for vg in v])
         return Verdict(status, blocks, sep, it, resid)
 
     # --- variable helpers (variables are lists of (count, s, s) arrays) ---

@@ -351,6 +351,12 @@ def test_complex_arrays_encode_entrywise_at_any_rank(shape):
     assert to_jsonable(a) == entrywise(a)
 
 
+def test_numpy_bools_are_json_booleans():
+    report = {"flag": np.True_, "flags": [np.False_, True]}
+    assert to_jsonable(report) == {"flag": True, "flags": [False, True]}
+    assert _strict_loads(_dumped(report)) == {"flag": True, "flags": [False, True]}
+
+
 def _strict_loads(text):
     def refuse(token):
         raise ValueError(f"{token} is not JSON")

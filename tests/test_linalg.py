@@ -48,6 +48,110 @@ def test_numerical_radius_hermitian_is_norm():
     assert numerical_radius(m) == pytest.approx(op_norm(m), abs=1e-8)
 
 
+def _golden_radius(m, tol=1e-8, grid=64):
+    """The golden-section refinement that ``numerical_radius`` replaced,
+    kept as the reference: every local peak of the 64-angle scan is
+    refined by golden-section search to an angle width of 1e-2 sqrt(tol)."""
+    a = np.asarray(m, dtype=complex)
+    re, im = herm_part(a), skew_part(a)
+
+    def f(theta):
+        return float(np.linalg.eigvalsh(np.cos(theta) * re - np.sin(theta) * im)[-1])
+
+    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    vals = np.array([f(t) for t in thetas])
+    step = 2.0 * np.pi / grid
+    best = float(vals.max())
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    width_target = max(np.sqrt(max(tol, 1e-15)) * 1e-2, 1e-12)
+    for k in range(grid):
+        if vals[k] < vals[(k - 1) % grid] or vals[k] < vals[(k + 1) % grid]:
+            continue
+        lo, hi = thetas[k] - step, thetas[k] + step
+        c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+        fc, fd = f(c), f(d)
+        while hi - lo > width_target:
+            if fc >= fd:
+                hi, d, fd = d, c, fc
+                c = hi - invphi * (hi - lo)
+                fc = f(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + invphi * (hi - lo)
+                fd = f(d)
+        best = max(best, fc, fd)
+    return best
+
+
+def _radius_case(kind, n, rng):
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u, _ = np.linalg.qr(draw(n, n))
+    if kind == "normal":
+        return u @ np.diag(draw(n)) @ u.conj().T
+    if kind == "nilpotent":
+        return u @ np.triu(draw(n, n), 1) @ u.conj().T
+    if kind == "rank-one":
+        return np.outer(draw(n), draw(n).conj())
+    if kind == "repeated-block":
+        half = max(n // 2, 1)
+        return np.kron(np.eye(2), draw(half, half))
+    return draw(n, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["generic", "normal", "nilpotent", "rank-one", "repeated-block"]),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([1e-8, 1e-9]),
+)
+def test_numerical_radius_agrees_with_golden_section(kind, n, seed, tol):
+    m = _radius_case(kind, n, np.random.default_rng(seed))
+    ref = _golden_radius(m, tol=tol)
+    w = numerical_radius(m, tol=tol)
+    assert abs(w - ref) <= 1e-12
+    assert w >= ref - 1e-12
+    assert w <= op_norm(m) + 1e-12
+
+
+def _lapack_calls(monkeypatch, m) -> int:
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(*args, _orig=orig, **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    numerical_radius(m)
+    return len(calls)
+
+
+def test_numerical_radius_flat_profile_call_count(monkeypatch):
+    # the corner transform's numerical range is a disc about 0, so every
+    # angle of the scan is a peak; golden section took 1534 calls here
+    from mconvex.ranges import choi_li_transform
+
+    assert _lapack_calls(monkeypatch, choi_li_transform([[1 + 1j]], 1.0)) < 200
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_numerical_radius_generic_call_count(monkeypatch, seed):
+    # golden section took 92-148 calls on these
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    assert _lapack_calls(monkeypatch, m) < 40
+
+
+@pytest.mark.parametrize("grid", [0, -3])
+def test_numerical_radius_rejects_an_empty_grid(grid):
+    with pytest.raises(DimensionMismatch, match="grid"):
+        numerical_radius(np.eye(2), grid=grid)
+
+
 def test_operator_tuple_validation():
     with pytest.raises(NonHermitianInput):
         OperatorTuple((np.array([[0.0, 1.0], [0.0, 0.0]]),), hermitian=True)

@@ -402,3 +402,32 @@ def test_block_sizes_must_be_multiples_of_n():
         _compile(_matrix_problem(np.eye(2), sizes=(2, 3)))
     with pytest.raises(BadProblem):
         _compile(SdpFeasibility(3, (AffineConstraint(np.eye(1), np.eye(2)),)))
+
+
+def test_witness_blocks_are_symmetrized_per_group(monkeypatch):
+    # a disc kmin problem: 96 blocks of size 4 in one group, whose witness
+    # is symmetrized as one stack
+    from mconvex import sdp
+    from mconvex.ranges import _kmin_problem
+
+    rng = np.random.default_rng(2)
+    mats = []
+    for _ in range(2):
+        h = random_hermitian(4, rng)
+        mats.append(0.2 * h / np.linalg.norm(h, 2))
+    angles = 2.0 * np.pi * np.arange(96) / 96
+    comp = _compile(_kmin_problem(np.column_stack([np.cos(angles), np.sin(angles)]), mats))
+    raw = []
+
+    def iterate(*args, **kwargs):
+        out = real_iterate(*args, **kwargs)
+        raw.append(out[1])
+        return out
+
+    real_iterate = sdp._iterate
+    monkeypatch.setattr(sdp, "_iterate", iterate)
+    verdict = comp.solve(1e-7, 50_000)
+    assert verdict.status is Status.FEASIBLE
+    assert len(verdict.blocks) == 96
+    for got, block in zip(verdict.blocks, comp.blocks(raw[0])):
+        assert np.array_equal(got, herm_part(block))
