@@ -55,6 +55,7 @@ from .linalg import (
 from .sdp import (
     AffineConstraint,
     SdpFeasibility,
+    Separator,
     Status,
     Verdict,
     _compile,
@@ -115,11 +116,21 @@ class ThetaEstimate:
     in the minimal set of K's relaxed body (the circumscribed polygon of
     a disc, the vertices scaled by ``1 + 10 member_tol`` otherwise), just
     as a Boundary answer of ``kmin_member`` is.
+
+    ``lower_separator`` is the certificate behind ``lower``: the
+    ``Separator`` of the Infeasible step that set it.  Its ``dual`` is
+    posed over ``_kmin_problem(vertices, mats)`` for the relaxed body's
+    vertices and ``mats`` the rhs of ``a / lower`` there, ``c + (a /
+    lower - c) / s`` for its center c and relaxed scale s, so it shows
+    ``a / lower`` outside the relaxed body's minimal set.  It is None
+    when ``lower`` is the starting 1.0, came from an Unknown step or
+    was decided through a commuting tuple's joint spectrum.
     """
 
     lower: float
     upper: float
     witness_point: OperatorTuple
+    lower_separator: Separator | None = None
 
 
 def _statuses(violation: float, tol: float) -> MembershipStatus:
@@ -423,10 +434,15 @@ def theta_min_alpha(
     each step re-solves it, with only the right-hand side moved, for
     ``a / alpha`` in the relaxed body (the one a Boundary answer of
     ``kmin_member`` rests on): Feasible means inside, anything else
-    outside.  Commuting tuples are decided through their joint spectrum,
-    with no SDP.  Values below 1 are reported as the degenerate bracket
-    [1, 1].  Pass a list as ``trace`` to collect the (lower, upper)
-    bracket after each step.
+    outside.  The steps share the compiled operator's warm slot, so a
+    step first re-prices the last separator and projects the last
+    witness onto its own rhs, and iterates, from where the last step
+    stopped, only when neither check closes (``sdp._iterate``).  The
+    separator of the step that set the lower end is kept as
+    ``lower_separator``.  Commuting tuples are decided through their
+    joint spectrum, with no SDP.  Values below 1 are reported as the
+    degenerate bracket [1, 1].  Pass a list as ``trace`` to collect the
+    (lower, upper) bracket after each step.
     """
     pre = kmax_member(K, a, member_tol)
     if pre.status not in (MembershipStatus.IN, MembershipStatus.BOUNDARY):
@@ -437,27 +453,32 @@ def theta_min_alpha(
     slack = require_interior_zero(K)
 
     if _is_commuting(a):
-        def inside(alpha: float) -> bool:
+        def inside(alpha: float) -> tuple[bool, Separator | None]:
             res = kmin_member(scale_body(K, alpha), a, member_tol)
-            return res.status in (MembershipStatus.IN, MembershipStatus.BOUNDARY)
+            in_ = res.status in (MembershipStatus.IN, MembershipStatus.BOUNDARY)
+            return in_, None
     else:
         verts, center, relax = _vertex_sets(K, member_tol, DISC_GRID)
         solve = _kmin_solver(verts, center, a, member_tol, MAX_ITER)
 
-        def inside(alpha: float) -> bool:
-            return solve(relax, alpha).status is Status.FEASIBLE
+        def inside(alpha: float) -> tuple[bool, Separator | None]:
+            verdict = solve(relax, alpha)
+            return verdict.status is Status.FEASIBLE, verdict.separator
 
     def record(lo: float, hi: float) -> None:
         if trace is not None:
             trace.append((lo, hi))
 
-    if inside(1.0):
+    if inside(1.0)[0]:
         record(1.0, 1.0)
         return ThetaEstimate(1.0, 1.0, a)
-    lo = 1.0
+    lo, lo_sep = 1.0, None
     hi = max(2.0, 2.0 * a.d * max(op_norm(m) for m in a.mats) / slack)
-    while not inside(hi):
-        lo = hi
+    while True:
+        in_, sep = inside(hi)
+        if in_:
+            break
+        lo, lo_sep = hi, sep
         hi *= 2.0
         if hi > 1e9:
             raise NoInteriorZero(
@@ -466,12 +487,13 @@ def theta_min_alpha(
     record(lo, hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if inside(mid):
+        in_, sep = inside(mid)
+        if in_:
             hi = mid
         else:
-            lo = mid
+            lo, lo_sep = mid, sep
         record(lo, hi)
-    return ThetaEstimate(lo, hi, a.scaled(1.0 / hi))
+    return ThetaEstimate(lo, hi, a.scaled(1.0 / hi), lo_sep)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,18 @@ def _compile(problem: SdpFeasibility) -> _Compiled:
     return _Compiled(sizes, tensors, rhs)
 
 
+@dataclasses.dataclass
+class _WarmStart:
+    """What the last solve of one operator leaves for the next: the
+    Douglas-Rachford iterate ``z``, the normalized dual ``sep.dual *
+    norms`` of the last separator and the last Feasible witness, the
+    first and last as group variables."""
+
+    z: list[np.ndarray] | None = None
+    dual: np.ndarray | None = None
+    witness: list[np.ndarray] | None = None
+
+
 class _Compiled:
     """Preprocessed problem: grouped blocks, normalized constraints, Gram.
 
@@ -230,7 +242,11 @@ class _Compiled:
     patterns, so ``apply``, ``lsq_dual`` and ``pencil`` are one matrix
     product per group.  ``b`` is the (m, n, n)
     stack of normalized ``B_r``.  ``with_rhs`` re-poses the problem for
-    another right-hand side and shares everything else.
+    another right-hand side and shares everything else, the private warm
+    slot ``_warm`` (a ``_WarmStart``) included: each solve tries the last
+    separator and witness of the operator before it iterates, and
+    iterates from where the last solve stopped (``_iterate``).  A fresh
+    compile starts with an empty slot.
     """
 
     def __init__(self, block_sizes, coeff_groups: list[np.ndarray], rhs):
@@ -277,6 +293,7 @@ class _Compiled:
             float(np.abs(pg - ig).max()) for pg, ig in zip(self.pencil(t), ident)
         )
         self.identity_combo = t if gap <= 1e-9 else None
+        self._warm = _WarmStart()
 
     def _set_rhs(self, rhs) -> None:
         m, n = self.m, self.n
@@ -306,9 +323,11 @@ class _Compiled:
     def with_rhs(self, rhs) -> _Compiled:
         """The same constraint operator with another right-hand side.
 
-        Shares the normalized coefficients, the Gram pseudo-inverse and
-        ``identity_combo``; re-checks the new rhs (m floats when n = 1,
-        else an (m, n, n) stack) as ``_compile`` does.
+        Shares the normalized coefficients, the Gram pseudo-inverse,
+        ``identity_combo`` and the warm slot, so a solve of the copy starts
+        from what the operator's last solve left (``_iterate``); re-checks
+        the new rhs (m floats when n = 1, else an (m, n, n) stack) as
+        ``_compile`` does.
         """
         out = copy.copy(self)
         out._set_rhs(rhs)
@@ -547,13 +566,43 @@ def _facial_polish(
 def _iterate(
     comp: _Compiled, tol: float, max_iter: int, polish_left: int
 ) -> tuple[Status, list[np.ndarray] | None, Separator | None, int, float]:
-    """Douglas-Rachford on a compiled problem, with certificate checks and
-    up to ``polish_left`` facial polishes.  Returns the status, the witness
-    as a group variable, the separator, the iteration count and the
-    residual."""
+    """Decide a compiled problem.  Returns the status, the witness as a
+    group variable, the separator, the iteration count and the residual.
+
+    The checks run in this order, and the first that closes answers:
+
+    1. the residue of the rhs against the range of the Gram, a separator
+       of an inconsistent affine system (0 iterations);
+    2. the separator of the operator's last Infeasible answer, re-priced
+       on this rhs by ``_certificate_from_dual`` (0 iterations);
+    3. the operator's last Feasible witness, projected onto this affine
+       slice and checked by ``_witness_ok`` (0 iterations);
+    4. Douglas-Rachford from the operator's last iterate (from zero on a
+       fresh compile), with certificate checks and up to ``polish_left``
+       facial polishes (``_douglas_rachford``).
+
+    Every answer writes its separator or witness, and the iterate it
+    stopped at, back to the warm slot shared by ``with_rhs`` copies.  A
+    skipped iteration rests on the same acceptance rule as a solved one.
+    """
     if comp.m == 0:
         return Status.FEASIBLE, comp.zero(), None, 0, 0.0
+    warm = comp._warm
+    out = _without_iterating(comp, warm, tol)
+    if out is None:
+        out = _douglas_rachford(comp, warm, tol, max_iter, polish_left)
+    status, v, sep, it, resid = out
+    if sep is not None:
+        warm.dual = sep.dual * comp.norms[:, None, None]
+    if v is not None:
+        warm.witness = v
+    return status, v, sep, it, resid
 
+
+def _without_iterating(
+    comp: _Compiled, warm: _WarmStart, tol: float
+) -> tuple[Status, list[np.ndarray] | None, Separator | None, int, float] | None:
+    """Checks 1-3 of ``_iterate``: an answer at 0 iterations, or None."""
     # inconsistent affine systems short-circuit with a separator: the
     # residue of b against range(Gram) has a zero pencil and margin
     # ||res_b||, and depends on b alone, so it is tried once
@@ -563,54 +612,80 @@ def _iterate(
         sep = _certificate_from_dual(comp, res_b, tol)
         if sep is not None:
             return Status.INFEASIBLE, None, sep, 0, res_norm
-    polish_iter = min(max_iter, 4000)
+    # a pencil does not depend on the rhs: only the margin is re-priced
+    if warm.dual is not None:
+        sep = _certificate_from_dual(comp, warm.dual, tol)
+        if sep is not None:
+            return Status.INFEASIBLE, None, sep, 0, np.inf
+    if warm.witness is not None:
+        v = comp.affine_project(warm.witness)
+        ok, resid = _witness_ok(comp, v)
+        if ok:
+            return Status.FEASIBLE, v, None, 0, resid
+    return None
 
-    z = comp.zero()
+
+def _douglas_rachford(
+    comp: _Compiled,
+    warm: _WarmStart,
+    tol: float,
+    max_iter: int,
+    polish_left: int,
+) -> tuple[Status, list[np.ndarray] | None, Separator | None, int, float]:
+    """Douglas-Rachford from the slot's iterate (zero when it is empty),
+    with witness checks every ``CHECK_EVERY`` iterations, dual-certificate
+    tries every ``CERT_EVERY`` and up to ``polish_left`` facial polishes.
+    Returns ``_iterate``'s answer and leaves the iterate it stopped at in
+    the slot; while it runs, it holds the only copy."""
+    z, warm.z = (comp.zero() if warm.z is None else warm.z), None
+    polish_iter = min(max_iter, 4000)
     best_resid = np.inf
     best_v: list[np.ndarray] | None = None
     last_gap: list[np.ndarray] | None = None
     stall_mark = np.inf
 
     it = 0
-    while it < max_iter:
-        x = comp.affine_project(z)
-        refl = [2.0 * xg - zg for xg, zg in zip(x, z)]
-        y = comp.psd_project(refl)
-        z = [zg + yg - xg for zg, yg, xg in zip(z, y, x)]
-        it += 1
+    try:
+        while it < max_iter:
+            x = comp.affine_project(z)
+            y = comp.psd_project([2.0 * xg - zg for xg, zg in zip(x, z)])
+            z = [zg + yg - xg for zg, yg, xg in zip(z, y, x)]
+            it += 1
 
-        if it % CHECK_EVERY == 0 or it == max_iter:
-            # affine-exact candidate
-            if comp.min_eig(x) >= WITNESS_MIN_EIG:
-                resid = comp.residual(x)
-                if resid <= WITNESS_RESIDUAL:
-                    return Status.FEASIBLE, x, None, it, resid
-            # cone-exact candidate
-            resid_y = comp.residual(y)
-            if resid_y <= WITNESS_RESIDUAL and comp.min_eig(y) >= WITNESS_MIN_EIG:
-                return Status.FEASIBLE, y, None, it, resid_y
-            if resid_y < best_resid:
-                best_resid = resid_y
-                best_v = [yg.copy() for yg in y]
-            last_gap = [xg - yg for xg, yg in zip(x, y)]
+            if it % CHECK_EVERY == 0 or it == max_iter:
+                # affine-exact candidate
+                if comp.min_eig(x) >= WITNESS_MIN_EIG:
+                    resid = comp.residual(x)
+                    if resid <= WITNESS_RESIDUAL:
+                        return Status.FEASIBLE, x, None, it, resid
+                # cone-exact candidate
+                resid_y = comp.residual(y)
+                if resid_y <= WITNESS_RESIDUAL and comp.min_eig(y) >= WITNESS_MIN_EIG:
+                    return Status.FEASIBLE, y, None, it, resid_y
+                if resid_y < best_resid:
+                    best_resid = resid_y
+                    best_v = [yg.copy() for yg in y]
+                last_gap = [xg - yg for xg, yg in zip(x, y)]
 
-        if it % CERT_EVERY == 0 and last_gap is not None:
-            gap_size = max(float(np.abs(g).max()) for g in last_gap)
-            if gap_size > tol:
-                sep = _certificate_from_dual(
-                    comp, comp.lsq_dual(last_gap), tol
-                )
-                if sep is not None:
-                    return Status.INFEASIBLE, None, sep, it, best_resid
+            if it % CERT_EVERY == 0 and last_gap is not None:
+                gap_size = max(float(np.abs(g).max()) for g in last_gap)
+                if gap_size > tol:
+                    sep = _certificate_from_dual(
+                        comp, comp.lsq_dual(last_gap), tol
+                    )
+                    if sep is not None:
+                        return Status.INFEASIBLE, None, sep, it, best_resid
 
-        if it % STALL_WINDOW == 0 and polish_left > 0 and best_v is not None:
-            if best_resid > WITNESS_RESIDUAL and best_resid > 0.9 * stall_mark:
-                polish_left -= 1
-                polished = _facial_polish(comp, best_v, tol, polish_iter)
-                if polished is not None:
-                    lifted, resid = polished
-                    return Status.FEASIBLE, lifted, None, it, resid
-            stall_mark = best_resid
+            if it % STALL_WINDOW == 0 and polish_left > 0 and best_v is not None:
+                if best_resid > WITNESS_RESIDUAL and best_resid > 0.9 * stall_mark:
+                    polish_left -= 1
+                    polished = _facial_polish(comp, best_v, tol, polish_iter)
+                    if polished is not None:
+                        lifted, resid = polished
+                        return Status.FEASIBLE, lifted, None, it, resid
+                stall_mark = best_resid
+    finally:
+        warm.z = z
 
     # budget exhausted: one last certificate attempt on both sides
     if last_gap is not None:
@@ -634,8 +709,9 @@ def solve_feasibility(
 ) -> Verdict:
     """Decide PSD feasibility of an affine slice, with certificates.
 
-    Deterministic: identical problems give bit-identical statuses and
-    witnesses matching to 1e-12.  ``Unknown`` only appears when the budget
+    Deterministic: each call compiles afresh, so it starts with an empty
+    warm slot and no solve before it can change its answer; identical
+    problems give bit-identical statuses and witnesses matching to 1e-12.  ``Unknown`` only appears when the budget
     runs out without either certificate closing.
     """
     return _compile(problem).solve(tol, max_iter)

@@ -159,6 +159,27 @@ def test_operator_tuple_validation():
         OperatorTuple((X, np.eye(3, dtype=complex)), hermitian=True)
 
 
+def test_complex_views_are_accepted():
+    # m.T and m.conj().T are views whose last axis is not contiguous
+    m = np.array([[1.0 + 2.0j, 0.5j], [0.0, -1.0 + 0.25j]])
+    pair = OperatorTuple((m, m.conj().T))
+    np.testing.assert_array_equal(pair.mats[1], m.conj().T)
+    assert op_norm(m.T) == pytest.approx(op_norm(m), rel=1e-12)
+    assert numerical_radius(m.T) == pytest.approx(numerical_radius(m), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "entry", [complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.nan, 1.0)]
+)
+def test_non_finite_complex_entries_are_refused(entry):
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = entry
+    with pytest.raises(DimensionMismatch, match="non-finite"):
+        OperatorTuple((m, m.T))
+    with pytest.raises(DimensionMismatch, match="non-finite"):
+        op_norm(m.T)
+
+
 def test_operator_tuple_scaled_shifted():
     t = OperatorTuple((X, Z), hermitian=True)
     assert op_norm(t.scaled(0.5).mats[0] - X / 2) < 1e-15

@@ -52,9 +52,12 @@ from mconvex.sdp import (
     AffineConstraint,
     SdpFeasibility,
     Status,
+    Verdict,
     _Compiled,
     _compile,
+    dual_witness,
     solve_feasibility,
+    verify_witness,
 )
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -455,6 +458,113 @@ class TestThetaCompiledOnce:
         assert all("m=3, n=2, 4 blocks" in line for line in lines)
 
 
+def _record_steps(monkeypatch) -> list:
+    """Record (rhs, verdict) for every solve of a ``with_rhs`` copy."""
+    steps = []
+    with_rhs, solve = _Compiled.with_rhs, _Compiled.solve
+
+    def recorded_with_rhs(self, rhs):
+        out = with_rhs(self, rhs)
+        out.posed_rhs = np.array(rhs)
+        return out
+
+    def recorded_solve(self, tol, max_iter):
+        verdict = solve(self, tol, max_iter)
+        steps.append((self.posed_rhs, verdict))
+        return verdict
+
+    monkeypatch.setattr(_Compiled, "with_rhs", recorded_with_rhs)
+    monkeypatch.setattr(_Compiled, "solve", recorded_solve)
+    return steps
+
+
+def _check_skipped_steps(body, steps) -> list:
+    """Re-solve cold every recorded step answered at 0 iterations (with
+    the recording undone): the cold status must be the same, and the
+    step's own certificate must re-check on its problem.  Returns the
+    statuses of such steps."""
+    verts = ranges._vertex_sets(body, ranges.MEMBER_TOL, ranges.DISC_GRID)[0]
+    skipped = [(rhs, v) for rhs, v in steps if v.iterations == 0]
+    for rhs, verdict in skipped:
+        problem = _kmin_problem(verts, list(rhs[1:]))
+        cold = solve_feasibility(problem, 1e-7, ranges.MAX_ITER)
+        assert cold.status is verdict.status
+        if verdict.status is Status.FEASIBLE:
+            min_eig, resid = verify_witness(problem, verdict.witness)
+            assert min_eig >= sdp.WITNESS_MIN_EIG
+            assert resid <= sdp.WITNESS_RESIDUAL
+        else:
+            _check_separator(problem, verdict.separator)
+    return [v.status for _, v in skipped]
+
+
+def _check_separator(problem, sep) -> None:
+    report = dual_witness(problem, Verdict(Status.INFEASIBLE, None, sep, 0, 0.0))
+    assert report["margin"] >= 10 * 1e-7
+    assert report["margin_gap"] <= 1e-9
+    assert report["pencil_max_eig"] <= sep.psd_slack + 1e-12
+
+
+class TestWarmSteps:
+    @pytest.mark.parametrize(
+        "body, pair",
+        [
+            (SQUARE, pauli),
+            (UNIT_DISC, nilpotent_pair),
+            (UNIT_BOX, pauli),
+            (SQUARE_SAMPLED, pauli),
+        ],
+    )
+    def test_theta_skipped_steps_match_a_cold_solve(self, monkeypatch, body, pair):
+        steps = _record_steps(monkeypatch)
+        trace = []
+        theta_min_alpha(body, pair(), tol=0.01, trace=trace)
+        monkeypatch.undo()
+        assert len(steps) == len(trace) + 1
+        skipped = _check_skipped_steps(body, steps)
+        assert set(skipped) == {Status.FEASIBLE, Status.INFEASIBLE}
+
+    def test_disc_out_rests_on_a_repriced_separator(self, monkeypatch):
+        steps = _record_steps(monkeypatch)
+        res = kmin_member(UNIT_DISC, nilpotent_pair().scaled(0.55))
+        monkeypatch.undo()
+        assert res.status is MembershipStatus.OUT
+        assert [v.status for _, v in steps] == [Status.INFEASIBLE] * 2
+        assert _check_skipped_steps(UNIT_DISC, steps) == [Status.INFEASIBLE]
+        assert res.certificate is steps[-1][1].separator
+
+    def test_theta_takes_half_the_cold_iterations(self, monkeypatch):
+        steps = _record_steps(monkeypatch)
+        est = theta_min_alpha(UNIT_DISC, nilpotent_pair(), tol=0.01)
+        assert est.lower <= 2.0 <= est.upper
+        # with every step started cold from zero these 11 solves took
+        # 104 iterations (16 per Infeasible step, 4 per Feasible step)
+        assert len(steps) == 11
+        assert sum(v.iterations for _, v in steps) <= 104 // 2
+
+    @pytest.mark.parametrize(
+        "body, pair", [(SQUARE, pauli), (UNIT_DISC, nilpotent_pair)]
+    )
+    def test_lower_end_carries_its_separator(self, body, pair):
+        a = pair()
+        est = theta_min_alpha(body, a, tol=0.01)
+        assert est.lower > 1.0 and est.lower_separator is not None
+        # the step's own problem: a / lower in the relaxed body
+        verts, center, relax = ranges._vertex_sets(
+            body, ranges.MEMBER_TOL, ranges.DISC_GRID
+        )
+        mats = [
+            m / est.lower / relax + (1.0 - 1.0 / relax) * c * np.eye(a.n)
+            for m, c in zip(a.mats, center)
+        ]
+        _check_separator(_kmin_problem(verts, mats), est.lower_separator)
+
+    def test_lower_end_without_a_step_has_no_separator(self):
+        assert theta_min_alpha(SQUARE, pauli(0.5)).lower_separator is None
+        commuting = OperatorTuple((Z, Z), hermitian=True)
+        assert theta_min_alpha(SQUARE, commuting).lower_separator is None
+
+
 def exact_compression(seed: int, m: int, n: int):
     """A random pair x of size m and a level-n compression of an
     ampliation of x: a point on the boundary of the matrix range of x."""
@@ -487,8 +597,10 @@ class TestMembershipCompiledOnce:
              "Out", 2),
             # nominal Infeasible, relaxed square Infeasible
             (lambda: kmin_member(SQUARE, pauli()), "Out", 2),
-            # nominal, pushed-out and pulled-in points all Unknown
-            (lambda: ucp_member(*exact_compression(0, 2, 3), max_iter=64),
+            # nominal, pushed-out and pulled-in points all Unknown; each
+            # solve continues from the last one's iterate, and by 28
+            # iterations a side closes (the ucp-warm Boundary case below)
+            (lambda: ucp_member(*exact_compression(0, 2, 3), max_iter=16),
              "Unknown", 3),
         ],
         ids=["disc-in", "disc-out", "square-out", "ucp-unknown"],
@@ -506,8 +618,11 @@ class TestMembershipCompiledOnce:
              2),
             # nominal and pushed-out point Unknown, pulled-in point Feasible
             (_ucp_scalar_past_one, 3),
+            # the same, on a boundary compression whose pulled-in solve
+            # starts from the pushed-out solve's iterate
+            (lambda: ucp_member(*exact_compression(0, 2, 3), max_iter=64), 3),
         ],
-        ids=["kmin", "ucp"],
+        ids=["kmin", "ucp", "ucp-warm"],
     )
     def test_relaxed_feasible_is_boundary(self, monkeypatch, query, solves):
         # a Feasible relaxed solve puts the point within the Boundary band,

@@ -231,6 +231,22 @@ def _planted(rng, size: int, count: int):
     return coeffs, rhs
 
 
+def _verdicts_equal(got, want) -> bool:
+    """Status, counts, witness blocks and separator, to the bit."""
+
+    def scalars(v):
+        sep = v.separator
+        return (v.status, v.iterations, v.residual, v.blocks is None,
+                None if sep is None else sep.margin)
+
+    if scalars(got) != scalars(want):
+        return False
+    pairs = list(zip(got.blocks or [], want.blocks or []))
+    if got.separator is not None:
+        pairs.append((got.separator.dual, want.separator.dual))
+    return all(np.array_equal(a, b) for a, b in pairs)
+
+
 def test_with_rhs_gives_the_verdict_of_a_fresh_compile():
     rng = np.random.default_rng(3)
     coeffs, rhs = _planted(rng, 4, 5)
@@ -239,26 +255,63 @@ def test_with_rhs_gives_the_verdict_of_a_fresh_compile():
                        trace_normalization=1.0)
         for r in (rhs, [2.0 * v for v in rhs], [-v for v in rhs])
     ]
-    comp = _compile(problems[0])
     for problem in problems:
+        # a fresh base per rhs: a shared one would start warm
         new_rhs = [c.rhs for c in problem.constraints] + [1.0]
-        got = comp.with_rhs(new_rhs).solve(1e-7, 50000)
-        want = solve_feasibility(problem)
-        assert got.status is want.status
-        assert got.iterations == want.iterations
-        assert got.residual == want.residual
-        if want.witness is None:
-            assert got.witness is None
-        else:
-            assert np.array_equal(got.witness, want.witness)
-        if want.separator is None:
-            assert got.separator is None
-        else:
-            assert np.array_equal(got.separator.dual, want.separator.dual)
-            assert got.separator.margin == want.separator.margin
+        got = _compile(problems[0]).with_rhs(new_rhs).solve(1e-7, 50000)
+        assert _verdicts_equal(got, solve_feasibility(problem))
     assert {solve_feasibility(p).status for p in problems} >= {
         Status.FEASIBLE, Status.INFEASIBLE
     }
+
+
+def test_with_rhs_copies_share_one_warm_slot():
+    rng = np.random.default_rng(3)
+    coeffs, rhs = _planted(rng, 4, 5)
+    problem = SdpFeasibility(4, tuple(map(AffineConstraint, coeffs, rhs)),
+                             trace_normalization=1.0)
+    comp = _compile(problem)
+    first = comp.with_rhs(rhs + [1.0])
+    assert first._warm is comp._warm
+    assert first.with_rhs(rhs + [1.0])._warm is comp._warm
+    verdict = first.solve(1e-7, 50000)
+    assert verdict.status is Status.FEASIBLE and verdict.iterations > 0
+    # the witness left by the first copy answers the same rhs at once
+    again = comp.with_rhs(rhs + [1.0]).solve(1e-7, 50000)
+    assert again.status is Status.FEASIBLE and again.iterations == 0
+    # an infeasible rhs (a negative trace) leaves its separator, which
+    # re-prices on another negative trace
+    assert comp.with_rhs(rhs + [-1.0]).solve(1e-7, 50000).status is Status.INFEASIBLE
+    assert comp._warm.dual is not None
+    skipped = comp.with_rhs(rhs + [-2.0]).solve(1e-7, 50000)
+    assert skipped.status is Status.INFEASIBLE and skipped.iterations == 0
+    assert skipped.separator.margin >= 10 * 1e-7
+
+
+def test_compiles_of_one_problem_do_not_share_a_slot():
+    rng = np.random.default_rng(3)
+    coeffs, rhs = _planted(rng, 4, 5)
+    problem = SdpFeasibility(4, tuple(map(AffineConstraint, coeffs, rhs)),
+                             trace_normalization=1.0)
+    warm, cold = _compile(problem), _compile(problem)
+    assert warm._warm is not cold._warm
+    first = warm.solve(1e-7, 50000)
+    assert warm._warm.witness is not None
+    assert (cold._warm.z, cold._warm.dual, cold._warm.witness) == (None, None, None)
+    assert _verdicts_equal(cold.solve(1e-7, 50000), first)
+
+
+def test_solve_feasibility_repeats_to_the_bit():
+    rng = np.random.default_rng(3)
+    coeffs, rhs = _planted(rng, 4, 5)
+    statuses = set()
+    for r in (rhs, [-v for v in rhs]):
+        problem = SdpFeasibility(4, tuple(map(AffineConstraint, coeffs, r)),
+                                 trace_normalization=1.0)
+        first = solve_feasibility(problem)
+        assert _verdicts_equal(solve_feasibility(problem), first)
+        statuses.add(first.status)
+    assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
 
 
 def test_with_rhs_checks_the_new_rhs():
