@@ -183,20 +183,19 @@ def criterion_4() -> CriterionResult:
     """Spectral compression is completely isometric on random normal pairs."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(4)
-    worst = 0.0
-    for i in range(20):
+    slacks = []
+    for _ in range(20):
         n = int(rng.integers(4, 9))
         t = NormalTuple(_random_commuting_pair(rng, n))
         model = extreme_spectral_compression(t)
-        for p in (1, 2, 3):
-            rep = verify_complete_isometry(t, model, p=p, trials=100, seed=100 * i + p)
-            worst = max(worst, rep["max_gap"])
+        slacks.append(verify_complete_isometry(t, model)["slack"])
+    worst = max(slacks)
     passed = worst <= 1e-8
     return _finish(
         "normal compression complete isometry",
         t0,
         passed,
-        f"largest relative pencil-norm gap {worst:.2e} over 20 pairs, p in 1..3",
+        f"largest hull slack of the joint spectrum {worst:.2e} over 20 pairs",
     )
 
 
@@ -317,14 +316,14 @@ def criterion_8() -> CriterionResult:
     a = OperatorTuple(
         (np.array([[0.0, 2.0], [0.0, 1.0]], dtype=complex),), hermitian=False
     )
-    equal, reports = mrange_equal(x, a, levels=(1, 2, 3), probes=50, seed=8)
+    equal, report = mrange_equal(x, a)
     elapsed = time.perf_counter() - t0
     passed = equal and elapsed <= 600.0
     return _finish(
         "quadratic collapse to 2x2 model",
         t0,
         passed,
-        f"equal={equal}; levels {reports}; {elapsed:.1f}s",
+        f"equal={equal}; {report}; {elapsed:.1f}s",
     )
 
 

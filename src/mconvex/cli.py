@@ -165,18 +165,12 @@ def _run_member(job: JobSpec) -> dict:
 def _run_equal(job: JobSpec) -> dict:
     x = decode_tuple(_need(job, "x"))
     y = decode_tuple(_need(job, "y"))
-    top = int(_opt(job, "level", 3))
-    probes = int(_opt(job, "grid", 50))
-    equal, reports = mrange_equal(
-        x, y, levels=tuple(range(1, top + 1)), tol=_tol(job),
-        probes=probes, seed=_seed(job),
-    )
-    unresolved = sum(r.get("unresolved", 0) for r in reports)
+    equal, report = mrange_equal(x, y, tol=_tol(job))
     return {
         "status": "Equal" if equal else "Unequal",
         "equal": equal,
-        "levels": reports,
-        "has_unknown": unresolved > 0,
+        **report,
+        "has_unknown": "Unknown" in report.values(),
     }
 
 
@@ -246,9 +240,7 @@ def _run_model(job: JobSpec) -> dict:
     if kind == "normal":
         t = NormalTuple(decode_tuple(_need(job, "tuple")))
         model = extreme_spectral_compression(t)
-        check = verify_complete_isometry(
-            t, model, p=int(_opt(job, "level", 2)), trials=50, seed=_seed(job)
-        )
+        check = verify_complete_isometry(t, model)
         return {
             "joint_spectrum": joint_spectrum(t),
             "extreme_set": model.extreme_set,
@@ -409,7 +401,7 @@ def _build_parser() -> _Parser:
     )
     _add_common(p)
 
-    p = subs.add_parser("equal", help="matrix range equality probing")
+    p = subs.add_parser("equal", help="matrix range equality")
     p.add_argument("--x", required=True, dest="x_path")
     p.add_argument("--y", required=True, dest="y_path")
     _add_common(p)

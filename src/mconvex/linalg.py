@@ -23,12 +23,6 @@ HERM_RTOL = 1e-12
 #: relative SVD threshold used when counting null directions
 NULLITY_RTOL = 1e-8
 
-#: absolute trace tolerance for word-by-word comparison of tuples
-WORD_ATOL = 1e-8
-
-#: cap on the number of words enumerated per length before sampling kicks in
-WORD_BUDGET = 1 << 17
-
 #: angles per ``eigvalsh`` call in the ``numerical_radius`` scan.  One
 #: (grid, n, n) stack for the whole scan would be the largest allocation
 #: of a small query and set its peak memory; chunks of 8 keep the peak
@@ -269,49 +263,50 @@ def direct_sum(*tuples: OperatorTuple) -> OperatorTuple:
     return OperatorTuple(mats, all(t.hermitian for t in tuples))
 
 
-def _commutant_basis_system(t: OperatorTuple) -> np.ndarray:
-    """Stack the linear maps S -> [S, a_j] and S -> [S, a_j*]."""
-    n = t.n
-    eye = np.eye(n)
+def _intertwiner_system(t1: OperatorTuple, t2: OperatorTuple) -> np.ndarray:
+    """Stack the linear maps S -> S a_j - b_j S and S -> S a_j* - b_j* S,
+    for ``a = t1``, ``b = t2`` and S of shape ``(t2.n, t1.n)``."""
+    eye1, eye2 = np.eye(t1.n), np.eye(t2.n)
     rows = []
-    for m in t.mats:
-        for a in (m, m.conj().T):
-            # row-major vec: vec(S a) = (I kron a^T) vec(S), vec(a S) = (a kron I) vec(S)
-            rows.append(np.kron(eye, a.T) - np.kron(a, eye))
+    for a, b in zip(t1.mats, t2.mats):
+        for x, y in ((a, b), (a.conj().T, b.conj().T)):
+            # row-major vec: vec(S x) = (I kron x^T) vec(S), vec(y S) = (y kron I) vec(S)
+            rows.append(np.kron(eye2, x.T) - np.kron(y, eye1))
     return np.vstack(rows)
 
 
-def commutant_dimension(t: OperatorTuple) -> int:
-    """Complex dimension of ``{S : S a_j = a_j S and S a_j* = a_j* S}``.
+def _intertwiner_dimension(t1: OperatorTuple, t2: OperatorTuple) -> int:
+    """Complex dimension of ``{S : S a_j = b_j S and S a_j* = b_j* S}``.
 
-    Computed as the nullity of the stacked commutator system, with
-    singular values below ``1e-8 * sigma_max`` counted as zero.
+    Computed as the nullity of the stacked intertwiner system, with
+    singular values below ``1e-8 * max(sigma_max, 1)`` counted as zero.
     """
-    sys = _commutant_basis_system(t)
+    sys = _intertwiner_system(t1, t2)
     svals = np.linalg.svd(sys, compute_uv=False)
     if svals.size == 0:
-        return t.n * t.n
+        return sys.shape[1]
     cutoff = NULLITY_RTOL * max(float(svals[0]), 1.0)
-    rank = int(np.sum(svals > cutoff))
-    return t.n * t.n - rank
+    return sys.shape[1] - int(np.sum(svals > cutoff))
 
 
-def words_equivalent(
-    t1: OperatorTuple,
-    t2: OperatorTuple,
-    max_len: int | None = None,
-    atol: float = WORD_ATOL,
-    word_budget: int = WORD_BUDGET,
-    samples: int = 4096,
-) -> bool:
-    """Compare traces of all words in the letters ``a_j, a_j*``.
+def commutant_dimension(t: OperatorTuple) -> int:
+    """Complex dimension of ``{S : S a_j = a_j S and S a_j* = a_j* S}``,
+    the intertwiners from ``t`` to itself."""
+    return _intertwiner_dimension(t, t)
 
-    Two tuples of equal size are simultaneously unitarily similar exactly
-    when the traces of all words up to length ``2 n^2`` agree, which is the
-    default ``max_len``.  Words are enumerated breadth-first; if a length
-    level would exceed ``word_budget`` words, that level and deeper ones
-    are covered by a fixed-seed random sample of ``samples`` words instead
-    of full enumeration.
+
+def words_equivalent(t1: OperatorTuple, t2: OperatorTuple) -> bool:
+    """Decide simultaneous unitary equivalence from intertwiner dimensions.
+
+    Two tuples of equal size are unitarily equivalent exactly when
+    ``dim Hom(t1, t2) = dim End(t1) = dim End(t2)``, where Hom is the
+    space of intertwiners ``S a_j = b_j S``, ``S a_j* = b_j* S``.  The
+    C*-algebra a tuple generates is semisimple, so with multiplicities
+    ``m_i`` and ``k_i`` of the irreducible types in ``t1`` and ``t2``,
+    Schur's lemma gives ``dim Hom = sum m_i k_i`` and ``dim End =
+    sum m_i^2``; equality of all three forces ``m = k`` (Cauchy-Schwarz).
+    The name recalls Specht's criterion (equal traces of all words in
+    ``a_j, a_j*``), which states the same equivalence.
 
     Raises
     ------
@@ -322,47 +317,8 @@ def words_equivalent(
         raise DimensionMismatch("tuples have different lengths d")
     if t1.n != t2.n:
         raise DimensionMismatch("tuples have different matrix sizes n")
-    n, d = t1.n, t1.d
-    if max_len is None:
-        max_len = 2 * n * n
-    letters1 = [m for a in t1.mats for m in (a, a.conj().T)]
-    letters2 = [m for a in t2.mats for m in (a, a.conj().T)]
-    l1 = np.stack(letters1)
-    l2 = np.stack(letters2)
-
-    words1 = np.eye(n, dtype=complex)[None, :, :]
-    words2 = np.eye(n, dtype=complex)[None, :, :]
-    for length in range(1, max_len + 1):
-        if words1.shape[0] * l1.shape[0] > word_budget:
-            return _sampled_words_agree(
-                l1, l2, length, max_len, atol, samples
-            )
-        # every existing word extended by every letter
-        words1 = np.einsum("wij,ljk->wlik", words1, l1).reshape(-1, n, n)
-        words2 = np.einsum("wij,ljk->wlik", words2, l2).reshape(-1, n, n)
-        tr1 = np.einsum("wii->w", words1)
-        tr2 = np.einsum("wii->w", words2)
-        if not np.allclose(tr1, tr2, rtol=0.0, atol=atol):
-            return False
-    return True
-
-
-def _sampled_words_agree(l1, l2, start_len, max_len, atol, samples) -> bool:
-    """Random-word fallback once full enumeration outgrows the budget."""
-    rng = np.random.default_rng(0)
-    nletters = l1.shape[0]
-    n = l1.shape[1]
-    for length in range(start_len, max_len + 1):
-        idx = rng.integers(0, nletters, size=(samples, length))
-        for row in idx:
-            w1 = np.eye(n, dtype=complex)
-            w2 = np.eye(n, dtype=complex)
-            for k in row:
-                w1 = w1 @ l1[k]
-                w2 = w2 @ l2[k]
-            if abs(np.trace(w1) - np.trace(w2)) > atol:
-                return False
-    return True
+    hom = _intertwiner_dimension(t1, t2)
+    return hom == commutant_dimension(t1) == commutant_dimension(t2)
 
 
 def simdiag_hermitian(

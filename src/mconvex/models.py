@@ -4,9 +4,11 @@ Three families of finite models live here.  For commuting normal
 tuples, the restriction to joint eigenspaces at extreme points of the
 joint numerical range reproduces every matrix pencil norm of the full
 tuple; ``extreme_spectral_compression`` builds that restriction and
-``verify_complete_isometry`` samples pencils to confirm it.  For lists
-of irreducible tuples, ``block_diagonal_model`` deduplicates up to
-unitary equivalence and assembles the direct sum.  For infinite
+``verify_complete_isometry`` decides that it is completely isometric
+from the hull of the restriction's joint spectrum.  For lists of
+irreducible tuples, ``block_diagonal_model`` deduplicates up to unitary
+equivalence, decided by intertwiner dimensions, and assembles the
+direct sum.  For infinite
 diagonal tuples given by a finite presentation (atoms with
 multiplicities plus convergent sequences), ``sw_perturbation`` snaps
 every non-essential entry to the nearest essential-spectrum point,
@@ -29,7 +31,7 @@ from .errors import (
     ReducibleCandidate,
     TupleMismatch,
 )
-from .geometry import Polytope, extreme_points, hull_membership_gap
+from .geometry import Polytope, extreme_points, hull_membership_gap, point_gap
 from .linalg import (
     OperatorTuple,
     commutant_dimension,
@@ -151,10 +153,10 @@ def extreme_spectral_compression(t: NormalTuple) -> SpectralModel:
     points are themselves.
     """
     pts = t.joint_points
-    ext = extreme_points(_embed_real(pts))
+    emb = _embed_real(pts)
+    ext = extreme_points(emb)
     keep = []
     for row in ext:
-        emb = _embed_real(pts)
         dist = np.abs(emb - row).max(axis=1)
         keep.append(int(np.argmin(dist)))
     targets = pts[sorted(set(keep))]
@@ -171,41 +173,26 @@ def extreme_spectral_compression(t: NormalTuple) -> SpectralModel:
     )
 
 
-def verify_complete_isometry(
-    full: NormalTuple,
-    model: SpectralModel,
-    p: int = 2,
-    trials: int = 100,
-    seed: int = 0,
-) -> dict:
-    """Sample matrix pencils and compare their norms on full vs compressed.
+def verify_complete_isometry(full: NormalTuple, model: SpectralModel) -> dict:
+    """Decide whether the model's compression is completely isometric.
 
-    For random coefficients A, B_k, C_k in M_p(C) the pencil
-    ``A (x) 1 + sum_k B_k (x) N_k + C_k (x) N_k*`` must have the same
-    norm on the full tuple and on the model; the norm of a pencil on a
-    normal tuple is a maximum over the joint spectrum, a convex function
-    of the spectrum point, so only extreme points can attain it.
-    Returns the largest relative gap seen.
+    The matrix range of a normal tuple is the minimal matrix convex set
+    over the convex hull of its joint spectrum (Davidson, Dor-On, Shalit
+    and Solel 2017), so the compression is completely isometric exactly
+    when every joint eigenvalue point of ``full`` lies in the hull of the
+    joint points of ``model.compressed``.  Returns ``{"slack": s}`` with
+    ``s`` the largest ``point_gap`` of a point of ``full`` against that
+    hull: at most rounding for a complete isometry, and positive when a
+    point of ``full`` lies outside the hull.
+
+    Raises
+    ------
+    NotCommuting
+        If ``model.compressed`` is not a commuting normal tuple.
     """
-    if p < 1:
-        raise DimensionMismatch("pencil coefficient size must be >= 1")
-    rng = np.random.default_rng(seed)
-    d = full.d
-    max_gap = 0.0
-    for _ in range(trials):
-        coeff_a = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-        pencil_full = np.kron(coeff_a, np.eye(full.n))
-        pencil_model = np.kron(coeff_a, np.eye(model.compressed.n))
-        for k in range(d):
-            b = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-            c = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-            nf, nm = full.base.mats[k], model.compressed.mats[k]
-            pencil_full += np.kron(b, nf) + np.kron(c, nf.conj().T)
-            pencil_model += np.kron(b, nm) + np.kron(c, nm.conj().T)
-        x, y = op_norm(pencil_full), op_norm(pencil_model)
-        gap = abs(x - y) / max(x, y, 1e-15)
-        max_gap = max(max_gap, gap)
-    return {"max_gap": max_gap, "trials": trials, "p": p, "seed": seed}
+    points = NormalTuple(model.compressed).joint_points
+    slack = point_gap(Polytope(_embed_real(points)), _embed_real(full.joint_points))
+    return {"slack": slack}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -223,7 +210,8 @@ def block_diagonal_model(candidates: Sequence[OperatorTuple]) -> BlockModel:
     Rejects any candidate whose commutant has dimension above 1 (a
     reducible block can be split further and never belongs in the
     model), deduplicates the rest up to unitary equivalence through
-    word-norm comparison, and returns the direct sum of the survivors.
+    intertwiner dimensions (``words_equivalent``), and returns the
+    direct sum of the survivors.
     """
     if not candidates:
         raise TupleMismatch("need at least one candidate tuple")

@@ -8,9 +8,9 @@ tuples whose joint numerical range lies inside K.  This module decides
 membership in both (SDP for the minimal set, support inequalities for
 the maximal), bisects the scaling constant between them, decides
 membership in matrix ranges ``W_n(x)`` through Choi-matrix feasibility,
-probes matrix-range equality, tests extremality of free symmetric or
-unitary tuples, and houses the square-to-disc numerical radius
-transform together with its calibration.
+decides matrix-range equality by two such solves, tests extremality of
+free symmetric or unitary tuples, and houses the square-to-disc
+numerical radius transform together with its calibration.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .geometry import (
 )
 from .linalg import (
     OperatorTuple,
-    compressed_ampliation,
+    commutant_dimension,
     herm_part,
     numerical_radius,
     op_norm,
@@ -61,7 +61,8 @@ from .sdp import (
     _compile,
 )
 
-#: default membership tolerance; the Boundary band is 10x this
+#: default membership tolerance; the Boundary band is 10x this except
+#: for a disc (see ``_vertex_sets``)
 MEMBER_TOL = 1e-7
 
 #: circle discretization for minimal-set membership over a disc
@@ -597,69 +598,26 @@ def ucp_member(
 
 
 def mrange_equal(
-    x: OperatorTuple,
-    y: OperatorTuple,
-    levels: Sequence[int] = (1, 2, 3),
-    tol: float = MEMBER_TOL,
-    probes: int = 50,
-    seed: int = 0,
-) -> tuple[bool, list[dict]]:
-    """Probe equality of the matrix ranges of two tuples.
+    x: OperatorTuple, y: OperatorTuple, tol: float = MEMBER_TOL
+) -> tuple[bool, dict]:
+    """Decide equality of the matrix ranges of two tuples.
 
-    Mutual membership of the defining tuples already forces equality
-    (a ucp image of an image is an image), so that pair of checks runs
-    first; the per-level random probes are belt and braces, each one a
-    certified member of one range tested in the other.  Any Out answer
-    refutes equality; Unknown answers are counted as failures too, so a
-    True verdict never rests on an unresolved solve.
+    ``W(y)`` lies inside ``W(x)`` exactly when ``y`` is a ucp image of
+    ``x`` (a ucp image of an image is an image), which is one
+    ``ucp_member(x, y)`` solve at ``y``'s level; equality is the two
+    inclusions.  Returns ``(equal, report)``, with the two statuses in
+    the report as ``y_in_range_x`` and ``x_in_range_y``.  ``equal`` is
+    True only when both are In, so it never rests on an unresolved
+    solve: an Out refutes equality, and a Boundary or Unknown leaves it
+    unproved (False as well; the report tells the cases apart).
     """
     if x.d != y.d:
         raise TupleMismatch(f"tuple lengths differ: {x.d} vs {y.d}")
-    rng = np.random.default_rng(seed)
-    reports: list[dict] = []
-    ok = True
-
-    defining = {
-        "level": 0,
+    report = {
         "y_in_range_x": ucp_member(x, y, tol).status.value,
         "x_in_range_y": ucp_member(y, x, tol).status.value,
     }
-    if (
-        defining["y_in_range_x"] != "In"
-        or defining["x_in_range_y"] != "In"
-    ):
-        ok = False
-    reports.append(defining)
-
-    for n in levels:
-        fail_xy = 0
-        fail_yx = 0
-        unknown = 0
-        for _ in range(probes):
-            b = compressed_ampliation(x, n, rng)
-            res = ucp_member(y, b, tol)
-            if res.status is MembershipStatus.OUT:
-                fail_xy += 1
-            elif res.status is MembershipStatus.UNKNOWN:
-                unknown += 1
-            c = compressed_ampliation(y, n, rng)
-            res = ucp_member(x, c, tol)
-            if res.status is MembershipStatus.OUT:
-                fail_yx += 1
-            elif res.status is MembershipStatus.UNKNOWN:
-                unknown += 1
-        if fail_xy or fail_yx or unknown:
-            ok = False
-        reports.append(
-            {
-                "level": int(n),
-                "probes": probes,
-                "x_probes_outside_y": fail_xy,
-                "y_probes_outside_x": fail_yx,
-                "unresolved": unknown,
-            }
-        )
-    return ok, reports
+    return all(s == "In" for s in report.values()), report
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +626,6 @@ def mrange_equal(
 
 
 def _irreducibility_reason(a: OperatorTuple) -> str | None:
-    from .linalg import commutant_dimension
-
     dim = commutant_dimension(a)
     if dim != 1:
         return f"tuple is reducible: commutant dimension {dim}"

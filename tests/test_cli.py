@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mconvex.cli as cli
+import mconvex.ranges as ranges
 from mconvex._jsonio import to_jsonable
 from mconvex.ranges import MembershipResult, MembershipStatus
 
@@ -122,10 +123,11 @@ class TestCommands:
         t = write(tmp_path / "t.json", pauli_tuple())
         code, rep = run(
             capsys,
-            ["equal", "--x", t, "--y", t, "--level", "1", "--grid", "5"],
+            ["equal", "--x", t, "--y", t],
         )
         assert code == 0
         assert rep["status"] == "Equal"
+        assert rep["y_in_range_x"] == rep["x_in_range_y"] == "In"
 
     def test_extreme_points(self, tmp_path, capsys):
         pts = write(
@@ -165,7 +167,7 @@ class TestCommands:
         code, rep = run(capsys, ["model", "--kind", "normal", "--tuple", t])
         assert code == 0
         assert rep["projector_rank"] == 3
-        assert rep["isometry_check"]["max_gap"] <= 1e-9
+        assert rep["isometry_check"]["slack"] <= 1e-9
 
     def test_sw_verify(self, tmp_path, capsys):
         diag = write(
@@ -274,6 +276,25 @@ class TestExitCodes:
         args = ["member", "--kind", "ucp", "--tuple", a, "--range-of", x]
         assert cli.main(args) == 0
         capsys.readouterr()
+        assert cli.main(args + ["--strict"]) == 70
+
+    def test_strict_unknown_equal_is_70(self, tmp_path, capsys, monkeypatch):
+        # only the first defining solve is left undecided
+        calls = []
+
+        def fake_ucp(x, a, tol=1e-7, max_iter=50000):
+            status = MembershipStatus.IN if calls else MembershipStatus.UNKNOWN
+            calls.append(status)
+            return MembershipResult(status, 0.0)
+
+        monkeypatch.setattr(ranges, "ucp_member", fake_ucp)
+        t = write(tmp_path / "t.json", pauli_tuple())
+        args = ["equal", "--x", t, "--y", t]
+        code, rep = run(capsys, args)
+        assert code == 0
+        assert rep["status"] == "Unequal"
+        assert rep["y_in_range_x"] == "Unknown"
+        calls.clear()
         assert cli.main(args + ["--strict"]) == 70
 
     def test_batch_propagates_worst_code(self, tmp_path, capsys):

@@ -208,12 +208,60 @@ def test_commutant_dimensions():
     assert commutant_dimension(doubled) == 4
 
 
-def test_words_equivalent_hadamard():
+def _hadamard_pair():
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
     t1 = OperatorTuple((X, Z), hermitian=True)
     t2 = OperatorTuple((h @ X @ h.conj().T, h @ Z @ h.conj().T), hermitian=True)
+    return t1, t2
+
+
+def _seeded_conjugate_pair():
+    # entries of norm about 2.8: traces of words of length 32 can reach
+    # 1e15, so their rounding swamps an absolute trace tolerance, while
+    # the intertwiner ranks use a relative cutoff
+    rng = np.random.default_rng(1)
+    h = random_hermitian(4, rng)
+    g = rng.standard_normal((4, 4))
+    t1 = OperatorTuple((h, g))
+    return t1, t1.conjugated(random_isometry(4, 4, rng))
+
+
+@pytest.mark.parametrize(
+    "pair", [_hadamard_pair, _seeded_conjugate_pair], ids=["hadamard", "seeded-n4"]
+)
+def test_words_equivalent_hadamard(pair):
+    t1, t2 = pair()
     assert words_equivalent(t1, t2)
-    assert not words_equivalent(t1, OperatorTuple((X, X), hermitian=True))
+    first = t1.mats[0]
+    assert not words_equivalent(t1, OperatorTuple((first, first), t1.hermitian))
+
+
+def _random_tuple(rng, n, d, norm):
+    mats = []
+    for _ in range(d):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mats.append(norm * m / op_norm(m))
+    return OperatorTuple(tuple(mats))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=3),
+    st.floats(min_value=0.1, max_value=10.0),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_words_equivalent_decides_unitary_equivalence(n, d, norm, seed):
+    rng = np.random.default_rng(seed)
+    a = _random_tuple(rng, n, d, norm)
+    b = _random_tuple(rng, n, d, norm)
+    assert words_equivalent(a, a.conjugated(random_isometry(n, n, rng)))
+    swapped = direct_sum(b, a).conjugated(random_isometry(2 * n, 2 * n, rng))
+    assert words_equivalent(direct_sum(a, b), swapped)
+    assert not words_equivalent(direct_sum(a, a), direct_sum(a, b))
+    e = _random_tuple(rng, n, d, 1e-3 * norm)
+    moved = OperatorTuple(tuple(x + y for x, y in zip(a.mats, e.mats)))
+    assert not words_equivalent(a, moved)
 
 
 def test_simdiag_planted():
