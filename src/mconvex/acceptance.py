@@ -367,6 +367,7 @@ def criterion_10() -> CriterionResult:
         sequences=(((1.0,), tuple((1.0 + 1.0 / k,) for k in range(1, 41))),),
     )
     problems = []
+    gaps = []
     for name, fixture in (("harmonic", seq), ("two-limit", two)):
         ess = essential_spectrum_diag(fixture)
         perturbed, report = sw_perturbation(fixture)
@@ -383,16 +384,21 @@ def criterion_10() -> CriterionResult:
             problems.append(f"{name}: tail norms increase")
         if tail[-1] > 0.05:
             problems.append(f"{name}: tail norm stuck at {tail[-1]}")
-        out = verify_local_sw(fixture, perturbed, q=2, samples=50, seed=0)
+        out = verify_local_sw(fixture, perturbed)
         if not out["equal"]:
             problems.append(f"{name}: local ranges differ {out}")
+        gaps.append(
+            f"{name} {out['point_gap_essential_in_truncation']:.1e}"
+            f"/{out['point_gap_truncation_in_essential']:.1e}"
+        )
     passed = not problems
     return _finish(
         "local perturbation equality",
         t0,
         passed,
         "; ".join(problems) if problems else
-        "displacements exact, tails shrink, ranges equal at q=2 with 50 probes",
+        "displacements exact, tails shrink, ranges equal; hull gaps "
+        "(essential in truncation/truncation in essential) " + ", ".join(gaps),
     )
 
 
@@ -464,8 +470,9 @@ def _planted_feasible(rng: np.random.Generator) -> SdpFeasibility:
         cons.append(
             AffineConstraint(coeff, float(np.trace(coeff @ c0).real))
         )
-    trace_norm = 1.0 if rng.random() < 0.3 else None
-    return SdpFeasibility(size, tuple(cons), trace_normalization=trace_norm)
+    if rng.random() < 0.3:
+        cons.append(AffineConstraint(np.eye(size), 1.0))
+    return SdpFeasibility(size, tuple(cons))
 
 
 def _planted_infeasible(rng: np.random.Generator) -> SdpFeasibility:

@@ -1,13 +1,13 @@
 """Command-line frontend: JSON documents in, one JSON report out.
 
 Every command reads its inputs from JSON files, prints a report
-envelope (command, status, margins and certificates when present, seed,
-tolerances, wall time) to stdout, and exits 0 on success, 64 on a usage
-error, 65 on malformed or invalid input data, and 70 when a solver gave
-up and ``--strict`` was set.  ``batch`` runs a list of inline job
-documents, concurrently up to the MCONVEX_THREADS cap; reports come
-back in input order, so reruns with the same seeds are reproducible
-byte for byte.
+envelope (command, status, margins and certificates when present, the
+tolerance options the command read, wall time) to stdout, and exits 0
+on success, 64 on a usage error, 65 on malformed or invalid input data,
+and 70 when a solver gave up and ``--strict`` was set.  ``batch`` runs
+a list of inline job documents, concurrently up to the MCONVEX_THREADS
+cap; reports come back in input order, so a rerun reproduces them byte
+for byte apart from wall times.
 """
 
 from __future__ import annotations
@@ -79,19 +79,18 @@ class JobSpec:
     command: str
     inputs: dict
     options: dict
+    #: the options ``_opt`` read, which the report lists under tolerances
+    read: set[str] = dataclasses.field(default_factory=set)
 
 
 def _opt(job: JobSpec, key: str, default):
+    job.read.add(key)
     v = job.options.get(key)
     return default if v is None else v
 
 
 def _tol(job: JobSpec, default: float = 1e-7) -> float:
     return float(_opt(job, "tol", default))
-
-
-def _seed(job: JobSpec) -> int:
-    return int(_opt(job, "seed", 0))
 
 
 def _need(job: JobSpec, key: str):
@@ -275,17 +274,8 @@ def _run_sw(job: JobSpec) -> dict:
             perturbed = decode_diagonal(job.inputs["perturbed"])
         else:
             perturbed, _ = sw_perturbation(t)
-        out = verify_local_sw(
-            t,
-            perturbed,
-            q=int(_opt(job, "level", 2)),
-            samples=int(_opt(job, "grid", 50)),
-            seed=_seed(job),
-            tol=_tol(job),
-        )
-        unresolved = sum(v["unresolved"] for v in out["levels"].values())
+        out = verify_local_sw(t, perturbed, tol=_tol(job))
         out["status"] = "Equal" if out["equal"] else "Unequal"
-        out["has_unknown"] = unresolved > 0
         return out
     raise UsageError(f"unknown sw kind {kind!r} (ess | perturb | verify)")
 
@@ -338,10 +328,9 @@ def execute(job: JobSpec) -> tuple[dict, int]:
     report = {
         "command": job.command,
         "status": payload.pop("status", "ok"),
-        "seed": _seed(job),
         "tolerances": {
             k: job.options[k]
-            for k in ("tol", "max_iter", "level", "grid")
+            for k in sorted(job.read)
             if job.options.get(k) is not None
         },
         "wall_time_s": round(time.perf_counter() - t0, 6),
@@ -367,12 +356,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=None, help="tolerance override")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     sub.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    sub.add_argument("--level", type=int, default=None, help="level / replication")
-    sub.add_argument(
-        "--grid", type=int, default=None, help="direction grid or probe count"
-    )
+    sub.add_argument("--grid", type=int, default=None, help="direction grid")
     sub.add_argument("--svg", default=None, metavar="PATH", help="write an SVG plot")
     sub.add_argument(
         "--json", default=None, metavar="PATH", help="also write the report here"
@@ -474,7 +459,7 @@ _INPUT_PATHS = {
     "samples_path": "samples",
 }
 
-_OPTION_KEYS = ("tol", "seed", "max_iter", "level", "grid", "svg", "json", "strict")
+_OPTION_KEYS = ("tol", "max_iter", "grid", "svg", "json", "strict")
 
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:

@@ -13,8 +13,8 @@ diagonal tuples given by a finite presentation (atoms with
 multiplicities plus convergent sequences), ``sw_perturbation`` snaps
 every non-essential entry to the nearest essential-spectrum point,
 the presentation-level analogue of absorbing a compact perturbation,
-and ``verify_local_sw`` cross-checks the matrix ranges of the snapped
-tuple against the essential model up to a requested level.
+and ``verify_local_sw`` decides from the two hulls whether the snapped
+tuple and the essential model have the same matrix range.
 """
 
 from __future__ import annotations
@@ -38,12 +38,10 @@ from .linalg import (
     direct_sum,
     herm_part,
     op_norm,
-    compressed_ampliation,
     simdiag_hermitian,
     skew_part,
     words_equivalent,
 )
-from .ranges import MembershipStatus, kmin_member
 
 #: commutator size above which a tuple is rejected as non-commuting
 NORMAL_COMMUTE_TOL = 1e-10
@@ -456,9 +454,9 @@ def finite_truncation(
 
     Infinite atoms and sequence limits contribute q copies each, finite
     atoms their multiplicity capped at q, and sequence prefixes appear
-    verbatim.  Doubling q past the largest finite multiplicity leaves
-    the matrix range at levels <= q unchanged, which is the stabilization
-    the local verification relies on.
+    verbatim.  Every q >= 1 gives the same diagonal points up to
+    multiplicity, hence the same matrix range: the minimal matrix convex
+    set over their hull.
     """
     if q < 1:
         raise DimensionMismatch("replication must be >= 1")
@@ -475,35 +473,20 @@ def finite_truncation(
     return OperatorTuple(mats, hermitian)
 
 
-def _diagonal(points: np.ndarray) -> OperatorTuple:
-    """The Hermitian diagonal tuple ``diag(points[:, j])``."""
-    return OperatorTuple(
-        tuple(np.diag(points[:, j]) for j in range(points.shape[1])),
-        hermitian=True,
-    )
-
-
 def verify_local_sw(
     t: DiagonalTuple,
     perturbed: DiagonalTuple,
-    q: int = 2,
-    samples: int = 50,
-    seed: int = 0,
     tol: float = 1e-7,
 ) -> dict:
-    """Cross-check the essential model against the perturbed truncation.
+    """Decide whether the perturbed tuple has the essential model's range.
 
-    Builds the essential model of ``t`` (each essential point replicated
-    q times) and the finite truncation of ``perturbed``, then tests
-    matrix-range equality up to level q: the diagonal entry points of
-    each side must lie in the hull of the other side's (an exact LP
-    check, decisive at level 1), and ``samples`` random level-n
-    compressions of each side must pass minimal-set membership over the
-    other side's hull.  Any certified outside probe marks the ranges
-    unequal, with the margin reported.
+    The matrix range of a Hermitian diagonal tuple is the minimal matrix
+    convex set over the hull of its diagonal points, so two such ranges
+    agree at every level exactly when the two hulls agree: the essential
+    points of ``t`` must lie in the hull of the entries of ``perturbed``
+    and each entry in the hull of the essential points, both by the exact
+    LP gap of ``hull_membership_gap`` to within ``tol``.
     """
-    if q < 1:
-        raise DimensionMismatch("verification level must be >= 1")
     if t.d != perturbed.d:
         raise TupleMismatch(f"dimension mismatch: {t.d} vs {perturbed.d}")
     ess = essential_spectrum_diag(t)
@@ -511,57 +494,15 @@ def verify_local_sw(
         raise EmptyEssentialSpectrum(
             "the presentation has no infinite atoms and no sequence limits"
         )
-    trunc = finite_truncation(perturbed, q)
-    trunc_pts = np.column_stack([np.real(np.diag(m)) for m in trunc.mats])
-    trunc_pts = _dedup_points(trunc_pts)
-    rng = np.random.default_rng(seed)
-
-    gap_ess_in_trunc = max(
-        hull_membership_gap(trunc_pts, p) for p in ess
+    trunc = finite_truncation(perturbed, 1)
+    trunc_pts = _dedup_points(
+        np.column_stack([np.real(np.diag(m)) for m in trunc.mats])
     )
-    gap_trunc_in_ess = max(
-        hull_membership_gap(ess, p) for p in trunc_pts
-    )
-    equal = gap_ess_in_trunc <= tol and gap_trunc_in_ess <= tol
-
-    ess_body = Polytope(ess)
-    trunc_body = Polytope(trunc_pts)
-    ess_model = _diagonal(np.repeat(ess, q, axis=0))
-    trunc_model = _diagonal(trunc_pts)
-    levels: dict[int, dict] = {}
-    for n in range(1, q + 1):
-        outside = 0
-        unresolved = 0
-        worst = 0.0
-        for _ in range(samples):
-            probe = compressed_ampliation(ess_model, n, rng)
-            res = kmin_member(trunc_body, probe, tol)
-            if res.status is MembershipStatus.OUT:
-                outside += 1
-                worst = max(worst, res.margin)
-            elif res.status is MembershipStatus.UNKNOWN:
-                unresolved += 1
-            probe = compressed_ampliation(trunc_model, n, rng)
-            res = kmin_member(ess_body, probe, tol)
-            if res.status is MembershipStatus.OUT:
-                outside += 1
-                worst = max(worst, res.margin)
-            elif res.status is MembershipStatus.UNKNOWN:
-                unresolved += 1
-        if outside:
-            equal = False
-        levels[n] = {
-            "samples": 2 * samples,
-            "outside": outside,
-            "unresolved": unresolved,
-            "worst_margin": worst,
-        }
+    gap_ess_in_trunc = max(hull_membership_gap(trunc_pts, p) for p in ess)
+    gap_trunc_in_ess = max(hull_membership_gap(ess, p) for p in trunc_pts)
     return {
-        "equal": equal,
+        "equal": gap_ess_in_trunc <= tol and gap_trunc_in_ess <= tol,
         "point_gap_essential_in_truncation": gap_ess_in_trunc,
         "point_gap_truncation_in_essential": gap_trunc_in_ess,
-        "levels": levels,
         "essential_points": int(ess.shape[0]),
-        "truncation_size": trunc.n,
-        "seed": seed,
     }

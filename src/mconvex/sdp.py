@@ -14,10 +14,12 @@ re-verified from the problem data alone:
 
 The iteration is Douglas-Rachford splitting between the affine subspace
 (exact least-squares projection through a preconditioned Gram matrix) and
-the PSD cone (eigenvalue clipping).  Problems feasible only on the cone
-boundary stall the plain iteration, so a facial-reduction polish restricts
-to the face suggested by the stalled iterate and re-solves there, which
-restores Slater-style convergence and yields exact-rank witnesses.
+the PSD cone (eigenvalue clipping).  Both of its iterates are witness
+candidates: the affine one (exact constraints, eigenvalues checked) and
+the cone one (exact PSD, residual checked), and the gap between them
+prices a dual certificate.  A problem feasible only on the cone boundary
+takes the same road: its cone iterate is exactly PSD however thin the
+face, so a small enough residual certifies it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import copy
 import dataclasses
 import enum
 import functools
-import itertools
 import logging
 import math
 from typing import Sequence
@@ -44,8 +45,8 @@ WITNESS_MIN_EIG = -1e-8
 WITNESS_RESIDUAL = 1e-7
 
 #: a constraint whose coefficient norm is at most ZERO_ROW_NORM is a zero
-#: row (rounding noise, e.g. left by a face restriction); its rhs must be
-#: at most ZERO_ROW_RHS in size
+#: row (rounding noise, e.g. a coefficient that cancels to ~1e-17); its
+#: rhs must be at most ZERO_ROW_RHS in size
 ZERO_ROW_NORM = 1e-14
 ZERO_ROW_RHS = 1e-12
 
@@ -56,7 +57,6 @@ HERM_RTOL = 1e-10
 #: most solves close at their first check.  Checking before iteration 4
 #: certifies cone-projected witnesses of least eigenvalue 0 (kmin margin 0)
 CHECK_EVERY, CERT_EVERY = 4, 16
-STALL_WINDOW = 512
 
 
 class Status(enum.Enum):
@@ -94,13 +94,12 @@ class SdpFeasibility:
     blocks of these sizes (the PSD cone becomes a product of smaller cones,
     which both tightens the model and speeds the projections); every
     constraint then gives one coefficient per block, and nothing couples
-    two blocks.  ``trace_normalization`` appends the scalar constraint
-    ``tr V = value``.
+    two blocks.  ``tr V = value`` is the constraint with identity
+    coefficients.
     """
 
     var_size: int
     constraints: tuple[AffineConstraint, ...]
-    trace_normalization: float | None = None
     block_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -164,12 +163,7 @@ def _compile(problem: SdpFeasibility) -> _Compiled:
     if sum(sizes) != size or any(s <= 0 for s in sizes):
         raise BadProblem("block sizes must be positive and sum to var_size")
 
-    cons = list(problem.constraints)
-    if problem.trace_normalization is not None:
-        cons.append(
-            AffineConstraint([np.eye(s) for s in sizes],
-                             float(problem.trace_normalization))
-        )
+    cons = problem.constraints
     shapes = {np.shape(c.rhs) for c in cons} or {()}
     if len(shapes) > 1:
         raise BadProblem(f"constraints mix right-hand sides of shapes {shapes}")
@@ -335,7 +329,7 @@ class _Compiled:
 
     def solve(self, tol: float, max_iter: int) -> Verdict:
         """Run the certified iteration; one DEBUG line per solve."""
-        status, v, sep, it, resid = _iterate(self, tol, max_iter, polish_left=3)
+        status, v, sep, it, resid = _iterate(self, tol, max_iter)
         if _LOG.isEnabledFor(logging.DEBUG):
             _LOG.debug(
                 "sdp solve: %s after %d iterations, residual %.3e, "
@@ -483,88 +477,8 @@ def _witness_ok(comp: _Compiled, v: list[np.ndarray]) -> tuple[bool, float]:
     return True, resid
 
 
-def _herm_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of Hermitian n x n matrices (real Frobenius inner
-    product), as an (n^2, n, n) stack: the diagonal units, then the real
-    and imaginary units of each pair p < q."""
-    units = np.eye(n * n).reshape(n, n, n, n)  # units[p, q] = E_pq
-    out = [units[p, p] + 0j for p in range(n)]
-    for p, q in itertools.combinations(range(n), 2):
-        e = units[p, q]
-        out += [(e + e.T) / np.sqrt(2.0), 1j * (e - e.T) / np.sqrt(2.0)]
-    return np.array(out)
-
-
-def _facial_polish(
-    comp: _Compiled,
-    v: list[np.ndarray],
-    tol: float,
-    max_iter: int,
-) -> tuple[list[np.ndarray], float] | None:
-    """Restrict to the face suggested by ``v`` and re-solve there.
-
-    A face does not respect the n x n sub-blocks, so the face problem is
-    posed in scalar rows: constraint r paired with each element ``Z_k`` of
-    a Hermitian basis gives the row with coefficient ``P_r kron Z_k`` and
-    rhs ``tr(Z_k B_r)``.  Returns a lifted exact-PSD witness, checked by
-    ``_witness_ok``, and its residual when the reduced problem closes,
-    else None.  Cuts are tried from coarse to fine so a strictly feasible
-    face is found even when small eigenvalues are still noisy.
-    """
-    spectra = [np.linalg.eigh(herm_part(vg)) for vg in v]
-    top = max(
-        (float(vals.max()) for vals, _ in spectra if vals.size), default=0.0
-    )
-    if top <= 0:
-        return None
-    basis = _herm_basis(comp.n)
-    rhs = np.einsum("kij,rij->rk", basis.conj(), comp.b).real.ravel()
-
-    def face_rows(g: int, pos: int, q: np.ndarray) -> np.ndarray:
-        # Q* (P_r kron Z_k) Q for every (r, k), the rows in that order
-        pat = comp.coeff_groups[g][:, pos]
-        s = pat.shape[-1] * comp.n
-        rows = np.einsum("rpq,kij->rkpiqj", pat, basis).reshape(-1, s, s)
-        return q.conj().T @ rows @ q
-
-    for cut in (0.2, 0.05, 0.01, 1e-3, 1e-5):
-        thresh = cut * top
-        # face basis of every block with a nonzero face, group by group
-        faces = [
-            (g, pos, vecs[pos][:, vals[pos] > thresh])
-            for g, (vals, vecs) in enumerate(spectra)
-            for pos in range(len(vals))
-        ]
-        faces = [f for f in faces if f[2].shape[1] > 0]
-        sizes = [q.shape[1] for _, _, q in faces]
-        if not faces or sum(sizes) == comp.var_size:
-            continue
-        # the reduced problem in the face coordinates, blockwise
-        tensors = [
-            herm_part(np.stack([face_rows(*faces[k]) for k in idxs], axis=1))
-            for _, idxs in _groups(sizes)
-        ]
-        try:
-            reduced = _Compiled(sizes, tensors, rhs)
-        except BadProblem:
-            continue
-        status, w, _, _, _ = _iterate(reduced, tol, max_iter, polish_left=0)
-        if status is not Status.FEASIBLE:
-            continue
-        # lift back: witness = Q W Q* blockwise
-        lifted = comp.zero()
-        for (_, idxs), wg in zip(reduced.groups, w):
-            for k, wb in zip(idxs, wg):
-                g, pos, q = faces[k]
-                lifted[g][pos] = q @ herm_part(wb) @ q.conj().T
-        ok, resid = _witness_ok(comp, lifted)
-        if ok:
-            return lifted, resid
-    return None
-
-
 def _iterate(
-    comp: _Compiled, tol: float, max_iter: int, polish_left: int
+    comp: _Compiled, tol: float, max_iter: int
 ) -> tuple[Status, list[np.ndarray] | None, Separator | None, int, float]:
     """Decide a compiled problem.  Returns the status, the witness as a
     group variable, the separator, the iteration count and the residual.
@@ -578,8 +492,8 @@ def _iterate(
     3. the operator's last Feasible witness, projected onto this affine
        slice and checked by ``_witness_ok`` (0 iterations);
     4. Douglas-Rachford from the operator's last iterate (from zero on a
-       fresh compile), with certificate checks and up to ``polish_left``
-       facial polishes (``_douglas_rachford``).
+       fresh compile), with witness and certificate checks
+       (``_douglas_rachford``).
 
     Every answer writes its separator or witness, and the iterate it
     stopped at, back to the warm slot shared by ``with_rhs`` copies.  A
@@ -590,7 +504,7 @@ def _iterate(
     warm = comp._warm
     out = _without_iterating(comp, warm, tol)
     if out is None:
-        out = _douglas_rachford(comp, warm, tol, max_iter, polish_left)
+        out = _douglas_rachford(comp, warm, tol, max_iter)
     status, v, sep, it, resid = out
     if sep is not None:
         warm.dual = sep.dual * comp.norms[:, None, None]
@@ -630,19 +544,16 @@ def _douglas_rachford(
     warm: _WarmStart,
     tol: float,
     max_iter: int,
-    polish_left: int,
 ) -> tuple[Status, list[np.ndarray] | None, Separator | None, int, float]:
     """Douglas-Rachford from the slot's iterate (zero when it is empty),
-    with witness checks every ``CHECK_EVERY`` iterations, dual-certificate
-    tries every ``CERT_EVERY`` and up to ``polish_left`` facial polishes.
-    Returns ``_iterate``'s answer and leaves the iterate it stopped at in
-    the slot; while it runs, it holds the only copy."""
+    with witness checks every ``CHECK_EVERY`` iterations and
+    dual-certificate tries every ``CERT_EVERY``; a last certificate try
+    when the budget runs out.  Returns ``_iterate``'s answer and leaves
+    the iterate it stopped at in the slot; while it runs, it holds the
+    only copy."""
     z, warm.z = (comp.zero() if warm.z is None else warm.z), None
-    polish_iter = min(max_iter, 4000)
     best_resid = np.inf
-    best_v: list[np.ndarray] | None = None
     last_gap: list[np.ndarray] | None = None
-    stall_mark = np.inf
 
     it = 0
     try:
@@ -662,9 +573,7 @@ def _douglas_rachford(
                 resid_y = comp.residual(y)
                 if resid_y <= WITNESS_RESIDUAL and comp.min_eig(y) >= WITNESS_MIN_EIG:
                     return Status.FEASIBLE, y, None, it, resid_y
-                if resid_y < best_resid:
-                    best_resid = resid_y
-                    best_v = [yg.copy() for yg in y]
+                best_resid = min(best_resid, resid_y)
                 last_gap = [xg - yg for xg, yg in zip(x, y)]
 
             if it % CERT_EVERY == 0 and last_gap is not None:
@@ -675,30 +584,16 @@ def _douglas_rachford(
                     )
                     if sep is not None:
                         return Status.INFEASIBLE, None, sep, it, best_resid
-
-            if it % STALL_WINDOW == 0 and polish_left > 0 and best_v is not None:
-                if best_resid > WITNESS_RESIDUAL and best_resid > 0.9 * stall_mark:
-                    polish_left -= 1
-                    polished = _facial_polish(comp, best_v, tol, polish_iter)
-                    if polished is not None:
-                        lifted, resid = polished
-                        return Status.FEASIBLE, lifted, None, it, resid
-                stall_mark = best_resid
     finally:
         warm.z = z
 
-    # budget exhausted: one last certificate attempt on both sides
+    # budget exhausted: one last certificate attempt
     if last_gap is not None:
         sep = _certificate_from_dual(
             comp, comp.lsq_dual(last_gap), tol
         )
         if sep is not None:
             return Status.INFEASIBLE, None, sep, it, best_resid
-    if polish_left > 0 and best_v is not None:
-        polished = _facial_polish(comp, best_v, tol, polish_iter)
-        if polished is not None:
-            lifted, resid = polished
-            return Status.FEASIBLE, lifted, None, it, resid
     return Status.UNKNOWN, None, None, it, best_resid
 
 

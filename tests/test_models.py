@@ -245,7 +245,7 @@ class TestVerifyLocalSw:
     def test_harmonic_ranges_match(self):
         t = DiagonalTuple(d=1, atoms=(), sequences=(harmonic_seq(),))
         perturbed, _ = sw_perturbation(t)
-        rep = verify_local_sw(t, perturbed, q=2, samples=20, seed=0)
+        rep = verify_local_sw(t, perturbed)
         assert rep["equal"]
         assert rep["essential_points"] == 1
 
@@ -256,7 +256,7 @@ class TestVerifyLocalSw:
             sequences=(harmonic_seq(count=40), harmonic_seq(count=40, limit=1.0)),
         )
         perturbed, _ = sw_perturbation(t)
-        rep = verify_local_sw(t, perturbed, q=2, samples=20, seed=0)
+        rep = verify_local_sw(t, perturbed)
         assert rep["equal"]
         assert rep["essential_points"] == 2
 
@@ -265,7 +265,7 @@ class TestVerifyLocalSw:
         claimed = DiagonalTuple(
             d=1, atoms=(((0.0,), None), ((5.0,), 1)), sequences=()
         )
-        rep = verify_local_sw(t, claimed, q=2, samples=20, seed=0)
+        rep = verify_local_sw(t, claimed)
         assert not rep["equal"]
         assert rep["point_gap_truncation_in_essential"] == pytest.approx(5.0)
 

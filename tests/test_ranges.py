@@ -634,22 +634,6 @@ class TestMembershipCompiledOnce:
         assert counts == {"compile": 1, "solve": solves}
 
 
-def test_polish_keeps_the_callers_budget(monkeypatch):
-    # the 200-iteration solves of _ucp_scalar_past_one end in facial polish;
-    # its reduced solves (polish_left=0) may not run past the caller's 200
-    budgets = []
-    iterate = sdp._iterate
-
-    def recorded(comp, tol, max_iter, polish_left):
-        if polish_left == 0:
-            budgets.append(max_iter)
-        return iterate(comp, tol, max_iter, polish_left)
-
-    monkeypatch.setattr(sdp, "_iterate", recorded)
-    assert _ucp_scalar_past_one().status is MembershipStatus.BOUNDARY
-    assert budgets and max(budgets) <= 200
-
-
 def _body_scaled_kmin(K, a, max_iter):
     """kmin_member's bracketing with one compile per scale: the
     decomposition SDP over the dilated vertices ``c + s (v - c)``.

@@ -12,8 +12,8 @@ from mconvex.sdp import (
     Status,
     _Compiled,
     _compile,
-    _facial_polish,
-    _witness_ok,
+    WITNESS_MIN_EIG,
+    WITNESS_RESIDUAL,
     dual_witness,
     solve_feasibility,
     verify_witness,
@@ -141,11 +141,20 @@ def test_infeasible_blocks_give_a_blockwise_pencil():
     assert [blk.shape for blk in cert["pencil"]] == [(2, 2), (3, 3)]
 
 
-def _polish_two_faces(n: int) -> None:
+def _assert_certified(problem: SdpFeasibility):
+    verdict = solve_feasibility(problem)
+    assert verdict.status is Status.FEASIBLE
+    min_eig, residual = verify_witness(problem, verdict.witness)
+    assert min_eig >= WITNESS_MIN_EIG
+    assert residual <= WITNESS_RESIDUAL
+    return verdict.witness
+
+
+def _two_faces(n: int) -> None:
     # blocks of sizes 3n and 2n, held to the faces span(e0, e1) and span(e1)
     # (tensored with C^n) by tr(P_j V_j) = 0, with P_j the projector off the
     # face; for n > 1 each equation is the n x n matrix equation with rhs
-    # times I, which facial polish lowers to scalar rows
+    # times I.  No feasible point is interior to the cone
     re01 = np.zeros((3, 3), dtype=complex)
     re01[0, 1] = re01[1, 0] = 0.5
     rows = [
@@ -159,53 +168,39 @@ def _polish_two_faces(n: int) -> None:
         tuple(AffineConstraint(c, r if n == 1 else r * np.eye(n)) for c, r in rows),
         block_sizes=(3 * n, 2 * n),
     )
-    planted = np.zeros((5, 5), dtype=complex)
-    planted[:2, :2] = [[0.5, 0.4], [0.4, 0.5]]
-    planted[4, 4] = 2.0
-    comp = _compile(problem)
-    start = comp.split(np.kron(planted + 1e-3 * np.eye(5), np.eye(n)))
-    polished = _facial_polish(comp, start, tol=1e-7, max_iter=4000)
-    assert polished is not None
-    witness = scipy.linalg.block_diag(*comp.blocks(polished[0]))
-    min_eig, residual = verify_witness(problem, witness)
-    assert min_eig >= -1e-9
-    assert residual <= 1e-7
+    witness = _assert_certified(problem)
     assert np.abs(np.diag(witness)[2 * n:4 * n]).max() <= 1e-12
 
 
-def test_facial_polish_lifts_a_blockwise_witness():
-    _polish_two_faces(1)
+def test_solve_decides_blocks_feasible_only_on_faces():
+    _two_faces(1)
 
 
-def test_facial_polish_lowers_matrix_equations_to_scalar_rows():
-    _polish_two_faces(2)
+def test_solve_decides_matrix_equations_feasible_only_on_faces():
+    _two_faces(2)
 
 
 def test_trace_normalization_field():
+    # tr V = 1 is the constraint with identity coefficients
     problem = SdpFeasibility(
         3,
-        (AffineConstraint(np.diag([1.0, 0.0, 0.0]).astype(complex), 0.4),),
-        trace_normalization=1.0,
+        (AffineConstraint(np.diag([1.0, 0.0, 0.0]).astype(complex), 0.4),
+         AffineConstraint(np.eye(3), 1.0)),
     )
     verdict = solve_feasibility(problem)
     assert verdict.status is Status.FEASIBLE
     assert np.trace(verdict.witness).real == pytest.approx(1.0, abs=1e-6)
 
 
-def test_facial_polish_drops_rows_of_rounding_noise():
-    # tr((I - u u*) V) = 0 restricted to the face span(u) leaves a ~1e-16
-    # coefficient; it must become a zero row, not the unit equation w = 0
+def test_solve_decides_a_slice_that_is_one_rank_one_point():
+    # tr((I - u u*) V) = 0 and tr V = 1 meet the cone only at V = u u*
     u = np.array([1.0, 1.0]) / np.sqrt(2.0)
     uu = np.outer(u, u).astype(complex)
     problem = SdpFeasibility(
-        2, (AffineConstraint(np.eye(2) - uu, 0.0),), trace_normalization=1.0
+        2, (AffineConstraint(np.eye(2) - uu, 0.0), AffineConstraint(np.eye(2), 1.0))
     )
-    comp = _compile(problem)
-    polished = _facial_polish(comp, comp.split(uu), tol=1e-7, max_iter=4000)
-    assert polished is not None
-    lifted, residual = polished
-    ok, resid = _witness_ok(comp, lifted)
-    assert ok and resid == residual <= 1e-7
+    witness = _assert_certified(problem)
+    assert np.abs(witness - uu).max() <= 1e-6
 
 
 def test_zero_rows_carry_a_zero_dual():
@@ -231,6 +226,12 @@ def _planted(rng, size: int, count: int):
     return coeffs, rhs
 
 
+def _planted_problem(coeffs, rhs) -> SdpFeasibility:
+    # the equations, then tr V = 1
+    cons = (*map(AffineConstraint, coeffs, rhs), AffineConstraint(np.eye(4), 1.0))
+    return SdpFeasibility(4, cons)
+
+
 def _verdicts_equal(got, want) -> bool:
     """Status, counts, witness blocks and separator, to the bit."""
 
@@ -251,13 +252,12 @@ def test_with_rhs_gives_the_verdict_of_a_fresh_compile():
     rng = np.random.default_rng(3)
     coeffs, rhs = _planted(rng, 4, 5)
     problems = [
-        SdpFeasibility(4, tuple(map(AffineConstraint, coeffs, r)),
-                       trace_normalization=1.0)
+        _planted_problem(coeffs, r)
         for r in (rhs, [2.0 * v for v in rhs], [-v for v in rhs])
     ]
     for problem in problems:
         # a fresh base per rhs: a shared one would start warm
-        new_rhs = [c.rhs for c in problem.constraints] + [1.0]
+        new_rhs = [c.rhs for c in problem.constraints]
         got = _compile(problems[0]).with_rhs(new_rhs).solve(1e-7, 50000)
         assert _verdicts_equal(got, solve_feasibility(problem))
     assert {solve_feasibility(p).status for p in problems} >= {
@@ -268,8 +268,7 @@ def test_with_rhs_gives_the_verdict_of_a_fresh_compile():
 def test_with_rhs_copies_share_one_warm_slot():
     rng = np.random.default_rng(3)
     coeffs, rhs = _planted(rng, 4, 5)
-    problem = SdpFeasibility(4, tuple(map(AffineConstraint, coeffs, rhs)),
-                             trace_normalization=1.0)
+    problem = _planted_problem(coeffs, rhs)
     comp = _compile(problem)
     first = comp.with_rhs(rhs + [1.0])
     assert first._warm is comp._warm
@@ -291,8 +290,7 @@ def test_with_rhs_copies_share_one_warm_slot():
 def test_compiles_of_one_problem_do_not_share_a_slot():
     rng = np.random.default_rng(3)
     coeffs, rhs = _planted(rng, 4, 5)
-    problem = SdpFeasibility(4, tuple(map(AffineConstraint, coeffs, rhs)),
-                             trace_normalization=1.0)
+    problem = _planted_problem(coeffs, rhs)
     warm, cold = _compile(problem), _compile(problem)
     assert warm._warm is not cold._warm
     first = warm.solve(1e-7, 50000)
@@ -306,8 +304,7 @@ def test_solve_feasibility_repeats_to_the_bit():
     coeffs, rhs = _planted(rng, 4, 5)
     statuses = set()
     for r in (rhs, [-v for v in rhs]):
-        problem = SdpFeasibility(4, tuple(map(AffineConstraint, coeffs, r)),
-                                 trace_normalization=1.0)
+        problem = _planted_problem(coeffs, r)
         first = solve_feasibility(problem)
         assert _verdicts_equal(solve_feasibility(problem), first)
         statuses.add(first.status)
@@ -421,9 +418,11 @@ def test_matrix_rhs_sizes_must_agree():
     with pytest.raises(BadProblem):
         _compile(_matrix_problem(np.ones((2, 3))))
     # a scalar trace normalization beside 2 x 2 matrix equations
+    problem = _matrix_problem(np.eye(2))
+    trace = AffineConstraint([np.eye(2), np.eye(2)], 1.0)
     with pytest.raises(BadProblem):
-        _compile(dataclasses.replace(_matrix_problem(np.eye(2)),
-                                     trace_normalization=1.0))
+        _compile(dataclasses.replace(problem,
+                                     constraints=problem.constraints + (trace,)))
 
 
 def test_matrix_rhs_must_be_finite():
