@@ -3,7 +3,7 @@
 Each criterion is an independent, seeded, self-timing check of one
 headline property (sharp scaling constants, transform consistency,
 model isometries, collapse theorems, perturbation bookkeeping, solver
-integrity).  ``run_all`` executes any subset; the CLI ``verify-suite``
+integrity).  ``run_all`` runs them in order; the CLI ``verify-suite``
 command and the acceptance test module both drive this registry.
 """
 
@@ -567,12 +567,6 @@ REGISTRY: tuple = (
 )
 
 
-def run_all(max_workers: int | None = None) -> list[CriterionResult]:
-    """Run every criterion, optionally a few at a time, in registry order."""
-    if max_workers is None or max_workers <= 1:
-        return [fn() for fn in REGISTRY]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(fn) for fn in REGISTRY]
-        return [f.result() for f in futures]
+def run_all() -> list[CriterionResult]:
+    """Run every criterion, one after another, in registry order."""
+    return [fn() for fn in REGISTRY]

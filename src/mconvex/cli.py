@@ -7,7 +7,7 @@ on success, 64 on a usage error, 65 on malformed or invalid input data,
 and 70 when a solver gave up and ``--strict`` was set.  ``batch`` runs
 a list of inline job documents, concurrently up to the MCONVEX_THREADS
 cap; reports come back in input order, so a rerun reproduces them byte
-for byte apart from wall times.
+for byte apart from wall times; an unknown option key is a usage error.
 """
 
 from __future__ import annotations
@@ -293,8 +293,7 @@ def _run_toeplitz(job: JobSpec) -> dict:
 
 
 def _run_verify_suite(job: JobSpec) -> dict:
-    workers = os.environ.get("MCONVEX_THREADS")
-    results = acceptance.run_all(int(workers) if workers else None)
+    results = acceptance.run_all()
     for r in results:
         line = "PASS" if r.passed else "FAIL"
         print(f"{line} {r.name} ({r.seconds:.1f}s): {r.detail}", file=sys.stderr)
@@ -322,6 +321,9 @@ def execute(job: JobSpec) -> tuple[dict, int]:
     """Run one job and assemble the report envelope plus an exit code."""
     if job.command not in _HANDLERS:
         raise UsageError(f"unknown command {job.command!r}")
+    unknown = sorted(set(job.options) - set(_OPTION_KEYS))
+    if unknown:
+        raise UsageError(f"unknown options {unknown} (known: {_OPTION_KEYS})")
     t0 = time.perf_counter()
     payload = _HANDLERS[job.command](job)
     has_unknown = bool(payload.pop("has_unknown", False))
@@ -482,12 +484,13 @@ def _run_batch(args: argparse.Namespace) -> tuple[dict, int]:
     for i, doc in enumerate(docs):
         if not isinstance(doc, dict) or "command" not in doc:
             raise SchemaError(f"batch entry {i} lacks a command")
-        options = {k: doc.get("options", {}).get(k) for k in _OPTION_KEYS}
-        if options.get("strict") is None:
+        given, inputs = doc.get("options", {}), doc.get("inputs", {})
+        if not isinstance(given, dict) or not isinstance(inputs, dict):
+            raise SchemaError(f"batch entry {i}: options and inputs must be objects")
+        options = {**dict.fromkeys(_OPTION_KEYS), **given}
+        if options["strict"] is None:
             options["strict"] = args.strict
-        jobs.append(
-            JobSpec(doc["command"], dict(doc.get("inputs", {})), options)
-        )
+        jobs.append(JobSpec(doc["command"], dict(inputs), options))
 
     def guarded(job: JobSpec) -> tuple[dict, int]:
         try:

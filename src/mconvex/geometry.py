@@ -2,12 +2,11 @@
 
 Bodies come in four flavours: explicit polytopes (vertex lists), coordinate
 boxes, planar discs, and support-sampled bodies (direction/value pairs).
-A polytope's facet list, in any dimension, comes from Qhull
-(``scipy.spatial.ConvexHull``) inside the affine span of its vertices.
-Planar hull drawing is done by a small Graham scan and half-plane
-clipping; extreme-point and hull-membership questions on point lists go
-through per-point linear programs (``scipy.optimize.linprog``), so each
-answer carries an explicit margin.
+Every hull question goes to Qhull (``scipy.spatial.ConvexHull``), run
+inside the affine span of the points: a polytope's facet list in any
+dimension, the extreme points of a point list, simplex detection and
+the drawn polygons of a range sandwich.  ``hull_membership_gap`` is the
+one linear program, a reference that shares no code with Qhull.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Sequence, Union
 
 import numpy as np
 import scipy.optimize
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from .errors import DimensionMismatch, NoInteriorZero
@@ -196,36 +194,6 @@ def hull_distance(points: np.ndarray, p: np.ndarray) -> float:
     return float(np.linalg.norm(x - p))
 
 
-def hull2d(points: np.ndarray) -> np.ndarray:
-    """Graham scan returning hull vertices in counterclockwise order.
-
-    Collinear inputs collapse to segment endpoints; a single repeated
-    point collapses to one vertex.
-    """
-    pts = np.unique(np.round(np.atleast_2d(points), 14), axis=0)
-    if pts.shape[0] <= 2:
-        return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[np.ndarray] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 1e-14:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 1e-14:
-            upper.pop()
-        upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1])
-    if hull.shape[0] == 0:
-        return pts[:1]
-    return hull
-
-
 def clip_by_halfplanes(
     normals: np.ndarray, offsets: np.ndarray, radius: float
 ) -> np.ndarray:
@@ -255,9 +223,7 @@ def clip_by_halfplanes(
                 s = vi / (vi - vj)
                 keep.append(pi + s * (pj - pi))
         poly = np.array(keep) if keep else np.zeros((0, 2))
-    if poly.shape[0] > 2:
-        poly = hull2d(poly)
-    return poly
+    return extreme_points(poly, tol=0.0)
 
 
 def jnr_sandwich(t: OperatorTuple, m: int = 64) -> PolygonSandwich:
@@ -287,7 +253,7 @@ def jnr_sandwich(t: OperatorTuple, m: int = 64) -> PolygonSandwich:
         inner_pts[i, 1] = float(np.real(psi.conj() @ t.mats[1] @ psi))
     radius = float(np.abs(offsets).max() + 1.0)
     outer_poly = clip_by_halfplanes(normals, offsets, radius)
-    inner_poly = hull2d(inner_pts)
+    inner_poly = extreme_points(inner_pts, tol=0.0)
     bound = 0.0
     if outer_poly.shape[0]:
         bound = max(
@@ -296,30 +262,48 @@ def jnr_sandwich(t: OperatorTuple, m: int = 64) -> PolygonSandwich:
     return PolygonSandwich(Polytope(inner_poly), Polytope(outer_poly), float(bound))
 
 
+def _affine_span(v: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, ...]:
+    """The mean of the rows of ``v``, an orthonormal basis of their affine
+    span and the span's normals.  The rank counts the singular values of
+    the centred rows above ``max(tol, EXTREME_TOL * s_max)``; at full rank
+    the basis is the identity, so that a full-dimensional hull stays in
+    its own coordinates and axis-aligned facets come out exact."""
+    center = v.mean(axis=0)
+    _, s, vt = np.linalg.svd(v - center)
+    rank = int(np.sum(s > max(tol, EXTREME_TOL * s[0])))
+    span = np.eye(v.shape[1]) if rank == v.shape[1] else vt[:rank]
+    return center, span, vt[rank:]
+
+
+def _hull_vertices(points, tol: float) -> tuple[np.ndarray, int]:
+    """Extreme points (rows of the input) and the affine rank of a point
+    list or polytope; see ``extreme_points``."""
+    pts = points.vertices if isinstance(points, Polytope) else np.atleast_2d(points)
+    pts = np.asarray(pts, dtype=float)
+    if pts.size == 0:
+        return pts.copy(), 0
+    _, span, _ = _affine_span(pts, tol)
+    rank = span.shape[0]
+    y = pts @ span.T
+    if rank >= 2:
+        return pts[ConvexHull(y).vertices], rank
+    if rank == 1:
+        return pts[[int(np.argmin(y)), int(np.argmax(y))]], rank
+    return pts[:1].copy(), rank
+
+
 def extreme_points(
     points: np.ndarray | Polytope, tol: float = EXTREME_TOL
 ) -> np.ndarray:
-    """Extreme points of the convex hull of a point list.
+    """Extreme points of the convex hull of a point list, as rows of it.
 
-    Each point is tested against the hull of the others by a small linear
-    program minimizing the infinity-norm reconstruction error; the point is
-    extreme exactly when the best error exceeds ``tol``.  Works in any
-    dimension, no hull library involved.
+    Qhull's hull vertices inside the affine span of the points, where a
+    direction along which the centred points have singular value at most
+    ``tol`` (or ``EXTREME_TOL`` times the largest) is flat.  A segment
+    gives its two ends, a point one row, an empty list stays empty; in
+    the plane the points come counterclockwise.
     """
-    pts = points.vertices if isinstance(points, Polytope) else np.atleast_2d(points)
-    pts = np.asarray(pts, dtype=float)
-    # collapse exact duplicates first so they do not shadow one another
-    _, uniq_idx = np.unique(np.round(pts, 12), axis=0, return_index=True)
-    pts = pts[sorted(uniq_idx)]
-    k, d = pts.shape
-    if k == 1:
-        return pts.copy()
-    keep = []
-    for i in range(k):
-        others = np.delete(pts, i, axis=0)
-        if _hull_reconstruction_gap(others, pts[i]) > tol:
-            keep.append(i)
-    return pts[keep]
+    return _hull_vertices(points, tol)[0]
 
 
 def hull_membership_gap(points: np.ndarray, p: np.ndarray) -> float:
@@ -327,29 +311,26 @@ def hull_membership_gap(points: np.ndarray, p: np.ndarray) -> float:
 
     Zero (up to LP tolerance) when the point lies in the hull; otherwise
     the smallest infinity-norm reconstruction error over convex weights,
-    which lower-bounds the Euclidean distance to the hull.
+    which lower-bounds the Euclidean distance to the hull.  It shares no
+    code with Qhull, so it is the reference for the hull routines.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _hull_reconstruction_gap(pts, np.asarray(p, dtype=float))
-
-
-def _hull_reconstruction_gap(others: np.ndarray, p: np.ndarray) -> float:
-    """Best infinity-norm error writing ``p`` as a convex combination."""
-    k, d = others.shape
+    p = np.asarray(p, dtype=float)
+    k, d = pts.shape
     # variables: weights w (k), epigraph t (1); minimize t
     cost = np.zeros(k + 1)
     cost[-1] = 1.0
     a_ub = np.zeros((2 * d, k + 1))
     b_ub = np.zeros(2 * d)
-    a_ub[:d, :k] = others.T
+    a_ub[:d, :k] = pts.T
     a_ub[:d, -1] = -1.0
     b_ub[:d] = p
-    a_ub[d:, :k] = -others.T
+    a_ub[d:, :k] = -pts.T
     a_ub[d:, -1] = -1.0
     b_ub[d:] = -p
     a_eq = np.zeros((1, k + 1))
     a_eq[0, :k] = 1.0
-    res = linprog(
+    res = scipy.optimize.linprog(
         cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
         bounds=[(0, None)] * k + [(0, None)], method="highs",
     )
@@ -361,27 +342,19 @@ def _hull_reconstruction_gap(others: np.ndarray, p: np.ndarray) -> float:
 def is_simplex(points: np.ndarray, tol: float = 1e-9) -> tuple[bool, dict]:
     """Whether the hull of ``points`` is a simplex.
 
-    The hull is a simplex when its extreme points are affinely
-    independent (differences from any one of them are linearly
-    independent).  Single points and segments count.  The certificate
-    reports the extreme set, the affine rank, and, when dependent, a null
-    combination of the differences.
+    The extreme points and the affine rank come from one computation
+    (``extreme_points`` with this ``tol``): the hull is a simplex exactly
+    when it has rank + 1 extreme points, so single points and segments
+    count.  The certificate reports the extreme set, their count, the
+    rank and, when not a simplex, a null combination of the differences.
     """
-    ext = extreme_points(np.atleast_2d(points), tol=max(tol, EXTREME_TOL))
+    ext, rank = _hull_vertices(points, tol)
     k = ext.shape[0]
-    cert: dict = {"extreme_points": ext, "count": k}
-    if k == 1:
-        cert["rank"] = 0
-        return True, cert
-    diffs = ext[1:] - ext[0]
-    svals = np.linalg.svd(diffs, compute_uv=False)
-    scale = max(float(svals[0]), 1.0)
-    rank = int(np.sum(svals > tol * scale))
-    cert["rank"] = rank
-    if rank == k - 1:
+    cert: dict = {"extreme_points": ext, "count": k, "rank": rank}
+    if k == rank + 1:
         return True, cert
     # expose one dependency among the differences
-    _, _, vt = np.linalg.svd(diffs.T, full_matrices=True)
+    _, _, vt = np.linalg.svd((ext[1:] - ext[0]).T, full_matrices=True)
     cert["dependency"] = vt[-1]
     return False, cert
 
@@ -389,16 +362,15 @@ def is_simplex(points: np.ndarray, tol: float = 1e-9) -> tuple[bool, dict]:
 def essential_range_hull(samples: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
     """Hull and extreme points of complex symbol samples, as R^2 data.
 
-    Accepts at least one sample; fewer than three produce the degenerate
-    hull directly (point or segment).
+    Both are ``extreme_points`` of the samples: the hull polygon's
+    vertices, counterclockwise (a segment's two ends, or one point).
+    Accepts at least one sample.
     """
     z = np.asarray(samples, dtype=complex).ravel()
     if z.size == 0:
         raise DimensionMismatch("need at least one sample")
-    pts = np.column_stack([z.real, z.imag])
-    hull = hull2d(pts)
-    ext = extreme_points(hull) if hull.shape[0] > 2 else hull
-    return hull, ext
+    ext = extreme_points(np.column_stack([z.real, z.imag]))
+    return ext, ext
 
 
 def box_vertices(box: Box) -> np.ndarray:
@@ -434,14 +406,9 @@ def halfplanes(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
         return body.directions, body.support_values
     if isinstance(body, Polytope):
         v = body.vertices
-        center = v.mean(axis=0)
-        _, s, vt = np.linalg.svd(v - center)
-        rank = int(np.sum(s > EXTREME_TOL * s[0]))
-        # a full-dimensional hull stays in its own coordinates, so that
-        # axis-aligned facets come out exact
-        span = np.eye(body.dim) if rank == body.dim else vt[:rank]
+        center, span, normals = _affine_span(v)
         y = v @ span.T
-        if rank >= 2:
+        if span.shape[0] >= 2:
             eq = ConvexHull(y).equations
             _, first = np.unique(eq, axis=0, return_index=True)
             eq = eq[np.sort(first)]
@@ -449,7 +416,6 @@ def halfplanes(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
         else:
             dirs = np.vstack([span, -span])
             offsets = np.concatenate([y.max(axis=0), -y.min(axis=0)])
-        normals = vt[rank:]
         along = normals @ center
         return (
             np.vstack([dirs, normals, -normals]),

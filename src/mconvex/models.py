@@ -31,7 +31,7 @@ from .errors import (
     ReducibleCandidate,
     TupleMismatch,
 )
-from .geometry import Polytope, extreme_points, hull_membership_gap, point_gap
+from .geometry import Polytope, extreme_points, point_gap
 from .linalg import (
     OperatorTuple,
     commutant_dimension,
@@ -153,11 +153,7 @@ def extreme_spectral_compression(t: NormalTuple) -> SpectralModel:
     pts = t.joint_points
     emb = _embed_real(pts)
     ext = extreme_points(emb)
-    keep = []
-    for row in ext:
-        dist = np.abs(emb - row).max(axis=1)
-        keep.append(int(np.argmin(dist)))
-    targets = pts[sorted(set(keep))]
+    targets = pts[(emb[:, None, :] == ext[None, :, :]).all(axis=2).any(axis=1)]
     sel = []
     for i, val in enumerate(t.column_values):
         if np.abs(targets - val).max(axis=1).min() <= 10 * POINT_DEDUP_TOL:
@@ -484,8 +480,8 @@ def verify_local_sw(
     convex set over the hull of its diagonal points, so two such ranges
     agree at every level exactly when the two hulls agree: the essential
     points of ``t`` must lie in the hull of the entries of ``perturbed``
-    and each entry in the hull of the essential points, both by the exact
-    LP gap of ``hull_membership_gap`` to within ``tol``.
+    and each entry in the hull of the essential points, both by the
+    signed slack ``point_gap`` against the other hull, to within ``tol``.
     """
     if t.d != perturbed.d:
         raise TupleMismatch(f"dimension mismatch: {t.d} vs {perturbed.d}")
@@ -495,11 +491,9 @@ def verify_local_sw(
             "the presentation has no infinite atoms and no sequence limits"
         )
     trunc = finite_truncation(perturbed, 1)
-    trunc_pts = _dedup_points(
-        np.column_stack([np.real(np.diag(m)) for m in trunc.mats])
-    )
-    gap_ess_in_trunc = max(hull_membership_gap(trunc_pts, p) for p in ess)
-    gap_trunc_in_ess = max(hull_membership_gap(ess, p) for p in trunc_pts)
+    trunc_pts = np.column_stack([np.real(np.diag(m)) for m in trunc.mats])
+    gap_ess_in_trunc = point_gap(Polytope(trunc_pts), ess)
+    gap_trunc_in_ess = point_gap(Polytope(ess), trunc_pts)
     return {
         "equal": gap_ess_in_trunc <= tol and gap_trunc_in_ess <= tol,
         "point_gap_essential_in_truncation": gap_ess_in_trunc,

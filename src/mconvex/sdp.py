@@ -114,8 +114,8 @@ class Separator:
 
     ``dual`` is the stack of n x n Hermitian matrices ``Y_r``, one per
     constraint (1 x 1 for scalar constraints); the pencil
-    ``sum_r P_r kron Y_r`` (the adjoint of the constraint map), given as
-    one block per declared block in declared order, has
+    ``sum_r P_r kron Y_r`` (the adjoint of the constraint map, which
+    ``dual_witness`` recomputes one block per declared block) has
     ``lambda_max <= psd_slack`` on every block (a hair above zero at
     machine scale) while ``sum_r Re tr(rhs_r Y_r) = margin > 0``.  Any PSD
     matrix therefore violates the constraint system by at least
@@ -125,7 +125,6 @@ class Separator:
 
     dual: np.ndarray
     margin: float
-    pencil: list[np.ndarray]
     psd_slack: float
 
 
@@ -462,7 +461,6 @@ def _certificate_from_dual(
             return Separator(
                 dual=y / comp.norms[:, None, None],
                 margin=margin,
-                pencil=comp.blocks(s_blocks),
                 psd_slack=max(mx, 0.0),
             )
     return None

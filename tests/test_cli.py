@@ -317,6 +317,31 @@ class TestExitCodes:
         assert rep["status"] == "Error"
         assert rep["jobs"][1]["status"] == "DataError"
 
+    def test_batch_unknown_option_is_usage(self, tmp_path, capsys):
+        simplex = {
+            "command": "extreme",
+            "inputs": {"kind": "simplex", "points": [[0.0, 0.0], [1.0, 0.0]]},
+        }
+        jobs = write(
+            tmp_path / "jobs.json",
+            [simplex, {**simplex, "options": {"tol": 1e-9, "level": 2}}],
+        )
+        code, rep = run(capsys, ["batch", "--jobs", jobs])
+        assert code == 64
+        assert [j["status"] for j in rep["jobs"]] == ["Simplex", "UsageError"]
+        assert "'level'" in rep["jobs"][1]["error"]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"options": "tol"}, {"options": [1e-9]}, {"inputs": [[0.0, 0.0]]}],
+        ids=["options-string", "options-list", "inputs-list"],
+    )
+    def test_batch_non_object_entry_is_data_error(self, tmp_path, capsys, entry):
+        jobs = write(tmp_path / "jobs.json", [{"command": "extreme", **entry}])
+        code, rep = run(capsys, ["batch", "--jobs", jobs])
+        assert code == 65
+        assert rep["status"] == "DataError"
+
 
 class TestReports:
     def test_deterministic_given_seed(self, tmp_path, capsys):

@@ -68,6 +68,74 @@ def test_extreme_points_drops_interior():
     assert sorted(map(tuple, ext.tolist())) == sorted(map(tuple, SQUARE.vertices.tolist()))
 
 
+def test_extreme_points_keep_a_corner_just_past_its_neighbour():
+    # (1, 1) lies on the edge from (-1, 1) to the true corner
+    corner = np.array([1.0 + 1e-10, 1.0])
+    pts = np.vstack([SQUARE.vertices, corner])
+    ext = extreme_points(pts)
+    assert ext.shape[0] == 4
+    assert any(np.array_equal(row, corner) for row in ext)
+    assert not any(np.array_equal(row, [1.0, 1.0]) for row in ext)
+    flag, cert = is_simplex(pts)
+    assert not flag and cert["count"] == 4 and cert["rank"] == 2
+
+
+def test_jnr_sandwich_does_not_depend_on_scale():
+    ratios = []
+    for s in (1.0, 1e-6):
+        sw = jnr_sandwich(OperatorTuple((s * X, s * Z), hermitian=True), m=64)
+        assert sw.inner.vertices.shape == (64, 2)
+        ratios.append(sw.hausdorff_bound / s)
+    assert ratios[1] == pytest.approx(ratios[0], rel=1e-6)
+
+
+@st.composite
+def lattice_points(draw):
+    """Integer points in R^d, d = 1..3, on a lattice of rank 0..d."""
+    d = draw(st.integers(1, 3))
+    r = draw(st.integers(0, d))
+    coords = st.integers(-3, 3)
+    k = draw(st.integers(1, 10))
+    low = np.array(draw(st.lists(
+        st.lists(coords, min_size=r, max_size=r), min_size=k, max_size=k)))
+    embed = np.array(draw(st.lists(
+        st.lists(coords, min_size=r, max_size=r), min_size=d, max_size=d)))
+    shift = np.array(draw(st.lists(coords, min_size=d, max_size=d)))
+    return (low.reshape(k, r) @ embed.reshape(d, r).T + shift).astype(float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_points())
+def test_extreme_points_agree_with_the_lp(pts):
+    uniq = np.unique(pts, axis=0)
+    want = {
+        tuple(p) for i, p in enumerate(uniq)
+        if hull_membership_gap(np.delete(uniq, i, axis=0), p) > 1e-9
+    }
+    got = extreme_points(pts)
+    assert len(got) == len(want)
+    assert set(map(tuple, got)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(2, 3),
+    st.lists(st.integers(-12, 0), min_size=3, max_size=3),
+)
+def test_thin_rotated_sets_never_raise(seed, d, exponents):
+    rng = np.random.default_rng(seed)
+    spreads = 10.0 ** np.array(exponents[:d], dtype=float)
+    rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    pts = rng.random((int(rng.integers(1, 12)), d)) * spreads @ rotation.T
+    pts = pts + rng.standard_normal(d)
+    ext = extreme_points(pts)
+    assert all((pts == row).all(axis=1).any() for row in ext)
+    flag, cert = is_simplex(pts)
+    assert cert["count"] == len(ext)
+    assert flag == (cert["count"] == cert["rank"] + 1)
+
+
 def test_hull_distance_and_membership_gap():
     assert hull_distance(SQUARE.vertices, np.array([0.25, -0.5])) <= 1e-9
     assert hull_distance(SQUARE.vertices, np.array([2.0, 0.0])) == pytest.approx(1.0, abs=1e-6)
