@@ -20,6 +20,7 @@ from .linalg import (
     compressed_ampliation,
     herm_part,
     op_norm,
+    pencil_stack,
     random_hermitian,
     random_isometry,
     skew_part,
@@ -209,10 +210,8 @@ def criterion_5() -> CriterionResult:
     for _ in range(200):
         n = int(rng.integers(2, 4))
         mats = (random_hermitian(n, rng), random_hermitian(n, rng))
-        factor = 0.0
-        for c, h in zip(normals, offsets):
-            top = float(np.linalg.eigvalsh(c[0] * mats[0] + c[1] * mats[1])[-1])
-            factor = max(factor, top / h)
+        tops = np.linalg.eigvalsh(pencil_stack(mats, normals))[:, -1]
+        factor = max(0.0, float(np.max(tops / offsets)))
         scale = rng.uniform(0.1, 0.999) / max(factor, 1e-9)
         pair = OperatorTuple((scale * mats[0], scale * mats[1]), hermitian=True)
         if kmax_member(TRIANGLE, pair, tol).status is not MembershipStatus.IN:

@@ -5,9 +5,9 @@ envelope (command, status, margins and certificates when present, the
 tolerance options the command read, wall time) to stdout, and exits 0
 on success, 64 on a usage error, 65 on malformed or invalid input data,
 and 70 when a solver gave up and ``--strict`` was set.  ``batch`` runs
-a list of inline job documents, concurrently up to the MCONVEX_THREADS
-cap; reports come back in input order, so a rerun reproduces them byte
-for byte apart from wall times; an unknown option key is a usage error.
+a list of inline job documents one after another and reports them in
+input order, so a rerun reproduces them byte for byte apart from wall
+times; an unknown option key is a usage error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -505,15 +504,7 @@ def _run_batch(args: argparse.Namespace) -> tuple[dict, int]:
             }, EX_DATAERR
 
     t0 = time.perf_counter()
-    cap = os.environ.get("MCONVEX_THREADS")
-    workers = max(1, int(cap)) if cap else min(4, os.cpu_count() or 1)
-    if workers == 1 or len(jobs) == 1:
-        outcomes = [guarded(j) for j in jobs]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(guarded, jobs))
+    outcomes = [guarded(j) for j in jobs]
     report = {
         "command": "batch",
         "status": "ok" if all(c == EX_OK for _, c in outcomes) else "Error",

@@ -18,8 +18,8 @@ import numpy as np
 import scipy.optimize
 from scipy.spatial import ConvexHull
 
-from .errors import DimensionMismatch, NoInteriorZero
-from .linalg import OperatorTuple, herm_eig
+from .errors import DimensionMismatch, NoInteriorZero, NonHermitianInput
+from .linalg import OperatorTuple, herm_part, is_hermitian, pencil_stack
 
 #: default slack used when classifying a point as extreme
 EXTREME_TOL = 1e-9
@@ -135,9 +135,10 @@ def support_value(t: OperatorTuple, c: Sequence[float]) -> float:
     c = np.asarray(c, dtype=float)
     if c.shape != (t.d,):
         raise DimensionMismatch("direction length must match tuple length")
-    acc = sum(cj * m for cj, m in zip(c, t.mats))
-    vals, _ = herm_eig(acc)
-    return float(vals[-1])
+    acc = pencil_stack(t.mats, c[None, :])
+    if not is_hermitian(acc):
+        raise NonHermitianInput("the combination sum_j c_j a_j is not Hermitian")
+    return float(np.linalg.eigvalsh(herm_part(acc))[0, -1])
 
 
 def scale_body(body: ConvexBody, factor: float, center=None) -> ConvexBody:
@@ -169,7 +170,7 @@ def hull_distance(points: np.ndarray, p: np.ndarray) -> float:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     p = np.asarray(p, dtype=float)
-    scale = max(1.0, float(np.abs(pts).max()), float(np.abs(p).max()))
+    scale = max(float(np.abs(pts).max()), float(np.abs(p).max())) or 1.0
     s = 1e4 * scale
     a = np.vstack([pts.T, s * np.ones((1, pts.shape[0]))])
     b = np.concatenate([p, [s]])
@@ -229,10 +230,14 @@ def clip_by_halfplanes(
 def jnr_sandwich(t: OperatorTuple, m: int = 64) -> PolygonSandwich:
     """Polygonal inner/outer approximation of a planar joint numerical range.
 
-    For a Hermitian pair, ``m`` support directions give supporting
-    half-planes (outer polygon) and top-eigenvector expectation points
-    (inner polygon).  The Hausdorff gap between the two bounds the
-    approximation error of either polygon against the true range.
+    For a Hermitian pair, one ``eigh`` over the ``pencil_stack`` of ``m``
+    unit directions gives support values ``h_k`` (the supporting lines)
+    and top eigenvectors, whose expectation points span the inner
+    polygon.  Every line touches the range and adjacent normals are less
+    than pi apart, so the outer polygon is spanned by the points where
+    consecutive lines meet; points within ``1e-12 max |h_k|`` of a lower
+    dimensional span count as flat.  The Hausdorff gap between the two
+    bounds the approximation error of either against the true range.
     """
     if t.d != 2:
         raise DimensionMismatch("sandwich approximation needs a pair (d = 2)")
@@ -242,23 +247,17 @@ def jnr_sandwich(t: OperatorTuple, m: int = 64) -> PolygonSandwich:
         raise DimensionMismatch("need at least 8 directions")
     thetas = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     normals = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    offsets = np.empty(m)
-    inner_pts = np.empty((m, 2))
-    for i, (cth, sth) in enumerate(normals):
-        h = cth * t.mats[0] + sth * t.mats[1]
-        vals, vecs = herm_eig(h)
-        offsets[i] = vals[-1]
-        psi = vecs[:, -1]
-        inner_pts[i, 0] = float(np.real(psi.conj() @ t.mats[0] @ psi))
-        inner_pts[i, 1] = float(np.real(psi.conj() @ t.mats[1] @ psi))
-    radius = float(np.abs(offsets).max() + 1.0)
-    outer_poly = clip_by_halfplanes(normals, offsets, radius)
+    vals, vecs = np.linalg.eigh(pencil_stack(t.mats, normals))
+    h, psi = vals[:, -1], vecs[:, :, -1]
+    inner_pts = np.einsum("ki,jil,kl->kj", psi.conj(), np.stack(t.mats), psi).real
+    c, s = normals.T
+    c1, s1, h1 = np.roll(c, -1), np.roll(s, -1), np.roll(h, -1)
+    # where the supporting lines of directions k and k + 1 meet
+    corners = np.column_stack([h * s1 - h1 * s, c * h1 - c1 * h])
+    corners /= np.sin(2.0 * np.pi / m)
+    outer_poly = extreme_points(corners, tol=1e-12 * float(np.abs(h).max()))
     inner_poly = extreme_points(inner_pts, tol=0.0)
-    bound = 0.0
-    if outer_poly.shape[0]:
-        bound = max(
-            hull_distance(inner_poly, q) for q in outer_poly
-        )
+    bound = max(hull_distance(inner_poly, q) for q in outer_poly)
     return PolygonSandwich(Polytope(inner_poly), Polytope(outer_poly), float(bound))
 
 
@@ -269,7 +268,7 @@ def _affine_span(v: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, ...]:
     the basis is the identity, so that a full-dimensional hull stays in
     its own coordinates and axis-aligned facets come out exact."""
     center = v.mean(axis=0)
-    _, s, vt = np.linalg.svd(v - center)
+    _, s, vt = np.linalg.svd(v - center, full_matrices=v.shape[0] < v.shape[1])
     rank = int(np.sum(s > max(tol, EXTREME_TOL * s[0])))
     span = np.eye(v.shape[1]) if rank == v.shape[1] else vt[:rank]
     return center, span, vt[rank:]

@@ -61,33 +61,19 @@ def is_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> bool:
     return float(np.abs(m - _adjoint(m)).max(initial=0.0)) <= rtol * scale
 
 
-def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+def pencil_stack(mats: Sequence[np.ndarray], dirs: np.ndarray) -> np.ndarray:
+    """The (k, n, n) stack of pencils ``sum_j dirs[r, j] mats[j]``, one per
+    row of the (k, d) array ``dirs``.
 
-    Parameters
-    ----------
-    h : array_like
-        Square matrix, Hermitian within relative tolerance ``1e-12``.
-
-    Returns
-    -------
-    (values, vectors)
-        Eigenvalues in ascending order and a unitary matrix of column
-        eigenvectors.  The input is symmetrized before factoring so the
-        reconstruction ``vectors @ diag(values) @ vectors*`` matches the
-        symmetrized input to machine precision.
-
-    Raises
-    ------
-    NonHermitianInput
-        If ``h`` deviates from its adjoint by more than the tolerance.
+    Each term is an outer product, added in coordinate order, so a pencil
+    repeats to the bit whatever rows share its stack; a broadcast
+    (k, 1, 1) product would allocate iterator buffers of twice the stack.
     """
-    a = as_matrix(h)
-    if not is_hermitian(a):
-        dev = float(np.abs(a - a.conj().T).max())
-        raise NonHermitianInput(f"matrix deviates from Hermitian by {dev:.3e}")
-    vals, vecs = np.linalg.eigh(herm_part(a))
-    return vals, vecs
+    n = mats[0].shape[0]
+    stack = dirs[:, :1] @ mats[0].reshape(1, -1)
+    for j in range(1, len(mats)):
+        stack += dirs[:, j:j + 1] @ mats[j].reshape(1, -1)
+    return stack.reshape(-1, n, n)
 
 
 def op_norm(m) -> float:
@@ -103,7 +89,9 @@ def numerical_radius(m, tol: float = 1e-8, grid: int = 64) -> float:
 
     With ``H(theta) = cos(theta) Re m - sin(theta) Im m``, the profile
     ``f(theta) = lambda_max(H(theta))`` is scanned at ``grid`` equispaced
-    angles, ``delta = 2 pi / grid`` apart.  Each local maximum
+    angles, ``delta = 2 pi / grid`` apart: ``pencil_stack`` builds the
+    ``H(theta)`` of each chunk of ``_SCAN_CHUNK`` angles, with one
+    ``eigvalsh`` per chunk.  Each local maximum
     ``theta_k`` of the scan is refined inside its bracket
     ``[theta_k - delta, theta_k + delta]`` by Newton steps on
     ``f'(theta) = 0``, from ``theta_k``.  One ``eigh`` of ``H(theta)``
@@ -137,8 +125,7 @@ def numerical_radius(m, tol: float = 1e-8, grid: int = 64) -> float:
             f"numerical radius needs a scan grid of at least 1 angle, got {grid}"
         )
     a = as_matrix(m)
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return 0.0
     re = herm_part(a)
     im = skew_part(a)
@@ -147,17 +134,12 @@ def numerical_radius(m, tol: float = 1e-8, grid: int = 64) -> float:
         return np.cos(theta) * re - np.sin(theta) * im
 
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    vals = np.empty(grid)
-    for start in range(0, grid, _SCAN_CHUNK):
-        chunk = thetas[start:start + _SCAN_CHUNK, None]
-        # h at every angle of the chunk, each term an outer product (equal
-        # to h(theta) to the bit); a broadcast (k, 1, 1) product would
-        # allocate iterator buffers of twice the stack
-        stack = np.cos(chunk) @ re.reshape(1, -1)
-        stack -= np.sin(chunk) @ im.reshape(1, -1)
-        vals[start:start + _SCAN_CHUNK] = np.linalg.eigvalsh(
-            stack.reshape(-1, n, n)
-        )[:, -1]
+    # h at every angle, equal to h(theta) to the bit
+    dirs = np.column_stack([np.cos(thetas), -np.sin(thetas)])
+    vals = np.concatenate([
+        np.linalg.eigvalsh(pencil_stack((re, im), dirs[k:k + _SCAN_CHUNK]))[:, -1]
+        for k in range(0, grid, _SCAN_CHUNK)
+    ])
     step = 2.0 * np.pi / grid
     best = float(vals.max())
     # |f'| below this is rounding: f' = u* H(theta + pi/2) u, and every

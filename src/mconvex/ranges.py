@@ -41,7 +41,6 @@ from .geometry import (
     halfplanes,
     point_gap,
     require_interior_zero,
-    scale_body,
 )
 from .linalg import (
     OperatorTuple,
@@ -49,6 +48,7 @@ from .linalg import (
     herm_part,
     numerical_radius,
     op_norm,
+    pencil_stack,
     simdiag_hermitian,
     skew_part,
 )
@@ -124,8 +124,8 @@ class ThetaEstimate:
     vertices and ``mats`` the rhs of ``a / lower`` there, ``c + (a /
     lower - c) / s`` for its center c and relaxed scale s, so it shows
     ``a / lower`` outside the relaxed body's minimal set.  It is None
-    when ``lower`` is the starting 1.0, came from an Unknown step or
-    was decided through a commuting tuple's joint spectrum.
+    when ``lower`` is the starting 1.0 (as for every commuting tuple) or
+    came from an Unknown step.
     """
 
     lower: float
@@ -153,7 +153,8 @@ def _support_gaps(
 ) -> tuple[float, dict]:
     """Worst violation of ``lambda_max(sum c_j a_j) <= h_K(c)`` and a trace:
     over a disc through the numerical radius, over any other body on its
-    facet list (``halfplanes``) with one ``eigvalsh`` over the pencils."""
+    facet list (``halfplanes``) with one ``eigvalsh`` over its
+    ``pencil_stack``."""
     if isinstance(body, Disc):
         m = (a.mats[0] - body.center[0] * np.eye(a.n)) + 1j * (
             a.mats[1] - body.center[1] * np.eye(a.n)
@@ -161,12 +162,7 @@ def _support_gaps(
         w = numerical_radius(m, tol=min(tol * 1e-2, 1e-9))
         return w - body.radius, {"radius": w}
     dirs, offsets = halfplanes(body)
-    # sum_j c_j a_j term by term in coordinate order, so that every gap
-    # repeats to the bit
-    pencils = dirs[:, 0, None, None] * a.mats[0]
-    for j in range(1, a.d):
-        pencils = pencils + dirs[:, j, None, None] * a.mats[j]
-    gaps = np.linalg.eigvalsh(herm_part(pencils))[:, -1] - offsets
+    gaps = np.linalg.eigvalsh(pencil_stack(a.mats, dirs))[:, -1] - offsets
     k = int(np.argmax(gaps))
     return float(gaps[k]), {"direction": dirs[k], "gaps": gaps}
 
@@ -440,10 +436,11 @@ def theta_min_alpha(
     witness onto its own rhs, and iterates, from where the last step
     stopped, only when neither check closes (``sdp._iterate``).  The
     separator of the step that set the lower end is kept as
-    ``lower_separator``.  Commuting tuples are decided through their
-    joint spectrum, with no SDP.  Values below 1 are reported as the
-    degenerate bracket [1, 1].  Pass a list as ``trace`` to collect the
-    (lower, upper) bracket after each step.
+    ``lower_separator``.  A commuting tuple gets [1, 1] before anything
+    is compiled: its joint numerical range is the hull of its joint
+    spectrum, so K^max and K^min agree at it.  Values below 1 are
+    reported as the degenerate bracket [1, 1].  Pass a list as
+    ``trace`` to collect the (lower, upper) bracket after each step.
     """
     pre = kmax_member(K, a, member_tol)
     if pre.status not in (MembershipStatus.IN, MembershipStatus.BOUNDARY):
@@ -453,22 +450,19 @@ def theta_min_alpha(
         )
     slack = require_interior_zero(K)
 
-    if _is_commuting(a):
-        def inside(alpha: float) -> tuple[bool, Separator | None]:
-            res = kmin_member(scale_body(K, alpha), a, member_tol)
-            in_ = res.status in (MembershipStatus.IN, MembershipStatus.BOUNDARY)
-            return in_, None
-    else:
-        verts, center, relax = _vertex_sets(K, member_tol, DISC_GRID)
-        solve = _kmin_solver(verts, center, a, member_tol, MAX_ITER)
-
-        def inside(alpha: float) -> tuple[bool, Separator | None]:
-            verdict = solve(relax, alpha)
-            return verdict.status is Status.FEASIBLE, verdict.separator
-
     def record(lo: float, hi: float) -> None:
         if trace is not None:
             trace.append((lo, hi))
+
+    if _is_commuting(a):
+        record(1.0, 1.0)
+        return ThetaEstimate(1.0, 1.0, a)
+    verts, center, relax = _vertex_sets(K, member_tol, DISC_GRID)
+    solve = _kmin_solver(verts, center, a, member_tol, MAX_ITER)
+
+    def inside(alpha: float) -> tuple[bool, Separator | None]:
+        verdict = solve(relax, alpha)
+        return verdict.status is Status.FEASIBLE, verdict.separator
 
     if inside(1.0)[0]:
         record(1.0, 1.0)

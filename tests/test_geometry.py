@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mconvex._jsonio import decode_body
-from mconvex.errors import DimensionMismatch, NoInteriorZero
+from mconvex.errors import DimensionMismatch, NoInteriorZero, NonHermitianInput
 from mconvex.geometry import (
     Box,
     Disc,
@@ -82,11 +82,26 @@ def test_extreme_points_keep_a_corner_just_past_its_neighbour():
 
 def test_jnr_sandwich_does_not_depend_on_scale():
     ratios = []
-    for s in (1.0, 1e-6):
+    for s in (1.0, 1e-6, 1e-10, 1e-12):
         sw = jnr_sandwich(OperatorTuple((s * X, s * Z), hermitian=True), m=64)
         assert sw.inner.vertices.shape == (64, 2)
+        assert sw.outer.vertices.shape == (64, 2)
         ratios.append(sw.hausdorff_bound / s)
-    assert ratios[1] == pytest.approx(ratios[0], rel=1e-6)
+    assert ratios[1:] == pytest.approx([ratios[0]] * 3, rel=1e-6)
+
+
+def test_jnr_sandwich_of_a_scalar_pair_is_one_point():
+    eye = np.eye(3)
+    sw = jnr_sandwich(OperatorTuple((eye, 0.5 * eye), hermitian=True), m=64)
+    assert sw.inner.vertices.shape == (1, 2)
+    assert sw.outer.vertices.shape == (1, 2)
+    np.testing.assert_allclose(sw.outer.vertices[0], [1.0, 0.5], atol=1e-15)
+
+
+def test_support_value_rejects_a_non_hermitian_combination():
+    t = OperatorTuple((X, np.array([[0.0, 1.0], [0.0, 0.0]])))
+    with pytest.raises(NonHermitianInput):
+        support_value(t, [1.0, 1.0])
 
 
 @st.composite

@@ -11,6 +11,7 @@ from mconvex.linalg import (
     herm_part,
     numerical_radius,
     op_norm,
+    pencil_stack,
     random_hermitian,
     random_isometry,
     simdiag_hermitian,
@@ -29,6 +30,26 @@ def test_herm_skew_decomposition():
     np.testing.assert_allclose(h, h.conj().T)
     np.testing.assert_allclose(s, s.conj().T)
     np.testing.assert_allclose(h + 1j * s, m)
+
+
+def test_pencil_stack_is_the_term_by_term_sum():
+    rng = np.random.default_rng(3)
+    mats = [random_hermitian(4, rng) for _ in range(3)]
+    dirs = rng.standard_normal((10, 3))
+    want = dirs[:, 0, None, None] * mats[0]
+    for j in (1, 2):
+        want = want + dirs[:, j, None, None] * mats[j]
+    assert np.array_equal(pencil_stack(mats, dirs), want)
+
+
+def test_pencil_stack_repeats_the_numerical_radius_scan():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    re, im = herm_part(m), skew_part(m)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    dirs = np.column_stack([np.cos(thetas), -np.sin(thetas)])
+    want = np.stack([np.cos(t) * re - np.sin(t) * im for t in thetas])
+    assert np.array_equal(pencil_stack((re, im), dirs), want)
 
 
 def test_numerical_radius_nilpotent():

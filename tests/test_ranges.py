@@ -448,6 +448,26 @@ class TestThetaCompiledOnce:
         assert (est.lower, est.upper) == (1.0, 1.0)
         assert counts == {"compile": 0, "solve": 0}
 
+    def test_commuting_tuple_in_the_boundary_band_is_one_at_once(
+        self, monkeypatch
+    ):
+        # 5e-7 past the square's edge x = 1: in kmax_member's Boundary band
+        a = OperatorTuple(
+            (np.diag([1.0 + 5e-7, 0.3]), np.diag([0.2, -1.0])), hermitian=True
+        )
+        assert kmax_member(SQUARE, a).status is MembershipStatus.BOUNDARY
+        counts = _count_compiles_and_solves(monkeypatch)
+
+        def no_joint_spectrum(*args, **kwargs):
+            raise AssertionError("theta needs no joint spectrum")
+
+        monkeypatch.setattr(ranges, "simdiag_hermitian", no_joint_spectrum)
+        trace = []
+        est = theta_min_alpha(SQUARE, a, trace=trace)
+        assert (est.lower, est.upper) == (1.0, 1.0)
+        assert trace == [(1.0, 1.0)]
+        assert counts == {"compile": 0, "solve": 0}
+
     def test_logs_one_debug_line_per_solve(self, caplog):
         trace = []
         with caplog.at_level(logging.DEBUG, logger="mconvex"):
