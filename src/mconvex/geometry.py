@@ -5,8 +5,10 @@ boxes, planar discs, and support-sampled bodies (direction/value pairs).
 Every hull question goes to Qhull (``scipy.spatial.ConvexHull``), run
 inside the affine span of the points: a polytope's facet list in any
 dimension, the extreme points of a point list, simplex detection and
-the drawn polygons of a range sandwich.  ``hull_membership_gap`` is the
-one linear program, a reference that shares no code with Qhull.
+the drawn polygons of a range sandwich.  A sampled body's vertices come
+from Qhull's halfspace intersection, in any dimension.
+``hull_membership_gap`` is a linear program kept as a reference that
+shares no code with Qhull.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from typing import Sequence, Union
 
 import numpy as np
 import scipy.optimize
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from .errors import DimensionMismatch, NoInteriorZero, NonHermitianInput
+from .errors import BadProblem, DimensionMismatch, NoInteriorZero, NonHermitianInput
 from .linalg import OperatorTuple, herm_part, is_hermitian, pencil_stack
 
 #: default slack used when classifying a point as extreme
@@ -195,36 +197,35 @@ def hull_distance(points: np.ndarray, p: np.ndarray) -> float:
     return float(np.linalg.norm(x - p))
 
 
-def clip_by_halfplanes(
-    normals: np.ndarray, offsets: np.ndarray, radius: float
-) -> np.ndarray:
-    """Intersect ``{x : <n_i, x> <= o_i}`` starting from a big square.
-
-    Sutherland-Hodgman clipping; ``radius`` sizes the starting square and
-    must dominate the result.  Returns polygon vertices (possibly a thin
-    sliver or a single point after rounding).
-    """
-    poly = np.array(
-        [[-radius, -radius], [radius, -radius], [radius, radius], [-radius, radius]],
-        dtype=float,
+def clip_by_halfplanes(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The vertices of ``{x : normals @ x <= offsets}``, in any dimension:
+    Qhull's halfspace intersection (through the polar dual hull) about
+    the Chebyshev centre, found by one linear program on the offsets over
+    their largest size, then ``extreme_points``; in d = 1 the interval is
+    its own Chebyshev ball.  Raises ``BadProblem`` when the set is
+    unbounded (0 not strictly inside the hull of the normals), empty or
+    flat (a Chebyshev radius of at most ``EXTREME_TOL``)."""
+    normals = np.atleast_2d(np.asarray(normals, dtype=float))
+    offsets = np.asarray(offsets, dtype=float)
+    d = normals.shape[1]
+    if point_gap(Polytope(normals), np.zeros(d)) > -EXTREME_TOL:
+        raise BadProblem("unbounded: 0 is not inside the hull of the normals")
+    scale = float(np.abs(offsets).max()) or 1.0
+    b = offsets / scale
+    # Chebyshev centre: maximize r subject to n_i . x + |n_i| r <= b_i
+    res = scipy.optimize.linprog(
+        np.r_[np.zeros(d), -1.0],
+        A_ub=np.column_stack([normals, np.linalg.norm(normals, axis=1)]),
+        b_ub=b, bounds=[(None, None)] * d + [(0, None)], method="highs",
     )
-    for nrm, off in zip(normals, offsets):
-        if poly.shape[0] == 0:
-            break
-        keep: list[np.ndarray] = []
-        vals = poly @ nrm - off
-        m = poly.shape[0]
-        for i in range(m):
-            j = (i + 1) % m
-            pi, pj = poly[i], poly[j]
-            vi, vj = vals[i], vals[j]
-            if vi <= 1e-12:
-                keep.append(pi)
-            if (vi < -1e-12 and vj > 1e-12) or (vi > 1e-12 and vj < -1e-12):
-                s = vi / (vi - vj)
-                keep.append(pi + s * (pj - pi))
-        poly = np.array(keep) if keep else np.zeros((0, 2))
-    return extreme_points(poly, tol=0.0)
+    if res.status != 0 or res.x[-1] <= EXTREME_TOL:
+        raise BadProblem("the halfspaces bound an empty or flat set")
+    centre, r = res.x[:-1], res.x[-1]
+    if d == 1:
+        return scale * np.array([centre - r, centre + r])
+    halfspaces = np.column_stack([normals, -b])
+    pts = HalfspaceIntersection(halfspaces, centre).intersections
+    return extreme_points(scale * pts, tol=0.0)
 
 
 def jnr_sandwich(t: OperatorTuple, m: int = 64) -> PolygonSandwich:

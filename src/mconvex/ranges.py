@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    BadProblem,
     DimensionMismatch,
     NoInteriorZero,
     NonHermitianInput,
@@ -44,6 +43,7 @@ from .geometry import (
 )
 from .linalg import (
     OperatorTuple,
+    as_matrix,
     commutant_dimension,
     herm_part,
     numerical_radius,
@@ -115,7 +115,7 @@ class ThetaEstimate:
 
     ``witness_point`` is ``a`` rescaled by ``1/upper``.  It is certified
     in the minimal set of K's relaxed body (the circumscribed polygon of
-    a disc, the vertices scaled by ``1 + 10 member_tol`` otherwise), just
+    a disc, the vertices scaled by ``1 + 10 MEMBER_TOL`` otherwise), just
     as a Boundary answer of ``kmin_member`` is.
 
     ``lower_separator`` is the certificate behind ``lower``: the
@@ -242,7 +242,7 @@ def _decomposition(verdict, vertices: np.ndarray) -> MembershipResult:
     """The In answer of a feasible decomposition SDP: the blocks ``h_j``,
     with their smallest eigenvalue (one batched call) as the margin."""
     h = verdict.blocks
-    slack = float(np.linalg.eigvalsh(herm_part(np.stack(h)))[:, 0].min())
+    slack = float(np.linalg.eigvalsh(np.stack(h))[:, 0].min())
     return MembershipResult(
         MembershipStatus.IN, max(slack, 0.0), {"h": h, "vertices": vertices}
     )
@@ -258,11 +258,9 @@ def _is_commuting(a: OperatorTuple) -> bool:
 
 
 def _singleton_point(K: ConvexBody) -> np.ndarray | None:
-    if isinstance(K, Polytope):
-        uniq = np.unique(np.round(K.vertices, 12), axis=0)
-        if uniq.shape[0] == 1:
-            return uniq[0]
-    if isinstance(K, Box) and np.allclose(K.lo, K.hi, rtol=0.0, atol=0.0):
+    if isinstance(K, Polytope) and (K.vertices == K.vertices[0]).all():
+        return K.vertices[0].copy()
+    if isinstance(K, Box) and (K.lo == K.hi).all():
         return K.lo.copy()
     if isinstance(K, Disc) and K.radius == 0.0:
         return K.center.copy()
@@ -277,10 +275,11 @@ def _vertex_sets(
     A disc gives its inscribed ``m_grid``-gon, whose dilation by
     ``1 / cos(pi / m_grid)`` is the circumscribed one.  A polytope gives
     its vertices about their mean, a box its corners about its middle,
-    and a planar sampled body the polygon its facet list (``halfplanes``)
-    clips to, about that polygon's vertex mean; each with the relaxed
-    scale ``1 + 10 tol``.  An Out answer rests on the relaxed body being
-    infeasible, a Boundary answer on it being feasible.
+    and a sampled body, in any dimension, the vertices its facet list
+    (``halfplanes``) bounds about their mean (``clip_by_halfplanes``);
+    each with the relaxed scale ``1 + 10 tol``.  An Out answer rests on
+    the relaxed body being infeasible, a Boundary answer on it being
+    feasible.
     """
     if isinstance(K, Disc):
         angles = 2.0 * np.pi * np.arange(m_grid) / m_grid
@@ -291,15 +290,7 @@ def _vertex_sets(
     elif isinstance(K, Box):
         verts, center = box_vertices(K), 0.5 * (K.lo + K.hi)
     elif isinstance(K, Sampled):
-        if K.dim != 2:
-            raise DimensionMismatch(
-                "minimal-set membership for sampled bodies is planar only"
-            )
-        dirs, offsets = halfplanes(K)
-        radius = 4.0 * max(1.0, float(np.abs(offsets).max()))
-        verts = clip_by_halfplanes(dirs, offsets, radius)
-        if verts.shape[0] == 0:
-            raise BadProblem("sampled body clips to the empty set")
+        verts = clip_by_halfplanes(*halfplanes(K))
         center = verts.mean(axis=0)
     else:
         raise DimensionMismatch(f"unknown body type {type(K)!r}")
@@ -351,8 +342,9 @@ def kmin_member(
     ``c + (a - c) / s`` is in K^min, so each scale moves only the
     right-hand side.  Commuting tuples short-circuit through their joint
     spectrum (the decomposition exists exactly when every joint
-    eigenvalue point lies in K).  Sampled bodies (d = 2) are clipped to
-    the polygon they describe.
+    eigenvalue point lies in K).  Sampled bodies, in any dimension, run
+    it on the vertices of the polytope their facet list bounds (an
+    unbounded, empty or flat one raises ``BadProblem``).
 
     In answers carry the decomposition ``h_j`` as certificate; Out
     answers carry the verified separating functional over the nominal
@@ -418,7 +410,6 @@ def theta_min_alpha(
     K: ConvexBody,
     a: OperatorTuple,
     tol: float = 1e-2,
-    member_tol: float = MEMBER_TOL,
     trace: list | None = None,
 ) -> ThetaEstimate:
     """Bisection for the least ``alpha >= 1`` with ``a`` in (alpha K)^min.
@@ -442,7 +433,7 @@ def theta_min_alpha(
     reported as the degenerate bracket [1, 1].  Pass a list as
     ``trace`` to collect the (lower, upper) bracket after each step.
     """
-    pre = kmax_member(K, a, member_tol)
+    pre = kmax_member(K, a)
     if pre.status not in (MembershipStatus.IN, MembershipStatus.BOUNDARY):
         raise NotInKmax(
             f"tuple is not a maximal-set point of the body "
@@ -457,8 +448,8 @@ def theta_min_alpha(
     if _is_commuting(a):
         record(1.0, 1.0)
         return ThetaEstimate(1.0, 1.0, a)
-    verts, center, relax = _vertex_sets(K, member_tol, DISC_GRID)
-    solve = _kmin_solver(verts, center, a, member_tol, MAX_ITER)
+    verts, center, relax = _vertex_sets(K, MEMBER_TOL, DISC_GRID)
+    solve = _kmin_solver(verts, center, a, MEMBER_TOL, MAX_ITER)
 
     def inside(alpha: float) -> tuple[bool, Separator | None]:
         verdict = solve(relax, alpha)
@@ -570,7 +561,7 @@ def ucp_member(
     if isinstance(verdict, MembershipResult):
         return verdict
     if verdict.status is Status.FEASIBLE:
-        slack = float(np.linalg.eigvalsh(herm_part(verdict.witness))[0])
+        slack = float(np.linalg.eigvalsh(verdict.witness)[0])
         return MembershipResult(
             MembershipStatus.IN, max(slack, 0.0), {"choi": verdict.witness}
         )
@@ -689,9 +680,7 @@ def choi_li_transform(y, normalization: complex | None = None) -> np.ndarray:
     radius sqrt(2)); ``calibrate_choi_li`` measures and records the
     discrepancy rather than trusting either constant.
     """
-    a = np.asarray(y, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    a = as_matrix(y)
     if normalization is None:
         normalization = CL_CALIBRATED_CONSTANT
     n = a.shape[0]

@@ -391,12 +391,11 @@ class _Compiled:
             )
         return out
 
-    def min_eig(self, v: list[np.ndarray]) -> float:
-        worst = np.inf
-        for vg in v:
-            vals = np.linalg.eigvalsh(herm_part(vg))
-            worst = min(worst, float(vals[..., 0].min()))
-        return worst
+    def eig_bounds(self, v: list[np.ndarray]) -> tuple[float, float]:
+        """The least and the largest eigenvalue over the blocks of ``v``."""
+        vals = [np.linalg.eigvalsh(herm_part(vg)) for vg in v]
+        low = min(float(e[..., 0].min()) for e in vals)
+        return low, max(float(e[..., -1].max()) for e in vals)
 
     def residual(self, v: list[np.ndarray]) -> float:
         """The largest entry of ``|A(V)_r - B_r|`` over all constraints."""
@@ -418,13 +417,6 @@ class _Compiled:
             for (s, idxs) in self.groups
         ]
 
-    def max_eig_pencil(self, s_blocks: list[np.ndarray]) -> float:
-        worst = -np.inf
-        for sg in s_blocks:
-            vals = np.linalg.eigvalsh(herm_part(sg))
-            worst = max(worst, float(vals[..., -1].max()))
-        return worst
-
     def pencil_norm(self, s_blocks: list[np.ndarray]) -> float:
         return max(
             (float(np.abs(sg).max()) for sg in s_blocks if sg.size),
@@ -443,7 +435,7 @@ def _certificate_from_dual(
             continue
         y = y / nrm
         s_blocks = comp.pencil(y)
-        mx = comp.max_eig_pencil(s_blocks)
+        mx = comp.eig_bounds(s_blocks)[1]
         if mx > 0 and comp.identity_combo is not None:
             shift = mx + 1e-13 * max(1.0, comp.pencil_norm(s_blocks))
             y = y - shift * comp.identity_combo
@@ -452,7 +444,7 @@ def _certificate_from_dual(
                 continue
             y = y / nrm
             s_blocks = comp.pencil(y)
-            mx = comp.max_eig_pencil(s_blocks)
+            mx = comp.eig_bounds(s_blocks)[1]
         slack_cap = 1e-12 * max(1.0, comp.pencil_norm(s_blocks))
         if mx > slack_cap:
             continue
@@ -468,11 +460,8 @@ def _certificate_from_dual(
 
 def _witness_ok(comp: _Compiled, v: list[np.ndarray]) -> tuple[bool, float]:
     resid = comp.residual(v)
-    if resid > WITNESS_RESIDUAL:
-        return False, resid
-    if comp.min_eig(v) < WITNESS_MIN_EIG:
-        return False, resid
-    return True, resid
+    ok = resid <= WITNESS_RESIDUAL and comp.eig_bounds(v)[0] >= WITNESS_MIN_EIG
+    return ok, resid
 
 
 def _iterate(
@@ -543,12 +532,13 @@ def _douglas_rachford(
     tol: float,
     max_iter: int,
 ) -> tuple[Status, list[np.ndarray] | None, Separator | None, int, float]:
-    """Douglas-Rachford from the slot's iterate (zero when it is empty),
-    with witness checks every ``CHECK_EVERY`` iterations and
-    dual-certificate tries every ``CERT_EVERY``; a last certificate try
-    when the budget runs out.  Returns ``_iterate``'s answer and leaves
-    the iterate it stopped at in the slot; while it runs, it holds the
-    only copy."""
+    """Douglas-Rachford from the slot's iterate (zero when it is empty).
+    Every ``CHECK_EVERY`` iterations and at the last, ``_witness_ok``
+    checks the affine-exact iterate, then the cone-exact one; every
+    ``CERT_EVERY`` while their gap exceeds ``tol``, and at the last,
+    ``_certificate_from_dual`` prices the gap's least-squares dual.
+    Returns ``_iterate``'s answer and leaves the iterate it stopped at
+    in the slot; while it runs, it holds the only copy."""
     z, warm.z = (comp.zero() if warm.z is None else warm.z), None
     best_resid = np.inf
     last_gap: list[np.ndarray] | None = None
@@ -562,36 +552,23 @@ def _douglas_rachford(
             it += 1
 
             if it % CHECK_EVERY == 0 or it == max_iter:
-                # affine-exact candidate
-                if comp.min_eig(x) >= WITNESS_MIN_EIG:
-                    resid = comp.residual(x)
-                    if resid <= WITNESS_RESIDUAL:
-                        return Status.FEASIBLE, x, None, it, resid
-                # cone-exact candidate
-                resid_y = comp.residual(y)
-                if resid_y <= WITNESS_RESIDUAL and comp.min_eig(y) >= WITNESS_MIN_EIG:
-                    return Status.FEASIBLE, y, None, it, resid_y
-                best_resid = min(best_resid, resid_y)
+                # the affine-exact candidate, then the cone-exact one
+                for cand in (x, y):
+                    ok, resid = _witness_ok(comp, cand)
+                    if ok:
+                        return Status.FEASIBLE, cand, None, it, resid
+                best_resid = min(best_resid, resid)
                 last_gap = [xg - yg for xg, yg in zip(x, y)]
 
-            if it % CERT_EVERY == 0 and last_gap is not None:
-                gap_size = max(float(np.abs(g).max()) for g in last_gap)
-                if gap_size > tol:
-                    sep = _certificate_from_dual(
-                        comp, comp.lsq_dual(last_gap), tol
-                    )
-                    if sep is not None:
-                        return Status.INFEASIBLE, None, sep, it, best_resid
+            if last_gap is not None and (it == max_iter or (
+                it % CERT_EVERY == 0
+                and max(float(np.abs(g).max()) for g in last_gap) > tol
+            )):
+                sep = _certificate_from_dual(comp, comp.lsq_dual(last_gap), tol)
+                if sep is not None:
+                    return Status.INFEASIBLE, None, sep, it, best_resid
     finally:
         warm.z = z
-
-    # budget exhausted: one last certificate attempt
-    if last_gap is not None:
-        sep = _certificate_from_dual(
-            comp, comp.lsq_dual(last_gap), tol
-        )
-        if sep is not None:
-            return Status.INFEASIBLE, None, sep, it, best_resid
     return Status.UNKNOWN, None, None, it, best_resid
 
 
@@ -604,8 +581,9 @@ def solve_feasibility(
 
     Deterministic: each call compiles afresh, so it starts with an empty
     warm slot and no solve before it can change its answer; identical
-    problems give bit-identical statuses and witnesses matching to 1e-12.  ``Unknown`` only appears when the budget
-    runs out without either certificate closing.
+    problems give bit-identical statuses and witnesses matching to
+    1e-12.  ``Unknown`` only appears when the budget runs out without
+    either certificate closing.
     """
     return _compile(problem).solve(tol, max_iter)
 
@@ -616,7 +594,7 @@ def verify_witness(
     """Re-verify a witness: (min eigenvalue, preconditioned residual)."""
     comp = _compile(problem)
     v = comp.split(np.asarray(witness, dtype=complex))
-    return comp.min_eig(v), comp.residual(v)
+    return comp.eig_bounds(v)[0], comp.residual(v)
 
 
 def dual_witness(problem: SdpFeasibility, verdict: Verdict) -> dict:
@@ -637,7 +615,7 @@ def dual_witness(problem: SdpFeasibility, verdict: Verdict) -> dict:
     return {
         "margin": margin,
         "margin_gap": abs(margin - sep.margin),
-        "pencil_max_eig": comp.max_eig_pencil(s_blocks),
+        "pencil_max_eig": comp.eig_bounds(s_blocks)[1],
         "pencil": comp.blocks(s_blocks),
         "dual": sep.dual.copy(),
     }

@@ -205,10 +205,19 @@ def test_polytope_facets_triangle():
 
 def test_clip_by_halfplanes_square():
     normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    verts = clip_by_halfplanes(normals, np.ones(4), radius=10.0)
+    verts = clip_by_halfplanes(normals, np.ones(4))
     assert sorted(map(tuple, np.round(verts, 9).tolist())) == sorted(
         map(tuple, SQUARE.vertices.tolist())
     )
+    # the hexagon |x|, |y|, |x + y| <= s keeps its six corners at any scale
+    normals = np.vstack([normals, [[1.0, 1.0], [-1.0, -1.0]]])
+    unit = clip_by_halfplanes(normals, np.ones(6))
+    assert unit.shape == (6, 2)
+    for s in (1e-12, 1e-13):
+        verts = clip_by_halfplanes(normals, np.full(6, s))
+        assert verts.shape == (6, 2)
+        dist = np.abs(verts[:, None, :] - s * unit[None, :, :]).max(axis=2)
+        assert dist.min(axis=0).max() <= 1e-12 * s
 
 
 def test_scale_body_about_center():

@@ -9,6 +9,7 @@ import mconvex.geometry as geometry
 import mconvex.ranges as ranges
 import mconvex.sdp as sdp
 from mconvex.errors import (
+    BadProblem,
     DimensionMismatch,
     NonHermitianInput,
     NotInKmax,
@@ -20,6 +21,8 @@ from mconvex.geometry import (
     Polytope,
     Sampled,
     box_vertices,
+    clip_by_halfplanes,
+    extreme_points,
     halfplanes,
     hull_membership_gap,
     point_gap,
@@ -178,6 +181,19 @@ def test_polytope_agrees_with_its_halfplanes(poly, seed):
             assert (gap > 0) == (hull_membership_gap(poly.vertices, p) > 1e-9)
     for v in poly.vertices:
         assert point_gap(poly, v) <= 1e-12
+    # the facet list bounds the polytope itself, also at 1e-12 P; a flat
+    # polytope bounds no full-dimensional set
+    dirs, offsets = halfplanes(poly)
+    full = np.linalg.matrix_rank(poly.vertices - poly.vertices[0]) == poly.dim
+    for s in (1.0, 1e-12):
+        if not full:
+            with pytest.raises(BadProblem):
+                clip_by_halfplanes(dirs, s * offsets)
+            continue
+        got, want = clip_by_halfplanes(dirs, s * offsets), extreme_points(poly)
+        assert got.shape == want.shape
+        dist = np.abs(got[:, None, :] - s * want[None, :, :]).max(axis=2)
+        assert dist.min(axis=0).max() <= 1e-9 * s
 
 
 class TestKmin:
@@ -289,6 +305,55 @@ class TestKmin:
         body = Sampled(dirs, np.ones(4))
         res = kmin_member(body, pauli(1.0 / ROOT2))
         assert res.status is MembershipStatus.IN
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            box_vertices(Box(-np.ones(3), np.ones(3))),
+            np.vstack([np.eye(3), -np.eye(3)]),
+        ],
+        ids=["cube", "octahedron"],
+    )
+    def test_sampled_body_in_three_dimensions(self, vertices):
+        # the sampled body of a polytope's facet list decides as the polytope
+        poly = Polytope(vertices)
+        sampled = Sampled(*halfplanes(poly))
+        rng = np.random.default_rng(11)
+        statuses = set()
+        for scale in (0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7):
+            mats = tuple(random_hermitian(2, rng) for _ in range(3))
+            a = OperatorTuple(mats, hermitian=True)
+            a = a.scaled(scale / max(op_norm(m) for m in mats))
+            want, got = kmin_member(poly, a), kmin_member(sampled, a)
+            assert got.status is want.status
+            statuses.add(got.status)
+        assert statuses == {MembershipStatus.IN, MembershipStatus.OUT}
+
+    @pytest.mark.parametrize(
+        "dirs, values",
+        [
+            # the normals' hull misses 0, or has it on its boundary
+            ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.5]),
+            ([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0]),
+            # x <= -1 and -x <= -1
+            ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [-1, -1, 1, 1]),
+        ],
+        ids=["wedge", "strip", "empty"],
+    )
+    def test_sampled_body_without_vertices_raises(self, dirs, values):
+        # no vertex list describes an unbounded or an empty body
+        body = Sampled(np.array(dirs), np.array(values, dtype=float))
+        with pytest.raises(BadProblem):
+            kmin_member(body, pauli(0.1))
+
+    def test_tiny_triangle_is_not_a_point(self):
+        # a triangle of size 1e-13 holds its own centroid (1e-13, 1e-13)
+        tri = Polytope(1e-13 * np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]))
+        c = tri.vertices.mean(axis=0)
+        point = OperatorTuple(
+            tuple(np.array([[x]], complex) for x in c), hermitian=True
+        )
+        assert kmin_member(tri, point, tol=1e-15).status is MembershipStatus.IN
 
 
 class TestTheta:
