@@ -18,6 +18,7 @@ from .geometry import Box, Disc, Polytope, extreme_points, halfplanes, jnr_sandw
 from .linalg import (
     OperatorTuple,
     compressed_ampliation,
+    direct_sum,
     herm_part,
     op_norm,
     pencil_stack,
@@ -419,16 +420,7 @@ def criterion_11() -> CriterionResult:
         for _ in range(50):
             b1 = compressed_ampliation(x, int(rng.integers(1, 3)), rng)
             b2 = compressed_ampliation(x, int(rng.integers(1, 3)), rng)
-            mats = tuple(
-                np.block(
-                    [
-                        [m1, np.zeros((m1.shape[0], m2.shape[0]))],
-                        [np.zeros((m2.shape[0], m1.shape[0])), m2],
-                    ]
-                )
-                for m1, m2 in zip(b1.mats, b2.mats)
-            )
-            res = ucp_member(x, OperatorTuple(mats, b1.hermitian))
+            res = ucp_member(x, direct_sum(b1, b2))
             probes += 1
             if res.status is MembershipStatus.OUT:
                 violations += 1
@@ -437,11 +429,7 @@ def criterion_11() -> CriterionResult:
         for _ in range(50):
             b = compressed_ampliation(x, int(rng.integers(2, 4)), rng)
             k = int(rng.integers(1, b.n))
-            v = random_isometry(b.n, k, rng)
-            comp = OperatorTuple(
-                tuple(v.conj().T @ m @ v for m in b.mats), b.hermitian
-            )
-            res = ucp_member(x, comp)
+            res = ucp_member(x, b.conjugated(random_isometry(b.n, k, rng)))
             probes += 1
             if res.status is MembershipStatus.OUT:
                 violations += 1
@@ -529,7 +517,7 @@ def criterion_12() -> CriterionResult:
                 confusions += 1
                 continue
             if verdict.status is Status.FEASIBLE:
-                min_eig, residual = verify_witness(problem, verdict.witness)
+                min_eig, residual = verify_witness(problem, verdict)
                 if min_eig < -1e-8 or residual > 1e-6:
                     cert_failures += 1
             else:

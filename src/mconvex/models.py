@@ -158,11 +158,9 @@ def extreme_spectral_compression(t: NormalTuple) -> SpectralModel:
     for i, val in enumerate(t.column_values):
         if np.abs(targets - val).max(axis=1).min() <= 10 * POINT_DEDUP_TOL:
             sel.append(i)
-    v = t.unitary[:, sel]
-    mats = tuple(v.conj().T @ m @ v for m in t.base.mats)
     return SpectralModel(
         extreme_set=targets,
-        compressed=OperatorTuple(mats, t.base.hermitian),
+        compressed=t.base.conjugated(t.unitary[:, sel]),
         projector_rank=len(sel),
     )
 

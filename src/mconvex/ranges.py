@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NoInteriorZero,
     NonHermitianInput,
     NotInKmax,
     TupleMismatch,
@@ -116,7 +115,16 @@ class ThetaEstimate:
     ``witness_point`` is ``a`` rescaled by ``1/upper``.  It is certified
     in the minimal set of K's relaxed body (the circumscribed polygon of
     a disc, the vertices scaled by ``1 + 10 MEMBER_TOL`` otherwise), just
-    as a Boundary answer of ``kmin_member`` is.
+    as a Boundary answer of ``kmin_member`` is: by the Feasible step that
+    set ``upper``, or, when no step did, by the start's decomposition.
+
+    The bracket starts at ``upper = hi = max(2, 2 d max_l ||a_l|| / r)``
+    with r the inradius bound of ``require_interior_zero``, and no search:
+    ``b = a / hi`` has ``sum_l ||b_l|| <= r / 2``, so the positive
+    ``h_(+-l) = (||b_l|| I +- b_l) / 2r`` at the points ``+-r e_l`` of K,
+    with the slack ``(1 - sum_l ||b_l|| / r) I / 2`` on each of ``+-r e_1``,
+    sum to I and decompose ``b``.  So ``a / hi`` is in K^min, and in the
+    relaxed body's.
 
     ``lower_separator`` is the certificate behind ``lower``: the
     ``Separator`` of the Infeasible step that set it.  Its ``dual`` is
@@ -298,7 +306,7 @@ def _vertex_sets(
 
 
 def _relaxed(
-    verdict: Verdict | MembershipResult,
+    verdict: Verdict,
     boundary_margin: float,
     details: tuple[str, str],
 ) -> MembershipResult:
@@ -307,8 +315,7 @@ def _relaxed(
 
     Infeasible is Out, with that separator; Feasible is Boundary, since
     the point then lies in the relaxed set; anything else is Unknown.
-    ``details`` are the Out and Boundary details.  An answer returned in
-    place of a verdict (ucp's zero-coefficient Out) counts as undecided.
+    ``details`` are the Out and Boundary details.
     """
     if verdict.status is Status.INFEASIBLE:
         sep = verdict.separator
@@ -422,10 +429,13 @@ def theta_min_alpha(
     each step re-solves it, with only the right-hand side moved, for
     ``a / alpha`` in the relaxed body (the one a Boundary answer of
     ``kmin_member`` rests on): Feasible means inside, anything else
-    outside.  The steps share the compiled operator's warm slot, so a
-    step first re-prices the last separator and projects the last
-    witness onto its own rhs, and iterates, from where the last step
-    stopped, only when neither check closes (``sdp._iterate``).  The
+    outside.  The bracket starts at [1, hi] with no search: ``a / hi`` is
+    in K^min by the decomposition in ``ThetaEstimate``'s docstring, so a
+    query costs one solve at alpha = 1 and one per bisection step.  The
+    steps share the compiled operator's warm slot, so a step first
+    re-prices the last separator and projects the last witness onto its
+    own rhs, and iterates, from where the last step stopped, only when
+    neither check closes (``sdp._iterate``).  The
     separator of the step that set the lower end is kept as
     ``lower_separator``.  A commuting tuple gets [1, 1] before anything
     is compiled: its joint numerical range is the hull of its joint
@@ -460,16 +470,6 @@ def theta_min_alpha(
         return ThetaEstimate(1.0, 1.0, a)
     lo, lo_sep = 1.0, None
     hi = max(2.0, 2.0 * a.d * max(op_norm(m) for m in a.mats) / slack)
-    while True:
-        in_, sep = inside(hi)
-        if in_:
-            break
-        lo, lo_sep = hi, sep
-        hi *= 2.0
-        if hi > 1e9:
-            raise NoInteriorZero(
-                "no feasible scale below 1e9; the body is too thin at 0"
-            )
     record(lo, hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -489,7 +489,7 @@ def theta_min_alpha(
 
 def _choi_problem(
     x: OperatorTuple, a: OperatorTuple, tol: float, max_iter: int
-) -> Callable[[float], Verdict | MembershipResult]:
+) -> Callable[[float], Verdict]:
     """Compile, once, the program for a unital completely positive map x -> a.
 
     The variable is the Choi matrix ``C`` of a map ``M_m -> M_n`` (an
@@ -504,8 +504,9 @@ def _choi_problem(
     the point pulled toward the scalar tuple ``c_j = tr(x_j) / m`` (always
     a member).  The coefficients depend on x alone, so only the rhs of the
     image rows moves with f.  An image equation whose pattern vanishes is
-    a zero row; ``solve`` answers Out when its rhs at f has an entry
-    above 10 tol, and otherwise poses it as 0 = 0.
+    a zero row, the equation ``0 = rhs``: ``solve`` poses it as 0 = 0 when
+    every entry of its rhs at f is within 10 tol (ucp's band), and leaves
+    it otherwise to the SDP core, whose first check separates it.
     """
     m, n = x.n, a.n
     eye = np.eye(n)
@@ -520,17 +521,10 @@ def _choi_problem(
         m * n, tuple(map(AffineConstraint, patterns, at_a))
     ))
 
-    def solve(f: float) -> Verdict | MembershipResult:
+    def solve(f: float) -> Verdict:
         # at f = 1 this is the rhs at a to the last bit
         rhs = f * at_a + (1.0 - f) * at_c
-        off = np.abs(rhs[comp.zero_rows]).max(axis=(1, 2), initial=0.0)
-        off = off[off > 10.0 * tol]
-        if off.size:
-            return MembershipResult(
-                MembershipStatus.OUT, float(off[0]), None,
-                "image equation with zero coefficient",
-            )
-        rhs[comp.zero_rows] = 0.0
+        rhs[comp.zero_rows & (np.abs(rhs).max(axis=(1, 2)) <= 10.0 * tol)] = 0.0
         return comp.with_rhs(rhs).solve(min(tol, 1e-7), max_iter)
 
     return solve
@@ -552,19 +546,20 @@ def ucp_member(
     tuple ``tr(x_j)/m`` (always a member) by ``1 + 10 tol`` (feasible means
     In) and pulled toward it by ``1 - 10 tol`` (infeasible means Out,
     feasible Boundary).  The program is compiled once per query: these
-    solves move only the right-hand side of its image rows.
+    solves move only the right-hand side of its image rows.  An image
+    equation with zero coefficient (a Hermitian ``x_j`` with a
+    non-Hermitian ``a_j``) is the equation ``0 = rhs``: an rhs within
+    10 tol is posed as 0 = 0, and a larger one is Out, with the
+    separator of the SDP core, whose pencil vanishes on that row.
     """
     if x.d != a.d:
         raise TupleMismatch(f"tuple lengths differ: {x.d} vs {a.d}")
     solve = _choi_problem(x, a, tol, max_iter)
     verdict = solve(1.0)
-    if isinstance(verdict, MembershipResult):
-        return verdict
     if verdict.status is Status.FEASIBLE:
-        slack = float(np.linalg.eigvalsh(verdict.witness)[0])
-        return MembershipResult(
-            MembershipStatus.IN, max(slack, 0.0), {"choi": verdict.witness}
-        )
+        choi = verdict.blocks[0]
+        slack = float(np.linalg.eigvalsh(choi)[0])
+        return MembershipResult(MembershipStatus.IN, max(slack, 0.0), {"choi": choi})
     if verdict.status is Status.INFEASIBLE:
         return MembershipResult(
             MembershipStatus.OUT, verdict.separator.margin, verdict.separator
@@ -573,7 +568,7 @@ def ucp_member(
     verdict = solve(1.0 + eps)
     if verdict.status is Status.FEASIBLE:
         return MembershipResult(
-            MembershipStatus.IN, eps, {"choi": verdict.witness},
+            MembershipStatus.IN, eps, {"choi": verdict.blocks[0]},
             "resolved by outward bracketing",
         )
     return _relaxed(

@@ -6,7 +6,7 @@ nothing more general: no objectives, no second-order cones.  Verdicts are
 tri-state and every non-Unknown answer carries a certificate that can be
 re-verified from the problem data alone:
 
-* ``Feasible``  -> a witness matrix with min eigenvalue >= -1e-8 whose
+* ``Feasible``  -> witness blocks with min eigenvalue >= -1e-8 whose
   constraint residual is <= 1e-7,
 * ``Infeasible`` -> dual coefficients whose constraint pencil is negative
   semidefinite while pairing strictly positively with the right-hand side,
@@ -27,13 +27,11 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
-import functools
 import logging
 import math
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BadProblem, NoCertificate
 from .linalg import herm_part, is_hermitian
@@ -45,10 +43,10 @@ WITNESS_MIN_EIG = -1e-8
 WITNESS_RESIDUAL = 1e-7
 
 #: a constraint whose coefficient norm is at most ZERO_ROW_NORM is a zero
-#: row (rounding noise, e.g. a coefficient that cancels to ~1e-17); its
-#: rhs must be at most ZERO_ROW_RHS in size
+#: row (rounding noise, e.g. a coefficient that cancels to ~1e-17): the
+#: equation 0 = rhs, which is Infeasible once its rhs clears the margin
+#: 10 tol (``_iterate``, check 1)
 ZERO_ROW_NORM = 1e-14
-ZERO_ROW_RHS = 1e-12
 
 #: relative deviation from Hermitian allowed in coefficients and rhs
 HERM_RTOL = 1e-10
@@ -131,18 +129,13 @@ class Separator:
 @dataclasses.dataclass(frozen=True)
 class Verdict:
     """A solve's answer.  ``blocks`` are the diagonal blocks of a Feasible
-    witness in declared order; ``witness`` assembles them into one
-    block-diagonal matrix on first use."""
+    witness in declared order (``verify_witness`` re-checks them)."""
 
     status: Status
     blocks: list[np.ndarray] | None
     separator: Separator | None
     iterations: int
     residual: float
-
-    @functools.cached_property
-    def witness(self) -> np.ndarray | None:
-        return None if self.blocks is None else scipy.linalg.block_diag(*self.blocks)
 
 
 def _groups(sizes: Sequence[int]) -> list[tuple[int, list[int]]]:
@@ -229,7 +222,8 @@ class _Compiled:
     constraints).  ``coeff_groups[g]`` stacks the patterns ``P_r`` of size
     group ``g`` of ``_groups(block_sizes)`` as an ``(m, count, s/n, s/n)``
     tensor, each constraint scaled to unit Frobenius norm; a pattern of
-    norm at most ``ZERO_ROW_NORM`` is a zero row.  The Gram is the m x m
+    norm at most ``ZERO_ROW_NORM`` is a zero row, the equation ``0 = B_r``
+    (its ``B_r`` is kept, unscaled).  The Gram is the m x m
     pattern Gram (the Gram over a Hermitian basis of the n x n matrices
     is that Gram kron ``I_{n^2}``); its pseudo-inverse is folded into the
     patterns, so ``apply``, ``lsq_dual`` and ``pencil`` are one matrix
@@ -245,15 +239,15 @@ class _Compiled:
     def __init__(self, block_sizes, coeff_groups: list[np.ndarray], rhs):
         self.block_sizes = tuple(block_sizes)
         self.var_size = sum(self.block_sizes)
-        self.block_offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
         self.groups = _groups(self.block_sizes)
         rhs = np.asarray(rhs, dtype=complex)
         m = self.m = len(rhs)
         n = self.n = rhs.shape[-1] if rhs.ndim == 3 else 1
 
         # diagonal preconditioning: unit Frobenius norm per constraint; rows
-        # of rounding noise become zero rows (zero coefficient, zero rhs,
-        # zero dual) instead of unit-norm equations of noise
+        # of rounding noise become zero rows (zero coefficient, norm 1, no
+        # part in any least-squares fit) instead of unit-norm equations of
+        # noise; a nonzero rhs is left in b, the residue of check 1
         sq = sum(np.einsum("rcpq,rcpq->r", t.conj(), t).real for t in coeff_groups)
         norms = np.sqrt(np.maximum(sq, 1e-300))
         self.zero_rows = norms <= ZERO_ROW_NORM
@@ -302,15 +296,7 @@ class _Compiled:
             raise BadProblem(f"constraint {int(np.argmin(finite))} rhs is not finite")
         if not is_hermitian(rhs, HERM_RTOL):
             raise BadProblem("a right-hand side is not Hermitian")
-        rhs = herm_part(rhs)
-        bad = self.zero_rows & (np.abs(rhs).max(axis=(1, 2)) > ZERO_ROW_RHS)
-        if bad.any():
-            raise BadProblem(
-                f"constraint {int(np.argmax(bad))} has zero coeff, nonzero rhs"
-            )
-        self.b = np.where(
-            self.zero_rows[:, None, None], 0.0, rhs / self.norms[:, None, None]
-        )
+        self.b = herm_part(rhs) / self.norms[:, None, None]
         self.b_lsq = (self.gram_pinv @ self.b.reshape(m, n * n)).reshape(m, n, n)
 
     def with_rhs(self, rhs) -> _Compiled:
@@ -409,14 +395,6 @@ class _Compiled:
                 out[j] = vg[pos]
         return out
 
-    def split(self, w: np.ndarray) -> list[np.ndarray]:
-        """The diagonal blocks of an assembled matrix, as a group variable."""
-        offs = self.block_offsets
-        return [
-            np.stack([w[offs[j]:offs[j + 1], offs[j]:offs[j + 1]] for j in idxs])
-            for (s, idxs) in self.groups
-        ]
-
     def pencil_norm(self, s_blocks: list[np.ndarray]) -> float:
         return max(
             (float(np.abs(sg).max()) for sg in s_blocks if sg.size),
@@ -473,7 +451,11 @@ def _iterate(
     The checks run in this order, and the first that closes answers:
 
     1. the residue of the rhs against the range of the Gram, a separator
-       of an inconsistent affine system (0 iterations);
+       of an inconsistent affine system (0 iterations).  A zero row
+       ``0 = B_r`` is one: its part of the residue is ``B_r`` and of the
+       pencil exactly 0, so it is Infeasible once the margin clears
+       10 tol; a ``B_r`` within ``WITNESS_RESIDUAL`` is met by any
+       witness, and one in between closes neither way;
     2. the separator of the operator's last Infeasible answer, re-priced
        on this rhs by ``_certificate_from_dual`` (0 iterations);
     3. the operator's last Feasible witness, projected onto this affine
@@ -589,11 +571,18 @@ def solve_feasibility(
 
 
 def verify_witness(
-    problem: SdpFeasibility, witness: np.ndarray
+    problem: SdpFeasibility, verdict: Verdict
 ) -> tuple[float, float]:
-    """Re-verify a witness: (min eigenvalue, preconditioned residual)."""
+    """Re-verify the witness blocks of a Feasible verdict: (min eigenvalue,
+    preconditioned residual).  Raises ``NoCertificate`` unless the verdict
+    is Feasible."""
+    if verdict.status is not Status.FEASIBLE or verdict.blocks is None:
+        raise NoCertificate("verdict carries no witness")
     comp = _compile(problem)
-    v = comp.split(np.asarray(witness, dtype=complex))
+    blocks = verdict.blocks
+    if [np.shape(h) for h in blocks] != [(s, s) for s in comp.block_sizes]:
+        raise BadProblem("witness blocks do not match the declared block sizes")
+    v = [np.array([blocks[j] for j in idxs], dtype=complex) for _, idxs in comp.groups]
     return comp.eig_bounds(v)[0], comp.residual(v)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mconvex.errors import BadProblem
+from mconvex.errors import BadProblem, NoCertificate
 from mconvex.linalg import herm_part, random_hermitian
 from mconvex.sdp import (
     AffineConstraint,
@@ -29,7 +29,7 @@ def _trace_one(size: int, extra=()) -> SdpFeasibility:
 def test_feasible_trace_one():
     verdict = solve_feasibility(_trace_one(3))
     assert verdict.status is Status.FEASIBLE
-    min_eig, residual = verify_witness(_trace_one(3), verdict.witness)
+    min_eig, residual = verify_witness(_trace_one(3), verdict)
     assert min_eig >= -1e-9
     assert residual <= 1e-7
 
@@ -84,7 +84,7 @@ def test_planted_feasible_random_batch():
         problem = SdpFeasibility(size, tuple(cons))
         verdict = solve_feasibility(problem)
         assert verdict.status is Status.FEASIBLE
-        min_eig, residual = verify_witness(problem, verdict.witness)
+        min_eig, residual = verify_witness(problem, verdict)
         assert min_eig >= -1e-8
         assert residual <= 1e-6
 
@@ -112,9 +112,9 @@ def test_block_structure_solves_blockwise():
     )
     verdict = solve_feasibility(problem)
     assert verdict.status is Status.FEASIBLE
-    w = verdict.witness
-    assert np.abs(w[:2, 2:]).max() <= 1e-12
-    assert np.trace(w[:2, :2]).real == pytest.approx(1.0, abs=1e-6)
+    assert [h.shape for h in verdict.blocks] == [(2, 2), (2, 2)]
+    assert np.trace(verdict.blocks[0]).real == pytest.approx(1.0, abs=1e-6)
+    assert np.trace(verdict.blocks[1]).real == pytest.approx(0.5, abs=1e-6)
 
 
 def test_infeasible_blocks_give_a_blockwise_pencil():
@@ -142,10 +142,10 @@ def test_infeasible_blocks_give_a_blockwise_pencil():
 def _assert_certified(problem: SdpFeasibility):
     verdict = solve_feasibility(problem)
     assert verdict.status is Status.FEASIBLE
-    min_eig, residual = verify_witness(problem, verdict.witness)
+    min_eig, residual = verify_witness(problem, verdict)
     assert min_eig >= WITNESS_MIN_EIG
     assert residual <= WITNESS_RESIDUAL
-    return verdict.witness
+    return verdict.blocks
 
 
 def _two_faces(n: int) -> None:
@@ -166,8 +166,8 @@ def _two_faces(n: int) -> None:
         tuple(AffineConstraint(c, r if n == 1 else r * np.eye(n)) for c, r in rows),
         block_sizes=(3 * n, 2 * n),
     )
-    witness = _assert_certified(problem)
-    assert np.abs(np.diag(witness)[2 * n:4 * n]).max() <= 1e-12
+    diag = np.concatenate([np.diag(h) for h in _assert_certified(problem)])
+    assert np.abs(diag[2 * n:4 * n]).max() <= 1e-12
 
 
 def test_solve_decides_blocks_feasible_only_on_faces():
@@ -187,7 +187,7 @@ def test_trace_normalization_field():
     )
     verdict = solve_feasibility(problem)
     assert verdict.status is Status.FEASIBLE
-    assert np.trace(verdict.witness).real == pytest.approx(1.0, abs=1e-6)
+    assert np.trace(verdict.blocks[0]).real == pytest.approx(1.0, abs=1e-6)
 
 
 def test_solve_decides_a_slice_that_is_one_rank_one_point():
@@ -197,7 +197,7 @@ def test_solve_decides_a_slice_that_is_one_rank_one_point():
     problem = SdpFeasibility(
         2, (AffineConstraint(np.eye(2) - uu, 0.0), AffineConstraint(np.eye(2), 1.0))
     )
-    witness = _assert_certified(problem)
+    (witness,) = _assert_certified(problem)
     assert np.abs(witness - uu).max() <= 1e-6
 
 
@@ -213,6 +213,37 @@ def test_zero_rows_carry_a_zero_dual():
     assert verdict.status is Status.INFEASIBLE
     assert verdict.separator.dual[0] == 0.0
     assert dual_witness(problem, verdict)["margin_gap"] <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_zero_row_with_a_nonzero_rhs_is_separated(n):
+    # 0 = 1e-3 beside tr V = 1: the residue of check 1 separates it at
+    # 0 iterations, with its whole margin on the zero row and a zero pencil
+    eye = np.eye(n)
+    problem = SdpFeasibility(
+        2 * n,
+        (AffineConstraint(np.zeros((2, 2)), 1e-3 * eye),
+         AffineConstraint(np.eye(2), eye)),
+    )
+    verdict = solve_feasibility(problem)
+    assert verdict.status is Status.INFEASIBLE and verdict.iterations == 0
+    assert verdict.separator.margin == pytest.approx(1e-3 * np.sqrt(n), rel=1e-9)
+    assert np.abs(verdict.separator.dual[1]).max() <= 1e-12
+    cert = dual_witness(problem, verdict)
+    assert cert["margin_gap"] <= 1e-12
+    assert cert["pencil_max_eig"] <= 1e-12
+
+
+def test_verify_witness_needs_feasible_blocks():
+    problem = _trace_one(2)
+    verdict = solve_feasibility(problem)
+    infeasible = solve_feasibility(
+        SdpFeasibility(2, (AffineConstraint(np.eye(2), -1.0),))
+    )
+    with pytest.raises(NoCertificate):
+        verify_witness(problem, infeasible)
+    with pytest.raises(BadProblem):
+        verify_witness(_trace_one(3), verdict)
 
 
 def _planted(rng, size: int, count: int):
@@ -320,10 +351,12 @@ def test_with_rhs_checks_the_new_rhs():
         comp.with_rhs([0.0, np.nan])
     with pytest.raises(BadProblem):
         comp.with_rhs([0.0, np.inf])
-    with pytest.raises(BadProblem):
-        comp.with_rhs([1e-3, 1.0])
-    with pytest.raises(BadProblem):
-        _compile(SdpFeasibility(2, (AffineConstraint(np.zeros((2, 2)), 1e-3),)))
+    # a zero row with a nonzero rhs is the equation 0 = 1e-3, and 0 = 1e-9
+    # is met within the witness residual
+    assert comp.with_rhs([1e-3, 1.0]).solve(1e-7, 50000).status is Status.INFEASIBLE
+    alone = _compile(SdpFeasibility(2, (AffineConstraint(np.zeros((2, 2)), 1e-3),)))
+    assert alone.solve(1e-7, 50000).status is Status.INFEASIBLE
+    assert comp.with_rhs([1e-9, 1.0]).solve(1e-7, 50000).status is Status.FEASIBLE
     assert comp.with_rhs([0.0, 2.0]).solve(1e-7, 50000).status is Status.FEASIBLE
 
 
