@@ -102,22 +102,6 @@ def decode_body(doc) -> ConvexBody:
     raise SchemaError(f"unknown body type {kind!r}")
 
 
-def encode_body(body: ConvexBody) -> dict:
-    if isinstance(body, Polytope):
-        return {"type": "polytope", "vertices": body.vertices.tolist()}
-    if isinstance(body, Box):
-        return {"type": "box", "lo": body.lo.tolist(), "hi": body.hi.tolist()}
-    if isinstance(body, Disc):
-        return {"type": "disc", "center": body.center.tolist(), "radius": body.radius}
-    if isinstance(body, Sampled):
-        return {
-            "type": "sampled",
-            "directions": body.directions.tolist(),
-            "support_values": body.support_values.tolist(),
-        }
-    raise SchemaError(f"unknown body type {type(body)!r}")
-
-
 def decode_diagonal(doc) -> DiagonalTuple:
     if not isinstance(doc, dict) or "d" not in doc:
         raise SchemaError('diagonal document needs a "d" field')
@@ -180,8 +164,6 @@ def to_jsonable(obj):
         return encode_tuple(obj)
     if isinstance(obj, DiagonalTuple):
         return encode_diagonal(obj)
-    if isinstance(obj, (Polytope, Box, Disc, Sampled)):
-        return encode_body(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: to_jsonable(getattr(obj, f.name))

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,6 +99,11 @@ def _need(job: JobSpec, key: str):
     return job.inputs[key]
 
 
+def _unknown_kind(job: JobSpec, kind) -> UsageError:
+    kinds = " | ".join(_COMMANDS[job.command].kinds)
+    return UsageError(f"unknown {job.command} kind {kind!r} ({kinds})")
+
+
 def _points_array(doc) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(doc, dtype=float))
     if pts.size == 0:
@@ -121,8 +127,7 @@ def _run_jnr(job: JobSpec) -> dict:
     t = decode_tuple(_need(job, "tuple"))
     m = int(_opt(job, "grid", 64))
     sandwich = jnr_sandwich(t, m=m)
-    svg = job.options.get("svg")
-    if svg:
+    if svg := job.options.get("svg"):
         polygon_svg(
             [
                 (sandwich.inner.vertices, "#1f77b4"),
@@ -156,7 +161,7 @@ def _run_member(job: JobSpec) -> dict:
         x = decode_tuple(_need(job, "range_of"))
         res = ucp_member(x, a, tol=tol, max_iter=int(_opt(job, "max_iter", MAX_ITER)))
     else:
-        raise UsageError(f"unknown member kind {kind!r} (ucp | kmin | kmax)")
+        raise _unknown_kind(job, kind)
     return _membership_payload(res)
 
 
@@ -177,8 +182,7 @@ def _run_theta(job: JobSpec) -> dict:
     t = decode_tuple(_need(job, "tuple"))
     trace: list = []
     est = theta_min_alpha(body, t, tol=_tol(job, 1e-2), trace=trace)
-    svg = job.options.get("svg")
-    if svg:
+    if svg := job.options.get("svg"):
         trace_svg([(i, hi - lo) for i, (lo, hi) in enumerate(trace)], svg)
     return {
         "lower": est.lower,
@@ -215,9 +219,7 @@ def _run_extreme(job: JobSpec) -> dict:
             "accepted": accepted,
             "reason": reason,
         }
-    raise UsageError(
-        f"unknown extreme kind {kind!r} (points | simplex | free-sym | free-uni)"
-    )
+    raise _unknown_kind(job, kind)
 
 
 def _run_choili(job: JobSpec) -> dict:
@@ -256,7 +258,7 @@ def _run_model(job: JobSpec) -> dict:
             "direct_sum": model.direct_sum,
             "report": model.report,
         }
-    raise UsageError(f"unknown model kind {kind!r} (normal | blockdiag)")
+    raise _unknown_kind(job, kind)
 
 
 def _run_sw(job: JobSpec) -> dict:
@@ -276,7 +278,7 @@ def _run_sw(job: JobSpec) -> dict:
         out = verify_local_sw(t, perturbed, tol=_tol(job))
         out["status"] = "Equal" if out["equal"] else "Unequal"
         return out
-    raise UsageError(f"unknown sw kind {kind!r} (ess | perturb | verify)")
+    raise _unknown_kind(job, kind)
 
 
 def _run_toeplitz(job: JobSpec) -> dict:
@@ -285,8 +287,7 @@ def _run_toeplitz(job: JobSpec) -> dict:
         raise SchemaError("toeplitz needs at least three symbol samples")
     samples = decode_matrix([doc]).ravel()
     hull, extremes = essential_range_hull(samples)
-    svg = job.options.get("svg")
-    if svg:
+    if svg := job.options.get("svg"):
         polygon_svg([(hull, "#1f77b4")], svg)
     return {"hull": hull, "extremes": extremes}
 
@@ -302,29 +303,59 @@ def _run_verify_suite(job: JobSpec) -> dict:
     }
 
 
-_HANDLERS = {
-    "jnr": _run_jnr,
-    "member": _run_member,
-    "equal": _run_equal,
-    "theta": _run_theta,
-    "extreme": _run_extreme,
-    "choili": _run_choili,
-    "model": _run_model,
-    "sw": _run_sw,
-    "toeplitz": _run_toeplitz,
-    "verify-suite": _run_verify_suite,
+class _Command(NamedTuple):
+    """A command's handler (None for ``batch``: ``main`` runs it), help
+    line, ``--kind`` choices and input files as ``(key, required, help)``;
+    an input's flag is ``--key`` with ``-`` for ``_``, its dest ``key_path``."""
+
+    run: Callable[[JobSpec], dict] | None
+    help: str
+    kinds: tuple[str, ...]
+    inputs: list[tuple[str, bool, str | None]]
+
+
+_COMMANDS = {
+    "jnr": _Command(_run_jnr, "joint numerical range sandwich", (), [
+        ("tuple", True, None)]),
+    "member": _Command(_run_member, "membership queries", ("ucp", "kmin", "kmax"), [
+        ("tuple", True, None),
+        ("body", False, "body for kmin/kmax"),
+        ("range_of", False, "tuple whose range to test (ucp)")]),
+    "equal": _Command(_run_equal, "matrix range equality", (), [
+        ("x", True, None), ("y", True, None)]),
+    "theta": _Command(_run_theta, "scaling constant bisection", (), [
+        ("body", True, None), ("tuple", True, None)]),
+    "extreme": _Command(_run_extreme, "extreme points / extremality tests",
+                        ("points", "simplex", "free-sym", "free-uni"), [
+        ("points", False, "JSON array of points"),
+        ("tuple", False, "tuple for free-* kinds")]),
+    "choili": _Command(_run_choili, "square/disc transform cross-check", (), [
+        ("y", True, "matrix JSON")]),
+    "model": _Command(_run_model, "spectral or block-diagonal models",
+                      ("normal", "blockdiag"), [
+        ("tuple", False, "tuple for kind=normal"),
+        ("candidates", False, "JSON array of tuples")]),
+    "sw": _Command(_run_sw, "diagonal-tuple perturbation machinery",
+                   ("ess", "perturb", "verify"), [
+        ("diag", True, None), ("perturbed", False, None)]),
+    "toeplitz": _Command(_run_toeplitz, "essential range hull of symbol samples", (), [
+        ("samples", True, None)]),
+    "verify-suite": _Command(_run_verify_suite, "run the acceptance criteria", (), []),
+    "batch": _Command(None, "run a JSON list of inline jobs", (), [
+        ("jobs", True, None)]),
 }
 
 
 def execute(job: JobSpec) -> tuple[dict, int]:
     """Run one job and assemble the report envelope plus an exit code."""
-    if job.command not in _HANDLERS:
+    row = _COMMANDS.get(job.command)
+    if row is None or row.run is None:
         raise UsageError(f"unknown command {job.command!r}")
     unknown = sorted(set(job.options) - set(_OPTION_KEYS))
     if unknown:
         raise UsageError(f"unknown options {unknown} (known: {_OPTION_KEYS})")
     t0 = time.perf_counter()
-    payload = _HANDLERS[job.command](job)
+    payload = row.run(job)
     has_unknown = bool(payload.pop("has_unknown", False))
     report = {
         "command": job.command,
@@ -373,67 +404,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mconvex", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("jnr", help="joint numerical range sandwich")
-    p.add_argument("--tuple", required=True, dest="tuple_path")
-    _add_common(p)
-
-    p = subs.add_parser("member", help="membership queries")
-    p.add_argument("--kind", required=True, choices=["ucp", "kmin", "kmax"])
-    p.add_argument("--tuple", required=True, dest="tuple_path")
-    p.add_argument("--body", dest="body_path", help="body for kmin/kmax")
-    p.add_argument(
-        "--range-of", dest="range_of_path", help="tuple whose range to test (ucp)"
-    )
-    _add_common(p)
-
-    p = subs.add_parser("equal", help="matrix range equality")
-    p.add_argument("--x", required=True, dest="x_path")
-    p.add_argument("--y", required=True, dest="y_path")
-    _add_common(p)
-
-    p = subs.add_parser("theta", help="scaling constant bisection")
-    p.add_argument("--body", required=True, dest="body_path")
-    p.add_argument("--tuple", required=True, dest="tuple_path")
-    _add_common(p)
-
-    p = subs.add_parser("extreme", help="extreme points / extremality tests")
-    p.add_argument(
-        "--kind", required=True, choices=["points", "simplex", "free-sym", "free-uni"]
-    )
-    p.add_argument("--points", dest="points_path", help="JSON array of points")
-    p.add_argument("--tuple", dest="tuple_path", help="tuple for free-* kinds")
-    _add_common(p)
-
-    p = subs.add_parser("choili", help="square/disc transform cross-check")
-    p.add_argument("--y", required=True, dest="y_path", help="matrix JSON")
-    _add_common(p)
-
-    p = subs.add_parser("model", help="spectral or block-diagonal models")
-    p.add_argument("--kind", required=True, choices=["normal", "blockdiag"])
-    p.add_argument("--tuple", dest="tuple_path", help="tuple for kind=normal")
-    p.add_argument(
-        "--candidates", dest="candidates_path", help="JSON array of tuples"
-    )
-    _add_common(p)
-
-    p = subs.add_parser("sw", help="diagonal-tuple perturbation machinery")
-    p.add_argument("--kind", required=True, choices=["ess", "perturb", "verify"])
-    p.add_argument("--diag", required=True, dest="diag_path")
-    p.add_argument("--perturbed", dest="perturbed_path")
-    _add_common(p)
-
-    p = subs.add_parser("toeplitz", help="essential range hull of symbol samples")
-    p.add_argument("--samples", required=True, dest="samples_path")
-    _add_common(p)
-
-    p = subs.add_parser("verify-suite", help="run the acceptance criteria")
-    _add_common(p)
-
-    p = subs.add_parser("batch", help="run a JSON list of inline jobs")
-    p.add_argument("--jobs", required=True, dest="jobs_path")
-    _add_common(p)
-
+    for name, row in _COMMANDS.items():
+        p = subs.add_parser(name, help=row.help)
+        if row.kinds:
+            p.add_argument("--kind", required=True, choices=row.kinds)
+        for key, required, text in row.inputs:
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, required=required, dest=f"{key}_path", help=text)
+        _add_common(p)
     return parser
 
 
@@ -447,29 +425,14 @@ def _load_json(path: str):
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
-_INPUT_PATHS = {
-    "tuple_path": "tuple",
-    "body_path": "body",
-    "range_of_path": "range_of",
-    "x_path": "x",
-    "y_path": "y",
-    "points_path": "points",
-    "candidates_path": "candidates",
-    "diag_path": "diag",
-    "perturbed_path": "perturbed",
-    "samples_path": "samples",
-}
-
 _OPTION_KEYS = ("tol", "max_iter", "grid", "svg", "json", "strict")
 
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    inputs = {}
-    for attr, key in _INPUT_PATHS.items():
-        path = getattr(args, attr, None)
-        if path is not None:
-            inputs[key] = _load_json(path)
-    if getattr(args, "kind", None) is not None:
+    row = _COMMANDS[args.command]
+    paths = {key: getattr(args, f"{key}_path") for key, _, _ in row.inputs}
+    inputs = {key: _load_json(path) for key, path in paths.items() if path is not None}
+    if row.kinds:
         inputs["kind"] = args.kind
     options = {k: getattr(args, k, None) for k in _OPTION_KEYS}
     return JobSpec(command=args.command, inputs=inputs, options=options)
@@ -495,13 +458,11 @@ def _run_batch(args: argparse.Namespace) -> tuple[dict, int]:
         try:
             return execute(job)
         except UsageError as exc:
-            return {"command": job.command, "status": "UsageError", "error": str(exc)}, EX_USAGE
+            status, error, code = "UsageError", str(exc), EX_USAGE
         except (SchemaError, MConvexError, ValueError) as exc:
-            return {
-                "command": job.command,
-                "status": "DataError",
-                "error": f"{type(exc).__name__}: {exc}",
-            }, EX_DATAERR
+            status, error = "DataError", f"{type(exc).__name__}: {exc}"
+            code = EX_DATAERR
+        return {"command": job.command, "status": status, "error": error}, code
 
     t0 = time.perf_counter()
     outcomes = [guarded(j) for j in jobs]
@@ -535,9 +496,8 @@ def main(argv=None) -> int:
         )
         return EX_DATAERR
     dump_report(report, sys.stdout)
-    json_path = getattr(args, "json", None)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fp:
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fp:
             dump_report(report, fp)
     return code
 

@@ -405,34 +405,35 @@ class _Compiled:
 def _certificate_from_dual(
     comp: _Compiled, coeffs: np.ndarray, tol: float
 ) -> Separator | None:
-    """Verify (possibly after an identity shift) a candidate dual stack."""
-    for sign in (1.0, -1.0):
-        y = sign * coeffs
+    """Verify (possibly after an identity shift) a candidate dual stack,
+    priced in the sign it comes in: the one that separates, for each
+    source.  The affine residue ``res_b`` has margin ``||res_b|| > 0``; a
+    stored separator carries its sign; the Douglas-Rachford gap ``x - y``
+    at the fixed point, the least displacement between the affine set and
+    the cone, lies in the normal cone at ``y``, so its pencil is negative
+    semidefinite and its margin is ``||x - y||^2 > 0``."""
+    nrm = float(np.linalg.norm(coeffs))
+    if nrm <= 1e-14:
+        return None
+    y = coeffs / nrm
+    s_blocks = comp.pencil(y)
+    mx = comp.eig_bounds(s_blocks)[1]
+    if mx > 0 and comp.identity_combo is not None:
+        shift = mx + 1e-13 * max(1.0, comp.pencil_norm(s_blocks))
+        y = y - shift * comp.identity_combo
         nrm = float(np.linalg.norm(y))
         if nrm <= 1e-14:
-            continue
+            return None
         y = y / nrm
         s_blocks = comp.pencil(y)
         mx = comp.eig_bounds(s_blocks)[1]
-        if mx > 0 and comp.identity_combo is not None:
-            shift = mx + 1e-13 * max(1.0, comp.pencil_norm(s_blocks))
-            y = y - shift * comp.identity_combo
-            nrm = float(np.linalg.norm(y))
-            if nrm <= 1e-14:
-                continue
-            y = y / nrm
-            s_blocks = comp.pencil(y)
-            mx = comp.eig_bounds(s_blocks)[1]
-        slack_cap = 1e-12 * max(1.0, comp.pencil_norm(s_blocks))
-        if mx > slack_cap:
-            continue
-        margin = float(np.vdot(comp.b, y).real)
-        if margin >= 10.0 * tol:
-            return Separator(
-                dual=y / comp.norms[:, None, None],
-                margin=margin,
-                psd_slack=max(mx, 0.0),
-            )
+    if mx > 1e-12 * max(1.0, comp.pencil_norm(s_blocks)):
+        return None
+    margin = float(np.vdot(comp.b, y).real)
+    if margin >= 10.0 * tol:
+        return Separator(
+            dual=y / comp.norms[:, None, None], margin=margin, psd_slack=max(mx, 0.0)
+        )
     return None
 
 

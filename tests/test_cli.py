@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import mconvex.acceptance as acceptance
 import mconvex.cli as cli
 import mconvex.ranges as ranges
 from mconvex._jsonio import to_jsonable
@@ -185,6 +186,56 @@ class TestCommands:
         assert rep["status"] == "Equal"
         assert rep["point_gap_truncation_in_essential"] <= 1e-7
 
+    def test_model_blockdiag_merges_equivalent_candidates(self, tmp_path, capsys):
+        # (X, Z) and its conjugate by the Hadamard matrix, (Z, X)
+        x, z = pauli_tuple()["mats"]
+        docs = [{"hermitian": True, "mats": m} for m in ([x, z], [z, x])]
+        c = write(tmp_path / "c.json", docs)
+        code, rep = run(capsys, ["model", "--kind", "blockdiag", "--candidates", c])
+        assert code == 0
+        assert len(rep["summands"]) == 1
+        assert rep["report"]["dropped_duplicates"] == [1]
+        assert rep["direct_sum"]["n"] == 2
+
+    def test_sw_ess(self, tmp_path, capsys):
+        diag = write(
+            tmp_path / "d.json",
+            {"d": 1, "atoms": [[[1.0], None], [[3.0], 2]], "sequences": []},
+        )
+        code, rep = run(capsys, ["sw", "--kind", "ess", "--diag", diag])
+        assert code == 0
+        assert rep["points"] == [[1.0]]
+        assert rep["count"] == 1
+
+    def test_sw_perturb_encodes_a_diagonal_tuple(self, tmp_path, capsys):
+        diag = write(
+            tmp_path / "d.json",
+            {"d": 1, "atoms": [], "sequences": [[[0.0], [[1.0], [0.5], [0.25]]]]},
+        )
+        code, rep = run(capsys, ["sw", "--kind", "perturb", "--diag", diag])
+        assert code == 0
+        assert rep["perturbed"] == {"d": 1, "atoms": [[[0.0], None]], "sequences": []}
+        assert rep["report"]["displacements"] == [1.0, 0.5, 0.25]
+
+    @pytest.mark.parametrize("atom, status", [(0.0, "Equal"), (5.0, "Unequal")])
+    def test_sw_verify_reads_the_perturbed_file(self, tmp_path, capsys, atom, status):
+        diag = write(
+            tmp_path / "d.json",
+            {
+                "d": 1,
+                "atoms": [],
+                "sequences": [[[0.0], [[1.0 / k] for k in range(1, 40)]]],
+            },
+        )
+        perturbed = write(
+            tmp_path / "p.json", {"d": 1, "atoms": [[[atom], None]], "sequences": []}
+        )
+        args = ["sw", "--kind", "verify", "--diag", diag, "--perturbed", perturbed]
+        code, rep = run(capsys, args)
+        assert code == 0
+        assert rep["status"] == status
+        assert rep["point_gap_truncation_in_essential"] == pytest.approx(atom)
+
     def test_toeplitz_hull(self, tmp_path, capsys):
         samples = write(
             tmp_path / "s.json",
@@ -330,6 +381,26 @@ class TestExitCodes:
         assert code == 64
         assert [j["status"] for j in rep["jobs"]] == ["Simplex", "UsageError"]
         assert "'level'" in rep["jobs"][1]["error"]
+
+    def test_verify_suite_failure_exits_1(self, capsys, monkeypatch):
+        def planted_failure():
+            return acceptance.CriterionResult("planted failure", False, "no", 0.0)
+
+        monkeypatch.setattr(acceptance, "REGISTRY", (planted_failure,))
+        code, rep = run(capsys, ["verify-suite"])
+        assert code == 1
+        assert rep["status"] == "Fail"
+        assert [c["name"] for c in rep["criteria"]] == ["planted failure"]
+
+    def test_batch_unknown_commands_are_usage(self, tmp_path, capsys):
+        jobs = write(
+            tmp_path / "jobs.json", [{"command": "batch"}, {"command": "frobnicate"}]
+        )
+        code, rep = run(capsys, ["batch", "--jobs", jobs])
+        assert code == 64
+        assert [j["status"] for j in rep["jobs"]] == ["UsageError", "UsageError"]
+        assert rep["jobs"][0]["error"] == "unknown command 'batch'"
+        assert rep["jobs"][1]["error"] == "unknown command 'frobnicate'"
 
     @pytest.mark.parametrize(
         "entry",

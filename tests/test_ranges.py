@@ -54,6 +54,7 @@ from mconvex.ranges import (
 from mconvex.sdp import (
     AffineConstraint,
     SdpFeasibility,
+    Separator,
     Status,
     Verdict,
     _Compiled,
@@ -378,6 +379,25 @@ class TestKmin:
             tuple(np.array([[x]], complex) for x in c), hermitian=True
         )
         assert kmin_member(tri, point, tol=1e-15).status is MembershipStatus.IN
+
+    @pytest.mark.parametrize("scale", [1.002, 1.005, 1.008])
+    def test_just_outside_the_square_is_boundary_with_a_separator(self, scale):
+        # past the Kmin boundary point pauli(1/sqrt 2) by less than the
+        # dilation 1 + 10 tol: Infeasible at scale 1, Feasible relaxed
+        a = pauli(scale / ROOT2)
+        res = kmin_member(SQUARE, a, tol=1e-3)
+        assert res.status is MembershipStatus.BOUNDARY
+        assert res.detail == "outside at scale 1, inside at scale 1 + 10 tol"
+        assert res.margin == pytest.approx(0.01)
+        sep = res.certificate
+        assert isinstance(sep, Separator)
+        report = dual_witness(
+            _kmin_problem(SQUARE.vertices, a.mats),
+            Verdict(Status.INFEASIBLE, None, sep, 0, 0.0),
+        )
+        assert report["margin"] > 0
+        assert report["margin_gap"] <= 1e-9
+        assert report["pencil_max_eig"] <= sep.psd_slack + 1e-12
 
 
 class TestTheta:
@@ -972,6 +992,42 @@ class TestUcp:
     def test_tuple_mismatch(self):
         with pytest.raises(TupleMismatch):
             ucp_member(pauli(), OperatorTuple((X,), hermitian=True))
+
+    def test_unknown_nominal_solve_is_resolved_by_outward_bracketing(
+        self, monkeypatch
+    ):
+        x = OperatorTuple(
+            (np.diag([1.0, 0.0, -1.0]).astype(complex),
+             np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / 2),
+            hermitian=True,
+        )
+        a = OperatorTuple((0.5 * Z, 0.2 * X), hermitian=True)
+        calls = []
+        solve = _Compiled.solve
+
+        def first_unknown(self, tol, max_iter):
+            calls.append(tol)
+            if len(calls) == 1:
+                return Verdict(Status.UNKNOWN, None, None, 0, np.inf)
+            return solve(self, tol, max_iter)
+
+        monkeypatch.setattr(_Compiled, "solve", first_unknown)
+        res = ucp_member(x, a)
+        eps = 10 * ranges.MEMBER_TOL
+        assert res.status is MembershipStatus.IN
+        assert res.detail == "resolved by outward bracketing"
+        assert res.margin == eps
+        assert len(calls) == 2
+        # the Choi matrix: a 3 x 3 grid of 2 x 2 blocks C_pq
+        choi = res.certificate["choi"]
+        assert np.linalg.eigvalsh(choi)[0] >= 0
+        blocks = choi.reshape(3, 2, 3, 2).transpose(0, 2, 1, 3)
+        np.testing.assert_allclose(np.einsum("ppij->ij", blocks), np.eye(2), atol=1e-9)
+        # it maps x to the pushed point c + (1 + eps)(a - c), here c = 0
+        for xj, aj in zip(x.mats, a.mats):
+            image = np.einsum("pq,pqij->ij", xj, blocks)
+            assert np.abs(image - (1 + eps) * aj).max() <= 1e-9
+            assert np.abs(image - aj).max() >= 0.1 * eps
 
 
 class TestMrangeEqual:
