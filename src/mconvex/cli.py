@@ -7,7 +7,8 @@ on success, 64 on a usage error, 65 on malformed or invalid input data,
 and 70 when a solver gave up and ``--strict`` was set.  ``batch`` runs
 a list of inline job documents one after another and reports them in
 input order, so a rerun reproduces them byte for byte apart from wall
-times; an unknown option key is a usage error.
+times; an option key the job's command does not read is a usage
+error, as is a flag the command does not take.
 """
 
 from __future__ import annotations
@@ -305,41 +306,44 @@ def _run_verify_suite(job: JobSpec) -> dict:
 
 class _Command(NamedTuple):
     """A command's handler (None for ``batch``: ``main`` runs it), help
-    line, ``--kind`` choices and input files as ``(key, required, help)``;
+    line, ``--kind`` choices, input files as ``(key, required, help)`` and
+    the option keys it reads, beside the common ``json`` and ``strict``;
     an input's flag is ``--key`` with ``-`` for ``_``, its dest ``key_path``."""
 
     run: Callable[[JobSpec], dict] | None
     help: str
     kinds: tuple[str, ...]
     inputs: list[tuple[str, bool, str | None]]
+    options: tuple[str, ...] = ()
 
 
 _COMMANDS = {
     "jnr": _Command(_run_jnr, "joint numerical range sandwich", (), [
-        ("tuple", True, None)]),
+        ("tuple", True, None)], ("grid", "svg")),
     "member": _Command(_run_member, "membership queries", ("ucp", "kmin", "kmax"), [
         ("tuple", True, None),
         ("body", False, "body for kmin/kmax"),
-        ("range_of", False, "tuple whose range to test (ucp)")]),
+        ("range_of", False, "tuple whose range to test (ucp)")],
+        ("tol", "max_iter", "grid")),
     "equal": _Command(_run_equal, "matrix range equality", (), [
-        ("x", True, None), ("y", True, None)]),
-    "theta": _Command(_run_theta, "scaling constant bisection", (), [
-        ("body", True, None), ("tuple", True, None)]),
+        ("x", True, None), ("y", True, None)], ("tol",)),
+    "theta": _Command(_run_theta, "scaling constant bracket", (), [
+        ("body", True, None), ("tuple", True, None)], ("tol", "svg")),
     "extreme": _Command(_run_extreme, "extreme points / extremality tests",
                         ("points", "simplex", "free-sym", "free-uni"), [
         ("points", False, "JSON array of points"),
-        ("tuple", False, "tuple for free-* kinds")]),
+        ("tuple", False, "tuple for free-* kinds")], ("tol",)),
     "choili": _Command(_run_choili, "square/disc transform cross-check", (), [
-        ("y", True, "matrix JSON")]),
+        ("y", True, "matrix JSON")], ("tol",)),
     "model": _Command(_run_model, "spectral or block-diagonal models",
                       ("normal", "blockdiag"), [
         ("tuple", False, "tuple for kind=normal"),
         ("candidates", False, "JSON array of tuples")]),
     "sw": _Command(_run_sw, "diagonal-tuple perturbation machinery",
                    ("ess", "perturb", "verify"), [
-        ("diag", True, None), ("perturbed", False, None)]),
+        ("diag", True, None), ("perturbed", False, None)], ("tol",)),
     "toeplitz": _Command(_run_toeplitz, "essential range hull of symbol samples", (), [
-        ("samples", True, None)]),
+        ("samples", True, None)], ("svg",)),
     "verify-suite": _Command(_run_verify_suite, "run the acceptance criteria", (), []),
     "batch": _Command(None, "run a JSON list of inline jobs", (), [
         ("jobs", True, None)]),
@@ -351,9 +355,12 @@ def execute(job: JobSpec) -> tuple[dict, int]:
     row = _COMMANDS.get(job.command)
     if row is None or row.run is None:
         raise UsageError(f"unknown command {job.command!r}")
-    unknown = sorted(set(job.options) - set(_OPTION_KEYS))
+    known = row.options + _COMMON_OPTIONS
+    unknown = sorted(set(job.options) - set(known))
     if unknown:
-        raise UsageError(f"unknown options {unknown} (known: {_OPTION_KEYS})")
+        raise UsageError(
+            f"{job.command} does not read options {unknown} (it reads: {known})"
+        )
     t0 = time.perf_counter()
     payload = row.run(job)
     has_unknown = bool(payload.pop("has_unknown", False))
@@ -386,11 +393,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=None, help="tolerance override")
-    sub.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    sub.add_argument("--grid", type=int, default=None, help="direction grid")
-    sub.add_argument("--svg", default=None, metavar="PATH", help="write an SVG plot")
+#: the options every command takes
+_COMMON_OPTIONS = ("json", "strict")
+
+#: each option a command may read, as ``add_argument``'s flag and keywords
+_OPTION_FLAGS = {
+    "tol": ("--tol", dict(type=float, help="tolerance override")),
+    "max_iter": ("--max-iter", dict(type=int, help="iteration budget")),
+    "grid": ("--grid", dict(type=int, help="direction grid")),
+    "svg": ("--svg", dict(metavar="PATH", help="write an SVG plot")),
+}
+
+
+def _add_common(sub: argparse.ArgumentParser, options: tuple[str, ...]) -> None:
+    """The flags of the options a command reads, then ``--json`` and
+    ``--strict``."""
+    for key in options:
+        flag, kwargs = _OPTION_FLAGS[key]
+        sub.add_argument(flag, default=None, **kwargs)
     sub.add_argument(
         "--json", default=None, metavar="PATH", help="also write the report here"
     )
@@ -411,7 +431,7 @@ def _build_parser() -> _Parser:
         for key, required, text in row.inputs:
             flag = "--" + key.replace("_", "-")
             p.add_argument(flag, required=required, dest=f"{key}_path", help=text)
-        _add_common(p)
+        _add_common(p, row.options)
     return parser
 
 
@@ -425,16 +445,13 @@ def _load_json(path: str):
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
-_OPTION_KEYS = ("tol", "max_iter", "grid", "svg", "json", "strict")
-
-
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
     row = _COMMANDS[args.command]
     paths = {key: getattr(args, f"{key}_path") for key, _, _ in row.inputs}
     inputs = {key: _load_json(path) for key, path in paths.items() if path is not None}
     if row.kinds:
         inputs["kind"] = args.kind
-    options = {k: getattr(args, k, None) for k in _OPTION_KEYS}
+    options = {k: getattr(args, k) for k in row.options + _COMMON_OPTIONS}
     return JobSpec(command=args.command, inputs=inputs, options=options)
 
 
@@ -449,8 +466,8 @@ def _run_batch(args: argparse.Namespace) -> tuple[dict, int]:
         given, inputs = doc.get("options", {}), doc.get("inputs", {})
         if not isinstance(given, dict) or not isinstance(inputs, dict):
             raise SchemaError(f"batch entry {i}: options and inputs must be objects")
-        options = {**dict.fromkeys(_OPTION_KEYS), **given}
-        if options["strict"] is None:
+        options = dict(given)
+        if options.get("strict") is None:
             options["strict"] = args.strict
         jobs.append(JobSpec(doc["command"], dict(inputs), options))
 

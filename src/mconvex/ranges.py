@@ -6,7 +6,7 @@ as sums ``a_l = sum_j lambda_jl h_j`` with positive ``h_j`` summing to
 the identity and atoms ``lambda_j`` in K, and the maximal one, the
 tuples whose joint numerical range lies inside K.  This module decides
 membership in both (SDP for the minimal set, support inequalities for
-the maximal), bisects the scaling constant between them, decides
+the maximal), brackets the scaling constant between them, decides
 membership in matrix ranges ``W_n(x)`` through Choi-matrix feasibility,
 decides matrix-range equality by two such solves, tests extremality of
 free symmetric or unitary tuples, and houses the square-to-disc
@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,7 +111,7 @@ class MembershipResult:
 
 @dataclasses.dataclass(frozen=True)
 class ThetaEstimate:
-    """Bisection bracket for the minimal alpha with ``a`` in (alpha K)^min.
+    """Certified bracket for the minimal alpha with ``a`` in (alpha K)^min.
 
     ``witness_point`` is ``a`` rescaled by ``1/upper``.  It is certified
     in the minimal set of K's relaxed body (the circumscribed polygon of
@@ -127,13 +128,16 @@ class ThetaEstimate:
     relaxed body's.
 
     ``lower_separator`` is the certificate behind ``lower``: the
-    ``Separator`` of the Infeasible step that set it.  Its ``dual`` is
-    posed over ``_kmin_problem(vertices, mats)`` for the relaxed body's
-    vertices and ``mats`` the rhs of ``a / lower`` there, ``c + (a /
-    lower - c) / s`` for its center c and relaxed scale s, so it shows
-    ``a / lower`` outside the relaxed body's minimal set.  It is None
-    when ``lower`` is the starting 1.0 (as for every commuting tuple) or
-    came from an Unknown step.
+    ``Separator`` of the Infeasible probe whose alpha* set it, re-priced
+    at ``lower`` (alpha* rounded down by a relative 1e-12), so its
+    ``margin`` clears 10 tol there.  Its ``dual`` is posed over
+    ``_kmin_problem(vertices, mats)`` for the relaxed body's vertices and
+    ``mats`` the rhs of ``a / lower`` there, ``c + (a / lower - c) / s``
+    for its center c and relaxed scale s, so it shows ``a / lower``
+    outside the relaxed body's minimal set, and with it every ``a /
+    alpha`` for alpha below.  It is None when ``lower`` is the starting
+    1.0: for every commuting tuple, and when the first probe is Feasible
+    or Unknown.
     """
 
     lower: float
@@ -325,7 +329,7 @@ def _relaxed(
             MembershipStatus.BOUNDARY, boundary_margin, None, details[1]
         )
     return MembershipResult(
-        MembershipStatus.UNKNOWN, 0.0, None, "solver budget exhausted"
+        MembershipStatus.UNKNOWN, 0.0, None, "neither certificate closes"
     )
 
 
@@ -419,30 +423,46 @@ def theta_min_alpha(
     tol: float = 1e-2,
     trace: list | None = None,
 ) -> ThetaEstimate:
-    """Bisection for the least ``alpha >= 1`` with ``a`` in (alpha K)^min.
+    """The least ``alpha >= 1`` with ``a`` in (alpha K)^min, bracketed by
+    certificates at both ends.
 
-    Requires ``a`` to be a maximal-set point of K (raises ``NotInKmax``
+    Requires a positive finite ``tol`` (raises ``ValueError`` otherwise),
+    ``a`` to be a maximal-set point of K (raises ``NotInKmax``
     otherwise) and 0 to be interior to K (raises ``NoInteriorZero``), so
     the scaled bodies ``alpha K`` are nested.  Scales the tuple, not the
     body: ``a`` is in (alpha K)^min exactly when ``a / alpha`` is in K^min.
     So the decomposition SDP of ``kmin_member`` is compiled once, and
-    each step re-solves it, with only the right-hand side moved, for
+    each probe re-solves it, with only the right-hand side moved, for
     ``a / alpha`` in the relaxed body (the one a Boundary answer of
-    ``kmin_member`` rests on): Feasible means inside, anything else
-    outside.  The bracket starts at [1, hi] with no search: ``a / hi`` is
-    in K^min by the decomposition in ``ThetaEstimate``'s docstring, so a
-    query costs one solve at alpha = 1 and one per bisection step.  The
-    steps share the compiled operator's warm slot, so a step first
+    ``kmin_member`` rests on).  The bracket starts at [1, hi] with no
+    search: ``a / hi`` is in K^min by the decomposition in
+    ``ThetaEstimate``'s docstring.  The first probe is alpha = 1.
+
+    A Feasible probe sets the upper end.  An Infeasible one sets the
+    lower end to the largest alpha its separator certifies: the pencil
+    does not depend on the right-hand side, and its margin on ``a /
+    alpha`` is ``c0 + c1 / alpha`` (``_margin_terms``), so it shows
+    ``a / alpha'`` outside the relaxed body's minimal set for every
+    ``alpha' <= alpha*``.  That separator, re-priced at the new lower
+    end, is kept as ``lower_separator``.  The next probe is at ``min(lo +
+    tol / 2, (lo + hi) / 2)``, so a separator that certifies past theta
+    closes the query with a Feasible probe and a bracket tol / 2 wide;
+    after as many such tight probes as plain bisection takes steps, the
+    probes bisect.  An Unknown probe moves neither end and ends the
+    search, so the bracket returned is the certified one, however wide.
+
+    The probes share the compiled operator's warm slot, so a probe first
     re-prices the last separator and projects the last witness onto its
-    own rhs, and iterates, from where the last step stopped, only when
-    neither check closes (``sdp._iterate``).  The
-    separator of the step that set the lower end is kept as
-    ``lower_separator``.  A commuting tuple gets [1, 1] before anything
-    is compiled: its joint numerical range is the hull of its joint
-    spectrum, so K^max and K^min agree at it.  Values below 1 are
-    reported as the degenerate bracket [1, 1].  Pass a list as
-    ``trace`` to collect the (lower, upper) bracket after each step.
+    own rhs, and iterates, from where the last probe stopped, only when
+    neither check closes (``sdp._iterate``).  A commuting tuple gets
+    [1, 1] before anything is compiled: its joint numerical range is the
+    hull of its joint spectrum, so K^max and K^min agree at it.  Values
+    below 1 are reported as the degenerate bracket [1, 1].  Pass a list
+    as ``trace`` to collect the (lower, upper) bracket, as floats, after
+    each probe.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"theta needs a positive finite tol, not {tol}")
     pre = kmax_member(K, a)
     if pre.status not in (MembershipStatus.IN, MembershipStatus.BOUNDARY):
         raise NotInKmax(
@@ -460,26 +480,53 @@ def theta_min_alpha(
         return ThetaEstimate(1.0, 1.0, a)
     verts, center, relax = _vertex_sets(K, MEMBER_TOL, DISC_GRID)
     solve = _kmin_solver(verts, center, a, MEMBER_TOL, MAX_ITER)
-
-    def inside(alpha: float) -> tuple[bool, Separator | None]:
-        verdict = solve(relax, alpha)
-        return verdict.status is Status.FEASIBLE, verdict.separator
-
-    if inside(1.0)[0]:
-        record(1.0, 1.0)
-        return ThetaEstimate(1.0, 1.0, a)
-    lo, lo_sep = 1.0, None
+    # the margin a separator clears in _kmin_solver's solves
+    floor = 10.0 * min(MEMBER_TOL, 1e-7)
+    lo, lo_sep, lo_terms = 1.0, None, (0.0, 0.0)
     hi = max(2.0, 2.0 * a.d * max(op_norm(m) for m in a.mats) / slack)
-    record(lo, hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        in_, sep = inside(mid)
-        if in_:
-            hi = mid
-        else:
-            lo, lo_sep = mid, sep
+    # plain bisection's step count: after as many tight probes, bisect
+    tight = math.ceil(math.log2((hi - 1.0) / tol))
+    alpha = 1.0
+    while True:
+        verdict = solve(relax, alpha)
+        if verdict.status is Status.FEASIBLE:
+            hi = alpha
+        elif verdict.status is Status.INFEASIBLE:
+            c0, c1 = terms = _margin_terms(verdict.separator, a, center, relax)
+            # alpha*, where the margin c0 + c1 / alpha meets the floor; at
+            # least the probe, which the separator certifies
+            star = alpha
+            if c1 > 0.0 and c0 < floor:
+                star = max(star, c1 / (floor - c0))
+            # rounded down, so the stored separator clears the floor there
+            cut = min(star * (1.0 - 1e-12), hi)
+            if cut > lo:
+                lo, lo_sep, lo_terms = cut, verdict.separator, terms
         record(lo, hi)
+        if verdict.status is Status.UNKNOWN or hi - lo <= tol:
+            break
+        alpha = 0.5 * (lo + hi)
+        if tight > 0:
+            tight -= 1
+            alpha = min(lo + 0.5 * tol, alpha)
+    if lo_sep is not None:
+        c0, c1 = lo_terms
+        lo_sep = dataclasses.replace(lo_sep, margin=c0 + c1 / lo)
     return ThetaEstimate(lo, hi, a.scaled(1.0 / hi), lo_sep)
+
+
+def _margin_terms(
+    sep: Separator, a: OperatorTuple, center: np.ndarray, relax: float
+) -> tuple[float, float]:
+    """``(c0, c1)`` with ``c0 + c1 / alpha`` the margin of ``sep`` on the
+    relaxed decomposition SDP of ``a / alpha``, whose rhs are ``I`` and
+    ``a_l / (alpha relax) + (1 - 1 / relax) center_l I``: the pencil does
+    not depend on the rhs, so only this pairing moves with alpha."""
+    y = sep.dual
+    traces = np.einsum("lii->l", y).real
+    c0 = traces[0] + (1.0 - 1.0 / relax) * float(np.dot(center, traces[1:]))
+    c1 = float(np.einsum("lij,lji->", np.asarray(a.mats), y[1:]).real) / relax
+    return float(c0), c1
 
 
 # ---------------------------------------------------------------------------

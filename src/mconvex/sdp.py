@@ -51,10 +51,11 @@ ZERO_ROW_NORM = 1e-14
 #: relative deviation from Hermitian allowed in coefficients and rhs
 HERM_RTOL = 1e-10
 
-#: iterations between witness checks and between dual-certificate tries;
-#: most solves close at their first check.  Checking before iteration 4
-#: certifies cone-projected witnesses of least eigenvalue 0 (kmin margin 0)
-CHECK_EVERY, CERT_EVERY = 4, 16
+#: iterations between checks, each a witness check and, while the gap
+#: exceeds tol, a dual-certificate try; most solves close at their first
+#: check.  Checking before iteration 4 certifies cone-projected witnesses
+#: of least eigenvalue 0 (kmin margin 0)
+CHECK_EVERY = 4
 
 
 class Status(enum.Enum):
@@ -425,6 +426,9 @@ def _certificate_from_dual(
         if nrm <= 1e-14:
             return None
         y = y / nrm
+        # short of the margin it fails whatever its pencil: skip the pencil
+        if float(np.vdot(comp.b, y).real) < 10.0 * tol:
+            return None
         s_blocks = comp.pencil(y)
         mx = comp.eig_bounds(s_blocks)[1]
     if mx > 1e-12 * max(1.0, comp.pencil_norm(s_blocks)):
@@ -456,7 +460,10 @@ def _iterate(
        ``0 = B_r`` is one: its part of the residue is ``B_r`` and of the
        pencil exactly 0, so it is Infeasible once the margin clears
        10 tol; a ``B_r`` within ``WITNESS_RESIDUAL`` is met by any
-       witness, and one in between closes neither way;
+       witness.  A residue in between, too large for any witness and too
+       small to certify, is decided on the rhs projected onto the range
+       (``_in_band``): Infeasible there is Infeasible, Feasible there is
+       Unknown at once;
     2. the separator of the operator's last Infeasible answer, re-priced
        on this rhs by ``_certificate_from_dual`` (0 iterations);
     3. the operator's last Feasible witness, projected onto this affine
@@ -472,7 +479,7 @@ def _iterate(
     if comp.m == 0:
         return Status.FEASIBLE, comp.zero(), None, 0, 0.0
     warm = comp._warm
-    out = _without_iterating(comp, warm, tol)
+    out = _without_iterating(comp, warm, tol, max_iter)
     if out is None:
         out = _douglas_rachford(comp, warm, tol, max_iter)
     status, v, sep, it, resid = out
@@ -484,9 +491,10 @@ def _iterate(
 
 
 def _without_iterating(
-    comp: _Compiled, warm: _WarmStart, tol: float
+    comp: _Compiled, warm: _WarmStart, tol: float, max_iter: int
 ) -> tuple[Status, list[np.ndarray] | None, Separator | None, int, float] | None:
-    """Checks 1-3 of ``_iterate``: an answer at 0 iterations, or None."""
+    """Checks 1-3 of ``_iterate``: an answer at 0 iterations (or, for a
+    residue in the band, the projected rhs's answer), or None."""
     # inconsistent affine systems short-circuit with a separator: the
     # residue of b against range(Gram) has a zero pencil and margin
     # ||res_b||, and depends on b alone, so it is tried once
@@ -496,6 +504,8 @@ def _without_iterating(
         sep = _certificate_from_dual(comp, res_b, tol)
         if sep is not None:
             return Status.INFEASIBLE, None, sep, 0, res_norm
+        if res_norm > math.sqrt(res_b.size) * WITNESS_RESIDUAL:
+            return _in_band(comp, res_b, tol, max_iter)
     # a pencil does not depend on the rhs: only the margin is re-priced
     if warm.dual is not None:
         sep = _certificate_from_dual(comp, warm.dual, tol)
@@ -509,6 +519,28 @@ def _without_iterating(
     return None
 
 
+def _in_band(
+    comp: _Compiled, res_b: np.ndarray, tol: float, max_iter: int
+) -> tuple[Status, None, Separator | None, int, float]:
+    """The answer when the residue ``res_b`` of check 1 is too large for
+    any witness (its Frobenius norm bounds every residual's from below)
+    but too small to certify: decide the rhs ``b - res_b`` projected
+    onto the range instead.  Feasible there is Unknown here, since every
+    separator's margin is then at most ``||res_b|| < 10 tol``; Infeasible
+    there is Infeasible here, by the separator with its component
+    outside the range dropped, which keeps its pencil and its margin."""
+    res_norm = float(np.linalg.norm(res_b))
+    inner = comp.with_rhs((comp.b - res_b) * comp.norms[:, None, None])
+    status, _, sep, it, _ = _iterate(inner, tol, max_iter)
+    if status is Status.INFEASIBLE:
+        y = (sep.dual * comp.norms[:, None, None]).reshape(comp.m, -1)
+        in_range = (comp.gram @ (comp.gram_pinv @ y)).reshape(res_b.shape)
+        sep = _certificate_from_dual(comp, in_range, tol)
+        if sep is not None:
+            return Status.INFEASIBLE, None, sep, it, res_norm
+    return Status.UNKNOWN, None, None, it, res_norm
+
+
 def _douglas_rachford(
     comp: _Compiled,
     warm: _WarmStart,
@@ -517,14 +549,15 @@ def _douglas_rachford(
 ) -> tuple[Status, list[np.ndarray] | None, Separator | None, int, float]:
     """Douglas-Rachford from the slot's iterate (zero when it is empty).
     Every ``CHECK_EVERY`` iterations and at the last, ``_witness_ok``
-    checks the affine-exact iterate, then the cone-exact one; every
-    ``CERT_EVERY`` while their gap exceeds ``tol``, and at the last,
-    ``_certificate_from_dual`` prices the gap's least-squares dual.
-    Returns ``_iterate``'s answer and leaves the iterate it stopped at
-    in the slot; while it runs, it holds the only copy."""
+    checks the affine-exact iterate, then the cone-exact one; right after,
+    while their gap exceeds ``tol`` (and at the last iteration whatever
+    it is), ``_certificate_from_dual`` prices the gap's least-squares
+    dual.  So a witness and a dual certificate are tried at every check,
+    and an Infeasible answer closes at the first check whose gap
+    certifies.  Returns ``_iterate``'s answer and leaves the iterate it
+    stopped at in the slot; while it runs, it holds the only copy."""
     z, warm.z = (comp.zero() if warm.z is None else warm.z), None
     best_resid = np.inf
-    last_gap: list[np.ndarray] | None = None
 
     it = 0
     try:
@@ -533,21 +566,18 @@ def _douglas_rachford(
             y = comp.psd_project([2.0 * xg - zg for xg, zg in zip(x, z)])
             z = [zg + yg - xg for zg, yg, xg in zip(z, y, x)]
             it += 1
+            if it % CHECK_EVERY and it != max_iter:
+                continue
 
-            if it % CHECK_EVERY == 0 or it == max_iter:
-                # the affine-exact candidate, then the cone-exact one
-                for cand in (x, y):
-                    ok, resid = _witness_ok(comp, cand)
-                    if ok:
-                        return Status.FEASIBLE, cand, None, it, resid
-                best_resid = min(best_resid, resid)
-                last_gap = [xg - yg for xg, yg in zip(x, y)]
-
-            if last_gap is not None and (it == max_iter or (
-                it % CERT_EVERY == 0
-                and max(float(np.abs(g).max()) for g in last_gap) > tol
-            )):
-                sep = _certificate_from_dual(comp, comp.lsq_dual(last_gap), tol)
+            # the affine-exact candidate, then the cone-exact one
+            for cand in (x, y):
+                ok, resid = _witness_ok(comp, cand)
+                if ok:
+                    return Status.FEASIBLE, cand, None, it, resid
+            best_resid = min(best_resid, resid)
+            gap = [xg - yg for xg, yg in zip(x, y)]
+            if it == max_iter or max(float(np.abs(g).max()) for g in gap) > tol:
+                sep = _certificate_from_dual(comp, comp.lsq_dual(gap), tol)
                 if sep is not None:
                     return Status.INFEASIBLE, None, sep, it, best_resid
     finally:
@@ -565,8 +595,10 @@ def solve_feasibility(
     Deterministic: each call compiles afresh, so it starts with an empty
     warm slot and no solve before it can change its answer; identical
     problems give bit-identical statuses and witnesses matching to
-    1e-12.  ``Unknown`` only appears when the budget runs out without
-    either certificate closing.
+    1e-12.  ``Unknown`` appears when the budget runs out without either
+    certificate closing, or at once when the rhs misses the range of the
+    constraint map by more than any witness may but by too little to
+    certify (``_in_band``).
     """
     return _compile(problem).solve(tol, max_iter)
 

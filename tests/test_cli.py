@@ -440,11 +440,36 @@ class TestReports:
 
     def test_envelope_fields(self, tmp_path, capsys):
         t = write(tmp_path / "t.json", pauli_tuple())
-        _, rep = run(capsys, ["jnr", "--tuple", t, "--grid", "16", "--tol", "0.1"])
+        _, rep = run(capsys, ["jnr", "--tuple", t, "--grid", "16"])
         assert rep["command"] == "jnr"
         assert "seed" not in rep
-        # jnr reads only the grid
         assert rep["tolerances"] == {"grid": 16}
+
+    def test_a_flag_the_command_does_not_read_is_usage(self, tmp_path, capsys):
+        # jnr reads only the grid (and --svg): a --tol would be dropped
+        t = write(tmp_path / "t.json", pauli_tuple())
+        code = cli.main(["jnr", "--tuple", t, "--grid", "16", "--tol", "0.1"])
+        assert code == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol" in captured.err
+
+    def test_batch_option_the_command_does_not_read_is_usage(self, tmp_path, capsys):
+        jnr = {"command": "jnr", "inputs": {"tuple": pauli_tuple()}}
+        jobs = write(
+            tmp_path / "jobs.json",
+            [{**jnr, "options": {"grid": 8}}, {**jnr, "options": {"tol": 0.1}}],
+        )
+        code, rep = run(capsys, ["batch", "--jobs", jobs])
+        assert code == 64
+        assert [j["status"] for j in rep["jobs"]] == ["ok", "UsageError"]
+        assert "'tol'" in rep["jobs"][1]["error"]
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_each_command_takes_the_flags_of_its_row(self, command):
+        sub = cli._build_parser()._subparsers._group_actions[0].choices[command]
+        dests = {a.dest for a in sub._actions} - {"help", "kind"}
+        dests = {d for d in dests if not d.endswith("_path")}
+        assert dests == {*cli._COMMANDS[command].options, "json", "strict"}
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 2), (3, 2, 2), "transposed"])

@@ -1,4 +1,7 @@
+import dataclasses
 import logging
+import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -81,6 +84,13 @@ def pauli(scale: float = 1.0) -> OperatorTuple:
 def nilpotent_pair() -> OperatorTuple:
     s = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
     return OperatorTuple((herm_part(s), skew_part(s)), hermitian=True)
+
+
+def symmetry_pair() -> OperatorTuple:
+    """Two noncommuting 3 x 3 symmetries: a point of the square's maximal
+    set whose theta takes the separators several probes."""
+    s2 = np.eye(3) - 2.0 / 3.0 * np.ones((3, 3))
+    return OperatorTuple((np.diag([1.0, 1.0, -1.0]), s2), hermitian=True)
 
 
 class TestKmax:
@@ -434,10 +444,15 @@ class TestTheta:
 
     def test_trace_collects_brackets(self):
         trace = []
-        theta_min_alpha(SQUARE, pauli(), tol=0.05, trace=trace)
-        assert len(trace) >= 3
-        widths = [hi - lo for lo, hi in trace]
-        assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
+        est = theta_min_alpha(SQUARE, pauli(), tol=0.05, trace=trace)
+        # alpha = 1's separator lifts the lower end at once; the upper end
+        # starts at the certified hi = 4 and ends at the probe tol / 2 above
+        assert len(trace) == 2 and trace[0][1] == 4.0
+        assert trace[-1] == (est.lower, est.upper)
+        assert all(type(end) is float for bracket in trace for end in bracket)
+        lows, highs = zip(*trace)
+        assert list(lows) == sorted(lows)
+        assert list(highs) == sorted(highs, reverse=True)
 
 
 def square_max_boundary_pair() -> OperatorTuple:
@@ -466,29 +481,27 @@ def square_max_boundary_pair() -> OperatorTuple:
 
 
 def _scaled_body_theta(K, a, tol):
-    """The bisection of theta_min_alpha with the scaled-body oracle:
-    ``kmin_member(scale_body(K, alpha), a)`` returning In or Boundary."""
+    """Plain bisection with the scaled-body oracle: ``kmin_member(
+    scale_body(K, alpha), a)`` returning In or Boundary."""
 
     def inside(alpha):
         res = kmin_member(scale_body(K, alpha), a)
         return res.status in (MembershipStatus.IN, MembershipStatus.BOUNDARY)
 
     if inside(1.0):
-        return (1.0, 1.0), [(1.0, 1.0)]
+        return 1.0, 1.0
     lo = 1.0
     hi = max(2.0, 2.0 * a.d * max(op_norm(m) for m in a.mats)
              / require_interior_zero(K))
     while not inside(hi):
         lo, hi = hi, 2.0 * hi
-    trace = [(lo, hi)]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if inside(mid):
             hi = mid
         else:
             lo = mid
-        trace.append((lo, hi))
-    return (lo, hi), trace
+    return lo, hi
 
 
 def _count_compiles_and_solves(monkeypatch) -> dict:
@@ -536,11 +549,12 @@ class TestThetaCompiledOnce:
         ],
     )
     def test_matches_the_scaled_body_bisection(self, body, pair, tol):
-        trace = []
-        est = theta_min_alpha(body, pair(), tol=tol, trace=trace)
-        bracket, want = _scaled_body_theta(body, pair(), tol)
-        assert (est.lower, est.upper) == bracket
-        assert trace == want
+        # both brackets hold theta of the relaxed body, so they meet; the
+        # separators' bracket closes tol / 2 wide
+        est = theta_min_alpha(body, pair(), tol=tol)
+        lo, hi = _scaled_body_theta(body, pair(), tol)
+        assert max(est.lower, lo) <= min(est.upper, hi)
+        assert est.upper - est.lower <= tol / 2 + 1e-12
 
     def test_decides_a_maximal_boundary_point_in_one_solve(self, monkeypatch):
         a = square_max_boundary_pair()
@@ -609,12 +623,17 @@ def _record_steps(monkeypatch) -> list:
 
 def _check_skipped_steps(body, steps) -> list:
     """Re-solve cold every recorded step answered at 0 iterations (with
-    the recording undone): the cold status must be the same, and the
-    step's own certificate must re-check on its problem.  Returns the
+    the recording undone), as ``_check_cold_steps`` does.  Returns the
     statuses of such steps."""
+    return _check_cold_steps(body, [s for s in steps if s[1].iterations == 0])
+
+
+def _check_cold_steps(body, steps) -> list:
+    """Re-solve cold every recorded step: the cold status must be the
+    same, and the step's own certificate must re-check on its problem.
+    Returns the statuses of the steps."""
     verts = ranges._vertex_sets(body, ranges.MEMBER_TOL, ranges.DISC_GRID)[0]
-    skipped = [(rhs, v) for rhs, v in steps if v.iterations == 0]
-    for rhs, verdict in skipped:
+    for rhs, verdict in steps:
         problem = _kmin_problem(verts, list(rhs[1:]))
         cold = solve_feasibility(problem, 1e-7, ranges.MAX_ITER)
         assert cold.status is verdict.status
@@ -624,7 +643,7 @@ def _check_skipped_steps(body, steps) -> list:
             assert resid <= sdp.WITNESS_RESIDUAL
         else:
             _check_separator(problem, verdict.separator)
-    return [v.status for _, v in skipped]
+    return [v.status for _, v in steps]
 
 
 def _check_separator(problem, sep) -> None:
@@ -650,8 +669,23 @@ class TestWarmSteps:
         theta_min_alpha(body, pair(), tol=0.01, trace=trace)
         monkeypatch.undo()
         assert len(steps) == len(trace)
-        skipped = _check_skipped_steps(body, steps)
-        assert set(skipped) == {Status.FEASIBLE, Status.INFEASIBLE}
+        # alpha = 1's separator certifies to within tol / 2 of theta, and
+        # the probe there is Feasible: two cold-speed steps, none skipped
+        assert [(v.status, v.iterations) for _, v in steps] == [
+            (Status.INFEASIBLE, 4), (Status.FEASIBLE, 4)
+        ]
+        assert _check_cold_steps(body, steps) == [Status.INFEASIBLE, Status.FEASIBLE]
+
+    def test_theta_steps_of_a_longer_query_match_a_cold_solve(self, monkeypatch):
+        steps = _record_steps(monkeypatch)
+        theta_min_alpha(SQUARE, symmetry_pair(), tol=0.01)
+        monkeypatch.undo()
+        assert [(v.status, v.iterations) for _, v in steps] == [
+            (Status.INFEASIBLE, 8), (Status.INFEASIBLE, 8), (Status.INFEASIBLE, 4),
+            (Status.INFEASIBLE, 8), (Status.INFEASIBLE, 12), (Status.INFEASIBLE, 12),
+            (Status.INFEASIBLE, 32), (Status.FEASIBLE, 4),
+        ]
+        assert _check_cold_steps(SQUARE, steps) == [v.status for _, v in steps]
 
     def test_disc_out_rests_on_a_repriced_separator(self, monkeypatch):
         steps = _record_steps(monkeypatch)
@@ -662,14 +696,16 @@ class TestWarmSteps:
         assert _check_skipped_steps(UNIT_DISC, steps) == [Status.INFEASIBLE]
         assert res.certificate is steps[-1][1].separator
 
-    def test_theta_takes_half_the_cold_iterations(self, monkeypatch):
+    def test_theta_closes_in_two_solves(self, monkeypatch):
         steps = _record_steps(monkeypatch)
         est = theta_min_alpha(UNIT_DISC, nilpotent_pair(), tol=0.01)
         assert est.lower <= 2.0 <= est.upper
-        # with every step started cold from zero these 10 solves took
-        # 100 iterations (16 per Infeasible step, 4 per Feasible step)
-        assert len(steps) == 10
-        assert sum(v.iterations for _, v in steps) <= 100 // 2
+        # plain bisection took 10 solves here (100 iterations cold); the
+        # separator at alpha = 1 lifts the lower end to 2 cos(pi / 96)
+        # less a hair, and the probe tol / 2 above it is Feasible
+        assert len(steps) == 2
+        assert sum(v.iterations for _, v in steps) == 8
+        assert est.lower == pytest.approx(2.0 * np.cos(np.pi / 96), abs=1e-4)
 
     @pytest.mark.parametrize(
         "body, pair", [(SQUARE, pauli), (UNIT_DISC, nilpotent_pair)]
@@ -692,6 +728,117 @@ class TestWarmSteps:
         assert theta_min_alpha(SQUARE, pauli(0.5)).lower_separator is None
         commuting = OperatorTuple((Z, Z), hermitian=True)
         assert theta_min_alpha(SQUARE, commuting).lower_separator is None
+
+
+def _alpha_star(K, a, sep) -> tuple[float, float, float]:
+    """``(c0, c1, alpha*)`` of a theta separator, from numpy traces of its
+    dual alone: its margin on the relaxed SDP of ``a / alpha`` is ``c0 +
+    c1 / alpha``, and alpha* is where that meets 10 tol."""
+    _, center, relax = ranges._vertex_sets(K, ranges.MEMBER_TOL, ranges.DISC_GRID)
+    y = sep.dual
+    c0 = np.trace(y[0]).real + (1.0 - 1.0 / relax) * sum(
+        c * np.trace(y[l + 1]).real for l, c in enumerate(center)
+    )
+    c1 = sum(np.trace(m @ y[l + 1]).real for l, m in enumerate(a.mats)) / relax
+    return c0, c1, c1 / (10 * 1e-7 - c0)
+
+
+class TestThetaFromSeparators:
+    @pytest.mark.parametrize(
+        "body, pair",
+        [(SQUARE, pauli), (UNIT_DISC, nilpotent_pair), (SQUARE, symmetry_pair)],
+    )
+    def test_lower_end_is_the_alpha_star_of_its_separator(self, body, pair):
+        a = pair()
+        est = theta_min_alpha(body, a, tol=0.01)
+        c0, c1, alpha_star = _alpha_star(body, a, est.lower_separator)
+        assert alpha_star * (1.0 - 1e-9) <= est.lower <= alpha_star
+        assert est.lower_separator.margin == pytest.approx(c0 + c1 / est.lower)
+        assert est.lower_separator.margin >= 10 * 1e-7
+
+    def test_an_unknown_step_moves_no_end_and_ends_the_search(self, monkeypatch):
+        solve = _Compiled.solve
+        calls = []
+
+        def unknown_second(self, tol, max_iter):
+            calls.append(None)
+            verdict = solve(self, tol, max_iter)
+            if len(calls) == 2:
+                return Verdict(Status.UNKNOWN, None, None, verdict.iterations, 1.0)
+            return verdict
+
+        monkeypatch.setattr(_Compiled, "solve", unknown_second)
+        trace = []
+        est = theta_min_alpha(SQUARE, pauli(), tol=0.01, trace=trace)
+        # the bracket stays the certified [alpha*(alpha = 1), 4]
+        assert len(calls) == 2
+        assert trace == [trace[0]] * 2
+        assert (est.lower, est.upper) == trace[0] and est.upper == 4.0
+        assert est.lower == pytest.approx(ROOT2, abs=1e-4)
+        assert _alpha_star(SQUARE, pauli(), est.lower_separator)[2] >= est.lower
+
+    def test_an_unknown_first_step_keeps_the_start(self, monkeypatch):
+        def unknown(self, tol, max_iter):
+            return Verdict(Status.UNKNOWN, None, None, max_iter, 1.0)
+
+        monkeypatch.setattr(_Compiled, "solve", unknown)
+        est = theta_min_alpha(SQUARE, pauli(), tol=0.01)
+        assert (est.lower, est.upper, est.lower_separator) == (1.0, 4.0, None)
+
+    def test_weak_separators_cost_at_most_twice_the_bisection(self, monkeypatch):
+        # every separator weakened until it certifies just its own probe:
+        # its dual on the sum-to-identity row shifted by -excess / n times
+        # I, which moves the pencil by -excess / n times I (still negative
+        # semidefinite) and the margin down to a hair above 10 tol
+        solve = _Compiled.solve
+        calls = []
+
+        def weakened(self, tol, max_iter):
+            calls.append(None)
+            verdict = solve(self, tol, max_iter)
+            sep = verdict.separator
+            if sep is None:
+                return verdict
+            excess = sep.margin - 10 * tol * (1.0 + 1e-9)
+            dual = sep.dual.copy()
+            dual[0] -= excess / self.n * np.eye(self.n)
+            sep = dataclasses.replace(sep, dual=dual, margin=sep.margin - excess)
+            return dataclasses.replace(verdict, separator=sep)
+
+        monkeypatch.setattr(_Compiled, "solve", weakened)
+        a = pauli()
+        est = theta_min_alpha(SQUARE, a, tol=0.01)
+        # weak enough to outlast the tight probes, yet capped by bisecting:
+        # plain bisection solves at alpha = 1, then halves [1, 4] to 0.01
+        bisection = 1 + math.ceil(math.log2((4.0 - 1.0) / 0.01))
+        assert bisection < len(calls) <= 2 * bisection
+        assert est.lower <= ROOT2 <= est.upper
+        assert est.upper - est.lower <= 0.01
+        verts, center, relax = ranges._vertex_sets(
+            SQUARE, ranges.MEMBER_TOL, ranges.DISC_GRID
+        )
+        mats = [
+            m / est.lower / relax + (1.0 - 1.0 / relax) * c * np.eye(a.n)
+            for m, c in zip(a.mats, center)
+        ]
+        _check_separator(_kmin_problem(verts, mats), est.lower_separator)
+
+    @pytest.mark.parametrize("tol", [0.0, -0.01, np.inf, np.nan])
+    def test_theta_rejects_a_tol_that_is_not_positive_and_finite(self, tol):
+        # the count of tight probes needs a positive finite tol
+        with pytest.raises(ValueError):
+            theta_min_alpha(SQUARE, pauli(), tol=tol)
+
+
+def test_a_zero_row_in_the_band_is_unknown_at_once():
+    # 5e-7 Z on the flat segment's zero row: too far off the range for
+    # any witness, too near it to certify; the projected rhs is feasible
+    segment = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    a = OperatorTuple((0.5 * X, 5e-7 * Z), hermitian=True)
+    t0 = time.perf_counter()
+    res = kmin_member(segment, a)
+    assert time.perf_counter() - t0 < 0.5
+    assert res.status is MembershipStatus.UNKNOWN
 
 
 def exact_compression(seed: int, m: int, n: int):

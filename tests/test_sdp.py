@@ -234,6 +234,47 @@ def test_zero_row_with_a_nonzero_rhs_is_separated(n):
     assert cert["pencil_max_eig"] <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "sign, status", [(1.0, Status.UNKNOWN), (-1.0, Status.INFEASIBLE)]
+)
+def test_a_zero_row_in_the_band_is_decided_on_the_projected_rhs(sign, status):
+    # 0 = 5e-7 beside tr V = +-1: no witness can meet the zero row within
+    # WITNESS_RESIDUAL, and its residue alone is below the margin 10 tol
+    problem = SdpFeasibility(
+        2,
+        (AffineConstraint(np.zeros((2, 2)), 5e-7),
+         AffineConstraint(np.eye(2), sign)),
+    )
+    verdict = solve_feasibility(problem)
+    assert verdict.status is status
+    assert verdict.iterations <= 8
+    if status is Status.INFEASIBLE:
+        # the separator of tr V = -1, with nothing on the zero row
+        assert verdict.separator.dual[0] == 0.0
+        cert = dual_witness(problem, verdict)
+        assert cert["margin"] >= 10 * 1e-7
+        assert cert["margin_gap"] <= 1e-9
+        assert cert["pencil_max_eig"] <= verdict.separator.psd_slack + 1e-12
+
+
+def test_a_gap_that_certifies_at_the_first_check_answers_there():
+    # the nilpotent pair at 0.55 against the inscribed 96-gon: the gap
+    # of the first check, at iteration 4, already prices a separator
+    from mconvex.ranges import DISC_GRID, _kmin_problem
+
+    s = 0.55 * np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
+    mats = [(s + s.conj().T) / 2, (s - s.conj().T) / 2j]
+    angles = 2.0 * np.pi * np.arange(DISC_GRID) / DISC_GRID
+    verts = np.column_stack([np.cos(angles), np.sin(angles)])
+    problem = _kmin_problem(verts, mats)
+    verdict = solve_feasibility(problem)
+    assert verdict.status is Status.INFEASIBLE and verdict.iterations == 4
+    cert = dual_witness(problem, verdict)
+    assert cert["margin"] >= 10 * 1e-7
+    assert cert["margin_gap"] <= 1e-9
+    assert cert["pencil_max_eig"] <= verdict.separator.psd_slack + 1e-12
+
+
 def test_verify_witness_needs_feasible_blocks():
     problem = _trace_one(2)
     verdict = solve_feasibility(problem)
