@@ -74,7 +74,8 @@ MAX_ITER = 50000
 #: deviation allowed when testing a_j^2 = I or a_j* a_j = I
 EXTREME_DEV = 1e-8
 
-#: commutator size below which a Hermitian tuple is treated as commuting
+#: commutator size, relative to the product of its entries' sizes, below
+#: which a Hermitian tuple is treated as commuting
 COMMUTING_TOL = 1e-10
 
 #: a normalization constant sometimes quoted for the square-to-disc
@@ -146,6 +147,18 @@ class ThetaEstimate:
     lower_separator: Separator | None = None
 
 
+def _require_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless ``tol`` is positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"needs a positive finite tol, not {tol}")
+
+
+def _sdp_tol(tol: float) -> float:
+    """The tol of a query's SDP solves: the query's, at most 1e-7.  A
+    separator of such a solve clears the margin ``10 _sdp_tol(tol)``."""
+    return min(tol, 1e-7)
+
+
 def _statuses(violation: float, tol: float) -> MembershipStatus:
     """In / Out / Boundary from a signed support violation."""
     if violation <= tol:
@@ -189,7 +202,9 @@ def kmax_member(
     (``geometry.halfplanes``: a box's +-e_j, a sampled body's own
     directions, a polytope's hull facets in any dimension).  Status is
     Boundary when the worst support gap lands in ``(tol, 10 tol]``.
+    Raises ``ValueError`` unless ``tol`` is positive and finite.
     """
+    _require_tol(tol)
     if not a.hermitian:
         raise NonHermitianInput("maximal-set membership needs a Hermitian tuple")
     if K.dim != a.d:
@@ -245,9 +260,23 @@ def _kmin_solver(
         # at scale 1 and alpha 1 this is the nominal rhs to the last bit
         tuple_rhs = mats / alpha / scale + (1.0 - 1.0 / scale) * at_center
         step = comp.with_rhs(np.concatenate([eye[None], tuple_rhs]))
-        return step.solve(min(tol, 1e-7), max_iter)
+        return step.solve(_sdp_tol(tol), max_iter)
 
     return solve
+
+
+def _margin_terms(
+    sep: Separator, a: OperatorTuple, center: np.ndarray, relax: float
+) -> tuple[float, float]:
+    """``(c0, c1)`` with ``c0 + c1 / alpha`` the margin of ``sep`` on the
+    relaxed decomposition SDP of ``a / alpha``, whose rhs are ``I`` and
+    ``a_l / (alpha relax) + (1 - 1 / relax) center_l I``: the pencil does
+    not depend on the rhs, so only this pairing moves with alpha."""
+    y = sep.dual
+    traces = np.einsum("lii->l", y).real
+    c0 = traces[0] + (1.0 - 1.0 / relax) * float(np.dot(center, traces[1:]))
+    c1 = float(np.einsum("lij,lji->", np.asarray(a.mats), y[1:]).real) / relax
+    return float(c0), c1
 
 
 def _decomposition(verdict, vertices: np.ndarray) -> MembershipResult:
@@ -261,10 +290,15 @@ def _decomposition(verdict, vertices: np.ndarray) -> MembershipResult:
 
 
 def _is_commuting(a: OperatorTuple) -> bool:
+    """Is every commutator within ``COMMUTING_TOL`` times the product of
+    its entries' sizes (largest absolute entry)?  So the answer does not
+    depend on the tuple's scale."""
+    sizes = [float(np.abs(m).max(initial=0.0)) for m in a.mats]
     for j in range(a.d):
         for k in range(j + 1, a.d):
             comm = a.mats[j] @ a.mats[k] - a.mats[k] @ a.mats[j]
-            if float(np.abs(comm).max(initial=0.0)) > COMMUTING_TOL:
+            bound = COMMUTING_TOL * sizes[j] * sizes[k]
+            if float(np.abs(comm).max(initial=0.0)) > bound:
                 return False
     return True
 
@@ -351,20 +385,30 @@ def kmin_member(
     Out, feasible Boundary, anything else Unknown.  The SDP is
     compiled once: a is in K dilated by s about its center c exactly when
     ``c + (a - c) / s`` is in K^min, so each scale moves only the
-    right-hand side.  Commuting tuples short-circuit through their joint
-    spectrum (the decomposition exists exactly when every joint
-    eigenvalue point lies in K).  Sampled bodies, in any dimension, run
+    right-hand side.  So the separator of an Infeasible nominal solve
+    keeps its pencil on the relaxed body, and its margin there is
+    ``c0 + c1`` (``_margin_terms``): when that clears the solve's margin
+    ``10 _sdp_tol(tol)``, the relaxed body is infeasible with no second
+    solve, and the answer is Out.  Commuting tuples short-circuit
+    through their joint spectrum (the decomposition exists exactly when
+    every joint eigenvalue point lies in K).  Sampled bodies, in any dimension, run
     it on the vertices of the polytope their facet list bounds (an
-    unbounded, empty or flat one raises ``BadProblem``).
+    unbounded, empty or flat one raises ``BadProblem``).  Raises
+    ``ValueError`` unless ``tol`` is positive and finite, and
+    ``DimensionMismatch`` for a disc with ``m_grid`` below 3.
 
     In answers carry the decomposition ``h_j`` as certificate; Out
     answers carry the verified separating functional over the nominal
-    vertices (for the rescaled point when the Out rests on a dilation).
+    vertices: for a disc, priced on the rescaled point of the
+    circumscribed polygon; for any other body, on the query itself.
     """
+    _require_tol(tol)
     if not a.hermitian:
         raise NonHermitianInput("minimal-set membership needs a Hermitian tuple")
     if K.dim != a.d:
         raise DimensionMismatch(f"body dim {K.dim} != tuple length {a.d}")
+    if isinstance(K, Disc) and m_grid < 3:
+        raise DimensionMismatch(f"a disc's polygon needs m_grid >= 3, not {m_grid}")
 
     point = _singleton_point(K)
     if point is not None:
@@ -387,6 +431,13 @@ def kmin_member(
     verdict = solve(1.0)
     if verdict.status is Status.FEASIBLE:
         return _decomposition(verdict, verts)
+    if verdict.status is Status.INFEASIBLE:
+        sep = verdict.separator
+        c0, c1 = _margin_terms(sep, a, center, relax)
+        if c0 + c1 >= 10.0 * _sdp_tol(tol):
+            if isinstance(K, Disc):
+                sep = dataclasses.replace(sep, margin=c0 + c1)
+            return MembershipResult(MembershipStatus.OUT, sep.margin, sep)
     if isinstance(K, Disc):
         return _relaxed(
             solve(relax), K.radius * (relax - 1.0),
@@ -451,18 +502,15 @@ def theta_min_alpha(
     probes bisect.  An Unknown probe moves neither end and ends the
     search, so the bracket returned is the certified one, however wide.
 
-    The probes share the compiled operator's warm slot, so a probe first
-    re-prices the last separator and projects the last witness onto its
-    own rhs, and iterates, from where the last probe stopped, only when
-    neither check closes (``sdp._iterate``).  A commuting tuple gets
+    The probes share the compiled operator's warm slot, so each probe
+    iterates from where the last one stopped.  A commuting tuple gets
     [1, 1] before anything is compiled: its joint numerical range is the
     hull of its joint spectrum, so K^max and K^min agree at it.  Values
     below 1 are reported as the degenerate bracket [1, 1].  Pass a list
     as ``trace`` to collect the (lower, upper) bracket, as floats, after
     each probe.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"theta needs a positive finite tol, not {tol}")
+    _require_tol(tol)
     pre = kmax_member(K, a)
     if pre.status not in (MembershipStatus.IN, MembershipStatus.BOUNDARY):
         raise NotInKmax(
@@ -480,8 +528,7 @@ def theta_min_alpha(
         return ThetaEstimate(1.0, 1.0, a)
     verts, center, relax = _vertex_sets(K, MEMBER_TOL, DISC_GRID)
     solve = _kmin_solver(verts, center, a, MEMBER_TOL, MAX_ITER)
-    # the margin a separator clears in _kmin_solver's solves
-    floor = 10.0 * min(MEMBER_TOL, 1e-7)
+    floor = 10.0 * _sdp_tol(MEMBER_TOL)
     lo, lo_sep, lo_terms = 1.0, None, (0.0, 0.0)
     hi = max(2.0, 2.0 * a.d * max(op_norm(m) for m in a.mats) / slack)
     # plain bisection's step count: after as many tight probes, bisect
@@ -513,20 +560,6 @@ def theta_min_alpha(
         c0, c1 = lo_terms
         lo_sep = dataclasses.replace(lo_sep, margin=c0 + c1 / lo)
     return ThetaEstimate(lo, hi, a.scaled(1.0 / hi), lo_sep)
-
-
-def _margin_terms(
-    sep: Separator, a: OperatorTuple, center: np.ndarray, relax: float
-) -> tuple[float, float]:
-    """``(c0, c1)`` with ``c0 + c1 / alpha`` the margin of ``sep`` on the
-    relaxed decomposition SDP of ``a / alpha``, whose rhs are ``I`` and
-    ``a_l / (alpha relax) + (1 - 1 / relax) center_l I``: the pencil does
-    not depend on the rhs, so only this pairing moves with alpha."""
-    y = sep.dual
-    traces = np.einsum("lii->l", y).real
-    c0 = traces[0] + (1.0 - 1.0 / relax) * float(np.dot(center, traces[1:]))
-    c1 = float(np.einsum("lij,lji->", np.asarray(a.mats), y[1:]).real) / relax
-    return float(c0), c1
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +605,7 @@ def _choi_problem(
         # at f = 1 this is the rhs at a to the last bit
         rhs = f * at_a + (1.0 - f) * at_c
         rhs[comp.zero_rows & (np.abs(rhs).max(axis=(1, 2)) <= 10.0 * tol)] = 0.0
-        return comp.with_rhs(rhs).solve(min(tol, 1e-7), max_iter)
+        return comp.with_rhs(rhs).solve(_sdp_tol(tol), max_iter)
 
     return solve
 
@@ -598,7 +631,9 @@ def ucp_member(
     non-Hermitian ``a_j``) is the equation ``0 = rhs``: an rhs within
     10 tol is posed as 0 = 0, and a larger one is Out, with the
     separator of the SDP core, whose pencil vanishes on that row.
+    Raises ``ValueError`` unless ``tol`` is positive and finite.
     """
+    _require_tol(tol)
     if x.d != a.d:
         raise TupleMismatch(f"tuple lengths differ: {x.d} vs {a.d}")
     solve = _choi_problem(x, a, tol, max_iter)

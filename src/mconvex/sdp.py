@@ -45,7 +45,7 @@ WITNESS_RESIDUAL = 1e-7
 #: a constraint whose coefficient norm is at most ZERO_ROW_NORM is a zero
 #: row (rounding noise, e.g. a coefficient that cancels to ~1e-17): the
 #: equation 0 = rhs, which is Infeasible once its rhs clears the margin
-#: 10 tol (``_iterate``, check 1)
+#: 10 tol (``_iterate``'s first check)
 ZERO_ROW_NORM = 1e-14
 
 #: relative deviation from Hermitian allowed in coefficients and rhs
@@ -205,13 +205,9 @@ def _compile(problem: SdpFeasibility) -> _Compiled:
 @dataclasses.dataclass
 class _WarmStart:
     """What the last solve of one operator leaves for the next: the
-    Douglas-Rachford iterate ``z``, the normalized dual ``sep.dual *
-    norms`` of the last separator and the last Feasible witness, the
-    first and last as group variables."""
+    Douglas-Rachford iterate ``z``, a group variable."""
 
     z: list[np.ndarray] | None = None
-    dual: np.ndarray | None = None
-    witness: list[np.ndarray] | None = None
 
 
 class _Compiled:
@@ -231,10 +227,9 @@ class _Compiled:
     product per group.  ``b`` is the (m, n, n)
     stack of normalized ``B_r``.  ``with_rhs`` re-poses the problem for
     another right-hand side and shares everything else, the private warm
-    slot ``_warm`` (a ``_WarmStart``) included: each solve tries the last
-    separator and witness of the operator before it iterates, and
-    iterates from where the last solve stopped (``_iterate``).  A fresh
-    compile starts with an empty slot.
+    slot ``_warm`` (a ``_WarmStart``) included: each solve iterates from
+    where the operator's last solve stopped (``_douglas_rachford``).  A
+    fresh compile starts with an empty slot.
     """
 
     def __init__(self, block_sizes, coeff_groups: list[np.ndarray], rhs):
@@ -248,7 +243,8 @@ class _Compiled:
         # diagonal preconditioning: unit Frobenius norm per constraint; rows
         # of rounding noise become zero rows (zero coefficient, norm 1, no
         # part in any least-squares fit) instead of unit-norm equations of
-        # noise; a nonzero rhs is left in b, the residue of check 1
+        # noise; a nonzero rhs is left in b, the residue that _iterate
+        # checks first
         sq = sum(np.einsum("rcpq,rcpq->r", t.conj(), t).real for t in coeff_groups)
         norms = np.sqrt(np.maximum(sq, 1e-300))
         self.zero_rows = norms <= ZERO_ROW_NORM
@@ -304,8 +300,8 @@ class _Compiled:
         """The same constraint operator with another right-hand side.
 
         Shares the normalized coefficients, the Gram pseudo-inverse,
-        ``identity_combo`` and the warm slot, so a solve of the copy starts
-        from what the operator's last solve left (``_iterate``); re-checks
+        ``identity_combo`` and the warm slot, so a solve of the copy
+        iterates from where the operator's last solve stopped; re-checks
         the new rhs (m floats when n = 1, else an (m, n, n) stack) as
         ``_compile`` does.
         """
@@ -407,12 +403,14 @@ def _certificate_from_dual(
     comp: _Compiled, coeffs: np.ndarray, tol: float
 ) -> Separator | None:
     """Verify (possibly after an identity shift) a candidate dual stack,
-    priced in the sign it comes in: the one that separates, for each
-    source.  The affine residue ``res_b`` has margin ``||res_b|| > 0``; a
-    stored separator carries its sign; the Douglas-Rachford gap ``x - y``
-    at the fixed point, the least displacement between the affine set and
-    the cone, lies in the normal cone at ``y``, so its pencil is negative
-    semidefinite and its margin is ``||x - y||^2 > 0``."""
+    priced in the sign it comes in: the one that separates, for each of
+    the two sources.  The affine residue ``res_b`` has margin
+    ``||res_b|| > 0``.  The Douglas-Rachford gap ``x - y`` at the fixed
+    point, the least displacement between the affine set and the cone,
+    lies in the normal cone at ``y``, so its pencil is negative
+    semidefinite and its margin is ``||x - y||^2 > 0``; ``_iterate``
+    also prices one, found on the projected rhs of the band, on its own
+    rhs."""
     nrm = float(np.linalg.norm(coeffs))
     if nrm <= 1e-14:
         return None
@@ -453,50 +451,23 @@ def _iterate(
     """Decide a compiled problem.  Returns the status, the witness as a
     group variable, the separator, the iteration count and the residual.
 
-    The checks run in this order, and the first that closes answers:
-
-    1. the residue of the rhs against the range of the Gram, a separator
-       of an inconsistent affine system (0 iterations).  A zero row
-       ``0 = B_r`` is one: its part of the residue is ``B_r`` and of the
-       pencil exactly 0, so it is Infeasible once the margin clears
-       10 tol; a ``B_r`` within ``WITNESS_RESIDUAL`` is met by any
-       witness.  A residue in between, too large for any witness and too
-       small to certify, is decided on the rhs projected onto the range
-       (``_in_band``): Infeasible there is Infeasible, Feasible there is
-       Unknown at once;
-    2. the separator of the operator's last Infeasible answer, re-priced
-       on this rhs by ``_certificate_from_dual`` (0 iterations);
-    3. the operator's last Feasible witness, projected onto this affine
-       slice and checked by ``_witness_ok`` (0 iterations);
-    4. Douglas-Rachford from the operator's last iterate (from zero on a
-       fresh compile), with witness and certificate checks
-       (``_douglas_rachford``).
-
-    Every answer writes its separator or witness, and the iterate it
-    stopped at, back to the warm slot shared by ``with_rhs`` copies.  A
-    skipped iteration rests on the same acceptance rule as a solved one.
+    First, at 0 iterations, the residue of the rhs against the range of
+    the Gram: a separator of an inconsistent affine system.  A zero row
+    ``0 = B_r`` is one: its part of the residue is ``B_r`` and of the
+    pencil exactly 0, so it is Infeasible once the margin clears 10 tol;
+    a ``B_r`` within ``WITNESS_RESIDUAL`` is met by any witness.  A
+    residue in between, too large for any witness (its Frobenius norm
+    bounds every residual's from below) and too small to certify, is
+    decided on the rhs projected onto the range: Feasible there is
+    Unknown here, since every separator's margin is then at most
+    ``||res_b|| < 10 tol``; Infeasible there is Infeasible here, by the
+    separator with its component outside the range dropped, which keeps
+    its pencil and its margin.  Otherwise Douglas-Rachford decides, from
+    the operator's last iterate (``_douglas_rachford``).
     """
     if comp.m == 0:
         return Status.FEASIBLE, comp.zero(), None, 0, 0.0
-    warm = comp._warm
-    out = _without_iterating(comp, warm, tol, max_iter)
-    if out is None:
-        out = _douglas_rachford(comp, warm, tol, max_iter)
-    status, v, sep, it, resid = out
-    if sep is not None:
-        warm.dual = sep.dual * comp.norms[:, None, None]
-    if v is not None:
-        warm.witness = v
-    return status, v, sep, it, resid
-
-
-def _without_iterating(
-    comp: _Compiled, warm: _WarmStart, tol: float, max_iter: int
-) -> tuple[Status, list[np.ndarray] | None, Separator | None, int, float] | None:
-    """Checks 1-3 of ``_iterate``: an answer at 0 iterations (or, for a
-    residue in the band, the projected rhs's answer), or None."""
-    # inconsistent affine systems short-circuit with a separator: the
-    # residue of b against range(Gram) has a zero pencil and margin
+    # the residue of b against range(Gram) has a zero pencil and margin
     # ||res_b||, and depends on b alone, so it is tried once
     res_b = comp.b - (comp.gram @ comp.b_lsq.reshape(comp.m, -1)).reshape(comp.b.shape)
     res_norm = float(np.linalg.norm(res_b))
@@ -505,57 +476,33 @@ def _without_iterating(
         if sep is not None:
             return Status.INFEASIBLE, None, sep, 0, res_norm
         if res_norm > math.sqrt(res_b.size) * WITNESS_RESIDUAL:
-            return _in_band(comp, res_b, tol, max_iter)
-    # a pencil does not depend on the rhs: only the margin is re-priced
-    if warm.dual is not None:
-        sep = _certificate_from_dual(comp, warm.dual, tol)
-        if sep is not None:
-            return Status.INFEASIBLE, None, sep, 0, np.inf
-    if warm.witness is not None:
-        v = comp.affine_project(warm.witness)
-        ok, resid = _witness_ok(comp, v)
-        if ok:
-            return Status.FEASIBLE, v, None, 0, resid
-    return None
-
-
-def _in_band(
-    comp: _Compiled, res_b: np.ndarray, tol: float, max_iter: int
-) -> tuple[Status, None, Separator | None, int, float]:
-    """The answer when the residue ``res_b`` of check 1 is too large for
-    any witness (its Frobenius norm bounds every residual's from below)
-    but too small to certify: decide the rhs ``b - res_b`` projected
-    onto the range instead.  Feasible there is Unknown here, since every
-    separator's margin is then at most ``||res_b|| < 10 tol``; Infeasible
-    there is Infeasible here, by the separator with its component
-    outside the range dropped, which keeps its pencil and its margin."""
-    res_norm = float(np.linalg.norm(res_b))
-    inner = comp.with_rhs((comp.b - res_b) * comp.norms[:, None, None])
-    status, _, sep, it, _ = _iterate(inner, tol, max_iter)
-    if status is Status.INFEASIBLE:
-        y = (sep.dual * comp.norms[:, None, None]).reshape(comp.m, -1)
-        in_range = (comp.gram @ (comp.gram_pinv @ y)).reshape(res_b.shape)
-        sep = _certificate_from_dual(comp, in_range, tol)
-        if sep is not None:
-            return Status.INFEASIBLE, None, sep, it, res_norm
-    return Status.UNKNOWN, None, None, it, res_norm
+            # in the band: the projected rhs decides
+            inner = comp.with_rhs((comp.b - res_b) * comp.norms[:, None, None])
+            status, _, sep, it, _ = _iterate(inner, tol, max_iter)
+            if status is Status.INFEASIBLE:
+                y = (sep.dual * comp.norms[:, None, None]).reshape(comp.m, -1)
+                in_range = (comp.gram @ (comp.gram_pinv @ y)).reshape(res_b.shape)
+                sep = _certificate_from_dual(comp, in_range, tol)
+                if sep is not None:
+                    return Status.INFEASIBLE, None, sep, it, res_norm
+            return Status.UNKNOWN, None, None, it, res_norm
+    return _douglas_rachford(comp, tol, max_iter)
 
 
 def _douglas_rachford(
-    comp: _Compiled,
-    warm: _WarmStart,
-    tol: float,
-    max_iter: int,
+    comp: _Compiled, tol: float, max_iter: int
 ) -> tuple[Status, list[np.ndarray] | None, Separator | None, int, float]:
-    """Douglas-Rachford from the slot's iterate (zero when it is empty).
-    Every ``CHECK_EVERY`` iterations and at the last, ``_witness_ok``
-    checks the affine-exact iterate, then the cone-exact one; right after,
-    while their gap exceeds ``tol`` (and at the last iteration whatever
-    it is), ``_certificate_from_dual`` prices the gap's least-squares
-    dual.  So a witness and a dual certificate are tried at every check,
-    and an Infeasible answer closes at the first check whose gap
-    certifies.  Returns ``_iterate``'s answer and leaves the iterate it
-    stopped at in the slot; while it runs, it holds the only copy."""
+    """Douglas-Rachford from the warm slot's iterate (zero when it is
+    empty).  Every ``CHECK_EVERY`` iterations and at the last,
+    ``_witness_ok`` checks the affine-exact iterate, then the cone-exact
+    one; right after, while their gap exceeds ``tol`` (and at the last
+    iteration whatever it is), ``_certificate_from_dual`` prices the
+    gap's least-squares dual.  So a witness and a dual certificate are
+    tried at every check, and an Infeasible answer closes at the first
+    check whose gap certifies.  Returns ``_iterate``'s answer and leaves
+    the iterate it stopped at in the slot; while it runs, it holds the
+    only copy."""
+    warm = comp._warm
     z, warm.z = (comp.zero() if warm.z is None else warm.z), None
     best_resid = np.inf
 
@@ -598,7 +545,7 @@ def solve_feasibility(
     1e-12.  ``Unknown`` appears when the budget runs out without either
     certificate closing, or at once when the rhs misses the range of the
     constraint map by more than any witness may but by too little to
-    certify (``_in_band``).
+    certify (``_iterate``).
     """
     return _compile(problem).solve(tol, max_iter)
 

@@ -315,6 +315,23 @@ class TestExitCodes:
         t = write(tmp_path / "t.json", {"mats": "nope"})
         assert cli.main(["jnr", "--tuple", t]) == 65
 
+    @pytest.mark.parametrize(
+        "body, flags",
+        [
+            (SQUARE_BODY, ["--kind", "kmax", "--tol", "-1"]),
+            (SQUARE_BODY, ["--kind", "kmin", "--tol", "nan"]),
+            ({"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
+             ["--kind", "kmin", "--grid", "0"]),
+        ],
+        ids=["negative-tol", "nan-tol", "grid-0"],
+    )
+    def test_invalid_tol_or_grid_is_data_error(self, tmp_path, capsys, body, flags):
+        t = write(tmp_path / "t.json", pauli_tuple(0.3))
+        b = write(tmp_path / "b.json", body)
+        code, rep = run(capsys, ["member", "--tuple", t, "--body", b, *flags])
+        assert code == 65
+        assert rep["status"] == "DataError"
+
     def test_strict_unknown_is_70(self, tmp_path, capsys, monkeypatch):
         def fake_ucp(x, a, tol=1e-7, max_iter=50000):
             return MembershipResult(MembershipStatus.UNKNOWN, 0.0)

@@ -232,6 +232,34 @@ class TestKmin:
         assert res.status is MembershipStatus.IN
         assert "joint spectrum" in res.detail
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-7])
+    def test_a_small_non_commuting_pair_goes_through_the_sdp(self, scale):
+        # the commutator 2 scale^2 is tiny in absolute terms, not relative
+        # to the entries' sizes
+        res = kmin_member(SQUARE, pauli(scale))
+        assert res.status is MembershipStatus.IN
+        assert "joint spectrum" not in res.detail
+        assert len(res.certificate["h"]) == 4
+
+    def test_a_large_commuting_pair_keeps_the_joint_spectrum(self):
+        # conjugated diagonals at 1e6: the commutator is rounding, about
+        # 2e-5 in absolute terms
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        q, _ = np.linalg.qr(g)
+        mats = tuple(
+            herm_part(1e6 * q @ np.diag(d) @ q.conj().T)
+            for d in ([0.5, -0.2, 0.1], [0.1, 0.3, -0.4])
+        )
+        res = kmin_member(SQUARE, OperatorTuple(mats, hermitian=True))
+        assert res.status is MembershipStatus.OUT
+        assert "joint spectrum" in res.detail
+
+    @pytest.mark.parametrize("m_grid", [0, 1, 2])
+    def test_a_disc_grid_below_three_raises(self, m_grid):
+        with pytest.raises(DimensionMismatch):
+            kmin_member(UNIT_DISC, pauli(0.3), m_grid=m_grid)
+
     @staticmethod
     def _check_commuting_support_slack(body):
         t = OperatorTuple(
@@ -621,13 +649,6 @@ def _record_steps(monkeypatch) -> list:
     return steps
 
 
-def _check_skipped_steps(body, steps) -> list:
-    """Re-solve cold every recorded step answered at 0 iterations (with
-    the recording undone), as ``_check_cold_steps`` does.  Returns the
-    statuses of such steps."""
-    return _check_cold_steps(body, [s for s in steps if s[1].iterations == 0])
-
-
 def _check_cold_steps(body, steps) -> list:
     """Re-solve cold every recorded step: the cold status must be the
     same, and the step's own certificate must re-check on its problem.
@@ -689,12 +710,24 @@ class TestWarmSteps:
 
     def test_disc_out_rests_on_a_repriced_separator(self, monkeypatch):
         steps = _record_steps(monkeypatch)
-        res = kmin_member(UNIT_DISC, nilpotent_pair().scaled(0.55))
+        a = nilpotent_pair().scaled(0.55)
+        res = kmin_member(UNIT_DISC, a)
         monkeypatch.undo()
         assert res.status is MembershipStatus.OUT
-        assert [v.status for _, v in steps] == [Status.INFEASIBLE] * 2
-        assert _check_skipped_steps(UNIT_DISC, steps) == [Status.INFEASIBLE]
-        assert res.certificate is steps[-1][1].separator
+        # the inscribed polygon's separator, priced on the circumscribed
+        # one's rhs: no second solve
+        assert [v.status for _, v in steps] == [Status.INFEASIBLE]
+        assert _check_cold_steps(UNIT_DISC, steps) == [Status.INFEASIBLE]
+        verts, center, relax = ranges._vertex_sets(
+            UNIT_DISC, ranges.MEMBER_TOL, ranges.DISC_GRID
+        )
+        mats = [
+            m / relax + (1.0 - 1.0 / relax) * c * np.eye(a.n)
+            for m, c in zip(a.mats, center)
+        ]
+        _check_separator(_kmin_problem(verts, mats), res.certificate)
+        assert res.margin == res.certificate.margin
+        assert np.array_equal(res.certificate.dual, steps[0][1].separator.dual)
 
     def test_theta_closes_in_two_solves(self, monkeypatch):
         steps = _record_steps(monkeypatch)
@@ -830,6 +863,23 @@ class TestThetaFromSeparators:
             theta_min_alpha(SQUARE, pauli(), tol=tol)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda tol: kmin_member(SQUARE, pauli(0.3), tol=tol),
+        lambda tol: kmax_member(SQUARE, pauli(0.3), tol=tol),
+        lambda tol: ucp_member(pauli(), pauli(0.3), tol=tol),
+        lambda tol: mrange_equal(pauli(), pauli(), tol=tol),
+        lambda tol: choi_li_equiv_check(0.3 * X, tol=tol),
+    ],
+    ids=["kmin", "kmax", "ucp", "equal", "choili"],
+)
+def test_membership_rejects_a_tol_that_is_not_positive_and_finite(query, tol):
+    with pytest.raises(ValueError):
+        query(tol)
+
+
 def test_a_zero_row_in_the_band_is_unknown_at_once():
     # 5e-7 Z on the flat segment's zero row: too far off the range for
     # any witness, too near it to certify; the projected rhs is feasible
@@ -868,11 +918,13 @@ class TestMembershipCompiledOnce:
             # inscribed 96-gon feasible
             (lambda: kmin_member(UNIT_DISC, nilpotent_pair().scaled(0.45)),
              "In", 1),
-            # inscribed Infeasible, circumscribed Infeasible
+            # inscribed Infeasible, whose separator also shows the
+            # circumscribed polygon infeasible
             (lambda: kmin_member(UNIT_DISC, nilpotent_pair().scaled(0.55)),
-             "Out", 2),
-            # nominal Infeasible, relaxed square Infeasible
-            (lambda: kmin_member(SQUARE, pauli()), "Out", 2),
+             "Out", 1),
+            # nominal Infeasible, whose separator also shows the relaxed
+            # square infeasible
+            (lambda: kmin_member(SQUARE, pauli()), "Out", 1),
             # nominal, pushed-out and pulled-in points all Unknown; each
             # solve continues from the last one's iterate, and by 28
             # iterations a side closes (the ucp-warm Boundary case below)
