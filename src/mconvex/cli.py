@@ -35,6 +35,7 @@ from ._jsonio import (
 )
 from .errors import MConvexError
 from .geometry import (
+    Disc,
     essential_range_hull,
     extreme_points,
     is_simplex,
@@ -149,11 +150,12 @@ def _run_member(job: JobSpec) -> dict:
     a = decode_tuple(_need(job, "tuple"))
     tol = _tol(job)
     if kind == "kmin":
+        body = decode_body(_need(job, "body"))
+        grid = DISC_GRID
+        if isinstance(body, Disc):  # only a disc reads its polygon's grid
+            grid = int(_opt(job, "grid", DISC_GRID))
         res = kmin_member(
-            decode_body(_need(job, "body")),
-            a,
-            tol=tol,
-            m_grid=int(_opt(job, "grid", DISC_GRID)),
+            body, a, tol=tol, m_grid=grid,
             max_iter=int(_opt(job, "max_iter", MAX_ITER)),
         )
     elif kind == "kmax":

@@ -363,52 +363,6 @@ def simdiag_hermitian(
     return u, values
 
 
-@dataclasses.dataclass(frozen=True)
-class UnitaryCertificate:
-    """A unitary ``u`` together with the residual of the property it attests."""
-
-    u: np.ndarray
-    residual: float
-
-
-def constant_diagonal_form(m) -> tuple[np.ndarray, UnitaryCertificate]:
-    """Unitary conjugation of a 2x2 matrix to equal diagonal entries.
-
-    Every 2x2 complex matrix is unitarily similar to one whose two diagonal
-    entries both equal ``trace(m) / 2``.  The construction is closed-form:
-    after a Schur triangularization of the traceless part, a planar
-    rotation with one phase zeroes the diagonal.
-
-    Returns
-    -------
-    (b, cert)
-        The conjugated matrix ``b = u* m u`` and a certificate carrying the
-        unitary and the residual ``|b_00 - b_11|``.
-    """
-    a = as_matrix(m)
-    if a.shape != (2, 2):
-        raise DimensionMismatch("constant_diagonal_form expects a 2x2 matrix")
-    half_tr = np.trace(a) / 2.0
-    m0 = a - half_tr * np.eye(2)
-    if np.abs(m0).max() <= 1e-15 * max(1.0, abs(half_tr)):
-        u = np.eye(2, dtype=complex)
-        b = u.conj().T @ a @ u
-        return b, UnitaryCertificate(u, float(abs(b[0, 0] - b[1, 1])))
-
-    t, z = scipy.linalg.schur(m0, output="complex")
-    lam, beta = t[0, 0], t[0, 1]
-    lam_hat = lam / abs(lam) if abs(lam) > 0 else 1.0
-    beta_hat = beta / abs(beta) if abs(beta) > 0 else 1.0
-    phase = -lam_hat / beta_hat
-    s2 = np.arctan2(2.0 * abs(lam), abs(beta))
-    c, s = np.cos(s2 / 2.0), np.sin(s2 / 2.0)
-    # first column makes the quadratic form vanish, second is orthonormal
-    v = np.array([[c, -np.conj(phase) * s], [phase * s, c]], dtype=complex)
-    u = z @ v
-    b = u.conj().T @ a @ u
-    return b, UnitaryCertificate(u, float(abs(b[0, 0] - b[1, 1])))
-
-
 def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Gaussian Hermitian matrix, handy for seeded probes and tests."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

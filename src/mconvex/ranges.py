@@ -19,7 +19,7 @@ import dataclasses
 import enum
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -132,9 +132,9 @@ class ThetaEstimate:
     ``Separator`` of the Infeasible probe whose alpha* set it, re-priced
     at ``lower`` (alpha* rounded down by a relative 1e-12), so its
     ``margin`` clears 10 tol there.  Its ``dual`` is posed over
-    ``_kmin_problem(vertices, mats)`` for the relaxed body's vertices and
-    ``mats`` the rhs of ``a / lower`` there, ``c + (a / lower - c) / s``
-    for its center c and relaxed scale s, so it shows ``a / lower``
+    ``_range_problem`` of the relaxed body's vertices at the rhs of ``a /
+    lower`` there, ``c + (a / lower - c) / s`` for its center c and
+    relaxed scale s (the problem at that point), so it shows ``a / lower``
     outside the relaxed body's minimal set, and with it every ``a /
     alpha`` for alpha below.  It is None when ``lower`` is the starting
     1.0: for every commuting tuple, and when the first probe is Feasible
@@ -215,68 +215,88 @@ def kmax_member(
 
 
 # ---------------------------------------------------------------------------
-# minimal set: positive decompositions
+# the range problem: one Choi SDP for kmin, theta and ucp
 # ---------------------------------------------------------------------------
 
 
-def _kmin_problem(
-    vertices: np.ndarray, mats: Sequence[np.ndarray]
-) -> SdpFeasibility:
-    """Decomposition SDP: one block ``h_j >= 0`` per vertex and the d + 1
-    matrix equations ``sum_j h_j = I`` and ``sum_j vertices[j, l] h_j =
-    mats[l]``.  The coefficients are the columns of ``W = [1 | vertices]``,
-    each as an (m, 1, 1) stack: one 1 x 1 pattern per n x n block."""
-    verts = np.atleast_2d(np.asarray(vertices, dtype=float))
-    m = verts.shape[0]
-    n = mats[0].shape[0]
-    w = np.column_stack([np.ones(m), verts])
-    cons = tuple(
-        AffineConstraint(w[:, l, None, None], rhs)
-        for l, rhs in enumerate([np.eye(n), *mats])
-    )
-    return SdpFeasibility(m * n, cons, block_sizes=(n,) * m)
+def _range_problem(
+    xs: np.ndarray, a: OperatorTuple, center: np.ndarray
+) -> tuple[SdpFeasibility, np.ndarray, np.ndarray]:
+    """The Choi SDP of a unital completely positive map from the direct
+    sum of the summands ``xs`` onto ``a``.
 
+    ``xs`` is a (count, d, k, k) stack: summand i is the tuple ``xs[i]``
+    and gets one PSD block ``C_i`` of size k n, the Choi matrix of the
+    map on it (a k x k grid of n x n blocks).  The rows are unitality
+    ``sum_i sum_p (C_i)_pp = I`` (pattern ``I_k``), then the Hermitian
+    parts of the image equations ``sum_i sum_pq (xs[i, j])_pq (C_i)_pq =
+    a_j``, then their skew parts: patterns ``herm(conj x_j)`` and
+    ``skew(conj x_j)``, rhs ``herm(a_j)`` and ``-skew(a_j)`` at ``a``
+    and ``Re(center_j) I`` and ``-Im(center_j) I`` at the scalar tuple
+    ``c``.  A row that reads 0 = 0 at both ends, and so along the whole
+    line from c to a, is not posed.  Returns the problem posed at ``a``
+    and the (r, n, n) stacks of its tuple rows' rhs at ``a`` and at
+    ``c``.
 
-def _kmin_solver(
-    vertices: np.ndarray,
-    center: np.ndarray,
-    a: OperatorTuple,
-    tol: float,
-    max_iter: int,
-) -> Callable[..., Verdict]:
-    """Compile the decomposition SDP of ``a`` over ``vertices`` once.
-
-    Returns ``solve(scale, alpha=1)``, which decides whether ``a / alpha``
-    is in the minimal set of K dilated by ``scale`` about ``center``: that
-    is when ``center + (a / alpha - center) / scale`` is in K^min, and as
-    ``sum h_j = I`` only the rhs of the tuple rows moves.
+    ``ucp_member`` passes ``x`` as one summand.  ``kmin_member`` passes
+    the vertices as 1 x 1 summands, ``verts[:, :, None, None]``, since
+    ``W(diag V)`` is the minimal set over ``conv V``: one block ``h_j``
+    per vertex and, for a Hermitian tuple, the d + 1 equations ``sum_j
+    h_j = I`` and ``sum_j verts[j, l] h_j = a_l``.
     """
-    comp = _compile(_kmin_problem(vertices, a.mats))
-    eye = np.eye(a.n)
-    mats = np.array(a.mats, dtype=complex)
-    at_center = np.asarray(center, dtype=float)[:, None, None] * eye
+    count, _, k, _ = xs.shape
+    n = a.n
+    eye = np.eye(n)
+    conj, mats = np.conj(xs.swapaxes(0, 1)), np.array(a.mats)
+    # the Hermitian parts of the d image equations, then their skew parts
+    patterns = np.concatenate([herm_part(conj), skew_part(conj)])
+    at_a = np.concatenate([herm_part(mats), -skew_part(mats)])
+    at_c = np.concatenate([center.real, -center.imag])[:, None, None] * eye
+    posed = patterns.any(axis=(1, 2, 3)) | at_a.any(axis=(1, 2)) | at_c.any(axis=(1, 2))
+    at_a, at_c = at_a[posed], at_c[posed]
+    unit = AffineConstraint(np.repeat(np.eye(k)[None], count, axis=0), eye)
+    rows = map(AffineConstraint, patterns[posed], at_a)
+    problem = SdpFeasibility(count * k * n, (unit, *rows), block_sizes=(k * n,) * count)
+    return problem, at_a, at_c
 
-    def solve(scale: float, alpha: float = 1.0) -> Verdict:
-        # at scale 1 and alpha 1 this is the nominal rhs to the last bit
-        tuple_rhs = mats / alpha / scale + (1.0 - 1.0 / scale) * at_center
-        step = comp.with_rhs(np.concatenate([eye[None], tuple_rhs]))
+
+def _range_solver(
+    xs: np.ndarray, a: OperatorTuple, center: np.ndarray, tol: float, max_iter: int
+) -> tuple[Callable[..., Verdict], Callable[..., tuple[float, float]]]:
+    """Compile ``_range_problem`` once, and move along its rhs line.
+
+    Returns ``solve(f, alpha=1)``, which poses the unit row as I and the
+    tuple rows at the point ``c + f (a / alpha - c)``, ``(f / alpha)
+    at_a + (1 - f) at_c``; and ``terms(sep, f)``, the ``(c0, c1)`` with
+    ``c0 + c1 / alpha`` the margin of ``sep`` on the rhs of ``solve(f,
+    alpha)``: the pencil does not depend on the rhs, so only this
+    pairing moves with alpha.
+    """
+    problem, at_a, at_c = _range_problem(xs, a, center)
+    comp = _compile(problem)
+    unit = np.eye(a.n)[None]
+
+    def solve(f: float, alpha: float = 1.0) -> Verdict:
+        # at f = alpha = 1 this is the rhs at a to the last bit
+        rows = (f / alpha) * at_a + (1.0 - f) * at_c
+        step = comp.with_rhs(np.concatenate([unit, rows]))
         return step.solve(_sdp_tol(tol), max_iter)
 
-    return solve
+    def terms(sep: Separator, f: float) -> tuple[float, float]:
+        y = sep.dual
+
+        def pairing(rows: np.ndarray) -> float:
+            return float(np.einsum("rij,rji->", rows, y[1:]).real)
+
+        c0 = float(np.einsum("ii->", y[0]).real) + (1.0 - f) * pairing(at_c)
+        return c0, f * pairing(at_a)
+
+    return solve, terms
 
 
-def _margin_terms(
-    sep: Separator, a: OperatorTuple, center: np.ndarray, relax: float
-) -> tuple[float, float]:
-    """``(c0, c1)`` with ``c0 + c1 / alpha`` the margin of ``sep`` on the
-    relaxed decomposition SDP of ``a / alpha``, whose rhs are ``I`` and
-    ``a_l / (alpha relax) + (1 - 1 / relax) center_l I``: the pencil does
-    not depend on the rhs, so only this pairing moves with alpha."""
-    y = sep.dual
-    traces = np.einsum("lii->l", y).real
-    c0 = traces[0] + (1.0 - 1.0 / relax) * float(np.dot(center, traces[1:]))
-    c1 = float(np.einsum("lij,lji->", np.asarray(a.mats), y[1:]).real) / relax
-    return float(c0), c1
+# ---------------------------------------------------------------------------
+# minimal set: positive decompositions
+# ---------------------------------------------------------------------------
 
 
 def _decomposition(verdict, vertices: np.ndarray) -> MembershipResult:
@@ -387,8 +407,8 @@ def kmin_member(
     ``c + (a - c) / s`` is in K^min, so each scale moves only the
     right-hand side.  So the separator of an Infeasible nominal solve
     keeps its pencil on the relaxed body, and its margin there is
-    ``c0 + c1`` (``_margin_terms``): when that clears the solve's margin
-    ``10 _sdp_tol(tol)``, the relaxed body is infeasible with no second
+    ``c0 + c1`` (``_range_solver``): when that clears the solve's
+    margin ``10 _sdp_tol(tol)``, the relaxed body is infeasible with no second
     solve, and the answer is Out.  Commuting tuples short-circuit
     through their joint spectrum (the decomposition exists exactly when
     every joint eigenvalue point lies in K).  Sampled bodies, in any dimension, run
@@ -427,25 +447,26 @@ def kmin_member(
         )
 
     verts, center, relax = _vertex_sets(K, tol, m_grid)
-    solve = _kmin_solver(verts, center, a, tol, max_iter)
+    solve, terms = _range_solver(verts[:, :, None, None], a, center, tol, max_iter)
+    pull = 1.0 / relax
     verdict = solve(1.0)
     if verdict.status is Status.FEASIBLE:
         return _decomposition(verdict, verts)
     if verdict.status is Status.INFEASIBLE:
         sep = verdict.separator
-        c0, c1 = _margin_terms(sep, a, center, relax)
+        c0, c1 = terms(sep, pull)
         if c0 + c1 >= 10.0 * _sdp_tol(tol):
             if isinstance(K, Disc):
                 sep = dataclasses.replace(sep, margin=c0 + c1)
             return MembershipResult(MembershipStatus.OUT, sep.margin, sep)
     if isinstance(K, Disc):
         return _relaxed(
-            solve(relax), K.radius * (relax - 1.0),
+            solve(pull), K.radius * (relax - 1.0),
             ("", f"inscribed/circumscribed {m_grid}-gon sandwich straddles"),
         )
     eps = 10.0 * tol
     if verdict.status is Status.INFEASIBLE:
-        if solve(relax).status is Status.FEASIBLE:
+        if solve(pull).status is Status.FEASIBLE:
             return MembershipResult(
                 MembershipStatus.BOUNDARY,
                 eps,
@@ -457,7 +478,7 @@ def kmin_member(
         )
     # solver budget ran out at the nominal scale: the relaxed body decides
     return _relaxed(
-        solve(relax), eps,
+        solve(pull), eps,
         ("resolved on the relaxed body",
          "undecided at scale 1, inside at scale 1 + 10 tol"),
     )
@@ -492,7 +513,7 @@ def theta_min_alpha(
     A Feasible probe sets the upper end.  An Infeasible one sets the
     lower end to the largest alpha its separator certifies: the pencil
     does not depend on the right-hand side, and its margin on ``a /
-    alpha`` is ``c0 + c1 / alpha`` (``_margin_terms``), so it shows
+    alpha`` is ``c0 + c1 / alpha`` (``_range_solver``), so it shows
     ``a / alpha'`` outside the relaxed body's minimal set for every
     ``alpha' <= alpha*``.  That separator, re-priced at the new lower
     end, is kept as ``lower_separator``.  The next probe is at ``min(lo +
@@ -527,7 +548,10 @@ def theta_min_alpha(
         record(1.0, 1.0)
         return ThetaEstimate(1.0, 1.0, a)
     verts, center, relax = _vertex_sets(K, MEMBER_TOL, DISC_GRID)
-    solve = _kmin_solver(verts, center, a, MEMBER_TOL, MAX_ITER)
+    solve, terms = _range_solver(
+        verts[:, :, None, None], a, center, MEMBER_TOL, MAX_ITER
+    )
+    pull = 1.0 / relax
     floor = 10.0 * _sdp_tol(MEMBER_TOL)
     lo, lo_sep, lo_terms = 1.0, None, (0.0, 0.0)
     hi = max(2.0, 2.0 * a.d * max(op_norm(m) for m in a.mats) / slack)
@@ -535,11 +559,11 @@ def theta_min_alpha(
     tight = math.ceil(math.log2((hi - 1.0) / tol))
     alpha = 1.0
     while True:
-        verdict = solve(relax, alpha)
+        verdict = solve(pull, alpha)
         if verdict.status is Status.FEASIBLE:
             hi = alpha
         elif verdict.status is Status.INFEASIBLE:
-            c0, c1 = terms = _margin_terms(verdict.separator, a, center, relax)
+            c0, c1 = priced = terms(verdict.separator, pull)
             # alpha*, where the margin c0 + c1 / alpha meets the floor; at
             # least the probe, which the separator certifies
             star = alpha
@@ -548,7 +572,7 @@ def theta_min_alpha(
             # rounded down, so the stored separator clears the floor there
             cut = min(star * (1.0 - 1e-12), hi)
             if cut > lo:
-                lo, lo_sep, lo_terms = cut, verdict.separator, terms
+                lo, lo_sep, lo_terms = cut, verdict.separator, priced
         record(lo, hi)
         if verdict.status is Status.UNKNOWN or hi - lo <= tol:
             break
@@ -565,49 +589,6 @@ def theta_min_alpha(
 # ---------------------------------------------------------------------------
 # matrix ranges through ucp maps
 # ---------------------------------------------------------------------------
-
-
-def _choi_problem(
-    x: OperatorTuple, a: OperatorTuple, tol: float, max_iter: int
-) -> Callable[[float], Verdict]:
-    """Compile, once, the program for a unital completely positive map x -> a.
-
-    The variable is the Choi matrix ``C`` of a map ``M_m -> M_n`` (an
-    m x m grid of n x n blocks ``C_pq``): complete positivity is
-    ``C >= 0``, and the 1 + 2d matrix equations are unitality
-    ``sum_p C_pp = I`` and the Hermitian and skew parts of each image
-    equation ``Phi(x_j) = sum_pq (x_j)_pq C_pq = a_j``.  Their patterns
-    are ``I_m``, ``herm(conj(x_j))`` and ``skew(conj(x_j))``, their
-    right-hand sides ``I``, ``herm(a_j)`` and ``-skew(a_j)``.
-
-    Returns ``solve(f)``, which asks for the map onto ``c + f (a - c)``,
-    the point pulled toward the scalar tuple ``c_j = tr(x_j) / m`` (always
-    a member).  The coefficients depend on x alone, so only the rhs of the
-    image rows moves with f.  An image equation whose pattern vanishes is
-    a zero row, the equation ``0 = rhs``: ``solve`` poses it as 0 = 0 when
-    every entry of its rhs at f is within 10 tol (ucp's band), and leaves
-    it otherwise to the SDP core, whose first check separates it.
-    """
-    m, n = x.n, a.n
-    eye = np.eye(n)
-    patterns, at_a, at_c = [np.eye(m)], [eye], [eye]
-    for xj, aj in zip(x.mats, a.mats):
-        c = np.trace(xj) / m
-        patterns += [herm_part(np.conj(xj)), skew_part(np.conj(xj))]
-        at_a += [herm_part(aj), -skew_part(aj)]
-        at_c += [c.real * eye, -c.imag * eye]
-    at_a, at_c = np.array(at_a, dtype=complex), np.array(at_c, dtype=complex)
-    comp = _compile(SdpFeasibility(
-        m * n, tuple(map(AffineConstraint, patterns, at_a))
-    ))
-
-    def solve(f: float) -> Verdict:
-        # at f = 1 this is the rhs at a to the last bit
-        rhs = f * at_a + (1.0 - f) * at_c
-        rhs[comp.zero_rows & (np.abs(rhs).max(axis=(1, 2)) <= 10.0 * tol)] = 0.0
-        return comp.with_rhs(rhs).solve(_sdp_tol(tol), max_iter)
-
-    return solve
 
 
 def ucp_member(
@@ -628,15 +609,19 @@ def ucp_member(
     feasible Boundary).  The program is compiled once per query: these
     solves move only the right-hand side of its image rows.  An image
     equation with zero coefficient (a Hermitian ``x_j`` with a
-    non-Hermitian ``a_j``) is the equation ``0 = rhs``: an rhs within
-    10 tol is posed as 0 = 0, and a larger one is Out, with the
-    separator of the SDP core, whose pencil vanishes on that row.
+    non-Hermitian ``a_j``) is the equation ``0 = rhs``, left to the SDP
+    core's zero-row rule: Out with a separator whose pencil vanishes on
+    that row once its rhs clears 10 tol, Unknown at once when an entry
+    is above the witness residual but the rhs is short of 10 tol, and
+    met by the witness below that.  A row that is 0 = 0 at ``a`` and at
+    the scalar tuple is not posed.
     Raises ``ValueError`` unless ``tol`` is positive and finite.
     """
     _require_tol(tol)
     if x.d != a.d:
         raise TupleMismatch(f"tuple lengths differ: {x.d} vs {a.d}")
-    solve = _choi_problem(x, a, tol, max_iter)
+    center = np.array([np.trace(xj) / x.n for xj in x.mats])
+    solve, _ = _range_solver(np.array(x.mats)[None], a, center, tol, max_iter)
     verdict = solve(1.0)
     if verdict.status is Status.FEASIBLE:
         choi = verdict.blocks[0]

@@ -457,7 +457,8 @@ def _iterate(
     pencil exactly 0, so it is Infeasible once the margin clears 10 tol;
     a ``B_r`` within ``WITNESS_RESIDUAL`` is met by any witness.  A
     residue in between, too large for any witness (its Frobenius norm
-    bounds every residual's from below) and too small to certify, is
+    bounds every residual's from below, and a zero row's residual is its
+    ``B_r``, whatever the witness) and too small to certify, is
     decided on the rhs projected onto the range: Feasible there is
     Unknown here, since every separator's margin is then at most
     ``||res_b|| < 10 tol``; Infeasible there is Infeasible here, by the
@@ -475,7 +476,9 @@ def _iterate(
         sep = _certificate_from_dual(comp, res_b, tol)
         if sep is not None:
             return Status.INFEASIBLE, None, sep, 0, res_norm
-        if res_norm > math.sqrt(res_b.size) * WITNESS_RESIDUAL:
+        zero_rhs = float(np.abs(comp.b[comp.zero_rows]).max(initial=0.0))
+        floor = math.sqrt(res_b.size) * WITNESS_RESIDUAL
+        if res_norm > floor or zero_rhs > WITNESS_RESIDUAL:
             # in the band: the projected rhs decides
             inner = comp.with_rhs((comp.b - res_b) * comp.norms[:, None, None])
             status, _, sep, it, _ = _iterate(inner, tol, max_iter)

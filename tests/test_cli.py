@@ -462,6 +462,25 @@ class TestReports:
         assert "seed" not in rep
         assert rep["tolerances"] == {"grid": 16}
 
+    @pytest.mark.parametrize(
+        "body, grid, listed",
+        [(SQUARE_BODY, "0", {}),
+         ({"type": "disc", "center": [0.0, 0.0], "radius": 1.0}, "32", {"grid": 32})],
+        ids=["square", "disc"],
+    )
+    def test_kmin_lists_grid_only_for_a_disc(
+        self, tmp_path, capsys, body, grid, listed
+    ):
+        # only a disc is decided on a polygon of --grid vertices: a square
+        # ignores the flag, even an invalid one, and does not list it
+        t = write(tmp_path / "t.json", pauli_tuple(0.3))
+        b = write(tmp_path / "b.json", body)
+        code, rep = run(capsys, [
+            "member", "--kind", "kmin", "--tuple", t, "--body", b, "--grid", grid,
+        ])
+        assert code == 0 and rep["status"] == "In"
+        assert rep["tolerances"] == listed
+
     def test_a_flag_the_command_does_not_read_is_usage(self, tmp_path, capsys):
         # jnr reads only the grid (and --svg): a --tol would be dropped
         t = write(tmp_path / "t.json", pauli_tuple())

@@ -6,7 +6,6 @@ from mconvex.errors import DimensionMismatch, NonHermitianInput, NotCommuting
 from mconvex.linalg import (
     OperatorTuple,
     commutant_dimension,
-    constant_diagonal_form,
     direct_sum,
     herm_part,
     numerical_radius,
@@ -304,17 +303,6 @@ def test_simdiag_planted():
 def test_simdiag_rejects_noncommuting():
     with pytest.raises(NotCommuting):
         simdiag_hermitian([X, np.diag([1.0, 2.0]).astype(complex)])
-
-
-def test_constant_diagonal_form():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b, cert = constant_diagonal_form(m)
-    assert cert.residual < 1e-10
-    assert abs(b[0, 0] - np.trace(m) / 2) < 1e-10
-    u = cert.u
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(u.conj().T @ m @ u, b, atol=1e-12)
 
 
 def test_random_isometry_columns():

@@ -37,6 +37,7 @@ from mconvex.linalg import (
     herm_part,
     numerical_radius,
     op_norm,
+    pencil_stack,
     random_hermitian,
     skew_part,
 )
@@ -51,7 +52,6 @@ from mconvex.ranges import (
     kmin_member,
     mrange_equal,
     theta_min_alpha,
-    _kmin_problem,
     ucp_member,
 )
 from mconvex.sdp import (
@@ -75,6 +75,15 @@ ROOT2 = np.sqrt(2.0)
 SQUARE = Polytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
 UNIT_BOX = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 UNIT_DISC = Disc(np.zeros(2), 1.0)
+
+
+def _kmin_problem(verts, mats) -> SdpFeasibility:
+    """kmin's decomposition SDP at the point ``mats``: the range problem
+    of the vertices as 1 x 1 summands, posed at that point."""
+    verts = np.asarray(verts, dtype=float)
+    a = OperatorTuple(tuple(mats), hermitian=True)
+    center = np.zeros(verts.shape[1])
+    return ranges._range_problem(verts[:, :, None, None], a, center)[0]
 
 
 def pauli(scale: float = 1.0) -> OperatorTuple:
@@ -881,14 +890,62 @@ def test_membership_rejects_a_tol_that_is_not_positive_and_finite(query, tol):
 
 
 def test_a_zero_row_in_the_band_is_unknown_at_once():
-    # 5e-7 Z on the flat segment's zero row: too far off the range for
-    # any witness, too near it to certify; the projected rhs is feasible
+    # the equation 0 = e Z on a zero row, the flat segment's second
+    # coordinate for kmin and the skew part of a Hermitian x's image
+    # equation for ucp: too far off the range for any witness, too near
+    # it to certify.  At 5e-7 the residue's Frobenius norm shows it; at
+    # 1.2e-7 and 2e-7 only its entries, above the witness residual, do
     segment = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    a = OperatorTuple((0.5 * X, 5e-7 * Z), hermitian=True)
-    t0 = time.perf_counter()
-    res = kmin_member(segment, a)
-    assert time.perf_counter() - t0 < 0.5
-    assert res.status is MembershipStatus.UNKNOWN
+    for e in (5e-7, 1.2e-7, 2e-7):
+        kmin_point = OperatorTuple((0.5 * X, e * Z), hermitian=True)
+        ucp_point = OperatorTuple((0.5 * X + e * 1j * Z,))
+        for query in (lambda: kmin_member(segment, kmin_point),
+                      lambda: ucp_member(OperatorTuple((X,)), ucp_point)):
+            t0 = time.perf_counter()
+            res = query()
+            assert time.perf_counter() - t0 < 0.5
+            assert res.status is MembershipStatus.UNKNOWN
+
+
+def _kmax_scale(K: Polytope, a: OperatorTuple) -> float:
+    """The s with ``s a`` on the boundary of K^max, for 0 interior to K."""
+    dirs, offsets = halfplanes(K)
+    lam = np.linalg.eigvalsh(pencil_stack(a.mats, dirs))[:, -1]
+    return float(np.min(offsets[lam > 0] / lam[lam > 0]))
+
+
+def test_kmin_over_a_polytope_agrees_with_ucp_over_its_vertices():
+    # W(diag V) is the minimal set over conv V, so the decomposition SDP
+    # and the Choi SDP of the diagonal tuple never answer In against Out;
+    # seeded polytopes in d = 2, 3 with 3-7 vertices about their mean,
+    # random points, and points at 0.95-1.05 of the kmin boundary (from a
+    # theta bracket of a K^max boundary point) where 0 is interior
+    rng = np.random.default_rng(0)
+    answers = []
+    for d in (2, 3):
+        for count in range(3, 8):
+            verts = rng.standard_normal((count, d))
+            verts -= verts.mean(axis=0)
+            body = Polytope(verts)
+            diag = OperatorTuple(
+                tuple(np.diag(verts[:, l]).astype(complex) for l in range(d)),
+                hermitian=True,
+            )
+            a = OperatorTuple(
+                tuple(random_hermitian(2, rng) for _ in range(d)), hermitian=True
+            )
+            points = [a.scaled(s) for s in rng.uniform(0.05, 0.8, 3)]
+            if count > d:
+                b = a.scaled(_kmax_scale(body, a))
+                est = theta_min_alpha(body, b, tol=1e-3)
+                mid = 0.5 * (est.lower + est.upper)
+                points += [b.scaled(f / mid) for f in (0.95, 0.99, 1.01, 1.05)]
+            for p in points:
+                pair = {kmin_member(body, p).status, ucp_member(diag, p).status}
+                assert pair != {MembershipStatus.IN, MembershipStatus.OUT}
+                answers.append(pair)
+    # the two decisive answers both occur, agreed on by both sides
+    assert {MembershipStatus.IN} in answers and {MembershipStatus.OUT} in answers
 
 
 def exact_compression(seed: int, m: int, n: int):
@@ -1085,7 +1142,7 @@ def _kmin_square_pauli(monkeypatch) -> SdpFeasibility:
 
 def _choi_pair_to_level_two(monkeypatch) -> SdpFeasibility:
     # a non-Hermitian 3 x 3 pair and a level-2 point inside its range; the
-    # problem is the one _choi_problem compiles
+    # problem is the one ucp_member compiles
     rng = np.random.default_rng(4)
     x = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
          for _ in range(2)]
@@ -1094,7 +1151,7 @@ def _choi_pair_to_level_two(monkeypatch) -> SdpFeasibility:
     posed = []
     compile_ = ranges._compile
     monkeypatch.setattr(ranges, "_compile", lambda p: posed.append(p) or compile_(p))
-    ranges._choi_problem(OperatorTuple(tuple(x)), OperatorTuple(tuple(b)), 1e-7, 50000)
+    ucp_member(OperatorTuple(tuple(x)), OperatorTuple(tuple(b)))
     return posed[0]
 
 
@@ -1174,8 +1231,9 @@ class TestUcp:
 
     def test_zero_coefficient_image_equation(self):
         # x = (X,) is Hermitian, so the skew-part equation has a zero
-        # pattern: 0 = -skew(a_1) = -0.3 Z is Out with a separator, and a
-        # skew part within 10 tol is posed as 0 = 0
+        # pattern: 0 = -skew(a_1) = -0.3 Z is Out with a separator, a skew
+        # part within the witness residual is met by the witness, and one
+        # between that and 10 tol can be neither met nor separated
         x = OperatorTuple((X,))
         a = OperatorTuple((0.5 * X + 0.3j * Z,))
         res = ucp_member(x, a)
@@ -1187,6 +1245,9 @@ class TestUcp:
         _check_separator(choi, res.certificate)
         near = OperatorTuple((0.5 * X + 1e-8j * Z,))
         assert ucp_member(x, near).status is MembershipStatus.IN
+        for e in (1.2e-7, 5e-7):
+            band = OperatorTuple((0.5 * X + e * 1j * Z,))
+            assert ucp_member(x, band).status is MembershipStatus.UNKNOWN
 
     def test_tuple_mismatch(self):
         with pytest.raises(TupleMismatch):

@@ -26,6 +26,18 @@ def _trace_one(size: int, extra=()) -> SdpFeasibility:
     return SdpFeasibility(size, tuple(cons))
 
 
+def _disc_kmin_problem(m: int, mats) -> SdpFeasibility:
+    """kmin's decomposition SDP over the inscribed m-gon of the unit disc,
+    posed at the Hermitian tuple ``mats``."""
+    from mconvex.linalg import OperatorTuple
+    from mconvex.ranges import _range_problem
+
+    angles = 2.0 * np.pi * np.arange(m) / m
+    verts = np.column_stack([np.cos(angles), np.sin(angles)])
+    a = OperatorTuple(tuple(mats), hermitian=True)
+    return _range_problem(verts[:, :, None, None], a, np.zeros(2))[0]
+
+
 def test_feasible_trace_one():
     verdict = solve_feasibility(_trace_one(3))
     assert verdict.status is Status.FEASIBLE
@@ -257,16 +269,29 @@ def test_a_zero_row_in_the_band_is_decided_on_the_projected_rhs(sign, status):
         assert cert["pencil_max_eig"] <= verdict.separator.psd_slack + 1e-12
 
 
+def test_a_zero_row_entry_above_the_witness_residual_is_in_the_band():
+    # 0 = 1.5e-7 Z beside tr V = I: the residue's Frobenius norm 2.1e-7 is
+    # below sqrt(m n^2) 1e-7, but the zero row's residual is its rhs, so no
+    # witness can meet it and the projected rhs decides at once
+    eye = np.eye(2)
+    problem = SdpFeasibility(
+        4,
+        (AffineConstraint(np.zeros((2, 2)), 1.5e-7 * np.diag([1.0, -1.0])),
+         AffineConstraint(np.eye(2), eye)),
+    )
+    verdict = solve_feasibility(problem)
+    assert verdict.status is Status.UNKNOWN
+    assert verdict.iterations <= 8
+
+
 def test_a_gap_that_certifies_at_the_first_check_answers_there():
     # the nilpotent pair at 0.55 against the inscribed 96-gon: the gap
     # of the first check, at iteration 4, already prices a separator
-    from mconvex.ranges import DISC_GRID, _kmin_problem
+    from mconvex.ranges import DISC_GRID
 
     s = 0.55 * np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
     mats = [(s + s.conj().T) / 2, (s - s.conj().T) / 2j]
-    angles = 2.0 * np.pi * np.arange(DISC_GRID) / DISC_GRID
-    verts = np.column_stack([np.cos(angles), np.sin(angles)])
-    problem = _kmin_problem(verts, mats)
+    problem = _disc_kmin_problem(DISC_GRID, mats)
     verdict = solve_feasibility(problem)
     assert verdict.status is Status.INFEASIBLE and verdict.iterations == 4
     cert = dual_witness(problem, verdict)
@@ -533,15 +558,13 @@ def test_witness_blocks_are_symmetrized_per_group(monkeypatch):
     # a disc kmin problem: 96 blocks of size 4 in one group, whose witness
     # is symmetrized as one stack
     from mconvex import sdp
-    from mconvex.ranges import _kmin_problem
 
     rng = np.random.default_rng(2)
     mats = []
     for _ in range(2):
         h = random_hermitian(4, rng)
         mats.append(0.2 * h / np.linalg.norm(h, 2))
-    angles = 2.0 * np.pi * np.arange(96) / 96
-    comp = _compile(_kmin_problem(np.column_stack([np.cos(angles), np.sin(angles)]), mats))
+    comp = _compile(_disc_kmin_problem(96, mats))
     raw = []
 
     def iterate(*args, **kwargs):
