@@ -50,3 +50,7 @@ class NotInKmax(MConvexError):
 
 class NoInteriorZero(MConvexError):
     """The body does not contain 0 in its interior, so scaling is ill-posed."""
+
+
+class TooLarge(MConvexError):
+    """A query would allocate more than the library's memory budget."""

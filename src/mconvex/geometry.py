@@ -14,6 +14,7 @@ shares no code with Qhull.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Sequence, Union
 
 import numpy as np
@@ -21,7 +22,13 @@ import scipy.optimize
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from .errors import BadProblem, DimensionMismatch, NoInteriorZero, NonHermitianInput
-from .linalg import OperatorTuple, herm_part, is_hermitian, pencil_stack
+from .linalg import (
+    OperatorTuple,
+    _require_bytes,
+    herm_part,
+    is_hermitian,
+    pencil_stack,
+)
 
 #: default slack used when classifying a point as extreme
 EXTREME_TOL = 1e-9
@@ -34,20 +41,46 @@ def _require_finite(what: str, *values) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class Polytope:
-    """Convex hull of a finite vertex list, stored as a (k, d) array."""
+    """Convex hull of a finite vertex list, stored as a read-only copy in
+    a (k, d) array, so the facet list built from it stays valid."""
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        v = np.atleast_2d(np.array(self.vertices, dtype=float))
         if v.ndim != 2 or v.shape[0] == 0:
             raise DimensionMismatch("polytope needs a (k, d) vertex array")
         _require_finite("polytope vertices", v)
+        v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
+
+    @functools.cached_property
+    def _facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The facet list ``halfplanes`` returns, built by Qhull on first
+        use and then shared, read-only, by every later call."""
+        v = self.vertices
+        center, span, normals = _affine_span(v)
+        y = v @ span.T
+        if span.shape[0] >= 2:
+            eq = ConvexHull(y).equations
+            _, first = np.unique(eq, axis=0, return_index=True)
+            eq = eq[np.sort(first)]
+            dirs, offsets = eq[:, :-1] @ span, -eq[:, -1]
+        else:
+            dirs = np.vstack([span, -span])
+            offsets = np.concatenate([y.max(axis=0), -y.min(axis=0)])
+        along = normals @ center
+        facets = (
+            np.vstack([dirs, normals, -normals]),
+            np.concatenate([offsets, along, -along]),
+        )
+        for arr in facets:
+            arr.flags.writeable = False
+        return facets
 
 
 @dataclasses.dataclass(frozen=True)
@@ -246,6 +279,8 @@ def jnr_sandwich(t: OperatorTuple, m: int = 64) -> PolygonSandwich:
         raise DimensionMismatch("sandwich approximation needs Hermitian entries")
     if m < 8:
         raise DimensionMismatch("need at least 8 directions")
+    # the (m, n, n) pencil stack and its eigenvectors
+    _require_bytes(2 * 16 * m * t.n**2, "the sandwich's pencil stack")
     thetas = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     normals = np.column_stack([np.cos(thetas), np.sin(thetas)])
     vals, vecs = np.linalg.eigh(pencil_stack(t.mats, normals))
@@ -395,8 +430,9 @@ def halfplanes(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     triangulated facets merged back into one per hyperplane; a point or
     a segment gives its extent), followed by each normal ``u`` of that
     span as the pair ``u . x <= u . c`` and ``-u . x <= -u . c``, so a
-    flat polytope has an offset of at most 0.  A disc has no such list
-    and raises ``DimensionMismatch``.
+    flat polytope has an offset of at most 0; Qhull runs once per
+    polytope, whose read-only list every later call returns.  A disc has
+    no such list and raises ``DimensionMismatch``.
     """
     if isinstance(body, Box):
         dirs = np.repeat(np.eye(body.dim), 2, axis=0)
@@ -405,22 +441,7 @@ def halfplanes(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(body, Sampled):
         return body.directions, body.support_values
     if isinstance(body, Polytope):
-        v = body.vertices
-        center, span, normals = _affine_span(v)
-        y = v @ span.T
-        if span.shape[0] >= 2:
-            eq = ConvexHull(y).equations
-            _, first = np.unique(eq, axis=0, return_index=True)
-            eq = eq[np.sort(first)]
-            dirs, offsets = eq[:, :-1] @ span, -eq[:, -1]
-        else:
-            dirs = np.vstack([span, -span])
-            offsets = np.concatenate([y.max(axis=0), -y.min(axis=0)])
-        along = normals @ center
-        return (
-            np.vstack([dirs, normals, -normals]),
-            np.concatenate([offsets, along, -along]),
-        )
+        return body._facets
     raise DimensionMismatch(f"no facet list for body type {type(body)!r}")
 
 

@@ -2,9 +2,12 @@
 
 Everything here works on plain ``numpy`` arrays at desk scale (matrix sizes
 up to roughly 64).  The routines favour certified, re-checkable output over
-raw speed: eigendecompositions come from LAPACK via ``numpy.linalg`` and the
-few iterative pieces (numerical radius refinement) state what their
-tolerance bounds.
+raw speed: eigendecompositions come from LAPACK via ``numpy.linalg``,
+apart from stacks of 2 x 2 blocks, whose eigenvalues (``herm_eigvalsh``)
+and PSD part (``psd_part``) come in closed form, and the few iterative
+pieces (numerical radius refinement) state what their
+tolerance bounds.  ``_require_bytes`` refuses, before allocating, an
+array that grows with the input past ``MEMORY_BUDGET``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NonHermitianInput, NotCommuting
+from .errors import DimensionMismatch, NonHermitianInput, NotCommuting, TooLarge
 
 #: relative tolerance for accepting a matrix as Hermitian
 HERM_RTOL = 1e-12
@@ -28,6 +31,24 @@ NULLITY_RTOL = 1e-8
 #: of a small query and set its peak memory; chunks of 8 keep the peak
 #: near that of one call per angle, in 8 LAPACK calls instead of 64.
 _SCAN_CHUNK = 8
+
+#: bytes one query may ask for in the arrays that grow with its input
+#: (``_require_bytes``); fixed, so a query either fits everywhere or is
+#: refused everywhere
+MEMORY_BUDGET = 1 << 30
+
+
+def _require_bytes(estimate: float, what: str) -> None:
+    """Raise ``TooLarge`` when ``estimate`` bytes exceed ``MEMORY_BUDGET``.
+
+    Called before the allocation it prices, so a query too large for the
+    budget fails at once instead of exhausting memory or running for
+    minutes."""
+    if estimate > MEMORY_BUDGET:
+        raise TooLarge(
+            f"{what} needs about {estimate / 2**20:.4g} MiB, over the "
+            f"{MEMORY_BUDGET / 2**20:.4g} MiB budget"
+        )
 
 
 def as_matrix(m) -> np.ndarray:
@@ -53,6 +74,59 @@ def herm_part(m: np.ndarray) -> np.ndarray:
 def skew_part(m: np.ndarray) -> np.ndarray:
     """Return the Hermitian matrix (m - m*) / 2i."""
     return (m - _adjoint(m)) / 2j
+
+
+def _spectrum2(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entry ``b = H_10`` of the Hermitian part ``H`` of each block
+    of a stack of 2 x 2 blocks, and the eigenvalues ``lo <= hi`` of ``H``:
+    ``(a/2 + c/2) -+ hypot(a/2 - c/2, |b|)`` with ``a = H_00`` and
+    ``c = H_11``, halved before they are added so that no intermediate
+    overflows."""
+    b = 0.5 * (v[..., 1, 0] + np.conj(v[..., 0, 1]))
+    half_a, half_c = 0.5 * v[..., 0, 0].real, 0.5 * v[..., 1, 1].real
+    mid = half_a + half_c
+    rad = np.hypot(half_a - half_c, np.abs(b))
+    return b, mid - rad, mid + rad
+
+
+def herm_eigvalsh(v: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of each block of a
+    ``(count, s, s)`` stack: in closed form (``_spectrum2``) when s = 2,
+    else from LAPACK's ``eigvalsh``.  The closed form's absolute error is
+    O(eps ||H||), as LAPACK's is."""
+    if v.shape[-1] == 2:
+        _, lo, hi = _spectrum2(v)
+        return np.stack([lo, hi], axis=-1)
+    return np.linalg.eigvalsh(herm_part(v))
+
+
+def psd_part(v: np.ndarray) -> np.ndarray:
+    """The positive semidefinite part of the Hermitian part ``H`` of each
+    block of a ``(count, s, s)`` stack: ``H`` with its negative
+    eigenvalues set to 0, the nearest PSD matrix in Frobenius norm.
+
+    For s = 2 it is ``w (H - lo- I)`` in closed form, with ``hi+ =
+    max(hi, 0)``, ``lo- = min(lo, 0)`` and ``w = hi+ / (hi+ - lo-)`` (0
+    when both vanish), one formula without branches: ``H`` itself when
+    it is PSD, 0 when it is negative semidefinite, and ``hi u u*`` for
+    the top eigenvector ``u`` in between.  The result is Hermitian to
+    the bit.  Other sizes clip LAPACK's ``eigh`` and reconstruct.
+    """
+    if v.shape[-1] == 2:
+        b, lo, hi = _spectrum2(v)
+        lo, hi = np.minimum(lo, 0.0), np.maximum(hi, 0.0)
+        den = hi - lo
+        w = np.divide(hi, den, out=np.zeros_like(hi), where=den > 0.0)
+        wb = w * b
+        out = np.empty(v.shape, dtype=complex)
+        out[..., 0, 0] = w * (v[..., 0, 0].real - lo)
+        out[..., 1, 1] = w * (v[..., 1, 1].real - lo)
+        out[..., 1, 0] = wb
+        out[..., 0, 1] = np.conj(wb)
+        return out
+    vals, vecs = np.linalg.eigh(herm_part(v))
+    vals = np.maximum(vals, 0.0)
+    return np.einsum("nik,nk,njk->nij", vecs, vals, vecs.conj())
 
 
 def is_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> bool:
@@ -247,7 +321,11 @@ def direct_sum(*tuples: OperatorTuple) -> OperatorTuple:
 
 def _intertwiner_system(t1: OperatorTuple, t2: OperatorTuple) -> np.ndarray:
     """Stack the linear maps S -> S a_j - b_j S and S -> S a_j* - b_j* S,
-    for ``a = t1``, ``b = t2`` and S of shape ``(t2.n, t1.n)``."""
+    for ``a = t1``, ``b = t2`` and S of shape ``(t2.n, t1.n)``: a
+    (2 d n_1 n_2) x (n_1 n_2) complex matrix, priced twice over for the
+    copy its SVD takes."""
+    cols = t1.n * t2.n
+    _require_bytes(2 * 16 * (2 * t1.d * cols) * cols, "the intertwiner system")
     eye1, eye2 = np.eye(t1.n), np.eye(t2.n)
     rows = []
     for a, b in zip(t1.mats, t2.mats):

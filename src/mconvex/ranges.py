@@ -43,8 +43,10 @@ from .geometry import (
 )
 from .linalg import (
     OperatorTuple,
+    _require_bytes,
     as_matrix,
     commutant_dimension,
+    herm_eigvalsh,
     herm_part,
     numerical_radius,
     op_norm,
@@ -70,6 +72,11 @@ DISC_GRID = 96
 
 #: iteration budget of each decomposition or Choi SDP solve
 MAX_ITER = 50000
+
+#: copies of the Choi variable a range solve holds at once: the
+#: Douglas-Rachford iterate, its two projections, the reflection, their
+#: gap and the cone step's temporaries
+_CHOI_COPIES = 8
 
 #: deviation allowed when testing a_j^2 = I or a_j* a_j = I
 EXTREME_DEV = 1e-8
@@ -246,6 +253,9 @@ def _range_problem(
     """
     count, _, k, _ = xs.shape
     n = a.n
+    _require_bytes(
+        _CHOI_COPIES * 16 * count * (k * n) ** 2, "the Choi variable"
+    )
     eye = np.eye(n)
     conj, mats = np.conj(xs.swapaxes(0, 1)), np.array(a.mats)
     # the Hermitian parts of the d image equations, then their skew parts
@@ -303,7 +313,7 @@ def _decomposition(verdict, vertices: np.ndarray) -> MembershipResult:
     """The In answer of a feasible decomposition SDP: the blocks ``h_j``,
     with their smallest eigenvalue (one batched call) as the margin."""
     h = verdict.blocks
-    slack = float(np.linalg.eigvalsh(np.stack(h))[:, 0].min())
+    slack = float(herm_eigvalsh(np.stack(h))[:, 0].min())
     return MembershipResult(
         MembershipStatus.IN, max(slack, 0.0), {"h": h, "vertices": vertices}
     )
@@ -625,7 +635,7 @@ def ucp_member(
     verdict = solve(1.0)
     if verdict.status is Status.FEASIBLE:
         choi = verdict.blocks[0]
-        slack = float(np.linalg.eigvalsh(choi)[0])
+        slack = float(herm_eigvalsh(choi[None])[0, 0])
         return MembershipResult(MembershipStatus.IN, max(slack, 0.0), {"choi": choi})
     if verdict.status is Status.INFEASIBLE:
         return MembershipResult(

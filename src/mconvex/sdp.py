@@ -14,7 +14,10 @@ re-verified from the problem data alone:
 
 The iteration is Douglas-Rachford splitting between the affine subspace
 (exact least-squares projection through a preconditioned Gram matrix) and
-the PSD cone (eigenvalue clipping).  Both of its iterates are witness
+the PSD cone (eigenvalue clipping, ``linalg.psd_part``).  Every spectrum
+it needs, the clipping's and the witness and certificate checks', comes
+in closed form for 2 x 2 blocks and from LAPACK for any other size
+(``linalg.herm_eigvalsh``).  Both of its iterates are witness
 candidates: the affine one (exact constraints, eigenvalues checked) and
 the cone one (exact PSD, residual checked), and the gap between them
 prices a dual certificate.  A problem feasible only on the cone boundary
@@ -34,7 +37,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadProblem, NoCertificate
-from .linalg import herm_part, is_hermitian
+from .linalg import (
+    _require_bytes,
+    herm_eigvalsh,
+    herm_part,
+    is_hermitian,
+    psd_part,
+)
 
 _LOG = logging.getLogger("mconvex")
 
@@ -179,6 +188,10 @@ def _compile(problem: SdpFeasibility) -> _Compiled:
             )
         blocks.append(coeff)
 
+    # the coefficient tensors, held four times over by ``_Compiled``:
+    # Hermitian, normalized, conjugated and least-squares
+    entries = sum(len(idxs) * (s // n) ** 2 for s, idxs in _groups(sizes))
+    _require_bytes(4 * 16 * len(cons) * entries, "the compiled constraints")
     tensors = []
     for s, idxs in _groups(sizes):
         k = s // n
@@ -365,18 +378,11 @@ class _Compiled:
         return [vg - cg for vg, cg in zip(v, corr)]
 
     def psd_project(self, v: list[np.ndarray]) -> list[np.ndarray]:
-        out = []
-        for vg in v:
-            vals, vecs = np.linalg.eigh(herm_part(vg))
-            vals = np.maximum(vals, 0.0)
-            out.append(
-                np.einsum("nik,nk,njk->nij", vecs, vals, vecs.conj())
-            )
-        return out
+        return [psd_part(vg) for vg in v]
 
     def eig_bounds(self, v: list[np.ndarray]) -> tuple[float, float]:
         """The least and the largest eigenvalue over the blocks of ``v``."""
-        vals = [np.linalg.eigvalsh(herm_part(vg)) for vg in v]
+        vals = [herm_eigvalsh(vg) for vg in v]
         low = min(float(e[..., 0].min()) for e in vals)
         return low, max(float(e[..., -1].max()) for e in vals)
 

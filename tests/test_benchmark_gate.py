@@ -1,13 +1,14 @@
 """The benchmark's correctness gate on one round: every query of round 0
 under seed 1, run through ``cli.execute`` and ``dump_report`` as the
 benchmark runs it, passes the outside checker, with the SDP traffic
-pinned."""
+pinned and its 2 x 2 blocks kept off LAPACK."""
 
 import io
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,3 +63,34 @@ def test_round_zero_sdp_traffic_is_pinned(workload, monkeypatch):
     for q in workloads.make_round(workload, 1, 0):
         cli.execute(cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"]))
     assert tuple(counts) == TRAFFIC[workload]
+
+
+@pytest.mark.parametrize("workload", ["theta-bisect", "member-disc"])
+def test_round_zero_solves_take_2x2_blocks_in_closed_form(workload, monkeypatch):
+    # every eigen call inside a solve on a stack of 2 x 2 blocks belongs to
+    # the closed-form kernel; one that reaches LAPACK is a regression
+    inside, lapack, solved_2x2 = [False], [], [0]
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(a, *args, _orig=orig, _name=name, **kwargs):
+            if inside[0]:
+                lapack.append((_name, np.shape(a)))
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    solve = sdp._Compiled.solve
+
+    def flagged(self, tol, max_iter):
+        outer, inside[0] = inside[0], True
+        solved_2x2[0] += 2 in self.block_sizes
+        try:
+            return solve(self, tol, max_iter)
+        finally:
+            inside[0] = outer
+
+    monkeypatch.setattr(sdp._Compiled, "solve", flagged)
+    for q in workloads.make_round(workload, 1, 0):
+        cli.execute(cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"]))
+    assert solved_2x2[0] > 0
+    assert [c for c in lapack if c[1][-2:] == (2, 2)] == []

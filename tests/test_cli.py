@@ -6,6 +6,7 @@ import pytest
 
 import mconvex.acceptance as acceptance
 import mconvex.cli as cli
+import mconvex.linalg as linalg
 import mconvex.ranges as ranges
 from mconvex._jsonio import to_jsonable
 from mconvex.ranges import MembershipResult, MembershipStatus
@@ -310,6 +311,19 @@ class TestExitCodes:
         # written by dump_report, as every report is
         assert out.startswith('{\n  "error": "')
         assert json.loads(out)["status"] == "DataError"
+
+    def test_over_budget_is_data_error_with_the_estimate(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(linalg, "MEMORY_BUDGET", 1 << 10)
+        t = write(tmp_path / "t.json", pauli_tuple(0.5))
+        code, rep = run(
+            capsys, ["member", "--kind", "ucp", "--tuple", t, "--range-of", t]
+        )
+        assert code == 65
+        assert rep["status"] == "DataError"
+        assert rep["error"].startswith("TooLarge: the Choi variable needs about ")
+        assert "MiB" in rep["error"]
 
     def test_wrong_schema_is_data_error(self, tmp_path, capsys):
         t = write(tmp_path / "t.json", {"mats": "nope"})

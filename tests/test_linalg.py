@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +9,12 @@ from mconvex.linalg import (
     OperatorTuple,
     commutant_dimension,
     direct_sum,
+    herm_eigvalsh,
     herm_part,
     numerical_radius,
     op_norm,
     pencil_stack,
+    psd_part,
     random_hermitian,
     random_isometry,
     simdiag_hermitian,
@@ -321,3 +325,82 @@ def test_numerical_radius_unitary_invariance(n, seed):
     w1 = numerical_radius(m, tol=1e-9)
     w2 = numerical_radius(u.conj().T @ m @ u, tol=1e-9)
     assert w1 == pytest.approx(w2, rel=1e-7, abs=1e-8)
+
+
+# --- the closed-form 2 x 2 kernel against LAPACK ---------------------------
+
+
+def _lapack_psd_part(v):
+    """The reference cone step: LAPACK's eigh, clipped and reconstructed."""
+    vals, vecs = np.linalg.eigh(herm_part(v))
+    return np.einsum("nik,nk,njk->nij", vecs, np.maximum(vals, 0.0), vecs.conj())
+
+
+def _gaussian(rng, count):
+    return rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+
+
+def _rank_one(rng, count, sign):
+    u = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
+    lam = sign * rng.uniform(0.1, 2.0, count)
+    return lam[:, None, None] * np.einsum("ni,nj->nij", u, u.conj())
+
+
+def _definite(rng, count):
+    g = _gaussian(rng, count)
+    return g @ np.conj(np.swapaxes(g, -1, -2)) + 0.1 * np.eye(2)
+
+
+#: the 2 x 2 cases: a name and a seeded stack maker
+KERNEL_CASES = {
+    "general": lambda rng: _gaussian(rng, 300),
+    "psd": lambda rng: _definite(rng, 300),
+    "nsd": lambda rng: -_definite(rng, 300),
+    "rank-one": lambda rng: _rank_one(rng, 300, 1.0),
+    "negative rank-one": lambda rng: _rank_one(rng, 300, -1.0),
+    "zero": lambda rng: np.zeros((4, 2, 2), dtype=complex),
+    "scalar": lambda rng: rng.standard_normal(300)[:, None, None] * np.eye(2),
+}
+
+
+def _psd_with_slack(p, slack) -> bool:
+    """``p + slack I`` is PSD, decided exactly in rational arithmetic."""
+    t = Fraction(slack)
+    a, c = Fraction(p[0, 0].real) + t, Fraction(p[1, 1].real) + t
+    b2 = Fraction(p[1, 0].real) ** 2 + Fraction(p[1, 0].imag) ** 2
+    return a >= 0 and c >= 0 and a * c >= b2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-300, 1e300])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_closed_form_kernel_matches_lapack(case, scale):
+    rng = np.random.default_rng(sorted(KERNEL_CASES).index(case))
+    v = scale * KERNEL_CASES[case](rng).astype(complex)
+    h = herm_part(v)
+    # no overflow (squares of 1e300 would), while gradual underflow of a
+    # vanishing eigenvalue's weight is harmless
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        vals = herm_eigvalsh(v)
+        p = psd_part(v)
+    ref = np.linalg.eigvalsh(h)
+    norm = np.abs(ref).max(axis=1)
+    bound = 1e-13 * np.maximum(1.0, norm)
+    assert (np.abs(vals - ref).max(axis=1) <= bound).all()
+    assert (np.abs(p - _lapack_psd_part(v)).max(axis=(1, 2)) <= bound).all()
+    # Hermitian to the bit, and PSD to within 1e-15 ||H||
+    assert np.array_equal(p, np.conj(np.swapaxes(p, -1, -2)))
+    assert all(_psd_with_slack(pk, 1e-15 * nk) for pk, nk in zip(p, norm))
+    # exact on the cone and on its polar
+    psd, nsd = vals[:, 0] >= 0.0, vals[:, 1] <= 0.0
+    assert np.array_equal(p[psd], h[psd])
+    assert not p[nsd].any()
+    assert psd.all() or case != "psd"
+    assert nsd.all() or case not in ("nsd", "zero")
+
+
+@pytest.mark.parametrize("size", [1, 3, 4])
+def test_other_block_sizes_take_lapack_unchanged(size):
+    rng = np.random.default_rng(size)
+    v = rng.standard_normal((5, size, size)) + 1j * rng.standard_normal((5, size, size))
+    assert np.array_equal(herm_eigvalsh(v), np.linalg.eigvalsh(herm_part(v)))
+    assert np.array_equal(psd_part(v), _lapack_psd_part(v))

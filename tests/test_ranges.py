@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mconvex.geometry as geometry
+import mconvex.linalg as linalg
 import mconvex.ranges as ranges
 import mconvex.sdp as sdp
 from mconvex.errors import (
@@ -16,6 +17,7 @@ from mconvex.errors import (
     DimensionMismatch,
     NonHermitianInput,
     NotInKmax,
+    TooLarge,
     TupleMismatch,
 )
 from mconvex.geometry import (
@@ -34,6 +36,8 @@ from mconvex.geometry import (
 )
 from mconvex.linalg import (
     OperatorTuple,
+    commutant_dimension,
+    herm_eigvalsh,
     herm_part,
     numerical_radius,
     op_norm,
@@ -321,9 +325,13 @@ class TestKmin:
         inside = nilpotent_pair().scaled(0.45)
         res = kmin_member(UNIT_DISC, inside)
         assert res.status is MembershipStatus.IN
-        # the margin is the smallest eigenvalue of the blocks h_j
-        slack = min(float(np.linalg.eigvalsh(h)[0]) for h in res.certificate["h"])
-        assert res.margin == max(slack, 0.0)
+        # the margin is the smallest eigenvalue of the blocks h_j, from the
+        # library's spectrum helper (closed form at n = 2), and LAPACK's
+        # agrees to rounding
+        h = np.stack(res.certificate["h"])
+        assert res.margin == max(float(herm_eigvalsh(h)[:, 0].min()), 0.0)
+        slack = min(float(np.linalg.eigvalsh(hj)[0]) for hj in h)
+        assert res.margin == pytest.approx(max(slack, 0.0), rel=0, abs=1e-15)
         outside = nilpotent_pair().scaled(0.55)
         res = kmin_member(UNIT_DISC, outside)
         assert res.status is MembershipStatus.OUT
@@ -574,6 +582,22 @@ class TestThetaCompiledOnce:
         # alpha = 1, then one solve per bisection step: the first upper
         # end is certified without one
         assert counts == {"compile": 1, "solve": len(trace)}
+
+    def test_one_hull_per_polytope(self, monkeypatch):
+        # the kmax precheck and the inradius bound share one facet list,
+        # built from vertices that cannot change under it
+        calls = []
+        hull = geometry.ConvexHull
+        monkeypatch.setattr(
+            geometry, "ConvexHull", lambda *a, **k: calls.append(1) or hull(*a, **k)
+        )
+        square = Polytope(SQUARE.vertices.copy())
+        est = theta_min_alpha(square, pauli(), tol=0.02)
+        assert len(calls) == 1
+        assert halfplanes(square) is halfplanes(square)
+        assert not halfplanes(square)[0].flags.writeable
+        assert not square.vertices.flags.writeable
+        assert est.lower <= math.sqrt(2.0) <= est.upper
 
     @pytest.mark.parametrize("tol", [0.02, 0.05])
     @pytest.mark.parametrize(
@@ -1199,6 +1223,35 @@ def test_kmin_at_level_twelve_stays_small():
         tracemalloc.stop()
     assert res.status is MembershipStatus.IN
     assert peak < 10e6
+
+
+def _pair(n: int, seed: int) -> OperatorTuple:
+    rng = np.random.default_rng(seed)
+    mats = tuple(0.3 * random_hermitian(n, rng) / n for _ in range(2))
+    return OperatorTuple(mats, hermitian=True)
+
+
+@pytest.mark.parametrize(
+    "what, call",
+    [
+        ("intertwiner system", lambda: commutant_dimension(_pair(8, 0))),
+        ("Choi variable", lambda: ucp_member(_pair(8, 1), _pair(8, 2))),
+        ("Choi variable", lambda: kmin_member(UNIT_DISC, _pair(4, 3))),
+    ],
+)
+def test_over_budget_is_refused_before_allocating(monkeypatch, what, call):
+    # each call prices an array of at least 190 KiB against a 64 KiB
+    # budget, and traces far less than that before it refuses
+    budget = 1 << 16
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=f"the {what} needs about .* MiB"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
 
 
 class TestUcp:
