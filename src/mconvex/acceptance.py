@@ -36,6 +36,7 @@ from .models import (
     verify_local_sw,
 )
 from .ranges import (
+    SQUARE,
     MembershipStatus,
     choi_li_equiv_check,
     is_matrix_extreme_free_symmetric,
@@ -50,7 +51,6 @@ from .sdp import AffineConstraint, SdpFeasibility, Status, dual_witness, solve_f
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
-SQUARE = Polytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
 TRIANGLE = Polytope(np.array([[2.0, 0.0], [-1.0, 1.5], [-1.0, -1.5]]))
 UNIT_DISC = Disc(np.zeros(2), 1.0)
 UNIT_BOX_2D = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))

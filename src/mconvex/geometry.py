@@ -59,18 +59,24 @@ class Polytope:
         return self.vertices.shape[1]
 
     @functools.cached_property
-    def _facets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The facet list ``halfplanes`` returns, built by Qhull on first
-        use and then shared, read-only, by every later call."""
+    def _hull(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """The facet list ``halfplanes`` returns, and the listed points
+        that ``extreme_points(self, tol=0.0)`` returns, kept in listed
+        order: one Qhull run on first use, shared, read-only, by every
+        later call."""
         v = self.vertices
         center, span, normals = _affine_span(v)
         y = v @ span.T
+        keep = np.zeros(len(v), dtype=bool)
         if span.shape[0] >= 2:
-            eq = ConvexHull(y).equations
+            hull = ConvexHull(y)
+            keep[hull.vertices] = True
+            eq = hull.equations
             _, first = np.unique(eq, axis=0, return_index=True)
             eq = eq[np.sort(first)]
             dirs, offsets = eq[:, :-1] @ span, -eq[:, -1]
         else:
+            keep[[int(np.argmin(y)), int(np.argmax(y))] if y.size else 0] = True
             dirs = np.vstack([span, -span])
             offsets = np.concatenate([y.max(axis=0), -y.min(axis=0)])
         along = normals @ center
@@ -78,9 +84,10 @@ class Polytope:
             np.vstack([dirs, normals, -normals]),
             np.concatenate([offsets, along, -along]),
         )
-        for arr in facets:
+        extreme = v[keep]
+        for arr in (*facets, extreme):
             arr.flags.writeable = False
-        return facets
+        return facets, extreme
 
 
 @dataclasses.dataclass(frozen=True)
@@ -441,7 +448,7 @@ def halfplanes(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(body, Sampled):
         return body.directions, body.support_values
     if isinstance(body, Polytope):
-        return body._facets
+        return body._hull[0]
     raise DimensionMismatch(f"no facet list for body type {type(body)!r}")
 
 

@@ -60,7 +60,9 @@ from .sdp import (
     Separator,
     Status,
     Verdict,
+    _certificate_from_dual,
     _compile,
+    _Compiled,
 )
 
 #: default membership tolerance; the Boundary band is 10x this except
@@ -92,6 +94,10 @@ CL_REFERENCE_CONSTANT = 1.0 / (1.0 + 1.0j)
 
 #: the calibrated transform normalization (see ``calibrate_choi_li``)
 CL_CALIBRATED_CONSTANT = 0.5
+
+#: the square [-1, 1]^2 of ``choi_li_equiv_check``, built once, so that
+#: its one Qhull run serves every query
+SQUARE = Polytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
 
 
 class MembershipStatus(enum.Enum):
@@ -228,7 +234,7 @@ def kmax_member(
 
 def _range_problem(
     xs: np.ndarray, a: OperatorTuple, center: np.ndarray
-) -> tuple[SdpFeasibility, np.ndarray, np.ndarray]:
+) -> tuple[SdpFeasibility, np.ndarray, np.ndarray, np.ndarray]:
     """The Choi SDP of a unital completely positive map from the direct
     sum of the summands ``xs`` onto ``a``.
 
@@ -241,9 +247,9 @@ def _range_problem(
     ``skew(conj x_j)``, rhs ``herm(a_j)`` and ``-skew(a_j)`` at ``a``
     and ``Re(center_j) I`` and ``-Im(center_j) I`` at the scalar tuple
     ``c``.  A row that reads 0 = 0 at both ends, and so along the whole
-    line from c to a, is not posed.  Returns the problem posed at ``a``
-    and the (r, n, n) stacks of its tuple rows' rhs at ``a`` and at
-    ``c``.
+    line from c to a, is not posed.  Returns the problem posed at ``a``,
+    the (r, n, n) stacks of its tuple rows' rhs at ``a`` and at ``c``,
+    and which of the unit row and the 2 d tuple rows are posed.
 
     ``ucp_member`` passes ``x`` as one summand.  ``kmin_member`` passes
     the vertices as 1 x 1 summands, ``verts[:, :, None, None]``, since
@@ -267,30 +273,39 @@ def _range_problem(
     unit = AffineConstraint(np.repeat(np.eye(k)[None], count, axis=0), eye)
     rows = map(AffineConstraint, patterns[posed], at_a)
     problem = SdpFeasibility(count * k * n, (unit, *rows), block_sizes=(k * n,) * count)
-    return problem, at_a, at_c
+    return problem, at_a, at_c, np.concatenate([[True], posed])
 
 
 def _range_solver(
     xs: np.ndarray, a: OperatorTuple, center: np.ndarray, tol: float, max_iter: int
-) -> tuple[Callable[..., Verdict], Callable[..., tuple[float, float]]]:
+) -> tuple[Callable[..., Verdict], Callable[..., tuple[float, float]], Callable]:
     """Compile ``_range_problem`` once, and move along its rhs line.
 
     Returns ``solve(f, alpha=1)``, which poses the unit row as I and the
     tuple rows at the point ``c + f (a / alpha - c)``, ``(f / alpha)
-    at_a + (1 - f) at_c``; and ``terms(sep, f)``, the ``(c0, c1)`` with
+    at_a + (1 - f) at_c``; ``terms(sep, f)``, the ``(c0, c1)`` with
     ``c0 + c1 / alpha`` the margin of ``sep`` on the rhs of ``solve(f,
     alpha)``: the pencil does not depend on the rhs, so only this
-    pairing moves with alpha.
+    pairing moves with alpha; and ``price(y, f)``, the ``Separator``
+    that ``sdp._certificate_from_dual`` makes of the duals ``y`` of the
+    unit row and the 2 d tuple rows, posed or not, on the rhs of
+    ``solve(f)`` (None short of ``10 _sdp_tol(tol)``), with no solve.
     """
-    problem, at_a, at_c = _range_problem(xs, a, center)
+    problem, at_a, at_c, posed = _range_problem(xs, a, center)
     comp = _compile(problem)
     unit = np.eye(a.n)[None]
 
-    def solve(f: float, alpha: float = 1.0) -> Verdict:
+    def rhs_at(f: float, alpha: float = 1.0) -> _Compiled:
         # at f = alpha = 1 this is the rhs at a to the last bit
         rows = (f / alpha) * at_a + (1.0 - f) * at_c
-        step = comp.with_rhs(np.concatenate([unit, rows]))
-        return step.solve(_sdp_tol(tol), max_iter)
+        return comp.with_rhs(np.concatenate([unit, rows]))
+
+    def solve(f: float, alpha: float = 1.0) -> Verdict:
+        return rhs_at(f, alpha).solve(_sdp_tol(tol), max_iter)
+
+    def price(y: np.ndarray, f: float) -> Separator | None:
+        normalized = y[posed] * comp.norms[:, None, None]
+        return _certificate_from_dual(rhs_at(f), normalized, _sdp_tol(tol))
 
     def terms(sep: Separator, f: float) -> tuple[float, float]:
         y = sep.dual
@@ -301,7 +316,7 @@ def _range_solver(
         c0 = float(np.einsum("ii->", y[0]).real) + (1.0 - f) * pairing(at_c)
         return c0, f * pairing(at_a)
 
-    return solve, terms
+    return solve, terms, price
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +365,8 @@ def _vertex_sets(
 
     A disc gives its inscribed ``m_grid``-gon, whose dilation by
     ``1 / cos(pi / m_grid)`` is the circumscribed one.  A polytope gives
-    its vertices about their mean, a box its corners about its middle,
+    its extreme points (``extreme_points`` at tol 0), in listed order,
+    about the mean of its list, a box its corners about its middle,
     and a sampled body, in any dimension, the vertices its facet list
     (``halfplanes``) bounds about their mean (``clip_by_halfplanes``);
     each with the relaxed scale ``1 + 10 tol``.  An Out answer rests on
@@ -362,7 +378,7 @@ def _vertex_sets(
         ring = np.column_stack([np.cos(angles), np.sin(angles)])
         return K.center + K.radius * ring, K.center, 1.0 / np.cos(np.pi / m_grid)
     if isinstance(K, Polytope):
-        verts, center = K.vertices, K.vertices.mean(axis=0)
+        verts, center = K._hull[1], K.vertices.mean(axis=0)
     elif isinstance(K, Box):
         verts, center = box_vertices(K), 0.5 * (K.lo + K.hi)
     elif isinstance(K, Sampled):
@@ -371,6 +387,39 @@ def _vertex_sets(
     else:
         raise DimensionMismatch(f"unknown body type {type(K)!r}")
     return verts, center, 1.0 + 10.0 * tol
+
+
+def _support_separator(
+    K: ConvexBody, a: OperatorTuple, verts: np.ndarray, center: np.ndarray,
+    pull: float, price: Callable,
+) -> Separator | None:
+    """The separator of ``a`` from the relaxed body's minimal set along
+    one scalar support line, or None.
+
+    The facet normals c of the posed vertex set (a disc's inscribed
+    polygon's edge normals, in closed form, any other body's
+    ``halfplanes``), with the relaxed body's support values, are a
+    sampled body; ``_support_gaps`` finds the c along which ``a`` leaves
+    it the furthest.  With ``h = max_j <c, v_j>`` and u a top
+    eigenvector of ``sum_l c_l a_l``, the dual ``(-h, c_1, ..., c_d)
+    kron uu*`` has the pencil ``(<c, v_j> - h) uu*``, negative
+    semidefinite on every block, and ``price`` checks its margin on the
+    relaxed rhs.
+    """
+    if isinstance(K, Disc):
+        angles = np.pi * (2.0 * np.arange(len(verts)) + 1.0) / len(verts)
+        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+        offsets = dirs @ K.center + K.radius * np.cos(np.pi / len(verts))
+    else:
+        dirs, offsets = halfplanes(K)
+    along = dirs @ center
+    gap, cert = _support_gaps(Sampled(dirs, along + (offsets - along) / pull), a, 0.0)
+    if gap <= 0.0:
+        return None
+    c = cert["direction"]
+    u = np.linalg.eigh(pencil_stack(a.mats, c[None]))[1][0, :, -1]
+    coef = np.concatenate([[-(verts @ c).max()], c, np.zeros(a.d)])
+    return price(coef[:, None, None] * np.outer(u, u.conj()), pull)
 
 
 def _relaxed(
@@ -406,7 +455,8 @@ def kmin_member(
 ) -> MembershipResult:
     """Does ``a`` admit a positive decomposition over points of K?
 
-    Polytopes and boxes run the decomposition SDP on their vertices.  A
+    Polytopes and boxes run the decomposition SDP on their vertices
+    (a polytope's extreme points, so interior points pose no block).  A
     disc is sandwiched between inscribed and circumscribed regular
     ``m_grid``-gons: feasible on the inscribed polygon means In,
     infeasible on the circumscribed one means Out, and feasible there
@@ -419,9 +469,13 @@ def kmin_member(
     keeps its pencil on the relaxed body, and its margin there is
     ``c0 + c1`` (``_range_solver``): when that clears the solve's
     margin ``10 _sdp_tol(tol)``, the relaxed body is infeasible with no second
-    solve, and the answer is Out.  Commuting tuples short-circuit
-    through their joint spectrum (the decomposition exists exactly when
-    every joint eigenvalue point lies in K).  Sampled bodies, in any dimension, run
+    solve, and the answer is Out.  Before any solve, a point outside the
+    relaxed body's maximal set is Out, with the detail "outside the
+    relaxed body's maximal set": K^min and K^max share their scalar
+    level, so a support line separates it (``_support_separator``).
+    Commuting tuples short-circuit through their joint spectrum (the
+    decomposition exists exactly when every joint eigenvalue point lies
+    in K).  Sampled bodies, in any dimension, run
     it on the vertices of the polytope their facet list bounds (an
     unbounded, empty or flat one raises ``BadProblem``).  Raises
     ``ValueError`` unless ``tol`` is positive and finite, and
@@ -429,8 +483,9 @@ def kmin_member(
 
     In answers carry the decomposition ``h_j`` as certificate; Out
     answers carry the verified separating functional over the nominal
-    vertices: for a disc, priced on the rescaled point of the
-    circumscribed polygon; for any other body, on the query itself.
+    vertices, from a solve or a support line: for a disc, priced on the
+    rescaled point of the circumscribed polygon; for any other body, on
+    the query itself.
     """
     _require_tol(tol)
     if not a.hermitian:
@@ -457,8 +512,14 @@ def kmin_member(
         )
 
     verts, center, relax = _vertex_sets(K, tol, m_grid)
-    solve, terms = _range_solver(verts[:, :, None, None], a, center, tol, max_iter)
+    solve, terms, price = _range_solver(verts[:, :, None, None], a, center, tol, max_iter)
     pull = 1.0 / relax
+    sep = _support_separator(K, a, verts, center, pull, price)
+    if sep is not None:
+        if not isinstance(K, Disc):
+            sep = dataclasses.replace(sep, margin=sum(terms(sep, 1.0)))
+        detail = "outside the relaxed body's maximal set"
+        return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
     verdict = solve(1.0)
     if verdict.status is Status.FEASIBLE:
         return _decomposition(verdict, verts)
@@ -558,7 +619,7 @@ def theta_min_alpha(
         record(1.0, 1.0)
         return ThetaEstimate(1.0, 1.0, a)
     verts, center, relax = _vertex_sets(K, MEMBER_TOL, DISC_GRID)
-    solve, terms = _range_solver(
+    solve, terms, _ = _range_solver(
         verts[:, :, None, None], a, center, MEMBER_TOL, MAX_ITER
     )
     pull = 1.0 / relax
@@ -631,7 +692,7 @@ def ucp_member(
     if x.d != a.d:
         raise TupleMismatch(f"tuple lengths differ: {x.d} vs {a.d}")
     center = np.array([np.trace(xj) / x.n for xj in x.mats])
-    solve, _ = _range_solver(np.array(x.mats)[None], a, center, tol, max_iter)
+    solve, _, _ = _range_solver(np.array(x.mats)[None], a, center, tol, max_iter)
     verdict = solve(1.0)
     if verdict.status is Status.FEASIBLE:
         choi = verdict.blocks[0]
@@ -808,10 +869,7 @@ def choi_li_equiv_check(y, tol: float = 1e-6) -> dict:
     """
     a = np.asarray(y, dtype=complex)
     tup = OperatorTuple((herm_part(a), skew_part(a)), hermitian=True)
-    square = Polytope(
-        np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    )
-    square_min = kmin_member(square, tup, tol=tol)
+    square_min = kmin_member(SQUARE, tup, tol=tol)
     radius = numerical_radius(choi_li_transform(a), tol=min(tol * 1e-2, 1e-9))
     disc_max = MembershipResult(
         _statuses(radius - 1.0, tol), abs(radius - 1.0), {"radius": radius}

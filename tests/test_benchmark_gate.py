@@ -39,10 +39,10 @@ def test_round_zero_passes_the_checker(workload):
 #: (solves, iterations, constraint rows summed over the solves) of round 0
 #: under seed 1; a ucp solve of a Hermitian pair poses 1 + d = 3 rows
 TRAFFIC = {
-    "member-disc": (6, 40, 18),
+    "member-disc": (3, 12, 9),
     "theta-bisect": (20, 196, 60),
     "ucp-probes": (12, 160, 36),
-    "transform-probes": (8, 100, 24),
+    "transform-probes": (5, 44, 15),
 }
 
 

@@ -133,6 +133,21 @@ def test_extreme_points_agree_with_the_lp(pts):
 
 
 @settings(max_examples=100, deadline=None)
+@given(lattice_points())
+def test_a_polytope_keeps_its_extreme_points_in_listed_order(pts):
+    # the rows extreme_points returns at tol 0, from the facet list's
+    # Qhull run, as a subsequence of the (duplicate-free) list
+    _, first = np.unique(pts, axis=0, return_index=True)
+    pts = pts[np.sort(first)]
+    got = Polytope(pts)._hull[1]
+    want = extreme_points(pts, tol=0.0)
+    assert set(map(tuple, got)) == set(map(tuple, want))
+    rows = [int(np.flatnonzero((pts == g).all(axis=1))[0]) for g in got]
+    assert rows == sorted(set(rows)) and len(rows) == len(want)
+    assert not got.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     st.integers(0, 10**6),
     st.integers(2, 3),

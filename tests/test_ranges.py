@@ -415,12 +415,15 @@ class TestKmin:
 
     def test_segment_in_a_coordinate_hyperplane(self):
         # over {(t, 0) : |t| <= 1} the second equation has a zero
-        # coefficient: sum_j 0 h_j = a_2
+        # coefficient: sum_j 0 h_j = a_2.  The support line y <= 0 along
+        # the span normal separates a_2 = 0.3 Z with margin 0.3, before
+        # any solve (the zero-row rule itself is tested in test_sdp.py)
         segment = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]))
         a = OperatorTuple((0.5 * X, 0.3 * Z), hermitian=True)
         res = kmin_member(segment, a)
         assert res.status is MembershipStatus.OUT
-        assert res.margin == pytest.approx(0.3 * ROOT2, rel=1e-9)
+        assert res.detail == "outside the relaxed body's maximal set"
+        assert res.margin == pytest.approx(0.3, rel=1e-9)
         _check_separator(_kmin_problem(segment.vertices, a.mats), res.certificate)
         # a_2 = 1e-9 Z is met to within the witness residual
         a = OperatorTuple((0.5 * X, 1e-9 * Z), hermitian=True)
@@ -747,8 +750,10 @@ class TestWarmSteps:
         res = kmin_member(UNIT_DISC, a)
         monkeypatch.undo()
         assert res.status is MembershipStatus.OUT
-        # the inscribed polygon's separator, priced on the circumscribed
+        # inside D^max (w = 0.55), so the support scan finds nothing; the
+        # inscribed polygon's separator, priced on the circumscribed
         # one's rhs: no second solve
+        assert res.detail == ""
         assert [v.status for _, v in steps] == [Status.INFEASIBLE]
         assert _check_cold_steps(UNIT_DISC, steps) == [Status.INFEASIBLE]
         verts, center, relax = ranges._vertex_sets(
@@ -1079,6 +1084,175 @@ OFF_DISC = Disc(np.array([0.3, -0.2]), 1.2)
 OFF_BOX = Box(np.array([-0.5, -1.0]), np.array([1.5, 1.0]))
 OFF_TRIANGLE = Polytope(np.array([[-1.0, -0.5], [1.5, -0.5], [0.2, 1.5]]))
 TRIANGLE_CENTER = OFF_TRIANGLE.vertices.mean(axis=0)
+
+
+def _relaxed_point(K, a) -> tuple[np.ndarray, list]:
+    """kmin's posed vertices, and the point ``c + (a - c) / s`` that
+    stands for ``a`` on its relaxed body (center c, relaxed scale s)."""
+    verts, center, relax = ranges._vertex_sets(
+        K, ranges.MEMBER_TOL, ranges.DISC_GRID
+    )
+    mats = [
+        m / relax + (1.0 - 1.0 / relax) * c * np.eye(a.n)
+        for m, c in zip(a.mats, center)
+    ]
+    return verts, mats
+
+
+def _scale_to_kmax_boundary(K, a: OperatorTuple) -> float:
+    """The s with ``s a`` on the boundary of K^max, for 0 interior to K."""
+    if isinstance(K, Disc):
+        m = (a.mats[0] - K.center[0] * np.eye(a.n)) + 1j * (
+            a.mats[1] - K.center[1] * np.eye(a.n)
+        )
+        return K.radius / numerical_radius(m, tol=1e-12)
+    return _kmax_scale(K, a)
+
+
+def _no_scan(*args, **kwargs):
+    return None
+
+
+TRIANGLE = Polytope(np.array([[2.0, 0.0], [-1.0, 1.5], [-1.0, -1.5]]))
+
+
+class TestSupportScan:
+    @pytest.mark.parametrize(
+        "body, a",
+        [
+            (UNIT_DISC, nilpotent_pair().scaled(1.2)),
+            (SQUARE, pauli(1.2)),
+            (UNIT_BOX, pauli(1.2)),
+            (SQUARE_SAMPLED, pauli(1.2)),
+            (OFF_TRIANGLE, _around(TRIANGLE_CENTER, 3.0, pauli(0.3))),
+        ],
+        ids=["disc", "square", "box", "sampled", "off-center-triangle"],
+    )
+    def test_out_of_the_maximal_set_is_out_without_a_solve(
+        self, monkeypatch, body, a
+    ):
+        assert kmax_member(body, a).status is MembershipStatus.OUT
+        counts = _count_compiles_and_solves(monkeypatch)
+        res = kmin_member(body, a)
+        assert counts == {"compile": 1, "solve": 0}
+        assert res.status is MembershipStatus.OUT
+        assert res.detail == "outside the relaxed body's maximal set"
+        sep = res.certificate
+        assert res.margin == sep.margin
+        # the pencil is negative semidefinite and the margin clears 10 tol
+        # on the relaxed body
+        verts, mats = _relaxed_point(body, a)
+        relaxed = dual_witness(
+            _kmin_problem(verts, mats), Verdict(Status.INFEASIBLE, None, sep, 0, 0.0)
+        )
+        assert relaxed["margin"] >= 10 * 1e-7
+        assert relaxed["pencil_max_eig"] <= sep.psd_slack + 1e-12
+        # the reported margin is priced on the circumscribed polygon for a
+        # disc, on the query itself for any other body
+        _check_separator(
+            _kmin_problem(verts, mats if isinstance(body, Disc) else a.mats), sep
+        )
+
+    def test_the_separator_is_the_support_line_of_a_rank_one_pencil(self):
+        # over the square, (1.2 X + 0.1, 0.5 Z) is cut off by x <= 1 the
+        # furthest, 0.3: the dual is (-1, 1, 0) kron uu* up to its
+        # normalization, u the top eigenvector of X
+        a = OperatorTuple((1.2 * X + 0.1 * np.eye(2), 0.5 * Z), hermitian=True)
+        res = kmin_member(SQUARE, a)
+        y = res.certificate.dual
+        u = np.linalg.eigh(X)[1][:, -1]
+        uu = np.outer(u, u.conj())
+        coef = np.array([np.vdot(uu, yr).real for yr in y])
+        np.testing.assert_allclose(
+            y, coef[:, None, None] * uu[None], rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(coef / coef[1], [-1.0, 1.0, 0.0], atol=1e-12)
+        assert res.margin == pytest.approx(0.3 * coef[1], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "body", [UNIT_DISC, SQUARE, TRIANGLE], ids=["disc", "square", "triangle"]
+    )
+    def test_statuses_do_not_depend_on_the_scan(self, monkeypatch, body):
+        # points at 0.9-1.1 of the K^max boundary along seeded pairs; with
+        # the scan finding nothing the solves decide every one of them
+        rng = np.random.default_rng(23)
+        points = []
+        for n in (2, 3):
+            for _ in range(2):
+                b = OperatorTuple(
+                    tuple(random_hermitian(n, rng) for _ in range(2)), hermitian=True
+                )
+                b = b.scaled(_scale_to_kmax_boundary(body, b))
+                points += [b.scaled(f) for f in (0.9, 0.97, 1.0, 1.03, 1.1)]
+        with_scan = [kmin_member(body, p) for p in points]
+        monkeypatch.setattr(ranges, "_support_separator", _no_scan)
+        without = [kmin_member(body, p).status for p in points]
+        assert [r.status for r in with_scan] == without
+        assert set(without) == {MembershipStatus.IN, MembershipStatus.OUT}
+        scanned = [r.detail == "outside the relaxed body's maximal set"
+                   for r in with_scan]
+        # the scan answers exactly the points past the K^max boundary
+        assert scanned == [f > 1.0 for _ in range(4) for f in (0.9, 0.97, 1.0, 1.03, 1.1)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_kmin_and_kmax_nest(seed):
+    # K^min and K^max share their scalar level, so K^min lies in K^max:
+    # kmin In is never kmax Out, and a point outside the relaxed body's
+    # maximal set is kmin Out.  Seeded polytopes in d = 2, 3 about their
+    # mean, with points along a seeded tuple about the K^max boundary
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 4))
+    verts = rng.standard_normal((int(rng.integers(d + 1, 8)), d))
+    body = Polytope(verts - verts.mean(axis=0))
+    verts, center, relax = ranges._vertex_sets(body, ranges.MEMBER_TOL, ranges.DISC_GRID)
+    relaxed = scale_body(body, relax, center)
+    n = int(rng.integers(1, 4))
+    b = OperatorTuple(tuple(random_hermitian(n, rng) for _ in range(d)), hermitian=True)
+    b = b.scaled(_kmax_scale(body, b))
+    for f in (0.5, 0.9, 0.99, 1.01, 1.1):
+        p = b.scaled(f)
+        kmin = kmin_member(body, p).status
+        if kmin is MembershipStatus.IN:
+            assert kmax_member(body, p).status is not MembershipStatus.OUT
+        if kmax_member(relaxed, p).status is MembershipStatus.OUT:
+            assert kmin is MembershipStatus.OUT
+
+
+def test_interior_points_of_a_polytope_pose_no_block(monkeypatch):
+    # the square's corners among 60 interior points: the 4 corners are
+    # posed, in listed order, and the answer is the square's to the bit
+    rng = np.random.default_rng(5)
+    pts = np.vstack([rng.uniform(-0.9, 0.9, (30, 2)), SQUARE.vertices,
+                     rng.uniform(-0.9, 0.9, (30, 2))])
+    a = pauli(0.6)
+    posed = []
+    compile_ = ranges._compile
+    monkeypatch.setattr(ranges, "_compile", lambda p: posed.append(p) or compile_(p))
+    res = kmin_member(Polytope(pts), a)
+    want = kmin_member(SQUARE, a)
+    assert [p.block_sizes for p in posed] == [(2,) * 4] * 2
+    assert res.status is want.status is MembershipStatus.IN
+    assert np.array_equal(res.certificate["vertices"], SQUARE.vertices)
+    assert all(np.array_equal(g, w) for g, w in
+               zip(res.certificate["h"], want.certificate["h"]))
+    assert res.margin == want.margin
+
+
+def test_choili_builds_its_square_once(monkeypatch):
+    import mconvex.acceptance as acceptance
+
+    assert acceptance.SQUARE is ranges.SQUARE
+    choi_li_equiv_check(0.3 * X)
+    calls = []
+    hull = geometry.ConvexHull
+    monkeypatch.setattr(
+        geometry, "ConvexHull", lambda *a, **k: calls.append(1) or hull(*a, **k)
+    )
+    report = choi_li_equiv_check(np.array([[1.2, 0.1], [0.0, -0.3]]))
+    assert report["square_min"].status is MembershipStatus.OUT
+    assert calls == []
 
 
 class TestBodyScaledReference:
