@@ -155,6 +155,14 @@ class Sampled:
     def dim(self) -> int:
         return self.directions.shape[1]
 
+    @functools.cached_property
+    def _clipped(self) -> np.ndarray:
+        """The vertices the facet list bounds (``clip_by_halfplanes``):
+        one halfspace intersection on first use, shared read-only."""
+        verts = clip_by_halfplanes(self.directions, self.support_values)
+        verts.flags.writeable = False
+        return verts
+
 
 ConvexBody = Union[Polytope, Box, Disc, Sampled]
 

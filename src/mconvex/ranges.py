@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NonHermitianInput,
+    NotCommuting,
     NotInKmax,
     TupleMismatch,
 )
@@ -36,7 +37,6 @@ from .geometry import (
     Polytope,
     Sampled,
     box_vertices,
-    clip_by_halfplanes,
     halfplanes,
     point_gap,
     require_interior_zero,
@@ -65,8 +65,8 @@ from .sdp import (
     _Compiled,
 )
 
-#: default membership tolerance; the Boundary band is 10x this except
-#: for a disc (see ``_vertex_sets``)
+#: default membership tolerance; ``_bracket``'s Boundary band is 10x
+#: this, except for a disc (its circumscribed polygon, ``_vertex_sets``)
 MEMBER_TOL = 1e-7
 
 #: circle discretization for minimal-set membership over a disc
@@ -83,8 +83,8 @@ _CHOI_COPIES = 8
 #: deviation allowed when testing a_j^2 = I or a_j* a_j = I
 EXTREME_DEV = 1e-8
 
-#: commutator size, relative to the product of its entries' sizes, below
-#: which a Hermitian tuple is treated as commuting
+#: commutator size, relative to the product of its entries' sizes less
+#: their scalar parts, below which ``_joint_spectrum`` diagonalizes a tuple
 COMMUTING_TOL = 1e-10
 
 #: a normalization constant sometimes quoted for the square-to-disc
@@ -186,19 +186,10 @@ def _statuses(violation: float, tol: float) -> MembershipStatus:
 # ---------------------------------------------------------------------------
 
 
-def _support_gaps(
-    body: ConvexBody, a: OperatorTuple, tol: float
-) -> tuple[float, dict]:
-    """Worst violation of ``lambda_max(sum c_j a_j) <= h_K(c)`` and a trace:
-    over a disc through the numerical radius, over any other body on its
-    facet list (``halfplanes``) with one ``eigvalsh`` over its
-    ``pencil_stack``."""
-    if isinstance(body, Disc):
-        m = (a.mats[0] - body.center[0] * np.eye(a.n)) + 1j * (
-            a.mats[1] - body.center[1] * np.eye(a.n)
-        )
-        w = numerical_radius(m, tol=min(tol * 1e-2, 1e-9))
-        return w - body.radius, {"radius": w}
+def _support_gaps(body: ConvexBody, a: OperatorTuple) -> tuple[float, dict]:
+    """Worst violation of ``lambda_max(sum c_j a_j) <= h_K(c)`` over a
+    body's facet list (``halfplanes``), from one ``eigvalsh`` over its
+    ``pencil_stack``, and a trace."""
     dirs, offsets = halfplanes(body)
     gaps = np.linalg.eigvalsh(pencil_stack(a.mats, dirs))[:, -1] - offsets
     k = int(np.argmax(gaps))
@@ -222,9 +213,20 @@ def kmax_member(
         raise NonHermitianInput("maximal-set membership needs a Hermitian tuple")
     if K.dim != a.d:
         raise DimensionMismatch(f"body dim {K.dim} != tuple length {a.d}")
-    viol, cert = _support_gaps(K, a, tol)
-    status = _statuses(viol, tol)
-    return MembershipResult(status, abs(viol), cert)
+    if isinstance(K, Disc):
+        eye = np.eye(a.n)
+        m = (a.mats[0] - K.center[0] * eye) + 1j * (a.mats[1] - K.center[1] * eye)
+        return _radius_member(m, K.radius, tol)
+    viol, cert = _support_gaps(K, a)
+    return MembershipResult(_statuses(viol, tol), abs(viol), cert)
+
+
+def _radius_member(m: np.ndarray, radius: float, tol: float) -> MembershipResult:
+    """The disc rule of ``kmax_member`` and ``choi_li_equiv_check``: the
+    numerical radius of ``m`` against ``radius``, with the statuses of a
+    support gap."""
+    w = numerical_radius(m, tol=min(tol * 1e-2, 1e-9))
+    return MembershipResult(_statuses(w - radius, tol), abs(w - radius), {"radius": w})
 
 
 # ---------------------------------------------------------------------------
@@ -324,28 +326,25 @@ def _range_solver(
 # ---------------------------------------------------------------------------
 
 
-def _decomposition(verdict, vertices: np.ndarray) -> MembershipResult:
-    """The In answer of a feasible decomposition SDP: the blocks ``h_j``,
-    with their smallest eigenvalue (one batched call) as the margin."""
-    h = verdict.blocks
-    slack = float(herm_eigvalsh(np.stack(h))[:, 0].min())
-    return MembershipResult(
-        MembershipStatus.IN, max(slack, 0.0), {"h": h, "vertices": vertices}
-    )
-
-
-def _is_commuting(a: OperatorTuple) -> bool:
-    """Is every commutator within ``COMMUTING_TOL`` times the product of
-    its entries' sizes (largest absolute entry)?  So the answer does not
-    depend on the tuple's scale."""
-    sizes = [float(np.abs(m).max(initial=0.0)) for m in a.mats]
+def _joint_spectrum(a: OperatorTuple) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``(u, values)`` of ``simdiag_hermitian`` (``u = I`` for a
+    diagonal tuple) when every commutator is within ``COMMUTING_TOL``
+    times the product of its entries' sizes, less their scalar parts,
+    which no commutator sees; None otherwise, or when the joint
+    eigenbasis refuses the tuple (a near degenerate spectrum)."""
+    mats, eye = a.mats, np.eye(a.n)
+    sizes = [float(np.abs(m - np.trace(m) / a.n * eye).max()) for m in mats]
     for j in range(a.d):
         for k in range(j + 1, a.d):
-            comm = a.mats[j] @ a.mats[k] - a.mats[k] @ a.mats[j]
-            bound = COMMUTING_TOL * sizes[j] * sizes[k]
-            if float(np.abs(comm).max(initial=0.0)) > bound:
-                return False
-    return True
+            comm = mats[j] @ mats[k] - mats[k] @ mats[j]
+            if float(np.abs(comm).max()) > COMMUTING_TOL * sizes[j] * sizes[k]:
+                return None
+    if not (stack := np.array(mats))[:, eye == 0].any():
+        return eye.astype(complex), np.diagonal(stack, axis1=1, axis2=2).real.T.copy()
+    try:
+        return simdiag_hermitian(a.mats, tol=1e-9)
+    except NotCommuting:
+        return None
 
 
 def _singleton_point(K: ConvexBody) -> np.ndarray | None:
@@ -368,10 +367,8 @@ def _vertex_sets(
     its extreme points (``extreme_points`` at tol 0), in listed order,
     about the mean of its list, a box its corners about its middle,
     and a sampled body, in any dimension, the vertices its facet list
-    (``halfplanes``) bounds about their mean (``clip_by_halfplanes``);
-    each with the relaxed scale ``1 + 10 tol``.  An Out answer rests on
-    the relaxed body being infeasible, a Boundary answer on it being
-    feasible.
+    (``halfplanes``) bounds about their mean (``Sampled._clipped``);
+    each with the relaxed scale ``1 + 10 tol``.
     """
     if isinstance(K, Disc):
         angles = 2.0 * np.pi * np.arange(m_grid) / m_grid
@@ -382,7 +379,7 @@ def _vertex_sets(
     elif isinstance(K, Box):
         verts, center = box_vertices(K), 0.5 * (K.lo + K.hi)
     elif isinstance(K, Sampled):
-        verts = clip_by_halfplanes(*halfplanes(K))
+        verts = K._clipped
         center = verts.mean(axis=0)
     else:
         raise DimensionMismatch(f"unknown body type {type(K)!r}")
@@ -413,7 +410,7 @@ def _support_separator(
     else:
         dirs, offsets = halfplanes(K)
     along = dirs @ center
-    gap, cert = _support_gaps(Sampled(dirs, along + (offsets - along) / pull), a, 0.0)
+    gap, cert = _support_gaps(Sampled(dirs, along + (offsets - along) / pull), a)
     if gap <= 0.0:
         return None
     c = cert["direction"]
@@ -422,28 +419,56 @@ def _support_separator(
     return price(coef[:, None, None] * np.outer(u, u.conj()), pull)
 
 
-def _relaxed(
-    verdict: Verdict,
-    boundary_margin: float,
-    details: tuple[str, str],
+def _bracket(
+    solve: Callable[[float], Verdict], terms: Callable, tol: float, pull: float,
+    band: float, exact: bool, accept: Callable[[Verdict], object],
+    push: float | None = None,
 ) -> MembershipResult:
-    """Out / Boundary / Unknown from a solve of an easier question than
-    the query (the point pulled toward the center, or the body dilated).
+    """In / Out / Boundary / Unknown from the solves of one range query,
+    on ``_range_solver``'s rhs line: f = 1 poses the query (its own set
+    when ``exact``; a disc's is its inscribed polygon), f = ``pull`` < 1
+    the relaxed set, and ``push`` > 1, if given, a harder point.
 
-    Infeasible is Out, with that separator; Feasible is Boundary, since
-    the point then lies in the relaxed set; anything else is Unknown.
-    ``details`` are the Out and Boundary details.
+    1. Feasible at f = 1 is In: ``accept`` makes the certificate, the
+       least eigenvalue of the blocks is the margin.
+    2. An Infeasible separator, priced at ``pull`` by ``terms``, that
+       clears ``10 _sdp_tol(tol)`` there is Out with no second solve: with
+       its own margin if ``exact``, else with the margin at ``pull``.
+    3. Only after an Unknown, Feasible at ``push`` is In, margin ``band``:
+       the query is a convex combination of the center and that point.
+    4. One solve at ``pull``.  If ``exact`` and step 2's separator fell
+       short, Feasible is Boundary carrying it, else Out with it.
+       Otherwise Infeasible is Out, Feasible Boundary, else Unknown.
+
+    Every Boundary has the margin ``band``.
     """
-    if verdict.status is Status.INFEASIBLE:
-        sep = verdict.separator
-        return MembershipResult(MembershipStatus.OUT, sep.margin, sep, details[0])
+    verdict = solve(1.0)
     if verdict.status is Status.FEASIBLE:
-        return MembershipResult(
-            MembershipStatus.BOUNDARY, boundary_margin, None, details[1]
-        )
-    return MembershipResult(
-        MembershipStatus.UNKNOWN, 0.0, None, "neither certificate closes"
-    )
+        slack = float(herm_eigvalsh(np.stack(verdict.blocks))[:, 0].min())
+        return MembershipResult(MembershipStatus.IN, max(slack, 0.0), accept(verdict))
+    sep = verdict.separator if verdict.status is Status.INFEASIBLE else None
+    if sep is not None:
+        c0, c1 = terms(sep, pull)
+        if c0 + c1 >= 10.0 * _sdp_tol(tol):
+            sep = sep if exact else dataclasses.replace(sep, margin=c0 + c1)
+            return MembershipResult(MembershipStatus.OUT, sep.margin, sep)
+    elif push is not None and (pushed := solve(push)).status is Status.FEASIBLE:
+        detail = "resolved by outward bracketing"
+        return MembershipResult(MembershipStatus.IN, band, accept(pushed), detail)
+    outer = solve(pull)
+    if exact and sep is not None:
+        if outer.status is Status.FEASIBLE:
+            detail = "outside at scale 1, inside at scale 1 + 10 tol"
+            return MembershipResult(MembershipStatus.BOUNDARY, band, sep, detail)
+        return MembershipResult(MembershipStatus.OUT, sep.margin, sep)
+    if outer.status is Status.INFEASIBLE:
+        sep, detail = outer.separator, "resolved on the relaxed set"
+        return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
+    if outer.status is Status.FEASIBLE:
+        detail = "undecided at scale 1, inside the relaxed set"
+        return MembershipResult(MembershipStatus.BOUNDARY, band, None, detail)
+    detail = "neither certificate closes"
+    return MembershipResult(MembershipStatus.UNKNOWN, 0.0, None, detail)
 
 
 def kmin_member(
@@ -455,37 +480,23 @@ def kmin_member(
 ) -> MembershipResult:
     """Does ``a`` admit a positive decomposition over points of K?
 
-    Polytopes and boxes run the decomposition SDP on their vertices
-    (a polytope's extreme points, so interior points pose no block).  A
-    disc is sandwiched between inscribed and circumscribed regular
-    ``m_grid``-gons: feasible on the inscribed polygon means In,
-    infeasible on the circumscribed one means Out, and feasible there
-    means Boundary.  A polytope whose nominal solve runs out of budget is
-    decided on its dilation by ``1 + 10 tol`` alone: infeasible there is
-    Out, feasible Boundary, anything else Unknown.  The SDP is
-    compiled once: a is in K dilated by s about its center c exactly when
-    ``c + (a - c) / s`` is in K^min, so each scale moves only the
-    right-hand side.  So the separator of an Infeasible nominal solve
-    keeps its pencil on the relaxed body, and its margin there is
-    ``c0 + c1`` (``_range_solver``): when that clears the solve's
-    margin ``10 _sdp_tol(tol)``, the relaxed body is infeasible with no second
-    solve, and the answer is Out.  Before any solve, a point outside the
-    relaxed body's maximal set is Out, with the detail "outside the
-    relaxed body's maximal set": K^min and K^max share their scalar
-    level, so a support line separates it (``_support_separator``).
-    Commuting tuples short-circuit through their joint spectrum (the
-    decomposition exists exactly when every joint eigenvalue point lies
-    in K).  Sampled bodies, in any dimension, run
-    it on the vertices of the polytope their facet list bounds (an
-    unbounded, empty or flat one raises ``BadProblem``).  Raises
-    ``ValueError`` unless ``tol`` is positive and finite, and
-    ``DimensionMismatch`` for a disc with ``m_grid`` below 3.
+    The decomposition SDP is posed on a polytope's extreme points, a
+    box's corners, the vertices a sampled body's facet list bounds (an
+    unbounded, empty or flat one raises ``BadProblem``) or a disc's
+    inscribed ``m_grid``-gon (``_vertex_sets``), and ``_bracket``
+    decides; its relaxed set, the body dilated about its center c by
+    ``1 + 10 tol`` or to a disc's circumscribed polygon, is the rhs at
+    ``c + (a - c) / s``.  Before any solve, a point outside the relaxed
+    body's maximal set is Out, with the detail "outside the relaxed
+    body's maximal set", from one support line (``_support_separator``),
+    and a commuting tuple is decided by its joint spectrum
+    (``_joint_spectrum``).  Raises ``ValueError`` unless ``tol`` is
+    positive and finite, and ``DimensionMismatch`` for a disc with
+    ``m_grid`` below 3.
 
-    In answers carry the decomposition ``h_j`` as certificate; Out
-    answers carry the verified separating functional over the nominal
-    vertices, from a solve or a support line: for a disc, priced on the
-    rescaled point of the circumscribed polygon; for any other body, on
-    the query itself.
+    In answers carry the decomposition ``h_j``; Out answers the verified
+    separating functional over the posed vertices, priced on the query,
+    or for a disc on its point rescaled to the circumscribed polygon.
     """
     _require_tol(tol)
     if not a.hermitian:
@@ -495,63 +506,32 @@ def kmin_member(
     if isinstance(K, Disc) and m_grid < 3:
         raise DimensionMismatch(f"a disc's polygon needs m_grid >= 3, not {m_grid}")
 
-    point = _singleton_point(K)
-    if point is not None:
+    if (point := _singleton_point(K)) is not None:
         eye = np.eye(a.n)
         dev = max(op_norm(m - lam * eye) for m, lam in zip(a.mats, point))
         return MembershipResult(_statuses(dev, tol), dev, {"point": point})
 
-    if _is_commuting(a):
-        u, values = simdiag_hermitian(a.mats, tol=1e-9)
+    if (spectrum := _joint_spectrum(a)) is not None:
+        u, values = spectrum
         viol = point_gap(K, values)
-        return MembershipResult(
-            _statuses(viol, tol),
-            abs(viol),
-            {"joint_points": values, "unitary": u},
-            "commuting tuple: decided through the joint spectrum",
-        )
+        detail = "commuting tuple: decided through the joint spectrum"
+        cert = {"joint_points": values, "unitary": u}
+        return MembershipResult(_statuses(viol, tol), abs(viol), cert, detail)
 
     verts, center, relax = _vertex_sets(K, tol, m_grid)
     solve, terms, price = _range_solver(verts[:, :, None, None], a, center, tol, max_iter)
     pull = 1.0 / relax
-    sep = _support_separator(K, a, verts, center, pull, price)
-    if sep is not None:
-        if not isinstance(K, Disc):
+    # f = 1 poses K itself, except for a disc: its inscribed polygon
+    exact = not isinstance(K, Disc)
+    if (sep := _support_separator(K, a, verts, center, pull, price)) is not None:
+        if exact:
             sep = dataclasses.replace(sep, margin=sum(terms(sep, 1.0)))
         detail = "outside the relaxed body's maximal set"
         return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
-    verdict = solve(1.0)
-    if verdict.status is Status.FEASIBLE:
-        return _decomposition(verdict, verts)
-    if verdict.status is Status.INFEASIBLE:
-        sep = verdict.separator
-        c0, c1 = terms(sep, pull)
-        if c0 + c1 >= 10.0 * _sdp_tol(tol):
-            if isinstance(K, Disc):
-                sep = dataclasses.replace(sep, margin=c0 + c1)
-            return MembershipResult(MembershipStatus.OUT, sep.margin, sep)
-    if isinstance(K, Disc):
-        return _relaxed(
-            solve(pull), K.radius * (relax - 1.0),
-            ("", f"inscribed/circumscribed {m_grid}-gon sandwich straddles"),
-        )
-    eps = 10.0 * tol
-    if verdict.status is Status.INFEASIBLE:
-        if solve(pull).status is Status.FEASIBLE:
-            return MembershipResult(
-                MembershipStatus.BOUNDARY,
-                eps,
-                verdict.separator,
-                "outside at scale 1, inside at scale 1 + 10 tol",
-            )
-        return MembershipResult(
-            MembershipStatus.OUT, verdict.separator.margin, verdict.separator
-        )
-    # solver budget ran out at the nominal scale: the relaxed body decides
-    return _relaxed(
-        solve(pull), eps,
-        ("resolved on the relaxed body",
-         "undecided at scale 1, inside at scale 1 + 10 tol"),
+    band = 10.0 * tol if exact else K.radius * (relax - 1.0)
+    return _bracket(
+        solve, terms, tol, pull, band, exact,
+        lambda v: {"h": v.blocks, "vertices": verts},
     )
 
 
@@ -595,12 +575,12 @@ def theta_min_alpha(
     search, so the bracket returned is the certified one, however wide.
 
     The probes share the compiled operator's warm slot, so each probe
-    iterates from where the last one stopped.  A commuting tuple gets
-    [1, 1] before anything is compiled: its joint numerical range is the
-    hull of its joint spectrum, so K^max and K^min agree at it.  Values
-    below 1 are reported as the degenerate bracket [1, 1].  Pass a list
-    as ``trace`` to collect the (lower, upper) bracket, as floats, after
-    each probe.
+    iterates from where the last one stopped.  A commuting tuple
+    (``_joint_spectrum``) gets [1, 1] before anything is compiled: its
+    joint numerical range is the hull of its joint spectrum, so K^max
+    and K^min agree at it.  Values below 1 are reported as the
+    degenerate bracket [1, 1].  Pass a list as ``trace`` to collect the
+    (lower, upper) bracket, as floats, after each probe.
     """
     _require_tol(tol)
     pre = kmax_member(K, a)
@@ -615,7 +595,7 @@ def theta_min_alpha(
         if trace is not None:
             trace.append((lo, hi))
 
-    if _is_commuting(a):
+    if _joint_spectrum(a) is not None:
         record(1.0, 1.0)
         return ThetaEstimate(1.0, 1.0, a)
     verts, center, relax = _vertex_sets(K, MEMBER_TOL, DISC_GRID)
@@ -674,44 +654,25 @@ def ucp_member(
     ``x``; the map is asked for on the full matrix algebra, which loses
     nothing since matrix states extend.  Hermiticity of the Choi
     variable makes the map a *-map, so ``x_j* -> a_j*`` comes for free.
-    When the solver budget runs out, ``a`` is pushed away from the scalar
-    tuple ``tr(x_j)/m`` (always a member) by ``1 + 10 tol`` (feasible means
-    In) and pulled toward it by ``1 - 10 tol`` (infeasible means Out,
-    feasible Boundary).  The program is compiled once per query: these
-    solves move only the right-hand side of its image rows.  An image
-    equation with zero coefficient (a Hermitian ``x_j`` with a
-    non-Hermitian ``a_j``) is the equation ``0 = rhs``, left to the SDP
-    core's zero-row rule: Out with a separator whose pencil vanishes on
-    that row once its rhs clears 10 tol, Unknown at once when an entry
-    is above the witness residual but the rhs is short of 10 tol, and
-    met by the witness below that.  A row that is 0 = 0 at ``a`` and at
-    the scalar tuple is not posed.
+    ``_bracket`` decides from the Choi SDP's solves along the line from
+    the scalar tuple ``tr(x_j)/m`` (always a member) through ``a``: pull
+    ``1 - 10 tol``, push ``1 + 10 tol`` and band ``10 tol``.  An
+    image equation with zero coefficient (a Hermitian ``x_j`` with a
+    non-Hermitian ``a_j``) reads ``0 = rhs``: the SDP core's zero-row
+    rule makes it Out past 10 tol, Unknown at once above the witness
+    residual, and met below it.  A row that is 0 = 0 at ``a`` and at the
+    scalar tuple is not posed.
     Raises ``ValueError`` unless ``tol`` is positive and finite.
     """
     _require_tol(tol)
     if x.d != a.d:
         raise TupleMismatch(f"tuple lengths differ: {x.d} vs {a.d}")
     center = np.array([np.trace(xj) / x.n for xj in x.mats])
-    solve, _, _ = _range_solver(np.array(x.mats)[None], a, center, tol, max_iter)
-    verdict = solve(1.0)
-    if verdict.status is Status.FEASIBLE:
-        choi = verdict.blocks[0]
-        slack = float(herm_eigvalsh(choi[None])[0, 0])
-        return MembershipResult(MembershipStatus.IN, max(slack, 0.0), {"choi": choi})
-    if verdict.status is Status.INFEASIBLE:
-        return MembershipResult(
-            MembershipStatus.OUT, verdict.separator.margin, verdict.separator
-        )
+    solve, terms, _ = _range_solver(np.array(x.mats)[None], a, center, tol, max_iter)
     eps = 10.0 * tol
-    verdict = solve(1.0 + eps)
-    if verdict.status is Status.FEASIBLE:
-        return MembershipResult(
-            MembershipStatus.IN, eps, {"choi": verdict.blocks[0]},
-            "resolved by outward bracketing",
-        )
-    return _relaxed(
-        solve(1.0 - eps), eps,
-        ("resolved by inward bracketing", "bracketing straddles"),
+    return _bracket(
+        solve, terms, tol, 1.0 - eps, eps, True,
+        lambda v: {"choi": v.blocks[0]}, push=1.0 + eps,
     )
 
 
@@ -743,11 +704,22 @@ def mrange_equal(
 # ---------------------------------------------------------------------------
 
 
-def _irreducibility_reason(a: OperatorTuple) -> str | None:
+def _extreme(a: OperatorTuple, square, failed: str, held: str) -> tuple[bool, str]:
+    """Is ``||square(a_j) - I|| <= EXTREME_DEV`` for every entry, and the
+    commutant dimension 1?  With the reason: ``failed`` formats the first
+    failing entry ``j`` and its ``dev``, ``held`` says what all entries do."""
+    eye = np.eye(a.n)
+    for j, m in enumerate(a.mats):
+        dev = op_norm(square(m) - eye)
+        if dev > EXTREME_DEV:
+            return False, failed.format(j=j, dev=dev)
     dim = commutant_dimension(a)
     if dim != 1:
-        return f"tuple is reducible: commutant dimension {dim}"
-    return None
+        return False, f"tuple is reducible: commutant dimension {dim}"
+    return True, (
+        f"all entries {held} and the tuple is irreducible "
+        "(commutant dimension 1)"
+    )
 
 
 def is_matrix_extreme_free_symmetric(a: OperatorTuple) -> tuple[bool, str]:
@@ -759,33 +731,17 @@ def is_matrix_extreme_free_symmetric(a: OperatorTuple) -> tuple[bool, str]:
     """
     if not a.hermitian:
         raise NonHermitianInput("extremality test needs a Hermitian tuple")
-    eye = np.eye(a.n)
-    for j, m in enumerate(a.mats):
-        dev = op_norm(m @ m - eye)
-        if dev > EXTREME_DEV:
-            return False, f"entry {j} is not a symmetry: ||a_j^2 - I|| = {dev:.2e}"
-    reason = _irreducibility_reason(a)
-    if reason is not None:
-        return False, reason
-    return True, (
-        "all entries square to the identity and the tuple is irreducible "
-        "(commutant dimension 1)"
+    return _extreme(
+        a, lambda m: m @ m, "entry {j} is not a symmetry: ||a_j^2 - I|| = {dev:.2e}",
+        "square to the identity",
     )
 
 
 def is_matrix_extreme_free_unitary(a: OperatorTuple) -> tuple[bool, str]:
     """Matrix extremality test for tuples of unitaries (isometry + irreducible)."""
-    eye = np.eye(a.n)
-    for j, m in enumerate(a.mats):
-        dev = op_norm(m.conj().T @ m - eye)
-        if dev > EXTREME_DEV:
-            return False, f"entry {j} is not unitary: ||a_j* a_j - I|| = {dev:.2e}"
-    reason = _irreducibility_reason(a)
-    if reason is not None:
-        return False, reason
-    return True, (
-        "all entries are unitary and the tuple is irreducible "
-        "(commutant dimension 1)"
+    return _extreme(
+        a, lambda m: m.conj().T @ m,
+        "entry {j} is not unitary: ||a_j* a_j - I|| = {dev:.2e}", "are unitary",
     )
 
 
@@ -835,19 +791,17 @@ def calibrate_choi_li(tol: float = 1e-9) -> dict:
     records the radius produced by the reference constant 1/(1+i), which
     misses the corner target.
     """
-    corner = np.array([[1.0 + 1.0j]])
-    base = numerical_radius(choi_li_transform(corner, 1.0), tol=tol)
-    calibrated = 1.0 / base
+    def radius(constant: complex) -> float:
+        corner = np.array([[1.0 + 1.0j]])
+        return numerical_radius(choi_li_transform(corner, constant), tol=tol)
+
+    calibrated = 1.0 / radius(1.0)
     return {
         "corner": 1.0 + 1.0j,
         "calibrated_constant": calibrated,
-        "calibrated_corner_radius": numerical_radius(
-            choi_li_transform(corner, calibrated), tol=tol
-        ),
+        "calibrated_corner_radius": radius(calibrated),
         "reference_constant": CL_REFERENCE_CONSTANT,
-        "reference_corner_radius": numerical_radius(
-            choi_li_transform(corner, CL_REFERENCE_CONSTANT), tol=tol
-        ),
+        "reference_corner_radius": radius(CL_REFERENCE_CONSTANT),
     }
 
 
@@ -863,26 +817,22 @@ def choi_li_equiv_check(y, tol: float = 1e-6) -> dict:
 
     Computes both sides independently: the decomposition SDP for
     ``(Re y, Im y)`` over the square ``[-1, 1]^2``, and the numerical
-    radius of the calibrated transform against 1.  ``consistent`` is
-    True when the two statuses agree; Boundary or Unknown on either side
-    excludes the probe from the comparison (``excluded`` is then True).
+    radius of the calibrated transform against 1, by the disc rule of
+    ``kmax_member`` (``_radius_member``).  ``consistent`` is True when
+    the two statuses agree; Boundary or Unknown on either side excludes
+    the probe from the comparison (``excluded`` is then True).
     """
     a = np.asarray(y, dtype=complex)
     tup = OperatorTuple((herm_part(a), skew_part(a)), hermitian=True)
     square_min = kmin_member(SQUARE, tup, tol=tol)
-    radius = numerical_radius(choi_li_transform(a), tol=min(tol * 1e-2, 1e-9))
-    disc_max = MembershipResult(
-        _statuses(radius - 1.0, tol), abs(radius - 1.0), {"radius": radius}
-    )
-    decisive = (MembershipStatus.IN, MembershipStatus.OUT)
-    excluded = (
-        square_min.status not in decisive or disc_max.status not in decisive
-    )
-    consistent = True if excluded else square_min.status is disc_max.status
+    disc_max = _radius_member(choi_li_transform(a), 1.0, tol)
+    decisive = {MembershipStatus.IN, MembershipStatus.OUT}
+    excluded = not {square_min.status, disc_max.status} <= decisive
+    consistent = excluded or square_min.status is disc_max.status
     return {
         "square_min": square_min,
         "disc_max": disc_max,
-        "radius": radius,
+        "radius": disc_max.certificate["radius"],
         "consistent": consistent,
         "excluded": excluded,
         "calibration": dict(_calibration()),

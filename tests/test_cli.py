@@ -52,6 +52,27 @@ class TestCommands:
         assert rep["status"] == "In"
         assert rep["command"] == "member"
 
+    @pytest.mark.parametrize("e", [3e-7, 5e-7, 1e-6, 3e-6])
+    @pytest.mark.parametrize(
+        "body",
+        [SQUARE_BODY, {"type": "disc", "center": [0.0, 0.0], "radius": 1.0}],
+        ids=["square", "disc"],
+    )
+    def test_member_kmin_of_a_small_pair_about_a_scalar(
+        self, tmp_path, capsys, body, e
+    ):
+        # (0.5 I + e X, -0.5 I + e Z) exited 65 with NotCommuting
+        doc = {"hermitian": True, "mats": [
+            [[0.5, e], [e, 0.5]], [[e - 0.5, 0.0], [0.0, -e - 0.5]],
+        ]}
+        t = write(tmp_path / "t.json", doc)
+        b = write(tmp_path / "b.json", body)
+        code, rep = run(
+            capsys, ["member", "--kind", "kmin", "--tuple", t, "--body", b]
+        )
+        assert code == 0
+        assert rep["status"] == "In"
+
     def test_member_kmax_out(self, tmp_path, capsys):
         t = write(tmp_path / "t.json", pauli_tuple(1.5))
         b = write(tmp_path / "b.json", SQUARE_BODY)

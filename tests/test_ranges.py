@@ -268,6 +268,38 @@ class TestKmin:
         assert res.status is MembershipStatus.OUT
         assert "joint spectrum" in res.detail
 
+    @pytest.mark.parametrize("e", [3e-7, 5e-7, 1e-6, 3e-6])
+    @pytest.mark.parametrize("body", [SQUARE, UNIT_DISC], ids=["square", "disc"])
+    def test_a_small_pair_about_a_scalar_goes_through_the_sdp(self, body, e):
+        # the commutator 2 e^2 is tiny next to the scalar parts +-0.5 I,
+        # which no commutator sees; sized by them, the pair counted as
+        # commuting and the joint eigenbasis refused it (NotCommuting)
+        eye = np.eye(2)
+        a = OperatorTuple((0.5 * eye + e * X, -0.5 * eye + e * Z), hermitian=True)
+        res = kmin_member(body, a)
+        assert res.status is MembershipStatus.IN
+        assert "joint spectrum" not in res.detail
+
+    def test_a_near_degenerate_pair_the_eigenbasis_refuses_is_posed(
+        self, monkeypatch
+    ):
+        # the commutator, 9e-12, passes the size test, but the eigenvalues
+        # 0.3 and 0.3 + 3e-9 of A split apart, and B is not diagonal in
+        # that basis: kmin and theta pose the SDP, and theta's [1, 1]
+        # rests on its Feasible probe, not on a joint spectrum
+        a = OperatorTuple((
+            0.3 * np.diag([1.0, 1.0 + 1e-8, -2.0 - 1e-8]).astype(complex),
+            0.3 * np.array([[0, 0.01, 0], [0.01, 0, 0], [0, 0, 1]], dtype=complex),
+        ), hermitian=True)
+        res = kmin_member(SQUARE, a)
+        assert res.status is MembershipStatus.IN
+        assert len(res.certificate["h"]) == 4
+        counts = _count_compiles_and_solves(monkeypatch)
+        est = theta_min_alpha(SQUARE, a)
+        assert (est.lower, est.upper) == (1.0, 1.0)
+        assert counts == {"compile": 1, "solve": 1}
+        assert ranges._joint_spectrum(a) is None
+
     @pytest.mark.parametrize("m_grid", [0, 1, 2])
     def test_a_disc_grid_below_three_raises(self, m_grid):
         with pytest.raises(DimensionMismatch):
@@ -1220,6 +1252,83 @@ def test_kmin_and_kmax_nest(seed):
             assert kmin is MembershipStatus.OUT
 
 
+def _conjugate(u: np.ndarray, a: OperatorTuple) -> OperatorTuple:
+    return OperatorTuple(tuple(u @ m @ u.conj().T for m in a.mats), a.hermitian)
+
+
+def _agree(*results) -> None:
+    """In against Out is a disagreement; Boundary or Unknown is none."""
+    statuses = {r.status for r in results}
+    assert statuses != {MembershipStatus.IN, MembershipStatus.OUT}
+
+
+#: the budget of the identities' solves: a point in the band answers
+#: Unknown, which agrees with anything, instead of running 50000 steps
+_IDENTITY_ITER = 2000
+
+
+def _range_points(seed: int):
+    """A seeded Hermitian pair x of size 2 or 3 and points along a level-n
+    compression of its ampliation, about its scalar tuple: inside, near
+    the boundary and outside W_n(x)."""
+    m, n = [2, 3][seed % 2], 1 + (seed // 2) % 2
+    x, b = exact_compression(seed, m, n)
+    center = [np.trace(xj).real / m for xj in x.mats]
+    points = [
+        OperatorTuple(
+            tuple(c * np.eye(n) + f * (bj - c * np.eye(n))
+                  for c, bj in zip(center, b.mats)),
+            hermitian=True,
+        )
+        for f in (0.5, 0.99, 1.01, 1.5)
+    ]
+    return x, points
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_ucp_over_x_and_over_x_direct_sum_x_agree(seed):
+    # x and its direct sum with itself have one matrix range
+    x, points = _range_points(seed)
+    xx = linalg.direct_sum(x, x)
+    for p in points:
+        _agree(ucp_member(x, p, max_iter=_IDENTITY_ITER),
+               ucp_member(xx, p, max_iter=_IDENTITY_ITER))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_ucp_is_invariant_under_unitary_conjugation(seed):
+    # W_n(x) is closed under conjugating a, and W(x) = W(w x w*)
+    x, points = _range_points(seed)
+    rng = np.random.default_rng(seed)
+    w = linalg.random_isometry(x.n, x.n, rng)
+    for p in points:
+        u = linalg.random_isometry(p.n, p.n, rng)
+        _agree(ucp_member(x, p, max_iter=_IDENTITY_ITER),
+               ucp_member(x, _conjugate(u, p), max_iter=_IDENTITY_ITER),
+               ucp_member(_conjugate(w, x), p, max_iter=_IDENTITY_ITER))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_kmin_is_invariant_under_unitary_conjugation(seed):
+    # seeded polytopes in d = 2, 3 about their mean, with points along a
+    # seeded tuple about the K^max boundary and a unitary conjugate of each
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 4))
+    verts = rng.standard_normal((int(rng.integers(d + 1, 8)), d))
+    body = Polytope(verts - verts.mean(axis=0))
+    n = int(rng.integers(2, 4))
+    b = OperatorTuple(tuple(random_hermitian(n, rng) for _ in range(d)), hermitian=True)
+    b = b.scaled(_kmax_scale(body, b))
+    u = linalg.random_isometry(n, n, rng)
+    for f in (0.5, 0.8, 0.95, 1.05):
+        p = b.scaled(f)
+        _agree(kmin_member(body, p, max_iter=_IDENTITY_ITER),
+               kmin_member(body, _conjugate(u, p), max_iter=_IDENTITY_ITER))
+
+
 def test_interior_points_of_a_polytope_pose_no_block(monkeypatch):
     # the square's corners among 60 interior points: the 4 corners are
     # posed, in listed order, and the answer is the square's to the bit
@@ -1238,6 +1347,23 @@ def test_interior_points_of_a_polytope_pose_no_block(monkeypatch):
     assert all(np.array_equal(g, w) for g, w in
                zip(res.certificate["h"], want.certificate["h"]))
     assert res.margin == want.margin
+
+
+def test_a_sampled_body_clips_its_facet_list_once(monkeypatch):
+    # two kmin queries and a theta bracket pose one vertex list
+    calls = []
+    clip = geometry.HalfspaceIntersection
+    monkeypatch.setattr(
+        geometry, "HalfspaceIntersection",
+        lambda *a, **k: calls.append(1) or clip(*a, **k),
+    )
+    body = Sampled(SQUARE_SAMPLED.directions, SQUARE_SAMPLED.support_values)
+    assert kmin_member(body, pauli(0.5)).status is MembershipStatus.IN
+    assert kmin_member(body, pauli(0.9)).status is MembershipStatus.OUT
+    est = theta_min_alpha(body, pauli(0.9), tol=0.05)
+    assert est.lower <= 0.9 * ROOT2 <= est.upper + 0.05
+    assert calls == [1]
+    assert not body._clipped.flags.writeable
 
 
 def test_choili_builds_its_square_once(monkeypatch):
@@ -1515,6 +1641,97 @@ class TestUcp:
             image = np.einsum("pq,pqij->ij", xj, blocks)
             assert np.abs(image - (1 + eps) * aj).max() <= 1e-9
             assert np.abs(image - aj).max() >= 0.1 * eps
+
+
+def _sep(margin: float) -> Separator:
+    return Separator(np.full((3, 1, 1), margin), margin, 0.0)
+
+
+#: scripted verdicts of ``_bracket``'s solves; the nominal separators
+#: price at f = pull to the (c0, c1) of ``_PRICED``, against the floor
+#: 10 _sdp_tol(1e-7) = 1e-6
+_FEASIBLE = Verdict(Status.FEASIBLE, [0.25 * np.eye(2)], None, 4, 0.0)
+_CLEARS, _SHORT, _OUTER = _sep(3e-6), _sep(2e-6), _sep(5e-6)
+_PRICED = {id(_CLEARS): (1e-6, 5e-7), id(_SHORT): (2e-7, 5e-7)}
+_NOMINAL = {
+    "feasible": _FEASIBLE,
+    "clears": Verdict(Status.INFEASIBLE, None, _CLEARS, 4, 0.0),
+    "short": Verdict(Status.INFEASIBLE, None, _SHORT, 4, 0.0),
+    "unknown": Verdict(Status.UNKNOWN, None, None, 4, 1.0),
+}
+_OTHER = {
+    "feasible": _FEASIBLE,
+    "infeasible": Verdict(Status.INFEASIBLE, None, _OUTER, 4, 0.0),
+    "unknown": Verdict(Status.UNKNOWN, None, None, 4, 1.0),
+}
+_PULL, _PUSH, _BAND = 0.5, 2.0, 0.125
+
+
+def _ladder_oracle(nominal, push, outer, exact):
+    """(status, separator, margin, detail, solves) of the ladder, row by
+    row: the nominal solve, then the push (only after Unknown), then the
+    outer solve."""
+    if nominal == "feasible":
+        return "In", None, 0.25, "", [1.0]
+    if nominal == "clears":
+        return "Out", _CLEARS, 3e-6 if exact else 1.5e-6, "", [1.0]
+    if nominal == "short" and exact:
+        if outer == "feasible":
+            detail = "outside at scale 1, inside at scale 1 + 10 tol"
+            return "Boundary", _SHORT, _BAND, detail, [1.0, _PULL]
+        return "Out", _SHORT, 2e-6, "", [1.0, _PULL]
+    solves = [1.0]
+    if nominal == "unknown" and push != "absent":
+        solves.append(_PUSH)
+        if push == "feasible":
+            return "In", None, _BAND, "resolved by outward bracketing", solves
+    solves.append(_PULL)
+    if outer == "infeasible":
+        return "Out", _OUTER, 5e-6, "resolved on the relaxed set", solves
+    if outer == "feasible":
+        detail = "undecided at scale 1, inside the relaxed set"
+        return "Boundary", None, _BAND, detail, solves
+    return "Unknown", None, 0.0, "neither certificate closes", solves
+
+
+class TestBracket:
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "polygon"])
+    @pytest.mark.parametrize("outer", list(_OTHER), ids=lambda s: f"outer-{s}")
+    @pytest.mark.parametrize(
+        "push", ["absent", "feasible", "unknown"], ids=lambda s: f"push-{s}"
+    )
+    @pytest.mark.parametrize("nominal", list(_NOMINAL))
+    def test_ladder(self, nominal, push, outer, exact):
+        script = {1.0: _NOMINAL[nominal], _PUSH: _OTHER.get(push), _PULL: _OTHER[outer]}
+        posed = []
+
+        def solve(f):
+            posed.append(f)
+            return script[f]
+
+        def terms(sep, f):
+            assert f == _PULL
+            return _PRICED[id(sep)]
+
+        res = ranges._bracket(
+            solve, terms, 1e-7, _PULL, _BAND, exact, lambda v: ("witness", v),
+            push=None if push == "absent" else _PUSH,
+        )
+        status, sep, margin, detail, solves = _ladder_oracle(
+            nominal, push, outer, exact
+        )
+        assert (res.status.value, res.margin, res.detail) == (status, margin, detail)
+        assert posed == solves
+        if status == "In":
+            assert res.certificate == ("witness", _FEASIBLE)
+        elif sep is None:
+            assert res.certificate is None
+        else:
+            # the separator itself; an Out's margin is its own, re-priced
+            # at f = pull for a polygon, and a Boundary's is the band
+            assert res.certificate.dual is sep.dual
+            want = res.margin if status == "Out" else sep.margin
+            assert res.certificate.margin == want
 
 
 class TestMrangeEqual:
