@@ -19,6 +19,7 @@ import dataclasses
 import enum
 import functools
 import math
+import threading
 from typing import Callable
 
 import numpy as np
@@ -74,6 +75,13 @@ DISC_GRID = 96
 
 #: iteration budget of each decomposition or Choi SDP solve
 MAX_ITER = 50000
+
+#: vertex-set operators kept compiled per process (``_vertex_operator``),
+#: the least recently used dropped first
+CACHED_OPERATORS = 16
+
+_OPERATORS: dict[tuple, _Compiled] = {}
+_OPERATORS_LOCK = threading.Lock()
 
 #: copies of the Choi variable a range solve holds at once: the
 #: Douglas-Rachford iterate, its two projections, the reflection, their
@@ -145,7 +153,7 @@ class ThetaEstimate:
     ``Separator`` of the Infeasible probe whose alpha* set it, re-priced
     at ``lower`` (alpha* rounded down by a relative 1e-12), so its
     ``margin`` clears 10 tol there.  Its ``dual`` is posed over
-    ``_range_problem`` of the relaxed body's vertices at the rhs of ``a /
+    ``_range_sdp`` of the relaxed body's vertices at the rhs of ``a /
     lower`` there, ``c + (a / lower - c) / s`` for its center c and
     relaxed scale s (the problem at that point), so it shows ``a / lower``
     outside the relaxed body's minimal set, and with it every ``a /
@@ -234,11 +242,11 @@ def _radius_member(m: np.ndarray, radius: float, tol: float) -> MembershipResult
 # ---------------------------------------------------------------------------
 
 
-def _range_problem(
+def _range_rows(
     xs: np.ndarray, a: OperatorTuple, center: np.ndarray
-) -> tuple[SdpFeasibility, np.ndarray, np.ndarray, np.ndarray]:
-    """The Choi SDP of a unital completely positive map from the direct
-    sum of the summands ``xs`` onto ``a``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tuple rows of the Choi SDP of a unital completely positive map
+    from the direct sum of the summands ``xs`` onto ``a``.
 
     ``xs`` is a (count, d, k, k) stack: summand i is the tuple ``xs[i]``
     and gets one PSD block ``C_i`` of size k n, the Choi matrix of the
@@ -249,9 +257,11 @@ def _range_problem(
     ``skew(conj x_j)``, rhs ``herm(a_j)`` and ``-skew(a_j)`` at ``a``
     and ``Re(center_j) I`` and ``-Im(center_j) I`` at the scalar tuple
     ``c``.  A row that reads 0 = 0 at both ends, and so along the whole
-    line from c to a, is not posed.  Returns the problem posed at ``a``,
-    the (r, n, n) stacks of its tuple rows' rhs at ``a`` and at ``c``,
-    and which of the unit row and the 2 d tuple rows are posed.
+    line from c to a, is not posed.  Returns the posed tuple rows'
+    (r, count, k, k) patterns and (r, n, n) rhs stacks at ``a`` and at
+    ``c``, and which of the unit row and the 2 d tuple rows are posed.
+    Raises ``TooLarge`` first when the Choi variable exceeds the memory
+    budget.
 
     ``ucp_member`` passes ``x`` as one summand.  ``kmin_member`` passes
     the vertices as 1 x 1 summands, ``verts[:, :, None, None]``, since
@@ -260,28 +270,61 @@ def _range_problem(
     h_j = I`` and ``sum_j verts[j, l] h_j = a_l``.
     """
     count, _, k, _ = xs.shape
-    n = a.n
     _require_bytes(
-        _CHOI_COPIES * 16 * count * (k * n) ** 2, "the Choi variable"
+        _CHOI_COPIES * 16 * count * (k * a.n) ** 2, "the Choi variable"
     )
-    eye = np.eye(n)
     conj, mats = np.conj(xs.swapaxes(0, 1)), np.array(a.mats)
     # the Hermitian parts of the d image equations, then their skew parts
     patterns = np.concatenate([herm_part(conj), skew_part(conj)])
     at_a = np.concatenate([herm_part(mats), -skew_part(mats)])
-    at_c = np.concatenate([center.real, -center.imag])[:, None, None] * eye
+    at_c = np.concatenate([center.real, -center.imag])[:, None, None] * np.eye(a.n)
     posed = patterns.any(axis=(1, 2, 3)) | at_a.any(axis=(1, 2)) | at_c.any(axis=(1, 2))
-    at_a, at_c = at_a[posed], at_c[posed]
-    unit = AffineConstraint(np.repeat(np.eye(k)[None], count, axis=0), eye)
-    rows = map(AffineConstraint, patterns[posed], at_a)
-    problem = SdpFeasibility(count * k * n, (unit, *rows), block_sizes=(k * n,) * count)
-    return problem, at_a, at_c, np.concatenate([[True], posed])
+    return patterns[posed], at_a[posed], at_c[posed], np.concatenate([[True], posed])
+
+
+def _range_sdp(patterns: np.ndarray, at_a: np.ndarray) -> SdpFeasibility:
+    """The Choi SDP of ``_range_rows``' posed rows, at ``a``."""
+    _, count, k, _ = patterns.shape
+    n = at_a.shape[-1]
+    unit = AffineConstraint(np.repeat(np.eye(k)[None], count, axis=0), np.eye(n))
+    rows = map(AffineConstraint, patterns, at_a)
+    return SdpFeasibility(count * k * n, (unit, *rows), block_sizes=(k * n,) * count)
+
+
+def _vertex_operator(
+    xs: np.ndarray, n: int, posed: np.ndarray, compile_: Callable[[], _Compiled]
+) -> _Compiled:
+    """The compiled operator of vertex set ``xs`` (1 x 1 summands) at
+    level ``n`` with the rows ``posed``, from the per-process cache, or
+    from ``compile_`` and then kept, read-only.  Only these three decide
+    the operator; the query's point is only its rhs.  Returns a ``cold``
+    copy, so the query starts from an empty warm slot.  The cache keeps
+    the ``CACHED_OPERATORS`` most recently used."""
+    key = (xs.shape, xs.dtype.str, xs.tobytes(), n, posed.tobytes())
+    with _OPERATORS_LOCK:
+        comp = _OPERATORS.pop(key, None)
+    if comp is None:
+        comp = compile_()
+        comp.freeze()
+    with _OPERATORS_LOCK:
+        _OPERATORS[key] = comp
+        while len(_OPERATORS) > CACHED_OPERATORS:
+            del _OPERATORS[next(iter(_OPERATORS))]
+    return comp.cold()
 
 
 def _range_solver(
     xs: np.ndarray, a: OperatorTuple, center: np.ndarray, tol: float, max_iter: int
 ) -> tuple[Callable[..., Verdict], Callable[..., tuple[float, float]], Callable]:
-    """Compile ``_range_problem`` once, and move along its rhs line.
+    """Compile ``_range_sdp`` of ``_range_rows``, and move along its
+    rhs line.
+
+    A vertex set's operator (1 x 1 summands: kmin, theta, and ucp over a
+    scalar tuple) is compiled once per (vertices, level, posed rows) and
+    process, and each query solves on a ``cold`` copy of it
+    (``_vertex_operator``), so no query's answer depends on the queries
+    before it; the Choi operator of a matrix tuple (ucp) is compiled on
+    every call.
 
     Returns ``solve(f, alpha=1)``, which poses the unit row as I and the
     tuple rows at the point ``c + f (a / alpha - c)``, ``(f / alpha)
@@ -293,8 +336,13 @@ def _range_solver(
     unit row and the 2 d tuple rows, posed or not, on the rhs of
     ``solve(f)`` (None short of ``10 _sdp_tol(tol)``), with no solve.
     """
-    problem, at_a, at_c, posed = _range_problem(xs, a, center)
-    comp = _compile(problem)
+    patterns, at_a, at_c, posed = _range_rows(xs, a, center)
+
+    def compile_() -> _Compiled:
+        return _compile(_range_sdp(patterns, at_a))
+
+    vertex_set = xs.shape[2] == 1
+    comp = _vertex_operator(xs, a.n, posed, compile_) if vertex_set else compile_()
     unit = np.eye(a.n)[None]
 
     def rhs_at(f: float, alpha: float = 1.0) -> _Compiled:
@@ -554,7 +602,8 @@ def theta_min_alpha(
     otherwise) and 0 to be interior to K (raises ``NoInteriorZero``), so
     the scaled bodies ``alpha K`` are nested.  Scales the tuple, not the
     body: ``a`` is in (alpha K)^min exactly when ``a / alpha`` is in K^min.
-    So the decomposition SDP of ``kmin_member`` is compiled once, and
+    So the decomposition SDP of ``kmin_member`` is compiled once per body
+    and level, and shared with ``kmin_member`` (``_range_solver``), and
     each probe re-solves it, with only the right-hand side moved, for
     ``a / alpha`` in the relaxed body (the one a Boundary answer of
     ``kmin_member`` rests on).  The bracket starts at [1, hi] with no
@@ -574,7 +623,7 @@ def theta_min_alpha(
     probes bisect.  An Unknown probe moves neither end and ends the
     search, so the bracket returned is the certified one, however wide.
 
-    The probes share the compiled operator's warm slot, so each probe
+    The probes share one warm slot, which starts empty, so each probe
     iterates from where the last one stopped.  A commuting tuple
     (``_joint_spectrum``) gets [1, 1] before anything is compiled: its
     joint numerical range is the hull of its joint spectrum, so K^max

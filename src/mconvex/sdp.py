@@ -242,7 +242,7 @@ class _Compiled:
     another right-hand side and shares everything else, the private warm
     slot ``_warm`` (a ``_WarmStart``) included: each solve iterates from
     where the operator's last solve stopped (``_douglas_rachford``).  A
-    fresh compile starts with an empty slot.
+    fresh compile starts with an empty slot, and so does a ``cold`` copy.
     """
 
     def __init__(self, block_sizes, coeff_groups: list[np.ndarray], rhs):
@@ -320,6 +320,22 @@ class _Compiled:
         """
         out = copy.copy(self)
         out._set_rhs(rhs)
+        return out
+
+    def freeze(self) -> None:
+        """Make every array of the operator read-only, so that a write
+        into an operator that many queries share raises instead of
+        changing their answers."""
+        for value in vars(self).values():
+            for arr in value if isinstance(value, list) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
+
+    def cold(self) -> _Compiled:
+        """A copy that shares everything but the warm slot: its own slot
+        starts empty, so its first solve iterates from zero."""
+        out = copy.copy(self)
+        out._warm = _WarmStart()
         return out
 
     def solve(self, tol: float, max_iter: int) -> Verdict:

@@ -18,6 +18,7 @@ if str(ROOT) not in sys.path:
 from perfbench import checker, workloads  # noqa: E402
 
 import mconvex.cli as cli  # noqa: E402
+import mconvex.ranges as ranges  # noqa: E402
 import mconvex.sdp as sdp  # noqa: E402
 
 
@@ -46,9 +47,8 @@ TRAFFIC = {
 }
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_round_zero_sdp_traffic_is_pinned(workload, monkeypatch):
-    # a change that adds solves, iterations or rows fails here first
+def _count_traffic(monkeypatch) -> list:
+    """(solves, iterations, rows) of every solve from here on, as ``TRAFFIC``."""
     counts = [0, 0, 0]
     solve = sdp._Compiled.solve
 
@@ -60,9 +60,50 @@ def test_round_zero_sdp_traffic_is_pinned(workload, monkeypatch):
         return verdict
 
     monkeypatch.setattr(sdp._Compiled, "solve", counted)
+    return counts
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_round_zero_sdp_traffic_is_pinned(workload, monkeypatch):
+    # a change that adds solves, iterations or rows fails here first
+    counts = _count_traffic(monkeypatch)
     for q in workloads.make_round(workload, 1, 0):
         cli.execute(cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"]))
     assert tuple(counts) == TRAFFIC[workload]
+
+
+@pytest.mark.parametrize(
+    "workload", ["member-disc", "theta-bisect", "transform-probes"]
+)
+def test_round_zero_answers_alike_on_cached_operators(workload, monkeypatch):
+    # the second pass compiles nothing, and every query still starts
+    # cold: the same reports, apart from their wall time, and the same
+    # solver traffic
+    compiles, compile_ = [0], ranges._compile
+
+    def counted_compile(problem):
+        compiles[0] += 1
+        return compile_(problem)
+
+    monkeypatch.setattr(ranges, "_compile", counted_compile)
+    counts = _count_traffic(monkeypatch)
+    passes = []
+    for _ in range(2):
+        compiles[0], counts[:] = 0, [0, 0, 0]
+        reports = []
+        for q in workloads.make_round(workload, 1, 0):
+            report, _ = cli.execute(
+                cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"])
+            )
+            buf = io.StringIO()
+            cli.dump_report(report, buf)
+            doc = json.loads(buf.getvalue())
+            doc.pop("wall_time_s")
+            reports.append(json.dumps(doc, sort_keys=True))
+        assert tuple(counts) == TRAFFIC[workload]
+        passes.append((compiles[0], reports))
+    assert passes[0][0] > 0 and passes[1][0] == 0
+    assert passes[0][1] == passes[1][1]
 
 
 @pytest.mark.parametrize("workload", ["theta-bisect", "member-disc"])

@@ -87,7 +87,8 @@ def _kmin_problem(verts, mats) -> SdpFeasibility:
     verts = np.asarray(verts, dtype=float)
     a = OperatorTuple(tuple(mats), hermitian=True)
     center = np.zeros(verts.shape[1])
-    return ranges._range_problem(verts[:, :, None, None], a, center)[0]
+    rows = ranges._range_rows(verts[:, :, None, None], a, center)
+    return ranges._range_sdp(*rows[:2])
 
 
 def pauli(scale: float = 1.0) -> OperatorTuple:
@@ -286,7 +287,8 @@ class TestKmin:
         # the commutator, 9e-12, passes the size test, but the eigenvalues
         # 0.3 and 0.3 + 3e-9 of A split apart, and B is not diagonal in
         # that basis: kmin and theta pose the SDP, and theta's [1, 1]
-        # rests on its Feasible probe, not on a joint spectrum
+        # rests on its Feasible probe, not on a joint spectrum; theta
+        # solves on the operator kmin compiled
         a = OperatorTuple((
             0.3 * np.diag([1.0, 1.0 + 1e-8, -2.0 - 1e-8]).astype(complex),
             0.3 * np.array([[0, 0.01, 0], [0.01, 0, 0], [0, 0, 1]], dtype=complex),
@@ -297,7 +299,7 @@ class TestKmin:
         counts = _count_compiles_and_solves(monkeypatch)
         est = theta_min_alpha(SQUARE, a)
         assert (est.lower, est.upper) == (1.0, 1.0)
-        assert counts == {"compile": 1, "solve": 1}
+        assert counts == {"compile": 0, "solve": 1}
         assert ranges._joint_spectrum(a) is None
 
     @pytest.mark.parametrize("m_grid", [0, 1, 2])
@@ -1331,7 +1333,8 @@ def test_kmin_is_invariant_under_unitary_conjugation(seed):
 
 def test_interior_points_of_a_polytope_pose_no_block(monkeypatch):
     # the square's corners among 60 interior points: the 4 corners are
-    # posed, in listed order, and the answer is the square's to the bit
+    # posed, in listed order, so both bodies share one operator, compiled
+    # once, and the answer is the square's to the bit
     rng = np.random.default_rng(5)
     pts = np.vstack([rng.uniform(-0.9, 0.9, (30, 2)), SQUARE.vertices,
                      rng.uniform(-0.9, 0.9, (30, 2))])
@@ -1341,7 +1344,7 @@ def test_interior_points_of_a_polytope_pose_no_block(monkeypatch):
     monkeypatch.setattr(ranges, "_compile", lambda p: posed.append(p) or compile_(p))
     res = kmin_member(Polytope(pts), a)
     want = kmin_member(SQUARE, a)
-    assert [p.block_sizes for p in posed] == [(2,) * 4] * 2
+    assert [p.block_sizes for p in posed] == [(2,) * 4]
     assert res.status is want.status is MembershipStatus.IN
     assert np.array_equal(res.certificate["vertices"], SQUARE.vertices)
     assert all(np.array_equal(g, w) for g, w in
@@ -1552,6 +1555,65 @@ def test_over_budget_is_refused_before_allocating(monkeypatch, what, call):
     finally:
         tracemalloc.stop()
     assert peak < budget
+
+
+class TestOperatorCache:
+    def test_a_query_starts_cold_on_a_shared_operator(self, monkeypatch):
+        # theta between two equal kmin queries solves on the square's one
+        # operator and leaves no iterate behind: the second kmin answers
+        # as the first, to the bit
+        a = pauli(0.6)
+        counts = _count_compiles_and_solves(monkeypatch)
+        first = kmin_member(SQUARE, a)
+        theta_min_alpha(SQUARE, pauli(), tol=0.02)
+        again = kmin_member(SQUARE, a)
+        assert counts["compile"] == 1
+        assert first.status is again.status is MembershipStatus.IN
+        assert first.margin == again.margin
+        assert all(np.array_equal(g, w) for g, w in
+                   zip(first.certificate["h"], again.certificate["h"]))
+        (shared,) = ranges._OPERATORS.values()
+        assert shared._warm.z is None
+
+    def test_the_budget_is_checked_before_the_cache(self, monkeypatch):
+        assert kmin_member(UNIT_DISC, _pair(4, 3)).status is MembershipStatus.IN
+        assert len(ranges._OPERATORS) == 1
+        monkeypatch.setattr(linalg, "MEMORY_BUDGET", 1 << 16)
+        with pytest.raises(TooLarge, match="the Choi variable needs about .* MiB"):
+            kmin_member(UNIT_DISC, _pair(4, 3))
+
+    def test_a_shared_operator_is_read_only(self):
+        kmin_member(SQUARE, pauli(0.6))
+        (shared,) = ranges._OPERATORS.values()
+        arrays = [arr for value in vars(shared).values()
+                  for arr in (value if isinstance(value, list) else [value])
+                  if isinstance(arr, np.ndarray)]
+        assert len(arrays) >= 10
+        assert not any(arr.flags.writeable for arr in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            shared.gram_pinv[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            shared.coeff_groups[0][...] = 0.0
+
+    def test_the_cache_keeps_the_most_recent_operators(self, monkeypatch):
+        bodies = [Polytope(SQUARE.vertices * (1.0 + 0.1 * i))
+                  for i in range(ranges.CACHED_OPERATORS + 2)]
+        for body in bodies:
+            assert kmin_member(body, pauli(0.3)).status is MembershipStatus.IN
+        assert len(ranges._OPERATORS) == ranges.CACHED_OPERATORS
+        counts = _count_compiles_and_solves(monkeypatch)
+        kmin_member(bodies[-1], pauli(0.3))
+        assert counts["compile"] == 0
+        kmin_member(bodies[0], pauli(0.3))
+        assert counts["compile"] == 1
+        assert len(ranges._OPERATORS) == ranges.CACHED_OPERATORS
+
+    def test_ucp_compiles_on_every_query(self, monkeypatch):
+        counts = _count_compiles_and_solves(monkeypatch)
+        for _ in range(2):
+            assert ucp_member(pauli(), pauli(0.5)).status is MembershipStatus.IN
+        assert counts["compile"] == 2
+        assert ranges._OPERATORS == {}
 
 
 class TestUcp:

@@ -30,12 +30,12 @@ def _disc_kmin_problem(m: int, mats) -> SdpFeasibility:
     """kmin's decomposition SDP over the inscribed m-gon of the unit disc,
     posed at the Hermitian tuple ``mats``."""
     from mconvex.linalg import OperatorTuple
-    from mconvex.ranges import _range_problem
+    from mconvex.ranges import _range_rows, _range_sdp
 
     angles = 2.0 * np.pi * np.arange(m) / m
     verts = np.column_stack([np.cos(angles), np.sin(angles)])
     a = OperatorTuple(tuple(mats), hermitian=True)
-    return _range_problem(verts[:, :, None, None], a, np.zeros(2))[0]
+    return _range_sdp(*_range_rows(verts[:, :, None, None], a, np.zeros(2))[:2])
 
 
 def test_feasible_trace_one():
