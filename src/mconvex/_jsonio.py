@@ -34,12 +34,10 @@ class SchemaError(ValueError):
 
 
 def _decode_scalar(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(
-        isinstance(x, (int, float)) for x in v
-    ):
-        return complex(v[0], v[1])
+    # a JSON boolean decodes to a bool, which is an int but no entry
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        return complex(*parts)
     raise SchemaError(f"expected a real or [re, im] pair, got {v!r}")
 
 
@@ -60,7 +58,9 @@ def decode_tuple(doc) -> OperatorTuple:
     if not isinstance(doc, dict) or "mats" not in doc:
         raise SchemaError('tuple document needs a "mats" field')
     mats = tuple(decode_matrix(rows) for rows in doc["mats"])
-    hermitian = bool(doc.get("hermitian", True))
+    hermitian = doc.get("hermitian", True)
+    if not isinstance(hermitian, bool):
+        raise SchemaError(f'"hermitian" must be true or false, got {hermitian!r}')
     t = OperatorTuple(mats, hermitian)
     for field in ("n", "d"):
         if field in doc and int(doc[field]) != getattr(t, field):

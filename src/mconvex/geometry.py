@@ -65,18 +65,12 @@ class Polytope:
         order: one Qhull run on first use, shared, read-only, by every
         later call."""
         v = self.vertices
-        center, span, normals = _affine_span(v)
-        y = v @ span.T
-        keep = np.zeros(len(v), dtype=bool)
-        if span.shape[0] >= 2:
-            hull = ConvexHull(y)
-            keep[hull.vertices] = True
-            eq = hull.equations
-            _, first = np.unique(eq, axis=0, return_index=True)
-            eq = eq[np.sort(first)]
+        (center, span, normals), y, hull, ext = _span_hull(v)
+        if hull is not None:
+            _, first = np.unique(hull.equations, axis=0, return_index=True)
+            eq = hull.equations[np.sort(first)]
             dirs, offsets = eq[:, :-1] @ span, -eq[:, -1]
         else:
-            keep[[int(np.argmin(y)), int(np.argmax(y))] if y.size else 0] = True
             dirs = np.vstack([span, -span])
             offsets = np.concatenate([y.max(axis=0), -y.min(axis=0)])
         along = normals @ center
@@ -84,7 +78,7 @@ class Polytope:
             np.vstack([dirs, normals, -normals]),
             np.concatenate([offsets, along, -along]),
         )
-        extreme = v[keep]
+        extreme = v[np.unique(ext)]
         for arr in (*facets, extreme):
             arr.flags.writeable = False
         return facets, extreme
@@ -325,21 +319,27 @@ def _affine_span(v: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, ...]:
     return center, span, vt[rank:]
 
 
+def _span_hull(v: np.ndarray, tol: float = 0.0) -> tuple:
+    """``_affine_span(v, tol)``, the rows ``y`` in the span, their Qhull
+    hull at rank 2 or more (else None) and the extreme rows' indices: the
+    hull's in Qhull's order, a segment's two ends or a point's row 0."""
+    center, span, normals = _affine_span(v, tol)
+    y = v @ span.T
+    if span.shape[0] >= 2:
+        hull = ConvexHull(y)
+        return (center, span, normals), y, hull, hull.vertices
+    ends = [int(np.argmin(y)), int(np.argmax(y))] if y.size else [0]
+    return (center, span, normals), y, None, np.array(ends)
+
+
 def _hull_vertices(points, tol: float) -> tuple[np.ndarray, int]:
-    """Extreme points (rows of the input) and the affine rank of a point
-    list or polytope; see ``extreme_points``."""
+    """``extreme_points`` of a point list or polytope, and its rank."""
     pts = points.vertices if isinstance(points, Polytope) else np.atleast_2d(points)
     pts = np.asarray(pts, dtype=float)
     if pts.size == 0:
         return pts.copy(), 0
-    _, span, _ = _affine_span(pts, tol)
-    rank = span.shape[0]
-    y = pts @ span.T
-    if rank >= 2:
-        return pts[ConvexHull(y).vertices], rank
-    if rank == 1:
-        return pts[[int(np.argmin(y)), int(np.argmax(y))]], rank
-    return pts[:1].copy(), rank
+    (_, span, _), _, _, ext = _span_hull(pts, tol)
+    return pts[ext], span.shape[0]
 
 
 def extreme_points(

@@ -19,7 +19,6 @@ import dataclasses
 import enum
 import functools
 import math
-import threading
 from typing import Callable
 
 import numpy as np
@@ -79,9 +78,6 @@ MAX_ITER = 50000
 #: vertex-set operators kept compiled per process (``_vertex_operator``),
 #: the least recently used dropped first
 CACHED_OPERATORS = 16
-
-_OPERATORS: dict[tuple, _Compiled] = {}
-_OPERATORS_LOCK = threading.Lock()
 
 #: copies of the Choi variable a range solve holds at once: the
 #: Douglas-Rachford iterate, its two projections, the reflection, their
@@ -291,26 +287,17 @@ def _range_sdp(patterns: np.ndarray, at_a: np.ndarray) -> SdpFeasibility:
     return SdpFeasibility(count * k * n, (unit, *rows), block_sizes=(k * n,) * count)
 
 
-def _vertex_operator(
-    xs: np.ndarray, n: int, posed: np.ndarray, compile_: Callable[[], _Compiled]
-) -> _Compiled:
-    """The compiled operator of vertex set ``xs`` (1 x 1 summands) at
-    level ``n`` with the rows ``posed``, from the per-process cache, or
-    from ``compile_`` and then kept, read-only.  Only these three decide
-    the operator; the query's point is only its rhs.  Returns a ``cold``
-    copy, so the query starts from an empty warm slot.  The cache keeps
-    the ``CACHED_OPERATORS`` most recently used."""
-    key = (xs.shape, xs.dtype.str, xs.tobytes(), n, posed.tobytes())
-    with _OPERATORS_LOCK:
-        comp = _OPERATORS.pop(key, None)
-    if comp is None:
-        comp = compile_()
-        comp.freeze()
-    with _OPERATORS_LOCK:
-        _OPERATORS[key] = comp
-        while len(_OPERATORS) > CACHED_OPERATORS:
-            del _OPERATORS[next(iter(_OPERATORS))]
-    return comp.cold()
+@functools.lru_cache(maxsize=CACHED_OPERATORS)
+def _vertex_operator(patterns: bytes, shape: tuple[int, ...], n: int) -> _Compiled:
+    """The compiled, read-only operator of a vertex set's posed pattern
+    stack (``patterns`` as bytes of complex entries, of ``shape``) at
+    level ``n``.  Only these decide the operator; the query's point is
+    only its rhs, which every solve re-poses, so it is compiled at a
+    zero rhs."""
+    stack = np.frombuffer(patterns, complex).reshape(shape)
+    comp = _compile(_range_sdp(stack, np.zeros((shape[0], n, n))))
+    comp.freeze()
+    return comp
 
 
 def _range_solver(
@@ -320,11 +307,11 @@ def _range_solver(
     rhs line.
 
     A vertex set's operator (1 x 1 summands: kmin, theta, and ucp over a
-    scalar tuple) is compiled once per (vertices, level, posed rows) and
-    process, and each query solves on a ``cold`` copy of it
-    (``_vertex_operator``), so no query's answer depends on the queries
-    before it; the Choi operator of a matrix tuple (ucp) is compiled on
-    every call.
+    scalar tuple) is kept in ``_vertex_operator``, a
+    ``functools.lru_cache`` keyed on the posed pattern stack and the
+    level, and each query solves on a ``cold`` copy of it, so no query's
+    answer depends on the queries before it; the Choi operator of a
+    matrix tuple (ucp) is compiled on every call.
 
     Returns ``solve(f, alpha=1)``, which poses the unit row as I and the
     tuple rows at the point ``c + f (a / alpha - c)``, ``(f / alpha)
@@ -337,12 +324,10 @@ def _range_solver(
     ``solve(f)`` (None short of ``10 _sdp_tol(tol)``), with no solve.
     """
     patterns, at_a, at_c, posed = _range_rows(xs, a, center)
-
-    def compile_() -> _Compiled:
-        return _compile(_range_sdp(patterns, at_a))
-
-    vertex_set = xs.shape[2] == 1
-    comp = _vertex_operator(xs, a.n, posed, compile_) if vertex_set else compile_()
+    if xs.shape[2] == 1:
+        comp = _vertex_operator(patterns.tobytes(), patterns.shape, a.n).cold()
+    else:
+        comp = _compile(_range_sdp(patterns, at_a))
     unit = np.eye(a.n)[None]
 
     def rhs_at(f: float, alpha: float = 1.0) -> _Compiled:

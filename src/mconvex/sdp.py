@@ -247,7 +247,6 @@ class _Compiled:
 
     def __init__(self, block_sizes, coeff_groups: list[np.ndarray], rhs):
         self.block_sizes = tuple(block_sizes)
-        self.var_size = sum(self.block_sizes)
         self.groups = _groups(self.block_sizes)
         rhs = np.asarray(rhs, dtype=complex)
         m = self.m = len(rhs)

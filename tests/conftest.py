@@ -9,4 +9,4 @@ from mconvex import ranges
 def _cold_operator_cache():
     # every test starts with no compiled vertex-set operator, so a count
     # of compiles sees one per cold query whatever ran before
-    ranges._OPERATORS.clear()
+    ranges._vertex_operator.cache_clear()

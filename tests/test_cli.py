@@ -350,6 +350,25 @@ class TestExitCodes:
         t = write(tmp_path / "t.json", {"mats": "nope"})
         assert cli.main(["jnr", "--tuple", t]) == 65
 
+    def test_hermitian_flag_must_be_a_json_boolean(self, tmp_path, capsys):
+        # the string "false" is not the boolean false: it used to read as
+        # true and answer In, where false itself is NonHermitianInput
+        b = write(tmp_path / "b.json", SQUARE_BODY)
+        argv = ["member", "--kind", "kmin", "--body", b, "--tuple"]
+        for flag, error in [("false", "SchemaError"), (False, "NonHermitianInput")]:
+            t = write(tmp_path / "t.json", {**pauli_tuple(0.5), "hermitian": flag})
+            code, rep = run(capsys, [*argv, t])
+            assert code == 65
+            assert rep["status"] == "DataError"
+            assert rep["error"].startswith(f"{error}: ")
+
+    @pytest.mark.parametrize("entry", [True, [True, 0.0], [0.5, False]])
+    def test_a_boolean_is_no_matrix_entry(self, tmp_path, capsys, entry):
+        t = write(tmp_path / "t.json", {"mats": [[[entry]]]})
+        code, rep = run(capsys, ["jnr", "--tuple", t])
+        assert code == 65
+        assert rep["error"].startswith("SchemaError: expected a real or [re, im] pair")
+
     @pytest.mark.parametrize(
         "body, flags",
         [

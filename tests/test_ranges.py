@@ -1,6 +1,8 @@
+import concurrent.futures
 import dataclasses
 import logging
 import math
+import threading
 import time
 import tracemalloc
 
@@ -601,6 +603,32 @@ def _count_compiles_and_solves(monkeypatch) -> dict:
     monkeypatch.setattr(ranges, "_compile", counted_compile)
     monkeypatch.setattr(_Compiled, "solve", counted_solve)
     return counts
+
+
+def _shared_operators(monkeypatch) -> list:
+    """The cached operators that queries take ``cold`` copies of, in the
+    order they take them."""
+    shared, cold = [], _Compiled.cold
+
+    def spied_cold(self):
+        shared.append(self)
+        return cold(self)
+
+    monkeypatch.setattr(_Compiled, "cold", spied_cold)
+    return shared
+
+
+def _bits(result: ranges.MembershipResult) -> tuple:
+    """A membership answer's status, margin and certificate arrays, each
+    array as its shape and bytes, so that equal answers agree to the
+    bit."""
+    cert = result.certificate
+    fields = dataclasses.asdict(cert) if dataclasses.is_dataclass(cert) else cert
+    arrays = {k: v if isinstance(v, list) else [v] for k, v in fields.items()}
+    return result.status, result.margin, {
+        k: [(np.shape(x), np.asarray(x).tobytes()) for x in v]
+        for k, v in arrays.items()
+    }
 
 
 SQUARE_SAMPLED = Sampled(
@@ -1564,6 +1592,7 @@ class TestOperatorCache:
         # as the first, to the bit
         a = pauli(0.6)
         counts = _count_compiles_and_solves(monkeypatch)
+        shared = _shared_operators(monkeypatch)
         first = kmin_member(SQUARE, a)
         theta_min_alpha(SQUARE, pauli(), tol=0.02)
         again = kmin_member(SQUARE, a)
@@ -1572,19 +1601,21 @@ class TestOperatorCache:
         assert first.margin == again.margin
         assert all(np.array_equal(g, w) for g, w in
                    zip(first.certificate["h"], again.certificate["h"]))
-        (shared,) = ranges._OPERATORS.values()
-        assert shared._warm.z is None
+        assert ranges._vertex_operator.cache_info().currsize == 1
+        assert len(shared) > 2 and all(op is shared[0] for op in shared)
+        assert shared[0]._warm.z is None
 
     def test_the_budget_is_checked_before_the_cache(self, monkeypatch):
         assert kmin_member(UNIT_DISC, _pair(4, 3)).status is MembershipStatus.IN
-        assert len(ranges._OPERATORS) == 1
+        assert ranges._vertex_operator.cache_info().currsize == 1
         monkeypatch.setattr(linalg, "MEMORY_BUDGET", 1 << 16)
         with pytest.raises(TooLarge, match="the Choi variable needs about .* MiB"):
             kmin_member(UNIT_DISC, _pair(4, 3))
 
-    def test_a_shared_operator_is_read_only(self):
+    def test_a_shared_operator_is_read_only(self, monkeypatch):
+        operators = _shared_operators(monkeypatch)
         kmin_member(SQUARE, pauli(0.6))
-        (shared,) = ranges._OPERATORS.values()
+        shared = operators[0]
         arrays = [arr for value in vars(shared).values()
                   for arr in (value if isinstance(value, list) else [value])
                   if isinstance(arr, np.ndarray)]
@@ -1600,20 +1631,49 @@ class TestOperatorCache:
                   for i in range(ranges.CACHED_OPERATORS + 2)]
         for body in bodies:
             assert kmin_member(body, pauli(0.3)).status is MembershipStatus.IN
-        assert len(ranges._OPERATORS) == ranges.CACHED_OPERATORS
+        assert ranges._vertex_operator.cache_info().currsize == ranges.CACHED_OPERATORS
         counts = _count_compiles_and_solves(monkeypatch)
         kmin_member(bodies[-1], pauli(0.3))
         assert counts["compile"] == 0
         kmin_member(bodies[0], pauli(0.3))
         assert counts["compile"] == 1
-        assert len(ranges._OPERATORS) == ranges.CACHED_OPERATORS
+        assert ranges._vertex_operator.cache_info().currsize == ranges.CACHED_OPERATORS
 
     def test_ucp_compiles_on_every_query(self, monkeypatch):
         counts = _count_compiles_and_solves(monkeypatch)
         for _ in range(2):
             assert ucp_member(pauli(), pauli(0.5)).status is MembershipStatus.IN
         assert counts["compile"] == 2
-        assert ranges._OPERATORS == {}
+        assert ranges._vertex_operator.cache_info().currsize == 0
+
+    def test_threads_share_the_cache_without_a_lock(self):
+        # four threads pose the same queries at once on a cleared cache:
+        # every answer equals the serial one to the bit, and the cache
+        # keeps one operator per (pattern stack, level)
+        queries = [
+            lambda: kmin_member(UNIT_DISC, _pair(2, 0)),
+            lambda: kmin_member(UNIT_DISC, _pair(3, 1)),
+            lambda: kmin_member(SQUARE, pauli(0.6)),
+            lambda: theta_min_alpha(SQUARE, pauli(), tol=0.02),
+        ]
+
+        def answers() -> list:
+            *kmin, theta = (query() for query in queries)
+            return [*map(_bits, kmin), (theta.lower, theta.upper)]
+
+        serial = answers()
+        ranges._vertex_operator.cache_clear()
+        start = threading.Barrier(4)
+
+        def threaded() -> list:
+            start.wait()
+            return answers()
+
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            runs = [pool.submit(threaded) for _ in range(4)]
+            assert all(run.result() == serial for run in runs)
+        # the disc at levels 2 and 3, the square (kmin and theta) at 2
+        assert ranges._vertex_operator.cache_info().currsize == 3
 
 
 class TestUcp:
