@@ -308,13 +308,16 @@ def jnr_sandwich(t: OperatorTuple, m: int = 64) -> PolygonSandwich:
 
 def _affine_span(v: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, ...]:
     """The mean of the rows of ``v``, an orthonormal basis of their affine
-    span and the span's normals.  The rank counts the singular values of
-    the centred rows above ``max(tol, EXTREME_TOL * s_max)``; at full rank
-    the basis is the identity, so that a full-dimensional hull stays in
-    its own coordinates and axis-aligned facets come out exact."""
+    span and the span's normals.  The rank, at most k - 1 for k rows,
+    counts the singular values of the centred rows above ``max(tol,
+    EXTREME_TOL * s_max, k eps |v|_max)``, the last the centring's
+    rounding; at full rank the basis is the identity, so that a
+    full-dimensional hull stays in its own coordinates and axis-aligned
+    facets come out exact."""
     center = v.mean(axis=0)
     _, s, vt = np.linalg.svd(v - center, full_matrices=v.shape[0] < v.shape[1])
-    rank = int(np.sum(s > max(tol, EXTREME_TOL * s[0])))
+    noise = v.shape[0] * np.finfo(float).eps * float(np.abs(v).max())
+    rank = min(int(np.sum(s > max(tol, EXTREME_TOL * s[0], noise))), v.shape[0] - 1)
     span = np.eye(v.shape[1]) if rank == v.shape[1] else vt[:rank]
     return center, span, vt[rank:]
 

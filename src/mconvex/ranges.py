@@ -59,8 +59,8 @@ from .sdp import (
     SdpFeasibility,
     Separator,
     Status,
+    ZERO_ROW_NORM,
     Verdict,
-    _certificate_from_dual,
     _compile,
     _Compiled,
 )
@@ -78,6 +78,9 @@ MAX_ITER = 50000
 #: vertex-set operators kept compiled per process (``_vertex_operator``),
 #: the least recently used dropped first
 CACHED_OPERATORS = 16
+
+#: directions of ucp's support scan in the plane, and seeded ones beyond
+SCAN_DIRECTIONS = 64
 
 #: copies of the Choi variable a range solve holds at once: the
 #: Douglas-Rachford iterate, its two projections, the reflection, their
@@ -190,11 +193,12 @@ def _statuses(violation: float, tol: float) -> MembershipStatus:
 # ---------------------------------------------------------------------------
 
 
-def _support_gaps(body: ConvexBody, a: OperatorTuple) -> tuple[float, dict]:
-    """Worst violation of ``lambda_max(sum c_j a_j) <= h_K(c)`` over a
-    body's facet list (``halfplanes``), from one ``eigvalsh`` over its
-    ``pencil_stack``, and a trace."""
-    dirs, offsets = halfplanes(body)
+def _support_gaps(
+    dirs: np.ndarray, offsets: np.ndarray, a: OperatorTuple
+) -> tuple[float, dict]:
+    """Worst violation of ``lambda_max(sum c_j a_j) <= offset`` over the
+    rows c of ``dirs``, from one ``eigvalsh`` over their ``pencil_stack``,
+    and a trace."""
     gaps = np.linalg.eigvalsh(pencil_stack(a.mats, dirs))[:, -1] - offsets
     k = int(np.argmax(gaps))
     return float(gaps[k]), {"direction": dirs[k], "gaps": gaps}
@@ -221,7 +225,7 @@ def kmax_member(
         eye = np.eye(a.n)
         m = (a.mats[0] - K.center[0] * eye) + 1j * (a.mats[1] - K.center[1] * eye)
         return _radius_member(m, K.radius, tol)
-    viol, cert = _support_gaps(K, a)
+    viol, cert = _support_gaps(*halfplanes(K), a)
     return MembershipResult(_statuses(viol, tol), abs(viol), cert)
 
 
@@ -301,46 +305,36 @@ def _vertex_operator(patterns: bytes, shape: tuple[int, ...], n: int) -> _Compil
 
 
 def _range_solver(
-    xs: np.ndarray, a: OperatorTuple, center: np.ndarray, tol: float, max_iter: int
-) -> tuple[Callable[..., Verdict], Callable[..., tuple[float, float]], Callable]:
-    """Compile ``_range_sdp`` of ``_range_rows``, and move along its
-    rhs line.
+    rows: tuple, tol: float, max_iter: int
+) -> tuple[Callable[..., Verdict], Callable[..., tuple[float, float]]]:
+    """Compile ``_range_sdp`` of ``_range_rows``' output ``rows``, and
+    move along its rhs line: kmin and ucp call this only when
+    ``_support_cut`` finds no support line that cuts the query off.
 
     A vertex set's operator (1 x 1 summands: kmin, theta, and ucp over a
-    scalar tuple) is kept in ``_vertex_operator``, a
-    ``functools.lru_cache`` keyed on the posed pattern stack and the
-    level, and each query solves on a ``cold`` copy of it, so no query's
-    answer depends on the queries before it; the Choi operator of a
-    matrix tuple (ucp) is compiled on every call.
+    scalar tuple) comes from ``_vertex_operator``, and each query solves
+    on a ``cold`` copy of it, so no query's answer depends on the queries
+    before it; the Choi operator of a matrix tuple (ucp) is compiled on
+    every call.
 
     Returns ``solve(f, alpha=1)``, which poses the unit row as I and the
     tuple rows at the point ``c + f (a / alpha - c)``, ``(f / alpha)
-    at_a + (1 - f) at_c``; ``terms(sep, f)``, the ``(c0, c1)`` with
+    at_a + (1 - f) at_c``; and ``terms(sep, f)``, the ``(c0, c1)`` with
     ``c0 + c1 / alpha`` the margin of ``sep`` on the rhs of ``solve(f,
     alpha)``: the pencil does not depend on the rhs, so only this
-    pairing moves with alpha; and ``price(y, f)``, the ``Separator``
-    that ``sdp._certificate_from_dual`` makes of the duals ``y`` of the
-    unit row and the 2 d tuple rows, posed or not, on the rhs of
-    ``solve(f)`` (None short of ``10 _sdp_tol(tol)``), with no solve.
+    pairing moves with alpha.
     """
-    patterns, at_a, at_c, posed = _range_rows(xs, a, center)
-    if xs.shape[2] == 1:
-        comp = _vertex_operator(patterns.tobytes(), patterns.shape, a.n).cold()
+    patterns, at_a, at_c, _ = rows
+    unit = np.eye(at_a.shape[-1])[None]
+    if patterns.shape[2] == 1:
+        comp = _vertex_operator(patterns.tobytes(), patterns.shape, len(unit[0])).cold()
     else:
         comp = _compile(_range_sdp(patterns, at_a))
-    unit = np.eye(a.n)[None]
-
-    def rhs_at(f: float, alpha: float = 1.0) -> _Compiled:
-        # at f = alpha = 1 this is the rhs at a to the last bit
-        rows = (f / alpha) * at_a + (1.0 - f) * at_c
-        return comp.with_rhs(np.concatenate([unit, rows]))
 
     def solve(f: float, alpha: float = 1.0) -> Verdict:
-        return rhs_at(f, alpha).solve(_sdp_tol(tol), max_iter)
-
-    def price(y: np.ndarray, f: float) -> Separator | None:
-        normalized = y[posed] * comp.norms[:, None, None]
-        return _certificate_from_dual(rhs_at(f), normalized, _sdp_tol(tol))
+        # at f = alpha = 1 this is the rhs at a to the last bit
+        rows = (f / alpha) * at_a + (1.0 - f) * at_c
+        return comp.with_rhs(np.concatenate([unit, rows])).solve(_sdp_tol(tol), max_iter)
 
     def terms(sep: Separator, f: float) -> tuple[float, float]:
         y = sep.dual
@@ -351,7 +345,49 @@ def _range_solver(
         c0 = float(np.einsum("ii->", y[0]).real) + (1.0 - f) * pairing(at_c)
         return c0, f * pairing(at_a)
 
-    return solve, terms, price
+    return solve, terms
+
+
+def _support_cut(
+    rows: tuple, a: OperatorTuple, center: np.ndarray, dirs: np.ndarray,
+    h: np.ndarray, pull: float, tol: float, exact: bool,
+) -> Separator | None:
+    """The separator of ``a`` from the relaxed set along the support line
+    of ``dirs`` that ``_support_gaps`` finds it furthest past, or None,
+    also when ``rows`` (``_range_rows``' output) pose a skew row.  ``h``
+    holds the posed set's support values (kmin: ``max_j <c, v_j>``; ucp:
+    ``lambda_max(sum_l c_l x_l)``), ``along + (h - along) / pull`` with
+    ``along = <c, center>`` the relaxed set's.  With u a top eigenvector
+    of ``sum_l c_l a_l``, the dual ``(-h, c_1, ..., c_d) kron uu*`` has
+    the pencil ``M_i kron uu*``, ``M_i = sum_l c_l conj(x_il) - h I``, on
+    summand i.  It is priced by the rule of ``sdp._certificate_from_dual``
+    with no compiled operator: rows normalized by their patterns'
+    Frobenius norms (the unit row's ``sqrt(count k)``, a zero row's 1),
+    refused when the top eigenvalue of the M_i exceeds ``1e-12 max(1,
+    |M|)`` or the margin at ``pull`` is short of ``10 _sdp_tol(tol)``, and
+    kept with its margin at f = 1 when ``exact``, else at ``pull``.
+    """
+    patterns, _, _, posed = rows
+    along = dirs @ center.real
+    gap, cert = _support_gaps(dirs, along + (h - along) / pull, a)
+    if gap <= 0.0 or posed[1 + a.d:].any():
+        return None
+    j, c = int(np.argmax(cert["gaps"])), cert["direction"]
+    coef, (count, k) = c[posed[1:1 + a.d]], patterns.shape[1:3]
+    norms = np.sqrt(np.einsum("rcpq,rcpq->r", patterns.conj(), patterns).real)
+    live = norms > ZERO_ROW_NORM
+    nrm = math.hypot(h[j] * math.sqrt(count * k), *coef * np.where(live, norms, 1.0))
+    pencil = (np.einsum("r,rcpq->cpq", coef * live, patterns) - h[j] * np.eye(k)) / nrm
+    mx = float(herm_eigvalsh(pencil)[:, -1].max())
+    vals, vecs = np.linalg.eigh(pencil_stack(a.mats, c[None]))
+    # the pairing with the rhs at f = pull, and at the f reported
+    f = np.array([pull, 1.0 if exact else pull])
+    margins = (f * (vals[0, -1] - along[j]) + along[j] - h[j]) / nrm
+    if mx > 1e-12 * max(1.0, float(np.abs(pencil).max())) or margins[0] < 10.0 * _sdp_tol(tol):
+        return None
+    u = vecs[0, :, -1]
+    dual = np.concatenate([[-h[j]], coef])[:, None, None] / nrm * np.outer(u, u.conj())
+    return Separator(dual, float(margins[1]), max(mx, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +426,14 @@ def _singleton_point(K: ConvexBody) -> np.ndarray | None:
     return None
 
 
+def _circle(m: int, offset: float = 0.0) -> np.ndarray:
+    """The m unit vectors at the angles ``pi (2 i + offset) / m``: a
+    disc's inscribed polygon (offset 0), its edge normals (offset 1), and
+    ucp's scan directions in the plane."""
+    angles = np.pi * (2.0 * np.arange(m) + offset) / m
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
 def _vertex_sets(
     K: ConvexBody, tol: float, m_grid: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -404,8 +448,7 @@ def _vertex_sets(
     each with the relaxed scale ``1 + 10 tol``.
     """
     if isinstance(K, Disc):
-        angles = 2.0 * np.pi * np.arange(m_grid) / m_grid
-        ring = np.column_stack([np.cos(angles), np.sin(angles)])
+        ring = _circle(m_grid)
         return K.center + K.radius * ring, K.center, 1.0 / np.cos(np.pi / m_grid)
     if isinstance(K, Polytope):
         verts, center = K._hull[1], K.vertices.mean(axis=0)
@@ -417,39 +460,6 @@ def _vertex_sets(
     else:
         raise DimensionMismatch(f"unknown body type {type(K)!r}")
     return verts, center, 1.0 + 10.0 * tol
-
-
-def _support_separator(
-    K: ConvexBody, a: OperatorTuple, verts: np.ndarray, center: np.ndarray,
-    pull: float, price: Callable,
-) -> Separator | None:
-    """The separator of ``a`` from the relaxed body's minimal set along
-    one scalar support line, or None.
-
-    The facet normals c of the posed vertex set (a disc's inscribed
-    polygon's edge normals, in closed form, any other body's
-    ``halfplanes``), with the relaxed body's support values, are a
-    sampled body; ``_support_gaps`` finds the c along which ``a`` leaves
-    it the furthest.  With ``h = max_j <c, v_j>`` and u a top
-    eigenvector of ``sum_l c_l a_l``, the dual ``(-h, c_1, ..., c_d)
-    kron uu*`` has the pencil ``(<c, v_j> - h) uu*``, negative
-    semidefinite on every block, and ``price`` checks its margin on the
-    relaxed rhs.
-    """
-    if isinstance(K, Disc):
-        angles = np.pi * (2.0 * np.arange(len(verts)) + 1.0) / len(verts)
-        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-        offsets = dirs @ K.center + K.radius * np.cos(np.pi / len(verts))
-    else:
-        dirs, offsets = halfplanes(K)
-    along = dirs @ center
-    gap, cert = _support_gaps(Sampled(dirs, along + (offsets - along) / pull), a)
-    if gap <= 0.0:
-        return None
-    c = cert["direction"]
-    u = np.linalg.eigh(pencil_stack(a.mats, c[None]))[1][0, :, -1]
-    coef = np.concatenate([[-(verts @ c).max()], c, np.zeros(a.d)])
-    return price(coef[:, None, None] * np.outer(u, u.conj()), pull)
 
 
 def _bracket(
@@ -519,11 +529,11 @@ def kmin_member(
     inscribed ``m_grid``-gon (``_vertex_sets``), and ``_bracket``
     decides; its relaxed set, the body dilated about its center c by
     ``1 + 10 tol`` or to a disc's circumscribed polygon, is the rhs at
-    ``c + (a - c) / s``.  Before any solve, a point outside the relaxed
-    body's maximal set is Out, with the detail "outside the relaxed
-    body's maximal set", from one support line (``_support_separator``),
-    and a commuting tuple is decided by its joint spectrum
-    (``_joint_spectrum``).  Raises ``ValueError`` unless ``tol`` is
+    ``c + (a - c) / s``.  Before anything is compiled, a point outside the
+    relaxed body's maximal set is Out, with the detail "outside the
+    relaxed body's maximal set", from one support line (``_support_cut``)
+    of the posed polygon's or ``halfplanes(K)``'s normals, and a
+    commuting tuple is decided by its joint spectrum (``_joint_spectrum``).  Raises ``ValueError`` unless ``tol`` is
     positive and finite, and ``DimensionMismatch`` for a disc with
     ``m_grid`` below 3.
 
@@ -552,15 +562,16 @@ def kmin_member(
         return MembershipResult(_statuses(viol, tol), abs(viol), cert, detail)
 
     verts, center, relax = _vertex_sets(K, tol, m_grid)
-    solve, terms, price = _range_solver(verts[:, :, None, None], a, center, tol, max_iter)
+    rows = _range_rows(verts[:, :, None, None], a, center)
     pull = 1.0 / relax
     # f = 1 poses K itself, except for a disc: its inscribed polygon
     exact = not isinstance(K, Disc)
-    if (sep := _support_separator(K, a, verts, center, pull, price)) is not None:
-        if exact:
-            sep = dataclasses.replace(sep, margin=sum(terms(sep, 1.0)))
+    dirs = halfplanes(K)[0] if exact else _circle(len(verts), 1.0)
+    h = (verts @ dirs.T).max(axis=0)
+    if (sep := _support_cut(rows, a, center, dirs, h, pull, tol, exact)) is not None:
         detail = "outside the relaxed body's maximal set"
         return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
+    solve, terms = _range_solver(rows, tol, max_iter)
     band = 10.0 * tol if exact else K.radius * (relax - 1.0)
     return _bracket(
         solve, terms, tol, pull, band, exact,
@@ -633,8 +644,8 @@ def theta_min_alpha(
         record(1.0, 1.0)
         return ThetaEstimate(1.0, 1.0, a)
     verts, center, relax = _vertex_sets(K, MEMBER_TOL, DISC_GRID)
-    solve, terms, _ = _range_solver(
-        verts[:, :, None, None], a, center, MEMBER_TOL, MAX_ITER
+    solve, terms = _range_solver(
+        _range_rows(verts[:, :, None, None], a, center), MEMBER_TOL, MAX_ITER
     )
     pull = 1.0 / relax
     floor = 10.0 * _sdp_tol(MEMBER_TOL)
@@ -676,6 +687,20 @@ def theta_min_alpha(
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _scan_directions(d: int) -> np.ndarray:
+    """ucp's scan directions in R^d, read-only: ``_circle`` for d = 2,
+    else +-e_l and, for d > 2, seeded unit vectors."""
+    if d == 2:
+        dirs = _circle(SCAN_DIRECTIONS)
+    else:
+        g = np.random.default_rng(0).standard_normal((SCAN_DIRECTIONS * (d > 2), d))
+        dirs = np.vstack([halfplanes(Box(-np.ones(d), np.ones(d)))[0], g])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs.flags.writeable = False
+    return dirs
+
+
 def ucp_member(
     x: OperatorTuple,
     a: OperatorTuple,
@@ -688,9 +713,14 @@ def ucp_member(
     ``x``; the map is asked for on the full matrix algebra, which loses
     nothing since matrix states extend.  Hermiticity of the Choi
     variable makes the map a *-map, so ``x_j* -> a_j*`` comes for free.
-    ``_bracket`` decides from the Choi SDP's solves along the line from
-    the scalar tuple ``tr(x_j)/m`` (always a member) through ``a``: pull
-    ``1 - 10 tol``, push ``1 + 10 tol`` and band ``10 tol``.  An
+    Every ucp image has ``lambda_max(sum c_l a_l) <= h_x(c) =
+    lambda_max(sum c_l x_l)``, so before the SDP is compiled a point past
+    the relaxed line along one of ``_scan_directions(d)`` is Out, "outside
+    the relaxed maximal set of the range's first level", by the rank-one
+    Choi pencil ``(sum c_l conj(x_l) - h_x(c) I) kron uu*`` (``_support_cut``).
+    Otherwise ``_bracket`` decides from the Choi SDP's solves along the
+    line from the scalar tuple ``tr(x_j)/m`` (always a member) through
+    ``a``: pull ``1 - 10 tol``, push ``1 + 10 tol`` and band ``10 tol``.  An
     image equation with zero coefficient (a Hermitian ``x_j`` with a
     non-Hermitian ``a_j``) reads ``0 = rhs``: the SDP core's zero-row
     rule makes it Out past 10 tol, Unknown at once above the witness
@@ -702,8 +732,13 @@ def ucp_member(
     if x.d != a.d:
         raise TupleMismatch(f"tuple lengths differ: {x.d} vs {a.d}")
     center = np.array([np.trace(xj) / x.n for xj in x.mats])
-    solve, terms, _ = _range_solver(np.array(x.mats)[None], a, center, tol, max_iter)
-    eps = 10.0 * tol
+    rows = _range_rows(np.array(x.mats)[None], a, center)
+    dirs, eps = _scan_directions(x.d), 10.0 * tol
+    h = np.linalg.eigvalsh(pencil_stack(x.mats, dirs))[:, -1]
+    if (sep := _support_cut(rows, a, center, dirs, h, 1.0 - eps, tol, True)) is not None:
+        detail = "outside the relaxed maximal set of the range's first level"
+        return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
+    solve, terms = _range_solver(rows, tol, max_iter)
     return _bracket(
         solve, terms, tol, 1.0 - eps, eps, True,
         lambda v: {"choi": v.blocks[0]}, push=1.0 + eps,

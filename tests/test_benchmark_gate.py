@@ -38,11 +38,12 @@ def test_round_zero_passes_the_checker(workload):
 
 
 #: (solves, iterations, constraint rows summed over the solves) of round 0
-#: under seed 1; a ucp solve of a Hermitian pair poses 1 + d = 3 rows
+#: under seed 1; a ucp solve of a Hermitian pair poses 1 + d = 3 rows, and
+#: ucp-probes' six Out queries solve nothing (``ranges._support_cut``)
 TRAFFIC = {
     "member-disc": (3, 12, 9),
     "theta-bisect": (20, 196, 60),
-    "ucp-probes": (12, 160, 36),
+    "ucp-probes": (6, 60, 18),
     "transform-probes": (5, 44, 15),
 }
 
@@ -70,6 +71,38 @@ def test_round_zero_sdp_traffic_is_pinned(workload, monkeypatch):
     for q in workloads.make_round(workload, 1, 0):
         cli.execute(cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"]))
     assert tuple(counts) == TRAFFIC[workload]
+
+
+def test_round_zero_ucp_outs_compile_nothing(monkeypatch):
+    # every Out of ucp-probes is cut off by one scalar support line,
+    # priced in closed form before the Choi SDP is compiled
+    compiles, compile_ = [0], ranges._compile
+
+    def counted_compile(problem):
+        compiles[0] += 1
+        return compile_(problem)
+
+    monkeypatch.setattr(ranges, "_compile", counted_compile)
+    outs = [q for q in workloads.make_round("ucp-probes", 1, 0)
+            if q.planted["verdict"] == "Out"]
+    assert len(outs) == 6
+    for q in outs:
+        report, _ = cli.execute(
+            cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"])
+        )
+        assert (report["status"], report["detail"]) == (
+            "Out", "outside the relaxed maximal set of the range's first level"
+        )
+    assert compiles[0] == 0
+
+
+@pytest.mark.parametrize("workload, outs", [("member-disc", 3), ("ucp-probes", 6)])
+def test_round_zero_scan_outs_pass_the_sdp_core(workload, outs, core_reprices):
+    # two roads to one certificate: every Out that the scan prices in
+    # closed form, re-priced by the SDP core on a compiled operator
+    for q in workloads.make_round(workload, 1, 0):
+        cli.execute(cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"]))
+    assert core_reprices() == outs
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,21 @@ class TestCommands:
             assert rep["status"] == status
             assert rep["margin"] == pytest.approx(margin, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["kmax", "kmin"])
+    def test_member_over_nearly_coincident_vertices(self, tmp_path, capsys, kind):
+        # two vertices in R^4 about 1e-12 apart exited 1 with Qhull's
+        # QH6214 traceback: the body is a segment, and the scalar tuple at
+        # its first end is a member
+        v = [[0.3, -0.2, 0.7, 0.1], [0.3 + 1e-12, -0.2, 0.7 - 1e-12, 0.1 + 5e-13]]
+        b = write(tmp_path / "b.json", {"type": "polytope", "vertices": v})
+        doc = {"hermitian": True, "mats": [[[x, 0.0], [0.0, x]] for x in v[0]]}
+        t = write(tmp_path / "t.json", doc)
+        code, rep = run(
+            capsys, ["member", "--kind", kind, "--tuple", t, "--body", b]
+        )
+        assert code == 0
+        assert rep["status"] == "In"
+
     def test_member_ucp(self, tmp_path, capsys):
         x = write(
             tmp_path / "x.json",

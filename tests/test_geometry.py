@@ -166,6 +166,27 @@ def test_thin_rotated_sets_never_raise(seed, d, exponents):
     assert flag == (cert["count"] == cert["rank"] + 1)
 
 
+#: two vertices in R^4 about 1e-12 apart, and one point listed three times
+#: in R^1: the centring's rounding must not count as rank
+NEAR_PAIR = np.array([[0.3, -0.2, 0.7, 0.1], [0.3 + 1e-12, -0.2, 0.7 - 1e-12, 0.1 + 5e-13]])
+TRIPLE = np.array([[0.1], [0.1], [0.1]])
+
+
+def test_nearly_coincident_points_get_no_noise_rank():
+    # the pair had rank 2 and Qhull raised QH6214; it is a segment, and
+    # its facet list holds both points and nothing 1e-9 away
+    dirs, offsets = halfplanes(Polytope(NEAR_PAIR))
+    assert (NEAR_PAIR @ dirs.T - offsets).max() <= 1e-15
+    assert point_gap(Polytope(NEAR_PAIR), NEAR_PAIR[0] + 1e-9) > 5e-10
+    assert is_simplex(NEAR_PAIR, tol=0.0)[1]["rank"] == 1
+    # the triple is one point at every tol, not a segment of rounding
+    for tol in (0.0, 1e-9):
+        flag, cert = is_simplex(TRIPLE, tol=tol)
+        assert flag and (cert["count"], cert["rank"]) == (1, 0)
+        np.testing.assert_array_equal(extreme_points(TRIPLE, tol=tol), TRIPLE[:1])
+    assert np.allclose(halfplanes(Polytope(TRIPLE))[1], [0.1, -0.1], rtol=0, atol=1e-16)
+
+
 def test_hull_distance_and_membership_gap():
     assert hull_distance(SQUARE.vertices, np.array([0.25, -0.5])) <= 1e-9
     assert hull_distance(SQUARE.vertices, np.array([2.0, 0.0])) == pytest.approx(1.0, abs=1e-6)

@@ -1175,6 +1175,9 @@ def _no_scan(*args, **kwargs):
     return None
 
 
+UCP_SCAN_DETAIL = "outside the relaxed maximal set of the range's first level"
+
+
 TRIANGLE = Polytope(np.array([[2.0, 0.0], [-1.0, 1.5], [-1.0, -1.5]]))
 
 
@@ -1191,12 +1194,12 @@ class TestSupportScan:
         ids=["disc", "square", "box", "sampled", "off-center-triangle"],
     )
     def test_out_of_the_maximal_set_is_out_without_a_solve(
-        self, monkeypatch, body, a
+        self, monkeypatch, body, a, core_reprices
     ):
         assert kmax_member(body, a).status is MembershipStatus.OUT
         counts = _count_compiles_and_solves(monkeypatch)
         res = kmin_member(body, a)
-        assert counts == {"compile": 1, "solve": 0}
+        assert counts == {"compile": 0, "solve": 0}
         assert res.status is MembershipStatus.OUT
         assert res.detail == "outside the relaxed body's maximal set"
         sep = res.certificate
@@ -1214,6 +1217,35 @@ class TestSupportScan:
         _check_separator(
             _kmin_problem(verts, mats if isinstance(body, Disc) else a.mats), sep
         )
+        # the SDP core accepts the closed-form price on the same rows
+        assert core_reprices() == 1
+
+    @pytest.mark.parametrize(
+        "x, a",
+        [
+            (OperatorTuple((Z,), hermitian=True),
+             OperatorTuple((np.diag([1.2, 0.3]),), hermitian=True)),
+            (pauli(), pauli(1.2)),
+            (pauli(), nilpotent_pair().scaled(1.3)),
+            (OperatorTuple((X, Z, Y), hermitian=True),
+             OperatorTuple((X, Z, Y), hermitian=True).scaled(1.2)),
+        ],
+        ids=["interval", "pauli", "nilpotent", "pauli-triple"],
+    )
+    def test_ucp_out_of_the_first_level_is_out_without_a_compile(
+        self, monkeypatch, x, a, core_reprices
+    ):
+        # lambda_max(sum c_l a_l) <= h_x(c) fails along a scanned c, so the
+        # rank-one Choi pencil answers before the SDP is compiled
+        counts = _count_compiles_and_solves(monkeypatch)
+        res = ucp_member(x, a)
+        assert counts == {"compile": 0, "solve": 0}
+        assert res.status is MembershipStatus.OUT
+        assert res.detail == UCP_SCAN_DETAIL
+        assert res.margin == res.certificate.margin >= 10 * 1e-7
+        assert core_reprices() == 1
+        monkeypatch.setattr(ranges, "_support_cut", _no_scan)
+        assert ucp_member(x, a).status is MembershipStatus.OUT
 
     def test_the_separator_is_the_support_line_of_a_rank_one_pencil(self):
         # over the square, (1.2 X + 0.1, 0.5 Z) is cut off by x <= 1 the
@@ -1247,7 +1279,7 @@ class TestSupportScan:
                 b = b.scaled(_scale_to_kmax_boundary(body, b))
                 points += [b.scaled(f) for f in (0.9, 0.97, 1.0, 1.03, 1.1)]
         with_scan = [kmin_member(body, p) for p in points]
-        monkeypatch.setattr(ranges, "_support_separator", _no_scan)
+        monkeypatch.setattr(ranges, "_support_cut", _no_scan)
         without = [kmin_member(body, p).status for p in points]
         assert [r.status for r in with_scan] == without
         assert set(without) == {MembershipStatus.IN, MembershipStatus.OUT}
@@ -1674,6 +1706,48 @@ class TestOperatorCache:
             assert all(run.result() == serial for run in runs)
         # the disc at levels 2 and 3, the square (kmin and theta) at 2
         assert ranges._vertex_operator.cache_info().currsize == 3
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=-6.0, max_value=math.log10(0.25)),
+)
+def test_a_ucp_scan_out_never_meets_a_feasible_choi_solve(seed, exponent):
+    # ucp's scalar-level Out against the Choi SDP of the same query: for a
+    # seeded Hermitian x (m = 2-4, d = 1-3), a level-n member b of its
+    # range (a compressed ampliation mixed with the scalar point) and b
+    # lifted past the support line along a scanned direction c by 1e-6 to
+    # 0.25 of the width of x along c, a scan Out is never a Feasible solve
+    rng = np.random.default_rng(seed)
+    m, n, d = (int(rng.integers(lo, hi)) for lo, hi in ((2, 5), (1, 4), (1, 4)))
+    x = OperatorTuple(tuple(random_hermitian(m, rng) for _ in range(d)), hermitian=True)
+    g = rng.standard_normal((m * n, n)) + 1j * rng.standard_normal((m * n, n))
+    v = np.linalg.qr(g)[0]
+    b = OperatorTuple(tuple(
+        0.9 * (v.conj().T @ np.kron(xl, np.eye(n)) @ v)
+        + 0.1 * np.trace(xl).real / m * np.eye(n) for xl in x.mats
+    ), hermitian=True)
+    dirs = ranges._scan_directions(d)
+    c = dirs[int(rng.integers(len(dirs)))]
+    xs = np.linalg.eigvalsh(pencil_stack(x.mats, c[None]))[0]
+    vals, vecs = np.linalg.eigh(pencil_stack(b.mats, c[None]))
+    u = vecs[0, :, -1:]
+    lift = xs[-1] - vals[0, -1] + 10.0**exponent * (xs[-1] - xs[0])
+    a = OperatorTuple(tuple(
+        bl + lift * cl * (u @ u.conj().T) for bl, cl in zip(b.mats, c)
+    ), hermitian=True)
+    center = np.array([np.trace(xl) / m for xl in x.mats])
+    cut = []
+    for point in (b, a):
+        cut.append(ucp_member(x, point).detail == UCP_SCAN_DETAIL)
+        if cut[-1]:
+            rows = ranges._range_rows(np.array(x.mats)[None], point, center)
+            solve, _ = ranges._range_solver(rows, ranges.MEMBER_TOL, 2000)
+            assert solve(1.0).status is not Status.FEASIBLE
+    # the member is never cut off, and a point lifted by 1e-3 of the width
+    # or more always is
+    assert not cut[0] and (cut[1] or exponent < -3.0)
 
 
 class TestUcp:
