@@ -290,23 +290,15 @@ class OperatorTuple:
         return self.mats[0].shape[0]
 
     def scaled(self, factor: float) -> "OperatorTuple":
-        return self._rebuilt(tuple(factor * m for m in self.mats), factor)
+        return OperatorTuple(tuple(factor * m for m in self.mats), self.hermitian)
 
     def shifted(self, offsets: Sequence[float]) -> "OperatorTuple":
         """Subtract ``offsets[j] * I`` from the j-th entry."""
         eye = np.eye(self.n)
-        return self._rebuilt(tuple(m - o * eye for m, o in zip(self.mats, offsets)), offsets)
-
-    def _rebuilt(self, mats: tuple, coefs) -> "OperatorTuple":
-        """``mats`` with this tuple's flag.  Real ``coefs`` of a scale or
-        shift keep Hermitian entries Hermitian to the bit, so then only
-        the shapes and finiteness are checked again."""
-        if np.any(np.imag(coefs)) or len(mats) != self.d:
-            return OperatorTuple(mats, self.hermitian)
-        out = object.__new__(OperatorTuple)
-        object.__setattr__(out, "mats", tuple(map(as_matrix, mats)))
-        object.__setattr__(out, "hermitian", self.hermitian)
-        return out
+        return OperatorTuple(
+            tuple(m - o * eye for m, o in zip(self.mats, offsets)),
+            self.hermitian,
+        )
 
     def conjugated(self, u: np.ndarray) -> "OperatorTuple":
         """Return ``(u* a_j u)_j`` for a unitary or isometry ``u``."""

@@ -59,10 +59,11 @@ from .sdp import (
     SdpFeasibility,
     Separator,
     Status,
-    ZERO_ROW_NORM,
     Verdict,
     _compile,
     _Compiled,
+    _row_norms,
+    _separator,
 )
 
 #: default membership tolerance; ``_bracket``'s Boundary band is 10x
@@ -79,7 +80,7 @@ MAX_ITER = 50000
 #: the least recently used dropped first
 CACHED_OPERATORS = 16
 
-#: directions of ucp's support scan in the plane, and seeded ones beyond
+#: directions of ucp's support scan in the plane
 SCAN_DIRECTIONS = 64
 
 #: copies of the Choi variable a range solve holds at once: the
@@ -195,13 +196,13 @@ def _statuses(violation: float, tol: float) -> MembershipStatus:
 
 def _support_gaps(
     dirs: np.ndarray, offsets: np.ndarray, a: OperatorTuple
-) -> tuple[float, dict]:
+) -> tuple[float, int, dict]:
     """Worst violation of ``lambda_max(sum c_j a_j) <= offset`` over the
     rows c of ``dirs``, from one ``eigvalsh`` over their ``pencil_stack``,
-    and a trace."""
+    the row it is at, and a trace."""
     gaps = np.linalg.eigvalsh(pencil_stack(a.mats, dirs))[:, -1] - offsets
     k = int(np.argmax(gaps))
-    return float(gaps[k]), {"direction": dirs[k], "gaps": gaps}
+    return float(gaps[k]), k, {"direction": dirs[k], "gaps": gaps}
 
 
 def kmax_member(
@@ -225,7 +226,7 @@ def kmax_member(
         eye = np.eye(a.n)
         m = (a.mats[0] - K.center[0] * eye) + 1j * (a.mats[1] - K.center[1] * eye)
         return _radius_member(m, K.radius, tol)
-    viol, cert = _support_gaps(*halfplanes(K), a)
+    viol, _, cert = _support_gaps(*halfplanes(K), a)
     return MembershipResult(_statuses(viol, tol), abs(viol), cert)
 
 
@@ -308,8 +309,7 @@ def _range_solver(
     rows: tuple, tol: float, max_iter: int
 ) -> tuple[Callable[..., Verdict], Callable[..., tuple[float, float]]]:
     """Compile ``_range_sdp`` of ``_range_rows``' output ``rows``, and
-    move along its rhs line: kmin and ucp call this only when
-    ``_support_cut`` finds no support line that cuts the query off.
+    move along its rhs line.
 
     A vertex set's operator (1 x 1 summands: kmin, theta, and ucp over a
     scalar tuple) comes from ``_vertex_operator``, and each query solves
@@ -352,42 +352,40 @@ def _support_cut(
     rows: tuple, a: OperatorTuple, center: np.ndarray, dirs: np.ndarray,
     h: np.ndarray, pull: float, tol: float, exact: bool,
 ) -> Separator | None:
-    """The separator of ``a`` from the relaxed set along the support line
-    of ``dirs`` that ``_support_gaps`` finds it furthest past, or None,
-    also when ``rows`` (``_range_rows``' output) pose a skew row.  ``h``
-    holds the posed set's support values (kmin: ``max_j <c, v_j>``; ucp:
-    ``lambda_max(sum_l c_l x_l)``), ``along + (h - along) / pull`` with
-    ``along = <c, center>`` the relaxed set's.  With u a top eigenvector
-    of ``sum_l c_l a_l``, the dual ``(-h, c_1, ..., c_d) kron uu*`` has
-    the pencil ``M_i kron uu*``, ``M_i = sum_l c_l conj(x_il) - h I``, on
-    summand i.  It is priced by the rule of ``sdp._certificate_from_dual``
-    with no compiled operator: rows normalized by their patterns'
-    Frobenius norms (the unit row's ``sqrt(count k)``, a zero row's 1),
-    refused when the top eigenvalue of the M_i exceeds ``1e-12 max(1,
-    |M|)`` or the margin at ``pull`` is short of ``10 _sdp_tol(tol)``, and
-    kept with its margin at f = 1 when ``exact``, else at ``pull``.
-    """
+    """The separator of ``a`` from the relaxed set along the row c of
+    ``dirs`` whose support line ``_support_gaps`` finds it furthest past,
+    with nothing compiled; None if there is none or ``rows`` (``_range_rows``'
+    output) pose a skew row.  ``h`` holds the posed set's support values,
+    ``along + (h - along) / pull``, ``along = <c, center>``, the relaxed
+    set's.  With u a top eigenvector of ``sum_l c_l a_l``, the dual ``(-h,
+    c) kron uu*`` has the pencil ``(sum_l c_l conj(x_il) - h I) kron uu*`` on
+    summand i; scaled to the rows ``sdp._row_norms`` normalizes, it is
+    priced by ``sdp._separator`` at ``pull``, its margin kept at f = 1 if
+    ``exact``."""
     patterns, _, _, posed = rows
+    if posed[1 + a.d:].any():
+        return None
     along = dirs @ center.real
-    gap, cert = _support_gaps(dirs, along + (h - along) / pull, a)
-    if gap <= 0.0 or posed[1 + a.d:].any():
+    gap, j, _ = _support_gaps(dirs, along + (h - along) / pull, a)
+    if gap <= 0.0:
         return None
-    j, c = int(np.argmax(cert["gaps"])), cert["direction"]
-    coef, (count, k) = c[posed[1:1 + a.d]], patterns.shape[1:3]
-    norms = np.sqrt(np.einsum("rcpq,rcpq->r", patterns.conj(), patterns).real)
-    live = norms > ZERO_ROW_NORM
-    nrm = math.hypot(h[j] * math.sqrt(count * k), *coef * np.where(live, norms, 1.0))
-    pencil = (np.einsum("r,rcpq->cpq", coef * live, patterns) - h[j] * np.eye(k)) / nrm
-    mx = float(herm_eigvalsh(pencil)[:, -1].max())
-    vals, vecs = np.linalg.eigh(pencil_stack(a.mats, c[None]))
-    # the pairing with the rhs at f = pull, and at the f reported
-    f = np.array([pull, 1.0 if exact else pull])
-    margins = (f * (vals[0, -1] - along[j]) + along[j] - h[j]) / nrm
-    if mx > 1e-12 * max(1.0, float(np.abs(pencil).max())) or margins[0] < 10.0 * _sdp_tol(tol):
-        return None
+    count, k = patterns.shape[1:3]
+    stack = np.concatenate([np.broadcast_to(np.eye(k), (1, count, k, k)), patterns])
+    norms, zero = _row_norms([stack])
+    w = np.concatenate([[-h[j]], dirs[j][posed[1:1 + a.d]]])
+    scale = 1.0 / np.linalg.norm(w * norms)
+    pencil = scale * np.einsum("r,rcpq->cpq", np.where(zero, 0.0, w), stack)
+    vals, vecs = np.linalg.eigh(pencil_stack(a.mats, dirs[j][None]))
     u = vecs[0, :, -1]
-    dual = np.concatenate([[-h[j]], coef])[:, None, None] / nrm * np.outer(u, u.conj())
-    return Separator(dual, float(margins[1]), max(mx, 0.0))
+    # the dual's pairing with the rhs at f = pull, and at the f reported
+    f = np.array([pull, 1.0 if exact else pull])
+    at = scale * (along[j] + f * (vals[0, -1] - along[j]) - h[j])
+    sep = _separator(
+        scale * w[:, None, None] * np.outer(u, u.conj()),
+        float(herm_eigvalsh(pencil)[:, -1].max()), float(np.abs(pencil).max()),
+        float(at[0]), _sdp_tol(tol),
+    )
+    return None if sep is None else dataclasses.replace(sep, margin=float(at[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +424,6 @@ def _singleton_point(K: ConvexBody) -> np.ndarray | None:
     return None
 
 
-def _circle(m: int, offset: float = 0.0) -> np.ndarray:
-    """The m unit vectors at the angles ``pi (2 i + offset) / m``: a
-    disc's inscribed polygon (offset 0), its edge normals (offset 1), and
-    ucp's scan directions in the plane."""
-    angles = np.pi * (2.0 * np.arange(m) + offset) / m
-    return np.column_stack([np.cos(angles), np.sin(angles)])
-
-
 def _vertex_sets(
     K: ConvexBody, tol: float, m_grid: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -448,7 +438,8 @@ def _vertex_sets(
     each with the relaxed scale ``1 + 10 tol``.
     """
     if isinstance(K, Disc):
-        ring = _circle(m_grid)
+        angles = 2.0 * np.pi * np.arange(m_grid) / m_grid
+        ring = np.column_stack([np.cos(angles), np.sin(angles)])
         return K.center + K.radius * ring, K.center, 1.0 / np.cos(np.pi / m_grid)
     if isinstance(K, Polytope):
         verts, center = K._hull[1], K.vertices.mean(axis=0)
@@ -531,11 +522,11 @@ def kmin_member(
     ``1 + 10 tol`` or to a disc's circumscribed polygon, is the rhs at
     ``c + (a - c) / s``.  Before anything is compiled, a point outside the
     relaxed body's maximal set is Out, with the detail "outside the
-    relaxed body's maximal set", from one support line (``_support_cut``)
-    of the posed polygon's or ``halfplanes(K)``'s normals, and a
-    commuting tuple is decided by its joint spectrum (``_joint_spectrum``).  Raises ``ValueError`` unless ``tol`` is
-    positive and finite, and ``DimensionMismatch`` for a disc with
-    ``m_grid`` below 3.
+    relaxed body's maximal set", from one support line of the posed set's
+    facet normals (``_support_cut``), and a commuting tuple is decided by
+    its joint spectrum (``_joint_spectrum``).  Raises ``ValueError`` unless
+    ``tol`` is positive and finite, and ``DimensionMismatch`` for a disc
+    with ``m_grid`` below 3.
 
     In answers carry the decomposition ``h_j``; Out answers the verified
     separating functional over the posed vertices, priced on the query,
@@ -566,7 +557,10 @@ def kmin_member(
     pull = 1.0 / relax
     # f = 1 poses K itself, except for a disc: its inscribed polygon
     exact = not isinstance(K, Disc)
-    dirs = halfplanes(K)[0] if exact else _circle(len(verts), 1.0)
+    # the posed set's facet normals: for a disc, its polygon's edge normals
+    angles = np.pi * (2.0 * np.arange(len(verts)) + 1.0) / len(verts)
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    dirs = halfplanes(K)[0] if exact else ring
     h = (verts @ dirs.T).max(axis=0)
     if (sep := _support_cut(rows, a, center, dirs, h, pull, tol, exact)) is not None:
         detail = "outside the relaxed body's maximal set"
@@ -688,15 +682,15 @@ def theta_min_alpha(
 
 
 @functools.cache
-def _scan_directions(d: int) -> np.ndarray:
-    """ucp's scan directions in R^d, read-only: ``_circle`` for d = 2,
-    else +-e_l and, for d > 2, seeded unit vectors."""
-    if d == 2:
-        dirs = _circle(SCAN_DIRECTIONS)
-    else:
-        g = np.random.default_rng(0).standard_normal((SCAN_DIRECTIONS * (d > 2), d))
-        dirs = np.vstack([halfplanes(Box(-np.ones(d), np.ones(d)))[0], g])
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+def _scan_directions(d: int) -> np.ndarray | None:
+    """ucp's scan directions, read-only: ``SCAN_DIRECTIONS`` equally
+    spaced angles in the plane, +-1 on the line, and None (no scan) in
+    d > 2, which no benchmark workload poses."""
+    if d > 2:
+        return None
+    angles = 2.0 * np.pi * np.arange(SCAN_DIRECTIONS) / SCAN_DIRECTIONS
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    dirs = ring if d == 2 else np.array([[1.0], [-1.0]])
     dirs.flags.writeable = False
     return dirs
 
@@ -713,19 +707,16 @@ def ucp_member(
     ``x``; the map is asked for on the full matrix algebra, which loses
     nothing since matrix states extend.  Hermiticity of the Choi
     variable makes the map a *-map, so ``x_j* -> a_j*`` comes for free.
-    Every ucp image has ``lambda_max(sum c_l a_l) <= h_x(c) =
-    lambda_max(sum c_l x_l)``, so before the SDP is compiled a point past
-    the relaxed line along one of ``_scan_directions(d)`` is Out, "outside
-    the relaxed maximal set of the range's first level", by the rank-one
-    Choi pencil ``(sum c_l conj(x_l) - h_x(c) I) kron uu*`` (``_support_cut``).
-    Otherwise ``_bracket`` decides from the Choi SDP's solves along the
-    line from the scalar tuple ``tr(x_j)/m`` (always a member) through
-    ``a``: pull ``1 - 10 tol``, push ``1 + 10 tol`` and band ``10 tol``.  An
-    image equation with zero coefficient (a Hermitian ``x_j`` with a
-    non-Hermitian ``a_j``) reads ``0 = rhs``: the SDP core's zero-row
-    rule makes it Out past 10 tol, Unknown at once above the witness
-    residual, and met below it.  A row that is 0 = 0 at ``a`` and at the
-    scalar tuple is not posed.
+    A ucp image has ``lambda_max(sum c_l a_l) <= lambda_max(sum c_l
+    x_l)``, so, before the SDP is compiled, a point past that relaxed line
+    along one of ``_scan_directions(d)`` is Out by a rank-one Choi pencil
+    (``_support_cut``).  Otherwise ``_bracket`` decides from the SDP's
+    solves on the line from the scalar tuple ``tr(x_j)/m`` (a member)
+    through ``a``: pull ``1 - 10 tol``, push ``1 + 10 tol``, band ``10
+    tol``.  An image equation with zero coefficient (a Hermitian ``x_j``,
+    a non-Hermitian ``a_j``) reads ``0 = rhs``: Out past 10 tol by the SDP
+    core's zero-row rule, Unknown above the witness residual, met below
+    it; a row that is 0 = 0 at ``a`` and at the scalar tuple is not posed.
     Raises ``ValueError`` unless ``tol`` is positive and finite.
     """
     _require_tol(tol)
@@ -733,11 +724,12 @@ def ucp_member(
         raise TupleMismatch(f"tuple lengths differ: {x.d} vs {a.d}")
     center = np.array([np.trace(xj) / x.n for xj in x.mats])
     rows = _range_rows(np.array(x.mats)[None], a, center)
-    dirs, eps = _scan_directions(x.d), 10.0 * tol
-    h = np.linalg.eigvalsh(pencil_stack(x.mats, dirs))[:, -1]
-    if (sep := _support_cut(rows, a, center, dirs, h, 1.0 - eps, tol, True)) is not None:
-        detail = "outside the relaxed maximal set of the range's first level"
-        return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
+    eps = 10.0 * tol
+    if (dirs := _scan_directions(x.d)) is not None:
+        h = np.linalg.eigvalsh(pencil_stack(x.mats, dirs))[:, -1]
+        if (sep := _support_cut(rows, a, center, dirs, h, 1.0 - eps, tol, True)):
+            detail = "outside the relaxed maximal set of the range's first level"
+            return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
     solve, terms = _range_solver(rows, tol, max_iter)
     return _bracket(
         solve, terms, tol, 1.0 - eps, eps, True,

@@ -257,10 +257,7 @@ class _Compiled:
         # part in any least-squares fit) instead of unit-norm equations of
         # noise; a nonzero rhs is left in b, the residue that _iterate
         # checks first
-        sq = sum(np.einsum("rcpq,rcpq->r", t.conj(), t).real for t in coeff_groups)
-        norms = np.sqrt(np.maximum(sq, 1e-300))
-        self.zero_rows = norms <= ZERO_ROW_NORM
-        norms[self.zero_rows] = 1.0
+        norms, self.zero_rows = _row_norms(coeff_groups)
         self.norms = norms
         zero = self.zero_rows[:, None, None, None]
         self.coeff_groups = [
@@ -420,6 +417,28 @@ class _Compiled:
         )
 
 
+def _row_norms(coeff_groups: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The Frobenius norm of each constraint's patterns over the size
+    groups, 1 for a zero row, and which rows are zero rows."""
+    sq = sum(np.einsum("rcpq,rcpq->r", t.conj(), t).real for t in coeff_groups)
+    norms = np.sqrt(np.maximum(sq, 1e-300))
+    zero = norms <= ZERO_ROW_NORM
+    norms[zero] = 1.0
+    return norms, zero
+
+
+def _separator(
+    dual: np.ndarray, mx: float, pencil_norm: float, margin: float, tol: float
+) -> Separator | None:
+    """The certificate of a unit dual over the normalized rows, given as
+    ``dual`` on the rows' own scale: refused when its pencil's top
+    eigenvalue ``mx`` exceeds ``1e-12 max(1, pencil_norm)`` or its
+    ``margin`` is short of ``10 tol``."""
+    if mx > 1e-12 * max(1.0, pencil_norm) or margin < 10.0 * tol:
+        return None
+    return Separator(dual=dual, margin=margin, psd_slack=max(mx, 0.0))
+
+
 def _certificate_from_dual(
     comp: _Compiled, coeffs: np.ndarray, tol: float
 ) -> Separator | None:
@@ -450,14 +469,9 @@ def _certificate_from_dual(
             return None
         s_blocks = comp.pencil(y)
         mx = comp.eig_bounds(s_blocks)[1]
-    if mx > 1e-12 * max(1.0, comp.pencil_norm(s_blocks)):
-        return None
     margin = float(np.vdot(comp.b, y).real)
-    if margin >= 10.0 * tol:
-        return Separator(
-            dual=y / comp.norms[:, None, None], margin=margin, psd_slack=max(mx, 0.0)
-        )
-    return None
+    dual = y / comp.norms[:, None, None]
+    return _separator(dual, mx, comp.pencil_norm(s_blocks), margin, tol)
 
 
 def _witness_ok(comp: _Compiled, v: list[np.ndarray]) -> tuple[bool, float]:

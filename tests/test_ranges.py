@@ -1227,10 +1227,8 @@ class TestSupportScan:
              OperatorTuple((np.diag([1.2, 0.3]),), hermitian=True)),
             (pauli(), pauli(1.2)),
             (pauli(), nilpotent_pair().scaled(1.3)),
-            (OperatorTuple((X, Z, Y), hermitian=True),
-             OperatorTuple((X, Z, Y), hermitian=True).scaled(1.2)),
         ],
-        ids=["interval", "pauli", "nilpotent", "pauli-triple"],
+        ids=["interval", "pauli", "nilpotent"],
     )
     def test_ucp_out_of_the_first_level_is_out_without_a_compile(
         self, monkeypatch, x, a, core_reprices
@@ -1246,6 +1244,16 @@ class TestSupportScan:
         assert core_reprices() == 1
         monkeypatch.setattr(ranges, "_support_cut", _no_scan)
         assert ucp_member(x, a).status is MembershipStatus.OUT
+
+    def test_ucp_over_a_triple_is_not_scanned(self, monkeypatch):
+        # the scan covers d <= 2 only: a triple past its first level is
+        # still Out, from the Choi SDP
+        triple = OperatorTuple((X, Z, Y), hermitian=True)
+        counts = _count_compiles_and_solves(monkeypatch)
+        res = ucp_member(triple, triple.scaled(1.2))
+        assert res.status is MembershipStatus.OUT
+        assert res.detail != UCP_SCAN_DETAIL
+        assert counts["compile"] == 1
 
     def test_the_separator_is_the_support_line_of_a_rank_one_pencil(self):
         # over the square, (1.2 X + 0.1, 0.5 Z) is cut off by x <= 1 the
@@ -1715,12 +1723,12 @@ class TestOperatorCache:
 )
 def test_a_ucp_scan_out_never_meets_a_feasible_choi_solve(seed, exponent):
     # ucp's scalar-level Out against the Choi SDP of the same query: for a
-    # seeded Hermitian x (m = 2-4, d = 1-3), a level-n member b of its
+    # seeded Hermitian x (m = 2-4, d = 1-2), a level-n member b of its
     # range (a compressed ampliation mixed with the scalar point) and b
     # lifted past the support line along a scanned direction c by 1e-6 to
     # 0.25 of the width of x along c, a scan Out is never a Feasible solve
     rng = np.random.default_rng(seed)
-    m, n, d = (int(rng.integers(lo, hi)) for lo, hi in ((2, 5), (1, 4), (1, 4)))
+    m, n, d = (int(rng.integers(lo, hi)) for lo, hi in ((2, 5), (1, 4), (1, 3)))
     x = OperatorTuple(tuple(random_hermitian(m, rng) for _ in range(d)), hermitian=True)
     g = rng.standard_normal((m * n, n)) + 1j * rng.standard_normal((m * n, n))
     v = np.linalg.qr(g)[0]
