@@ -22,6 +22,7 @@ import math
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -55,6 +56,7 @@ from .linalg import (
     skew_part,
 )
 from .sdp import (
+    WITNESS_RESIDUAL,
     AffineConstraint,
     SdpFeasibility,
     Separator,
@@ -70,7 +72,8 @@ from .sdp import (
 #: this, except for a disc (its circumscribed polygon, ``_vertex_sets``)
 MEMBER_TOL = 1e-7
 
-#: circle discretization for minimal-set membership over a disc
+#: the inscribed polygon of a disc's kmin Out and Boundary and of theta
+#: over a disc; a kmin In over a disc poses none (``_disc_dilation``)
 DISC_GRID = 96
 
 #: iteration budget of each decomposition or Choi SDP solve
@@ -121,7 +124,8 @@ class MembershipResult:
 
     ``margin`` measures the strength of the certificate, not a Euclidean
     distance: for In it is the witness slack (smallest eigenvalue of the
-    verified decomposition, or the support-inequality slack), for Out the
+    verified decomposition, the support-inequality slack, or a disc
+    dilation's ``r - ||T||``), for Out the
     verified separation, for Boundary the bracketing half-width.
     """
 
@@ -174,6 +178,12 @@ def _require_tol(tol: float) -> None:
         raise ValueError(f"needs a positive finite tol, not {tol}")
 
 
+def _require_max_iter(max_iter: int) -> None:
+    """Raise ``ValueError`` unless ``max_iter`` is nonnegative."""
+    if not max_iter >= 0:
+        raise ValueError(f"needs a nonnegative max_iter, not {max_iter}")
+
+
 def _sdp_tol(tol: float) -> float:
     """The tol of a query's SDP solves: the query's, at most 1e-7.  A
     separator of such a solve clears the margin ``10 _sdp_tol(tol)``."""
@@ -223,11 +233,15 @@ def kmax_member(
     if K.dim != a.d:
         raise DimensionMismatch(f"body dim {K.dim} != tuple length {a.d}")
     if isinstance(K, Disc):
-        eye = np.eye(a.n)
-        m = (a.mats[0] - K.center[0] * eye) + 1j * (a.mats[1] - K.center[1] * eye)
-        return _radius_member(m, K.radius, tol)
+        return _radius_member(_recentered(K, a), K.radius, tol)
     viol, _, cert = _support_gaps(*halfplanes(K), a)
     return MembershipResult(_statuses(viol, tol), abs(viol), cert)
+
+
+def _recentered(K: Disc, a: OperatorTuple) -> np.ndarray:
+    """``(a_1 - c_1) + i (a_2 - c_2)`` for the center c of the disc K."""
+    eye = np.eye(a.n)
+    return (a.mats[0] - K.center[0] * eye) + 1j * (a.mats[1] - K.center[1] * eye)
 
 
 def _radius_member(m: np.ndarray, radius: float, tol: float) -> MembershipResult:
@@ -424,6 +438,47 @@ def _singleton_point(K: ConvexBody) -> np.ndarray | None:
     return None
 
 
+def _disc_dilation(K: Disc, a: OperatorTuple) -> MembershipResult | None:
+    """In over a disc from Halmos's unitary dilation, with no SDP; None
+    when ``T = ((a_1 - c_1) + i (a_2 - c_2)) / r`` is no contraction, or
+    when the decomposition misses its equations by more than
+    ``WITNESS_RESIDUAL``.
+
+    D^min is the set of pairs with ``||T|| <= 1`` (Halmos, Proc. AMS 1950;
+    Passer, Shalit and Solel, J. Funct. Anal. 2018).  From one SVD ``T =
+    W S V*``, with ``D_T = V sqrt((1 - S)(1 + S)) V*`` and ``D_(T*)`` the
+    same with W, ``U = [[T, D_(T*)], [D_T, -T*]]`` is unitary.  Its complex Schur form ``U = Z diag(l) Z*``
+    compresses to ``T = sum_k l_k z_k z_k*``, for ``z_k`` the first n
+    entries of column k of Z: 2n rank-one blocks summing to I, on the
+    points ``c + r l_k / |l_k|`` of the circle.  The margin is ``r (1 -
+    ||T||)``, since every block's least eigenvalue is 0.
+    """
+    n = a.n
+    _require_bytes(16 * (4 * n * n + 2 * n**3), "the unitary dilation")
+    t = _recentered(K, a) / K.radius
+    w, s, vh = np.linalg.svd(t)
+    if s[0] > 1.0:
+        return None
+    defect = np.sqrt((1.0 - s) * (1.0 + s))
+    u = np.block([
+        [t, (w * defect) @ w.conj().T],
+        [(vh.conj().T * defect) @ vh, -t.conj().T],
+    ])
+    schur, z = scipy.linalg.schur(u, output="complex")
+    lam = np.diagonal(schur) / np.abs(np.diagonal(schur))
+    top = z[:n].T
+    h = top[:, :, None] * top.conj()[:, None, :]
+    resid = max(np.abs(h.sum(axis=0) - np.eye(n)).max(),
+                np.abs(np.einsum("k,kij->ij", lam, h) - t).max())
+    if not resid <= WITNESS_RESIDUAL:
+        return None
+    verts = K.center + K.radius * np.column_stack([lam.real, lam.imag])
+    detail = "decomposed on the circle by a unitary dilation"
+    cert = {"h": h, "vertices": verts}
+    margin = K.radius * (1.0 - float(s[0]))
+    return MembershipResult(MembershipStatus.IN, margin, cert, detail)
+
+
 def _vertex_sets(
     K: ConvexBody, tol: float, m_grid: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -514,25 +569,33 @@ def kmin_member(
 ) -> MembershipResult:
     """Does ``a`` admit a positive decomposition over points of K?
 
-    The decomposition SDP is posed on a polytope's extreme points, a
-    box's corners, the vertices a sampled body's facet list bounds (an
-    unbounded, empty or flat one raises ``BadProblem``) or a disc's
-    inscribed ``m_grid``-gon (``_vertex_sets``), and ``_bracket``
-    decides; its relaxed set, the body dilated about its center c by
-    ``1 + 10 tol`` or to a disc's circumscribed polygon, is the rhs at
-    ``c + (a - c) / s``.  Before anything is compiled, a point outside the
+    A commuting tuple is decided by its joint spectrum
+    (``_joint_spectrum``).  Over a disc of center c and radius r, a pair
+    with ``||(a_1 - c_1) + i (a_2 - c_2)|| <= r`` is In, exactly, from its
+    unitary dilation (``_disc_dilation``), before anything is compiled.
+    Otherwise the decomposition SDP is posed on a polytope's extreme
+    points, a box's corners, the vertices a sampled body's facet list
+    bounds (an unbounded, empty or flat one raises ``BadProblem``) or a
+    disc's inscribed ``m_grid``-gon (``_vertex_sets``), and ``_bracket``
+    decides; its relaxed set, the body dilated about its center c by ``1
+    + 10 tol`` or to a disc's circumscribed polygon, is the rhs at ``c +
+    (a - c) / s``.  Before anything is compiled, a point outside the
     relaxed body's maximal set is Out, with the detail "outside the
     relaxed body's maximal set", from one support line of the posed set's
-    facet normals (``_support_cut``), and a commuting tuple is decided by
-    its joint spectrum (``_joint_spectrum``).  Raises ``ValueError`` unless
-    ``tol`` is positive and finite, and ``DimensionMismatch`` for a disc
-    with ``m_grid`` below 3.
+    facet normals (``_support_cut``).  So a disc's polygons decide only
+    Out and Boundary.  Raises ``ValueError`` unless ``tol`` is positive
+    and finite and ``max_iter`` nonnegative, and ``DimensionMismatch``
+    for a disc with ``m_grid`` below 3.
 
-    In answers carry the decomposition ``h_j``; Out answers the verified
+    In answers carry the decomposition ``h_j`` on its ``vertices``: the
+    SDP's, with the least eigenvalue of the blocks as the margin, or the
+    dilation's 2n rank-one blocks on the circle, with the margin ``r -
+    ||(a_1 - c_1) + i (a_2 - c_2)||``.  Out answers carry the verified
     separating functional over the posed vertices, priced on the query,
     or for a disc on its point rescaled to the circumscribed polygon.
     """
     _require_tol(tol)
+    _require_max_iter(max_iter)
     if not a.hermitian:
         raise NonHermitianInput("minimal-set membership needs a Hermitian tuple")
     if K.dim != a.d:
@@ -551,6 +614,9 @@ def kmin_member(
         detail = "commuting tuple: decided through the joint spectrum"
         cert = {"joint_points": values, "unitary": u}
         return MembershipResult(_statuses(viol, tol), abs(viol), cert, detail)
+
+    if isinstance(K, Disc) and (res := _disc_dilation(K, a)) is not None:
+        return res
 
     verts, center, relax = _vertex_sets(K, tol, m_grid)
     rows = _range_rows(verts[:, :, None, None], a, center)
@@ -717,9 +783,11 @@ def ucp_member(
     a non-Hermitian ``a_j``) reads ``0 = rhs``: Out past 10 tol by the SDP
     core's zero-row rule, Unknown above the witness residual, met below
     it; a row that is 0 = 0 at ``a`` and at the scalar tuple is not posed.
-    Raises ``ValueError`` unless ``tol`` is positive and finite.
+    Raises ``ValueError`` unless ``tol`` is positive and finite and
+    ``max_iter`` nonnegative.
     """
     _require_tol(tol)
+    _require_max_iter(max_iter)
     if x.d != a.d:
         raise TupleMismatch(f"tuple lengths differ: {x.d} vs {a.d}")
     center = np.array([np.trace(xj) / x.n for xj in x.mats])

@@ -38,10 +38,12 @@ def test_round_zero_passes_the_checker(workload):
 
 
 #: (solves, iterations, constraint rows summed over the solves) of round 0
-#: under seed 1; a ucp solve of a Hermitian pair poses 1 + d = 3 rows, and
-#: ucp-probes' six Out queries solve nothing (``ranges._support_cut``)
+#: under seed 1; a ucp solve of a Hermitian pair poses 1 + d = 3 rows,
+#: ucp-probes' six Out queries and member-disc's three solve nothing
+#: (``ranges._support_cut``), and neither do member-disc's three In
+#: queries (``ranges._disc_dilation``)
 TRAFFIC = {
-    "member-disc": (3, 12, 9),
+    "member-disc": (0, 0, 0),
     "theta-bisect": (20, 196, 60),
     "ucp-probes": (6, 60, 18),
     "transform-probes": (5, 44, 15),
@@ -64,6 +66,18 @@ def _count_traffic(monkeypatch) -> list:
     return counts
 
 
+def _count_compiles(monkeypatch) -> list:
+    """A one-entry list counting ``ranges._compile`` calls from here on."""
+    compiles, compile_ = [0], ranges._compile
+
+    def counted_compile(problem):
+        compiles[0] += 1
+        return compile_(problem)
+
+    monkeypatch.setattr(ranges, "_compile", counted_compile)
+    return compiles
+
+
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_round_zero_sdp_traffic_is_pinned(workload, monkeypatch):
     # a change that adds solves, iterations or rows fails here first
@@ -76,13 +90,7 @@ def test_round_zero_sdp_traffic_is_pinned(workload, monkeypatch):
 def test_round_zero_ucp_outs_compile_nothing(monkeypatch):
     # every Out of ucp-probes is cut off by one scalar support line,
     # priced in closed form before the Choi SDP is compiled
-    compiles, compile_ = [0], ranges._compile
-
-    def counted_compile(problem):
-        compiles[0] += 1
-        return compile_(problem)
-
-    monkeypatch.setattr(ranges, "_compile", counted_compile)
+    compiles = _count_compiles(monkeypatch)
     outs = [q for q in workloads.make_round("ucp-probes", 1, 0)
             if q.planted["verdict"] == "Out"]
     assert len(outs) == 6
@@ -94,6 +102,33 @@ def test_round_zero_ucp_outs_compile_nothing(monkeypatch):
             "Out", "outside the relaxed maximal set of the range's first level"
         )
     assert compiles[0] == 0
+
+
+def test_round_zero_disc_ins_are_dilations_on_the_circle(monkeypatch):
+    # every In of member-disc is decomposed by a unitary dilation: 2n
+    # blocks on points of the body's circle, which the outside checker
+    # accepts (it does not look at where the vertices lie), and the round
+    # compiles and solves nothing
+    compiles = _count_compiles(monkeypatch)
+    counts = _count_traffic(monkeypatch)
+    ins = 0
+    for q in workloads.make_round("member-disc", 1, 0):
+        report, _ = cli.execute(
+            cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"])
+        )
+        if q.planted["verdict"] != "In":
+            continue
+        ins += 1
+        buf = io.StringIO()
+        cli.dump_report(report, buf)
+        assert checker.check(q, buf.getvalue()) is None
+        body, cert = q.job["inputs"]["body"], report["certificate"]
+        n = len(q.job["inputs"]["tuple"]["mats"][0])
+        assert np.shape(cert["h"]) == (2 * n, n, n)
+        dist = np.linalg.norm(np.asarray(cert["vertices"]) - body["center"], axis=1)
+        assert np.abs(dist - body["radius"]).max() <= 1e-15
+    assert ins == 3
+    assert (compiles[0], *counts) == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("workload, outs", [("member-disc", 3), ("ucp-probes", 6)])
@@ -112,13 +147,7 @@ def test_round_zero_answers_alike_on_cached_operators(workload, monkeypatch):
     # the second pass compiles nothing, and every query still starts
     # cold: the same reports, apart from their wall time, and the same
     # solver traffic
-    compiles, compile_ = [0], ranges._compile
-
-    def counted_compile(problem):
-        compiles[0] += 1
-        return compile_(problem)
-
-    monkeypatch.setattr(ranges, "_compile", counted_compile)
+    compiles = _count_compiles(monkeypatch)
     counts = _count_traffic(monkeypatch)
     passes = []
     for _ in range(2):
@@ -135,11 +164,14 @@ def test_round_zero_answers_alike_on_cached_operators(workload, monkeypatch):
             reports.append(json.dumps(doc, sort_keys=True))
         assert tuple(counts) == TRAFFIC[workload]
         passes.append((compiles[0], reports))
-    assert passes[0][0] > 0 and passes[1][0] == 0
+    # a workload that solves compiles in the first pass only; member-disc
+    # solves nothing, and compiles nothing in either
+    assert (passes[0][0] > 0) == (TRAFFIC[workload][0] > 0)
+    assert passes[1][0] == 0
     assert passes[0][1] == passes[1][1]
 
 
-@pytest.mark.parametrize("workload", ["theta-bisect", "member-disc"])
+@pytest.mark.parametrize("workload", ["theta-bisect"])
 def test_round_zero_solves_take_2x2_blocks_in_closed_form(workload, monkeypatch):
     # every eigen call inside a solve on a stack of 2 x 2 blocks belongs to
     # the closed-form kernel; one that reaches LAPACK is a regression

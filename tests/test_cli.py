@@ -391,8 +391,9 @@ class TestExitCodes:
             (SQUARE_BODY, ["--kind", "kmin", "--tol", "nan"]),
             ({"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
              ["--kind", "kmin", "--grid", "0"]),
+            (SQUARE_BODY, ["--kind", "kmin", "--max-iter", "-5"]),
         ],
-        ids=["negative-tol", "nan-tol", "grid-0"],
+        ids=["negative-tol", "nan-tol", "grid-0", "negative-max-iter"],
     )
     def test_invalid_tol_or_grid_is_data_error(self, tmp_path, capsys, body, flags):
         t = write(tmp_path / "t.json", pauli_tuple(0.3))
@@ -668,8 +669,8 @@ def test_report_layout():
 
 
 def test_member_disc_report_is_compact():
-    # kmin over the disc: the In certificate is 96 complex 4 x 4 blocks,
-    # written as one stack on one line
+    # kmin over the disc: the In certificate is the unitary dilation's
+    # 2n = 8 complex 4 x 4 blocks, written as one stack on one line
     rng = np.random.default_rng(2)
     mats = []
     for _ in range(2):
@@ -694,5 +695,5 @@ def test_member_disc_report_is_compact():
     text = _dumped(report)
     rep = _strict_loads(text)
     assert rep["status"] == "In"
-    assert np.shape(rep["certificate"]["h"]) == (96, 4, 4, 2)
+    assert np.shape(rep["certificate"]["h"]) == (8, 4, 4, 2)
     assert len(text.splitlines()) < 50

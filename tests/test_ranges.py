@@ -102,6 +102,15 @@ def nilpotent_pair() -> OperatorTuple:
     return OperatorTuple((herm_part(s), skew_part(s)), hermitian=True)
 
 
+def shift_pair(n: int, scale: float) -> OperatorTuple:
+    """``(Re T, Im T)`` of ``T = scale J``, J the n x n shift: ``||T|| =
+    scale`` and ``w(T) = scale cos(pi / (n + 1))``, so at scale 1.1 and n
+    = 2-4 the pair lies in the unit disc's maximal set and outside its
+    minimal set, and kmin over the disc reaches the SDP."""
+    t = scale * np.eye(n, k=1, dtype=complex)
+    return OperatorTuple((herm_part(t), skew_part(t)), hermitian=True)
+
+
 def symmetry_pair() -> OperatorTuple:
     """Two noncommuting 3 x 3 symmetries: a point of the square's maximal
     set whose theta takes the separators several probes."""
@@ -358,8 +367,21 @@ class TestKmin:
         assert kmin_member(point, pauli()).status is MembershipStatus.OUT
 
     def test_disc_sandwich(self):
+        # ||a_1 + i a_2|| = 0.9: In by the unitary dilation, on 2n = 4
+        # rank-one blocks at points of the circle, with the margin 1 - 0.9
         inside = nilpotent_pair().scaled(0.45)
         res = kmin_member(UNIT_DISC, inside)
+        assert res.status is MembershipStatus.IN
+        assert res.detail == "decomposed on the circle by a unitary dilation"
+        assert res.margin == pytest.approx(0.1, abs=1e-15)
+        assert np.shape(res.certificate["h"]) == (4, 2, 2)
+        assert np.linalg.norm(res.certificate["vertices"], axis=1) == pytest.approx(1.0)
+        outside = nilpotent_pair().scaled(0.55)
+        res = kmin_member(UNIT_DISC, outside)
+        assert res.status is MembershipStatus.OUT
+
+    def test_an_sdp_in_margin_is_the_least_block_eigenvalue(self):
+        res = kmin_member(SQUARE, pauli(0.6))
         assert res.status is MembershipStatus.IN
         # the margin is the smallest eigenvalue of the blocks h_j, from the
         # library's spectrum helper (closed form at n = 2), and LAPACK's
@@ -368,9 +390,6 @@ class TestKmin:
         assert res.margin == max(float(herm_eigvalsh(h)[:, 0].min()), 0.0)
         slack = min(float(np.linalg.eigvalsh(hj)[0]) for hj in h)
         assert res.margin == pytest.approx(max(slack, 0.0), rel=0, abs=1e-15)
-        outside = nilpotent_pair().scaled(0.55)
-        res = kmin_member(UNIT_DISC, outside)
-        assert res.status is MembershipStatus.OUT
 
     def test_disc_problem_is_block_native(self):
         # 96-gon, n = 6, d = 2: d + 1 = 3 matrix equations, each stated as
@@ -1063,9 +1082,8 @@ class TestMembershipCompiledOnce:
     @pytest.mark.parametrize(
         "query, status, solves",
         [
-            # inscribed 96-gon feasible
-            (lambda: kmin_member(UNIT_DISC, nilpotent_pair().scaled(0.45)),
-             "In", 1),
+            # the square's decomposition feasible
+            (lambda: kmin_member(SQUARE, pauli(0.6)), "In", 1),
             # inscribed Infeasible, whose separator also shows the
             # circumscribed polygon infeasible
             (lambda: kmin_member(UNIT_DISC, nilpotent_pair().scaled(0.55)),
@@ -1079,7 +1097,7 @@ class TestMembershipCompiledOnce:
             (lambda: ucp_member(*exact_compression(0, 2, 3), max_iter=16),
              "Unknown", 3),
         ],
-        ids=["disc-in", "disc-out", "square-out", "ucp-unknown"],
+        ids=["square-in", "disc-out", "square-out", "ucp-unknown"],
     )
     def test_one_compile_per_query(self, monkeypatch, query, status, solves):
         counts = _count_compiles_and_solves(monkeypatch)
@@ -1399,6 +1417,75 @@ def test_kmin_is_invariant_under_unitary_conjugation(seed):
                kmin_member(body, _conjugate(u, p), max_iter=_IDENTITY_ITER))
 
 
+_DILATION = "decomposed on the circle by a unitary dilation"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_a_disc_is_decided_as_its_dilation_says(seed):
+    # D^min is {||T|| <= 1}, T = ((a_1 - c_1) + i (a_2 - c_2)) / r, and it
+    # holds the minimal set of its inscribed 96-gon P.  Seeded discs and
+    # non-normal T (so the pair does not commute) at ||T|| around 1: the
+    # dilation answers exactly when ||T|| <= 1, In over P is In over the
+    # disc, and Out over the disc has ||T|| > 1
+    rng = np.random.default_rng(seed)
+    disc = Disc(rng.uniform(-2.0, 2.0, 2), float(rng.uniform(0.2, 3.0)))
+    polygon = Polytope(ranges._vertex_sets(disc, ranges.MEMBER_TOL, ranges.DISC_GRID)[0])
+    n = int(rng.integers(2, 4))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for f in (0.5, 0.99, 1.01, 1.5):
+        t = f * disc.radius * g / np.linalg.norm(g, 2)
+        p = OperatorTuple(
+            tuple(c * np.eye(n) + m for c, m in zip(disc.center, (herm_part(t), skew_part(t)))),
+            hermitian=True,
+        )
+        norm = np.linalg.norm((p.mats[0] - disc.center[0] * np.eye(n))
+                              + 1j * (p.mats[1] - disc.center[1] * np.eye(n)), 2)
+        res = kmin_member(disc, p, max_iter=_IDENTITY_ITER)
+        assert (res.detail == _DILATION) == (norm <= disc.radius)
+        if kmin_member(polygon, p, max_iter=_IDENTITY_ITER).status is MembershipStatus.IN:
+            assert res.status is MembershipStatus.IN
+        if res.status is MembershipStatus.OUT:
+            assert norm > disc.radius
+
+
+@pytest.mark.parametrize("r", [0.98, 0.995])
+def test_a_disc_point_off_a_coarse_polygon_is_a_dilation(monkeypatch, r):
+    # (r cos 15 D + eps X, r sin 15 D), D = diag(1, -1), eps = 1e-3, is in
+    # D^min (||T|| <= r + eps < 1) but outside the maximal set of the
+    # inscribed 12-gon, whose support scan cuts it off; over the disc the
+    # dilation decides it on 4 blocks, with no compile and no solve
+    dd, eps, angle = np.diag([1.0, -1.0]), 1e-3, math.radians(15.0)
+    a = OperatorTuple((r * math.cos(angle) * dd + eps * X, r * math.sin(angle) * dd),
+                      hermitian=True)
+    twelve = 2.0 * np.pi * np.arange(12) / 12
+    res = kmin_member(Polytope(np.column_stack([np.cos(twelve), np.sin(twelve)])), a)
+    assert (res.status, res.detail) == (
+        MembershipStatus.OUT, "outside the relaxed body's maximal set"
+    )
+    counts = _count_compiles_and_solves(monkeypatch)
+    res = kmin_member(UNIT_DISC, a)
+    assert (res.status, res.detail) == (MembershipStatus.IN, _DILATION)
+    assert np.shape(res.certificate["h"]) == (4, 2, 2)
+    assert counts == {"compile": 0, "solve": 0}
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda max_iter: kmin_member(SQUARE, pauli(0.3), max_iter=max_iter),
+        lambda max_iter: kmin_member(UNIT_DISC, nilpotent_pair().scaled(0.55),
+                                     max_iter=max_iter),
+        lambda max_iter: ucp_member(pauli(), pauli(0.3), max_iter=max_iter),
+    ],
+    ids=["kmin", "kmin-disc", "ucp"],
+)
+def test_membership_rejects_a_negative_max_iter(query):
+    # a negative budget ran no iteration and answered Unknown
+    with pytest.raises(ValueError, match="needs a nonnegative max_iter, not -5"):
+        query(-5)
+
+
 def test_interior_points_of_a_polytope_pose_no_block(monkeypatch):
     # the square's corners among 60 interior points: the 4 corners are
     # posed, in listed order, so both bodies share one operator, compiled
@@ -1607,7 +1694,8 @@ def _pair(n: int, seed: int) -> OperatorTuple:
     [
         ("intertwiner system", lambda: commutant_dimension(_pair(8, 0))),
         ("Choi variable", lambda: ucp_member(_pair(8, 1), _pair(8, 2))),
-        ("Choi variable", lambda: kmin_member(UNIT_DISC, _pair(4, 3))),
+        ("Choi variable", lambda: kmin_member(UNIT_DISC, shift_pair(4, 1.1))),
+        ("unitary dilation", lambda: kmin_member(UNIT_DISC, _pair(18, 4))),
     ],
 )
 def test_over_budget_is_refused_before_allocating(monkeypatch, what, call):
@@ -1646,11 +1734,12 @@ class TestOperatorCache:
         assert shared[0]._warm.z is None
 
     def test_the_budget_is_checked_before_the_cache(self, monkeypatch):
-        assert kmin_member(UNIT_DISC, _pair(4, 3)).status is MembershipStatus.IN
+        a = shift_pair(4, 1.1)
+        assert kmin_member(UNIT_DISC, a).status is MembershipStatus.OUT
         assert ranges._vertex_operator.cache_info().currsize == 1
         monkeypatch.setattr(linalg, "MEMORY_BUDGET", 1 << 16)
         with pytest.raises(TooLarge, match="the Choi variable needs about .* MiB"):
-            kmin_member(UNIT_DISC, _pair(4, 3))
+            kmin_member(UNIT_DISC, a)
 
     def test_a_shared_operator_is_read_only(self, monkeypatch):
         operators = _shared_operators(monkeypatch)
@@ -1691,8 +1780,8 @@ class TestOperatorCache:
         # every answer equals the serial one to the bit, and the cache
         # keeps one operator per (pattern stack, level)
         queries = [
-            lambda: kmin_member(UNIT_DISC, _pair(2, 0)),
-            lambda: kmin_member(UNIT_DISC, _pair(3, 1)),
+            lambda: kmin_member(UNIT_DISC, shift_pair(2, 1.1)),
+            lambda: kmin_member(UNIT_DISC, shift_pair(3, 1.1)),
             lambda: kmin_member(SQUARE, pauli(0.6)),
             lambda: theta_min_alpha(SQUARE, pauli(), tol=0.02),
         ]
