@@ -35,7 +35,6 @@ from ._jsonio import (
 )
 from .errors import MConvexError
 from .geometry import (
-    Disc,
     essential_range_hull,
     extreme_points,
     is_simplex,
@@ -52,7 +51,6 @@ from .models import (
     verify_local_sw,
 )
 from .ranges import (
-    DISC_GRID,
     MAX_ITER,
     choi_li_equiv_check,
     is_matrix_extreme_free_symmetric,
@@ -150,12 +148,8 @@ def _run_member(job: JobSpec) -> dict:
     a = decode_tuple(_need(job, "tuple"))
     tol = _tol(job)
     if kind == "kmin":
-        body = decode_body(_need(job, "body"))
-        grid = DISC_GRID
-        if isinstance(body, Disc):  # only a disc reads its polygon's grid
-            grid = int(_opt(job, "grid", DISC_GRID))
         res = kmin_member(
-            body, a, tol=tol, m_grid=grid,
+            decode_body(_need(job, "body")), a, tol=tol,
             max_iter=int(_opt(job, "max_iter", MAX_ITER)),
         )
     elif kind == "kmax":
@@ -326,7 +320,7 @@ _COMMANDS = {
         ("tuple", True, None),
         ("body", False, "body for kmin/kmax"),
         ("range_of", False, "tuple whose range to test (ucp)")],
-        ("tol", "max_iter", "grid")),
+        ("tol", "max_iter")),
     "equal": _Command(_run_equal, "matrix range equality", (), [
         ("x", True, None), ("y", True, None)], ("tol",)),
     "theta": _Command(_run_theta, "scaling constant bracket", (), [

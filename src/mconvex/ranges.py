@@ -68,13 +68,8 @@ from .sdp import (
     _separator,
 )
 
-#: default membership tolerance; ``_bracket``'s Boundary band is 10x
-#: this, except for a disc (its circumscribed polygon, ``_vertex_sets``)
+#: default membership tolerance; every Boundary band is 10x this
 MEMBER_TOL = 1e-7
-
-#: the inscribed polygon of a disc's kmin Out and Boundary and of theta
-#: over a disc; a kmin In over a disc poses none (``_disc_dilation``)
-DISC_GRID = 96
 
 #: iteration budget of each decomposition or Choi SDP solve
 MAX_ITER = 50000
@@ -140,10 +135,10 @@ class ThetaEstimate:
     """Certified bracket for the minimal alpha with ``a`` in (alpha K)^min.
 
     ``witness_point`` is ``a`` rescaled by ``1/upper``.  It is certified
-    in the minimal set of K's relaxed body (the circumscribed polygon of
-    a disc, the vertices scaled by ``1 + 10 MEMBER_TOL`` otherwise), just
-    as a Boundary answer of ``kmin_member`` is: by the Feasible step that
-    set ``upper``, or, when no step did, by the start's decomposition.
+    in the minimal set of K's relaxed body (the vertices scaled by ``1 +
+    10 MEMBER_TOL``), just as a Boundary answer of ``kmin_member`` is: by
+    the Feasible step that set ``upper``, or, when no step did, by the
+    start's decomposition; over a disc, by a unitary dilation.
 
     The bracket starts at ``upper = hi = max(2, 2 d max_l ||a_l|| / r)``
     with r the inradius bound of ``require_interior_zero``, and no search:
@@ -161,9 +156,10 @@ class ThetaEstimate:
     lower`` there, ``c + (a / lower - c) / s`` for its center c and
     relaxed scale s (the problem at that point), so it shows ``a / lower``
     outside the relaxed body's minimal set, and with it every ``a /
-    alpha`` for alpha below.  It is None when ``lower`` is the starting
-    1.0: for every commuting tuple, and when the first probe is Feasible
-    or Unknown.
+    alpha`` for alpha below; over a disc it is ``_disc_cut``'s, priced on
+    ``a / lower`` itself.  It is None when ``lower`` is the starting 1.0:
+    for every commuting tuple, and when the first probe is Feasible or
+    Unknown.
     """
 
     lower: float
@@ -364,7 +360,7 @@ def _range_solver(
 
 def _support_cut(
     rows: tuple, a: OperatorTuple, center: np.ndarray, dirs: np.ndarray,
-    h: np.ndarray, pull: float, tol: float, exact: bool,
+    h: np.ndarray, pull: float, tol: float,
 ) -> Separator | None:
     """The separator of ``a`` from the relaxed set along the row c of
     ``dirs`` whose support line ``_support_gaps`` finds it furthest past,
@@ -374,8 +370,7 @@ def _support_cut(
     set's.  With u a top eigenvector of ``sum_l c_l a_l``, the dual ``(-h,
     c) kron uu*`` has the pencil ``(sum_l c_l conj(x_il) - h I) kron uu*`` on
     summand i; scaled to the rows ``sdp._row_norms`` normalizes, it is
-    priced by ``sdp._separator`` at ``pull``, its margin kept at f = 1 if
-    ``exact``."""
+    priced by ``sdp._separator`` at ``pull``, its margin kept at f = 1."""
     patterns, _, _, posed = rows
     if posed[1 + a.d:].any():
         return None
@@ -392,7 +387,7 @@ def _support_cut(
     vals, vecs = np.linalg.eigh(pencil_stack(a.mats, dirs[j][None]))
     u = vecs[0, :, -1]
     # the dual's pairing with the rhs at f = pull, and at the f reported
-    f = np.array([pull, 1.0 if exact else pull])
+    f = np.array([pull, 1.0])
     at = scale * (along[j] + f * (vals[0, -1] - along[j]) - h[j])
     sep = _separator(
         scale * w[:, None, None] * np.outer(u, u.conj()),
@@ -438,27 +433,47 @@ def _singleton_point(K: ConvexBody) -> np.ndarray | None:
     return None
 
 
-def _disc_dilation(K: Disc, a: OperatorTuple) -> MembershipResult | None:
-    """In over a disc from Halmos's unitary dilation, with no SDP; None
-    when ``T = ((a_1 - c_1) + i (a_2 - c_2)) / r`` is no contraction, or
-    when the decomposition misses its equations by more than
-    ``WITNESS_RESIDUAL``.
+def _disc_cut(K: Disc, a: OperatorTuple, w: np.ndarray, vh: np.ndarray) -> tuple:
+    """The separator over the disc K (center c, radius r) of the top
+    singular pair ``T v = ||T|| u`` of the SVD ``T = W S V*``, and its
+    ``(c0, c1) = (tr Y_0, sum_l tr(Y_l a_l))``: its margin on ``a /
+    alpha`` is ``c0 + c1 / alpha``.  For ``W = v u*`` it takes ``Y_1 = (W
+    + W*) / 2``, ``Y_2 = (W* - W) / 2i`` and ``Y_0 = -(r / 2)(uu* + vv*)
+    - c_1 Y_1 - c_2 Y_2``, whose pencil ``Y_0 + x_1 Y_1 + x_2 Y_2`` is NSD
+    on the disc, as ``Re((z - c)(e* v)(u* e)) <= r |u* e| |v* e|`` there.
+    For ``_disc_member``'s T, ``c0 + c1 = r (||T|| - 1)``."""
+    u, v = w[:, 0], vh[0].conj()
+    y1, y2 = herm_part(np.outer(v, u.conj())), -skew_part(np.outer(v, u.conj()))
+    y0 = -0.5 * K.radius * (np.outer(u, u.conj()) + np.outer(v, v.conj()))
+    dual = np.stack([y0 - K.center[0] * y1 - K.center[1] * y2, y1, y2])
+    c0 = float(np.trace(dual[0]).real)
+    c1 = float(np.einsum("rij,rji->", dual[1:], np.array(a.mats)).real)
+    return Separator(dual=dual, margin=c0 + c1, psd_slack=0.0), (c0, c1)
 
-    D^min is the set of pairs with ``||T|| <= 1`` (Halmos, Proc. AMS 1950;
-    Passer, Shalit and Solel, J. Funct. Anal. 2018).  From one SVD ``T =
-    W S V*``, with ``D_T = V sqrt((1 - S)(1 + S)) V*`` and ``D_(T*)`` the
-    same with W, ``U = [[T, D_(T*)], [D_T, -T*]]`` is unitary.  Its complex Schur form ``U = Z diag(l) Z*``
-    compresses to ``T = sum_k l_k z_k z_k*``, for ``z_k`` the first n
-    entries of column k of Z: 2n rank-one blocks summing to I, on the
-    points ``c + r l_k / |l_k|`` of the circle.  The margin is ``r (1 -
-    ||T||)``, since every block's least eigenvalue is 0.
-    """
+
+def _disc_member(K: Disc, a: OperatorTuple, tol: float) -> MembershipResult:
+    """kmin over a disc from one SVD ``T = W S V*`` of ``T = ((a_1 - c_1)
+    + i (a_2 - c_2)) / r``: D^min is the set of pairs with ``||T|| <= 1``
+    (Halmos, Proc. AMS 1950; Passer, Shalit and Solel, J. Funct. Anal.
+    2018).  Past ``||T|| = 1 + 10 tol``, outside the disc dilated by ``1 +
+    10 tol``, it is Out by ``_disc_cut``; Boundary, margin ``10 tol``,
+    before.  Otherwise, for ``D_T = V sqrt((1 - S)(1 + S)) V*`` and
+    ``D_(T*)`` the same with W, the unitary ``U = [[T, D_(T*)], [D_T,
+    -T*]]`` has a Schur form ``Z diag(l) Z*`` that compresses to ``T =
+    sum_k l_k z_k z_k*``, ``z_k`` the top n entries of column k of Z: In
+    on 2n rank-one blocks at the points ``c + r l_k / |l_k|``, margin ``r
+    (1 - ||T||)``; Unknown if they miss by more than ``WITNESS_RESIDUAL``."""
     n = a.n
     _require_bytes(16 * (4 * n * n + 2 * n**3), "the unitary dilation")
     t = _recentered(K, a) / K.radius
     w, s, vh = np.linalg.svd(t)
+    if s[0] > 1.0 + 10.0 * tol:
+        sep, _ = _disc_cut(K, a, w, vh)
+        detail = "separated from the disc by the top singular pair of T"
+        return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
     if s[0] > 1.0:
-        return None
+        detail = "outside the disc, inside it dilated by 1 + 10 tol"
+        return MembershipResult(MembershipStatus.BOUNDARY, 10.0 * tol, None, detail)
     defect = np.sqrt((1.0 - s) * (1.0 + s))
     u = np.block([
         [t, (w * defect) @ w.conj().T],
@@ -471,7 +486,8 @@ def _disc_dilation(K: Disc, a: OperatorTuple) -> MembershipResult | None:
     resid = max(np.abs(h.sum(axis=0) - np.eye(n)).max(),
                 np.abs(np.einsum("k,kij->ij", lam, h) - t).max())
     if not resid <= WITNESS_RESIDUAL:
-        return None
+        detail = f"the unitary dilation misses its equations by {resid:.2e}"
+        return MembershipResult(MembershipStatus.UNKNOWN, 0.0, None, detail)
     verts = K.center + K.radius * np.column_stack([lam.real, lam.imag])
     detail = "decomposed on the circle by a unitary dilation"
     cert = {"h": h, "vertices": verts}
@@ -479,23 +495,11 @@ def _disc_dilation(K: Disc, a: OperatorTuple) -> MembershipResult | None:
     return MembershipResult(MembershipStatus.IN, margin, cert, detail)
 
 
-def _vertex_sets(
-    K: ConvexBody, tol: float, m_grid: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The vertices, center and relaxed scale of ``kmin_member``.
-
-    A disc gives its inscribed ``m_grid``-gon, whose dilation by
-    ``1 / cos(pi / m_grid)`` is the circumscribed one.  A polytope gives
-    its extreme points (``extreme_points`` at tol 0), in listed order,
-    about the mean of its list, a box its corners about its middle,
-    and a sampled body, in any dimension, the vertices its facet list
-    (``halfplanes``) bounds about their mean (``Sampled._clipped``);
-    each with the relaxed scale ``1 + 10 tol``.
-    """
-    if isinstance(K, Disc):
-        angles = 2.0 * np.pi * np.arange(m_grid) / m_grid
-        ring = np.column_stack([np.cos(angles), np.sin(angles)])
-        return K.center + K.radius * ring, K.center, 1.0 / np.cos(np.pi / m_grid)
+def _vertex_sets(K: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices and center of ``kmin_member``: a polytope's extreme
+    points, in listed order, about the mean of its list, a box's corners
+    about its middle, and a sampled body's ``Sampled._clipped`` vertices
+    about their mean."""
     if isinstance(K, Polytope):
         verts, center = K._hull[1], K.vertices.mean(axis=0)
     elif isinstance(K, Box):
@@ -505,51 +509,45 @@ def _vertex_sets(
         center = verts.mean(axis=0)
     else:
         raise DimensionMismatch(f"unknown body type {type(K)!r}")
-    return verts, center, 1.0 + 10.0 * tol
+    return verts, center
 
 
 def _bracket(
     solve: Callable[[float], Verdict], terms: Callable, tol: float, pull: float,
-    band: float, exact: bool, accept: Callable[[Verdict], object],
-    push: float | None = None,
+    accept: Callable[[Verdict], object], push: float | None = None,
 ) -> MembershipResult:
     """In / Out / Boundary / Unknown from the solves of one range query,
-    on ``_range_solver``'s rhs line: f = 1 poses the query (its own set
-    when ``exact``; a disc's is its inscribed polygon), f = ``pull`` < 1
-    the relaxed set, and ``push`` > 1, if given, a harder point.
+    on ``_range_solver``'s rhs line: f = 1 poses the query, f = ``pull``
+    < 1 the relaxed set, and ``push`` > 1, if given, a harder point.
 
     1. Feasible at f = 1 is In: ``accept`` makes the certificate, the
        least eigenvalue of the blocks is the margin.
     2. An Infeasible separator, priced at ``pull`` by ``terms``, that
-       clears ``10 _sdp_tol(tol)`` there is Out with no second solve: with
-       its own margin if ``exact``, else with the margin at ``pull``.
-    3. Only after an Unknown, Feasible at ``push`` is In, margin ``band``:
-       the query is a convex combination of the center and that point.
-    4. One solve at ``pull``.  If ``exact`` and step 2's separator fell
-       short, Feasible is Boundary carrying it, else Out with it.
-       Otherwise Infeasible is Out, Feasible Boundary, else Unknown.
+       clears ``10 _sdp_tol(tol)`` there is Out with no second solve; one
+       that falls short is Out unless a solve at ``pull`` is Feasible,
+       which makes it Boundary.
+    3. Only after an Unknown, Feasible at ``push`` is In, margin ``10
+       tol``: the query is a convex combination of the center and that
+       point.  Then one solve at ``pull``: Infeasible is Out, Feasible
+       Boundary, else Unknown.
 
-    Every Boundary has the margin ``band``.
+    Every Boundary has the margin ``10 tol``.
     """
+    band = 10.0 * tol
     verdict = solve(1.0)
     if verdict.status is Status.FEASIBLE:
         slack = float(herm_eigvalsh(np.stack(verdict.blocks))[:, 0].min())
         return MembershipResult(MembershipStatus.IN, max(slack, 0.0), accept(verdict))
-    sep = verdict.separator if verdict.status is Status.INFEASIBLE else None
-    if sep is not None:
+    if (sep := verdict.separator) is not None:
         c0, c1 = terms(sep, pull)
-        if c0 + c1 >= 10.0 * _sdp_tol(tol):
-            sep = sep if exact else dataclasses.replace(sep, margin=c0 + c1)
+        if c0 + c1 >= 10.0 * _sdp_tol(tol) or solve(pull).status is not Status.FEASIBLE:
             return MembershipResult(MembershipStatus.OUT, sep.margin, sep)
-    elif push is not None and (pushed := solve(push)).status is Status.FEASIBLE:
+        detail = "outside at scale 1, inside at scale 1 + 10 tol"
+        return MembershipResult(MembershipStatus.BOUNDARY, band, sep, detail)
+    if push is not None and (pushed := solve(push)).status is Status.FEASIBLE:
         detail = "resolved by outward bracketing"
         return MembershipResult(MembershipStatus.IN, band, accept(pushed), detail)
     outer = solve(pull)
-    if exact and sep is not None:
-        if outer.status is Status.FEASIBLE:
-            detail = "outside at scale 1, inside at scale 1 + 10 tol"
-            return MembershipResult(MembershipStatus.BOUNDARY, band, sep, detail)
-        return MembershipResult(MembershipStatus.OUT, sep.margin, sep)
     if outer.status is Status.INFEASIBLE:
         sep, detail = outer.separator, "resolved on the relaxed set"
         return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
@@ -564,35 +562,26 @@ def kmin_member(
     K: ConvexBody,
     a: OperatorTuple,
     tol: float = MEMBER_TOL,
-    m_grid: int = DISC_GRID,
     max_iter: int = MAX_ITER,
 ) -> MembershipResult:
     """Does ``a`` admit a positive decomposition over points of K?
 
     A commuting tuple is decided by its joint spectrum
-    (``_joint_spectrum``).  Over a disc of center c and radius r, a pair
-    with ``||(a_1 - c_1) + i (a_2 - c_2)|| <= r`` is In, exactly, from its
-    unitary dilation (``_disc_dilation``), before anything is compiled.
-    Otherwise the decomposition SDP is posed on a polytope's extreme
-    points, a box's corners, the vertices a sampled body's facet list
-    bounds (an unbounded, empty or flat one raises ``BadProblem``) or a
-    disc's inscribed ``m_grid``-gon (``_vertex_sets``), and ``_bracket``
-    decides; its relaxed set, the body dilated about its center c by ``1
-    + 10 tol`` or to a disc's circumscribed polygon, is the rhs at ``c +
-    (a - c) / s``.  Before anything is compiled, a point outside the
-    relaxed body's maximal set is Out, with the detail "outside the
-    relaxed body's maximal set", from one support line of the posed set's
-    facet normals (``_support_cut``).  So a disc's polygons decide only
-    Out and Boundary.  Raises ``ValueError`` unless ``tol`` is positive
-    and finite and ``max_iter`` nonnegative, and ``DimensionMismatch``
-    for a disc with ``m_grid`` below 3.
+    (``_joint_spectrum``), any other pair over a disc by the norm of one
+    matrix, with nothing compiled (``_disc_member``).  Otherwise the
+    decomposition SDP is posed on a polytope's extreme points, a box's
+    corners or the vertices a sampled body's facet list bounds (an
+    unbounded, empty or flat one raises ``BadProblem``) (``_vertex_sets``),
+    and ``_bracket`` decides; its relaxed set, the body dilated about its
+    center c by ``1 + 10 tol``, is the rhs at ``c + (a - c) / s``.  Before
+    anything is compiled, a point outside the relaxed body's maximal set
+    is Out, with the detail "outside the relaxed body's maximal set", from
+    one support line of the body's facet normals (``_support_cut``).
+    Raises ``ValueError`` unless ``tol`` is positive and finite and
+    ``max_iter`` nonnegative.
 
-    In answers carry the decomposition ``h_j`` on its ``vertices``: the
-    SDP's, with the least eigenvalue of the blocks as the margin, or the
-    dilation's 2n rank-one blocks on the circle, with the margin ``r -
-    ||(a_1 - c_1) + i (a_2 - c_2)||``.  Out answers carry the verified
-    separating functional over the posed vertices, priced on the query,
-    or for a disc on its point rescaled to the circumscribed polygon.
+    In answers carry the decomposition ``h_j`` on its ``vertices``, Out
+    answers the verified separating functional, priced on the query.
     """
     _require_tol(tol)
     _require_max_iter(max_iter)
@@ -600,8 +589,6 @@ def kmin_member(
         raise NonHermitianInput("minimal-set membership needs a Hermitian tuple")
     if K.dim != a.d:
         raise DimensionMismatch(f"body dim {K.dim} != tuple length {a.d}")
-    if isinstance(K, Disc) and m_grid < 3:
-        raise DimensionMismatch(f"a disc's polygon needs m_grid >= 3, not {m_grid}")
 
     if (point := _singleton_point(K)) is not None:
         eye = np.eye(a.n)
@@ -615,27 +602,20 @@ def kmin_member(
         cert = {"joint_points": values, "unitary": u}
         return MembershipResult(_statuses(viol, tol), abs(viol), cert, detail)
 
-    if isinstance(K, Disc) and (res := _disc_dilation(K, a)) is not None:
-        return res
+    if isinstance(K, Disc):
+        return _disc_member(K, a, tol)
 
-    verts, center, relax = _vertex_sets(K, tol, m_grid)
+    verts, center = _vertex_sets(K)
     rows = _range_rows(verts[:, :, None, None], a, center)
-    pull = 1.0 / relax
-    # f = 1 poses K itself, except for a disc: its inscribed polygon
-    exact = not isinstance(K, Disc)
-    # the posed set's facet normals: for a disc, its polygon's edge normals
-    angles = np.pi * (2.0 * np.arange(len(verts)) + 1.0) / len(verts)
-    ring = np.column_stack([np.cos(angles), np.sin(angles)])
-    dirs = halfplanes(K)[0] if exact else ring
+    pull = 1.0 / (1.0 + 10.0 * tol)
+    dirs = halfplanes(K)[0]
     h = (verts @ dirs.T).max(axis=0)
-    if (sep := _support_cut(rows, a, center, dirs, h, pull, tol, exact)) is not None:
+    if (sep := _support_cut(rows, a, center, dirs, h, pull, tol)) is not None:
         detail = "outside the relaxed body's maximal set"
         return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
     solve, terms = _range_solver(rows, tol, max_iter)
-    band = 10.0 * tol if exact else K.radius * (relax - 1.0)
     return _bracket(
-        solve, terms, tol, pull, band, exact,
-        lambda v: {"h": v.blocks, "vertices": verts},
+        solve, terms, tol, pull, lambda v: {"h": v.blocks, "vertices": verts}
     )
 
 
@@ -658,9 +638,13 @@ def theta_min_alpha(
     otherwise) and 0 to be interior to K (raises ``NoInteriorZero``), so
     the scaled bodies ``alpha K`` are nested.  Scales the tuple, not the
     body: ``a`` is in (alpha K)^min exactly when ``a / alpha`` is in K^min.
-    So the decomposition SDP of ``kmin_member`` is compiled once per body
-    and level, and shared with ``kmin_member`` (``_range_solver``), and
-    each probe re-solves it, with only the right-hand side moved, for
+    Over a disc of center c and radius r that is a closed form
+    (``_disc_theta``): one trace entry, nothing compiled, and a bracket
+    at most about ``1e-6 theta / (r - |c|)`` wide, whatever ``tol``.
+    Otherwise the decomposition SDP of ``kmin_member`` is compiled once
+    per body and level, and shared with ``kmin_member``
+    (``_range_solver``), and each probe re-solves it, with only the
+    right-hand side moved, for
     ``a / alpha`` in the relaxed body (the one a Boundary answer of
     ``kmin_member`` rests on).  The bracket starts at [1, hi] with no
     search: ``a / hi`` is in K^min by the decomposition in
@@ -696,50 +680,72 @@ def theta_min_alpha(
         )
     slack = require_interior_zero(K)
 
-    def record(lo: float, hi: float) -> None:
-        if trace is not None:
-            trace.append((lo, hi))
-
+    trace = [] if trace is None else trace
     if _joint_spectrum(a) is not None:
-        record(1.0, 1.0)
+        trace.append((1.0, 1.0))
         return ThetaEstimate(1.0, 1.0, a)
-    verts, center, relax = _vertex_sets(K, MEMBER_TOL, DISC_GRID)
-    solve, terms = _range_solver(
-        _range_rows(verts[:, :, None, None], a, center), MEMBER_TOL, MAX_ITER
-    )
-    pull = 1.0 / relax
     floor = 10.0 * _sdp_tol(MEMBER_TOL)
-    lo, lo_sep, lo_terms = 1.0, None, (0.0, 0.0)
+    lo, lo_sep = 1.0, None
     hi = max(2.0, 2.0 * a.d * max(op_norm(m) for m in a.mats) / slack)
-    # plain bisection's step count: after as many tight probes, bisect
-    tight = math.ceil(math.log2((hi - 1.0) / tol))
-    alpha = 1.0
-    while True:
-        verdict = solve(pull, alpha)
-        if verdict.status is Status.FEASIBLE:
-            hi = alpha
-        elif verdict.status is Status.INFEASIBLE:
-            c0, c1 = priced = terms(verdict.separator, pull)
-            # alpha*, where the margin c0 + c1 / alpha meets the floor; at
-            # least the probe, which the separator certifies
-            star = alpha
-            if c1 > 0.0 and c0 < floor:
-                star = max(star, c1 / (floor - c0))
-            # rounded down, so the stored separator clears the floor there
-            cut = min(star * (1.0 - 1e-12), hi)
-            if cut > lo:
-                lo, lo_sep, lo_terms = cut, verdict.separator, priced
-        record(lo, hi)
-        if verdict.status is Status.UNKNOWN or hi - lo <= tol:
-            break
-        alpha = 0.5 * (lo + hi)
-        if tight > 0:
-            tight -= 1
-            alpha = min(lo + 0.5 * tol, alpha)
-    if lo_sep is not None:
-        c0, c1 = lo_terms
-        lo_sep = dataclasses.replace(lo_sep, margin=c0 + c1 / lo)
+
+    def lift(sep: Separator, priced: tuple[float, float], alpha: float) -> None:
+        # lo to alpha*, where the margin c0 + c1 / alpha meets the floor
+        # (at least alpha), rounded down so the separator, re-priced
+        # there, clears it
+        nonlocal lo, lo_sep
+        c0, c1 = priced
+        star = max(alpha, c1 / (floor - c0)) if c1 > 0.0 and c0 < floor else alpha
+        if (cut := min(star * (1.0 - 1e-12), hi)) > lo:
+            lo, lo_sep = cut, dataclasses.replace(sep, margin=c0 + c1 / cut)
+
+    if isinstance(K, Disc):
+        hi, *cut = _disc_theta(K, a, hi)
+        lift(*cut, 1.0)
+        trace.append((lo, hi))
+    else:
+        verts, center = _vertex_sets(K)
+        solve, terms = _range_solver(
+            _range_rows(verts[:, :, None, None], a, center), MEMBER_TOL, MAX_ITER
+        )
+        pull = 1.0 / (1.0 + 10.0 * MEMBER_TOL)
+        # plain bisection's step count: after as many tight probes, bisect
+        tight = math.ceil(math.log2((hi - 1.0) / tol))
+        alpha = 1.0
+        while True:
+            verdict = solve(pull, alpha)
+            if verdict.status is Status.FEASIBLE:
+                hi = alpha
+            elif verdict.status is Status.INFEASIBLE:
+                lift(verdict.separator, terms(verdict.separator, pull), alpha)
+            trace.append((lo, hi))
+            if verdict.status is Status.UNKNOWN or hi - lo <= tol:
+                break
+            alpha = 0.5 * (lo + hi)
+            if tight > 0:
+                tight -= 1
+                alpha = min(lo + 0.5 * tol, alpha)
     return ThetaEstimate(lo, hi, a.scaled(1.0 / hi), lo_sep)
+
+
+def _disc_theta(K: Disc, a: OperatorTuple, start: float) -> tuple:
+    """theta's upper end over a disc of center c and radius r, and
+    ``_disc_cut`` at ``a / alpha*`` (margin 0 there) for its lower end.
+    ``a / alpha`` is in D^min when ``||T_a - alpha c|| <= alpha r`` (``T_a
+    = a_1 + i a_2``), that is when ``alpha B - A`` is PSD for ``A = -[[0,
+    T_a], [T_a*, 0]]`` and ``B = [[r, -c], [-conj c, r]] kron I``, positive
+    definite as ``|c| < r``: theta is ``max(1, alpha*)``, ``alpha*`` the
+    top generalized eigenvalue of ``(A, B)``.  The upper end, that raised
+    by a relative 1e-12, is certified by ``_disc_member``'s dilation, or
+    else is ``start``."""
+    t, c = a.mats[0] + 1j * a.mats[1], complex(*K.center)
+    off = np.kron([[0.0, 1.0], [0.0, 0.0]], t)
+    metric = np.kron([[K.radius, -c], [-c.conjugate(), K.radius]], np.eye(a.n))
+    alpha = float(scipy.linalg.eigh(-off - off.conj().T, metric, eigvals_only=True)[-1])
+    hi = max(1.0, alpha * (1.0 + 1e-12))
+    if _disc_member(K, a.scaled(1.0 / hi), MEMBER_TOL).status is not MembershipStatus.IN:
+        hi = start
+    w, _, vh = np.linalg.svd(_recentered(K, a.scaled(1.0 / alpha)))
+    return hi, *_disc_cut(K, a, w, vh)
 
 
 # ---------------------------------------------------------------------------
@@ -795,13 +801,12 @@ def ucp_member(
     eps = 10.0 * tol
     if (dirs := _scan_directions(x.d)) is not None:
         h = np.linalg.eigvalsh(pencil_stack(x.mats, dirs))[:, -1]
-        if (sep := _support_cut(rows, a, center, dirs, h, 1.0 - eps, tol, True)):
+        if (sep := _support_cut(rows, a, center, dirs, h, 1.0 - eps, tol)):
             detail = "outside the relaxed maximal set of the range's first level"
             return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
     solve, terms = _range_solver(rows, tol, max_iter)
     return _bracket(
-        solve, terms, tol, 1.0 - eps, eps, True,
-        lambda v: {"choi": v.blocks[0]}, push=1.0 + eps,
+        solve, terms, tol, 1.0 - eps, lambda v: {"choi": v.blocks[0]}, push=1.0 + eps
     )
 
 

@@ -18,22 +18,22 @@ def core_reprices(monkeypatch):
     """Record every separator that ``ranges._support_cut`` prices in
     closed form from here on; the function returned re-prices each one
     with ``sdp._certificate_from_dual`` on a compiled operator of the same
-    rows, at the f its margin is reported at, and returns how many it
-    checked.  The core must accept the same dual with a margin within
+    rows, at the query, where its margin is reported, and returns how many
+    it checked.  The core must accept the same dual with a margin within
     1e-9 relative, and its pencil must stay under the separator's slack."""
     cuts, cut = [], ranges._support_cut
 
-    def spied(rows, a, center, dirs, h, pull, tol, exact):
-        sep = cut(rows, a, center, dirs, h, pull, tol, exact)
+    def spied(rows, a, center, dirs, h, pull, tol):
+        sep = cut(rows, a, center, dirs, h, pull, tol)
         if sep is not None:
-            cuts.append((rows, 1.0 if exact else pull, tol, sep))
+            cuts.append((rows, tol, sep))
         return sep
 
     monkeypatch.setattr(ranges, "_support_cut", spied)
 
     def check() -> int:
-        for (patterns, at_a, at_c, _), f, tol, sep in cuts:
-            comp = sdp._compile(ranges._range_sdp(patterns, f * at_a + (1.0 - f) * at_c))
+        for (patterns, at_a, _, _), tol, sep in cuts:
+            comp = sdp._compile(ranges._range_sdp(patterns, at_a))
             y = sep.dual * comp.norms[:, None, None]
             assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-12)
             core = sdp._certificate_from_dual(comp, y, ranges._sdp_tol(tol))

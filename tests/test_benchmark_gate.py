@@ -39,12 +39,13 @@ def test_round_zero_passes_the_checker(workload):
 
 #: (solves, iterations, constraint rows summed over the solves) of round 0
 #: under seed 1; a ucp solve of a Hermitian pair poses 1 + d = 3 rows,
-#: ucp-probes' six Out queries and member-disc's three solve nothing
-#: (``ranges._support_cut``), and neither do member-disc's three In
-#: queries (``ranges._disc_dilation``)
+#: ucp-probes' six Out queries solve nothing (``ranges._support_cut``),
+#: and neither does any kmin or theta query over a disc
+#: (``ranges._disc_member``, ``ranges._disc_theta``): not member-disc's,
+#: nor theta-bisect's two disc queries
 TRAFFIC = {
     "member-disc": (0, 0, 0),
-    "theta-bisect": (20, 196, 60),
+    "theta-bisect": (14, 144, 42),
     "ucp-probes": (6, 60, 18),
     "transform-probes": (5, 44, 15),
 }
@@ -131,13 +132,62 @@ def test_round_zero_disc_ins_are_dilations_on_the_circle(monkeypatch):
     assert (compiles[0], *counts) == (0, 0, 0, 0)
 
 
+def _circle_separator_margin(q, sep) -> float:
+    """The margin of a disc kmin ``Out``'s dual on its query, recomputed by
+    numpy, after checking that its pencil ``Y_0 + x_1 Y_1 + x_2 Y_2`` is
+    NSD at 4096 points x of the circle and that the margin is ``r (||T||
+    - 1)``."""
+    body = q.job["inputs"]["body"]
+    a = checker._mats(q.job["inputs"]["tuple"])
+    center, r = np.asarray(body["center"], dtype=float), float(body["radius"])
+    t = 2.0 * np.pi * np.arange(4096) / 4096
+    x = center + r * np.column_stack([np.cos(t), np.sin(t)])
+    y = np.asarray(sep.dual)
+    pencil = y[0] + np.einsum("kl,lij->kij", x, y[1:])
+    assert np.linalg.eigvalsh(pencil)[:, -1].max() <= 1e-12
+    margin = np.trace(y[0]).real + sum(np.trace(yl @ al).real for yl, al in zip(y[1:], a))
+    eye = np.eye(len(a[0]))
+    norm = np.linalg.norm((a[0] - center[0] * eye) + 1j * (a[1] - center[1] * eye), 2)
+    assert margin == pytest.approx(norm - r, rel=1e-9)
+    return float(margin)
+
+
 @pytest.mark.parametrize("workload, outs", [("member-disc", 3), ("ucp-probes", 6)])
 def test_round_zero_scan_outs_pass_the_sdp_core(workload, outs, core_reprices):
-    # two roads to one certificate: every Out that the scan prices in
-    # closed form, re-priced by the SDP core on a compiled operator
+    # two roads to one certificate: every Out that ucp's scan prices in
+    # closed form, re-priced by the SDP core on a compiled operator, and
+    # every disc Out, the dual of the top singular pair of T, priced by
+    # numpy on its query and on the circle
+    circle = 0
     for q in workloads.make_round(workload, 1, 0):
-        cli.execute(cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"]))
-    assert core_reprices() == outs
+        report, _ = cli.execute(
+            cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"])
+        )
+        if workload == "member-disc" and report["status"] == "Out":
+            sep = report["certificate"]
+            assert _circle_separator_margin(q, sep) == pytest.approx(report["margin"])
+            circle += 1
+    want = (0, outs) if workload == "member-disc" else (outs, 0)
+    assert (core_reprices(), circle) == want
+
+
+def test_round_zero_disc_thetas_hold_their_constants_in_closed_form(monkeypatch):
+    # theta over the unit disc is max(1, alpha*) in closed form: the
+    # nilpotent pair's 2 and the planted ||T|| / w of ``DISC_OPERATOR``
+    # (conjugated by a seeded unitary) lie in brackets 1e-5 wide, each
+    # with one trace entry, and neither query solves anything
+    counts = _count_traffic(monkeypatch)
+    discs = [q for q in workloads.make_round("theta-bisect", 1, 0)
+             if q.job["inputs"]["body"]["type"] == "disc"]
+    assert [q.planted["constant"] for q in discs] == [2.0, 1.447211892783265]
+    for q in discs:
+        report, _ = cli.execute(
+            cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"])
+        )
+        assert report["lower"] <= q.planted["constant"] <= report["upper"]
+        assert report["upper"] - report["lower"] <= 1e-5
+        assert report["trace"] == [(report["lower"], report["upper"])]
+    assert counts == [0, 0, 0]
 
 
 @pytest.mark.parametrize(

@@ -389,11 +389,9 @@ class TestExitCodes:
         [
             (SQUARE_BODY, ["--kind", "kmax", "--tol", "-1"]),
             (SQUARE_BODY, ["--kind", "kmin", "--tol", "nan"]),
-            ({"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
-             ["--kind", "kmin", "--grid", "0"]),
             (SQUARE_BODY, ["--kind", "kmin", "--max-iter", "-5"]),
         ],
-        ids=["negative-tol", "nan-tol", "grid-0", "negative-max-iter"],
+        ids=["negative-tol", "nan-tol", "negative-max-iter"],
     )
     def test_invalid_tol_or_grid_is_data_error(self, tmp_path, capsys, body, flags):
         t = write(tmp_path / "t.json", pauli_tuple(0.3))
@@ -532,24 +530,32 @@ class TestReports:
         assert "seed" not in rep
         assert rep["tolerances"] == {"grid": 16}
 
-    @pytest.mark.parametrize(
-        "body, grid, listed",
-        [(SQUARE_BODY, "0", {}),
-         ({"type": "disc", "center": [0.0, 0.0], "radius": 1.0}, "32", {"grid": 32})],
-        ids=["square", "disc"],
-    )
-    def test_kmin_lists_grid_only_for_a_disc(
-        self, tmp_path, capsys, body, grid, listed
-    ):
-        # only a disc is decided on a polygon of --grid vertices: a square
-        # ignores the flag, even an invalid one, and does not list it
-        t = write(tmp_path / "t.json", pauli_tuple(0.3))
-        b = write(tmp_path / "b.json", body)
-        code, rep = run(capsys, [
-            "member", "--kind", "kmin", "--tuple", t, "--body", b, "--grid", grid,
+    @pytest.mark.parametrize("kind", ["kmin", "kmax"])
+    def test_member_takes_no_grid(self, tmp_path, capsys, kind):
+        # every disc query is decided from ||T||, with no polygon: member
+        # reads no --grid, from the command line or in a batch job
+        disc = {"type": "disc", "center": [0.0, 0.0], "radius": 1.0}
+        # (Re T, Im T) for T = [[0, 2], [0, 0]]
+        nilpotent = {"hermitian": True, "mats": [
+            [[0.0, 1.0], [1.0, 0.0]], [[0.0, [0.0, -1.0]], [[0.0, 1.0], 0.0]],
+        ]}
+        inputs = {"kind": kind, "tuple": nilpotent, "body": disc}
+        t = write(tmp_path / "t.json", nilpotent)
+        b = write(tmp_path / "b.json", disc)
+        args = ["member", "--kind", kind, "--tuple", t, "--body", b]
+        code = cli.main([*args, "--grid", "3"])
+        assert code == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--grid" in captured.err
+        jobs = write(tmp_path / "jobs.json", [
+            {"command": "member", "inputs": inputs, "options": {"grid": 3}},
         ])
-        assert code == 0 and rep["status"] == "In"
-        assert rep["tolerances"] == listed
+        code, rep = run(capsys, ["batch", "--jobs", jobs])
+        assert code == 64 and rep["jobs"][0]["status"] == "UsageError"
+        # without the flag the nilpotent pair, at ||T|| = 2, is kmin Out
+        code, rep = run(capsys, args)
+        assert code == 0
+        assert rep["status"] == ("Out" if kind == "kmin" else "In")
 
     def test_a_flag_the_command_does_not_read_is_usage(self, tmp_path, capsys):
         # jnr reads only the grid (and --svg): a --tol would be dropped

@@ -81,6 +81,15 @@ ROOT2 = np.sqrt(2.0)
 SQUARE = Polytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
 UNIT_BOX = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 UNIT_DISC = Disc(np.zeros(2), 1.0)
+#: the relaxed scale of kmin and theta at the default tol: every body is
+#: dilated by 1 + 10 tol about its center
+RELAX = 1.0 + 10 * ranges.MEMBER_TOL
+#: the unit disc's circumscribed 96-gon, whose incircle is the numerical
+#: range of the nilpotent pair: a polygon on which the disc's former SDP
+#: examples still pose the decomposition SDP
+DISC_96 = Polytope(np.column_stack([
+    np.cos(2.0 * np.pi * np.arange(96) / 96), np.sin(2.0 * np.pi * np.arange(96) / 96)
+]) / np.cos(np.pi / 96))
 
 
 def _kmin_problem(verts, mats) -> SdpFeasibility:
@@ -116,6 +125,22 @@ def symmetry_pair() -> OperatorTuple:
     set whose theta takes the separators several probes."""
     s2 = np.eye(3) - 2.0 / 3.0 * np.ones((3, 3))
     return OperatorTuple((np.diag([1.0, 1.0, -1.0]), s2), hermitian=True)
+
+
+def _disc_norm(K: Disc, a: OperatorTuple) -> float:
+    """``||T||`` for ``T = ((a_1 - c_1) + i (a_2 - c_2)) / r``, by numpy."""
+    eye = np.eye(a.n)
+    t = (a.mats[0] - K.center[0] * eye) + 1j * (a.mats[1] - K.center[1] * eye)
+    return float(np.linalg.norm(t, 2)) / K.radius
+
+
+def _circle_pencil_max(K: Disc, dual: np.ndarray) -> float:
+    """The largest eigenvalue of ``Y_0 + x_1 Y_1 + x_2 Y_2`` over 4096
+    equally spaced points x of the circle of K, by numpy."""
+    t = 2.0 * np.pi * np.arange(4096) / 4096
+    x = K.center + K.radius * np.column_stack([np.cos(t), np.sin(t)])
+    pencil = dual[0] + np.einsum("kl,lij->kij", x, dual[1:])
+    return float(np.linalg.eigvalsh(pencil)[:, -1].max())
 
 
 class TestKmax:
@@ -313,11 +338,6 @@ class TestKmin:
         assert counts == {"compile": 0, "solve": 1}
         assert ranges._joint_spectrum(a) is None
 
-    @pytest.mark.parametrize("m_grid", [0, 1, 2])
-    def test_a_disc_grid_below_three_raises(self, m_grid):
-        with pytest.raises(DimensionMismatch):
-            kmin_member(UNIT_DISC, pauli(0.3), m_grid=m_grid)
-
     @staticmethod
     def _check_commuting_support_slack(body):
         t = OperatorTuple(
@@ -376,9 +396,19 @@ class TestKmin:
         assert res.margin == pytest.approx(0.1, abs=1e-15)
         assert np.shape(res.certificate["h"]) == (4, 2, 2)
         assert np.linalg.norm(res.certificate["vertices"], axis=1) == pytest.approx(1.0)
+        # ||T|| = 1.1: Out, separated with the margin ||T|| - 1 by the
+        # dual of the top singular pair, whose pencil is NSD on the disc
         outside = nilpotent_pair().scaled(0.55)
         res = kmin_member(UNIT_DISC, outside)
         assert res.status is MembershipStatus.OUT
+        assert res.detail == "separated from the disc by the top singular pair of T"
+        assert res.margin == res.certificate.margin == pytest.approx(0.1, abs=1e-15)
+        assert _circle_pencil_max(UNIT_DISC, res.certificate.dual) <= 1e-12
+        # ||T|| = 1 + 5e-7, inside the disc dilated by 1 + 10 tol: Boundary
+        res = kmin_member(UNIT_DISC, nilpotent_pair().scaled(0.5 * (1 + 5e-7)))
+        assert (res.status, res.margin, res.certificate) == (
+            MembershipStatus.BOUNDARY, 1e-6, None
+        )
 
     def test_an_sdp_in_margin_is_the_least_block_eigenvalue(self):
         res = kmin_member(SQUARE, pauli(0.6))
@@ -523,9 +553,18 @@ class TestTheta:
         )
         assert res.status in (MembershipStatus.IN, MembershipStatus.BOUNDARY)
 
-    def test_disc_brackets_two(self):
-        est = theta_min_alpha(UNIT_DISC, nilpotent_pair(), tol=0.02)
-        assert est.lower <= 2.0 <= est.upper + 0.02
+    def test_disc_brackets_two(self, monkeypatch):
+        # theta = ||T|| = 2 in closed form: one trace entry, nothing
+        # compiled, the upper end a hair above 2 and the lower end where
+        # the separator at a / 2 prices to 10 tol
+        counts = _count_compiles_and_solves(monkeypatch)
+        trace = []
+        est = theta_min_alpha(UNIT_DISC, nilpotent_pair(), tol=0.02, trace=trace)
+        assert est.lower <= 2.0 <= est.upper
+        assert est.upper - est.lower <= 2.0 * 1e-6 * 1.01
+        assert trace == [(est.lower, est.upper)]
+        assert counts == {"compile": 0, "solve": 0}
+        assert est.lower_separator.margin >= 10 * 1e-7
 
     def test_inside_returns_unit(self):
         est = theta_min_alpha(SQUARE, pauli(0.5), tol=0.02)
@@ -657,7 +696,7 @@ SQUARE_SAMPLED = Sampled(
 
 class TestThetaCompiledOnce:
     @pytest.mark.parametrize(
-        "body, pair", [(SQUARE, pauli), (UNIT_DISC, nilpotent_pair)]
+        "body, pair", [(SQUARE, pauli), (DISC_96, nilpotent_pair)]
     )
     def test_one_compile_and_one_solve_per_step(self, monkeypatch, body, pair):
         counts = _count_compiles_and_solves(monkeypatch)
@@ -770,7 +809,7 @@ def _check_cold_steps(body, steps) -> list:
     """Re-solve cold every recorded step: the cold status must be the
     same, and the step's own certificate must re-check on its problem.
     Returns the statuses of the steps."""
-    verts = ranges._vertex_sets(body, ranges.MEMBER_TOL, ranges.DISC_GRID)[0]
+    verts = ranges._vertex_sets(body)[0]
     for rhs, verdict in steps:
         problem = _kmin_problem(verts, list(rhs[1:]))
         cold = solve_feasibility(problem, 1e-7, ranges.MAX_ITER)
@@ -796,7 +835,7 @@ class TestWarmSteps:
         "body, pair",
         [
             (SQUARE, pauli),
-            (UNIT_DISC, nilpotent_pair),
+            (DISC_96, nilpotent_pair),
             (UNIT_BOX, pauli),
             (SQUARE_SAMPLED, pauli),
         ],
@@ -828,29 +867,28 @@ class TestWarmSteps:
     def test_disc_out_rests_on_a_repriced_separator(self, monkeypatch):
         steps = _record_steps(monkeypatch)
         a = nilpotent_pair().scaled(0.55)
-        res = kmin_member(UNIT_DISC, a)
+        res = kmin_member(DISC_96, a)
         monkeypatch.undo()
         assert res.status is MembershipStatus.OUT
-        # inside D^max (w = 0.55), so the support scan finds nothing; the
-        # inscribed polygon's separator, priced on the circumscribed
-        # one's rhs: no second solve
+        # inside the 96-gon's maximal set (w = 0.55), so the support scan
+        # finds nothing; the nominal separator, which also clears 10 tol
+        # on the relaxed polygon's rhs: no second solve
         assert res.detail == ""
         assert [v.status for _, v in steps] == [Status.INFEASIBLE]
-        assert _check_cold_steps(UNIT_DISC, steps) == [Status.INFEASIBLE]
-        verts, center, relax = ranges._vertex_sets(
-            UNIT_DISC, ranges.MEMBER_TOL, ranges.DISC_GRID
+        assert _check_cold_steps(DISC_96, steps) == [Status.INFEASIBLE]
+        verts, mats = _relaxed_point(DISC_96, a)
+        relaxed = dual_witness(
+            _kmin_problem(verts, mats),
+            Verdict(Status.INFEASIBLE, None, res.certificate, 0, 0.0),
         )
-        mats = [
-            m / relax + (1.0 - 1.0 / relax) * c * np.eye(a.n)
-            for m, c in zip(a.mats, center)
-        ]
-        _check_separator(_kmin_problem(verts, mats), res.certificate)
+        assert relaxed["margin"] >= 10 * 1e-7
+        _check_separator(_kmin_problem(verts, a.mats), res.certificate)
         assert res.margin == res.certificate.margin
         assert np.array_equal(res.certificate.dual, steps[0][1].separator.dual)
 
     def test_theta_closes_in_two_solves(self, monkeypatch):
         steps = _record_steps(monkeypatch)
-        est = theta_min_alpha(UNIT_DISC, nilpotent_pair(), tol=0.01)
+        est = theta_min_alpha(DISC_96, nilpotent_pair(), tol=0.01)
         assert est.lower <= 2.0 <= est.upper
         # plain bisection took 10 solves here (100 iterations cold); the
         # separator at alpha = 1 lifts the lower end to 2 cos(pi / 96)
@@ -860,18 +898,16 @@ class TestWarmSteps:
         assert est.lower == pytest.approx(2.0 * np.cos(np.pi / 96), abs=1e-4)
 
     @pytest.mark.parametrize(
-        "body, pair", [(SQUARE, pauli), (UNIT_DISC, nilpotent_pair)]
+        "body, pair", [(SQUARE, pauli), (DISC_96, nilpotent_pair)]
     )
     def test_lower_end_carries_its_separator(self, body, pair):
         a = pair()
         est = theta_min_alpha(body, a, tol=0.01)
         assert est.lower > 1.0 and est.lower_separator is not None
         # the step's own problem: a / lower in the relaxed body
-        verts, center, relax = ranges._vertex_sets(
-            body, ranges.MEMBER_TOL, ranges.DISC_GRID
-        )
+        verts, center = ranges._vertex_sets(body)
         mats = [
-            m / est.lower / relax + (1.0 - 1.0 / relax) * c * np.eye(a.n)
+            m / est.lower / RELAX + (1.0 - 1.0 / RELAX) * c * np.eye(a.n)
             for m, c in zip(a.mats, center)
         ]
         _check_separator(_kmin_problem(verts, mats), est.lower_separator)
@@ -886,19 +922,19 @@ def _alpha_star(K, a, sep) -> tuple[float, float, float]:
     """``(c0, c1, alpha*)`` of a theta separator, from numpy traces of its
     dual alone: its margin on the relaxed SDP of ``a / alpha`` is ``c0 +
     c1 / alpha``, and alpha* is where that meets 10 tol."""
-    _, center, relax = ranges._vertex_sets(K, ranges.MEMBER_TOL, ranges.DISC_GRID)
+    _, center = ranges._vertex_sets(K)
     y = sep.dual
-    c0 = np.trace(y[0]).real + (1.0 - 1.0 / relax) * sum(
+    c0 = np.trace(y[0]).real + (1.0 - 1.0 / RELAX) * sum(
         c * np.trace(y[l + 1]).real for l, c in enumerate(center)
     )
-    c1 = sum(np.trace(m @ y[l + 1]).real for l, m in enumerate(a.mats)) / relax
+    c1 = sum(np.trace(m @ y[l + 1]).real for l, m in enumerate(a.mats)) / RELAX
     return c0, c1, c1 / (10 * 1e-7 - c0)
 
 
 class TestThetaFromSeparators:
     @pytest.mark.parametrize(
         "body, pair",
-        [(SQUARE, pauli), (UNIT_DISC, nilpotent_pair), (SQUARE, symmetry_pair)],
+        [(SQUARE, pauli), (DISC_96, nilpotent_pair), (SQUARE, symmetry_pair)],
     )
     def test_lower_end_is_the_alpha_star_of_its_separator(self, body, pair):
         a = pair()
@@ -966,11 +1002,9 @@ class TestThetaFromSeparators:
         assert bisection < len(calls) <= 2 * bisection
         assert est.lower <= ROOT2 <= est.upper
         assert est.upper - est.lower <= 0.01
-        verts, center, relax = ranges._vertex_sets(
-            SQUARE, ranges.MEMBER_TOL, ranges.DISC_GRID
-        )
+        verts, center = ranges._vertex_sets(SQUARE)
         mats = [
-            m / est.lower / relax + (1.0 - 1.0 / relax) * c * np.eye(a.n)
+            m / est.lower / RELAX + (1.0 - 1.0 / RELAX) * c * np.eye(a.n)
             for m, c in zip(a.mats, center)
         ]
         _check_separator(_kmin_problem(verts, mats), est.lower_separator)
@@ -1084,9 +1118,9 @@ class TestMembershipCompiledOnce:
         [
             # the square's decomposition feasible
             (lambda: kmin_member(SQUARE, pauli(0.6)), "In", 1),
-            # inscribed Infeasible, whose separator also shows the
-            # circumscribed polygon infeasible
-            (lambda: kmin_member(UNIT_DISC, nilpotent_pair().scaled(0.55)),
+            # the 96-gon's nominal Infeasible, whose separator also shows
+            # the relaxed polygon infeasible
+            (lambda: kmin_member(DISC_96, nilpotent_pair().scaled(0.55)),
              "Out", 1),
             # nominal Infeasible, whose separator also shows the relaxed
             # square infeasible
@@ -1130,11 +1164,17 @@ class TestMembershipCompiledOnce:
 
 def _body_scaled_kmin(K, a, max_iter):
     """kmin_member's bracketing with one compile per scale: the
-    decomposition SDP over the dilated vertices ``c + s (v - c)``.
+    decomposition SDP over the dilated vertices ``c + s (v - c)``, or,
+    for a disc, its rule from ``||T||`` alone, Out past ``1 + 10 tol``.
     Returns the status and, for Out, the margin."""
-    verts, center, relax = ranges._vertex_sets(
-        K, ranges.MEMBER_TOL, ranges.DISC_GRID
-    )
+    if isinstance(K, Disc):
+        norm = _disc_norm(K, a)
+        if norm <= 1.0:
+            return "In", None
+        if norm <= 1.0 + 10 * ranges.MEMBER_TOL:
+            return "Boundary", None
+        return "Out", K.radius * (norm - 1.0)
+    verts, center = ranges._vertex_sets(K)
 
     def solve(s):
         problem = _kmin_problem(center + s * (verts - center), a.mats)
@@ -1143,11 +1183,11 @@ def _body_scaled_kmin(K, a, max_iter):
     nominal = solve(1.0)
     if nominal.status is Status.FEASIBLE:
         return "In", None
-    if nominal.status is Status.INFEASIBLE and not isinstance(K, Disc):
-        if solve(relax).status is Status.FEASIBLE:
+    if nominal.status is Status.INFEASIBLE:
+        if solve(RELAX).status is Status.FEASIBLE:
             return "Boundary", None
         return "Out", nominal.separator.margin
-    relaxed = solve(relax)
+    relaxed = solve(RELAX)
     if relaxed.status is Status.INFEASIBLE:
         return "Out", relaxed.separator.margin
     return ("Boundary" if relaxed.status is Status.FEASIBLE else "Unknown"), None
@@ -1155,7 +1195,7 @@ def _body_scaled_kmin(K, a, max_iter):
 
 def _around(center, scale, pair) -> OperatorTuple:
     return OperatorTuple(
-        tuple(c * np.eye(2) + scale * m for c, m in zip(center, pair.mats)),
+        tuple(c * np.eye(pair.n) + scale * m for c, m in zip(center, pair.mats)),
         hermitian=True,
     )
 
@@ -1169,11 +1209,9 @@ TRIANGLE_CENTER = OFF_TRIANGLE.vertices.mean(axis=0)
 def _relaxed_point(K, a) -> tuple[np.ndarray, list]:
     """kmin's posed vertices, and the point ``c + (a - c) / s`` that
     stands for ``a`` on its relaxed body (center c, relaxed scale s)."""
-    verts, center, relax = ranges._vertex_sets(
-        K, ranges.MEMBER_TOL, ranges.DISC_GRID
-    )
+    verts, center = ranges._vertex_sets(K)
     mats = [
-        m / relax + (1.0 - 1.0 / relax) * c * np.eye(a.n)
+        m / RELAX + (1.0 - 1.0 / RELAX) * c * np.eye(a.n)
         for m, c in zip(a.mats, center)
     ]
     return verts, mats
@@ -1203,7 +1241,7 @@ class TestSupportScan:
     @pytest.mark.parametrize(
         "body, a",
         [
-            (UNIT_DISC, nilpotent_pair().scaled(1.2)),
+            (DISC_96, nilpotent_pair().scaled(1.2)),
             (SQUARE, pauli(1.2)),
             (UNIT_BOX, pauli(1.2)),
             (SQUARE_SAMPLED, pauli(1.2)),
@@ -1230,11 +1268,8 @@ class TestSupportScan:
         )
         assert relaxed["margin"] >= 10 * 1e-7
         assert relaxed["pencil_max_eig"] <= sep.psd_slack + 1e-12
-        # the reported margin is priced on the circumscribed polygon for a
-        # disc, on the query itself for any other body
-        _check_separator(
-            _kmin_problem(verts, mats if isinstance(body, Disc) else a.mats), sep
-        )
+        # the reported margin is priced on the query itself
+        _check_separator(_kmin_problem(verts, a.mats), sep)
         # the SDP core accepts the closed-form price on the same rows
         assert core_reprices() == 1
 
@@ -1290,7 +1325,7 @@ class TestSupportScan:
         assert res.margin == pytest.approx(0.3 * coef[1], rel=1e-12)
 
     @pytest.mark.parametrize(
-        "body", [UNIT_DISC, SQUARE, TRIANGLE], ids=["disc", "square", "triangle"]
+        "body", [DISC_96, SQUARE, TRIANGLE], ids=["disc", "square", "triangle"]
     )
     def test_statuses_do_not_depend_on_the_scan(self, monkeypatch, body):
         # points at 0.9-1.1 of the K^max boundary along seeded pairs; with
@@ -1326,8 +1361,8 @@ def test_kmin_and_kmax_nest(seed):
     d = int(rng.integers(2, 4))
     verts = rng.standard_normal((int(rng.integers(d + 1, 8)), d))
     body = Polytope(verts - verts.mean(axis=0))
-    verts, center, relax = ranges._vertex_sets(body, ranges.MEMBER_TOL, ranges.DISC_GRID)
-    relaxed = scale_body(body, relax, center)
+    verts, center = ranges._vertex_sets(body)
+    relaxed = scale_body(body, RELAX, center)
     n = int(rng.integers(1, 4))
     b = OperatorTuple(tuple(random_hermitian(n, rng) for _ in range(d)), hermitian=True)
     b = b.scaled(_kmax_scale(body, b))
@@ -1425,28 +1460,143 @@ _DILATION = "decomposed on the circle by a unitary dilation"
 def test_a_disc_is_decided_as_its_dilation_says(seed):
     # D^min is {||T|| <= 1}, T = ((a_1 - c_1) + i (a_2 - c_2)) / r, and it
     # holds the minimal set of its inscribed 96-gon P.  Seeded discs and
-    # non-normal T (so the pair does not commute) at ||T|| around 1: the
-    # dilation answers exactly when ||T|| <= 1, In over P is In over the
-    # disc, and Out over the disc has ||T|| > 1
+    # non-normal T (so the pair does not commute) at ||T|| around 1: In
+    # exactly when ||T|| <= 1, by the dilation, Boundary up to 1 + 10 tol
+    # and Out past it, with nothing compiled or solved; every Out carries
+    # a dual that numpy prices at r (||T|| - 1) and finds NSD on the
+    # circle; and In over P is never Out over the disc
     rng = np.random.default_rng(seed)
     disc = Disc(rng.uniform(-2.0, 2.0, 2), float(rng.uniform(0.2, 3.0)))
-    polygon = Polytope(ranges._vertex_sets(disc, ranges.MEMBER_TOL, ranges.DISC_GRID)[0])
+    angles = 2.0 * np.pi * np.arange(96) / 96
+    polygon = Polytope(disc.center + disc.radius * np.column_stack(
+        [np.cos(angles), np.sin(angles)]
+    ))
     n = int(rng.integers(2, 4))
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    for f in (0.5, 0.99, 1.01, 1.5):
+    for f in (0.5, 0.99, 1 + 3e-7, 1.01, 1.5):
         t = f * disc.radius * g / np.linalg.norm(g, 2)
         p = OperatorTuple(
             tuple(c * np.eye(n) + m for c, m in zip(disc.center, (herm_part(t), skew_part(t)))),
             hermitian=True,
         )
-        norm = np.linalg.norm((p.mats[0] - disc.center[0] * np.eye(n))
-                              + 1j * (p.mats[1] - disc.center[1] * np.eye(n)), 2)
-        res = kmin_member(disc, p, max_iter=_IDENTITY_ITER)
-        assert (res.detail == _DILATION) == (norm <= disc.radius)
+        norm = _disc_norm(disc, p)
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _count_compiles_and_solves(mp)
+            res = kmin_member(disc, p)
+        assert counts == {"compile": 0, "solve": 0}
+        if norm <= 1.0:
+            assert (res.status, res.detail) == (MembershipStatus.IN, _DILATION)
+        elif norm <= 1.0 + 10 * ranges.MEMBER_TOL:
+            assert res.status is MembershipStatus.BOUNDARY
+        else:
+            assert res.status is MembershipStatus.OUT
+            y = res.certificate.dual
+            priced = np.trace(y[0]).real + sum(
+                np.trace(yl @ al).real for yl, al in zip(y[1:], p.mats)
+            )
+            assert priced == pytest.approx(disc.radius * (norm - 1.0), rel=1e-9, abs=1e-12)
+            assert res.margin == pytest.approx(priced, rel=1e-12, abs=1e-15)
+            assert _circle_pencil_max(disc, y) <= 1e-12
         if kmin_member(polygon, p, max_iter=_IDENTITY_ITER).status is MembershipStatus.IN:
-            assert res.status is MembershipStatus.IN
-        if res.status is MembershipStatus.OUT:
-            assert norm > disc.radius
+            assert res.status is not MembershipStatus.OUT
+
+
+def test_a_dilation_that_misses_its_equations_is_unknown(monkeypatch):
+    # the dilation is checked against the witness residual before it is
+    # reported; with no path left to fall through to, a miss is Unknown
+    a = nilpotent_pair().scaled(0.45)
+    assert kmin_member(UNIT_DISC, a).status is MembershipStatus.IN
+    monkeypatch.setattr(ranges, "WITNESS_RESIDUAL", -1.0)
+    counts = _count_compiles_and_solves(monkeypatch)
+    res = kmin_member(UNIT_DISC, a)
+    assert (res.status, res.margin, res.certificate) == (
+        MembershipStatus.UNKNOWN, 0.0, None
+    )
+    assert res.detail.startswith("the unitary dilation misses its equations by ")
+    assert counts == {"compile": 0, "solve": 0}
+
+
+def _disc_alpha_by_bisection(K: Disc, a: OperatorTuple) -> float:
+    """The least alpha > 0 with ``||T_a / alpha - c|| <= r``, for ``T_a =
+    a_1 + i a_2`` and c the center of K as a complex number, by bisection
+    in numpy: ``a / alpha`` is in D^min from there on."""
+    t, c = a.mats[0] + 1j * a.mats[1], complex(*K.center)
+
+    def inside(alpha):
+        return np.linalg.norm(t / alpha - c * np.eye(a.n), 2) <= K.radius
+
+    lo, hi = 1e-6, 1e3
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if inside(mid) else (mid, hi)
+    return hi
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_theta_over_a_disc_is_its_closed_form(seed):
+    # seeded off-center discs and non-normal pairs on their maximal set's
+    # boundary: the bracket, at most tol wide with nothing compiled or
+    # solved, holds the alpha* that numpy bisects; the witness point is
+    # In by the dilation, and the lower end's separator, NSD on the
+    # circle, re-prices on a / lower to its stored margin
+    rng = np.random.default_rng(seed)
+    radius = float(rng.uniform(0.2, 3.0))
+    disc = Disc(radius * rng.uniform(-0.55, 0.55, 2), radius)
+    n = int(rng.integers(2, 4))
+    b = OperatorTuple(tuple(random_hermitian(n, rng) for _ in range(2)), hermitian=True)
+    b = b.scaled(_scale_to_kmax_boundary(Disc(np.zeros(2), radius), b))
+    a = _around(disc.center, 1.0, b)
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _count_compiles_and_solves(mp)
+        trace = []
+        est = theta_min_alpha(disc, a, tol=0.01, trace=trace)
+    assert counts == {"compile": 0, "solve": 0}
+    assert trace == [(est.lower, est.upper)]
+    assert est.upper - est.lower <= 0.01
+    alpha = _disc_alpha_by_bisection(disc, a)
+    assert est.lower <= max(alpha, 1.0) <= est.upper
+    assert kmin_member(disc, est.witness_point).detail == _DILATION
+    sep = est.lower_separator
+    if est.lower == 1.0:
+        assert sep is None
+        return
+    y = sep.dual
+    priced = np.trace(y[0]).real + sum(
+        np.trace(yl @ al).real for yl, al in zip(y[1:], a.mats)
+    ) / est.lower
+    assert priced == pytest.approx(sep.margin, rel=1e-9)
+    assert sep.margin >= 10 * 1e-7
+    assert _circle_pencil_max(disc, y) <= 1e-12
+
+
+def test_theta_below_one_over_a_disc_is_one():
+    # ||T|| = 0.8 < 1: a is in D^min itself
+    trace = []
+    est = theta_min_alpha(UNIT_DISC, nilpotent_pair().scaled(0.4), trace=trace)
+    assert (est.lower, est.upper, est.lower_separator) == (1.0, 1.0, None)
+    assert trace == [(1.0, 1.0)]
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_theta_of_a_unitary_conjugate_overlaps(seed):
+    # theta is invariant under unitary conjugation, so the certified
+    # brackets of a and of u a u* overlap; seeded pairs on the boundary of
+    # the maximal set of the square and of an off-center disc
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    u = linalg.random_isometry(n, n, rng)
+    b = OperatorTuple(tuple(random_hermitian(n, rng) for _ in range(2)), hermitian=True)
+    disc = Disc(np.array([0.2, -0.1]), 0.8)
+    points = [
+        (SQUARE, b.scaled(_scale_to_kmax_boundary(SQUARE, b))),
+        (disc, _around(disc.center, _scale_to_kmax_boundary(Disc(np.zeros(2), 0.8), b), b)),
+    ]
+    for body, p in points:
+        first = theta_min_alpha(body, p, tol=0.05)
+        other = theta_min_alpha(body, _conjugate(u, p), tol=0.05)
+        assert max(first.lower, other.lower) <= min(first.upper, other.upper)
 
 
 @pytest.mark.parametrize("r", [0.98, 0.995])
@@ -1542,7 +1692,8 @@ def test_choili_builds_its_square_once(monkeypatch):
 class TestBodyScaledReference:
     # In, Out and near-boundary points of off-center bodies.  The disc's
     # minimal set is the contractions (recentered and rescaled), so the
-    # nilpotent pair, of norm 2, leaves it at scale 1/2; the box is a
+    # nilpotent pair, of norm 2, leaves it at scale 1/2, and its reference
+    # is that rule, computed by numpy; the box is a
     # translated square, whose minimal set the Pauli pair leaves at
     # 1/sqrt(2); the triangle is a simplex, whose minimal and maximal sets
     # agree, and 0.3 (X, Z) reaches its nearest edge at scale 20/9
@@ -1553,7 +1704,7 @@ class TestBodyScaledReference:
              "In"),
             (OFF_DISC, _around(OFF_DISC.center, 1.2 * 0.6, nilpotent_pair()),
              "Out"),
-            (OFF_DISC, _around(OFF_DISC.center, 0.6 * (1 + 3e-4),
+            (OFF_DISC, _around(OFF_DISC.center, 0.6 * (1 + 3e-7),
                                nilpotent_pair()), "Boundary"),
             (OFF_BOX, _around((0.5, 0.0), 0.5, pauli()), "In"),
             (OFF_BOX, _around((0.5, 0.0), 0.9, pauli()), "Out"),
@@ -1667,15 +1818,15 @@ def test_matrix_equations_match_their_scalar_rows(monkeypatch, pose):
 
 
 def test_kmin_at_level_twelve_stays_small():
-    # kmin over the 96-gon disc at n = 12: three 12 x 12 matrix equations
-    # over 96 blocks; spelt out over a Hermitian basis it took ~210 MB
+    # kmin over the 96-gon at n = 12: three 12 x 12 matrix equations over
+    # 96 blocks; spelt out over a Hermitian basis it took ~210 MB
     rng = np.random.default_rng(0)
     mats = [herm_part(rng.standard_normal((12, 12))
                       + 1j * rng.standard_normal((12, 12))) for _ in range(2)]
     a = OperatorTuple(tuple(0.3 * m / op_norm(m) for m in mats), hermitian=True)
     tracemalloc.start()
     try:
-        res = kmin_member(UNIT_DISC, a)
+        res = kmin_member(DISC_96, a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1694,7 +1845,7 @@ def _pair(n: int, seed: int) -> OperatorTuple:
     [
         ("intertwiner system", lambda: commutant_dimension(_pair(8, 0))),
         ("Choi variable", lambda: ucp_member(_pair(8, 1), _pair(8, 2))),
-        ("Choi variable", lambda: kmin_member(UNIT_DISC, shift_pair(4, 1.1))),
+        ("Choi variable", lambda: kmin_member(DISC_96, shift_pair(4, 1.1))),
         ("unitary dilation", lambda: kmin_member(UNIT_DISC, _pair(18, 4))),
     ],
 )
@@ -1735,11 +1886,11 @@ class TestOperatorCache:
 
     def test_the_budget_is_checked_before_the_cache(self, monkeypatch):
         a = shift_pair(4, 1.1)
-        assert kmin_member(UNIT_DISC, a).status is MembershipStatus.OUT
+        assert kmin_member(DISC_96, a).status is MembershipStatus.OUT
         assert ranges._vertex_operator.cache_info().currsize == 1
         monkeypatch.setattr(linalg, "MEMORY_BUDGET", 1 << 16)
         with pytest.raises(TooLarge, match="the Choi variable needs about .* MiB"):
-            kmin_member(UNIT_DISC, a)
+            kmin_member(DISC_96, a)
 
     def test_a_shared_operator_is_read_only(self, monkeypatch):
         operators = _shared_operators(monkeypatch)
@@ -1780,8 +1931,8 @@ class TestOperatorCache:
         # every answer equals the serial one to the bit, and the cache
         # keeps one operator per (pattern stack, level)
         queries = [
-            lambda: kmin_member(UNIT_DISC, shift_pair(2, 1.1)),
-            lambda: kmin_member(UNIT_DISC, shift_pair(3, 1.1)),
+            lambda: kmin_member(DISC_96, shift_pair(2, 1.1)),
+            lambda: kmin_member(DISC_96, shift_pair(3, 1.1)),
             lambda: kmin_member(SQUARE, pauli(0.6)),
             lambda: theta_min_alpha(SQUARE, pauli(), tol=0.02),
         ]
@@ -1801,7 +1952,7 @@ class TestOperatorCache:
         with concurrent.futures.ThreadPoolExecutor(4) as pool:
             runs = [pool.submit(threaded) for _ in range(4)]
             assert all(run.result() == serial for run in runs)
-        # the disc at levels 2 and 3, the square (kmin and theta) at 2
+        # the 96-gon at levels 2 and 3, the square (kmin and theta) at 2
         assert ranges._vertex_operator.cache_info().currsize == 3
 
 
@@ -1957,24 +2108,26 @@ _OTHER = {
     "infeasible": Verdict(Status.INFEASIBLE, None, _OUTER, 4, 0.0),
     "unknown": Verdict(Status.UNKNOWN, None, None, 4, 1.0),
 }
-_PULL, _PUSH, _BAND = 0.5, 2.0, 0.125
+_PULL, _PUSH, _BAND = 0.5, 2.0, 1e-6
+#: kmin's pull over a polytope, at tol 1e-7: the body dilated by 1 + 10 tol
+_KMIN_PULL = 1.0 / (1.0 + 1e-6)
 
 
-def _ladder_oracle(nominal, push, outer, exact):
+def _ladder_oracle(nominal, push, outer):
     """(status, separator, margin, detail, solves) of the ladder, row by
     row: the nominal solve, then the push (only after Unknown), then the
     outer solve."""
     if nominal == "feasible":
         return "In", None, 0.25, "", [1.0]
     if nominal == "clears":
-        return "Out", _CLEARS, 3e-6 if exact else 1.5e-6, "", [1.0]
-    if nominal == "short" and exact:
+        return "Out", _CLEARS, 3e-6, "", [1.0]
+    if nominal == "short":
         if outer == "feasible":
             detail = "outside at scale 1, inside at scale 1 + 10 tol"
             return "Boundary", _SHORT, _BAND, detail, [1.0, _PULL]
         return "Out", _SHORT, 2e-6, "", [1.0, _PULL]
     solves = [1.0]
-    if nominal == "unknown" and push != "absent":
+    if push != "absent":
         solves.append(_PUSH)
         if push == "feasible":
             return "In", None, _BAND, "resolved by outward bracketing", solves
@@ -1988,14 +2141,18 @@ def _ladder_oracle(nominal, push, outer, exact):
 
 
 class TestBracket:
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "polygon"])
+    # "exact": ``_bracket`` itself, on the scripted pull and push;
+    # "polygon": the same script through ``kmin_member`` over the square,
+    # which poses its own pull, 1 / (1 + 10 tol), and never a push
+    @pytest.mark.parametrize("caller", ["exact", "polygon"])
     @pytest.mark.parametrize("outer", list(_OTHER), ids=lambda s: f"outer-{s}")
     @pytest.mark.parametrize(
         "push", ["absent", "feasible", "unknown"], ids=lambda s: f"push-{s}"
     )
     @pytest.mark.parametrize("nominal", list(_NOMINAL))
-    def test_ladder(self, nominal, push, outer, exact):
-        script = {1.0: _NOMINAL[nominal], _PUSH: _OTHER.get(push), _PULL: _OTHER[outer]}
+    def test_ladder(self, monkeypatch, nominal, push, outer, caller):
+        pull = _PULL if caller == "exact" else _KMIN_PULL
+        script = {1.0: _NOMINAL[nominal], _PUSH: _OTHER.get(push), pull: _OTHER[outer]}
         posed = []
 
         def solve(f):
@@ -2003,26 +2160,33 @@ class TestBracket:
             return script[f]
 
         def terms(sep, f):
-            assert f == _PULL
+            assert f == pull
             return _PRICED[id(sep)]
 
-        res = ranges._bracket(
-            solve, terms, 1e-7, _PULL, _BAND, exact, lambda v: ("witness", v),
-            push=None if push == "absent" else _PUSH,
-        )
-        status, sep, margin, detail, solves = _ladder_oracle(
-            nominal, push, outer, exact
-        )
+        if caller == "exact":
+            res = ranges._bracket(
+                solve, terms, 1e-7, _PULL, lambda v: ("witness", v),
+                push=None if push == "absent" else _PUSH,
+            )
+            witness = ("witness", _FEASIBLE)
+        else:
+            monkeypatch.setattr(ranges, "_range_solver", lambda *args: (solve, terms))
+            res = kmin_member(SQUARE, pauli(0.6))
+            push, witness = "absent", {"h": _FEASIBLE.blocks, "vertices": SQUARE.vertices}
+        status, sep, margin, detail, solves = _ladder_oracle(nominal, push, outer)
         assert (res.status.value, res.margin, res.detail) == (status, margin, detail)
-        assert posed == solves
-        if status == "In":
-            assert res.certificate == ("witness", _FEASIBLE)
+        assert posed == [pull if f == _PULL else f for f in solves]
+        if status == "In" and caller == "exact":
+            assert res.certificate == witness
+        elif status == "In":
+            assert res.certificate["h"] is witness["h"]
+            assert np.array_equal(res.certificate["vertices"], witness["vertices"])
         elif sep is None:
             assert res.certificate is None
         else:
-            # the separator itself; an Out's margin is its own, re-priced
-            # at f = pull for a polygon, and a Boundary's is the band
-            assert res.certificate.dual is sep.dual
+            # the separator itself; an Out's margin is its own, and a
+            # Boundary's is the band
+            assert res.certificate is sep
             want = res.margin if status == "Out" else sep.margin
             assert res.certificate.margin == want
 

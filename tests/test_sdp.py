@@ -287,11 +287,9 @@ def test_a_zero_row_entry_above_the_witness_residual_is_in_the_band():
 def test_a_gap_that_certifies_at_the_first_check_answers_there():
     # the nilpotent pair at 0.55 against the inscribed 96-gon: the gap
     # of the first check, at iteration 4, already prices a separator
-    from mconvex.ranges import DISC_GRID
-
     s = 0.55 * np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
     mats = [(s + s.conj().T) / 2, (s - s.conj().T) / 2j]
-    problem = _disc_kmin_problem(DISC_GRID, mats)
+    problem = _disc_kmin_problem(96, mats)
     verdict = solve_feasibility(problem)
     assert verdict.status is Status.INFEASIBLE and verdict.iterations == 4
     cert = dual_witness(problem, verdict)
