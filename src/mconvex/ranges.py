@@ -56,13 +56,11 @@ from .linalg import (
     skew_part,
 )
 from .sdp import (
+    MAX_ITER,
     WITNESS_RESIDUAL,
-    AffineConstraint,
-    SdpFeasibility,
     Separator,
     Status,
     Verdict,
-    _compile,
     _Compiled,
     _row_norms,
     _separator,
@@ -70,9 +68,6 @@ from .sdp import (
 
 #: default membership tolerance; every Boundary band is 10x this
 MEMBER_TOL = 1e-7
-
-#: iteration budget of each decomposition or Choi SDP solve
-MAX_ITER = 50000
 
 #: vertex-set operators kept compiled per process (``_vertex_operator``),
 #: the least recently used dropped first
@@ -151,8 +146,8 @@ class ThetaEstimate:
     ``lower_separator`` is the certificate behind ``lower``: the
     ``Separator`` of the Infeasible probe whose alpha* set it, re-priced
     at ``lower`` (alpha* rounded down by a relative 1e-12), so its
-    ``margin`` clears 10 tol there.  Its ``dual`` is posed over
-    ``_range_sdp`` of the relaxed body's vertices at the rhs of ``a /
+    ``margin`` clears 10 tol there.  Its ``dual`` pairs with the rows of
+    ``_range_rows`` of the relaxed body's vertices at the rhs of ``a /
     lower`` there, ``c + (a / lower - c) / s`` for its center c and
     relaxed scale s (the problem at that point), so it shows ``a / lower``
     outside the relaxed body's minimal set, and with it every ``a /
@@ -256,8 +251,8 @@ def _radius_member(m: np.ndarray, radius: float, tol: float) -> MembershipResult
 def _range_rows(
     xs: np.ndarray, a: OperatorTuple, center: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The tuple rows of the Choi SDP of a unital completely positive map
-    from the direct sum of the summands ``xs`` onto ``a``.
+    """The rows of the Choi SDP of a unital completely positive map from
+    the direct sum of the summands ``xs`` onto ``a``.
 
     ``xs`` is a (count, d, k, k) stack: summand i is the tuple ``xs[i]``
     and gets one PSD block ``C_i`` of size k n, the Choi matrix of the
@@ -268,11 +263,11 @@ def _range_rows(
     ``skew(conj x_j)``, rhs ``herm(a_j)`` and ``-skew(a_j)`` at ``a``
     and ``Re(center_j) I`` and ``-Im(center_j) I`` at the scalar tuple
     ``c``.  A row that reads 0 = 0 at both ends, and so along the whole
-    line from c to a, is not posed.  Returns the posed tuple rows'
-    (r, count, k, k) patterns and (r, n, n) rhs stacks at ``a`` and at
-    ``c``, and which of the unit row and the 2 d tuple rows are posed.
-    Raises ``TooLarge`` first when the Choi variable exceeds the memory
-    budget.
+    line from c to a, is not posed.  Returns the (1 + r, count, k, k)
+    complex stack of the patterns of the unit row and the r posed tuple
+    rows, the tuple rows' (r, n, n) rhs stacks at ``a`` and at ``c``, and
+    which of the unit row and the 2 d tuple rows are posed.  Raises
+    ``TooLarge`` first when the Choi variable exceeds the memory budget.
 
     ``ucp_member`` passes ``x`` as one summand.  ``kmin_member`` passes
     the vertices as 1 x 1 summands, ``verts[:, :, None, None]``, since
@@ -290,27 +285,25 @@ def _range_rows(
     at_a = np.concatenate([herm_part(mats), -skew_part(mats)])
     at_c = np.concatenate([center.real, -center.imag])[:, None, None] * np.eye(a.n)
     posed = patterns.any(axis=(1, 2, 3)) | at_a.any(axis=(1, 2)) | at_c.any(axis=(1, 2))
-    return patterns[posed], at_a[posed], at_c[posed], np.concatenate([[True], posed])
+    unit = np.broadcast_to(np.eye(k), (1, *patterns.shape[1:]))
+    stack = np.concatenate([unit, patterns[posed]])
+    return stack, at_a[posed], at_c[posed], np.concatenate([[True], posed])
 
 
-def _range_sdp(patterns: np.ndarray, at_a: np.ndarray) -> SdpFeasibility:
-    """The Choi SDP of ``_range_rows``' posed rows, at ``a``."""
-    _, count, k, _ = patterns.shape
-    n = at_a.shape[-1]
-    unit = AffineConstraint(np.repeat(np.eye(k)[None], count, axis=0), np.eye(n))
-    rows = map(AffineConstraint, patterns, at_a)
-    return SdpFeasibility(count * k * n, (unit, *rows), block_sizes=(k * n,) * count)
+def _range_operator(stack: np.ndarray, n: int) -> _Compiled:
+    """The Choi operator of ``_range_rows``' ``stack`` at level ``n``: one
+    block of size k n per summand, compiled at a zero rhs, which every
+    solve re-poses."""
+    rows, count, k, _ = stack.shape
+    return _Compiled((k * n,) * count, [stack], np.zeros((rows, n, n)))
 
 
 @functools.lru_cache(maxsize=CACHED_OPERATORS)
-def _vertex_operator(patterns: bytes, shape: tuple[int, ...], n: int) -> _Compiled:
-    """The compiled, read-only operator of a vertex set's posed pattern
-    stack (``patterns`` as bytes of complex entries, of ``shape``) at
-    level ``n``.  Only these decide the operator; the query's point is
-    only its rhs, which every solve re-poses, so it is compiled at a
-    zero rhs."""
-    stack = np.frombuffer(patterns, complex).reshape(shape)
-    comp = _compile(_range_sdp(stack, np.zeros((shape[0], n, n))))
+def _vertex_operator(stack: bytes, shape: tuple[int, ...], n: int) -> _Compiled:
+    """The read-only ``_range_operator`` of a vertex set's pattern stack
+    (``stack`` as bytes of complex entries, of ``shape``) at level ``n``.
+    Only these decide the operator; the query's point is only its rhs."""
+    comp = _range_operator(np.frombuffer(stack, complex).reshape(shape), n)
     comp.freeze()
     return comp
 
@@ -318,14 +311,15 @@ def _vertex_operator(patterns: bytes, shape: tuple[int, ...], n: int) -> _Compil
 def _range_solver(
     rows: tuple, tol: float, max_iter: int
 ) -> tuple[Callable[..., Verdict], Callable[..., tuple[float, float]]]:
-    """Compile ``_range_sdp`` of ``_range_rows``' output ``rows``, and
-    move along its rhs line.
+    """Compile the operator of ``_range_rows``' output ``rows``, and move
+    along its rhs line.
 
     A vertex set's operator (1 x 1 summands: kmin, theta, and ucp over a
-    scalar tuple) comes from ``_vertex_operator``, and each query solves
-    on a ``cold`` copy of it, so no query's answer depends on the queries
-    before it; the Choi operator of a matrix tuple (ucp) is compiled on
-    every call.
+    scalar tuple) comes from ``_vertex_operator``, shared by every query
+    on it; the Choi operator of a matrix tuple (ucp) is compiled on every
+    call.  The query holds the Douglas-Rachford iterate: its first solve
+    starts from zero, so no query's answer depends on the queries before
+    it, and each later one from where the solve before it stopped.
 
     Returns ``solve(f, alpha=1)``, which poses the unit row as I and the
     tuple rows at the point ``c + f (a / alpha - c)``, ``(f / alpha)
@@ -334,17 +328,22 @@ def _range_solver(
     alpha)``: the pencil does not depend on the rhs, so only this
     pairing moves with alpha.
     """
-    patterns, at_a, at_c, _ = rows
-    unit = np.eye(at_a.shape[-1])[None]
-    if patterns.shape[2] == 1:
-        comp = _vertex_operator(patterns.tobytes(), patterns.shape, len(unit[0])).cold()
+    stack, at_a, at_c, _ = rows
+    n = at_a.shape[-1]
+    if stack.shape[2] == 1:
+        comp = _vertex_operator(stack.tobytes(), stack.shape, n)
     else:
-        comp = _compile(_range_sdp(patterns, at_a))
+        comp = _range_operator(stack, n)
+    unit, z = np.eye(n)[None], None
 
     def solve(f: float, alpha: float = 1.0) -> Verdict:
+        nonlocal z
         # at f = alpha = 1 this is the rhs at a to the last bit
         rows = (f / alpha) * at_a + (1.0 - f) * at_c
-        return comp.with_rhs(np.concatenate([unit, rows])).solve(_sdp_tol(tol), max_iter)
+        verdict, z = comp.with_rhs(np.concatenate([unit, rows])).solve(
+            _sdp_tol(tol), max_iter, z
+        )
+        return verdict
 
     def terms(sep: Separator, f: float) -> tuple[float, float]:
         y = sep.dual
@@ -371,15 +370,13 @@ def _support_cut(
     c) kron uu*`` has the pencil ``(sum_l c_l conj(x_il) - h I) kron uu*`` on
     summand i; scaled to the rows ``sdp._row_norms`` normalizes, it is
     priced by ``sdp._separator`` at ``pull``, its margin kept at f = 1."""
-    patterns, _, _, posed = rows
+    stack, _, _, posed = rows
     if posed[1 + a.d:].any():
         return None
     along = dirs @ center.real
     gap, j, _ = _support_gaps(dirs, along + (h - along) / pull, a)
     if gap <= 0.0:
         return None
-    count, k = patterns.shape[1:3]
-    stack = np.concatenate([np.broadcast_to(np.eye(k), (1, count, k, k)), patterns])
     norms, zero = _row_norms([stack])
     w = np.concatenate([[-h[j]], dirs[j][posed[1:1 + a.d]]])
     scale = 1.0 / np.linalg.norm(w * norms)
@@ -663,9 +660,9 @@ def theta_min_alpha(
     probes bisect.  An Unknown probe moves neither end and ends the
     search, so the bracket returned is the certified one, however wide.
 
-    The probes share one warm slot, which starts empty, so each probe
-    iterates from where the last one stopped.  A commuting tuple
-    (``_joint_spectrum``) gets [1, 1] before anything is compiled: its
+    The first probe iterates from zero and each later one from the
+    iterate the last one stopped at (``_range_solver``).  A commuting
+    tuple (``_joint_spectrum``) gets [1, 1] before anything is compiled: its
     joint numerical range is the hull of its joint spectrum, so K^max
     and K^min agree at it.  Values below 1 are reported as the
     degenerate bracket [1, 1].  Pass a list as ``trace`` to collect the

@@ -60,6 +60,10 @@ ZERO_ROW_NORM = 1e-14
 #: relative deviation from Hermitian allowed in coefficients and rhs
 HERM_RTOL = 1e-10
 
+#: the default iteration budget of a solve (``solve_feasibility``, and
+#: each decomposition or Choi SDP solve of ``ranges``)
+MAX_ITER = 50000
+
 #: iterations between checks, each a witness check and, while the gap
 #: exceeds tol, a dual-certificate try; most solves close at their first
 #: check.  Checking before iteration 4 certifies cone-projected witnesses
@@ -188,10 +192,6 @@ def _compile(problem: SdpFeasibility) -> _Compiled:
             )
         blocks.append(coeff)
 
-    # the coefficient tensors, held four times over by ``_Compiled``:
-    # Hermitian, normalized, conjugated and least-squares
-    entries = sum(len(idxs) * (s // n) ** 2 for s, idxs in _groups(sizes))
-    _require_bytes(4 * 16 * len(cons) * entries, "the compiled constraints")
     tensors = []
     for s, idxs in _groups(sizes):
         k = s // n
@@ -210,17 +210,9 @@ def _compile(problem: SdpFeasibility) -> _Compiled:
             raise BadProblem(f"a coefficient block of size {s} is not finite")
         if not is_hermitian(t, HERM_RTOL):
             raise BadProblem(f"a coefficient block of size {s} is not Hermitian")
-        tensors.append(herm_part(t))
+        tensors.append(t)
     rhs = np.array([c.rhs for c in cons], dtype=complex).reshape(len(cons), n, n)
     return _Compiled(sizes, tensors, rhs)
-
-
-@dataclasses.dataclass
-class _WarmStart:
-    """What the last solve of one operator leaves for the next: the
-    Douglas-Rachford iterate ``z``, a group variable."""
-
-    z: list[np.ndarray] | None = None
 
 
 class _Compiled:
@@ -239,17 +231,27 @@ class _Compiled:
     patterns, so ``apply``, ``lsq_dual`` and ``pencil`` are one matrix
     product per group.  ``b`` is the (m, n, n)
     stack of normalized ``B_r``.  ``with_rhs`` re-poses the problem for
-    another right-hand side and shares everything else, the private warm
-    slot ``_warm`` (a ``_WarmStart``) included: each solve iterates from
-    where the operator's last solve stopped (``_douglas_rachford``).  A
-    fresh compile starts with an empty slot, and so does a ``cold`` copy.
+    another right-hand side and shares everything else.  The operator
+    holds no state between solves: a solve starts from the
+    Douglas-Rachford iterate its caller passes, or from zero, and returns
+    the one it stopped at (``_douglas_rachford``).
+
+    Built by ``_compile`` from a validated ``SdpFeasibility``, or directly
+    from complex coefficient tensors Hermitian up to rounding (``ranges``'
+    pattern stack); either way the four copies of the tensors it keeps
+    are priced against the memory budget first, and their Hermitian parts
+    are taken.
     """
 
     def __init__(self, block_sizes, coeff_groups: list[np.ndarray], rhs):
-        self.block_sizes = tuple(block_sizes)
-        self.groups = _groups(self.block_sizes)
         rhs = np.asarray(rhs, dtype=complex)
         m = self.m = len(rhs)
+        # the coefficient tensors, held four times over: Hermitian,
+        # normalized, conjugated and least-squares
+        entries = sum(math.prod(t.shape[1:]) for t in coeff_groups)
+        _require_bytes(4 * 16 * m * entries, "the compiled constraints")
+        self.block_sizes = tuple(block_sizes)
+        self.groups = _groups(self.block_sizes)
         n = self.n = rhs.shape[-1] if rhs.ndim == 3 else 1
 
         # diagonal preconditioning: unit Frobenius norm per constraint; rows
@@ -257,6 +259,7 @@ class _Compiled:
         # part in any least-squares fit) instead of unit-norm equations of
         # noise; a nonzero rhs is left in b, the residue that _iterate
         # checks first
+        coeff_groups = [herm_part(t) for t in coeff_groups]
         norms, self.zero_rows = _row_norms(coeff_groups)
         self.norms = norms
         zero = self.zero_rows[:, None, None, None]
@@ -286,7 +289,6 @@ class _Compiled:
             float(np.abs(pg - ig).max()) for pg, ig in zip(self.pencil(t), ident)
         )
         self.identity_combo = t if gap <= 1e-9 else None
-        self._warm = _WarmStart()
 
     def _set_rhs(self, rhs) -> None:
         m, n = self.m, self.n
@@ -308,11 +310,9 @@ class _Compiled:
     def with_rhs(self, rhs) -> _Compiled:
         """The same constraint operator with another right-hand side.
 
-        Shares the normalized coefficients, the Gram pseudo-inverse,
-        ``identity_combo`` and the warm slot, so a solve of the copy
-        iterates from where the operator's last solve stopped; re-checks
-        the new rhs (m floats when n = 1, else an (m, n, n) stack) as
-        ``_compile`` does.
+        Shares the normalized coefficients, the Gram pseudo-inverse and
+        ``identity_combo``; re-checks the new rhs (m floats when n = 1,
+        else an (m, n, n) stack) as ``_compile`` does.
         """
         out = copy.copy(self)
         out._set_rhs(rhs)
@@ -327,16 +327,13 @@ class _Compiled:
                 if isinstance(arr, np.ndarray):
                     arr.flags.writeable = False
 
-    def cold(self) -> _Compiled:
-        """A copy that shares everything but the warm slot: its own slot
-        starts empty, so its first solve iterates from zero."""
-        out = copy.copy(self)
-        out._warm = _WarmStart()
-        return out
-
-    def solve(self, tol: float, max_iter: int) -> Verdict:
-        """Run the certified iteration; one DEBUG line per solve."""
-        status, v, sep, it, resid = _iterate(self, tol, max_iter)
+    def solve(
+        self, tol: float, max_iter: int, z: list[np.ndarray] | None = None
+    ) -> tuple[Verdict, list[np.ndarray] | None]:
+        """Run the certified iteration from the iterate ``z`` (zero when
+        None); returns the verdict and the iterate to start the next solve
+        from.  One DEBUG line per solve."""
+        status, v, sep, it, resid, z = _iterate(self, tol, max_iter, z)
         if _LOG.isEnabledFor(logging.DEBUG):
             _LOG.debug(
                 "sdp solve: %s after %d iterations, residual %.3e, "
@@ -344,7 +341,7 @@ class _Compiled:
                 status.value, it, resid, self.m, self.n, len(self.block_sizes),
             )
         blocks = None if v is None else self.blocks([herm_part(vg) for vg in v])
-        return Verdict(status, blocks, sep, it, resid)
+        return Verdict(status, blocks, sep, it, resid), z
 
     # --- variable helpers (variables are lists of (count, s, s) arrays) ---
 
@@ -481,10 +478,12 @@ def _witness_ok(comp: _Compiled, v: list[np.ndarray]) -> tuple[bool, float]:
 
 
 def _iterate(
-    comp: _Compiled, tol: float, max_iter: int
-) -> tuple[Status, list[np.ndarray] | None, Separator | None, int, float]:
-    """Decide a compiled problem.  Returns the status, the witness as a
-    group variable, the separator, the iteration count and the residual.
+    comp: _Compiled, tol: float, max_iter: int, z: list[np.ndarray] | None
+) -> tuple[Status, list | None, Separator | None, int, float, list | None]:
+    """Decide a compiled problem from the Douglas-Rachford iterate ``z``.
+    Returns the status, the witness as a group variable, the separator,
+    the iteration count, the residual and the iterate to start from next
+    (``z`` itself when nothing iterated).
 
     First, at 0 iterations, the residue of the rhs against the range of
     the Gram: a separator of an inconsistent affine system.  A zero row
@@ -499,10 +498,10 @@ def _iterate(
     ``||res_b|| < 10 tol``; Infeasible there is Infeasible here, by the
     separator with its component outside the range dropped, which keeps
     its pencil and its margin.  Otherwise Douglas-Rachford decides, from
-    the operator's last iterate (``_douglas_rachford``).
+    ``z`` (``_douglas_rachford``).
     """
     if comp.m == 0:
-        return Status.FEASIBLE, comp.zero(), None, 0, 0.0
+        return Status.FEASIBLE, comp.zero(), None, 0, 0.0, z
     # the residue of b against range(Gram) has a zero pencil and margin
     # ||res_b||, and depends on b alone, so it is tried once
     res_b = comp.b - (comp.gram @ comp.b_lsq.reshape(comp.m, -1)).reshape(comp.b.shape)
@@ -510,82 +509,77 @@ def _iterate(
     if res_norm > 1e-13:
         sep = _certificate_from_dual(comp, res_b, tol)
         if sep is not None:
-            return Status.INFEASIBLE, None, sep, 0, res_norm
+            return Status.INFEASIBLE, None, sep, 0, res_norm, z
         zero_rhs = float(np.abs(comp.b[comp.zero_rows]).max(initial=0.0))
         floor = math.sqrt(res_b.size) * WITNESS_RESIDUAL
         if res_norm > floor or zero_rhs > WITNESS_RESIDUAL:
             # in the band: the projected rhs decides
             inner = comp.with_rhs((comp.b - res_b) * comp.norms[:, None, None])
-            status, _, sep, it, _ = _iterate(inner, tol, max_iter)
+            status, _, sep, it, _, z = _iterate(inner, tol, max_iter, z)
             if status is Status.INFEASIBLE:
                 y = (sep.dual * comp.norms[:, None, None]).reshape(comp.m, -1)
                 in_range = (comp.gram @ (comp.gram_pinv @ y)).reshape(res_b.shape)
                 sep = _certificate_from_dual(comp, in_range, tol)
                 if sep is not None:
-                    return Status.INFEASIBLE, None, sep, it, res_norm
-            return Status.UNKNOWN, None, None, it, res_norm
-    return _douglas_rachford(comp, tol, max_iter)
+                    return Status.INFEASIBLE, None, sep, it, res_norm, z
+            return Status.UNKNOWN, None, None, it, res_norm, z
+    return _douglas_rachford(comp, tol, max_iter, z)
 
 
 def _douglas_rachford(
-    comp: _Compiled, tol: float, max_iter: int
-) -> tuple[Status, list[np.ndarray] | None, Separator | None, int, float]:
-    """Douglas-Rachford from the warm slot's iterate (zero when it is
-    empty).  Every ``CHECK_EVERY`` iterations and at the last,
+    comp: _Compiled, tol: float, max_iter: int, z: list[np.ndarray] | None
+) -> tuple[Status, list | None, Separator | None, int, float, list]:
+    """Douglas-Rachford from the iterate ``z`` (zero when None), which it
+    only reads.  Every ``CHECK_EVERY`` iterations and at the last,
     ``_witness_ok`` checks the affine-exact iterate, then the cone-exact
     one; right after, while their gap exceeds ``tol`` (and at the last
     iteration whatever it is), ``_certificate_from_dual`` prices the
     gap's least-squares dual.  So a witness and a dual certificate are
     tried at every check, and an Infeasible answer closes at the first
-    check whose gap certifies.  Returns ``_iterate``'s answer and leaves
-    the iterate it stopped at in the slot; while it runs, it holds the
-    only copy."""
-    warm = comp._warm
-    z, warm.z = (comp.zero() if warm.z is None else warm.z), None
+    check whose gap certifies.  Returns ``_iterate``'s answer and the
+    iterate it stopped at."""
+    z = comp.zero() if z is None else z
     best_resid = np.inf
 
     it = 0
-    try:
-        while it < max_iter:
-            x = comp.affine_project(z)
-            y = comp.psd_project([2.0 * xg - zg for xg, zg in zip(x, z)])
-            z = [zg + yg - xg for zg, yg, xg in zip(z, y, x)]
-            it += 1
-            if it % CHECK_EVERY and it != max_iter:
-                continue
+    while it < max_iter:
+        x = comp.affine_project(z)
+        y = comp.psd_project([2.0 * xg - zg for xg, zg in zip(x, z)])
+        z = [zg + yg - xg for zg, yg, xg in zip(z, y, x)]
+        it += 1
+        if it % CHECK_EVERY and it != max_iter:
+            continue
 
-            # the affine-exact candidate, then the cone-exact one
-            for cand in (x, y):
-                ok, resid = _witness_ok(comp, cand)
-                if ok:
-                    return Status.FEASIBLE, cand, None, it, resid
-            best_resid = min(best_resid, resid)
-            gap = [xg - yg for xg, yg in zip(x, y)]
-            if it == max_iter or max(float(np.abs(g).max()) for g in gap) > tol:
-                sep = _certificate_from_dual(comp, comp.lsq_dual(gap), tol)
-                if sep is not None:
-                    return Status.INFEASIBLE, None, sep, it, best_resid
-    finally:
-        warm.z = z
-    return Status.UNKNOWN, None, None, it, best_resid
+        # the affine-exact candidate, then the cone-exact one
+        for cand in (x, y):
+            ok, resid = _witness_ok(comp, cand)
+            if ok:
+                return Status.FEASIBLE, cand, None, it, resid, z
+        best_resid = min(best_resid, resid)
+        gap = [xg - yg for xg, yg in zip(x, y)]
+        if it == max_iter or max(float(np.abs(g).max()) for g in gap) > tol:
+            sep = _certificate_from_dual(comp, comp.lsq_dual(gap), tol)
+            if sep is not None:
+                return Status.INFEASIBLE, None, sep, it, best_resid, z
+    return Status.UNKNOWN, None, None, it, best_resid, z
 
 
 def solve_feasibility(
     problem: SdpFeasibility,
     tol: float = 1e-7,
-    max_iter: int = 50000,
+    max_iter: int = MAX_ITER,
 ) -> Verdict:
     """Decide PSD feasibility of an affine slice, with certificates.
 
-    Deterministic: each call compiles afresh, so it starts with an empty
-    warm slot and no solve before it can change its answer; identical
-    problems give bit-identical statuses and witnesses matching to
-    1e-12.  ``Unknown`` appears when the budget runs out without either
-    certificate closing, or at once when the rhs misses the range of the
-    constraint map by more than any witness may but by too little to
-    certify (``_iterate``).
+    Deterministic: each call compiles afresh and iterates from zero, so
+    no solve before it can change its answer; identical problems give
+    bit-identical statuses and witnesses matching to 1e-12.  ``Unknown``
+    appears when the budget runs out without either certificate closing,
+    or at once when the rhs misses the range of the constraint map by
+    more than any witness may but by too little to certify
+    (``_iterate``).
     """
-    return _compile(problem).solve(tol, max_iter)
+    return _compile(problem).solve(tol, max_iter)[0]
 
 
 def verify_witness(

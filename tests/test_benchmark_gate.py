@@ -18,7 +18,6 @@ if str(ROOT) not in sys.path:
 from perfbench import checker, workloads  # noqa: E402
 
 import mconvex.cli as cli  # noqa: E402
-import mconvex.ranges as ranges  # noqa: E402
 import mconvex.sdp as sdp  # noqa: E402
 
 
@@ -51,47 +50,24 @@ TRAFFIC = {
 }
 
 
-def _count_traffic(monkeypatch) -> list:
-    """(solves, iterations, rows) of every solve from here on, as ``TRAFFIC``."""
-    counts = [0, 0, 0]
-    solve = sdp._Compiled.solve
-
-    def counted(self, tol, max_iter):
-        verdict = solve(self, tol, max_iter)
-        counts[0] += 1
-        counts[1] += verdict.iterations
-        counts[2] += self.m
-        return verdict
-
-    monkeypatch.setattr(sdp._Compiled, "solve", counted)
-    return counts
-
-
-def _count_compiles(monkeypatch) -> list:
-    """A one-entry list counting ``ranges._compile`` calls from here on."""
-    compiles, compile_ = [0], ranges._compile
-
-    def counted_compile(problem):
-        compiles[0] += 1
-        return compile_(problem)
-
-    monkeypatch.setattr(ranges, "_compile", counted_compile)
-    return compiles
+def _solved(counts) -> tuple[int, int, int]:
+    """(solves, iterations, rows) of a ``Traffic`` record, as ``TRAFFIC``."""
+    return counts.solves, counts.iterations, counts.rows
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_round_zero_sdp_traffic_is_pinned(workload, monkeypatch):
+def test_round_zero_sdp_traffic_is_pinned(workload, traffic):
     # a change that adds solves, iterations or rows fails here first
-    counts = _count_traffic(monkeypatch)
+    counts = traffic()
     for q in workloads.make_round(workload, 1, 0):
         cli.execute(cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"]))
-    assert tuple(counts) == TRAFFIC[workload]
+    assert _solved(counts) == TRAFFIC[workload]
 
 
-def test_round_zero_ucp_outs_compile_nothing(monkeypatch):
+def test_round_zero_ucp_outs_compile_nothing(traffic):
     # every Out of ucp-probes is cut off by one scalar support line,
     # priced in closed form before the Choi SDP is compiled
-    compiles = _count_compiles(monkeypatch)
+    counts = traffic()
     outs = [q for q in workloads.make_round("ucp-probes", 1, 0)
             if q.planted["verdict"] == "Out"]
     assert len(outs) == 6
@@ -102,16 +78,15 @@ def test_round_zero_ucp_outs_compile_nothing(monkeypatch):
         assert (report["status"], report["detail"]) == (
             "Out", "outside the relaxed maximal set of the range's first level"
         )
-    assert compiles[0] == 0
+    assert counts.compiles == 0
 
 
-def test_round_zero_disc_ins_are_dilations_on_the_circle(monkeypatch):
+def test_round_zero_disc_ins_are_dilations_on_the_circle(traffic):
     # every In of member-disc is decomposed by a unitary dilation: 2n
     # blocks on points of the body's circle, which the outside checker
     # accepts (it does not look at where the vertices lie), and the round
     # compiles and solves nothing
-    compiles = _count_compiles(monkeypatch)
-    counts = _count_traffic(monkeypatch)
+    counts = traffic()
     ins = 0
     for q in workloads.make_round("member-disc", 1, 0):
         report, _ = cli.execute(
@@ -129,7 +104,7 @@ def test_round_zero_disc_ins_are_dilations_on_the_circle(monkeypatch):
         dist = np.linalg.norm(np.asarray(cert["vertices"]) - body["center"], axis=1)
         assert np.abs(dist - body["radius"]).max() <= 1e-15
     assert ins == 3
-    assert (compiles[0], *counts) == (0, 0, 0, 0)
+    assert (counts.compiles, *_solved(counts)) == (0, 0, 0, 0)
 
 
 def _circle_separator_margin(q, sep) -> float:
@@ -171,12 +146,12 @@ def test_round_zero_scan_outs_pass_the_sdp_core(workload, outs, core_reprices):
     assert (core_reprices(), circle) == want
 
 
-def test_round_zero_disc_thetas_hold_their_constants_in_closed_form(monkeypatch):
+def test_round_zero_disc_thetas_hold_their_constants_in_closed_form(traffic):
     # theta over the unit disc is max(1, alpha*) in closed form: the
     # nilpotent pair's 2 and the planted ||T|| / w of ``DISC_OPERATOR``
     # (conjugated by a seeded unitary) lie in brackets 1e-5 wide, each
     # with one trace entry, and neither query solves anything
-    counts = _count_traffic(monkeypatch)
+    counts = traffic()
     discs = [q for q in workloads.make_round("theta-bisect", 1, 0)
              if q.job["inputs"]["body"]["type"] == "disc"]
     assert [q.planted["constant"] for q in discs] == [2.0, 1.447211892783265]
@@ -187,21 +162,19 @@ def test_round_zero_disc_thetas_hold_their_constants_in_closed_form(monkeypatch)
         assert report["lower"] <= q.planted["constant"] <= report["upper"]
         assert report["upper"] - report["lower"] <= 1e-5
         assert report["trace"] == [(report["lower"], report["upper"])]
-    assert counts == [0, 0, 0]
+    assert _solved(counts) == (0, 0, 0)
 
 
 @pytest.mark.parametrize(
     "workload", ["member-disc", "theta-bisect", "transform-probes"]
 )
-def test_round_zero_answers_alike_on_cached_operators(workload, monkeypatch):
+def test_round_zero_answers_alike_on_cached_operators(workload, traffic):
     # the second pass compiles nothing, and every query still starts
     # cold: the same reports, apart from their wall time, and the same
     # solver traffic
-    compiles = _count_compiles(monkeypatch)
-    counts = _count_traffic(monkeypatch)
     passes = []
     for _ in range(2):
-        compiles[0], counts[:] = 0, [0, 0, 0]
+        counts = traffic()
         reports = []
         for q in workloads.make_round(workload, 1, 0):
             report, _ = cli.execute(
@@ -212,8 +185,8 @@ def test_round_zero_answers_alike_on_cached_operators(workload, monkeypatch):
             doc = json.loads(buf.getvalue())
             doc.pop("wall_time_s")
             reports.append(json.dumps(doc, sort_keys=True))
-        assert tuple(counts) == TRAFFIC[workload]
-        passes.append((compiles[0], reports))
+        assert _solved(counts) == TRAFFIC[workload]
+        passes.append((counts.compiles, reports))
     # a workload that solves compiles in the first pass only; member-disc
     # solves nothing, and compiles nothing in either
     assert (passes[0][0] > 0) == (TRAFFIC[workload][0] > 0)
@@ -237,11 +210,11 @@ def test_round_zero_solves_take_2x2_blocks_in_closed_form(workload, monkeypatch)
         monkeypatch.setattr(np.linalg, name, counted)
     solve = sdp._Compiled.solve
 
-    def flagged(self, tol, max_iter):
+    def flagged(self, *args):
         outer, inside[0] = inside[0], True
         solved_2x2[0] += 2 in self.block_sizes
         try:
-            return solve(self, tol, max_iter)
+            return solve(self, *args)
         finally:
             inside[0] = outer
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import count_traffic, range_sdp
 import mconvex.geometry as geometry
 import mconvex.linalg as linalg
 import mconvex.ranges as ranges
@@ -98,8 +99,7 @@ def _kmin_problem(verts, mats) -> SdpFeasibility:
     verts = np.asarray(verts, dtype=float)
     a = OperatorTuple(tuple(mats), hermitian=True)
     center = np.zeros(verts.shape[1])
-    rows = ranges._range_rows(verts[:, :, None, None], a, center)
-    return ranges._range_sdp(*rows[:2])
+    return range_sdp(ranges._range_rows(verts[:, :, None, None], a, center))
 
 
 def pauli(scale: float = 1.0) -> OperatorTuple:
@@ -318,7 +318,7 @@ class TestKmin:
         assert "joint spectrum" not in res.detail
 
     def test_a_near_degenerate_pair_the_eigenbasis_refuses_is_posed(
-        self, monkeypatch
+        self, traffic
     ):
         # the commutator, 9e-12, passes the size test, but the eigenvalues
         # 0.3 and 0.3 + 3e-9 of A split apart, and B is not diagonal in
@@ -332,10 +332,10 @@ class TestKmin:
         res = kmin_member(SQUARE, a)
         assert res.status is MembershipStatus.IN
         assert len(res.certificate["h"]) == 4
-        counts = _count_compiles_and_solves(monkeypatch)
+        counts = traffic()
         est = theta_min_alpha(SQUARE, a)
         assert (est.lower, est.upper) == (1.0, 1.0)
-        assert counts == {"compile": 0, "solve": 1}
+        assert (counts.compiles, counts.solves) == (0, 1)
         assert ranges._joint_spectrum(a) is None
 
     @staticmethod
@@ -553,17 +553,17 @@ class TestTheta:
         )
         assert res.status in (MembershipStatus.IN, MembershipStatus.BOUNDARY)
 
-    def test_disc_brackets_two(self, monkeypatch):
+    def test_disc_brackets_two(self, traffic):
         # theta = ||T|| = 2 in closed form: one trace entry, nothing
         # compiled, the upper end a hair above 2 and the lower end where
         # the separator at a / 2 prices to 10 tol
-        counts = _count_compiles_and_solves(monkeypatch)
+        counts = traffic()
         trace = []
         est = theta_min_alpha(UNIT_DISC, nilpotent_pair(), tol=0.02, trace=trace)
         assert est.lower <= 2.0 <= est.upper
         assert est.upper - est.lower <= 2.0 * 1e-6 * 1.01
         assert trace == [(est.lower, est.upper)]
-        assert counts == {"compile": 0, "solve": 0}
+        assert (counts.compiles, counts.solves) == (0, 0)
         assert est.lower_separator.margin >= 10 * 1e-7
 
     def test_inside_returns_unit(self):
@@ -646,33 +646,16 @@ def _scaled_body_theta(K, a, tol):
     return lo, hi
 
 
-def _count_compiles_and_solves(monkeypatch) -> dict:
-    counts = {"compile": 0, "solve": 0}
-    compile_, solve = ranges._compile, _Compiled.solve
-
-    def counted_compile(*args, **kwargs):
-        counts["compile"] += 1
-        return compile_(*args, **kwargs)
-
-    def counted_solve(*args, **kwargs):
-        counts["solve"] += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(ranges, "_compile", counted_compile)
-    monkeypatch.setattr(_Compiled, "solve", counted_solve)
-    return counts
-
-
 def _shared_operators(monkeypatch) -> list:
-    """The cached operators that queries take ``cold`` copies of, in the
-    order they take them."""
-    shared, cold = [], _Compiled.cold
+    """The operators that queries re-pose with ``with_rhs``, once per
+    solve, in the order they solve."""
+    shared, with_rhs = [], _Compiled.with_rhs
 
-    def spied_cold(self):
+    def spied_with_rhs(self, rhs):
         shared.append(self)
-        return cold(self)
+        return with_rhs(self, rhs)
 
-    monkeypatch.setattr(_Compiled, "cold", spied_cold)
+    monkeypatch.setattr(_Compiled, "with_rhs", spied_with_rhs)
     return shared
 
 
@@ -698,13 +681,13 @@ class TestThetaCompiledOnce:
     @pytest.mark.parametrize(
         "body, pair", [(SQUARE, pauli), (DISC_96, nilpotent_pair)]
     )
-    def test_one_compile_and_one_solve_per_step(self, monkeypatch, body, pair):
-        counts = _count_compiles_and_solves(monkeypatch)
+    def test_one_compile_and_one_solve_per_step(self, traffic, body, pair):
+        counts = traffic()
         trace = []
         theta_min_alpha(body, pair(), tol=0.02, trace=trace)
         # alpha = 1, then one solve per bisection step: the first upper
         # end is certified without one
-        assert counts == {"compile": 1, "solve": len(trace)}
+        assert (counts.compiles, counts.solves) == (1, len(trace))
 
     def test_one_hull_per_polytope(self, monkeypatch):
         # the kmax precheck and the inradius bound share one facet list,
@@ -740,30 +723,30 @@ class TestThetaCompiledOnce:
         assert max(est.lower, lo) <= min(est.upper, hi)
         assert est.upper - est.lower <= tol / 2 + 1e-12
 
-    def test_decides_a_maximal_boundary_point_in_one_solve(self, monkeypatch):
+    def test_decides_a_maximal_boundary_point_in_one_solve(self, traffic):
         a = square_max_boundary_pair()
         assert kmax_member(SQUARE, a).status is MembershipStatus.BOUNDARY
         assert op_norm(a.mats[1]) == pytest.approx(1.0 + 1e-6, abs=1e-8)
-        counts = _count_compiles_and_solves(monkeypatch)
+        counts = traffic()
         est = theta_min_alpha(SQUARE, a, tol=0.01)
         assert (est.lower, est.upper) == (1.0, 1.0)
-        assert counts == {"compile": 1, "solve": 1}
+        assert (counts.compiles, counts.solves) == (1, 1)
 
-    def test_commuting_tuple_runs_no_sdp(self, monkeypatch):
-        counts = _count_compiles_and_solves(monkeypatch)
+    def test_commuting_tuple_runs_no_sdp(self, traffic):
+        counts = traffic()
         est = theta_min_alpha(SQUARE, OperatorTuple((Z, Z), hermitian=True))
         assert (est.lower, est.upper) == (1.0, 1.0)
-        assert counts == {"compile": 0, "solve": 0}
+        assert (counts.compiles, counts.solves) == (0, 0)
 
     def test_commuting_tuple_in_the_boundary_band_is_one_at_once(
-        self, monkeypatch
+        self, monkeypatch, traffic
     ):
         # 5e-7 past the square's edge x = 1: in kmax_member's Boundary band
         a = OperatorTuple(
             (np.diag([1.0 + 5e-7, 0.3]), np.diag([0.2, -1.0])), hermitian=True
         )
         assert kmax_member(SQUARE, a).status is MembershipStatus.BOUNDARY
-        counts = _count_compiles_and_solves(monkeypatch)
+        counts = traffic()
 
         def no_joint_spectrum(*args, **kwargs):
             raise AssertionError("theta needs no joint spectrum")
@@ -773,7 +756,7 @@ class TestThetaCompiledOnce:
         est = theta_min_alpha(SQUARE, a, trace=trace)
         assert (est.lower, est.upper) == (1.0, 1.0)
         assert trace == [(1.0, 1.0)]
-        assert counts == {"compile": 0, "solve": 0}
+        assert (counts.compiles, counts.solves) == (0, 0)
 
     def test_logs_one_debug_line_per_solve(self, caplog):
         trace = []
@@ -795,10 +778,10 @@ def _record_steps(monkeypatch) -> list:
         out.posed_rhs = np.array(rhs)
         return out
 
-    def recorded_solve(self, tol, max_iter):
-        verdict = solve(self, tol, max_iter)
+    def recorded_solve(self, *args):
+        verdict, z = solve(self, *args)
         steps.append((self.posed_rhs, verdict))
-        return verdict
+        return verdict, z
 
     monkeypatch.setattr(_Compiled, "with_rhs", recorded_with_rhs)
     monkeypatch.setattr(_Compiled, "solve", recorded_solve)
@@ -948,12 +931,12 @@ class TestThetaFromSeparators:
         solve = _Compiled.solve
         calls = []
 
-        def unknown_second(self, tol, max_iter):
+        def unknown_second(self, *args):
             calls.append(None)
-            verdict = solve(self, tol, max_iter)
+            verdict, z = solve(self, *args)
             if len(calls) == 2:
-                return Verdict(Status.UNKNOWN, None, None, verdict.iterations, 1.0)
-            return verdict
+                return Verdict(Status.UNKNOWN, None, None, verdict.iterations, 1.0), z
+            return verdict, z
 
         monkeypatch.setattr(_Compiled, "solve", unknown_second)
         trace = []
@@ -966,8 +949,8 @@ class TestThetaFromSeparators:
         assert _alpha_star(SQUARE, pauli(), est.lower_separator)[2] >= est.lower
 
     def test_an_unknown_first_step_keeps_the_start(self, monkeypatch):
-        def unknown(self, tol, max_iter):
-            return Verdict(Status.UNKNOWN, None, None, max_iter, 1.0)
+        def unknown(self, tol, max_iter, z=None):
+            return Verdict(Status.UNKNOWN, None, None, max_iter, 1.0), z
 
         monkeypatch.setattr(_Compiled, "solve", unknown)
         est = theta_min_alpha(SQUARE, pauli(), tol=0.01)
@@ -981,17 +964,17 @@ class TestThetaFromSeparators:
         solve = _Compiled.solve
         calls = []
 
-        def weakened(self, tol, max_iter):
+        def weakened(self, tol, *args):
             calls.append(None)
-            verdict = solve(self, tol, max_iter)
+            verdict, z = solve(self, tol, *args)
             sep = verdict.separator
             if sep is None:
-                return verdict
+                return verdict, z
             excess = sep.margin - 10 * tol * (1.0 + 1e-9)
             dual = sep.dual.copy()
             dual[0] -= excess / self.n * np.eye(self.n)
             sep = dataclasses.replace(sep, dual=dual, margin=sep.margin - excess)
-            return dataclasses.replace(verdict, separator=sep)
+            return dataclasses.replace(verdict, separator=sep), z
 
         monkeypatch.setattr(_Compiled, "solve", weakened)
         a = pauli()
@@ -1133,10 +1116,10 @@ class TestMembershipCompiledOnce:
         ],
         ids=["square-in", "disc-out", "square-out", "ucp-unknown"],
     )
-    def test_one_compile_per_query(self, monkeypatch, query, status, solves):
-        counts = _count_compiles_and_solves(monkeypatch)
+    def test_one_compile_per_query(self, traffic, query, status, solves):
+        counts = traffic()
         assert query().status.value == status
-        assert counts == {"compile": 1, "solve": solves}
+        assert (counts.compiles, counts.solves) == (1, solves)
 
     @pytest.mark.parametrize(
         "query, solves",
@@ -1152,14 +1135,14 @@ class TestMembershipCompiledOnce:
         ],
         ids=["kmin", "ucp", "ucp-warm"],
     )
-    def test_relaxed_feasible_is_boundary(self, monkeypatch, query, solves):
+    def test_relaxed_feasible_is_boundary(self, traffic, query, solves):
         # a Feasible relaxed solve puts the point within the Boundary band,
         # whatever the solve on the other side gave
-        counts = _count_compiles_and_solves(monkeypatch)
+        counts = traffic()
         res = query()
         assert res.status is MembershipStatus.BOUNDARY
         assert res.margin == pytest.approx(1e-6)
-        assert counts == {"compile": 1, "solve": solves}
+        assert (counts.compiles, counts.solves) == (1, solves)
 
 
 def _body_scaled_kmin(K, a, max_iter):
@@ -1250,12 +1233,12 @@ class TestSupportScan:
         ids=["disc", "square", "box", "sampled", "off-center-triangle"],
     )
     def test_out_of_the_maximal_set_is_out_without_a_solve(
-        self, monkeypatch, body, a, core_reprices
+        self, traffic, body, a, core_reprices
     ):
         assert kmax_member(body, a).status is MembershipStatus.OUT
-        counts = _count_compiles_and_solves(monkeypatch)
+        counts = traffic()
         res = kmin_member(body, a)
-        assert counts == {"compile": 0, "solve": 0}
+        assert (counts.compiles, counts.solves) == (0, 0)
         assert res.status is MembershipStatus.OUT
         assert res.detail == "outside the relaxed body's maximal set"
         sep = res.certificate
@@ -1284,13 +1267,13 @@ class TestSupportScan:
         ids=["interval", "pauli", "nilpotent"],
     )
     def test_ucp_out_of_the_first_level_is_out_without_a_compile(
-        self, monkeypatch, x, a, core_reprices
+        self, monkeypatch, traffic, x, a, core_reprices
     ):
         # lambda_max(sum c_l a_l) <= h_x(c) fails along a scanned c, so the
         # rank-one Choi pencil answers before the SDP is compiled
-        counts = _count_compiles_and_solves(monkeypatch)
+        counts = traffic()
         res = ucp_member(x, a)
-        assert counts == {"compile": 0, "solve": 0}
+        assert (counts.compiles, counts.solves) == (0, 0)
         assert res.status is MembershipStatus.OUT
         assert res.detail == UCP_SCAN_DETAIL
         assert res.margin == res.certificate.margin >= 10 * 1e-7
@@ -1298,15 +1281,15 @@ class TestSupportScan:
         monkeypatch.setattr(ranges, "_support_cut", _no_scan)
         assert ucp_member(x, a).status is MembershipStatus.OUT
 
-    def test_ucp_over_a_triple_is_not_scanned(self, monkeypatch):
+    def test_ucp_over_a_triple_is_not_scanned(self, traffic):
         # the scan covers d <= 2 only: a triple past its first level is
         # still Out, from the Choi SDP
         triple = OperatorTuple((X, Z, Y), hermitian=True)
-        counts = _count_compiles_and_solves(monkeypatch)
+        counts = traffic()
         res = ucp_member(triple, triple.scaled(1.2))
         assert res.status is MembershipStatus.OUT
         assert res.detail != UCP_SCAN_DETAIL
-        assert counts["compile"] == 1
+        assert counts.compiles == 1
 
     def test_the_separator_is_the_support_line_of_a_rank_one_pencil(self):
         # over the square, (1.2 X + 0.1, 0.5 Z) is cut off by x <= 1 the
@@ -1481,9 +1464,9 @@ def test_a_disc_is_decided_as_its_dilation_says(seed):
         )
         norm = _disc_norm(disc, p)
         with pytest.MonkeyPatch.context() as mp:
-            counts = _count_compiles_and_solves(mp)
+            counts = count_traffic(mp)
             res = kmin_member(disc, p)
-        assert counts == {"compile": 0, "solve": 0}
+        assert (counts.compiles, counts.solves) == (0, 0)
         if norm <= 1.0:
             assert (res.status, res.detail) == (MembershipStatus.IN, _DILATION)
         elif norm <= 1.0 + 10 * ranges.MEMBER_TOL:
@@ -1501,19 +1484,19 @@ def test_a_disc_is_decided_as_its_dilation_says(seed):
             assert res.status is not MembershipStatus.OUT
 
 
-def test_a_dilation_that_misses_its_equations_is_unknown(monkeypatch):
+def test_a_dilation_that_misses_its_equations_is_unknown(monkeypatch, traffic):
     # the dilation is checked against the witness residual before it is
     # reported; with no path left to fall through to, a miss is Unknown
     a = nilpotent_pair().scaled(0.45)
     assert kmin_member(UNIT_DISC, a).status is MembershipStatus.IN
     monkeypatch.setattr(ranges, "WITNESS_RESIDUAL", -1.0)
-    counts = _count_compiles_and_solves(monkeypatch)
+    counts = traffic()
     res = kmin_member(UNIT_DISC, a)
     assert (res.status, res.margin, res.certificate) == (
         MembershipStatus.UNKNOWN, 0.0, None
     )
     assert res.detail.startswith("the unitary dilation misses its equations by ")
-    assert counts == {"compile": 0, "solve": 0}
+    assert (counts.compiles, counts.solves) == (0, 0)
 
 
 def _disc_alpha_by_bisection(K: Disc, a: OperatorTuple) -> float:
@@ -1548,10 +1531,10 @@ def test_theta_over_a_disc_is_its_closed_form(seed):
     b = b.scaled(_scale_to_kmax_boundary(Disc(np.zeros(2), radius), b))
     a = _around(disc.center, 1.0, b)
     with pytest.MonkeyPatch.context() as mp:
-        counts = _count_compiles_and_solves(mp)
+        counts = count_traffic(mp)
         trace = []
         est = theta_min_alpha(disc, a, tol=0.01, trace=trace)
-    assert counts == {"compile": 0, "solve": 0}
+    assert (counts.compiles, counts.solves) == (0, 0)
     assert trace == [(est.lower, est.upper)]
     assert est.upper - est.lower <= 0.01
     alpha = _disc_alpha_by_bisection(disc, a)
@@ -1600,7 +1583,7 @@ def test_theta_of_a_unitary_conjugate_overlaps(seed):
 
 
 @pytest.mark.parametrize("r", [0.98, 0.995])
-def test_a_disc_point_off_a_coarse_polygon_is_a_dilation(monkeypatch, r):
+def test_a_disc_point_off_a_coarse_polygon_is_a_dilation(traffic, r):
     # (r cos 15 D + eps X, r sin 15 D), D = diag(1, -1), eps = 1e-3, is in
     # D^min (||T|| <= r + eps < 1) but outside the maximal set of the
     # inscribed 12-gon, whose support scan cuts it off; over the disc the
@@ -1613,11 +1596,11 @@ def test_a_disc_point_off_a_coarse_polygon_is_a_dilation(monkeypatch, r):
     assert (res.status, res.detail) == (
         MembershipStatus.OUT, "outside the relaxed body's maximal set"
     )
-    counts = _count_compiles_and_solves(monkeypatch)
+    counts = traffic()
     res = kmin_member(UNIT_DISC, a)
     assert (res.status, res.detail) == (MembershipStatus.IN, _DILATION)
     assert np.shape(res.certificate["h"]) == (4, 2, 2)
-    assert counts == {"compile": 0, "solve": 0}
+    assert (counts.compiles, counts.solves) == (0, 0)
 
 
 @pytest.mark.parametrize(
@@ -1636,7 +1619,7 @@ def test_membership_rejects_a_negative_max_iter(query):
         query(-5)
 
 
-def test_interior_points_of_a_polytope_pose_no_block(monkeypatch):
+def test_interior_points_of_a_polytope_pose_no_block(traffic):
     # the square's corners among 60 interior points: the 4 corners are
     # posed, in listed order, so both bodies share one operator, compiled
     # once, and the answer is the square's to the bit
@@ -1644,12 +1627,10 @@ def test_interior_points_of_a_polytope_pose_no_block(monkeypatch):
     pts = np.vstack([rng.uniform(-0.9, 0.9, (30, 2)), SQUARE.vertices,
                      rng.uniform(-0.9, 0.9, (30, 2))])
     a = pauli(0.6)
-    posed = []
-    compile_ = ranges._compile
-    monkeypatch.setattr(ranges, "_compile", lambda p: posed.append(p) or compile_(p))
+    counts = traffic()
     res = kmin_member(Polytope(pts), a)
     want = kmin_member(SQUARE, a)
-    assert [p.block_sizes for p in posed] == [(2,) * 4]
+    assert [op.block_sizes for op in counts.compiled] == [(2,) * 4]
     assert res.status is want.status is MembershipStatus.IN
     assert np.array_equal(res.certificate["vertices"], SQUARE.vertices)
     assert all(np.array_equal(g, w) for g, w in
@@ -1769,35 +1750,58 @@ def _scalar_rows(problem: SdpFeasibility):
     )
 
 
-def _kmin_square_pauli(monkeypatch) -> SdpFeasibility:
+#: what ``_Compiled`` derives from its patterns alone
+OPERATOR_ARRAYS = (
+    "coeff_groups", "norms", "zero_rows", "gram_pinv", "coeff_lsq", "identity_combo"
+)
+
+
+def _same_operator(got: _Compiled, want: _Compiled) -> bool:
+    """``OPERATOR_ARRAYS`` of two operators agree, dtype and bits."""
+
+    def same(g, w) -> bool:
+        if isinstance(w, list):
+            return len(g) == len(w) and all(map(same, g, w))
+        if w is None or g is None:
+            return g is w
+        return g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    return got.block_sizes == want.block_sizes and all(
+        same(getattr(got, name), getattr(want, name)) for name in OPERATOR_ARRAYS
+    )
+
+
+def _kmin_square_pauli(traffic) -> SdpFeasibility:
     return _kmin_problem(SQUARE.vertices, pauli().mats)
 
 
-def _choi_pair_to_level_two(monkeypatch) -> SdpFeasibility:
+def _choi_pair_to_level_two(traffic) -> SdpFeasibility:
     # a non-Hermitian 3 x 3 pair and a level-2 point inside its range; the
-    # problem is the one ucp_member compiles
+    # problem is the one ucp_member compiles, operator for operator
     rng = np.random.default_rng(4)
     x = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
          for _ in range(2)]
     v, _ = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
     b = [0.9 * v.conj().T @ xj @ v + 0.1 * np.trace(xj) / 3 * np.eye(2) for xj in x]
-    posed = []
-    compile_ = ranges._compile
-    monkeypatch.setattr(ranges, "_compile", lambda p: posed.append(p) or compile_(p))
-    ucp_member(OperatorTuple(tuple(x)), OperatorTuple(tuple(b)))
-    return posed[0]
+    x, b = OperatorTuple(tuple(x)), OperatorTuple(tuple(b))
+    counts = traffic()
+    ucp_member(x, b)
+    center = np.array([np.trace(xj) / 3 for xj in x.mats])
+    problem = range_sdp(ranges._range_rows(np.array(x.mats)[None], b, center))
+    assert _same_operator(counts.compiled[0], _compile(problem))
+    return problem
 
 
 @pytest.mark.parametrize(
     "pose", [_kmin_square_pauli, _choi_pair_to_level_two], ids=["kmin", "choi"]
 )
-def test_matrix_equations_match_their_scalar_rows(monkeypatch, pose):
-    problem = pose(monkeypatch)
+def test_matrix_equations_match_their_scalar_rows(traffic, pose):
+    problem = pose(traffic)
     lowered, basis = _scalar_rows(problem)
     mat, rows = _compile(problem), _compile(lowered)
     n2 = mat.n * mat.n
     assert mat.n > 1 and rows.n == 1 and rows.m == mat.m * n2
-    assert mat.solve(1e-7, 50000).status is rows.solve(1e-7, 50000).status
+    assert solve_feasibility(problem).status is solve_feasibility(lowered).status
 
     def coords(y):  # basis coordinates, in the row order (r, k)
         return np.einsum("kij,rij->rk", basis.conj(), y).real.reshape(-1, 1, 1)
@@ -1815,6 +1819,47 @@ def test_matrix_equations_match_their_scalar_rows(monkeypatch, pose):
     # pencil is the adjoint of apply: sum_r Re tr(Y_r A(V)_r) = Re tr(A*(Y) V)
     pairing = sum(np.vdot(p, vg).real for p, vg in zip(mat.pencil(y), v))
     assert abs(np.vdot(y, mat.apply(v)).real - pairing) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "xs, a, zero_rows",
+    [
+        (SQUARE.vertices[:, :, None, None], pauli(0.6), 0),
+        (np.array([[X, Z]]), pauli(0.5), 0),
+        # (X, N) for N the 2 x 2 shift at a non-Hermitian point: x_1 = X
+        # is Hermitian, so its skew row, posed for the skew part of a_1,
+        # is a zero row; N's skew row is not
+        (np.array([[X, np.eye(2, k=1)]]),
+         OperatorTuple((0.3 * X + 0.1j * Z, 0.2 * np.eye(2, k=1))), 1),
+    ],
+    ids=["kmin", "ucp-hermitian", "ucp-skew-and-zero-rows"],
+)
+def test_a_range_operator_is_the_compile_of_its_reference_problem(xs, a, zero_rows):
+    # the operator ranges builds straight from its pattern stack against
+    # ``_compile`` of the same rows posed through the public API, whose
+    # unit row ``range_sdp`` builds on its own
+    center = np.trace(xs, axis1=2, axis2=3).mean(axis=0) / xs.shape[-1]
+    rows = ranges._range_rows(xs, a, center)
+    direct = ranges._range_operator(rows[0], a.n)
+    reference = _compile(range_sdp(rows))
+    assert _same_operator(direct, reference)
+    assert int(direct.zero_rows.sum()) == zero_rows
+    assert rows[3].sum() == direct.m == 1 + (2 * a.d if zero_rows else a.d)
+    # at the query's rhs, every solve's data agree as well
+    rhs = np.concatenate([np.eye(a.n)[None], rows[1]])
+    posed = direct.with_rhs(rhs)
+    assert np.array_equal(posed.b, reference.b)
+    assert np.array_equal(posed.b_lsq, reference.b_lsq)
+
+
+def test_the_direct_compile_is_priced_against_the_budget(monkeypatch):
+    # ucp of (X, Z) at a 1 x 1 point: its Choi variable fits in 600
+    # bytes, but the four copies of its 3 x 1 x 2 x 2 compiled
+    # constraints, 768 bytes, do not
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 600)
+    point = OperatorTuple((np.array([[0.1]]), np.array([[0.2]])), hermitian=True)
+    with pytest.raises(TooLarge, match="the compiled constraints needs about"):
+        ucp_member(pauli(), point)
 
 
 def test_kmin_at_level_twelve_stays_small():
@@ -1865,24 +1910,37 @@ def test_over_budget_is_refused_before_allocating(monkeypatch, what, call):
 
 
 class TestOperatorCache:
-    def test_a_query_starts_cold_on_a_shared_operator(self, monkeypatch):
+    def test_a_query_starts_cold_on_a_shared_operator(self, monkeypatch, traffic):
         # theta between two equal kmin queries solves on the square's one
-        # operator and leaves no iterate behind: the second kmin answers
-        # as the first, to the bit
+        # operator, and each query's first solve is passed no iterate,
+        # later ones the iterate the solve before returned: the second
+        # kmin answers as the first, to the bit
         a = pauli(0.6)
-        counts = _count_compiles_and_solves(monkeypatch)
+        counts = traffic()
         shared = _shared_operators(monkeypatch)
+        passed, returned, solve = [], [], _Compiled.solve
+
+        def spied_solve(self, tol, max_iter, z=None):
+            verdict, z_end = solve(self, tol, max_iter, z)
+            passed.append(z)
+            returned.append(z_end)
+            return verdict, z_end
+
+        monkeypatch.setattr(_Compiled, "solve", spied_solve)
         first = kmin_member(SQUARE, a)
         theta_min_alpha(SQUARE, pauli(), tol=0.02)
         again = kmin_member(SQUARE, a)
-        assert counts["compile"] == 1
+        assert counts.compiles == 1
         assert first.status is again.status is MembershipStatus.IN
         assert first.margin == again.margin
         assert all(np.array_equal(g, w) for g, w in
                    zip(first.certificate["h"], again.certificate["h"]))
         assert ranges._vertex_operator.cache_info().currsize == 1
         assert len(shared) > 2 and all(op is shared[0] for op in shared)
-        assert shared[0]._warm.z is None
+        # one solve each for the kmin queries, the rest theta's
+        assert len(passed) == len(shared) > 3
+        assert [i for i, z in enumerate(passed) if z is None] == [0, 1, len(passed) - 1]
+        assert all(passed[i] is returned[i - 1] for i in range(2, len(passed) - 1))
 
     def test_the_budget_is_checked_before_the_cache(self, monkeypatch):
         a = shift_pair(4, 1.1)
@@ -1906,24 +1964,24 @@ class TestOperatorCache:
         with pytest.raises(ValueError, match="read-only"):
             shared.coeff_groups[0][...] = 0.0
 
-    def test_the_cache_keeps_the_most_recent_operators(self, monkeypatch):
+    def test_the_cache_keeps_the_most_recent_operators(self, traffic):
         bodies = [Polytope(SQUARE.vertices * (1.0 + 0.1 * i))
                   for i in range(ranges.CACHED_OPERATORS + 2)]
         for body in bodies:
             assert kmin_member(body, pauli(0.3)).status is MembershipStatus.IN
         assert ranges._vertex_operator.cache_info().currsize == ranges.CACHED_OPERATORS
-        counts = _count_compiles_and_solves(monkeypatch)
+        counts = traffic()
         kmin_member(bodies[-1], pauli(0.3))
-        assert counts["compile"] == 0
+        assert counts.compiles == 0
         kmin_member(bodies[0], pauli(0.3))
-        assert counts["compile"] == 1
+        assert counts.compiles == 1
         assert ranges._vertex_operator.cache_info().currsize == ranges.CACHED_OPERATORS
 
-    def test_ucp_compiles_on_every_query(self, monkeypatch):
-        counts = _count_compiles_and_solves(monkeypatch)
+    def test_ucp_compiles_on_every_query(self, traffic):
+        counts = traffic()
         for _ in range(2):
             assert ucp_member(pauli(), pauli(0.5)).status is MembershipStatus.IN
-        assert counts["compile"] == 2
+        assert counts.compiles == 2
         assert ranges._vertex_operator.cache_info().currsize == 0
 
     def test_threads_share_the_cache_without_a_lock(self):
@@ -2062,11 +2120,11 @@ class TestUcp:
         calls = []
         solve = _Compiled.solve
 
-        def first_unknown(self, tol, max_iter):
+        def first_unknown(self, tol, *args):
             calls.append(tol)
             if len(calls) == 1:
-                return Verdict(Status.UNKNOWN, None, None, 0, np.inf)
-            return solve(self, tol, max_iter)
+                return Verdict(Status.UNKNOWN, None, None, 0, np.inf), None
+            return solve(self, tol, *args)
 
         monkeypatch.setattr(_Compiled, "solve", first_unknown)
         res = ucp_member(x, a)

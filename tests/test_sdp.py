@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import range_sdp
 from mconvex.errors import BadProblem, NoCertificate
-from mconvex.linalg import herm_part, random_hermitian
+from mconvex.linalg import OperatorTuple, herm_part, random_hermitian
+from mconvex.ranges import _range_rows
 from mconvex.sdp import (
+    MAX_ITER,
     AffineConstraint,
     SdpFeasibility,
     Status,
@@ -19,6 +22,10 @@ from mconvex.sdp import (
     verify_witness,
 )
 
+X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+Z = np.diag([1.0, -1.0]).astype(complex)
+SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
 
 def _trace_one(size: int, extra=()) -> SdpFeasibility:
     cons = [AffineConstraint(np.eye(size, dtype=complex), 1.0)]
@@ -26,16 +33,18 @@ def _trace_one(size: int, extra=()) -> SdpFeasibility:
     return SdpFeasibility(size, tuple(cons))
 
 
+def _kmin_problem(verts: np.ndarray, mats) -> SdpFeasibility:
+    """kmin's decomposition SDP over the polygon ``verts``, posed at the
+    Hermitian tuple ``mats``."""
+    a = OperatorTuple(tuple(mats), hermitian=True)
+    return range_sdp(_range_rows(verts[:, :, None, None], a, np.zeros(2)))
+
+
 def _disc_kmin_problem(m: int, mats) -> SdpFeasibility:
     """kmin's decomposition SDP over the inscribed m-gon of the unit disc,
     posed at the Hermitian tuple ``mats``."""
-    from mconvex.linalg import OperatorTuple
-    from mconvex.ranges import _range_rows, _range_sdp
-
     angles = 2.0 * np.pi * np.arange(m) / m
-    verts = np.column_stack([np.cos(angles), np.sin(angles)])
-    a = OperatorTuple(tuple(mats), hermitian=True)
-    return _range_sdp(*_range_rows(verts[:, :, None, None], a, np.zeros(2))[:2])
+    return _kmin_problem(np.column_stack([np.cos(angles), np.sin(angles)]), mats)
 
 
 def test_feasible_trace_one():
@@ -348,49 +357,62 @@ def test_with_rhs_gives_the_verdict_of_a_fresh_compile():
         _planted_problem(coeffs, r)
         for r in (rhs, [2.0 * v for v in rhs], [-v for v in rhs])
     ]
+    # one base serves every rhs: it keeps no iterate between solves
+    base = _compile(problems[0])
     for problem in problems:
-        # a fresh base per rhs: a shared one would start warm
         new_rhs = [c.rhs for c in problem.constraints]
-        got = _compile(problems[0]).with_rhs(new_rhs).solve(1e-7, 50000)
+        got, _ = base.with_rhs(new_rhs).solve(1e-7, MAX_ITER)
         assert _verdicts_equal(got, solve_feasibility(problem))
     assert {solve_feasibility(p).status for p in problems} >= {
         Status.FEASIBLE, Status.INFEASIBLE
     }
 
 
-def test_with_rhs_copies_share_one_warm_slot():
+def test_with_rhs_copies_iterate_from_the_iterate_passed():
     rng = np.random.default_rng(3)
     coeffs, rhs = _planted(rng, 4, 5)
     problem = _planted_problem(coeffs, rhs)
     comp = _compile(problem)
-    first = comp.with_rhs(rhs + [1.0])
-    assert first._warm is comp._warm
-    assert first.with_rhs(rhs + [1.0])._warm is comp._warm
-    verdict = first.solve(1e-7, 50000)
+    verdict, z = comp.with_rhs(rhs + [1.0]).solve(1e-7, MAX_ITER)
     assert verdict.status is Status.FEASIBLE and verdict.iterations > 0
-    # the slot keeps the iterate the first copy stopped at, and nothing
-    # else: the same rhs is answered again by iterating from there
-    z = comp._warm.z
+    # the solve returns the iterate it stopped at: the same rhs is
+    # answered again by iterating from there, which leaves it as it was
     assert z is not None
-    again = comp.with_rhs(rhs + [1.0]).solve(1e-7, 50000)
+    kept = [zg.copy() for zg in z]
+    again, z_again = comp.with_rhs(rhs + [1.0]).solve(1e-7, MAX_ITER, z)
     assert again.status is Status.FEASIBLE and again.iterations > 0
-    assert comp._warm.z is not z
+    assert z_again is not z
+    assert all(np.array_equal(zg, kg) for zg, kg in zip(z, kept))
     # an infeasible rhs (a negative trace) starts from that iterate too
-    outside = comp.with_rhs(rhs + [-1.0]).solve(1e-7, 50000)
+    outside, _ = comp.with_rhs(rhs + [-1.0]).solve(1e-7, MAX_ITER, z_again)
     assert outside.status is Status.INFEASIBLE and outside.iterations > 0
     assert outside.separator.margin >= 10 * 1e-7
 
 
-def test_compiles_of_one_problem_do_not_share_a_slot():
+def test_a_solve_passed_no_iterate_starts_from_zero():
+    # a warm solve differs from a cold one; passed no iterate, the
+    # operator that made it answers as a fresh compile does
     rng = np.random.default_rng(3)
     coeffs, rhs = _planted(rng, 4, 5)
     problem = _planted_problem(coeffs, rhs)
-    warm, cold = _compile(problem), _compile(problem)
-    assert warm._warm is not cold._warm
-    first = warm.solve(1e-7, 50000)
-    assert warm._warm.z is not None
-    assert cold._warm.z is None
-    assert _verdicts_equal(cold.solve(1e-7, 50000), first)
+    comp = _compile(problem)
+    first, z = comp.solve(1e-7, MAX_ITER)
+    assert first.iterations > 0
+    warm, _ = comp.solve(1e-7, MAX_ITER, z)
+    assert not _verdicts_equal(warm, first)
+    assert _verdicts_equal(comp.solve(1e-7, MAX_ITER)[0], first)
+    assert _verdicts_equal(_compile(problem).solve(1e-7, MAX_ITER)[0], first)
+
+
+def test_a_compiled_operator_keeps_no_state_between_solves():
+    # 0.72 (X, Z) is outside the square's minimal set (it leaves at
+    # 1 / sqrt 2); two solves of one operator, each passed no iterate,
+    # give the same separator to the bit
+    comp = _compile(_kmin_problem(SQUARE, [0.72 * X, 0.72 * Z]))
+    first, _ = comp.solve(1e-7, MAX_ITER)
+    second, _ = comp.solve(1e-7, MAX_ITER)
+    assert first.status is Status.INFEASIBLE
+    assert _verdicts_equal(second, first)
 
 
 def test_solve_feasibility_repeats_to_the_bit():
@@ -418,11 +440,11 @@ def test_with_rhs_checks_the_new_rhs():
         comp.with_rhs([0.0, np.inf])
     # a zero row with a nonzero rhs is the equation 0 = 1e-3, and 0 = 1e-9
     # is met within the witness residual
-    assert comp.with_rhs([1e-3, 1.0]).solve(1e-7, 50000).status is Status.INFEASIBLE
+    assert comp.with_rhs([1e-3, 1.0]).solve(1e-7, MAX_ITER)[0].status is Status.INFEASIBLE
     alone = _compile(SdpFeasibility(2, (AffineConstraint(np.zeros((2, 2)), 1e-3),)))
-    assert alone.solve(1e-7, 50000).status is Status.INFEASIBLE
-    assert comp.with_rhs([1e-9, 1.0]).solve(1e-7, 50000).status is Status.FEASIBLE
-    assert comp.with_rhs([0.0, 2.0]).solve(1e-7, 50000).status is Status.FEASIBLE
+    assert alone.solve(1e-7, MAX_ITER)[0].status is Status.INFEASIBLE
+    assert comp.with_rhs([1e-9, 1.0]).solve(1e-7, MAX_ITER)[0].status is Status.FEASIBLE
+    assert comp.with_rhs([0.0, 2.0]).solve(1e-7, MAX_ITER)[0].status is Status.FEASIBLE
 
 
 def test_compiled_data_match_the_whole_stack_formulas():
@@ -542,7 +564,7 @@ def test_matrix_rhs_must_be_hermitian():
         comp.with_rhs(far[None])
     with pytest.raises(BadProblem):
         comp.with_rhs(np.eye(2))  # a matrix, not a stack of one
-    assert comp.with_rhs(near[None]).solve(1e-7, 50000).status is Status.FEASIBLE
+    assert comp.with_rhs(near[None]).solve(1e-7, MAX_ITER)[0].status is Status.FEASIBLE
 
 
 def test_block_sizes_must_be_multiples_of_n():
@@ -572,7 +594,7 @@ def test_witness_blocks_are_symmetrized_per_group(monkeypatch):
 
     real_iterate = sdp._iterate
     monkeypatch.setattr(sdp, "_iterate", iterate)
-    verdict = comp.solve(1e-7, 50_000)
+    verdict, _ = comp.solve(1e-7, MAX_ITER)
     assert verdict.status is Status.FEASIBLE
     assert len(verdict.blocks) == 96
     for got, block in zip(verdict.blocks, comp.blocks(raw[0])):
