@@ -3,16 +3,17 @@
 Everything here works on plain ``numpy`` arrays at desk scale (matrix sizes
 up to roughly 64).  The routines favour certified, re-checkable output over
 raw speed: eigendecompositions come from LAPACK via ``numpy.linalg``,
-apart from stacks of 2 x 2 blocks, whose eigenvalues (``herm_eigvalsh``)
-and PSD part (``psd_part``) come in closed form, and the few iterative
-pieces (numerical radius refinement) state what their
-tolerance bounds.  ``_require_bytes`` refuses, before allocating, an
-array that grows with the input past ``MEMORY_BUDGET``.
+apart from 2 x 2 blocks, whose eigenvalues (``herm_eigvalsh``), PSD part
+(``psd_part``) and certified circle support (``circle_support``, which
+gives the numerical radius) come in closed form; the iterative pieces
+state what their tolerance bounds.  ``_require_bytes`` refuses, before
+allocating, an array that grows with the input past ``MEMORY_BUDGET``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Sequence
 
 import numpy as np
@@ -26,10 +27,8 @@ HERM_RTOL = 1e-12
 #: relative SVD threshold used when counting null directions
 NULLITY_RTOL = 1e-8
 
-#: angles per ``eigvalsh`` call in the ``numerical_radius`` scan.  One
-#: (grid, n, n) stack for the whole scan would be the largest allocation
-#: of a small query and set its peak memory; chunks of 8 keep the peak
-#: near that of one call per angle, in 8 LAPACK calls instead of 64.
+#: angles per ``eigvalsh`` call in the ``circle_support`` scan at n >= 3:
+#: one (grid, n, n) stack would set a small query's peak memory
 _SCAN_CHUNK = 8
 
 #: bytes one query may ask for in the arrays that grow with its input
@@ -158,98 +157,162 @@ def op_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def numerical_radius(m, tol: float = 1e-8, grid: int = 64) -> float:
-    """Numerical radius ``w(m) = max_theta lambda_max(Re(e^{i theta} m))``.
+def _profile(stack, theta: float) -> tuple[float, float, float]:
+    """``f = lambda_max(H)``, ``f'``, ``f''`` at ``theta``, ``H = stack[0] +
+    cos(theta) stack[1] + sin(theta) stack[2]``: from Pauli coordinates
+    (lists) ``f = alpha + |v|``; else from one ``eigh``, ``f'' = u* H'' u +
+    2 sum_k |v_k* H' u|^2 / (lambda_1 - lambda_k)``, gaps > 1e-12 (Johnson 1978)."""
+    c, s = math.cos(theta), math.sin(theta)
+    if isinstance(stack, list):
+        (y0, *yv), (r0, *rv), (i0, *iv) = stack
+        alpha, d_alpha = y0 + c * r0 + s * i0, c * i0 - s * r0
+        v = [y + c * r + s * i for y, r, i in zip(yv, rv, iv)]
+        dv = [c * i - s * r for r, i in zip(rv, iv)]
+        if (norm := math.hypot(*v)) == 0.0:
+            return alpha, d_alpha, y0 - alpha
+        d1 = sum(p * q for p, q in zip(v, dv)) / norm
+        d2 = sum(q * q + p * (y - p) for p, q, y in zip(v, dv, yv)) - d1 * d1
+        return alpha + norm, d_alpha + d1, y0 - alpha + d2 / norm
+    lam, vecs = np.linalg.eigh(stack[0] + c * stack[1] + s * stack[2])
+    u = vecs[:, -1]
+    coup = vecs.conj().T @ ((c * stack[2] - s * stack[1]) @ u)
+    gaps = lam[-1] - lam[:-1]
+    far = gaps > 1e-12
+    d2 = float((u.conj() @ stack[0] @ u).real) - lam[-1] + 2.0 * float(
+        np.sum(np.abs(coup[:-1][far]) ** 2 / gaps[far])
+    )
+    return float(lam[-1]), float(coup[-1].real), d2
 
-    With ``H(theta) = cos(theta) Re m - sin(theta) Im m``, the profile
-    ``f(theta) = lambda_max(H(theta))`` is scanned at ``grid`` equispaced
-    angles, ``delta = 2 pi / grid`` apart: ``pencil_stack`` builds the
-    ``H(theta)`` of each chunk of ``_SCAN_CHUNK`` angles, with one
-    ``eigvalsh`` per chunk.  Each local maximum
-    ``theta_k`` of the scan is refined inside its bracket
-    ``[theta_k - delta, theta_k + delta]`` by Newton steps on
-    ``f'(theta) = 0``, from ``theta_k``.  One ``eigh`` of ``H(theta)``
-    gives both derivatives (Johnson 1978): with
-    eigenpairs ``(lambda_k, v_k)``, top pair ``(lambda_1, u)`` and
-    ``H' = dH/dtheta``, ``f' = u* H' u`` and ``f'' = -lambda_1 + 2
-    sum_{k>1} |v_k* H' u|^2 / (lambda_1 - lambda_k)``, leaving out the
-    eigenvalues within ``1e-12`` of ``lambda_1``.
 
-    The safeguard: after each evaluation the bracket shrinks to the side
-    that the sign of ``f'`` points to, and where ``f''`` is not negative
-    or the Newton step would leave the bracket, the next angle is the
-    bracket's midpoint.  Like golden-section search, this assumes each
-    peak is unimodal inside its bracket.  A peak is done once ``f'``
-    vanishes to rounding (a flat profile, as for a matrix whose
-    numerical range is a disc about 0) or the step falls below
-    ``1e-2 sqrt(tol)``; the angle that step reaches is evaluated too.
-    ``tol`` thus bounds the error in the value: the angle is resolved to
-    well below ``sqrt(tol)``, and the profile is locally quadratic.
-
-    Returns the largest ``lambda_max`` evaluated: a sampled lower bound on
-    ``w(m)``, within ``tol`` of it for desk-scale matrices.
-
-    Raises
-    ------
-    DimensionMismatch
-        If ``m`` is not a finite square matrix, or ``grid < 1``.
-    """
-    if grid < 1:
-        raise DimensionMismatch(
-            f"numerical radius needs a scan grid of at least 1 angle, got {grid}"
-        )
-    a = as_matrix(m)
-    if a.shape[0] == 0:
-        return 0.0
-    re = herm_part(a)
-    im = skew_part(a)
-
-    def h(theta):
-        return np.cos(theta) * re - np.sin(theta) * im
-
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    # h at every angle, equal to h(theta) to the bit
-    dirs = np.column_stack([np.cos(thetas), -np.sin(thetas)])
-    vals = np.concatenate([
-        np.linalg.eigvalsh(pencil_stack((re, im), dirs[k:k + _SCAN_CHUNK]))[:, -1]
-        for k in range(0, grid, _SCAN_CHUNK)
-    ])
-    step = 2.0 * np.pi / grid
-    best = float(vals.max())
-    # |f'| below this is rounding: f' = u* H(theta + pi/2) u, and every
-    # |lambda(H)| is at most w(m), which the scan's maximum approximates
-    flat = 1e-14 * abs(best)
-    angle_target = max(np.sqrt(max(tol, 1e-15)) * 1e-2, 1e-12)
-    for k in range(grid):
-        if vals[k] < vals[(k - 1) % grid] or vals[k] < vals[(k + 1) % grid]:
-            continue
-        theta = thetas[k]
-        lo, hi = theta - step, theta + step
+def _climb(stack, starts, step: float, scale: float, tol: float):
+    """The best ``(f, theta)`` that Newton steps on ``f' = 0`` reach from
+    each ``t`` in ``starts`` within ``[t - step, t + step]``, a bracket that
+    shrinks to the side ``f'`` points to; its midpoint replaces a step that
+    leaves it or has ``f'' >= 0``.  Done below a step of ``1e-2 sqrt(tol)``
+    or at ``|f'| <= 1e-14 scale``, except at a clear minimum (between two
+    peaks), whose two half-brackets are refined."""
+    flat = 1e-14 * scale
+    angle_target = max(math.sqrt(max(tol, 1e-15)) * 1e-2, 1e-12)
+    best = (-math.inf, 0.0)
+    todo = [(t, t - step, t + step) for t in starts]
+    while todo:
+        theta, lo, hi = todo.pop()
         while True:
-            lam, vecs = np.linalg.eigh(h(theta))
-            best = max(best, float(lam[-1]))
-            # H'(theta) = H(theta + pi/2), in the eigenbasis, against u
-            coup = vecs.conj().T @ (h(theta + 0.5 * np.pi) @ vecs[:, -1])
-            d1 = float(coup[-1].real)
+            f, d1, d2 = _profile(stack, theta)
+            best = max(best, (f, theta))
             if abs(d1) <= flat:
+                if d2 > 1e6 * flat and hi - lo > angle_target:
+                    todo += [(0.5 * (lo + theta), lo, theta),
+                             (0.5 * (theta + hi), theta, hi)]
                 break
-            gaps = lam[-1] - lam[:-1]
-            far = gaps > 1e-12
-            d2 = -lam[-1] + 2.0 * float(
-                np.sum(np.abs(coup[:-1][far]) ** 2 / gaps[far])
-            )
-            if d1 > 0.0:
-                lo = theta
-            else:
-                hi = theta
-            nxt = theta - d1 / d2 if d2 < 0.0 else np.nan
+            lo, hi = (theta, hi) if d1 > 0.0 else (lo, theta)
+            nxt = theta - d1 / d2 if d2 < 0.0 else math.nan
             if not lo < nxt < hi:
                 nxt = 0.5 * (lo + hi)
             if abs(nxt - theta) < angle_target:
-                best = max(best, float(np.linalg.eigvalsh(h(nxt))[-1]))
+                best = max(best, (_profile(stack, nxt)[0], nxt))
                 break
             theta = nxt
     return best
+
+
+def _circle_certificate(rows: list, gram: list, upper: float) -> float | None:
+    """None if ``f = alpha_0 + a.u + |v_0 + M u| <= upper`` on the unit
+    circle (Pauli rows; Gram matrix of ``v_0, M``), else an angle where ``f
+    > upper``: an S-lemma bound on ``(w - a.u)^2 - |v_0 + M u|^2``, ``w =
+    upper - alpha_0``, made tight by Newton steps (Moré and Sorensen 1983),
+    as the README derives."""
+    (y0, *_), (a1, *_), (a2, *_) = rows
+    w = upper - y0
+    if w < math.hypot(a1, a2):
+        return math.atan2(a2, a1)
+    a11, a12, a22 = a1 * a1 - gram[1][1], a1 * a2 - gram[1][2], a2 * a2 - gram[2][2]
+    gap = 2.0 * math.hypot(0.5 * (a11 - a22), a12)
+    phi = 0.5 * math.atan2(2.0 * a12, a11 - a22)
+    c, s = math.cos(phi), math.sin(phi)
+    ga, gb = -w * a1 - gram[0][1], -w * a2 - gram[0][2]
+    g1, g2 = gb * c - ga * s, ga * c + gb * s
+    base = w * w - gram[0][0] + 0.5 * (a11 + a22 - gap)
+    margin = 1e-15 * (w * w + gram[0][0] + gram[1][1] + gram[2][2])
+    t = max(abs(g1), math.hypot(g1, g2) - gap)  # 0 only if g_1 = 0 (hard case)
+    for _ in range(100):
+        q1, q2 = g1 / t if t else 0.0, g2 / (t + gap) if t + gap else 0.0
+        if base - t - g1 * q1 - g2 * q2 > margin:
+            return None
+        n2 = q1 * q1 + q2 * q2
+        if not t or n2 <= 1.0:
+            break
+        t += n2 * (math.sqrt(n2) - 1.0) / (q1 * q1 / t + q2 * q2 / (t + gap))
+    q1 -= math.sqrt(max(0.0, 1.0 - q1 * q1 - q2 * q2))
+    return math.atan2(-q1 * c - q2 * s, q1 * s - q2 * c)
+
+
+def circle_support(y0, t, tol: float = 1e-8, grid: int = 64) -> tuple[float, ...]:
+    """``(lower, upper, theta)``, ``lower = f(theta) <= max f <= upper``, for
+    ``f(theta) = lambda_max(y0 + Re(e^{i theta} t))``, ``y0`` Hermitian or
+    scalar; ``_climb`` refines each peak of a scan.  At n <= 2 (no LAPACK)
+    ``f = alpha_0 + a.u + |v_0 + M u|``, ``u = (cos theta, sin theta)``,
+    is maximized exactly if ``|v_0 + M u|`` is constant (scalar ``t``,
+    circular range, flat profile), else ``_circle_certificate`` proves
+    ``upper = lower + tol / 2`` or names an angle to climb from (rounding
+    quadruples the slack).  At n >= 3, ``upper`` is the scan's
+    sublinearity bound, unrefined (see the README).  Raises
+    ``DimensionMismatch`` for a non-square or non-finite ``t``, a ``y0``
+    of another shape, or ``grid < 3``."""
+    if grid < 3:
+        raise DimensionMismatch(f"a circle scan needs a grid of at least 3, got {grid}")
+    a = as_matrix(t)
+    n = a.shape[0]
+    y = as_matrix(y0) if np.ndim(y0) else y0 * np.eye(n, dtype=complex)
+    if y.shape != a.shape:
+        raise DimensionMismatch(f"y0 has shape {y.shape}, t has shape {a.shape}")
+    if n == 0:
+        return 0.0, 0.0, 0.0
+    size = grid if n > 2 else 16  # at n <= 2 the certificate makes it global
+    thetas = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
+    dirs = np.column_stack([np.ones(size), np.cos(thetas), np.sin(thetas)])
+    if n > 2:
+        stack = np.stack([herm_part(y), herm_part(a), -skew_part(a)])
+        vals = np.concatenate([
+            np.linalg.eigvalsh(pencil_stack(stack, dirs[k:k + _SCAN_CHUNK]))[:, -1]
+            for k in range(0, grid, _SCAN_CHUNK)
+        ])
+    else:
+        stack = []
+        for m in (y, a, 1j * a):
+            (m00, m01), (m10, m11) = (m * np.eye(2) if n == 1 else m).tolist()
+            b, d = 0.5 * (m10 + m01.conjugate()), 0.5 * (m00 - m11)
+            stack.append([0.5 * (m00 + m11).real, d.real, b.real, b.imag])
+        pauli = np.array(stack)
+        gram = (pauli[:, 1:] @ pauli[:, 1:].T).tolist()
+        if gram[0][1] == gram[0][2] == gram[1][2] == 0.0 and gram[1][1] == gram[2][2]:
+            theta = math.atan2(stack[2][0], stack[1][0])
+            lower = _profile(stack, theta)[0]
+            top = math.hypot(*pauli[1:, 0]) + math.sqrt(gram[0][0] + gram[1][1])
+            return lower, max(lower, stack[0][0] + top), theta
+        p = dirs @ pauli
+        vals = p[:, 0] + np.sqrt((p[:, 1:] ** 2).sum(1))
+    delta, scale = 2.0 * np.pi / size, float(np.abs(vals).max())
+    ring = np.concatenate((vals[-1:], vals, vals[:1]))
+    peaks = thetas[(vals >= ring[:-2]) & (vals >= ring[2:])].tolist()
+    lower, theta = _climb(stack, peaks, delta, scale, tol)
+    if n > 2:
+        g = float(np.linalg.eigvalsh(-stack[0])[-1]) if stack[0].any() else 0.0
+        top = float(vals.max()) + g
+        return lower, max(lower, max(top, top / math.cos(0.5 * delta)) - g), theta
+    slack = max(0.5 * tol, 1e-15 * scale)
+    while (start := _circle_certificate(stack, gram, lower + slack)) is not None:
+        f, start = _climb(stack, [start], delta, scale, tol)
+        if f <= lower + slack:
+            slack *= 4.0
+        lower, theta = max((lower, theta), (f, start))
+    return lower, lower + slack, theta
+
+
+def numerical_radius(m, tol: float = 1e-8, grid: int = 64) -> float:
+    """``w(m) = max_theta lambda_max(Re(e^{i theta} m))``, the lower end of
+    ``circle_support(0, m, tol, grid)``."""
+    return circle_support(0.0, m, tol, grid)[0]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -46,10 +46,10 @@ from .linalg import (
     OperatorTuple,
     _require_bytes,
     as_matrix,
+    circle_support,
     commutant_dimension,
     herm_eigvalsh,
     herm_part,
-    numerical_radius,
     op_norm,
     pencil_stack,
     simdiag_hermitian,
@@ -224,7 +224,8 @@ def kmax_member(
     if K.dim != a.d:
         raise DimensionMismatch(f"body dim {K.dim} != tuple length {a.d}")
     if isinstance(K, Disc):
-        return _radius_member(_recentered(K, a), K.radius, tol)
+        m = _recentered(K, a)
+        return _radius_member(lambda k: circle_support(0.0, m, k)[:2], K.radius, tol)
     viol, _, cert = _support_gaps(*halfplanes(K), a)
     return MembershipResult(_statuses(viol, tol), abs(viol), cert)
 
@@ -235,12 +236,13 @@ def _recentered(K: Disc, a: OperatorTuple) -> np.ndarray:
     return (a.mats[0] - K.center[0] * eye) + 1j * (a.mats[1] - K.center[1] * eye)
 
 
-def _radius_member(m: np.ndarray, radius: float, tol: float) -> MembershipResult:
+def _radius_member(bracket: Callable, radius: float, tol: float) -> MembershipResult:
     """The disc rule of ``kmax_member`` and ``choi_li_equiv_check``: the
-    numerical radius of ``m`` against ``radius``, with the statuses of a
-    support gap."""
-    w = numerical_radius(m, tol=min(tol * 1e-2, 1e-9))
-    return MembershipResult(_statuses(w - radius, tol), abs(w - radius), {"radius": w})
+    lower end of a numerical radius ``bracket(kernel tol)`` against
+    ``radius``, with the statuses of a support gap and both ends kept."""
+    w, up = bracket(min(tol * 1e-2, 1e-9))
+    cert = {"radius": w, "upper": up}
+    return MembershipResult(_statuses(w - radius, tol), abs(w - radius), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -912,6 +914,21 @@ def choi_li_transform(y, normalization: complex | None = None) -> np.ndarray:
     return out
 
 
+def _transform_radius(y, tol: float, normalization: complex = CL_CALIBRATED_CONSTANT):
+    """Bracket ``w(choi_li_transform(y, N))`` to ``tol`` unbuilt: it is ``2 N
+    [[0, P], [Q, 0]]``, ``P, Q = Re y +- Im y``, so ``w = |N| max_psi ||P +
+    e^{i psi} Q||``, the root of an n x n ``circle_support`` of ``P^2 + Q^2
+    + Re(e^{i psi} 2 P Q)``, which ``2 tol sqrt(tr(P^2 + Q^2) / n) / |N|``
+    keeps within ``tol``."""
+    a = as_matrix(y)
+    p, q = herm_part(a) + skew_part(a), herm_part(a) - skew_part(a)
+    y0 = p @ p + q @ q
+    scale = abs(normalization)
+    ftol = 2.0 * tol / scale * math.sqrt(np.trace(y0).real / len(a))
+    lower, upper, _ = circle_support(y0, 2.0 * p @ q, ftol)
+    return scale * math.sqrt(lower), scale * math.sqrt(upper)
+
+
 def calibrate_choi_li(tol: float = 1e-9) -> dict:
     """Fix the transform normalization from the scalar corner check.
 
@@ -923,8 +940,7 @@ def calibrate_choi_li(tol: float = 1e-9) -> dict:
     misses the corner target.
     """
     def radius(constant: complex) -> float:
-        corner = np.array([[1.0 + 1.0j]])
-        return numerical_radius(choi_li_transform(corner, constant), tol=tol)
+        return _transform_radius(np.array([[1.0 + 1.0j]]), tol, constant)[0]
 
     calibrated = 1.0 / radius(1.0)
     return {
@@ -949,14 +965,15 @@ def choi_li_equiv_check(y, tol: float = 1e-6) -> dict:
     Computes both sides independently: the decomposition SDP for
     ``(Re y, Im y)`` over the square ``[-1, 1]^2``, and the numerical
     radius of the calibrated transform against 1, by the disc rule of
-    ``kmax_member`` (``_radius_member``).  ``consistent`` is True when
-    the two statuses agree; Boundary or Unknown on either side excludes
-    the probe from the comparison (``excluded`` is then True).
+    ``kmax_member`` (``_radius_member``), from ``_transform_radius``.
+    ``consistent`` is True when the two statuses agree; Boundary or
+    Unknown on either side excludes the probe from the comparison
+    (``excluded`` is then True).
     """
     a = np.asarray(y, dtype=complex)
     tup = OperatorTuple((herm_part(a), skew_part(a)), hermitian=True)
     square_min = kmin_member(SQUARE, tup, tol=tol)
-    disc_max = _radius_member(choi_li_transform(a), 1.0, tol)
+    disc_max = _radius_member(lambda k: _transform_radius(a, k), 1.0, tol)
     decisive = {MembershipStatus.IN, MembershipStatus.OUT}
     excluded = not {square_min.status, disc_max.status} <= decisive
     consistent = excluded or square_min.status is disc_max.status

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mconvex import ranges, sdp
+from mconvex.linalg import herm_part, skew_part
 from mconvex.sdp import AffineConstraint, SdpFeasibility
 
 
@@ -111,3 +112,28 @@ def core_reprices(monkeypatch):
         return len(cuts)
 
     return check
+
+
+def profile_max(y0, t, scan=1024, zooms=3):
+    """``max_theta lambda_max(y0 + Re(e^{i theta} t))`` by brute force: a
+    ``scan``-angle LAPACK scan, then ``zooms`` rounds of 257 angles across
+    two steps about each of the 8 best angles so far, each round 128 times
+    finer, so the value is resolved far below 1e-12.  Also returns the
+    plain scan's maximum."""
+    t = np.asarray(t, dtype=complex)
+    y0 = y0 * np.eye(len(t)) if np.ndim(y0) == 0 else np.asarray(y0, dtype=complex)
+    re, im = herm_part(t), skew_part(t)
+
+    def values(thetas):
+        h = herm_part(y0) + np.cos(thetas)[:, None, None] * re
+        return np.linalg.eigvalsh(h - np.sin(thetas)[:, None, None] * im)[:, -1]
+
+    thetas = np.linspace(0.0, 2.0 * np.pi, scan, endpoint=False)
+    vals = values(thetas)
+    plain, step = float(vals.max()), 2.0 * np.pi / scan
+    for _ in range(zooms):
+        tops = thetas[np.argsort(vals)[-8:]]
+        thetas = (tops[:, None] + np.linspace(-step, step, 257)).ravel()
+        vals = values(thetas)
+        step /= 128.0
+    return float(vals.max()), plain

@@ -18,6 +18,7 @@ if str(ROOT) not in sys.path:
 from perfbench import checker, workloads  # noqa: E402
 
 import mconvex.cli as cli  # noqa: E402
+import mconvex.ranges as ranges  # noqa: E402
 import mconvex.sdp as sdp  # noqa: E402
 
 
@@ -223,3 +224,34 @@ def test_round_zero_solves_take_2x2_blocks_in_closed_form(workload, monkeypatch)
         cli.execute(cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"]))
     assert solved_2x2[0] > 0
     assert [c for c in lapack if c[1][-2:] == (2, 2)] == []
+
+
+@pytest.mark.parametrize("workload", ["theta-bisect", "transform-probes"])
+def test_round_zero_circle_supports_take_no_lapack_call(workload, monkeypatch):
+    # theta's disc precheck and choili's transform radius are 2 x 2 circle
+    # supports, closed form end to end: not one eigh or eigvalsh inside
+    inside, lapack, supports = [False], [], [0]
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(a, *args, _orig=orig, _name=name, **kwargs):
+            if inside[0]:
+                lapack.append((_name, np.shape(a)))
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    support = ranges.circle_support
+
+    def flagged(*args, **kwargs):
+        outer, inside[0] = inside[0], True
+        supports[0] += 1
+        try:
+            return support(*args, **kwargs)
+        finally:
+            inside[0] = outer
+
+    monkeypatch.setattr(ranges, "circle_support", flagged)
+    for q in workloads.make_round(workload, 1, 0):
+        cli.execute(cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"]))
+    assert supports[0] > 0
+    assert lapack == []

@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from conftest import profile_max
 from mconvex.errors import DimensionMismatch, NonHermitianInput, NotCommuting
 from mconvex.linalg import (
     OperatorTuple,
+    circle_support,
     commutant_dimension,
     direct_sum,
     herm_eigvalsh,
@@ -155,11 +158,12 @@ def _lapack_calls(monkeypatch, m) -> int:
 
 
 def test_numerical_radius_flat_profile_call_count(monkeypatch):
-    # the corner transform's numerical range is a disc about 0, so every
-    # angle of the scan is a peak; golden section took 1534 calls here
+    # the corner transform's numerical range is a disc about 0, a flat
+    # profile; golden section took 1534 calls here, the 64-angle LAPACK
+    # scan 57, and the closed-form 2 x 2 kernel takes none
     from mconvex.ranges import choi_li_transform
 
-    assert _lapack_calls(monkeypatch, choi_li_transform([[1 + 1j]], 1.0)) < 200
+    assert _lapack_calls(monkeypatch, choi_li_transform([[1 + 1j]], 1.0)) == 0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -174,6 +178,115 @@ def test_numerical_radius_generic_call_count(monkeypatch, seed):
 def test_numerical_radius_rejects_an_empty_grid(grid):
     with pytest.raises(DimensionMismatch, match="grid"):
         numerical_radius(np.eye(2), grid=grid)
+
+
+def test_numerical_radius_refines_both_sides_of_a_stationary_minimum():
+    # the transform's profile is symmetric about a scanned angle that sits
+    # between two peaks, one scan step away on either side; that angle
+    # looks like a peak of the scan but is a stationary minimum, where the
+    # refinement used to stop 2e-5 low
+    from mconvex.ranges import choi_li_transform
+
+    y = np.array([[-0.26710118 + 0.15594314j, -0.7576671 + 0.25136644j],
+                  [0.50817631 + 0.35488789j, -0.17666918 - 0.12765087j]])
+    m = choi_li_transform(y)
+    ref, _ = profile_max(0.0, m)
+    assert abs(numerical_radius(m, tol=1e-9) - ref) <= 1e-12
+
+
+def _support_case(kind, rng):
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u, _ = np.linalg.qr(draw(2, 2))
+    if kind == "hermitian":
+        return herm_part(draw(2, 2))
+    if kind == "nilpotent":
+        return u @ np.triu(draw(2, 2), 1) @ u.conj().T
+    if kind == "scalar":
+        return draw(1)[0] * np.eye(2)
+    if kind == "normal":
+        return u @ np.diag(draw(2)) @ u.conj().T
+    if kind == "rank-one":
+        return np.outer(draw(2), draw(2).conj())
+    return draw(2, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["generic", "hermitian", "nilpotent", "scalar", "normal", "rank-one"]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([1e-6, 1e-9]),
+)
+def test_circle_support_brackets_the_2x2_maximum(kind, shifted, seed, tol):
+    # generic profiles, segments (Hermitian t), circles about 0 (nilpotent
+    # t), sinusoids (scalar t), normal and rank-one t, with and without y0
+    rng = np.random.default_rng(seed)
+    t = _support_case(kind, rng)
+    y0 = random_hermitian(2, rng) if shifted else 0.0
+    lower, upper, theta = circle_support(y0, t, tol)
+    ref, plain = profile_max(y0, t, scan=4096)
+    assert lower <= upper
+    assert upper >= max(plain, ref) - 1e-12
+    assert abs(lower - ref) <= 1e-12
+    assert upper - lower <= tol
+    # the value sits at the returned angle
+    y0 = y0 * np.eye(2) if np.ndim(y0) == 0 else y0
+    at = np.linalg.eigvalsh(herm_part(y0 + np.exp(1j * theta) * t))[-1]
+    assert abs(at - lower) <= 1e-12
+    # the LAPACK path agrees on a direct sum whose second block lies far
+    # below the first
+    c = 10.0 * (np.abs(y0).sum() + np.abs(t).sum()) + 1.0
+    big = circle_support(
+        scipy.linalg.block_diag(y0, y0 - c * np.eye(2)), scipy.linalg.block_diag(t, t), tol
+    )
+    assert abs(big[0] - lower) <= 1e-12
+    assert big[1] >= ref - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["generic", "hermitian", "normal", "rank-one"]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_the_2x2_certificate_holds_above_the_maximum_only(kind, seed):
+    # just above the maximum the S-lemma bound certifies; just below, it
+    # names an angle whose value beats the bound
+    from mconvex.linalg import _circle_certificate
+
+    rng = np.random.default_rng(seed)
+    t, y0 = _support_case(kind, rng), random_hermitian(2, rng)
+    ref, _ = profile_max(y0, t)
+    rows = [
+        [0.5 * (m[0, 0] + m[1, 1]).real, 0.5 * (m[0, 0] - m[1, 1]).real,
+         0.5 * (m[1, 0] + m[0, 1].conj()).real, 0.5 * (m[1, 0] + m[0, 1].conj()).imag]
+        for m in (y0, t, 1j * t)
+    ]
+    gram = [[float(np.dot(r[1:], q[1:])) for q in rows] for r in rows]
+    assert _circle_certificate(rows, gram, ref + 1e-9 * (1.0 + abs(ref))) is None
+    below = ref - 1e-6 * (1.0 + abs(ref))
+    theta = _circle_certificate(rows, gram, below)
+    assert theta is not None
+    assert np.linalg.eigvalsh(herm_part(y0 + np.exp(1j * theta) * t))[-1] > below
+
+
+@pytest.mark.parametrize(
+    "y0,t,top",
+    [
+        (0.0, [[0.0, 2.0], [0.0, 0.0]], 1.0),  # a disc about 0: a flat profile
+        (1.5, [[2.0j, 0.0], [0.0, 2.0j]], 3.5),  # scalar t: a sinusoid
+        (np.eye(2), np.zeros((2, 2)), 1.0),  # a constant
+    ],
+)
+def test_circle_support_is_exact_on_flat_and_scalar_profiles(y0, t, top):
+    lower, upper, _ = circle_support(y0, t)
+    assert lower == upper == top
+
+
+def test_circle_support_rejects_a_mismatched_y0():
+    with pytest.raises(DimensionMismatch, match="y0"):
+        circle_support(np.eye(3), np.eye(2))
 
 
 def test_operator_tuple_validation():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_traffic, range_sdp
+from conftest import count_traffic, profile_max, range_sdp
 import mconvex.geometry as geometry
 import mconvex.linalg as linalg
 import mconvex.ranges as ranges
@@ -2301,6 +2301,14 @@ class TestExtremality:
         assert not ok and "unitary" in why
 
 
+#: a 2 x 2 y whose transform's profile is symmetric about a scanned angle
+#: that sits between two of its peaks
+STATIONARY_MINIMUM_Y = np.array(
+    [[-0.26710118 + 0.15594314j, -0.7576671 + 0.25136644j],
+     [0.50817631 + 0.35488789j, -0.17666918 - 0.12765087j]]
+)
+
+
 class TestChoiLi:
     def test_scalar_transforms(self):
         m = choi_li_transform(np.array([[1.0 + 0j]]))
@@ -2311,8 +2319,9 @@ class TestChoiLi:
 
     def test_calibration_report(self):
         cal = calibrate_choi_li()
-        assert cal["calibrated_constant"] == pytest.approx(0.5, abs=1e-9)
-        assert cal["calibrated_corner_radius"] == pytest.approx(1.0, abs=1e-9)
+        # the corner's reduced profile is the constant 4: no rounding at all
+        assert cal["calibrated_constant"] == 0.5
+        assert cal["calibrated_corner_radius"] == 1.0
         # the tempting reference constant overshoots the corner by sqrt(2)
         assert cal["reference_corner_radius"] == pytest.approx(ROOT2, abs=1e-9)
 
@@ -2347,3 +2356,36 @@ class TestChoiLi:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             choi_li_transform(np.zeros((2, 3)))
+
+    @staticmethod
+    def _criterion_3_draws(count):
+        # the probes of acceptance criterion 3, in its order
+        rng = np.random.default_rng(0)
+        for _ in range(count):
+            g = rng.standard_normal(8)
+            v = 1.5 * rng.random() ** (1.0 / 8.0) * g / np.linalg.norm(g)
+            yield np.array([[v[0] + 1j * v[1], v[2] + 1j * v[3]],
+                            [v[4] + 1j * v[5], v[6] + 1j * v[7]]])
+
+    def test_reduced_radius_matches_a_dense_scan_of_the_transform(self):
+        # the radius comes from one 2 x 2 circle support, never from the
+        # 4 x 4 transform; a brute-force scan of the transform agrees
+        ys = [*self._criterion_3_draws(100), STATIONARY_MINIMUM_Y]
+        for y in ys:
+            ref, _ = profile_max(0.0, choi_li_transform(y))
+            rep = choi_li_equiv_check(y)
+            assert abs(rep["radius"] - ref) <= 1e-10
+            # the bracket holds the radius to the kernel's 1e-9
+            upper = rep["disc_max"].certificate["upper"]
+            assert ref - 1e-12 <= upper <= rep["radius"] + 1e-9
+
+    def test_a_transform_profile_symmetric_about_a_scanned_angle(self):
+        # the transform of this y has its profile's peaks one scan step on
+        # either side of a scanned angle, where refining the 4 x 4 scan used
+        # to stop 2e-5 low and call the point just outside the disc In
+        s = (1.0 + 1.5e-5) / 0.7301151431
+        rep = choi_li_equiv_check(s * STATIONARY_MINIMUM_Y)
+        assert rep["square_min"].status is MembershipStatus.OUT
+        assert rep["disc_max"].status is MembershipStatus.OUT
+        assert rep["consistent"] and not rep["excluded"]
+        assert rep["disc_max"].certificate["upper"] >= rep["radius"]
