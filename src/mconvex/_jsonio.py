@@ -232,16 +232,13 @@ def _fit(points: list[np.ndarray], width: int, height: int, pad: int):
     return tx
 
 
-def polygon_svg(
-    polygons: list[tuple[np.ndarray, str]],
-    path: str,
-    width: int = 480,
-    height: int = 480,
-) -> None:
-    """Write closed planar polygons, one ``(vertices, color)`` per entry."""
+def polygon_svg(polygons: list[tuple[np.ndarray, str]], path: str) -> None:
+    """Write closed planar polygons, one ``(vertices, color)`` per entry,
+    on a 480 x 480 canvas."""
     filled = [v for v, _ in polygons if len(v)]
     if not filled:
         raise SchemaError("nothing to draw")
+    width, height = 480, 480
     tx = _fit(filled, width, height, pad=20)
     lines = _svg_header(width, height)
     for verts, color in polygons:
@@ -255,15 +252,12 @@ def polygon_svg(
         fp.write("\n".join(lines) + "\n")
 
 
-def trace_svg(
-    values: list[tuple[float, float]],
-    path: str,
-    width: int = 480,
-    height: int = 320,
-) -> None:
-    """Line plot of (step, value) pairs, e.g. a bisection bracket trace."""
+def trace_svg(values: list[tuple[float, float]], path: str) -> None:
+    """Line plot of (step, value) pairs, e.g. a bisection bracket trace,
+    on a 480 x 320 canvas."""
     if not values:
         raise SchemaError("nothing to draw")
+    width, height = 480, 320
     pts = np.array(values, dtype=float)
     tx = _fit([pts], width, height, pad=24)
     lines = _svg_header(width, height)

@@ -30,7 +30,8 @@ from .linalg import (
     pencil_stack,
 )
 
-#: default slack used when classifying a point as extreme
+#: default slack used when classifying a point as extreme, and the least
+#: inradius at 0 that ``require_interior_zero`` accepts
 EXTREME_TOL = 1e-9
 
 
@@ -163,7 +164,9 @@ ConvexBody = Union[Polytope, Box, Disc, Sampled]
 
 @dataclasses.dataclass(frozen=True)
 class PolygonSandwich:
-    """Inner and outer polygonal approximations of a planar convex set."""
+    """Inner and outer polygonal approximations of a planar convex set,
+    and a certified upper bound on the Hausdorff distance between them,
+    hence on the distance from either to the set (see ``jnr_sandwich``)."""
 
     inner: Polytope
     outer: Polytope
@@ -201,42 +204,6 @@ def scale_body(body: ConvexBody, factor: float, center=None) -> ConvexBody:
             raise DimensionMismatch("sampled bodies only scale about 0")
         return Sampled(body.directions, factor * body.support_values)
     raise DimensionMismatch(f"unknown body type {type(body)!r}")
-
-
-def hull_distance(points: np.ndarray, p: np.ndarray) -> float:
-    """Upper bound on the Euclidean distance from ``p`` to conv(points).
-
-    A nonnegative least squares fit with a homogenized sum-to-one row
-    produces near-optimal convex weights; normalizing them gives a point
-    of the hull whose distance to ``p`` certifies the bound, and a few
-    line-search polish steps tighten it.  Inside the hull the bound is 0
-    to machine precision.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    p = np.asarray(p, dtype=float)
-    scale = max(float(np.abs(pts).max()), float(np.abs(p).max())) or 1.0
-    s = 1e4 * scale
-    a = np.vstack([pts.T, s * np.ones((1, pts.shape[0]))])
-    b = np.concatenate([p, [s]])
-    w, _ = scipy.optimize.nnls(a, b)
-    total = float(w.sum())
-    if total <= 0:
-        x = pts[0].astype(float).copy()
-    else:
-        x = pts.T @ (w / total)
-    # polish the feasible point with exact line searches toward vertices
-    for _ in range(64):
-        g = x - p
-        k = int(np.argmin(pts @ g))
-        dvec = pts[k] - x
-        denom = float(dvec @ dvec)
-        if denom <= 1e-30:
-            break
-        gamma = float(np.clip(-(g @ dvec) / denom, 0.0, 1.0))
-        if gamma <= 1e-16:
-            break
-        x = x + gamma * dvec
-    return float(np.linalg.norm(x - p))
 
 
 def clip_by_halfplanes(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -279,8 +246,14 @@ def jnr_sandwich(t: OperatorTuple, m: int = 64) -> PolygonSandwich:
     polygon.  Every line touches the range and adjacent normals are less
     than pi apart, so the outer polygon is spanned by the points where
     consecutive lines meet; points within ``1e-12 max |h_k|`` of a lower
-    dimensional span count as flat.  The Hausdorff gap between the two
-    bounds the approximation error of either against the true range.
+    dimensional span count as flat.  The bound is the largest distance
+    from a corner c_k, where lines k and k + 1 meet, to the inner edge
+    [p_k, p_{k+1}] beneath it.  The edge lies in the inner polygon, so
+    the bound is certified, and every other p_j maximizes a direction
+    outside the arc between the two normals, so no p_j lies nearer c_k
+    unless line k or k + 1 meets the range in a segment: the bound is
+    then the exact Hausdorff distance between the polygons,
+    ``tan(pi / m) sin(pi / m)`` for the unit disc.
     """
     if t.d != 2:
         raise DimensionMismatch("sandwich approximation needs a pair (d = 2)")
@@ -300,10 +273,14 @@ def jnr_sandwich(t: OperatorTuple, m: int = 64) -> PolygonSandwich:
     # where the supporting lines of directions k and k + 1 meet
     corners = np.column_stack([h * s1 - h1 * s, c * h1 - c1 * h])
     corners /= np.sin(2.0 * np.pi / m)
+    # each corner's distance to the inner edge [p_k, p_{k+1}] beneath it
+    edge, off = np.roll(inner_pts, -1, axis=0) - inner_pts, corners - inner_pts
+    along = (off * edge).sum(1) / np.maximum((edge**2).sum(1), np.finfo(float).tiny)
+    gap = off - np.clip(along, 0.0, 1.0)[:, None] * edge
+    bound = float(np.hypot(*gap.T).max())
     outer_poly = extreme_points(corners, tol=1e-12 * float(np.abs(h).max()))
     inner_poly = extreme_points(inner_pts, tol=0.0)
-    bound = max(hull_distance(inner_poly, q) for q in outer_poly)
-    return PolygonSandwich(Polytope(inner_poly), Polytope(outer_poly), float(bound))
+    return PolygonSandwich(Polytope(inner_poly), Polytope(outer_poly), bound)
 
 
 def _affine_span(v: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, ...]:
@@ -476,8 +453,9 @@ def point_gap(body: ConvexBody, p: np.ndarray) -> float:
     return float(np.max(p @ dirs.T - offsets))
 
 
-def require_interior_zero(body: ConvexBody, tol: float = 1e-9) -> float:
-    """Return a positive inradius bound at 0, or raise ``NoInteriorZero``.
+def require_interior_zero(body: ConvexBody) -> float:
+    """Return an inradius bound at 0 above ``EXTREME_TOL``, or raise
+    ``NoInteriorZero``.
 
     A disc gives its radius less the distance to its center, every other
     body the least offset of its facet list (``halfplanes``), the
@@ -488,7 +466,7 @@ def require_interior_zero(body: ConvexBody, tol: float = 1e-9) -> float:
         slack = body.radius - float(np.linalg.norm(body.center))
     else:
         slack = float(np.min(halfplanes(body)[1]))
-    if slack <= tol:
+    if slack <= EXTREME_TOL:
         raise NoInteriorZero(
             f"0 is not interior to the {type(body).__name__.lower()} "
             f"(slack {slack:.3e})"

@@ -27,8 +27,12 @@ HERM_RTOL = 1e-12
 #: relative SVD threshold used when counting null directions
 NULLITY_RTOL = 1e-8
 
-#: angles per ``eigvalsh`` call in the ``circle_support`` scan at n >= 3:
-#: one (grid, n, n) stack would set a small query's peak memory
+#: angles of the ``circle_support`` scan at n >= 3 (at n <= 2, 16 start
+#: the climb, and the certificate makes it global)
+_SCAN_GRID = 64
+
+#: angles per ``eigvalsh`` call in that scan: one (64, n, n) stack would
+#: set a small query's peak memory
 _SCAN_CHUNK = 8
 
 #: bytes one query may ask for in the arrays that grow with its input
@@ -247,7 +251,7 @@ def _circle_certificate(rows: list, gram: list, upper: float) -> float | None:
     return math.atan2(-q1 * c - q2 * s, q1 * s - q2 * c)
 
 
-def circle_support(y0, t, tol: float = 1e-8, grid: int = 64) -> tuple[float, ...]:
+def circle_support(y0, t, tol: float = 1e-8) -> tuple[float, ...]:
     """``(lower, upper, theta)``, ``lower = f(theta) <= max f <= upper``, for
     ``f(theta) = lambda_max(y0 + Re(e^{i theta} t))``, ``y0`` Hermitian or
     scalar; ``_climb`` refines each peak of a scan.  At n <= 2 (no LAPACK)
@@ -255,12 +259,10 @@ def circle_support(y0, t, tol: float = 1e-8, grid: int = 64) -> tuple[float, ...
     is maximized exactly if ``|v_0 + M u|`` is constant (scalar ``t``,
     circular range, flat profile), else ``_circle_certificate`` proves
     ``upper = lower + tol / 2`` or names an angle to climb from (rounding
-    quadruples the slack).  At n >= 3, ``upper`` is the scan's
-    sublinearity bound, unrefined (see the README).  Raises
-    ``DimensionMismatch`` for a non-square or non-finite ``t``, a ``y0``
-    of another shape, or ``grid < 3``."""
-    if grid < 3:
-        raise DimensionMismatch(f"a circle scan needs a grid of at least 3, got {grid}")
+    quadruples the slack).  At n >= 3, ``upper`` is the sublinearity
+    bound of a scan of ``_SCAN_GRID`` angles, unrefined (see the README).
+    Raises ``DimensionMismatch`` for a non-square or non-finite ``t`` or a
+    ``y0`` of another shape."""
     a = as_matrix(t)
     n = a.shape[0]
     y = as_matrix(y0) if np.ndim(y0) else y0 * np.eye(n, dtype=complex)
@@ -268,14 +270,14 @@ def circle_support(y0, t, tol: float = 1e-8, grid: int = 64) -> tuple[float, ...
         raise DimensionMismatch(f"y0 has shape {y.shape}, t has shape {a.shape}")
     if n == 0:
         return 0.0, 0.0, 0.0
-    size = grid if n > 2 else 16  # at n <= 2 the certificate makes it global
+    size = _SCAN_GRID if n > 2 else 16
     thetas = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
     dirs = np.column_stack([np.ones(size), np.cos(thetas), np.sin(thetas)])
     if n > 2:
         stack = np.stack([herm_part(y), herm_part(a), -skew_part(a)])
         vals = np.concatenate([
             np.linalg.eigvalsh(pencil_stack(stack, dirs[k:k + _SCAN_CHUNK]))[:, -1]
-            for k in range(0, grid, _SCAN_CHUNK)
+            for k in range(0, size, _SCAN_CHUNK)
         ])
     else:
         stack = []
@@ -309,10 +311,10 @@ def circle_support(y0, t, tol: float = 1e-8, grid: int = 64) -> tuple[float, ...
     return lower, lower + slack, theta
 
 
-def numerical_radius(m, tol: float = 1e-8, grid: int = 64) -> float:
+def numerical_radius(m, tol: float = 1e-8) -> float:
     """``w(m) = max_theta lambda_max(Re(e^{i theta} m))``, the lower end of
-    ``circle_support(0, m, tol, grid)``."""
-    return circle_support(0.0, m, tol, grid)[0]
+    ``circle_support(0, m, tol)``."""
+    return circle_support(0.0, m, tol)[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -504,10 +506,10 @@ def simdiag_hermitian(
     return u, values
 
 
-def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian Hermitian matrix, handy for seeded probes and tests."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * herm_part(g)
+    return herm_part(g)
 
 
 def compressed_ampliation(

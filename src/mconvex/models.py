@@ -331,46 +331,6 @@ def essential_spectrum_diag(t: DiagonalTuple, tol: float = POINT_DEDUP_TOL) -> n
     return _dedup_points(np.array(pts), tol)
 
 
-def cluster_essential_candidates(
-    points, radius: float, min_count: int = 10
-) -> np.ndarray:
-    """Accumulation-point candidates in raw diagonal data, by ball density.
-
-    A candidate is reported wherever at least ``min_count`` samples fall
-    inside one ball of the given ``radius``, and is placed at the mean of
-    that ball's members.  Extraction is greedy from the densest ball down,
-    removing members as it goes, so overlapping clusters are reported
-    once.  Presentations carry their limits explicitly and never need
-    this; it exists for eyeballing raw numeric prefixes and is openly
-    heuristic: a slowly converging tail can smear into several balls.
-    """
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise DimensionMismatch("points must be a nonempty 1d or 2d array")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if min_count < 2:
-        raise ValueError("min_count must be at least 2")
-    remaining = arr
-    centers: list[np.ndarray] = []
-    while remaining.shape[0] >= min_count:
-        gaps = np.linalg.norm(
-            remaining[:, None, :] - remaining[None, :, :], axis=2
-        )
-        counts = (gaps <= radius).sum(axis=1)
-        k = int(np.argmax(counts))
-        if counts[k] < min_count:
-            break
-        members = gaps[k] <= radius
-        centers.append(remaining[members].mean(axis=0))
-        remaining = remaining[~members]
-    if not centers:
-        return np.empty((0, arr.shape[1]))
-    return _dedup_points(np.array(centers))
-
-
 def _nearest(points: np.ndarray, p) -> tuple[np.ndarray, float]:
     dists = np.linalg.norm(points - np.asarray(p), axis=1)
     k = int(np.argmin(dists))
@@ -441,6 +401,19 @@ def sw_perturbation(t: DiagonalTuple) -> tuple[DiagonalTuple, PerturbationReport
     return perturbed, report
 
 
+def _diagonal_points(t: DiagonalTuple, q: int) -> np.ndarray:
+    """The diagonal of ``finite_truncation(t, q)``, one row per entry."""
+    entries: list[tuple[float, ...]] = []
+    for point, mult in t.atoms:
+        entries.extend([point] * (q if mult is None else min(mult, q)))
+    for lim, prefix in t.sequences:
+        entries.extend(prefix)
+        entries.extend([lim] * q)
+    if not entries:
+        raise EmptyEssentialSpectrum("the presentation has no entries at all")
+    return np.array(entries, dtype=float)
+
+
 def finite_truncation(
     t: DiagonalTuple, q: int, hermitian: bool = True
 ) -> OperatorTuple:
@@ -454,15 +427,7 @@ def finite_truncation(
     """
     if q < 1:
         raise DimensionMismatch("replication must be >= 1")
-    entries: list[tuple[float, ...]] = []
-    for point, mult in t.atoms:
-        entries.extend([point] * (q if mult is None else min(mult, q)))
-    for lim, prefix in t.sequences:
-        entries.extend(prefix)
-        entries.extend([lim] * q)
-    if not entries:
-        raise EmptyEssentialSpectrum("the presentation has no entries at all")
-    diag = np.array(entries, dtype=float)
+    diag = _diagonal_points(t, q)
     mats = tuple(np.diag(diag[:, j]).astype(complex) for j in range(t.d))
     return OperatorTuple(mats, hermitian)
 
@@ -488,8 +453,7 @@ def verify_local_sw(
         raise EmptyEssentialSpectrum(
             "the presentation has no infinite atoms and no sequence limits"
         )
-    trunc = finite_truncation(perturbed, 1)
-    trunc_pts = np.column_stack([np.real(np.diag(m)) for m in trunc.mats])
+    trunc_pts = _diagonal_points(perturbed, 1)
     gap_ess_in_trunc = point_gap(Polytope(trunc_pts), ess)
     gap_trunc_in_ess = point_gap(Polytope(ess), trunc_pts)
     return {

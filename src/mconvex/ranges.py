@@ -929,18 +929,19 @@ def _transform_radius(y, tol: float, normalization: complex = CL_CALIBRATED_CONS
     return scale * math.sqrt(lower), scale * math.sqrt(upper)
 
 
-def calibrate_choi_li(tol: float = 1e-9) -> dict:
+def calibrate_choi_li() -> dict:
     """Fix the transform normalization from the scalar corner check.
 
     The corner ``y = 1 + i`` of the square is a scalar point of the
     square, so its transform must have numerical radius exactly 1.  The
     radius is homogeneous in the constant's modulus, so one measurement
-    at normalization 1 determines the calibrated value.  The report also
+    at normalization 1 determines the calibrated value; each radius is
+    bracketed to 1e-9.  The report also
     records the radius produced by the reference constant 1/(1+i), which
     misses the corner target.
     """
     def radius(constant: complex) -> float:
-        return _transform_radius(np.array([[1.0 + 1.0j]]), tol, constant)[0]
+        return _transform_radius(np.array([[1.0 + 1.0j]]), 1e-9, constant)[0]
 
     calibrated = 1.0 / radius(1.0)
     return {
@@ -954,8 +955,8 @@ def calibrate_choi_li(tol: float = 1e-9) -> dict:
 
 @functools.cache
 def _calibration() -> tuple:
-    """``calibrate_choi_li()`` at its default tolerance, once per process,
-    frozen as items so that no caller can change the shared record."""
+    """``calibrate_choi_li()``, once per process, frozen as items so that
+    no caller can change the shared record."""
     return tuple(calibrate_choi_li().items())
 
 

@@ -13,7 +13,6 @@ from mconvex.geometry import (
     essential_range_hull,
     extreme_points,
     halfplanes,
-    hull_distance,
     hull_membership_gap,
     is_simplex,
     jnr_sandwich,
@@ -22,7 +21,13 @@ from mconvex.geometry import (
     scale_body,
     support_value,
 )
-from mconvex.linalg import OperatorTuple, direct_sum, herm_part, skew_part
+from mconvex.linalg import (
+    OperatorTuple,
+    direct_sum,
+    herm_part,
+    random_hermitian,
+    skew_part,
+)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -44,6 +49,8 @@ def test_jnr_sandwich_nesting_and_shrinking():
     for m in (16, 32, 64, 128):
         sw = jnr_sandwich(t, m=m)
         bounds.append(sw.hausdorff_bound)
+        exact = np.tan(np.pi / m) * np.sin(np.pi / m)
+        assert sw.hausdorff_bound == pytest.approx(exact, rel=0, abs=1e-12)
         # every inner vertex lies inside the outer polygon
         normals, offsets = halfplanes(sw.outer)
         assert (sw.inner.vertices @ normals.T - offsets[None, :]).max() <= 1e-9
@@ -52,6 +59,35 @@ def test_jnr_sandwich_nesting_and_shrinking():
     sw = jnr_sandwich(t, m=64)
     radii = np.linalg.norm(sw.inner.vertices, axis=1)
     np.testing.assert_allclose(radii, 1.0, atol=1e-9)
+
+
+def _hull_distance(vertices: np.ndarray, q: np.ndarray) -> float:
+    """Brute-force distance from ``q`` to the hull of counterclockwise
+    polygon vertices: 0 inside, else the least distance to an edge."""
+    edge = np.roll(vertices, -1, axis=0) - vertices
+    off = q - vertices
+    left = edge[:, 0] * off[:, 1] >= edge[:, 1] * off[:, 0]
+    if len(vertices) >= 3 and left.all():
+        return 0.0
+    length = (edge * edge).sum(1)
+    dots = (off * edge).sum(1)
+    along = np.divide(dots, length, out=np.zeros(len(edge)), where=length > 0)
+    nearest = np.clip(along, 0.0, 1.0)[:, None] * edge
+    return float(np.linalg.norm(off - nearest, axis=1).min())
+
+
+@pytest.mark.parametrize("m", [16, 64, 256])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_jnr_sandwich_bound_is_the_largest_corner_distance(n, m):
+    rng = np.random.default_rng(100 * n + m)
+    thetas = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+    for _ in range(3):
+        mats = (random_hermitian(n, rng), random_hermitian(n, rng))
+        t = OperatorTuple(mats, hermitian=True)
+        sw = jnr_sandwich(t, m=m)
+        exact = max(_hull_distance(sw.inner.vertices, q) for q in sw.outer.vertices)
+        h = max(abs(support_value(t, [np.cos(a), np.sin(a)])) for a in thetas)
+        assert abs(sw.hausdorff_bound - exact) <= 1e-12 * h
 
 
 def test_jnr_direct_sum_hull():
@@ -96,6 +132,7 @@ def test_jnr_sandwich_of_a_scalar_pair_is_one_point():
     assert sw.inner.vertices.shape == (1, 2)
     assert sw.outer.vertices.shape == (1, 2)
     np.testing.assert_allclose(sw.outer.vertices[0], [1.0, 0.5], atol=1e-15)
+    assert sw.hausdorff_bound <= 1e-13
 
 
 def test_support_value_rejects_a_non_hermitian_combination():
@@ -188,8 +225,11 @@ def test_nearly_coincident_points_get_no_noise_rank():
 
 
 def test_hull_distance_and_membership_gap():
-    assert hull_distance(SQUARE.vertices, np.array([0.25, -0.5])) <= 1e-9
-    assert hull_distance(SQUARE.vertices, np.array([2.0, 0.0])) == pytest.approx(1.0, abs=1e-6)
+    square = extreme_points(SQUARE)
+    assert _hull_distance(square, np.array([0.25, -0.5])) == 0.0
+    assert _hull_distance(square, np.array([2.0, 0.5])) == 1.0
+    assert _hull_distance(square, np.array([2.0, 5.0])) == pytest.approx(np.sqrt(17.0))
+    assert _hull_distance(np.array([[1.0, 1.0]]), np.array([2.0, 1.0])) == 1.0
     assert hull_membership_gap(SQUARE.vertices, np.array([0.25, -0.5])) <= 1e-9
     assert hull_membership_gap(SQUARE.vertices, np.array([1.5, 0.0])) > 0.2
 

@@ -174,12 +174,6 @@ def test_numerical_radius_generic_call_count(monkeypatch, seed):
     assert _lapack_calls(monkeypatch, m) < 40
 
 
-@pytest.mark.parametrize("grid", [0, -3])
-def test_numerical_radius_rejects_an_empty_grid(grid):
-    with pytest.raises(DimensionMismatch, match="grid"):
-        numerical_radius(np.eye(2), grid=grid)
-
-
 def test_numerical_radius_refines_both_sides_of_a_stationary_minimum():
     # the transform's profile is symmetric about a scanned angle that sits
     # between two peaks, one scan step away on either side; that angle

@@ -8,7 +8,6 @@ from mconvex.models import (
     NormalTuple,
     SpectralModel,
     block_diagonal_model,
-    cluster_essential_candidates,
     essential_spectrum_diag,
     extreme_spectral_compression,
     finite_truncation,
@@ -268,36 +267,6 @@ class TestVerifyLocalSw:
         rep = verify_local_sw(t, claimed)
         assert not rep["equal"]
         assert rep["point_gap_truncation_in_essential"] == pytest.approx(5.0)
-
-
-class TestClusterCandidates:
-    def test_dense_ball_found_sparse_ignored(self):
-        near_zero = [0.005 / k for k in range(1, 31)]
-        stragglers = [3.0, 3.2, 3.4]
-        found = cluster_essential_candidates(
-            near_zero + stragglers, radius=0.05, min_count=10
-        )
-        assert found.shape == (1, 1)
-        assert abs(found[0, 0]) < 0.01
-
-    def test_two_clusters_in_the_plane(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal([0.0, 0.0], 0.01, size=(20, 2))
-        b = rng.normal([1.0, -1.0], 0.01, size=(20, 2))
-        found = cluster_essential_candidates(np.vstack([a, b]), radius=0.1)
-        assert found.shape == (2, 2)
-
-    def test_uniform_spread_yields_nothing(self):
-        found = cluster_essential_candidates(
-            np.linspace(0.0, 1.0, 11), radius=0.01, min_count=5
-        )
-        assert found.shape == (0, 1)
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            cluster_essential_candidates([1.0, 2.0], radius=-1.0)
-        with pytest.raises(ValueError):
-            cluster_essential_candidates([1.0, 2.0], radius=0.1, min_count=1)
 
 
 class TestDirectSumHelpers:

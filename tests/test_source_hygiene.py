@@ -1,14 +1,25 @@
 """Source hygiene of ``src/mconvex``: every module-level import is used in
-its module, and every module-level private name is referenced somewhere
-in the package besides its definition, so unused code gets deleted
-rather than left behind."""
+its module, every module-level private name is referenced somewhere in
+the package besides its definition, and every public function or class
+is too, or is exported in ``mconvex.__all__`` or traced by the benchmark
+(``perfbench.tracing.LAYERS``), so unused code gets deleted rather than
+left behind."""
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "mconvex"
+import mconvex
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.tracing import LAYERS  # noqa: E402
+
+PACKAGE = ROOT / "src" / "mconvex"
 TREES = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
 MODULES = sorted(name for name in TREES if name != "__init__.py")
 
@@ -61,3 +72,18 @@ def test_every_private_name_is_referenced(module):
         name for name in _private_definitions(TREES[module]) if name not in used
     ]
     assert unreferenced == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_function_or_class_is_used_exported_or_traced(module):
+    kept = {name for tree in TREES.values() for name in _references(tree)}
+    kept |= set(mconvex.__all__)
+    kept |= {name for funcs in LAYERS.values() for _, name in funcs}
+    unused = [
+        node.name
+        for node in TREES[module].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in kept
+    ]
+    assert unused == []
