@@ -63,26 +63,32 @@ class Polytope:
     def _hull(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
         """The facet list ``halfplanes`` returns, and the listed points
         that ``extreme_points(self, tol=0.0)`` returns, kept in listed
-        order: one Qhull run on first use, shared, read-only, by every
-        later call."""
-        v = self.vertices
-        (center, span, normals), y, hull, ext = _span_hull(v)
-        if hull is not None:
-            _, first = np.unique(hull.equations, axis=0, return_index=True)
-            eq = hull.equations[np.sort(first)]
-            dirs, offsets = eq[:, :-1] @ span, -eq[:, -1]
-        else:
-            dirs = np.vstack([span, -span])
-            offsets = np.concatenate([y.max(axis=0), -y.min(axis=0)])
-        along = normals @ center
-        facets = (
-            np.vstack([dirs, normals, -normals]),
-            np.concatenate([offsets, along, -along]),
-        )
-        extreme = v[np.unique(ext)]
-        for arr in (*facets, extreme):
-            arr.flags.writeable = False
-        return facets, extreme
+        order: one Qhull run per vertex list (``_polytope_hull``), shared,
+        read-only, by every polytope listing the same vertices."""
+        return _polytope_hull(self.vertices.tobytes(), self.vertices.shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _polytope_hull(data: bytes, shape: tuple[int, int]) -> tuple:
+    """``Polytope._hull`` of the vertex bytes ``data``: 16 lists kept."""
+    v = np.frombuffer(data).reshape(shape)
+    (center, span, normals), y, hull, ext = _span_hull(v)
+    if hull is not None:
+        _, first = np.unique(hull.equations, axis=0, return_index=True)
+        eq = hull.equations[np.sort(first)]
+        dirs, offsets = eq[:, :-1] @ span, -eq[:, -1]
+    else:
+        dirs = np.vstack([span, -span])
+        offsets = np.concatenate([y.max(axis=0), -y.min(axis=0)])
+    along = normals @ center
+    facets = (
+        np.vstack([dirs, normals, -normals]),
+        np.concatenate([offsets, along, -along]),
+    )
+    extreme = v[np.unique(ext)]
+    for arr in (*facets, extreme):
+        arr.flags.writeable = False
+    return facets, extreme
 
 
 @dataclasses.dataclass(frozen=True)

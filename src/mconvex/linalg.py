@@ -98,8 +98,9 @@ def herm_eigvalsh(v: np.ndarray) -> np.ndarray:
     else from LAPACK's ``eigvalsh``.  The closed form's absolute error is
     O(eps ||H||), as LAPACK's is."""
     if v.shape[-1] == 2:
-        _, lo, hi = _spectrum2(v)
-        return np.stack([lo, hi], axis=-1)
+        out = np.empty(v.shape[:-1])
+        _, out[..., 0], out[..., 1] = _spectrum2(v)
+        return out
     return np.linalg.eigvalsh(herm_part(v))
 
 
@@ -119,7 +120,7 @@ def psd_part(v: np.ndarray) -> np.ndarray:
         b, lo, hi = _spectrum2(v)
         lo, hi = np.minimum(lo, 0.0), np.maximum(hi, 0.0)
         den = hi - lo
-        w = np.divide(hi, den, out=np.zeros_like(hi), where=den > 0.0)
+        w = np.divide(hi, den, out=np.zeros(hi.shape), where=den > 0.0)
         wb = w * b
         out = np.empty(v.shape, dtype=complex)
         out[..., 0, 0] = w * (v[..., 0, 0].real - lo)
@@ -161,11 +162,21 @@ def op_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def _value(stack, theta: float) -> float:
+    """``f`` alone at ``theta``: ``_profile``'s, or ``eigvalsh`` of ``H``."""
+    if isinstance(stack, list):
+        return _profile(stack, theta)[0]
+    *y0, re, im = stack
+    h = sum(y0, math.cos(theta) * re) + math.sin(theta) * im
+    return float(np.linalg.eigvalsh(h)[-1])
+
+
 def _profile(stack, theta: float) -> tuple[float, float, float]:
-    """``f = lambda_max(H)``, ``f'``, ``f''`` at ``theta``, ``H = stack[0] +
-    cos(theta) stack[1] + sin(theta) stack[2]``: from Pauli coordinates
-    (lists) ``f = alpha + |v|``; else from one ``eigh``, ``f'' = u* H'' u +
-    2 sum_k |v_k* H' u|^2 / (lambda_1 - lambda_k)``, gaps > 1e-12 (Johnson 1978)."""
+    """``f = lambda_max(H)``, ``f'``, ``f''`` at ``theta``, ``H = y0 +
+    cos(theta) re + sin(theta) im``: from Pauli coordinates (lists) ``f =
+    alpha + |v|``; else, ``stack = ([y0,] re, im)`` with no y0 when it is
+    0, from one ``eigh``, ``f'' = u* H'' u + 2 sum_k |v_k* H' u|^2 /
+    (lambda_1 - lambda_k)``, gaps > 1e-12 (Johnson 1978)."""
     c, s = math.cos(theta), math.sin(theta)
     if isinstance(stack, list):
         (y0, *yv), (r0, *rv), (i0, *iv) = stack
@@ -177,14 +188,14 @@ def _profile(stack, theta: float) -> tuple[float, float, float]:
         d1 = sum(p * q for p, q in zip(v, dv)) / norm
         d2 = sum(q * q + p * (y - p) for p, q, y in zip(v, dv, yv)) - d1 * d1
         return alpha + norm, d_alpha + d1, y0 - alpha + d2 / norm
-    lam, vecs = np.linalg.eigh(stack[0] + c * stack[1] + s * stack[2])
+    *y0, re, im = stack
+    lam, vecs = np.linalg.eigh(sum(y0, c * re) + s * im)
     u = vecs[:, -1]
-    coup = vecs.conj().T @ ((c * stack[2] - s * stack[1]) @ u)
+    coup = vecs.conj().T @ ((c * im - s * re) @ u)
     gaps = lam[-1] - lam[:-1]
     far = gaps > 1e-12
-    d2 = float((u.conj() @ stack[0] @ u).real) - lam[-1] + 2.0 * float(
-        np.sum(np.abs(coup[:-1][far]) ** 2 / gaps[far])
-    )
+    curv = sum(float((u.conj() @ y @ u).real) for y in y0) - lam[-1]
+    d2 = curv + 2.0 * float(np.sum(np.abs(coup[:-1][far]) ** 2 / gaps[far]))
     return float(lam[-1]), float(coup[-1].real), d2
 
 
@@ -214,7 +225,7 @@ def _climb(stack, starts, step: float, scale: float, tol: float):
             if not lo < nxt < hi:
                 nxt = 0.5 * (lo + hi)
             if abs(nxt - theta) < angle_target:
-                best = max(best, (_profile(stack, nxt)[0], nxt))
+                best = max(best, (_value(stack, nxt), nxt))
                 break
             theta = nxt
     return best
@@ -274,7 +285,9 @@ def circle_support(y0, t, tol: float = 1e-8) -> tuple[float, ...]:
     thetas = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
     dirs = np.column_stack([np.ones(size), np.cos(thetas), np.sin(thetas)])
     if n > 2:
-        stack = np.stack([herm_part(y), herm_part(a), -skew_part(a)])
+        parts = [herm_part(a), -skew_part(a)]
+        stack = np.stack([herm_part(y), *parts] if y.any() else parts)
+        dirs = dirs[:, 3 - len(stack):]
         vals = np.concatenate([
             np.linalg.eigvalsh(pencil_stack(stack, dirs[k:k + _SCAN_CHUNK]))[:, -1]
             for k in range(0, size, _SCAN_CHUNK)
@@ -299,7 +312,7 @@ def circle_support(y0, t, tol: float = 1e-8) -> tuple[float, ...]:
     peaks = thetas[(vals >= ring[:-2]) & (vals >= ring[2:])].tolist()
     lower, theta = _climb(stack, peaks, delta, scale, tol)
     if n > 2:
-        g = float(np.linalg.eigvalsh(-stack[0])[-1]) if stack[0].any() else 0.0
+        g = float(np.linalg.eigvalsh(-stack[0])[-1]) if len(stack) == 3 else 0.0
         top = float(vals.max()) + g
         return lower, max(lower, max(top, top / math.cos(0.5 * delta)) - g), theta
     slack = max(0.5 * tol, 1e-15 * scale)
@@ -354,16 +367,24 @@ class OperatorTuple:
     def n(self) -> int:
         return self.mats[0].shape[0]
 
+    def _mapped(self, mats: tuple, by) -> "OperatorTuple":
+        """``OperatorTuple(mats, self.hermitian)``, unchecked when a real ``by``
+        mapped a Hermitian tuple to complex finite, so Hermitian, ``mats``."""
+        if not (self.hermitian and np.isrealobj(by) and all(
+                m.dtype == complex and np.isfinite(m).all() for m in mats)):
+            return OperatorTuple(mats, self.hermitian)
+        out = object.__new__(OperatorTuple)
+        out.__dict__.update(mats=mats, hermitian=True)
+        return out
+
     def scaled(self, factor: float) -> "OperatorTuple":
-        return OperatorTuple(tuple(factor * m for m in self.mats), self.hermitian)
+        return self._mapped(tuple(factor * m for m in self.mats), factor)
 
     def shifted(self, offsets: Sequence[float]) -> "OperatorTuple":
         """Subtract ``offsets[j] * I`` from the j-th entry."""
         eye = np.eye(self.n)
-        return OperatorTuple(
-            tuple(m - o * eye for m, o in zip(self.mats, offsets)),
-            self.hermitian,
-        )
+        mats = tuple(m - o * eye for m, o in zip(self.mats, offsets))
+        return self._mapped(mats, offsets)
 
     def conjugated(self, u: np.ndarray) -> "OperatorTuple":
         """Return ``(u* a_j u)_j`` for a unitary or isometry ``u``."""

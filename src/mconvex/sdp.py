@@ -22,7 +22,9 @@ candidates: the affine one (exact constraints, eigenvalues checked) and
 the cone one (exact PSD, residual checked), and the gap between them
 prices a dual certificate.  A problem feasible only on the cone boundary
 takes the same road: its cone iterate is exactly PSD however thin the
-face, so a small enough residual certifies it.
+face, so a small enough residual certifies it.  The iterate is one flat
+complex array with a (count, s, s) view per block-size group, so each
+elementwise step is one array operation however many groups there are.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
+import itertools
 import logging
 import math
 from typing import Sequence
@@ -252,6 +255,11 @@ class _Compiled:
         _require_bytes(4 * 16 * m * entries, "the compiled constraints")
         self.block_sizes = tuple(block_sizes)
         self.groups = _groups(self.block_sizes)
+        ends = list(itertools.accumulate(len(i) * s * s for s, i in self.groups))
+        self.length, self.spans = ends[-1], [
+            (a, b, (len(i), s, s))
+            for a, b, (s, i) in zip([0] + ends, ends, self.groups)
+        ]
         n = self.n = rhs.shape[-1] if rhs.ndim == 3 else 1
 
         # diagonal preconditioning: unit Frobenius norm per constraint; rows
@@ -328,8 +336,8 @@ class _Compiled:
                     arr.flags.writeable = False
 
     def solve(
-        self, tol: float, max_iter: int, z: list[np.ndarray] | None = None
-    ) -> tuple[Verdict, list[np.ndarray] | None]:
+        self, tol: float, max_iter: int, z: np.ndarray | None = None
+    ) -> tuple[Verdict, np.ndarray | None]:
         """Run the certified iteration from the iterate ``z`` (zero when
         None); returns the verdict and the iterate to start the next solve
         from.  One DEBUG line per solve."""
@@ -343,13 +351,15 @@ class _Compiled:
         blocks = None if v is None else self.blocks([herm_part(vg) for vg in v])
         return Verdict(status, blocks, sep, it, resid), z
 
-    # --- variable helpers (variables are lists of (count, s, s) arrays) ---
+    # --- variable helpers (variables are lists of (count, s, s) arrays,
+    # views into one flat array where the iteration builds them) ---
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The groups of a flat variable, as (count, s, s) views into it."""
+        return [flat[a:b].reshape(shape) for a, b, shape in self.spans]
 
     def zero(self) -> list[np.ndarray]:
-        return [
-            np.zeros((len(idxs), s, s), dtype=complex)
-            for (s, idxs) in self.groups
-        ]
+        return self.views(np.zeros(self.length, dtype=complex))
 
     def _rows(self, mats: list[np.ndarray], v: list[np.ndarray]) -> np.ndarray:
         """``sum_g mats[g] @ V_g`` as an (m, n, n) stack, with each (s, s)
@@ -374,20 +384,17 @@ class _Compiled:
 
     def pencil(self, y: np.ndarray) -> list[np.ndarray]:
         """The adjoint map A*(Y) = sum_r P_r kron Y_r as a block variable."""
+        return self.views(self._pencil(y, np.empty(self.length, dtype=complex)))
+
+    def _pencil(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``pencil(y)`` written into the flat variable ``out``, returned."""
         n = self.n
         ys = y.reshape(self.m, n * n)
-        return [
-            (mat.T @ ys).reshape(-1, s // n, s // n, n, n)
-            .transpose(0, 1, 3, 2, 4).reshape(len(idxs), s, s)
-            for mat, (s, idxs) in zip(self.coeff_mats, self.groups)
-        ]
-
-    def affine_project(self, v: list[np.ndarray]) -> list[np.ndarray]:
-        corr = self.pencil(self.lsq_dual(v) - self.b_lsq)
-        return [vg - cg for vg, cg in zip(v, corr)]
-
-    def psd_project(self, v: list[np.ndarray]) -> list[np.ndarray]:
-        return [psd_part(vg) for vg in v]
+        for mat, (a, b, (count, s, _)) in zip(self.coeff_mats, self.spans):
+            out[a:b].reshape(count, s // n, n, s // n, n)[...] = (
+                (mat.T @ ys).reshape(-1, s // n, s // n, n, n).transpose(0, 1, 3, 2, 4)
+            )
+        return out
 
     def eig_bounds(self, v: list[np.ndarray]) -> tuple[float, float]:
         """The least and the largest eigenvalue over the blocks of ``v``."""
@@ -406,12 +413,6 @@ class _Compiled:
             for pos, j in enumerate(idxs):
                 out[j] = vg[pos]
         return out
-
-    def pencil_norm(self, s_blocks: list[np.ndarray]) -> float:
-        return max(
-            (float(np.abs(sg).max()) for sg in s_blocks if sg.size),
-            default=0.0,
-        )
 
 
 def _row_norms(coeff_groups: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -452,10 +453,10 @@ def _certificate_from_dual(
     if nrm <= 1e-14:
         return None
     y = coeffs / nrm
-    s_blocks = comp.pencil(y)
-    mx = comp.eig_bounds(s_blocks)[1]
+    s = comp._pencil(y, np.empty(comp.length, dtype=complex))
+    mx = comp.eig_bounds(comp.views(s))[1]
     if mx > 0 and comp.identity_combo is not None:
-        shift = mx + 1e-13 * max(1.0, comp.pencil_norm(s_blocks))
+        shift = mx + 1e-13 * max(1.0, float(np.abs(s).max()))
         y = y - shift * comp.identity_combo
         nrm = float(np.linalg.norm(y))
         if nrm <= 1e-14:
@@ -464,11 +465,10 @@ def _certificate_from_dual(
         # short of the margin it fails whatever its pencil: skip the pencil
         if float(np.vdot(comp.b, y).real) < 10.0 * tol:
             return None
-        s_blocks = comp.pencil(y)
-        mx = comp.eig_bounds(s_blocks)[1]
+        mx = comp.eig_bounds(comp.views(comp._pencil(y, s)))[1]
     margin = float(np.vdot(comp.b, y).real)
     dual = y / comp.norms[:, None, None]
-    return _separator(dual, mx, comp.pencil_norm(s_blocks), margin, tol)
+    return _separator(dual, mx, float(np.abs(s).max()), margin, tol)
 
 
 def _witness_ok(comp: _Compiled, v: list[np.ndarray]) -> tuple[bool, float]:
@@ -478,8 +478,8 @@ def _witness_ok(comp: _Compiled, v: list[np.ndarray]) -> tuple[bool, float]:
 
 
 def _iterate(
-    comp: _Compiled, tol: float, max_iter: int, z: list[np.ndarray] | None
-) -> tuple[Status, list | None, Separator | None, int, float, list | None]:
+    comp: _Compiled, tol: float, max_iter: int, z: np.ndarray | None
+) -> tuple[Status, list | None, Separator | None, int, float, np.ndarray | None]:
     """Decide a compiled problem from the Douglas-Rachford iterate ``z``.
     Returns the status, the witness as a group variable, the separator,
     the iteration count, the residual and the iterate to start from next
@@ -527,8 +527,8 @@ def _iterate(
 
 
 def _douglas_rachford(
-    comp: _Compiled, tol: float, max_iter: int, z: list[np.ndarray] | None
-) -> tuple[Status, list | None, Separator | None, int, float, list]:
+    comp: _Compiled, tol: float, max_iter: int, z: np.ndarray | None
+) -> tuple[Status, list | None, Separator | None, int, float, np.ndarray]:
     """Douglas-Rachford from the iterate ``z`` (zero when None), which it
     only reads.  Every ``CHECK_EVERY`` iterations and at the last,
     ``_witness_ok`` checks the affine-exact iterate, then the cone-exact
@@ -537,28 +537,34 @@ def _douglas_rachford(
     gap's least-squares dual.  So a witness and a dual certificate are
     tried at every check, and an Infeasible answer closes at the first
     check whose gap certifies.  Returns ``_iterate``'s answer and the
-    iterate it stopped at."""
-    z = comp.zero() if z is None else z
+    iterate it stopped at.  A step on the flat iterate (``views``) forms
+    x = z - A* G+ (A z - b), y the groupwise PSD part of 2x - z, z + y - x."""
+    z = np.zeros(comp.length, dtype=complex) if z is None else z.copy()
+    x, y = np.empty_like(z), np.empty_like(z)
+    zs, xs, ys = comp.views(z), comp.views(x), comp.views(y)
     best_resid = np.inf
 
     it = 0
     while it < max_iter:
-        x = comp.affine_project(z)
-        y = comp.psd_project([2.0 * xg - zg for xg, zg in zip(x, z)])
-        z = [zg + yg - xg for zg, yg, xg in zip(z, y, x)]
+        np.subtract(z, comp._pencil(comp.lsq_dual(zs) - comp.b_lsq, x), out=x)
+        # y is 2x - z, then, group by group, its PSD part
+        np.subtract(np.multiply(2.0, x, out=y), z, out=y)
+        for yg in ys:
+            yg[...] = psd_part(yg)
+        np.subtract(np.add(z, y, out=z), x, out=z)
         it += 1
         if it % CHECK_EVERY and it != max_iter:
             continue
 
         # the affine-exact candidate, then the cone-exact one
-        for cand in (x, y):
+        for cand in (xs, ys):
             ok, resid = _witness_ok(comp, cand)
             if ok:
                 return Status.FEASIBLE, cand, None, it, resid, z
         best_resid = min(best_resid, resid)
-        gap = [xg - yg for xg, yg in zip(x, y)]
-        if it == max_iter or max(float(np.abs(g).max()) for g in gap) > tol:
-            sep = _certificate_from_dual(comp, comp.lsq_dual(gap), tol)
+        gap = x - y
+        if it == max_iter or float(np.abs(gap).max()) > tol:
+            sep = _certificate_from_dual(comp, comp.lsq_dual(comp.views(gap)), tol)
             if sep is not None:
                 return Status.INFEASIBLE, None, sep, it, best_resid, z
     return Status.UNKNOWN, None, None, it, best_resid, z

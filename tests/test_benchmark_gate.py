@@ -51,6 +51,30 @@ TRAFFIC = {
 }
 
 
+#: (lower, upper, len(trace)) of each theta-bisect query of round 0 under
+#: seed 1, by class: a speed change that moves a bracket or adds a probe
+#: fails here
+THETA = {
+    "pauli-square": (1.4142093197403263, 1.4192093197403262, 2),
+    "nilpotent-disc": (1.9999980000000002, 2.000000000002, 1),
+    "n2-square": (1.3625014827099748, 1.3675014827099747, 4),
+    "n3-square": (1.3935114913377389, 1.3985114913377388, 8),
+    "n2-disc": (1.4472104455713721, 1.4472118927847122, 1),
+}
+
+
+def test_round_zero_theta_brackets_are_pinned():
+    got = {}
+    for q in workloads.make_round("theta-bisect", 1, 0):
+        report, _ = cli.execute(
+            cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"])
+        )
+        got[q.qid.split(".")[-1]] = (
+            report["lower"], report["upper"], len(report["trace"])
+        )
+    assert got == THETA
+
+
 def _solved(counts) -> tuple[int, int, int]:
     """(solves, iterations, rows) of a ``Traffic`` record, as ``TRAFFIC``."""
     return counts.solves, counts.iterations, counts.rows

@@ -184,6 +184,39 @@ def test_a_polytope_keeps_its_extreme_points_in_listed_order(pts):
     assert not got.flags.writeable
 
 
+def test_polytopes_decoded_from_one_vertex_list_share_one_hull(monkeypatch):
+    # each query decodes its own Polytope; Qhull runs once per vertex list,
+    # and the facet list and extreme points it leaves are shared read-only
+    from mconvex import geometry
+
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return hull(*args, **kwargs)
+
+    hull = geometry.ConvexHull
+    monkeypatch.setattr(geometry, "ConvexHull", counted)
+    geometry._polytope_hull.cache_clear()
+    doc = {"type": "polytope",
+           "vertices": [[1.5, 0.25], [-0.75, 1.0], [-0.5, -1.25], [0.125, 0.0]]}
+    first, second = decode_body(doc), decode_body(doc)
+    assert first is not second
+    assert point_gap(first, [0.0, 0.0]) < 0.0
+    assert require_interior_zero(second) > 0.0
+    assert second._hull[1].shape == (3, 2)
+    assert len(runs) == 1
+    shared = (*halfplanes(first), first._hull[1])
+    for got, want in zip((*halfplanes(second), second._hull[1]), shared):
+        assert got is want
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    # another vertex list is another hull
+    halfplanes(decode_body({**doc, "vertices": doc["vertices"][:3]}))
+    assert len(runs) == 2
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(0, 10**6),

@@ -188,6 +188,36 @@ def test_numerical_radius_refines_both_sides_of_a_stationary_minimum():
     assert abs(numerical_radius(m, tol=1e-9) - ref) <= 1e-12
 
 
+#: (n, numerical radius, eigh calls) of seeded n x n matrices (two per n,
+#: drawn in order from default_rng(33)) as computed when every final
+#: Newton step took an eigh and every pencil a zero y0 term
+RADII_3_TO_6 = [
+    (3, 2.531714248438491, 8), (3, 3.05605662197848, 7),
+    (4, 3.553517374436156, 4), (4, 2.958742269631726, 4),
+    (5, 3.4174843421953534, 7), (5, 4.447501741338936, 8),
+    (6, 4.728781435245688, 8), (6, 4.113672474570485, 8),
+]
+
+
+def test_numerical_radius_takes_the_last_newton_value_alone(monkeypatch):
+    # at n >= 3 the last Newton step needs f, not its derivatives: an
+    # eigvalsh, not an eigh; the radii move by rounding only
+    eighs = []
+    orig = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        eighs.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rng = np.random.default_rng(33)
+    for n, want, before in RADII_3_TO_6:
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        eighs.clear()
+        assert numerical_radius(m) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert len(eighs) < before
+
+
 def _support_case(kind, rng):
     def draw(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -317,6 +347,39 @@ def test_operator_tuple_scaled_shifted():
     shifted = t.shifted([1.0, -1.0])
     np.testing.assert_allclose(shifted.mats[0], X - np.eye(2))
     np.testing.assert_allclose(shifted.mats[1], Z + np.eye(2))
+
+
+def test_real_rescales_and_shifts_of_a_hermitian_tuple_are_not_rechecked(
+    monkeypatch,
+):
+    # a real map of an exactly Hermitian tuple is exactly Hermitian: the
+    # result equals the checked, symmetrized one, and nothing re-checks it
+    from mconvex import linalg
+
+    rng = np.random.default_rng(8)
+    t = OperatorTuple(tuple(random_hermitian(3, rng) for _ in range(2)), True)
+    offsets = np.array([0.25, -1.5])
+    want = {
+        "scaled": OperatorTuple(tuple(-0.37 * m for m in t.mats), True),
+        "shifted": OperatorTuple(
+            tuple(m - o * np.eye(3) for m, o in zip(t.mats, offsets)), True
+        ),
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a real map of a Hermitian tuple was re-checked")
+
+    monkeypatch.setattr(linalg, "is_hermitian", refuse)
+    got = {"scaled": t.scaled(np.float64(-0.37)), "shifted": t.shifted(offsets)}
+    for key, tup in got.items():
+        assert tup.hermitian
+        for g, w in zip(tup.mats, want[key].mats):
+            assert g.dtype == complex and np.array_equal(g, w)
+            assert np.array_equal(g, g.conj().T)
+    assert t.scaled(2).mats[0].tolist() == (2 * t.mats[0]).tolist()
+    # a rescale that overflows is refused as before
+    with np.errstate(over="ignore"), pytest.raises(DimensionMismatch):
+        t.scaled(1e308)
 
 
 def test_complex_scale_or_shift_of_a_hermitian_tuple_is_refused():

@@ -6,7 +6,14 @@ import scipy.linalg
 
 from conftest import range_sdp
 from mconvex.errors import BadProblem, NoCertificate
-from mconvex.linalg import OperatorTuple, herm_part, random_hermitian
+from mconvex import ranges
+from mconvex.linalg import (
+    OperatorTuple,
+    compressed_ampliation,
+    herm_part,
+    psd_part,
+    random_hermitian,
+)
 from mconvex.ranges import _range_rows
 from mconvex.sdp import (
     MAX_ITER,
@@ -599,3 +606,65 @@ def test_witness_blocks_are_symmetrized_per_group(monkeypatch):
     assert len(verdict.blocks) == 96
     for got, block in zip(verdict.blocks, comp.blocks(raw[0])):
         assert np.array_equal(got, herm_part(block))
+
+
+def _two_projection_step(comp, z):
+    """The reference step, on group lists: x the affine projection of z,
+    y = psd_part(2x - z), then z + y - x."""
+    corr = comp.pencil(comp.lsq_dual(z) - comp.b_lsq)
+    x = [zg - cg for zg, cg in zip(z, corr)]
+    y = [psd_part(2.0 * xg - zg) for xg, zg in zip(x, z)]
+    return [zg + yg - xg for zg, yg, xg in zip(z, y, x)]
+
+
+def _step_operator(kind: str) -> _Compiled:
+    rng = np.random.default_rng(17)
+    if kind == "blocks-2-3":
+        cons = [AffineConstraint([np.eye(2), np.eye(3)], 1.0)]
+        cons += [
+            AffineConstraint([random_hermitian(2, rng), random_hermitian(3, rng)], r)
+            for r in (0.3, -0.2)
+        ]
+        return _compile(SdpFeasibility(5, tuple(cons), block_sizes=(2, 3)))
+    if kind == "blocks-3n-2n":
+        n = 2
+        cons = [AffineConstraint([np.eye(3), np.eye(2)], np.eye(n))]
+        cons += [
+            AffineConstraint(
+                [random_hermitian(3, rng), random_hermitian(2, rng)],
+                0.2 * random_hermitian(n, rng),
+            )
+            for _ in range(2)
+        ]
+        return _compile(SdpFeasibility(5 * n, tuple(cons), block_sizes=(3 * n, 2 * n)))
+    if kind == "kmin-vertices":
+        a = OperatorTuple((0.6 * X, 0.5 * Z), hermitian=True)
+        stack, at_a, _, _ = _range_rows(SQUARE[:, :, None, None], a, np.zeros(2))
+        comp = ranges._vertex_operator(stack.tobytes(), stack.shape, a.n)
+    else:  # a ucp Choi operator: 3 x 3 summand, level 2
+        x = OperatorTuple(tuple(random_hermitian(3, rng) for _ in range(2)), True)
+        a = compressed_ampliation(x, 2, rng)
+        stack, at_a, _, _ = _range_rows(np.array(x.mats)[None], a, np.zeros(2))
+        comp = ranges._range_operator(stack, a.n)
+    return comp.with_rhs(np.concatenate([np.eye(a.n)[None], at_a]))
+
+
+@pytest.mark.parametrize(
+    "kind", ["blocks-2-3", "blocks-3n-2n", "kmin-vertices", "ucp-choi"]
+)
+def test_the_flat_step_is_the_two_projection_step_to_the_bit(kind):
+    # the Douglas-Rachford step on the flat iterate, one iteration per
+    # call, against the two-projection formula on group lists, 50 steps
+    # from a seeded start
+    from mconvex import sdp
+
+    comp = _step_operator(kind)
+    rng = np.random.default_rng(4)
+    start = [herm_part(rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+             for g in comp.zero()]
+    z, ref = np.concatenate([g.ravel() for g in start]), start
+    for _ in range(50):
+        z = sdp._douglas_rachford(comp, 1e-7, 1, z)[-1]
+        ref = _two_projection_step(comp, ref)
+        assert z.tobytes() == np.concatenate([g.ravel() for g in ref]).tobytes()
+    assert np.abs(z).max() > 1e-3
