@@ -325,7 +325,9 @@ def _range_solver(
 
     Returns ``solve(f, alpha=1)``, which poses the unit row as I and the
     tuple rows at the point ``c + f (a / alpha - c)``, ``(f / alpha)
-    at_a + (1 - f) at_c``; and ``terms(sep, f)``, the ``(c0, c1)`` with
+    at_a + (1 - f) at_c`` (the same ``(f, alpha)`` twice running re-solves
+    the operator posed for it, bit for bit as re-posing would, with no
+    ``with_rhs``); and ``terms(sep, f)``, the ``(c0, c1)`` with
     ``c0 + c1 / alpha`` the margin of ``sep`` on the rhs of ``solve(f,
     alpha)``: the pencil does not depend on the rhs, so only this
     pairing moves with alpha.
@@ -336,15 +338,15 @@ def _range_solver(
         comp = _vertex_operator(stack.tobytes(), stack.shape, n)
     else:
         comp = _range_operator(stack, n)
-    unit, z = np.eye(n)[None], None
+    unit, z, key, posed = np.eye(n)[None], None, None, None
 
     def solve(f: float, alpha: float = 1.0) -> Verdict:
-        nonlocal z
-        # at f = alpha = 1 this is the rhs at a to the last bit
-        rows = (f / alpha) * at_a + (1.0 - f) * at_c
-        verdict, z = comp.with_rhs(np.concatenate([unit, rows])).solve(
-            _sdp_tol(tol), max_iter, z
-        )
+        nonlocal z, key, posed
+        if key != (f, alpha):
+            # at f = alpha = 1 this is the rhs at a to the last bit
+            rows = (f / alpha) * at_a + (1.0 - f) * at_c
+            key, posed = (f, alpha), comp.with_rhs(np.concatenate([unit, rows]))
+        verdict, z = posed.solve(_sdp_tol(tol), max_iter, z)
         return verdict
 
     def terms(sep: Separator, f: float) -> tuple[float, float]:
@@ -657,10 +659,19 @@ def theta_min_alpha(
     ``alpha' <= alpha*``.  That separator, re-priced at the new lower
     end, is kept as ``lower_separator``.  The next probe is at ``min(lo +
     tol / 2, (lo + hi) / 2)``, so a separator that certifies past theta
-    closes the query with a Feasible probe and a bracket tol / 2 wide;
-    after as many such tight probes as plain bisection takes steps, the
-    probes bisect.  An Unknown probe moves neither end and ends the
-    search, so the bracket returned is the certified one, however wide.
+    closes the query with a Feasible probe and a bracket tol / 2 wide.
+    An Infeasible probe at alpha > 1 whose separator lifted the lower end
+    at least tol / 2 past ``max(alpha, lo)``, lo as it was before the
+    probe (as far as a tight probe's does), stays put: the same alpha is solved again, and the
+    Douglas-Rachford iteration goes on from where it stopped, its gap
+    tending to the least displacement between the affine set and the
+    cone, the strongest separator the probe has (Pazy 1971; Banjac,
+    Goulart, Stellato and Boyd 2019).  Tight probes and these
+    continuations spend one budget, plain bisection's step count; after
+    it the probes bisect, so weak separators, and strong but slow ones,
+    cost at most twice bisection's solves.  An Unknown probe moves
+    neither end and ends the search, so the bracket returned is the
+    certified one, however wide.
 
     The first probe iterates from zero and each later one from the
     iterate the last one stopped at (``_range_solver``).  A commuting
@@ -668,7 +679,8 @@ def theta_min_alpha(
     joint numerical range is the hull of its joint spectrum, so K^max
     and K^min agree at it.  Values below 1 are reported as the
     degenerate bracket [1, 1].  Pass a list as ``trace`` to collect the
-    (lower, upper) bracket, as floats, after each probe.
+    (lower, upper) bracket, as floats, after each solve, a continuation
+    included.
     """
     _require_tol(tol)
     pre = kmax_member(K, a)
@@ -707,10 +719,12 @@ def theta_min_alpha(
             _range_rows(verts[:, :, None, None], a, center), MEMBER_TOL, MAX_ITER
         )
         pull = 1.0 / (1.0 + 10.0 * MEMBER_TOL)
-        # plain bisection's step count: after as many tight probes, bisect
+        # plain bisection's step count: after as many tight probes and
+        # continuations, bisect
         tight = math.ceil(math.log2((hi - 1.0) / tol))
         alpha = 1.0
         while True:
+            before = max(alpha, lo)
             verdict = solve(pull, alpha)
             if verdict.status is Status.FEASIBLE:
                 hi = alpha
@@ -719,6 +733,11 @@ def theta_min_alpha(
             trace.append((lo, hi))
             if verdict.status is Status.UNKNOWN or hi - lo <= tol:
                 break
+            if tight > 0 and alpha > 1.0 and lo >= before + 0.5 * tol:
+                # its separator reached tol / 2 further: go on iterating
+                # at the same alpha, from where the solve stopped
+                tight -= 1
+                continue
             alpha = 0.5 * (lo + hi)
             if tight > 0:
                 tight -= 1

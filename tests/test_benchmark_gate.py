@@ -45,7 +45,7 @@ def test_round_zero_passes_the_checker(workload):
 #: nor theta-bisect's two disc queries
 TRAFFIC = {
     "member-disc": (0, 0, 0),
-    "theta-bisect": (14, 144, 42),
+    "theta-bisect": (15, 88, 45),
     "ucp-probes": (6, 60, 18),
     "transform-probes": (5, 44, 15),
 }
@@ -57,8 +57,8 @@ TRAFFIC = {
 THETA = {
     "pauli-square": (1.4142093197403263, 1.4192093197403262, 2),
     "nilpotent-disc": (1.9999980000000002, 2.000000000002, 1),
-    "n2-square": (1.3625014827099748, 1.3675014827099747, 4),
-    "n3-square": (1.3935114913377389, 1.3985114913377388, 8),
+    "n2-square": (1.3654929666469666, 1.3704929666469665, 6),
+    "n3-square": (1.3934091825079906, 1.3984091825079905, 7),
     "n2-disc": (1.4472104455713721, 1.4472118927847122, 1),
 }
 
@@ -73,6 +73,11 @@ def test_round_zero_theta_brackets_are_pinned():
             report["lower"], report["upper"], len(report["trace"])
         )
     assert got == THETA
+    # the constants known in closed form: sqrt 2 for the Pauli pair, and
+    # (1 + sqrt 3) / 2 for the symmetries at 60 degrees
+    for name, constant in [("pauli-square", np.sqrt(2.0)),
+                           ("n2-square", 0.5 * (1.0 + np.sqrt(3.0)))]:
+        assert got[name][0] <= constant <= got[name][1]
 
 
 def _solved(counts) -> tuple[int, int, int]:

@@ -840,11 +840,14 @@ class TestWarmSteps:
         steps = _record_steps(monkeypatch)
         theta_min_alpha(SQUARE, symmetry_pair(), tol=0.01)
         monkeypatch.undo()
+        # the probe tol / 2 above alpha = 1's lower end reaches further
+        # on each of four continuations, which re-solve its posed rhs
         assert [(v.status, v.iterations) for _, v in steps] == [
             (Status.INFEASIBLE, 8), (Status.INFEASIBLE, 8), (Status.INFEASIBLE, 4),
-            (Status.INFEASIBLE, 8), (Status.INFEASIBLE, 12), (Status.INFEASIBLE, 12),
-            (Status.INFEASIBLE, 32), (Status.FEASIBLE, 4),
+            (Status.INFEASIBLE, 4), (Status.INFEASIBLE, 4), (Status.INFEASIBLE, 4),
+            (Status.FEASIBLE, 8),
         ]
+        assert len({id(rhs) for rhs, _ in steps}) == 3
         assert _check_cold_steps(SQUARE, steps) == [v.status for _, v in steps]
 
     def test_disc_out_rests_on_a_repriced_separator(self, monkeypatch):
@@ -992,6 +995,89 @@ class TestThetaFromSeparators:
         ]
         _check_separator(_kmin_problem(verts, mats), est.lower_separator)
 
+    def test_steady_separators_stay_within_twice_the_bisection(self, monkeypatch):
+        # every separator cut back, as above, until it certifies just over
+        # tol / 2 past max(lo, alpha): each probe past alpha = 1 stays put,
+        # and its continuations spend the tight probes' budget
+        tol, trace, alphas = 0.01, [], []
+        floor = 10 * ranges._sdp_tol(ranges.MEMBER_TOL)
+        range_solver = ranges._range_solver
+
+        def steady(rows, *args):
+            solve, terms = range_solver(rows, *args)
+
+            def stepped(f, alpha=1.0):
+                alphas.append(alpha)
+                lo = trace[-1][0] if trace else 1.0
+                reach = max(lo, alpha) + 0.5 * tol * (1.0 + 1e-3)
+                verdict = solve(f, alpha)
+                if (sep := verdict.separator) is None:
+                    return verdict
+                c0, c1 = terms(sep, f)
+                excess = c0 - (floor - c1 / reach)
+                if excess <= 0.0:
+                    return verdict
+                n = sep.dual.shape[-1]
+                dual = sep.dual.copy()
+                dual[0] -= excess / n * np.eye(n)
+                sep = dataclasses.replace(sep, dual=dual, margin=sep.margin - excess)
+                return dataclasses.replace(verdict, separator=sep)
+
+            return stepped, terms
+
+        monkeypatch.setattr(ranges, "_range_solver", steady)
+        a = pauli()
+        est = theta_min_alpha(SQUARE, a, tol=tol, trace=trace)
+        tight = math.ceil(math.log2((4.0 - 1.0) / tol))
+        bisection = 1 + tight
+        # the opener, one tight probe, then a continuation for each step
+        # of the budget left, and bisection
+        stays = sum(p == q for p, q in zip(alphas, alphas[1:]))
+        assert stays == tight - 1 and alphas[2:tight + 1] == [alphas[1]] * (tight - 1)
+        assert len(alphas) == len(trace) <= 2 * bisection
+        assert est.lower <= ROOT2 <= est.upper
+        assert est.upper - est.lower <= tol
+        verts, center = ranges._vertex_sets(SQUARE)
+        mats = [
+            m / est.lower / RELAX + (1.0 - 1.0 / RELAX) * c * np.eye(a.n)
+            for m, c in zip(a.mats, center)
+        ]
+        _check_separator(_kmin_problem(verts, mats), est.lower_separator)
+
+    def test_continuations_re_pose_nothing(self, monkeypatch):
+        # a probe that stays put re-solves the operator it posed, from the
+        # iterate its last solve stopped at: one with_rhs per distinct
+        # rhs, and every verdict bit-identical to a freshly posed copy's
+        with_rhs, solve = _Compiled.with_rhs, _Compiled.solve
+        posed, solves = [], []
+
+        def recorded_with_rhs(self, rhs):
+            out = with_rhs(self, rhs)
+            out.posed_from = (self, np.array(rhs))
+            posed.append(out)
+            return out
+
+        def recorded_solve(self, tol, max_iter, z=None):
+            verdict, z_out = solve(self, tol, max_iter, z)
+            solves.append((self, tol, max_iter, None if z is None else z.copy(), verdict))
+            return verdict, z_out
+
+        monkeypatch.setattr(_Compiled, "with_rhs", recorded_with_rhs)
+        monkeypatch.setattr(_Compiled, "solve", recorded_solve)
+        theta_min_alpha(SQUARE, symmetry_pair(), tol=0.01)
+        monkeypatch.undo()
+        distinct = {op.posed_from[1].tobytes() for op, *_ in solves}
+        assert len(posed) == len(distinct) == 3 < len(solves) == 7
+        for op, tol, max_iter, z, verdict in solves:
+            base, rhs = op.posed_from
+            again, _ = base.with_rhs(rhs).solve(tol, max_iter, z)
+            assert (again.status, again.iterations, again.residual) == (
+                verdict.status, verdict.iterations, verdict.residual
+            )
+            if verdict.separator is not None:
+                assert again.separator.margin == verdict.separator.margin
+                assert np.array_equal(again.separator.dual, verdict.separator.dual)
+
     @pytest.mark.parametrize("tol", [0.0, -0.01, np.inf, np.nan])
     def test_theta_rejects_a_tol_that_is_not_positive_and_finite(self, tol):
         # the count of tight probes needs a positive finite tol
@@ -1039,6 +1125,53 @@ def _kmax_scale(K: Polytope, a: OperatorTuple) -> float:
     dirs, offsets = halfplanes(K)
     lam = np.linalg.eigvalsh(pencil_stack(a.mats, dirs))[:, -1]
     return float(np.min(offsets[lam > 0] / lam[lam > 0]))
+
+
+#: the regular hexagon on the unit circle
+HEXAGON = Polytope(np.column_stack([
+    np.cos(np.pi * np.arange(6) / 3), np.sin(np.pi * np.arange(6) / 3)
+]))
+
+
+def test_theta_brackets_of_seeded_kmax_boundary_pairs():
+    # 16 seeded pairs at n = 2-4 on the boundary of the maximal set: over
+    # the square each matrix scaled to norm 1, over the hexagon the pair
+    # scaled onto its nearest facet.  Every bracket is tol wide at most,
+    # its lower end re-checks on its own problem and its witness point
+    # is In; the iterations, summed, are pinned, so a change that spends
+    # more on separators that reach further fails here
+    tol, solves, iterations = 0.01, 0, 0
+    solve = _Compiled.solve
+
+    def counted(self, *args):
+        nonlocal solves, iterations
+        verdict, z = solve(self, *args)
+        solves, iterations = solves + 1, iterations + verdict.iterations
+        return verdict, z
+
+    for seed in range(16):
+        body, n = (SQUARE, HEXAGON)[seed % 2], 2 + (seed // 2) % 3
+        rng = np.random.default_rng(seed)
+        mats = [random_hermitian(n, rng) for _ in range(2)]
+        if body is SQUARE:
+            mats = [m / np.linalg.norm(m, 2) for m in mats]
+        a = OperatorTuple(tuple(mats), hermitian=True)
+        a = a.scaled(_kmax_scale(body, a))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Compiled, "solve", counted)
+            est = theta_min_alpha(body, a, tol=tol)
+        assert 1.0 <= est.lower <= est.upper <= est.lower + tol
+        assert kmin_member(body, est.witness_point).status is MembershipStatus.IN
+        if est.lower_separator is None:
+            assert est.lower == 1.0
+            continue
+        verts, center = ranges._vertex_sets(body)
+        point = [
+            m / est.lower / RELAX + (1.0 - 1.0 / RELAX) * c * np.eye(n)
+            for m, c in zip(a.mats, center)
+        ]
+        _check_separator(_kmin_problem(verts, point), est.lower_separator)
+    assert (solves, iterations) == (52, 1736)
 
 
 def test_kmin_over_a_polytope_agrees_with_ucp_over_its_vertices():
