@@ -99,11 +99,6 @@ def _need(job: JobSpec, key: str):
     return job.inputs[key]
 
 
-def _unknown_kind(job: JobSpec, kind) -> UsageError:
-    kinds = " | ".join(_COMMANDS[job.command].kinds)
-    return UsageError(f"unknown {job.command} kind {kind!r} ({kinds})")
-
-
 def _points_array(doc) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(doc, dtype=float))
     if pts.size == 0:
@@ -144,7 +139,7 @@ def _run_jnr(job: JobSpec) -> dict:
 
 
 def _run_member(job: JobSpec) -> dict:
-    kind = _need(job, "kind")
+    kind = job.inputs["kind"]
     a = decode_tuple(_need(job, "tuple"))
     tol = _tol(job)
     if kind == "kmin":
@@ -154,11 +149,9 @@ def _run_member(job: JobSpec) -> dict:
         )
     elif kind == "kmax":
         res = kmax_member(decode_body(_need(job, "body")), a, tol=tol)
-    elif kind == "ucp":
+    else:
         x = decode_tuple(_need(job, "range_of"))
         res = ucp_member(x, a, tol=tol, max_iter=int(_opt(job, "max_iter", MAX_ITER)))
-    else:
-        raise _unknown_kind(job, kind)
     return _membership_payload(res)
 
 
@@ -190,7 +183,7 @@ def _run_theta(job: JobSpec) -> dict:
 
 
 def _run_extreme(job: JobSpec) -> dict:
-    kind = _need(job, "kind")
+    kind = job.inputs["kind"]
     if kind == "points":
         pts = _points_array(_need(job, "points"))
         ext = extreme_points(pts, tol=_tol(job, 1e-9))
@@ -203,20 +196,18 @@ def _run_extreme(job: JobSpec) -> dict:
             "is_simplex": flag,
             "rank_data": info,
         }
-    if kind in ("free-sym", "free-uni"):
-        t = decode_tuple(_need(job, "tuple"))
-        test = (
-            is_matrix_extreme_free_symmetric
-            if kind == "free-sym"
-            else is_matrix_extreme_free_unitary
-        )
-        accepted, reason = test(t)
-        return {
-            "status": "Extreme" if accepted else "NotExtreme",
-            "accepted": accepted,
-            "reason": reason,
-        }
-    raise _unknown_kind(job, kind)
+    t = decode_tuple(_need(job, "tuple"))
+    test = (
+        is_matrix_extreme_free_symmetric
+        if kind == "free-sym"
+        else is_matrix_extreme_free_unitary
+    )
+    accepted, reason = test(t)
+    return {
+        "status": "Extreme" if accepted else "NotExtreme",
+        "accepted": accepted,
+        "reason": reason,
+    }
 
 
 def _run_choili(job: JobSpec) -> dict:
@@ -233,8 +224,7 @@ def _run_choili(job: JobSpec) -> dict:
 
 
 def _run_model(job: JobSpec) -> dict:
-    kind = _need(job, "kind")
-    if kind == "normal":
+    if job.inputs["kind"] == "normal":
         t = NormalTuple(decode_tuple(_need(job, "tuple")))
         model = extreme_spectral_compression(t)
         check = verify_complete_isometry(t, model)
@@ -245,21 +235,19 @@ def _run_model(job: JobSpec) -> dict:
             "compressed": model.compressed,
             "isometry_check": check,
         }
-    if kind == "blockdiag":
-        docs = _need(job, "candidates")
-        if not isinstance(docs, list) or not docs:
-            raise SchemaError("candidates must be a nonempty list of tuples")
-        model = block_diagonal_model([decode_tuple(doc) for doc in docs])
-        return {
-            "summands": list(model.summands),
-            "direct_sum": model.direct_sum,
-            "report": model.report,
-        }
-    raise _unknown_kind(job, kind)
+    docs = _need(job, "candidates")
+    if not isinstance(docs, list) or not docs:
+        raise SchemaError("candidates must be a nonempty list of tuples")
+    model = block_diagonal_model([decode_tuple(doc) for doc in docs])
+    return {
+        "summands": list(model.summands),
+        "direct_sum": model.direct_sum,
+        "report": model.report,
+    }
 
 
 def _run_sw(job: JobSpec) -> dict:
-    kind = _need(job, "kind")
+    kind = job.inputs["kind"]
     t = decode_diagonal(_need(job, "diag"))
     if kind == "ess":
         pts = essential_spectrum_diag(t, tol=_tol(job, 1e-9))
@@ -267,15 +255,13 @@ def _run_sw(job: JobSpec) -> dict:
     if kind == "perturb":
         perturbed, report = sw_perturbation(t)
         return {"perturbed": perturbed, "report": report}
-    if kind == "verify":
-        if job.inputs.get("perturbed") is not None:
-            perturbed = decode_diagonal(job.inputs["perturbed"])
-        else:
-            perturbed, _ = sw_perturbation(t)
-        out = verify_local_sw(t, perturbed, tol=_tol(job))
-        out["status"] = "Equal" if out["equal"] else "Unequal"
-        return out
-    raise _unknown_kind(job, kind)
+    if job.inputs.get("perturbed") is not None:
+        perturbed = decode_diagonal(job.inputs["perturbed"])
+    else:
+        perturbed, _ = sw_perturbation(t)
+    out = verify_local_sw(t, perturbed, tol=_tol(job))
+    out["status"] = "Equal" if out["equal"] else "Unequal"
+    return out
 
 
 def _run_toeplitz(job: JobSpec) -> dict:
@@ -302,9 +288,10 @@ def _run_verify_suite(job: JobSpec) -> dict:
 
 class _Command(NamedTuple):
     """A command's handler (None for ``batch``: ``main`` runs it), help
-    line, ``--kind`` choices, input files as ``(key, required, help)`` and
-    the option keys it reads, beside the common ``json`` and ``strict``;
-    an input's flag is ``--key`` with ``-`` for ``_``, its dest ``key_path``."""
+    line, ``--kind`` choices (which ``execute`` checks before the handler
+    runs), input files as ``(key, required, help)`` and the option keys it
+    reads, beside the common ``json`` and ``strict``; an input's flag is
+    ``--key`` with ``-`` for ``_``, its dest ``key_path``."""
 
     run: Callable[[JobSpec], dict] | None
     help: str
@@ -357,6 +344,9 @@ def execute(job: JobSpec) -> tuple[dict, int]:
         raise UsageError(
             f"{job.command} does not read options {unknown} (it reads: {known})"
         )
+    if row.kinds and (kind := _need(job, "kind")) not in row.kinds:
+        kinds = " | ".join(row.kinds)
+        raise UsageError(f"unknown {job.command} kind {kind!r} ({kinds})")
     t0 = time.perf_counter()
     payload = row.run(job)
     has_unknown = bool(payload.pop("has_unknown", False))

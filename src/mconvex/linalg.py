@@ -27,6 +27,9 @@ HERM_RTOL = 1e-12
 #: relative SVD threshold used when counting null directions
 NULLITY_RTOL = 1e-8
 
+#: relative eigenvalue gap that splits a cluster in ``simdiag_hermitian``
+SIMDIAG_GAP_RTOL = 1e-9
+
 #: angles of the ``circle_support`` scan at n >= 3 (at n <= 2, 16 start
 #: the climb, and the certificate makes it global)
 _SCAN_GRID = 64
@@ -367,24 +370,16 @@ class OperatorTuple:
     def n(self) -> int:
         return self.mats[0].shape[0]
 
-    def _mapped(self, mats: tuple, by) -> "OperatorTuple":
-        """``OperatorTuple(mats, self.hermitian)``, unchecked when a real ``by``
-        mapped a Hermitian tuple to complex finite, so Hermitian, ``mats``."""
-        if not (self.hermitian and np.isrealobj(by) and all(
+    def scaled(self, factor: float) -> "OperatorTuple":
+        """``(factor a_j)_j``, unchecked when a real ``factor`` maps a
+        Hermitian tuple to complex finite, so Hermitian, entries."""
+        mats = tuple(factor * m for m in self.mats)
+        if not (self.hermitian and np.isrealobj(factor) and all(
                 m.dtype == complex and np.isfinite(m).all() for m in mats)):
             return OperatorTuple(mats, self.hermitian)
         out = object.__new__(OperatorTuple)
         out.__dict__.update(mats=mats, hermitian=True)
         return out
-
-    def scaled(self, factor: float) -> "OperatorTuple":
-        return self._mapped(tuple(factor * m for m in self.mats), factor)
-
-    def shifted(self, offsets: Sequence[float]) -> "OperatorTuple":
-        """Subtract ``offsets[j] * I`` from the j-th entry."""
-        eye = np.eye(self.n)
-        mats = tuple(m - o * eye for m, o in zip(self.mats, offsets))
-        return self._mapped(mats, offsets)
 
     def conjugated(self, u: np.ndarray) -> "OperatorTuple":
         """Return ``(u* a_j u)_j`` for a unitary or isometry ``u``."""
@@ -467,14 +462,13 @@ def words_equivalent(t1: OperatorTuple, t2: OperatorTuple) -> bool:
     return hom == commutant_dimension(t1) == commutant_dimension(t2)
 
 
-def simdiag_hermitian(
-    mats: Sequence[np.ndarray], tol: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray]:
+def simdiag_hermitian(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneously diagonalize a commuting family of Hermitian matrices.
 
     Classic partition refinement: diagonalize the first matrix, split the
-    basis into eigenvalue clusters (gap threshold ``tol`` times the matrix
-    scale), then diagonalize each subsequent matrix inside every cluster.
+    basis into eigenvalue clusters (gap threshold ``SIMDIAG_GAP_RTOL``
+    times the matrix scale), then diagonalize each subsequent matrix
+    inside every cluster.
 
     Returns
     -------
@@ -508,7 +502,7 @@ def simdiag_hermitian(
             u[:, lo:hi] = ub @ vecs
             start = lo
             for k in range(1, hi - lo):
-                if vals[k] - vals[k - 1] > tol * scale:
+                if vals[k] - vals[k - 1] > SIMDIAG_GAP_RTOL * scale:
                     refined.append((start, lo + k))
                     start = lo + k
             refined.append((start, hi))

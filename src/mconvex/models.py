@@ -94,7 +94,7 @@ class NormalTuple:
         for m in t.mats:
             family.append(herm_part(m))
             family.append(skew_part(m))
-        u, vals = simdiag_hermitian(family, tol=POINT_DEDUP_TOL)
+        u, vals = simdiag_hermitian(family)
         if t.hermitian:
             column = vals[:, 0::2]
         else:
@@ -102,14 +102,6 @@ class NormalTuple:
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "column_values", column)
         object.__setattr__(self, "joint_points", _dedup_points(column))
-
-    @property
-    def d(self) -> int:
-        return self.base.d
-
-    @property
-    def n(self) -> int:
-        return self.base.n
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,12 +216,9 @@ def block_diagonal_model(candidates: Sequence[OperatorTuple]) -> BlockModel:
             dropped.append(i)
         else:
             survivors.append(c)
-    total = survivors[0]
-    for s in survivors[1:]:
-        total = direct_sum(total, s)
     return BlockModel(
         summands=tuple(survivors),
-        direct_sum=total,
+        direct_sum=direct_sum(*survivors),
         report={
             "candidates": len(candidates),
             "summands": len(survivors),
@@ -331,6 +320,16 @@ def essential_spectrum_diag(t: DiagonalTuple, tol: float = POINT_DEDUP_TOL) -> n
     return _dedup_points(np.array(pts), tol)
 
 
+def _essential_points(t: DiagonalTuple) -> np.ndarray:
+    """``essential_spectrum_diag(t)``, refused when it is empty."""
+    ess = essential_spectrum_diag(t)
+    if ess.shape[0] == 0:
+        raise EmptyEssentialSpectrum(
+            "the presentation has no infinite atoms and no sequence limits"
+        )
+    return ess
+
+
 def _nearest(points: np.ndarray, p) -> tuple[np.ndarray, float]:
     dists = np.linalg.norm(points - np.asarray(p), axis=1)
     k = int(np.argmin(dists))
@@ -348,38 +347,27 @@ def sw_perturbation(t: DiagonalTuple) -> tuple[DiagonalTuple, PerturbationReport
     pure-atom presentation with infinite multiplicity at every
     essential point touched.
     """
-    ess = essential_spectrum_diag(t)
-    if ess.shape[0] == 0:
-        raise EmptyEssentialSpectrum(
-            "the presentation has no infinite atoms and no sequence limits"
-        )
+    ess = _essential_points(t)
     displacements: list[float] = []
-    mass: dict[tuple[float, ...], int | None] = {}
-
-    def add(point: tuple[float, ...], mult: int | None) -> None:
-        if point in mass and (mass[point] is None or mult is None):
-            mass[point] = None
-        elif point in mass:
-            mass[point] += mult
-        else:
-            mass[point] = mult
-
+    # the essential points in the order the presentation first touches
+    # them; each is an infinite atom or a sequence limit of ``t``, so every
+    # entry snapped onto it joins an atom of infinite multiplicity
+    touched: dict[tuple[float, ...], None] = {}
     for point, mult in t.atoms:
         if mult is None:
-            add(point, None)
+            touched.setdefault(point)
             displacements.append(0.0)
         else:
             target, dist = _nearest(ess, point)
-            add(tuple(float(v) for v in target), mult)
+            touched.setdefault(tuple(float(v) for v in target))
             displacements.append(dist)
     tail: list[list[float]] = []
     for lim, prefix in t.sequences:
-        add(lim, None)
+        touched.setdefault(lim)
         per = []
         for p in prefix:
             target, dist = _nearest(ess, p)
-            # prefix entries join the atom at their snap target
-            add(tuple(float(v) for v in target), 1)
+            touched.setdefault(tuple(float(v) for v in target))
             per.append(dist)
             displacements.append(dist)
         tail.append(per)
@@ -390,9 +378,7 @@ def sw_perturbation(t: DiagonalTuple) -> tuple[DiagonalTuple, PerturbationReport
         if k == 0:
             vals.extend(displacements[: len(t.atoms)])
         sup_tail.append(max(vals, default=0.0))
-    perturbed = DiagonalTuple(
-        d=t.d, atoms=tuple((p, m) for p, m in mass.items()), sequences=()
-    )
+    perturbed = DiagonalTuple(d=t.d, atoms=tuple((p, None) for p in touched))
     report = PerturbationReport(
         displacements=tuple(displacements),
         sup_tail_norm=tuple(sup_tail),
@@ -414,9 +400,7 @@ def _diagonal_points(t: DiagonalTuple, q: int) -> np.ndarray:
     return np.array(entries, dtype=float)
 
 
-def finite_truncation(
-    t: DiagonalTuple, q: int, hermitian: bool = True
-) -> OperatorTuple:
+def finite_truncation(t: DiagonalTuple, q: int) -> OperatorTuple:
     """Finite diagonal tuple covering the presentation up to replication q.
 
     Infinite atoms and sequence limits contribute q copies each, finite
@@ -429,7 +413,7 @@ def finite_truncation(
         raise DimensionMismatch("replication must be >= 1")
     diag = _diagonal_points(t, q)
     mats = tuple(np.diag(diag[:, j]).astype(complex) for j in range(t.d))
-    return OperatorTuple(mats, hermitian)
+    return OperatorTuple(mats, hermitian=True)
 
 
 def verify_local_sw(
@@ -448,11 +432,7 @@ def verify_local_sw(
     """
     if t.d != perturbed.d:
         raise TupleMismatch(f"dimension mismatch: {t.d} vs {perturbed.d}")
-    ess = essential_spectrum_diag(t)
-    if ess.shape[0] == 0:
-        raise EmptyEssentialSpectrum(
-            "the presentation has no infinite atoms and no sequence limits"
-        )
+    ess = _essential_points(t)
     trunc_pts = _diagonal_points(perturbed, 1)
     gap_ess_in_trunc = point_gap(Polytope(trunc_pts), ess)
     gap_trunc_in_ess = point_gap(Polytope(ess), trunc_pts)

@@ -96,8 +96,7 @@ CL_REFERENCE_CONSTANT = 1.0 / (1.0 + 1.0j)
 #: the calibrated transform normalization (see ``calibrate_choi_li``)
 CL_CALIBRATED_CONSTANT = 0.5
 
-#: the square [-1, 1]^2 of ``choi_li_equiv_check``, built once, so that
-#: its one Qhull run serves every query
+#: the square [-1, 1]^2 of ``choi_li_equiv_check``
 SQUARE = Polytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
 
 
@@ -419,7 +418,7 @@ def _joint_spectrum(a: OperatorTuple) -> tuple[np.ndarray, np.ndarray] | None:
     if not (stack := np.array(mats))[:, eye == 0].any():
         return eye.astype(complex), np.diagonal(stack, axis1=1, axis2=2).real.T.copy()
     try:
-        return simdiag_hermitian(a.mats, tol=1e-9)
+        return simdiag_hermitian(a.mats)
     except NotCommuting:
         return None
 
@@ -670,8 +669,9 @@ def theta_min_alpha(
     continuations spend one budget, plain bisection's step count; after
     it the probes bisect, so weak separators, and strong but slow ones,
     cost at most twice bisection's solves.  An Unknown probe moves
-    neither end and ends the search, so the bracket returned is the
-    certified one, however wide.
+    neither end.  Past alpha = 1 it ends the search, so the bracket
+    returned is the certified one, however wide; an Unknown opener at
+    alpha = 1 is followed by the usual next probe, at 1 + tol / 2.
 
     The first probe iterates from zero and each later one from the
     iterate the last one stopped at (``_range_solver``).  A commuting
@@ -731,7 +731,7 @@ def theta_min_alpha(
             elif verdict.status is Status.INFEASIBLE:
                 lift(verdict.separator, terms(verdict.separator, pull), alpha)
             trace.append((lo, hi))
-            if verdict.status is Status.UNKNOWN or hi - lo <= tol:
+            if hi - lo <= tol or (verdict.status is Status.UNKNOWN and alpha > 1.0):
                 break
             if tight > 0 and alpha > 1.0 and lo >= before + 0.5 * tol:
                 # its separator reached tol / 2 further: go on iterating

@@ -295,6 +295,40 @@ def test_the_2x2_certificate_holds_above_the_maximum_only(kind, seed):
     assert np.linalg.eigvalsh(herm_part(y0 + np.exp(1j * theta) * t))[-1] > below
 
 
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("kind", ["generic", "normal", "rank-one", "nilpotent"])
+def test_a_short_first_climb_restarts_from_the_certificates_angle(
+    monkeypatch, kind, seed
+):
+    # the first climb stops at the lowest peak of the 16-angle scan, below
+    # the maximum (off the scan's angles for these kinds): the certificate
+    # names an angle, the climb from there reaches the maximum, and the
+    # bracket still holds it within 4 tol
+    from mconvex import linalg
+
+    climb, certificate = linalg._climb, linalg._circle_certificate
+    named = []
+
+    def short_climb(stack, starts, *args):
+        monkeypatch.setattr(linalg, "_climb", climb)
+        return min((linalg._value(stack, t), t) for t in starts)
+
+    def recorded(*args):
+        named.append(certificate(*args))
+        return named[-1]
+
+    monkeypatch.setattr(linalg, "_climb", short_climb)
+    monkeypatch.setattr(linalg, "_circle_certificate", recorded)
+    rng = np.random.default_rng(seed)
+    t, y0 = _support_case(kind, rng), random_hermitian(2, rng)
+    tol = 1e-8
+    lower, upper, _ = circle_support(y0, t, tol)
+    ref, _ = profile_max(y0, t)
+    assert named[0] is not None
+    assert lower - 1e-12 <= ref <= upper + 1e-12
+    assert upper - lower <= 4.0 * tol
+
+
 @pytest.mark.parametrize(
     "y0,t,top",
     [
@@ -341,53 +375,40 @@ def test_non_finite_complex_entries_are_refused(entry):
         op_norm(m.T)
 
 
-def test_operator_tuple_scaled_shifted():
+def test_operator_tuple_scaled():
     t = OperatorTuple((X, Z), hermitian=True)
     assert op_norm(t.scaled(0.5).mats[0] - X / 2) < 1e-15
-    shifted = t.shifted([1.0, -1.0])
-    np.testing.assert_allclose(shifted.mats[0], X - np.eye(2))
-    np.testing.assert_allclose(shifted.mats[1], Z + np.eye(2))
 
 
-def test_real_rescales_and_shifts_of_a_hermitian_tuple_are_not_rechecked(
-    monkeypatch,
-):
-    # a real map of an exactly Hermitian tuple is exactly Hermitian: the
-    # result equals the checked, symmetrized one, and nothing re-checks it
+def test_real_rescales_of_a_hermitian_tuple_are_not_rechecked(monkeypatch):
+    # a real rescale of an exactly Hermitian tuple is exactly Hermitian:
+    # the result equals the checked, symmetrized one, and nothing
+    # re-checks it
     from mconvex import linalg
 
     rng = np.random.default_rng(8)
     t = OperatorTuple(tuple(random_hermitian(3, rng) for _ in range(2)), True)
-    offsets = np.array([0.25, -1.5])
-    want = {
-        "scaled": OperatorTuple(tuple(-0.37 * m for m in t.mats), True),
-        "shifted": OperatorTuple(
-            tuple(m - o * np.eye(3) for m, o in zip(t.mats, offsets)), True
-        ),
-    }
+    want = OperatorTuple(tuple(-0.37 * m for m in t.mats), True)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a real map of a Hermitian tuple was re-checked")
+        raise AssertionError("a real rescale of a Hermitian tuple was re-checked")
 
     monkeypatch.setattr(linalg, "is_hermitian", refuse)
-    got = {"scaled": t.scaled(np.float64(-0.37)), "shifted": t.shifted(offsets)}
-    for key, tup in got.items():
-        assert tup.hermitian
-        for g, w in zip(tup.mats, want[key].mats):
-            assert g.dtype == complex and np.array_equal(g, w)
-            assert np.array_equal(g, g.conj().T)
+    got = t.scaled(np.float64(-0.37))
+    assert got.hermitian
+    for g, w in zip(got.mats, want.mats):
+        assert g.dtype == complex and np.array_equal(g, w)
+        assert np.array_equal(g, g.conj().T)
     assert t.scaled(2).mats[0].tolist() == (2 * t.mats[0]).tolist()
     # a rescale that overflows is refused as before
     with np.errstate(over="ignore"), pytest.raises(DimensionMismatch):
         t.scaled(1e308)
 
 
-def test_complex_scale_or_shift_of_a_hermitian_tuple_is_refused():
+def test_complex_scale_of_a_hermitian_tuple_is_refused():
     t = OperatorTuple((X, Z), hermitian=True)
     with pytest.raises(NonHermitianInput):
         t.scaled(1j)
-    with pytest.raises(NonHermitianInput):
-        t.shifted([0.5j, 0.0])
     assert not OperatorTuple((X, Z)).scaled(1j).hermitian
 
 

@@ -956,8 +956,12 @@ class TestThetaFromSeparators:
             return Verdict(Status.UNKNOWN, None, None, max_iter, 1.0), z
 
         monkeypatch.setattr(_Compiled, "solve", unknown)
-        est = theta_min_alpha(SQUARE, pauli(), tol=0.01)
+        trace = []
+        est = theta_min_alpha(SQUARE, pauli(), tol=0.01, trace=trace)
         assert (est.lower, est.upper, est.lower_separator) == (1.0, 4.0, None)
+        # the opener at alpha = 1 is followed by one probe, at 1 + tol / 2,
+        # whose Unknown ends the search
+        assert trace == [(1.0, 4.0)] * 2
 
     def test_weak_separators_cost_at_most_twice_the_bisection(self, monkeypatch):
         # every separator weakened until it certifies just its own probe:
@@ -1172,6 +1176,32 @@ def test_theta_brackets_of_seeded_kmax_boundary_pairs():
         ]
         _check_separator(_kmin_problem(verts, point), est.lower_separator)
     assert (solves, iterations) == (52, 1736)
+
+
+def test_theta_after_an_unknown_opener_probes_just_past_one(monkeypatch):
+    # the seed-38 pair over the square, each matrix scaled to norm 1, on
+    # the boundary of the maximal set: with a budget of 400 iterations
+    # the opener at alpha = 1 is Unknown, and the search goes on to the
+    # usual next probe, at 1 + tol / 2, which is Feasible
+    monkeypatch.setattr(ranges, "MAX_ITER", 400)
+    statuses = []
+    solve = _Compiled.solve
+
+    def recorded(self, *args):
+        verdict, z = solve(self, *args)
+        statuses.append(verdict.status)
+        return verdict, z
+
+    monkeypatch.setattr(_Compiled, "solve", recorded)
+    rng = np.random.default_rng(38)
+    mats = [random_hermitian(5, rng) for _ in range(2)]
+    a = OperatorTuple(tuple(m / np.linalg.norm(m, 2) for m in mats), hermitian=True)
+    trace = []
+    est = theta_min_alpha(SQUARE, a, tol=0.01, trace=trace)
+    assert statuses == [Status.UNKNOWN, Status.FEASIBLE]
+    assert (est.lower, est.upper) == (1.0, 1.0 + 0.5 * 0.01)
+    assert len(trace) == 2 and trace[0][0] == 1.0 and trace[0][1] > 2.0
+    assert kmin_member(SQUARE, est.witness_point).status is MembershipStatus.IN
 
 
 def test_kmin_over_a_polytope_agrees_with_ucp_over_its_vertices():
@@ -1692,6 +1722,31 @@ def test_theta_below_one_over_a_disc_is_one():
     est = theta_min_alpha(UNIT_DISC, nilpotent_pair().scaled(0.4), trace=trace)
     assert (est.lower, est.upper, est.lower_separator) == (1.0, 1.0, None)
     assert trace == [(1.0, 1.0)]
+
+
+def test_theta_over_a_disc_keeps_its_start_when_the_dilation_fails():
+    # the nilpotent pair (theta 2): when the dilation does not certify
+    # alpha*, the upper end stays at the start of the search, whose point
+    # a / start is In on its own; the lower end is _disc_cut's at alpha*
+    # all the same, and re-prices on a / lower to its stored margin
+    a = nilpotent_pair()
+    closed = theta_min_alpha(UNIT_DISC, a)
+    unknown = ranges.MembershipResult(MembershipStatus.UNKNOWN, 0.0, None, "planted")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ranges, "_disc_member", lambda *args: unknown)
+        est = theta_min_alpha(UNIT_DISC, a)
+    slack = require_interior_zero(UNIT_DISC)
+    start = max(2.0, 2.0 * a.d * max(op_norm(m) for m in a.mats) / slack)
+    assert est.upper == start > closed.upper
+    assert est.lower == closed.lower and 2.0 - 1e-5 < est.lower <= 2.0
+    sep = est.lower_separator
+    priced = np.trace(sep.dual[0]).real + sum(
+        np.trace(yl @ al).real for yl, al in zip(sep.dual[1:], a.mats)
+    ) / est.lower
+    assert priced == pytest.approx(sep.margin, rel=1e-9)
+    assert sep.margin >= 10 * 1e-7
+    assert _circle_pencil_max(UNIT_DISC, sep.dual) <= 1e-12
+    assert kmin_member(UNIT_DISC, est.witness_point).status is MembershipStatus.IN
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)

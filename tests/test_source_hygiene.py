@@ -2,8 +2,9 @@
 its module, every module-level private name is referenced somewhere in
 the package besides its definition, and every public function or class
 is too, or is exported in ``mconvex.__all__`` or traced by the benchmark
-(``perfbench.tracing.LAYERS``), so unused code gets deleted rather than
-left behind."""
+(``perfbench.tracing.LAYERS``), and every method or property of a
+package class is referenced by name in the package, so unused code gets
+deleted rather than left behind."""
 
 import ast
 import pathlib
@@ -87,3 +88,19 @@ def test_every_public_function_or_class_is_used_exported_or_traced(module):
         and node.name not in kept
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_method_or_property_is_referenced(module):
+    # dunder methods are called by the language, not by name
+    used = {name for tree in TREES.values() for name in _references(tree)}
+    unreferenced = [
+        f"{node.name}.{item.name}"
+        for node in TREES[module].body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and not item.name.startswith("__")
+        and item.name not in used
+    ]
+    assert unreferenced == []
