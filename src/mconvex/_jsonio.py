@@ -33,21 +33,52 @@ class SchemaError(ValueError):
     """Input JSON does not match the documented shape."""
 
 
-def _decode_scalar(v) -> complex:
-    # a JSON boolean decodes to a bool, which is an int but no entry
-    parts = v if isinstance(v, list) and len(v) == 2 else [v]
-    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
-        return complex(*parts)
-    raise SchemaError(f"expected a real or [re, im] pair, got {v!r}")
+#: what each wanted type admits, and its name; every JSON number is a float
+_TYPES = {
+    float: ((int, float), "a number"), int: (int, "an integer"),
+    str: (str, "a string"), bool: (bool, "true or false"),
+    list: (list, "an array"), dict: (dict, "an object"),
+}
 
 
-def decode_matrix(rows) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise SchemaError("matrix must be a nonempty list of rows")
+def read(node, want: type, what: str, rank: int = 0):
+    """The JSON node ``node`` as a ``want``, checked before it is used,
+    else a SchemaError that names it ``what``.  With ``rank`` 0, ``want``
+    is float (any number), int, str, bool, list or dict (returned as a
+    copy); a boolean is never a number, and a missing key's None fails
+    every check.  With a positive ``rank``, ``node`` is a nonempty,
+    non-ragged array of that many axes, returned as an ndarray of float,
+    or of complex, whose entries are each a number or an ``[re, im]``
+    pair, and may mix."""
+    admits, name = _TYPES[list if rank else want]
+    if not isinstance(node, admits) or (type(node) is bool and want is not bool):
+        raise SchemaError(f"{what} must be {name}, got {node!r}")
     try:
-        return np.array([[_decode_scalar(v) for v in row] for row in rows])
-    except TypeError as exc:
-        raise SchemaError(f"malformed matrix: {exc}") from exc
+        return _array(node, want, what, rank) if rank else want(node)
+    except OverflowError as exc:
+        raise SchemaError(f"{what} holds an integer beyond the float range") from exc
+
+
+def _entry(v, want: type, what: str):
+    """One number, or for a complex ``want`` also an ``[re, im]`` pair."""
+    parts = v if want is complex and isinstance(v, list) and len(v) == 2 else [v]
+    if not all(isinstance(x, (int, float)) and type(x) is not bool for x in parts):
+        kind = "a real or [re, im] pair" if want is complex else "a number"
+        raise SchemaError(f"expected {kind}, got {v!r} in {what}")
+    return want(*parts)
+
+
+def _array(rows: list, want: type, what: str, rank: int) -> np.ndarray:
+    a = np.array(rows, dtype=object)
+    pairs = want is complex and a.ndim == rank + 1 and a.shape[-1] == 2
+    if a.ndim != rank + pairs or 0 in a.shape:
+        raise SchemaError(f"{what} must be a nonempty, non-ragged array of rank {rank}")
+    if {int, float}.issuperset(map(type, a.flat)):  # JSON numbers: one conversion
+        a = a.astype(float)
+        return a.view(complex)[..., 0] if pairs else a.astype(want, copy=False)
+    # a non-number, a number of a subclass, or reals and [re, im] pairs mixed
+    entries = a.reshape(-1, 2).tolist() if pairs else a.flat
+    return np.array([_entry(v, want, what) for v in entries]).reshape(a.shape[:rank])
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -55,15 +86,12 @@ def encode_complex(z: complex) -> list[float]:
 
 
 def decode_tuple(doc) -> OperatorTuple:
-    if not isinstance(doc, dict) or "mats" not in doc:
-        raise SchemaError('tuple document needs a "mats" field')
-    mats = tuple(decode_matrix(rows) for rows in doc["mats"])
-    hermitian = doc.get("hermitian", True)
-    if not isinstance(hermitian, bool):
-        raise SchemaError(f'"hermitian" must be true or false, got {hermitian!r}')
-    t = OperatorTuple(mats, hermitian)
+    doc = read(doc, dict, "tuple document")
+    mats = read(doc.get("mats"), complex, '"mats"', rank=3)
+    hermitian = read(doc.get("hermitian", True), bool, '"hermitian"')
+    t = OperatorTuple(tuple(mats), hermitian)
     for field in ("n", "d"):
-        if field in doc and int(doc[field]) != getattr(t, field):
+        if field in doc and read(doc[field], int, f'"{field}"') != getattr(t, field):
             raise SchemaError(
                 f'"{field}" is {doc[field]} but the matrices say {getattr(t, field)}'
             )
@@ -79,44 +107,48 @@ def encode_tuple(t: OperatorTuple) -> dict:
     }
 
 
+#: each body type's class and its fields, in the class's order, by rank
+_BODIES = {
+    "polytope": (Polytope, {"vertices": 2}),
+    "box": (Box, {"lo": 1, "hi": 1}),
+    "disc": (Disc, {"center": 1, "radius": 0}),
+    "sampled": (Sampled, {"directions": 2, "support_values": 1}),
+}
+
+
 def decode_body(doc) -> ConvexBody:
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise SchemaError('body document needs a "type" tag')
-    kind = doc["type"]
-    try:
-        if kind == "polytope":
-            return Polytope(np.array(doc["vertices"], dtype=float))
-        if kind == "box":
-            return Box(
-                np.array(doc["lo"], dtype=float), np.array(doc["hi"], dtype=float)
-            )
-        if kind == "disc":
-            return Disc(np.array(doc["center"], dtype=float), float(doc["radius"]))
-        if kind == "sampled":
-            return Sampled(
-                np.array(doc["directions"], dtype=float),
-                np.array(doc["support_values"], dtype=float),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed {kind} body: {exc}") from exc
-    raise SchemaError(f"unknown body type {kind!r}")
+    doc = read(doc, dict, "body document")
+    kind = read(doc.get("type"), str, '"type"')
+    if kind not in _BODIES:
+        raise SchemaError(f"unknown body type {kind!r}")
+    cls, fields = _BODIES[kind]
+    return cls(*(read(doc.get(k), float, f'"{k}"', rank) for k, rank in fields.items()))
+
+
+def _pairs(doc: dict, key: str) -> list:
+    """``doc[key]``, a list (empty when absent) of two-item lists."""
+    items = read(doc.get(key, []), list, f'"{key}"')
+    for item in items:
+        if len(read(item, list, f'an item of "{key}"')) != 2:
+            raise SchemaError(f'an item of "{key}" must be a pair, got {item!r}')
+    return items
 
 
 def decode_diagonal(doc) -> DiagonalTuple:
-    if not isinstance(doc, dict) or "d" not in doc:
-        raise SchemaError('diagonal document needs a "d" field')
-    try:
-        atoms = tuple(
-            (tuple(point), None if mult is None else int(mult))
-            for point, mult in doc.get("atoms", [])
-        )
-        sequences = tuple(
-            (tuple(limit), tuple(tuple(p) for p in prefix))
-            for limit, prefix in doc.get("sequences", [])
-        )
-        return DiagonalTuple(d=int(doc["d"]), atoms=atoms, sequences=sequences)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed diagonal presentation: {exc}") from exc
+    doc = read(doc, dict, "diagonal document")
+    d = read(doc.get("d"), int, '"d"')
+    atoms = tuple(
+        (read(p, float, "a point", 1),
+         m if m is None else read(m, int, "a multiplicity"))
+        for p, m in _pairs(doc, "atoms")
+    )
+    sequences = tuple(
+        (read(lim, float, "a limit", 1), tuple(
+            read(p, float, "a point", 1) for p in read(prefix, list, "a prefix")
+        ))
+        for lim, prefix in _pairs(doc, "sequences")
+    )
+    return DiagonalTuple(d, atoms, sequences)
 
 
 def encode_diagonal(t: DiagonalTuple) -> dict:
@@ -208,28 +240,30 @@ def dump_report(report: dict, fp: IO[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _svg_header(width: int, height: int) -> list[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-
-
-def _fit(points: list[np.ndarray], width: int, height: int, pad: int):
+def _write_svg(path: str, width: int, height: int, pad: int, points, draw) -> None:
+    """Write the elements ``draw(tx)`` lists on a white canvas, where ``tx``
+    maps the bounding box of ``points`` into it, ``pad`` pixels in."""
     allpts = np.vstack(points)
     lo = allpts.min(axis=0)
-    hi = allpts.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
+    span = np.maximum(allpts.max(axis=0) - lo, 1e-9)
     s = min((width - 2 * pad) / span[0], (height - 2 * pad) / span[1])
 
     def tx(p: np.ndarray) -> tuple[float, float]:
-        return (
-            pad + (p[0] - lo[0]) * s,
-            height - pad - (p[1] - lo[1]) * s,
-        )
+        return pad + (p[0] - lo[0]) * s, height - pad - (p[1] - lo[1]) * s
 
-    return tx
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        *draw(tx),
+        "</svg>",
+    ]
+    with open(path, "w", encoding="utf-8") as fp:
+        fp.write("\n".join(lines) + "\n")
+
+
+def _coords(tx, pts) -> str:
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in map(tx, pts))
 
 
 def polygon_svg(polygons: list[tuple[np.ndarray, str]], path: str) -> None:
@@ -238,18 +272,11 @@ def polygon_svg(polygons: list[tuple[np.ndarray, str]], path: str) -> None:
     filled = [v for v, _ in polygons if len(v)]
     if not filled:
         raise SchemaError("nothing to draw")
-    width, height = 480, 480
-    tx = _fit(filled, width, height, pad=20)
-    lines = _svg_header(width, height)
-    for verts, color in polygons:
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(tx, verts))
-        lines.append(
-            f'<polygon points="{pts}" fill="none" stroke="{color}" '
-            'stroke-width="1.5"/>'
-        )
-    lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write("\n".join(lines) + "\n")
+    _write_svg(path, 480, 480, 20, filled, lambda tx: [
+        f'<polygon points="{_coords(tx, verts)}" fill="none" stroke="{color}" '
+        'stroke-width="1.5"/>'
+        for verts, color in polygons
+    ])
 
 
 def trace_svg(values: list[tuple[float, float]], path: str) -> None:
@@ -257,18 +284,10 @@ def trace_svg(values: list[tuple[float, float]], path: str) -> None:
     on a 480 x 320 canvas."""
     if not values:
         raise SchemaError("nothing to draw")
-    width, height = 480, 320
     pts = np.array(values, dtype=float)
-    tx = _fit([pts], width, height, pad=24)
-    lines = _svg_header(width, height)
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(tx, pts))
-    lines.append(
-        f'<polyline points="{coords}" fill="none" stroke="#1f77b4" '
-        'stroke-width="1.5"/>'
-    )
-    for p in pts:
-        x, y = tx(p)
-        lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="#1f77b4"/>')
-    lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write("\n".join(lines) + "\n")
+    _write_svg(path, 480, 320, 24, [pts], lambda tx: [
+        f'<polyline points="{_coords(tx, pts)}" fill="none" stroke="#1f77b4" '
+        'stroke-width="1.5"/>',
+        *(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="#1f77b4"/>'
+          for x, y in map(tx, pts)),
+    ])

@@ -20,17 +20,15 @@ import sys
 import time
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import acceptance
 from ._jsonio import (
     SchemaError,
     decode_body,
     decode_diagonal,
-    decode_matrix,
     decode_tuple,
     dump_report,
     polygon_svg,
+    read,
     trace_svg,
 )
 from .errors import MConvexError
@@ -84,26 +82,16 @@ class JobSpec:
 
 
 def _opt(job: JobSpec, key: str, default):
+    """Option ``key``, whose type ``execute`` checked, or ``default``."""
     job.read.add(key)
     v = job.options.get(key)
     return default if v is None else v
-
-
-def _tol(job: JobSpec, default: float = 1e-7) -> float:
-    return float(_opt(job, "tol", default))
 
 
 def _need(job: JobSpec, key: str):
     if key not in job.inputs or job.inputs[key] is None:
         raise UsageError(f"command {job.command!r} needs the {key!r} input")
     return job.inputs[key]
-
-
-def _points_array(doc) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(doc, dtype=float))
-    if pts.size == 0:
-        raise SchemaError("empty point list")
-    return pts
 
 
 def _membership_payload(res) -> dict:
@@ -120,7 +108,7 @@ def _membership_payload(res) -> dict:
 
 def _run_jnr(job: JobSpec) -> dict:
     t = decode_tuple(_need(job, "tuple"))
-    m = int(_opt(job, "grid", 64))
+    m = _opt(job, "grid", 64)
     sandwich = jnr_sandwich(t, m=m)
     if svg := job.options.get("svg"):
         polygon_svg(
@@ -141,24 +129,24 @@ def _run_jnr(job: JobSpec) -> dict:
 def _run_member(job: JobSpec) -> dict:
     kind = job.inputs["kind"]
     a = decode_tuple(_need(job, "tuple"))
-    tol = _tol(job)
+    tol = _opt(job, "tol", 1e-7)
     if kind == "kmin":
         res = kmin_member(
             decode_body(_need(job, "body")), a, tol=tol,
-            max_iter=int(_opt(job, "max_iter", MAX_ITER)),
+            max_iter=_opt(job, "max_iter", MAX_ITER),
         )
     elif kind == "kmax":
         res = kmax_member(decode_body(_need(job, "body")), a, tol=tol)
     else:
         x = decode_tuple(_need(job, "range_of"))
-        res = ucp_member(x, a, tol=tol, max_iter=int(_opt(job, "max_iter", MAX_ITER)))
+        res = ucp_member(x, a, tol=tol, max_iter=_opt(job, "max_iter", MAX_ITER))
     return _membership_payload(res)
 
 
 def _run_equal(job: JobSpec) -> dict:
     x = decode_tuple(_need(job, "x"))
     y = decode_tuple(_need(job, "y"))
-    equal, report = mrange_equal(x, y, tol=_tol(job))
+    equal, report = mrange_equal(x, y, tol=_opt(job, "tol", 1e-7))
     return {
         "status": "Equal" if equal else "Unequal",
         "equal": equal,
@@ -171,7 +159,7 @@ def _run_theta(job: JobSpec) -> dict:
     body = decode_body(_need(job, "body"))
     t = decode_tuple(_need(job, "tuple"))
     trace: list = []
-    est = theta_min_alpha(body, t, tol=_tol(job, 1e-2), trace=trace)
+    est = theta_min_alpha(body, t, tol=_opt(job, "tol", 1e-2), trace=trace)
     if svg := job.options.get("svg"):
         trace_svg([(i, hi - lo) for i, (lo, hi) in enumerate(trace)], svg)
     return {
@@ -185,12 +173,12 @@ def _run_theta(job: JobSpec) -> dict:
 def _run_extreme(job: JobSpec) -> dict:
     kind = job.inputs["kind"]
     if kind == "points":
-        pts = _points_array(_need(job, "points"))
-        ext = extreme_points(pts, tol=_tol(job, 1e-9))
+        pts = read(_need(job, "points"), float, '"points"', rank=2)
+        ext = extreme_points(pts, tol=_opt(job, "tol", 1e-9))
         return {"extremes": ext, "count": int(ext.shape[0])}
     if kind == "simplex":
-        pts = _points_array(_need(job, "points"))
-        flag, info = is_simplex(pts, tol=_tol(job, 1e-9))
+        pts = read(_need(job, "points"), float, '"points"', rank=2)
+        flag, info = is_simplex(pts, tol=_opt(job, "tol", 1e-9))
         return {
             "status": "Simplex" if flag else "NotSimplex",
             "is_simplex": flag,
@@ -211,8 +199,8 @@ def _run_extreme(job: JobSpec) -> dict:
 
 
 def _run_choili(job: JobSpec) -> dict:
-    y = decode_matrix(_need(job, "y"))
-    rep = choi_li_equiv_check(y, tol=_tol(job, 1e-6))
+    y = read(_need(job, "y"), complex, '"y"', rank=2)
+    rep = choi_li_equiv_check(y, tol=_opt(job, "tol", 1e-6))
     return {
         "status": "Consistent" if rep["consistent"] else "Inconsistent",
         "excluded": rep["excluded"],
@@ -235,9 +223,7 @@ def _run_model(job: JobSpec) -> dict:
             "compressed": model.compressed,
             "isometry_check": check,
         }
-    docs = _need(job, "candidates")
-    if not isinstance(docs, list) or not docs:
-        raise SchemaError("candidates must be a nonempty list of tuples")
+    docs = read(_need(job, "candidates"), list, '"candidates"')
     model = block_diagonal_model([decode_tuple(doc) for doc in docs])
     return {
         "summands": list(model.summands),
@@ -250,7 +236,7 @@ def _run_sw(job: JobSpec) -> dict:
     kind = job.inputs["kind"]
     t = decode_diagonal(_need(job, "diag"))
     if kind == "ess":
-        pts = essential_spectrum_diag(t, tol=_tol(job, 1e-9))
+        pts = essential_spectrum_diag(t, tol=_opt(job, "tol", 1e-9))
         return {"points": pts, "count": int(pts.shape[0])}
     if kind == "perturb":
         perturbed, report = sw_perturbation(t)
@@ -259,16 +245,15 @@ def _run_sw(job: JobSpec) -> dict:
         perturbed = decode_diagonal(job.inputs["perturbed"])
     else:
         perturbed, _ = sw_perturbation(t)
-    out = verify_local_sw(t, perturbed, tol=_tol(job))
+    out = verify_local_sw(t, perturbed, tol=_opt(job, "tol", 1e-7))
     out["status"] = "Equal" if out["equal"] else "Unequal"
     return out
 
 
 def _run_toeplitz(job: JobSpec) -> dict:
-    doc = _need(job, "samples")
-    if not isinstance(doc, list) or len(doc) < 3:
+    samples = read(_need(job, "samples"), complex, '"samples"', rank=1)
+    if len(samples) < 3:
         raise SchemaError("toeplitz needs at least three symbol samples")
-    samples = decode_matrix([doc]).ravel()
     hull, extremes = essential_range_hull(samples)
     if svg := job.options.get("svg"):
         polygon_svg([(hull, "#1f77b4")], svg)
@@ -347,6 +332,12 @@ def execute(job: JobSpec) -> tuple[dict, int]:
     if row.kinds and (kind := _need(job, "kind")) not in row.kinds:
         kinds = " | ".join(row.kinds)
         raise UsageError(f"unknown {job.command} kind {kind!r} ({kinds})")
+    for key in row.options:
+        if job.options.get(key) is not None:
+            # the type argparse gives the flag, so a batch job's option
+            # gets the flag's check: str where the table sets none
+            want = _OPTION_FLAGS[key][1].get("type", str)
+            read(job.options[key], want, f"option {key!r}")
     t0 = time.perf_counter()
     payload = row.run(job)
     has_unknown = bool(payload.pop("has_unknown", False))
@@ -391,22 +382,6 @@ _OPTION_FLAGS = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser, options: tuple[str, ...]) -> None:
-    """The flags of the options a command reads, then ``--json`` and
-    ``--strict``."""
-    for key in options:
-        flag, kwargs = _OPTION_FLAGS[key]
-        sub.add_argument(flag, default=None, **kwargs)
-    sub.add_argument(
-        "--json", default=None, metavar="PATH", help="also write the report here"
-    )
-    sub.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 70 when any verdict is Unknown",
-    )
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mconvex", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -417,7 +392,13 @@ def _build_parser() -> _Parser:
         for key, required, text in row.inputs:
             flag = "--" + key.replace("_", "-")
             p.add_argument(flag, required=required, dest=f"{key}_path", help=text)
-        _add_common(p, row.options)
+        for key in row.options:
+            flag, kwargs = _OPTION_FLAGS[key]
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--json", metavar="PATH", help="also write the report here")
+        p.add_argument(
+            "--strict", action="store_true", help="exit 70 when any verdict is Unknown"
+        )
     return parser
 
 
@@ -427,7 +408,7 @@ def _load_json(path: str):
             return json.load(fp)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -442,23 +423,21 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
 
 
 def _run_batch(args: argparse.Namespace) -> tuple[dict, int]:
-    docs = _load_json(args.jobs_path)
-    if not isinstance(docs, list) or not docs:
+    docs = read(_load_json(args.jobs_path), list, "the batch file")
+    if not docs:
         raise SchemaError("batch file must be a nonempty JSON list of jobs")
     jobs = []
     for i, doc in enumerate(docs):
-        if not isinstance(doc, dict) or "command" not in doc:
-            raise SchemaError(f"batch entry {i} lacks a command")
-        given, inputs = doc.get("options", {}), doc.get("inputs", {})
-        if not isinstance(given, dict) or not isinstance(inputs, dict):
-            raise SchemaError(f"batch entry {i}: options and inputs must be objects")
-        options = dict(given)
+        doc = read(doc, dict, f"batch entry {i}")
+        options = read(doc.get("options", {}), dict, f"batch entry {i}'s options")
+        inputs = read(doc.get("inputs", {}), dict, f"batch entry {i}'s inputs")
         if options.get("strict") is None:
             options["strict"] = args.strict
-        jobs.append(JobSpec(doc["command"], dict(inputs), options))
+        jobs.append(JobSpec(doc.get("command"), inputs, options))
 
     def guarded(job: JobSpec) -> tuple[dict, int]:
         try:
+            read(job.command, str, "a batch job's command")
             return execute(job)
         except UsageError as exc:
             status, error, code = "UsageError", str(exc), EX_USAGE
@@ -481,10 +460,6 @@ def _run_batch(args: argparse.Namespace) -> tuple[dict, int]:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    try:
         if args.command == "batch":
             report, code = _run_batch(args)
         else:

@@ -1,14 +1,17 @@
+import copy
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mconvex.acceptance as acceptance
 import mconvex.cli as cli
 import mconvex.linalg as linalg
 import mconvex.ranges as ranges
 from mconvex._jsonio import to_jsonable
+from mconvex.errors import MConvexError
 from mconvex.ranges import MembershipResult, MembershipStatus
 
 ROOT2 = float(np.sqrt(2.0))
@@ -497,6 +500,238 @@ class TestExitCodes:
         code, rep = run(capsys, ["batch", "--jobs", jobs])
         assert code == 65
         assert rep["status"] == "DataError"
+
+
+DISC_DOC = {"type": "disc", "center": [0.0, 0.0], "radius": 1.0}
+BOX_DOC = {"type": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+HALF_PAULI = {"hermitian": True, "n": 2, "d": 2, "mats": [
+    [[0.0, 0.5], [0.5, 0.0]], [[0.5, 0.0], [0.0, [-0.5, 0.0]]],
+]}
+POINTS_DOC = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+DIAG_DOC = {"d": 1, "atoms": [[[1.0], None], [[3.0], 2]],
+            "sequences": [[[0.0], [[1.0], [0.5]]]]}
+SIMPLEX_JOB = {
+    "command": "extreme", "inputs": {"kind": "simplex", "points": POINTS_DOC},
+}
+
+
+def execute_code(command, inputs, options):
+    """``execute``'s exit code, or the code ``batch`` gives what it raises;
+    anything else it raises propagates."""
+    try:
+        return cli.execute(cli.JobSpec(command, inputs, options))[1]
+    except cli.UsageError:
+        return cli.EX_USAGE
+    except (cli.SchemaError, MConvexError, ValueError):
+        return cli.EX_DATAERR
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "command, inputs, options",
+        [
+            ("jnr", {"tuple": {"mats": 3}}, {}),
+            ("jnr", {"tuple": {**pauli_tuple(), "n": [1]}}, {}),
+            ("equal", {"x": pauli_tuple(), "y": pauli_tuple()}, {"tol": [1]}),
+            ("jnr", {"tuple": pauli_tuple()}, {"grid": [1]}),
+            ("extreme", {"kind": "points", "points": {"a": 1}}, {}),
+            ("jnr", {"tuple": {"mats": [[[1.0, 0.0], [0.0]]]}}, {}),
+            ("choili", {"y": [[1.0, 0.0], [0.0]]}, {}),
+            ("toeplitz", {"samples": [1.0, [0.0, 1.0], [1.0, 2.0, 3.0]]}, {}),
+            ("sw", {"kind": "ess", "diag": {"d": 1, "atoms": [[[1.0], 2, 3]]}}, {}),
+            ("model", {"kind": "blockdiag", "candidates": {"mats": []}}, {}),
+            ("jnr", {"tuple": {"mats": [[[10**400]]]}}, {}),
+        ],
+        ids=["mats-number", "n-list", "tol-list", "grid-list", "points-object",
+             "ragged-rows", "ragged-y", "three-part-sample", "atom-triple",
+             "candidates-object", "huge-integer"],
+    )
+    def test_a_wrong_node_is_a_schema_error(self, command, inputs, options):
+        # most of these let a TypeError, an OverflowError or a bare numpy
+        # ValueError through
+        with pytest.raises(cli.SchemaError):
+            cli.execute(cli.JobSpec(command, inputs, options))
+
+    def test_a_tuple_whose_mats_is_no_list_exits_65(self, tmp_path, capsys):
+        t = write(tmp_path / "t.json", {"mats": 3})
+        code, rep = run(capsys, ["jnr", "--tuple", t])
+        assert code == 65
+        assert rep["error"] == 'SchemaError: "mats" must be an array, got 3'
+
+    @pytest.mark.parametrize(
+        "command, inputs, options",
+        [
+            ("member", {"body": {**DISC_DOC, "radius": True}}, {}),
+            ("member", {"body": {"type": "box", "lo": [False, False],
+                                 "hi": [True, True]}}, {}),
+            ("member", {"body": {**DISC_DOC, "center": [0.0, False]}}, {}),
+            ("member", {"body": {"type": "polytope", "vertices": [
+                [1.0, 1.0], [True, -1.0], [-1.0, 0.0]]}}, {}),
+            ("member", {"body": {"type": "sampled", "directions": [[1.0, 0.0]],
+                                 "support_values": [True]}}, {}),
+            ("member", {"tuple": {**pauli_tuple(), "n": True}}, {}),
+            ("member", {"tuple": {**pauli_tuple(), "d": True}}, {}),
+            ("sw", {"diag": {**DIAG_DOC, "d": True}}, {}),
+            ("sw", {"diag": {**DIAG_DOC, "atoms": [[[True], 2]]}}, {}),
+            ("sw", {"diag": {**DIAG_DOC, "atoms": [[[1.0], True]]}}, {}),
+            ("sw", {"diag": {**DIAG_DOC, "sequences": [[[0.0], [[1.0], [True]]]]}}, {}),
+            ("sw", {"diag": {**DIAG_DOC, "sequences": [[[False], [[1.0]]]]}}, {}),
+            ("member", {}, {"tol": True}),
+            ("member", {}, {"max_iter": True}),
+            ("jnr", {}, {"grid": True}),
+            ("extreme", {"kind": "points", "points": [[0.0, 1.0], [True, 0.0]]}, {}),
+        ],
+        ids=["disc-radius", "box-bounds", "disc-center", "polytope-vertex",
+             "sampled-support", "tuple-n", "tuple-d", "diag-d", "diag-point",
+             "diag-multiplicity", "diag-prefix", "diag-limit", "option-tol",
+             "option-max-iter", "option-grid", "points"],
+    )
+    def test_a_boolean_is_never_a_number(self, command, inputs, options):
+        # a disc of radius true read as radius 1 and answered In
+        defaults = {"member": {"kind": "kmin", "tuple": pauli_tuple(0.5),
+                               "body": DISC_DOC},
+                    "sw": {"kind": "ess", "diag": DIAG_DOC},
+                    "jnr": {"tuple": pauli_tuple()}}
+        inputs = {**defaults.get(command, {}), **inputs}
+        with pytest.raises(cli.SchemaError, match="got .*(True|False)"):
+            cli.execute(cli.JobSpec(command, inputs, options))
+
+    @pytest.mark.parametrize("svg", [1, True, ["a.svg"]])
+    def test_a_batch_svg_that_is_no_string_is_a_data_error(
+        self, tmp_path, capsys, svg
+    ):
+        # an svg of 1 was opened as file descriptor 1: the plot went to
+        # stdout, which was then closed, and the batch report was lost
+        jnr = {"command": "jnr", "inputs": {"tuple": pauli_tuple()},
+               "options": {"svg": svg, "grid": 8}}
+        jobs = write(tmp_path / "jobs.json", [jnr, SIMPLEX_JOB])
+        code, rep = run(capsys, ["batch", "--jobs", jobs])
+        assert code == 65
+        assert [j["status"] for j in rep["jobs"]] == ["DataError", "Simplex"]
+        assert rep["jobs"][0]["error"].startswith("SchemaError: option 'svg'")
+
+    @pytest.mark.parametrize(
+        "entry", [{"command": ["jnr"]}, {"command": 3}, {"inputs": {}}],
+        ids=["list", "number", "missing"],
+    )
+    def test_a_batch_command_that_is_no_string_is_that_jobs_error(
+        self, tmp_path, capsys, entry
+    ):
+        # a list command made the command lookup raise TypeError, which
+        # took the whole batch down with a traceback
+        jobs = write(tmp_path / "jobs.json", [entry, SIMPLEX_JOB])
+        code, rep = run(capsys, ["batch", "--jobs", jobs])
+        assert code == 65
+        assert [j["status"] for j in rep["jobs"]] == ["DataError", "Simplex"]
+        assert "command must be a string" in rep["jobs"][0]["error"]
+
+
+# one small valid job of each command and kind but verify-suite (which
+# reads no input); each runs in a few milliseconds
+VALID_JOBS = [
+    ("jnr", {"tuple": HALF_PAULI}, {"grid": 8}),
+    ("member", {"kind": "kmin", "tuple": HALF_PAULI, "body": DISC_DOC},
+     {"tol": 1e-6, "max_iter": 2000}),
+    ("member", {"kind": "kmax", "tuple": HALF_PAULI, "body": BOX_DOC}, {}),
+    ("member", {"kind": "ucp", "tuple": {"mats": [[[0.5]]]},
+                "range_of": {"mats": [[[1.0, 0.0], [0.0, -1.0]]]}}, {"max_iter": 2000}),
+    ("equal", {"x": {"mats": [[[1.0]]]}, "y": {"mats": [[[1.0]]]}}, {}),
+    ("theta", {"body": BOX_DOC, "tuple": {"mats": [[[0.5]], [[0.5]]]}}, {"tol": 0.5}),
+    ("extreme", {"kind": "points", "points": POINTS_DOC}, {"tol": 1e-9}),
+    ("extreme", {"kind": "simplex", "points": POINTS_DOC}, {}),
+    ("extreme", {"kind": "free-sym", "tuple": HALF_PAULI}, {}),
+    ("extreme", {"kind": "free-uni", "tuple": {
+        "hermitian": False, "mats": [[[0.0, 1.0], [0.0, 0.0]]]}}, {}),
+    ("choili", {"y": [[0.0, 1.0], [0.0, 0.0]]}, {}),
+    ("model", {"kind": "normal", "tuple": {"mats": [[[1.0, 0.0], [0.0, 0.0]]]}}, {}),
+    ("model", {"kind": "blockdiag", "candidates": [HALF_PAULI]}, {}),
+    ("sw", {"kind": "ess", "diag": DIAG_DOC}, {}),
+    ("sw", {"kind": "perturb", "diag": DIAG_DOC}, {}),
+    ("sw", {"kind": "verify", "diag": DIAG_DOC,
+            "perturbed": {"d": 1, "atoms": [[[0.0], None]]}}, {}),
+    ("toeplitz", {"samples": [[1.0, 0.0], [0.0, 1.0], -1.0, [0.0, -1.0]]}, {}),
+]
+
+
+@pytest.mark.parametrize("command, inputs, options", VALID_JOBS)
+def test_the_fuzzed_jobs_are_valid(command, inputs, options):
+    assert execute_code(command, inputs, options) == 0
+
+
+def _paths(node, path=()):
+    """The path of every node of ``node``, itself included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _mutated(doc, path, mutation):
+    """A copy of ``doc`` with the node at ``path`` (not the root) changed."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, node = path[-1], parent[path[-1]]
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "extra" and isinstance(node, dict):
+        node["extra"] = 1.0
+    elif mutation == "nest":
+        parent[key] = [node]
+    elif mutation == "ragged" and isinstance(node, list) and node and all(
+        isinstance(row, list) and row for row in node
+    ):
+        node[-1] = node[-1][:-1]
+    else:
+        parent[key] = {"empty": [], "nan": float("nan"), "bool": True}.get(
+            mutation, mutation
+        )
+    return doc
+
+
+#: a wrong type, an empty list, a ragged row, NaN, a boolean, a missing or
+#: an extra key, one more level of nesting; "ragged" and "extra" fall back
+#: to the other values where the node has no rows or keys
+MUTATIONS = ["x", 2.5, 3, None, "empty", "ragged", "nan", "bool", "drop", "extra",
+             "nest"]
+
+
+@st.composite
+def mutated_jobs(draw, command_too=False):
+    command, inputs, options = draw(st.sampled_from(VALID_JOBS))
+    doc = {"command": command, "inputs": inputs, "options": options}
+    paths = [p for p in _paths(doc) if len(p) > 1 or p == ("command",) and command_too]
+    path = draw(st.sampled_from(paths))
+    return _mutated(doc, path, draw(st.sampled_from(MUTATIONS)))
+
+
+FUZZ = settings(
+    derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(FUZZ, max_examples=600)
+@given(mutated_jobs())
+def test_a_mutated_job_exits_0_64_or_65(doc):
+    # execute raises nothing but a usage or data error, whatever node of
+    # a valid job is broken
+    code = execute_code(doc["command"], doc["inputs"], doc["options"])
+    assert code in (0, 64, 65)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(FUZZ, max_examples=150)
+@given(mutated_jobs(command_too=True))
+def test_a_batch_reports_every_mutated_job(tmp_path, capsys, doc):
+    jobs = write(tmp_path / "jobs.json", [doc, SIMPLEX_JOB])
+    code, rep = run(capsys, ["batch", "--jobs", jobs])
+    assert code in (0, 64, 65)
+    assert len(rep["jobs"]) == 2 and rep["jobs"][1]["status"] == "Simplex"
 
 
 class TestReports:
