@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import math
+from json.encoder import c_make_encoder, encode_basestring_ascii as quoted
 from typing import IO
 
 import numpy as np
@@ -89,22 +89,13 @@ def decode_tuple(doc) -> OperatorTuple:
     doc = read(doc, dict, "tuple document")
     mats = read(doc.get("mats"), complex, '"mats"', rank=3)
     hermitian = read(doc.get("hermitian", True), bool, '"hermitian"')
-    t = OperatorTuple(tuple(mats), hermitian)
+    t = OperatorTuple(mats, hermitian)
     for field in ("n", "d"):
         if field in doc and read(doc[field], int, f'"{field}"') != getattr(t, field):
             raise SchemaError(
                 f'"{field}" is {doc[field]} but the matrices say {getattr(t, field)}'
             )
     return t
-
-
-def encode_tuple(t: OperatorTuple) -> dict:
-    return {
-        "n": t.n,
-        "d": t.d,
-        "hermitian": t.hermitian,
-        "mats": [to_jsonable(np.asarray(m, dtype=complex)) for m in t.mats],
-    }
 
 
 #: each body type's class and its fields, in the class's order, by rank
@@ -151,14 +142,22 @@ def decode_diagonal(doc) -> DiagonalTuple:
     return DiagonalTuple(d, atoms, sequences)
 
 
-def encode_diagonal(t: DiagonalTuple) -> dict:
-    return {
-        "d": t.d,
-        "atoms": [[list(p), m] for p, m in t.atoms],
-        "sequences": [
-            [list(lim), [list(p) for p in prefix]] for lim, prefix in t.sequences
-        ],
-    }
+def _members(obj) -> dict | None:
+    """The string-keyed members of ``obj`` if it is written as a JSON object,
+    else None: tuples in their wire formats, other dataclasses by field."""
+    if isinstance(obj, dict):
+        return {str(k): v for k, v in obj.items()}
+    if not hasattr(type(obj), "__dataclass_fields__"):
+        return None
+    if isinstance(obj, OperatorTuple):
+        return {"n": obj.n, "d": obj.d, "hermitian": obj.hermitian, "mats": obj.mats}
+    if isinstance(obj, DiagonalTuple):
+        return {
+            "d": obj.d,
+            "atoms": [[list(p), m] for p, m in obj.atoms],
+            "sequences": [[list(q), [list(p) for p in ps]] for q, ps in obj.sequences],
+        }
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def to_jsonable(obj):
@@ -178,61 +177,52 @@ def to_jsonable(obj):
         return to_jsonable(obj.tolist())
     if isinstance(obj, complex):
         return to_jsonable(encode_complex(obj))
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if (members := _members(obj)) is not None:
+        return {k: to_jsonable(v) for k, v in members.items()}
     if isinstance(obj, (list, tuple, set)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return to_jsonable(float(obj))
-    if isinstance(obj, np.complexfloating):
-        return to_jsonable(complex(obj))
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
+    if isinstance(obj, (np.floating, np.complexfloating)):
+        return to_jsonable(complex(obj) if np.iscomplexobj(obj) else float(obj))
     if isinstance(obj, enum.Enum):
         return obj.value
-    if isinstance(obj, OperatorTuple):
-        return encode_tuple(obj)
-    if isinstance(obj, DiagonalTuple):
-        return encode_diagonal(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
     return repr(obj)
 
 
-#: one-line JSON through the C encoder; to_jsonable leaves no non-finite float
-_inline = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+#: the one-line JSON encoder, built once: sorted keys, ", " and ": "
+#: separators, and no non-finite float (to_jsonable leaves none)
+_encoder = c_make_encoder(None, None, quoted, None, ": ", ", ", True, False, False)
 
 
-def _layout(obj, indent: str, out: list[str]) -> None:
+def _write(obj, indent: str, out: list[str]) -> None:
     """Append ``obj`` to ``out``: objects, and lists that hold objects, one
-    member per line; anything else on one line."""
-    if isinstance(obj, dict) and obj:
-        members = [(_inline(k) + ": ", obj[k]) for k in sorted(obj)]
+    member per line, with sorted keys; anything else, such as the common
+    leaves tested first, on one line in one ``to_jsonable`` and one encoder
+    call."""
+    members = None if isinstance(obj, (str, float, np.ndarray)) else _members(obj)
+    if members:
+        items = [(quoted(k) + ": ", members[k]) for k in sorted(members)]
         brackets = "{}"
-    elif isinstance(obj, list) and any(isinstance(v, dict) for v in obj):
-        members = [("", v) for v in obj]
+    elif isinstance(obj, (list, tuple, set)) and any(
+            _members(v) is not None for v in obj):
+        items = [("", v) for v in obj]
         brackets = "[]"
     else:
-        out.append(_inline(obj))
+        out.extend(_encoder(to_jsonable(obj), 0))
         return
     inner = indent + "  "
     out.append(brackets[0])
-    for i, (key, value) in enumerate(members):
+    for i, (key, value) in enumerate(items):
         out.append((",\n" if i else "\n") + inner + key)
-        _layout(value, inner, out)
+        _write(value, inner, out)
     out.append("\n" + indent + brackets[1])
 
 
 def dump_report(report: dict, fp: IO[str]) -> None:
     out: list[str] = []
-    _layout(to_jsonable(report), "", out)
-    out.append("\n")
-    fp.write("".join(out))
+    _write(report, "", out)
+    fp.write("".join(out) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 import scipy.optimize
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import BadProblem, DimensionMismatch, NoInteriorZero, NonHermitianInput
 from .linalg import (
@@ -273,7 +273,7 @@ def jnr_sandwich(t: OperatorTuple, m: int = 64) -> PolygonSandwich:
     normals = np.column_stack([np.cos(thetas), np.sin(thetas)])
     vals, vecs = np.linalg.eigh(pencil_stack(t.mats, normals))
     h, psi = vals[:, -1], vecs[:, :, -1]
-    inner_pts = np.einsum("ki,jil,kl->kj", psi.conj(), np.stack(t.mats), psi).real
+    inner_pts = np.einsum("ki,jil,kl->kj", psi.conj(), t.stack, psi).real
     c, s = normals.T
     c1, s1, h1 = np.roll(c, -1), np.roll(s, -1), np.roll(h, -1)
     # where the supporting lines of directions k and k + 1 meet
@@ -324,7 +324,11 @@ def _hull_vertices(points, tol: float) -> tuple[np.ndarray, int]:
     pts = np.asarray(pts, dtype=float)
     if pts.size == 0:
         return pts.copy(), 0
-    (_, span, _), _, _, ext = _span_hull(pts, tol)
+    try:
+        (_, span, _), _, _, ext = _span_hull(pts, tol)
+    except QhullError as exc:
+        why = str(exc).splitlines()[0]
+        raise BadProblem(f"Qhull cannot take the hull of these points ({why})") from exc
     return pts[ext], span.shape[0]
 
 

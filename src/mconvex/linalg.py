@@ -73,8 +73,12 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def herm_part(m: np.ndarray) -> np.ndarray:
-    """Return (m + m*) / 2, matrix by matrix over leading axes."""
-    return 0.5 * (m + _adjoint(m))
+    """Return (m + m*) / 2 over leading axes, as ``m/2 + m*/2``: halving is
+    exact, so this rounds as the sum does, and it cannot overflow."""
+    h = 0.5 * m
+    t = np.swapaxes(h, -1, -2).copy()  # C-ordered, so the sum needs no buffer
+    h += np.conj(t, out=t)
+    return h
 
 
 def skew_part(m: np.ndarray) -> np.ndarray:
@@ -338,29 +342,37 @@ class OperatorTuple:
     """A d-tuple of n-by-n complex matrices.
 
     ``hermitian`` asserts that every entry equals its adjoint within
-    relative tolerance ``1e-12``; entries are symmetrized on construction
-    when the flag is set.
+    relative tolerance ``1e-12`` of its largest entry (or of 1); entries
+    are symmetrized on construction when the flag is set.  ``stack`` holds
+    the entries as one (d, n, n) array, and ``mats`` are its rows.
     """
 
     mats: tuple[np.ndarray, ...]
     hermitian: bool = False
 
     def __post_init__(self):
-        mats = tuple(as_matrix(m) for m in self.mats)
-        if not mats:
+        if len(self.mats) == 0:
             raise DimensionMismatch("operator tuple needs at least one matrix")
-        n = mats[0].shape[0]
-        for m in mats:
-            if m.shape[0] != n:
-                raise DimensionMismatch("tuple entries must share one size")
+        try:
+            stack = np.array(self.mats, dtype=complex)
+        except (TypeError, ValueError):
+            for m in self.mats:  # the entry at fault raises as_matrix's error
+                as_matrix(m)
+            raise DimensionMismatch("tuple entries must share one size") from None
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            as_matrix(stack[0])  # raises the shape error every entry shares
+        if not np.isfinite(stack).all():
+            raise DimensionMismatch("matrix contains non-finite entries")
         if self.hermitian:
-            for m in mats:
-                if not is_hermitian(m):
-                    raise NonHermitianInput(
-                        "hermitian flag set but an entry is not Hermitian"
-                    )
-            mats = tuple(herm_part(m) for m in mats)
-        object.__setattr__(self, "mats", mats)
+            scale = np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), 1.0)
+            dev = np.abs(stack - _adjoint(stack)).max(axis=(1, 2), initial=0.0)
+            if not (dev <= HERM_RTOL * scale).all():
+                raise NonHermitianInput(
+                    "hermitian flag set but an entry is not Hermitian"
+                )
+            stack = herm_part(stack)
+        object.__setattr__(self, "mats", tuple(stack))
+        object.__setattr__(self, "stack", stack)
 
     @property
     def d(self) -> int:
@@ -373,19 +385,17 @@ class OperatorTuple:
     def scaled(self, factor: float) -> "OperatorTuple":
         """``(factor a_j)_j``, unchecked when a real ``factor`` maps a
         Hermitian tuple to complex finite, so Hermitian, entries."""
-        mats = tuple(factor * m for m in self.mats)
-        if not (self.hermitian and np.isrealobj(factor) and all(
-                m.dtype == complex and np.isfinite(m).all() for m in mats)):
-            return OperatorTuple(mats, self.hermitian)
+        stack = factor * self.stack
+        if not (self.hermitian and np.isrealobj(factor)
+                and stack.dtype == complex and np.isfinite(stack).all()):
+            return OperatorTuple(stack, self.hermitian)
         out = object.__new__(OperatorTuple)
-        out.__dict__.update(mats=mats, hermitian=True)
+        out.__dict__.update(mats=tuple(stack), hermitian=True, stack=stack)
         return out
 
     def conjugated(self, u: np.ndarray) -> "OperatorTuple":
         """Return ``(u* a_j u)_j`` for a unitary or isometry ``u``."""
-        return OperatorTuple(
-            tuple(u.conj().T @ m @ u for m in self.mats), self.hermitian
-        )
+        return OperatorTuple([u.conj().T @ m @ u for m in self.mats], self.hermitian)
 
 
 def direct_sum(*tuples: OperatorTuple) -> OperatorTuple:
@@ -393,10 +403,7 @@ def direct_sum(*tuples: OperatorTuple) -> OperatorTuple:
     d = tuples[0].d
     if any(t.d != d for t in tuples):
         raise DimensionMismatch("direct sum requires equal tuple lengths")
-    mats = tuple(
-        scipy.linalg.block_diag(*(t.mats[j] for t in tuples)).astype(complex)
-        for j in range(d)
-    )
+    mats = [scipy.linalg.block_diag(*(t.mats[j] for t in tuples)) for j in range(d)]
     return OperatorTuple(mats, all(t.hermitian for t in tuples))
 
 

@@ -90,15 +90,9 @@ class NormalTuple:
                     raise NotCommuting(
                         f"entry {j} does not commute with the adjoint of {k}"
                     )
-        family: list[np.ndarray] = []
-        for m in t.mats:
-            family.append(herm_part(m))
-            family.append(skew_part(m))
-        u, vals = simdiag_hermitian(family)
-        if t.hermitian:
-            column = vals[:, 0::2]
-        else:
-            column = vals[:, 0::2] + 1j * vals[:, 1::2]
+        parts = [p(m) for m in t.mats for p in (herm_part, skew_part)]
+        u, vals = simdiag_hermitian(parts)
+        column = vals[:, 0::2] if t.hermitian else vals[:, 0::2] + 1j * vals[:, 1::2]
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "column_values", column)
         object.__setattr__(self, "joint_points", _dedup_points(column))

@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgees
 
 from .errors import (
     DimensionMismatch,
@@ -277,13 +278,11 @@ def _range_rows(
     h_j = I`` and ``sum_j verts[j, l] h_j = a_l``.
     """
     count, _, k, _ = xs.shape
-    _require_bytes(
-        _CHOI_COPIES * 16 * count * (k * a.n) ** 2, "the Choi variable"
-    )
-    conj, mats = np.conj(xs.swapaxes(0, 1)), np.array(a.mats)
+    _require_bytes(_CHOI_COPIES * 16 * count * (k * a.n) ** 2, "the Choi variable")
+    conj = np.conj(xs.swapaxes(0, 1))
     # the Hermitian parts of the d image equations, then their skew parts
     patterns = np.concatenate([herm_part(conj), skew_part(conj)])
-    at_a = np.concatenate([herm_part(mats), -skew_part(mats)])
+    at_a = np.concatenate([herm_part(a.stack), -skew_part(a.stack)])
     at_c = np.concatenate([center.real, -center.imag])[:, None, None] * np.eye(a.n)
     posed = patterns.any(axis=(1, 2, 3)) | at_a.any(axis=(1, 2)) | at_c.any(axis=(1, 2))
     unit = np.broadcast_to(np.eye(k), (1, *patterns.shape[1:]))
@@ -408,14 +407,17 @@ def _joint_spectrum(a: OperatorTuple) -> tuple[np.ndarray, np.ndarray] | None:
     times the product of its entries' sizes, less their scalar parts,
     which no commutator sees; None otherwise, or when the joint
     eigenbasis refuses the tuple (a near degenerate spectrum)."""
-    mats, eye = a.mats, np.eye(a.n)
-    sizes = [float(np.abs(m - np.trace(m) / a.n * eye).max()) for m in mats]
+    stack, eye = a.stack, np.eye(a.n)
+    parts = stack - np.trace(stack, axis1=1, axis2=2)[:, None, None] / a.n * eye
+    sizes = np.abs(parts).max(axis=(1, 2), keepdims=True)
+    # each part over its size: entries at most 1, so no product overflows
+    unit = np.divide(parts, np.maximum(sizes, np.finfo(float).tiny), out=parts)
     for j in range(a.d):
         for k in range(j + 1, a.d):
-            comm = mats[j] @ mats[k] - mats[k] @ mats[j]
-            if float(np.abs(comm).max()) > COMMUTING_TOL * sizes[j] * sizes[k]:
+            comm = unit[j] @ unit[k] - unit[k] @ unit[j]
+            if not np.abs(comm).max() <= COMMUTING_TOL:
                 return None
-    if not (stack := np.array(mats))[:, eye == 0].any():
+    if not stack[:, eye == 0].any():
         return eye.astype(complex), np.diagonal(stack, axis1=1, axis2=2).real.T.copy()
     try:
         return simdiag_hermitian(a.mats)
@@ -443,11 +445,12 @@ def _disc_cut(K: Disc, a: OperatorTuple, w: np.ndarray, vh: np.ndarray) -> tuple
     on the disc, as ``Re((z - c)(e* v)(u* e)) <= r |u* e| |v* e|`` there.
     For ``_disc_member``'s T, ``c0 + c1 = r (||T|| - 1)``."""
     u, v = w[:, 0], vh[0].conj()
-    y1, y2 = herm_part(np.outer(v, u.conj())), -skew_part(np.outer(v, u.conj()))
-    y0 = -0.5 * K.radius * (np.outer(u, u.conj()) + np.outer(v, v.conj()))
-    dual = np.stack([y0 - K.center[0] * y1 - K.center[1] * y2, y1, y2])
+    vu = v[:, None] * u.conj()
+    y1, y2 = herm_part(vu), -skew_part(vu)
+    y0 = -0.5 * K.radius * (u[:, None] * u.conj() + v[:, None] * v.conj())
+    dual = np.array([y0 - K.center[0] * y1 - K.center[1] * y2, y1, y2])
     c0 = float(np.trace(dual[0]).real)
-    c1 = float(np.einsum("rij,rji->", dual[1:], np.array(a.mats)).real)
+    c1 = float(np.einsum("rij,rji->", dual[1:], a.stack).real)
     return Separator(dual=dual, margin=c0 + c1, psd_slack=0.0), (c0, c1)
 
 
@@ -475,11 +478,13 @@ def _disc_member(K: Disc, a: OperatorTuple, tol: float) -> MembershipResult:
         detail = "outside the disc, inside it dilated by 1 + 10 tol"
         return MembershipResult(MembershipStatus.BOUNDARY, 10.0 * tol, None, detail)
     defect = np.sqrt((1.0 - s) * (1.0 + s))
-    u = np.block([
-        [t, (w * defect) @ w.conj().T],
-        [(vh.conj().T * defect) @ vh, -t.conj().T],
-    ])
-    schur, z = scipy.linalg.schur(u, output="complex")
+    u = np.empty((2 * n, 2 * n), dtype=complex)
+    u[:n, :n], u[n:, n:] = t, -t.conj().T
+    u[:n, n:], u[n:, :n] = (w * defect) @ w.conj().T, (vh.conj().T * defect) @ vh
+    # scipy.linalg.schur's LAPACK calls without its checks; the residual
+    # below checks the Schur form, so LAPACK's status is not read
+    lwork = zgees(lambda x: None, u, lwork=-1)[-2][0].real.astype(np.int_)
+    schur, _, _, z, _, _ = zgees(lambda x: None, u, lwork=lwork)
     lam = np.diagonal(schur) / np.abs(np.diagonal(schur))
     top = z[:n].T
     h = top[:, :, None] * top.conj()[:, None, :]
@@ -488,7 +493,7 @@ def _disc_member(K: Disc, a: OperatorTuple, tol: float) -> MembershipResult:
     if not resid <= WITNESS_RESIDUAL:
         detail = f"the unitary dilation misses its equations by {resid:.2e}"
         return MembershipResult(MembershipStatus.UNKNOWN, 0.0, None, detail)
-    verts = K.center + K.radius * np.column_stack([lam.real, lam.imag])
+    verts = K.center + K.radius * lam.view(float).reshape(-1, 2)
     detail = "decomposed on the circle by a unitary dilation"
     cert = {"h": h, "vertices": verts}
     margin = K.radius * (1.0 - float(s[0]))
@@ -814,8 +819,8 @@ def ucp_member(
     _require_max_iter(max_iter)
     if x.d != a.d:
         raise TupleMismatch(f"tuple lengths differ: {x.d} vs {a.d}")
-    center = np.array([np.trace(xj) / x.n for xj in x.mats])
-    rows = _range_rows(np.array(x.mats)[None], a, center)
+    center = np.trace(x.stack, axis1=1, axis2=2) / x.n
+    rows = _range_rows(x.stack[None], a, center)
     eps = 10.0 * tol
     if (dirs := _scan_directions(x.d)) is not None:
         h = np.linalg.eigvalsh(pencil_stack(x.mats, dirs))[:, -1]

@@ -625,6 +625,22 @@ class TestMalformedInputs:
         assert [j["status"] for j in rep["jobs"]] == ["DataError", "Simplex"]
         assert "command must be a string" in rep["jobs"][0]["error"]
 
+    def test_a_batch_hull_that_qhull_refuses_is_that_jobs_error(self, tmp_path, capsys):
+        # finite but huge points: QhullError escaped the hull as a
+        # traceback (exit 1); it is that job's BadProblem, and the next
+        # job still runs
+        huge = {"command": "extreme", "inputs": {
+            "kind": "points", "points": [[0.0, 1e308], [1e308, 0.0], [0.0, 0.0]]}}
+        jobs = write(tmp_path / "jobs.json", [huge, SIMPLEX_JOB])
+        code, rep = run(capsys, ["batch", "--jobs", jobs])
+        assert code == 65
+        assert [j["status"] for j in rep["jobs"]] == ["DataError", "Simplex"]
+        assert rep["jobs"][0]["error"].startswith(
+            "BadProblem: Qhull cannot take the hull of these points (QH"
+        )
+        points = write(tmp_path / "points.json", huge["inputs"]["points"])
+        assert cli.main(["extreme", "--kind", "points", "--points", points]) == 65
+
 
 # one small valid job of each command and kind but verify-suite (which
 # reads no input); each runs in a few milliseconds

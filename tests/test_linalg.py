@@ -412,6 +412,88 @@ def test_complex_scale_of_a_hermitian_tuple_is_refused():
     assert not OperatorTuple((X, Z)).scaled(1j).hermitian
 
 
+def _checked_entry_by_entry(mats, hermitian):
+    """The validation ``OperatorTuple`` made one entry at a time before it
+    stacked them, kept as the reference for its types and messages."""
+    from mconvex.linalg import as_matrix, is_hermitian
+
+    mats = tuple(as_matrix(m) for m in mats)
+    if not mats:
+        raise DimensionMismatch("operator tuple needs at least one matrix")
+    if any(m.shape[0] != mats[0].shape[0] for m in mats):
+        raise DimensionMismatch("tuple entries must share one size")
+    if hermitian and not all(is_hermitian(m) for m in mats):
+        raise NonHermitianInput("hermitian flag set but an entry is not Hermitian")
+
+
+_NAN = np.full((2, 2), np.nan)
+
+
+@pytest.mark.parametrize(
+    "mats, hermitian",
+    [
+        ((), False),
+        ((X, np.eye(3)), True),
+        ((np.eye(3), X), False),
+        ((np.ones((2, 3)), np.ones((2, 3))), False),
+        ((X, np.ones((2, 3))), False),
+        ((np.ones(2),), False),
+        ((1.0, 2.0), False),
+        ((np.ones((1, 2, 2)),), False),
+        ((X, _NAN), False),
+        ((np.full((3, 3), np.inf), X), True),
+        ((X, [[1.0, 2.0], [3.0]]), False),
+        ((X, "entry"), False),
+        # a non-Hermitian entry beside one 1e6 times larger: each entry is
+        # measured against its own scale, not the stack's
+        ((np.array([[1.0, 1e-9], [0.0, 1.0]]), 1e6 * Z), True),
+        ((1e6 * Z, np.array([[1.0, 0.0], [1e-9, 1.0]])), True),
+    ],
+    ids=[
+        "empty", "sizes", "sizes-reversed", "non-square", "non-square-beside",
+        "vector", "scalars", "rank-3-entry", "nan", "inf-and-sizes",
+        "ragged-entry", "string", "small-beside-large", "large-beside-small",
+    ],
+)
+def test_the_stacked_tuple_raises_as_entry_by_entry_checks_did(mats, hermitian):
+    with pytest.raises(Exception) as want:
+        _checked_entry_by_entry(mats, hermitian)
+    with pytest.raises(want.type) as got:
+        OperatorTuple(mats, hermitian)
+    assert type(got.value) is want.type
+    assert str(got.value) == str(want.value)
+
+
+def test_each_entry_is_measured_against_its_own_scale():
+    # 1e-7 off Hermitian is within 1e-12 of an entry of size 1e6, not of
+    # an entry of size 1
+    large = 1e6 * X + np.array([[0.0, 1e-7], [0.0, 0.0]])
+    t = OperatorTuple((large, Z), hermitian=True)
+    assert np.array_equal(t.mats[0], herm_part(large))
+
+
+def test_stacked_entries_are_the_hermitian_parts_to_the_bit():
+    # m/2 + m*/2 rounds as (m + m*)/2 does: halving is exact in range
+    rng = np.random.default_rng(37)
+    for n, d in ((1, 1), (2, 2), (3, 2), (4, 3), (6, 2)):
+        mats = []
+        for _ in range(d):
+            g = random_hermitian(n, rng) * 10.0 ** rng.integers(-3, 4)
+            mats.append(g + 1e-13 * np.abs(g).max() * rng.standard_normal((n, n)))
+        t = OperatorTuple(tuple(mats), hermitian=True)
+        assert t.stack.shape == (d, n, n)
+        for m, got, row in zip(mats, t.mats, t.stack):
+            assert np.shares_memory(got, t.stack) and got is not m
+            assert got.tobytes() == row.tobytes() == herm_part(m).tobytes()
+            assert got.tobytes() == (0.5 * (m + m.conj().T)).tobytes()
+
+
+def test_symmetrizing_a_huge_entry_does_not_overflow():
+    # (m + m*) / 2 overflowed to inf for entries near the float limit
+    t = OperatorTuple((np.array([[0.0, 1e308], [1e308, 0.0]]), Z), hermitian=True)
+    assert t.mats[0][0, 1] == 1e308 and np.isfinite(t.stack).all()
+
+
 def test_direct_sum_shapes():
     t = direct_sum(
         OperatorTuple((X, Z), hermitian=True),

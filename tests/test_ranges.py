@@ -5,10 +5,13 @@ import math
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import zgees
 
 from conftest import count_traffic, profile_max, range_sdp
 import mconvex.geometry as geometry
@@ -1660,6 +1663,61 @@ def test_a_dilation_that_misses_its_equations_is_unknown(monkeypatch, traffic):
     )
     assert res.detail.startswith("the unitary dilation misses its equations by ")
     assert (counts.compiles, counts.solves) == (0, 0)
+
+
+def _block_dilation(K: Disc, a: OperatorTuple) -> tuple:
+    """The unitary dilation of ``_disc_member`` as it was built before it
+    was assembled in place, with ``np.block``, its ``scipy.linalg.schur``
+    form and the In certificate read from that form."""
+    n = a.n
+    t = ranges._recentered(K, a) / K.radius
+    w, s, vh = np.linalg.svd(t)
+    defect = np.sqrt((1.0 - s) * (1.0 + s))
+    u = np.block([
+        [t, (w * defect) @ w.conj().T],
+        [(vh.conj().T * defect) @ vh, -t.conj().T],
+    ])
+    schur, z = scipy.linalg.schur(u, output="complex")
+    lam = np.diagonal(schur) / np.abs(np.diagonal(schur))
+    top = z[:n].T
+    verts = K.center + K.radius * np.column_stack([lam.real, lam.imag])
+    cert = {"h": top[:, :, None] * top.conj()[:, None, :], "vertices": verts}
+    return u, (schur, z), cert
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_in_place_dilation_is_the_block_dilation_to_the_bit(n):
+    # zgees with scipy.linalg.schur's workspace query and arguments gives
+    # its Schur form to the bit, so the certificate is unchanged
+    rng = np.random.default_rng(50 + n)
+    disc = Disc(rng.uniform(-1.0, 1.0, 2), float(rng.uniform(0.5, 2.0)))
+    for f in (0.3, 0.9, 0.999):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        t = f * disc.radius * g / np.linalg.norm(g, 2)
+        a = OperatorTuple(tuple(
+            c * np.eye(n) + m for c, m in zip(disc.center, (herm_part(t), skew_part(t)))
+        ), hermitian=True)
+        u, (schur, z), want = _block_dilation(disc, a)
+        lwork = zgees(lambda x: None, u, lwork=-1)[-2][0].real.astype(np.int_)
+        got = zgees(lambda x: None, u, lwork=lwork)
+        assert got[0].tobytes() == schur.tobytes() and got[3].tobytes() == z.tobytes()
+        res = ranges._disc_member(disc, a, ranges.MEMBER_TOL)
+        assert (res.status, res.detail) == (MembershipStatus.IN, _DILATION)
+        for key in ("h", "vertices"):
+            assert res.certificate[key].tobytes() == want[key].tobytes()
+
+
+def test_an_overflowing_pair_is_out_without_a_warning():
+    # (m + m*) / 2 stored inf for the entry 1e308, and kmax read its
+    # verdict from the overflow: Boundary with a NaN margin; the commutator
+    # of the raw entries overflowed too.  Both queries are plainly Out
+    a = OperatorTuple((np.array([[0.0, 1e308], [1e308, 0.0]]), Z), hermitian=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ranges._joint_spectrum(a) is None
+        for res in (kmax_member(UNIT_BOX, a), kmin_member(UNIT_DISC, a)):
+            assert res.status is MembershipStatus.OUT
+            assert math.isfinite(res.margin) and res.margin >= 1e300
 
 
 def _disc_alpha_by_bisection(K: Disc, a: OperatorTuple) -> float:
