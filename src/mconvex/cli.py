@@ -49,7 +49,6 @@ from .models import (
     verify_local_sw,
 )
 from .ranges import (
-    MAX_ITER,
     choi_li_equiv_check,
     is_matrix_extreme_free_symmetric,
     is_matrix_extreme_free_unitary,
@@ -77,15 +76,16 @@ class JobSpec:
     command: str
     inputs: dict
     options: dict
-    #: the options ``_opt`` read, which the report lists under tolerances
+    #: the options ``_opts`` read, which the report lists under tolerances
     read: set[str] = dataclasses.field(default_factory=set)
 
 
-def _opt(job: JobSpec, key: str, default):
-    """Option ``key``, whose type ``execute`` checked, or ``default``."""
-    job.read.add(key)
-    v = job.options.get(key)
-    return default if v is None else v
+def _opts(job: JobSpec, *keys: str) -> dict:
+    """The options among ``keys`` that the job gives, whose types
+    ``execute`` checked, as keywords: the library's default applies to
+    every other."""
+    job.read.update(keys)
+    return {k: job.options[k] for k in keys if job.options.get(k) is not None}
 
 
 def _need(job: JobSpec, key: str):
@@ -108,7 +108,7 @@ def _membership_payload(res) -> dict:
 
 def _run_jnr(job: JobSpec) -> dict:
     t = decode_tuple(_need(job, "tuple"))
-    m = _opt(job, "grid", 64)
+    m = _opts(job, "grid").get("grid", 64)
     sandwich = jnr_sandwich(t, m=m)
     if svg := job.options.get("svg"):
         polygon_svg(
@@ -129,24 +129,21 @@ def _run_jnr(job: JobSpec) -> dict:
 def _run_member(job: JobSpec) -> dict:
     kind = job.inputs["kind"]
     a = decode_tuple(_need(job, "tuple"))
-    tol = _opt(job, "tol", 1e-7)
     if kind == "kmin":
-        res = kmin_member(
-            decode_body(_need(job, "body")), a, tol=tol,
-            max_iter=_opt(job, "max_iter", MAX_ITER),
-        )
+        opts = _opts(job, "tol", "max_iter")
+        res = kmin_member(decode_body(_need(job, "body")), a, **opts)
     elif kind == "kmax":
-        res = kmax_member(decode_body(_need(job, "body")), a, tol=tol)
+        res = kmax_member(decode_body(_need(job, "body")), a, **_opts(job, "tol"))
     else:
         x = decode_tuple(_need(job, "range_of"))
-        res = ucp_member(x, a, tol=tol, max_iter=_opt(job, "max_iter", MAX_ITER))
+        res = ucp_member(x, a, **_opts(job, "tol", "max_iter"))
     return _membership_payload(res)
 
 
 def _run_equal(job: JobSpec) -> dict:
     x = decode_tuple(_need(job, "x"))
     y = decode_tuple(_need(job, "y"))
-    equal, report = mrange_equal(x, y, tol=_opt(job, "tol", 1e-7))
+    equal, report = mrange_equal(x, y, **_opts(job, "tol"))
     return {
         "status": "Equal" if equal else "Unequal",
         "equal": equal,
@@ -159,7 +156,7 @@ def _run_theta(job: JobSpec) -> dict:
     body = decode_body(_need(job, "body"))
     t = decode_tuple(_need(job, "tuple"))
     trace: list = []
-    est = theta_min_alpha(body, t, tol=_opt(job, "tol", 1e-2), trace=trace)
+    est = theta_min_alpha(body, t, trace=trace, **_opts(job, "tol"))
     if svg := job.options.get("svg"):
         trace_svg([(i, hi - lo) for i, (lo, hi) in enumerate(trace)], svg)
     return {
@@ -174,11 +171,11 @@ def _run_extreme(job: JobSpec) -> dict:
     kind = job.inputs["kind"]
     if kind == "points":
         pts = read(_need(job, "points"), float, '"points"', rank=2)
-        ext = extreme_points(pts, tol=_opt(job, "tol", 1e-9))
+        ext = extreme_points(pts, **_opts(job, "tol"))
         return {"extremes": ext, "count": int(ext.shape[0])}
     if kind == "simplex":
         pts = read(_need(job, "points"), float, '"points"', rank=2)
-        flag, info = is_simplex(pts, tol=_opt(job, "tol", 1e-9))
+        flag, info = is_simplex(pts, **_opts(job, "tol"))
         return {
             "status": "Simplex" if flag else "NotSimplex",
             "is_simplex": flag,
@@ -200,7 +197,7 @@ def _run_extreme(job: JobSpec) -> dict:
 
 def _run_choili(job: JobSpec) -> dict:
     y = read(_need(job, "y"), complex, '"y"', rank=2)
-    rep = choi_li_equiv_check(y, tol=_opt(job, "tol", 1e-6))
+    rep = choi_li_equiv_check(y, **_opts(job, "tol"))
     return {
         "status": "Consistent" if rep["consistent"] else "Inconsistent",
         "excluded": rep["excluded"],
@@ -236,7 +233,7 @@ def _run_sw(job: JobSpec) -> dict:
     kind = job.inputs["kind"]
     t = decode_diagonal(_need(job, "diag"))
     if kind == "ess":
-        pts = essential_spectrum_diag(t, tol=_opt(job, "tol", 1e-9))
+        pts = essential_spectrum_diag(t, **_opts(job, "tol"))
         return {"points": pts, "count": int(pts.shape[0])}
     if kind == "perturb":
         perturbed, report = sw_perturbation(t)
@@ -245,7 +242,7 @@ def _run_sw(job: JobSpec) -> dict:
         perturbed = decode_diagonal(job.inputs["perturbed"])
     else:
         perturbed, _ = sw_perturbation(t)
-    out = verify_local_sw(t, perturbed, tol=_opt(job, "tol", 1e-7))
+    out = verify_local_sw(t, perturbed, **_opts(job, "tol"))
     out["status"] = "Equal" if out["equal"] else "Unequal"
     return out
 

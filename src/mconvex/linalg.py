@@ -24,11 +24,16 @@ from .errors import DimensionMismatch, NonHermitianInput, NotCommuting, TooLarge
 #: relative tolerance for accepting a matrix as Hermitian
 HERM_RTOL = 1e-12
 
-#: relative SVD threshold used when counting null directions
+#: SVD threshold, relative to the largest entry of the tuples, used when
+#: counting null directions
 NULLITY_RTOL = 1e-8
 
 #: relative eigenvalue gap that splits a cluster in ``simdiag_hermitian``
 SIMDIAG_GAP_RTOL = 1e-9
+
+#: commutator size, relative to the product of its entries' sizes less
+#: their scalar parts, above which ``_simdiag`` refuses to diagonalize
+COMMUTING_TOL = 1e-10
 
 #: angles of the ``circle_support`` scan at n >= 3 (at n <= 2, 16 start
 #: the climb, and the certificate makes it global)
@@ -427,14 +432,13 @@ def _intertwiner_dimension(t1: OperatorTuple, t2: OperatorTuple) -> int:
     """Complex dimension of ``{S : S a_j = b_j S and S a_j* = b_j* S}``.
 
     Computed as the nullity of the stacked intertwiner system, with
-    singular values below ``1e-8 * max(sigma_max, 1)`` counted as zero.
+    singular values up to ``NULLITY_RTOL`` times the largest entry of
+    either tuple, the tuples' own scale, counted as zero.
     """
     sys = _intertwiner_system(t1, t2)
     svals = np.linalg.svd(sys, compute_uv=False)
-    if svals.size == 0:
-        return sys.shape[1]
-    cutoff = NULLITY_RTOL * max(float(svals[0]), 1.0)
-    return sys.shape[1] - int(np.sum(svals > cutoff))
+    size = max(np.abs(t.stack).max(initial=0.0) for t in (t1, t2))
+    return sys.shape[1] - int(np.sum(svals > NULLITY_RTOL * size))
 
 
 def commutant_dimension(t: OperatorTuple) -> int:
@@ -470,34 +474,47 @@ def words_equivalent(t1: OperatorTuple, t2: OperatorTuple) -> bool:
 
 
 def simdiag_hermitian(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Simultaneously diagonalize a commuting family of Hermitian matrices.
+    """Simultaneously diagonalize a commuting family of Hermitian matrices,
+    checked as an ``OperatorTuple``'s entries are: ``_simdiag`` of their
+    stack, or ``NotCommuting``.  Returns ``(u, values)``, ``u`` unitary
+    (``I`` for diagonal matrices) and ``values[k, j]`` the j-th matrix's
+    eigenvalue along column k of ``u``."""
+    return _simdiag(OperatorTuple(tuple(mats)).stack, "matrix {}".format)
 
-    Classic partition refinement: diagonalize the first matrix, split the
-    basis into eigenvalue clusters (gap threshold ``SIMDIAG_GAP_RTOL``
-    times the matrix scale), then diagonalize each subsequent matrix
-    inside every cluster.
 
-    Returns
-    -------
-    (u, values)
-        ``u`` unitary, ``values`` a real (n, len(mats)) array with
-        ``values[k, j]`` the j-th matrix's eigenvalue along column k of
-        ``u``.
-
-    Raises
-    ------
-    NotCommuting
-        If some matrix keeps off-diagonal mass above ``1e-7`` times its
-        scale in the refined basis, which is the numerical symptom of a
-        non-commuting input.
-    """
-    ms = [as_matrix(m) for m in mats]
-    if not ms:
-        raise DimensionMismatch("need at least one matrix")
-    n = ms[0].shape[0]
+def _simdiag(stack, name=None) -> tuple[np.ndarray, np.ndarray] | None:
+    """``simdiag_hermitian`` of a checked (d, n, n) stack.  A refused
+    stack gives None, so kmin and theta, which try every tuple, raise
+    nothing on that path; given ``name``, which names its rows, it
+    raises ``NotCommuting`` instead.  First the commutator test: the
+    rows less their scalar parts, which no commutator sees, each over
+    its own size, must commute pairwise within ``COMMUTING_TOL``, at any
+    scale or shift; a NaN fails.  A diagonal stack then has the basis
+    ``I``.  Otherwise, partition refinement: diagonalize the first
+    matrix, split the basis into eigenvalue clusters (gap
+    ``SIMDIAG_GAP_RTOL`` times the matrix scale), then diagonalize each
+    next matrix inside every cluster; a matrix with off-diagonal mass
+    above ``1e-7`` times its scale in the refined basis (a near
+    degenerate spectrum) is refused too."""
+    d, n = stack.shape[:2]
+    eye = np.eye(n)
+    shift = np.trace(stack, axis1=1, axis2=2) / max(n, 1)
+    parts = stack - shift[:, None, None] * eye
+    sizes = np.abs(parts).max(axis=(1, 2), initial=0.0, keepdims=True)
+    # each part over its size: entries at most 1, so no product overflows
+    unit = np.divide(parts, np.maximum(sizes, np.finfo(float).tiny), out=parts)
+    for j in range(d):
+        for k in range(j + 1, d):
+            comm = unit[j] @ unit[k] - unit[k] @ unit[j]
+            if n and not np.abs(comm).max() <= COMMUTING_TOL:  # n = 0 commutes
+                if name is None:
+                    return None
+                raise NotCommuting(f"{name(j)} and {name(k)} do not commute")
+    if not stack[:, eye == 0].any():
+        return eye.astype(complex), np.diagonal(stack, axis1=1, axis2=2).real.T.copy()
     u = np.eye(n, dtype=complex)
     blocks = [(0, n)]
-    for m in ms:
+    for m in stack:
         scale = max(1.0, float(np.abs(m).max(initial=0.0)))
         refined: list[tuple[int, int]] = []
         for lo, hi in blocks:
@@ -514,15 +531,17 @@ def simdiag_hermitian(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarra
                     start = lo + k
             refined.append((start, hi))
         blocks = refined
-    values = np.empty((n, len(ms)))
-    for j, m in enumerate(ms):
+    values = np.empty((n, d))
+    for j, m in enumerate(stack):
         t = u.conj().T @ m @ u
         values[:, j] = np.real(np.diag(t))
         off = t - np.diag(np.diag(t))
         scale = max(1.0, float(np.abs(t).max(initial=0.0)))
         if float(np.abs(off).max(initial=0.0)) > 1e-7 * scale:
+            if name is None:
+                return None
             raise NotCommuting(
-                f"matrix {j} is not diagonal in the joint eigenbasis "
+                f"{name(j)} is not diagonal in the joint eigenbasis "
                 f"(off-diagonal mass {float(np.abs(off).max()):.3e})"
             )
     return u, values

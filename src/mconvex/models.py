@@ -7,7 +7,7 @@ tuple; ``extreme_spectral_compression`` builds that restriction and
 ``verify_complete_isometry`` decides that it is completely isometric
 from the hull of the restriction's joint spectrum.  For lists of
 irreducible tuples, ``block_diagonal_model`` deduplicates up to unitary
-equivalence, decided by intertwiner dimensions, and assembles the
+equivalence, decided by one intertwiner dimension, and assembles the
 direct sum.  For infinite
 diagonal tuples given by a finite presentation (atoms with
 multiplicities plus convergent sequences), ``sw_perturbation`` snaps
@@ -27,24 +27,19 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyEssentialSpectrum,
-    NotCommuting,
     ReducibleCandidate,
     TupleMismatch,
 )
 from .geometry import Polytope, extreme_points, point_gap
 from .linalg import (
     OperatorTuple,
+    _intertwiner_dimension,
+    _simdiag,
     commutant_dimension,
     direct_sum,
     herm_part,
-    op_norm,
-    simdiag_hermitian,
     skew_part,
-    words_equivalent,
 )
-
-#: commutator size above which a tuple is rejected as non-commuting
-NORMAL_COMMUTE_TOL = 1e-10
 
 #: joint eigenvalues closer than this are treated as one spectrum point
 POINT_DEDUP_TOL = 1e-9
@@ -61,13 +56,20 @@ def _dedup_points(points: np.ndarray, tol: float = POINT_DEDUP_TOL) -> np.ndarra
     return out[order]
 
 
+def _part_name(row: int) -> str:
+    """Row 2j of ``NormalTuple``'s stack is entry j's Hermitian part."""
+    return f"the {('Hermitian', 'skew')[row % 2]} part of entry {row // 2}"
+
+
 @dataclasses.dataclass(frozen=True)
 class NormalTuple:
     """A tuple of pairwise commuting normal matrices, jointly diagonalized.
 
-    Construction verifies ``[a_j, a_k] = 0`` and ``[a_j, a_k*] = 0``
-    (the j = k case of the latter is normality of each entry) and then
-    diagonalizes everything in one joint eigenbasis.  ``column_values``
+    Construction hands the Hermitian and skew parts of the entries to
+    ``linalg._simdiag``: they commute pairwise exactly when ``[a_j, a_k]
+    = 0`` and ``[a_j, a_k*] = 0`` (the j = k case of the latter is
+    normality of each entry), at any scale, and it diagonalizes them in
+    one joint eigenbasis or raises ``NotCommuting``.  ``column_values``
     holds the joint eigenvalue of each basis column; ``joint_points``
     the deduplicated spectrum.
     """
@@ -79,19 +81,8 @@ class NormalTuple:
 
     def __post_init__(self) -> None:
         t = self.base
-        scale = max(1.0, max(op_norm(m) for m in t.mats))
-        for j in range(t.d):
-            for k in range(j, t.d):
-                a, b = t.mats[j], t.mats[k]
-                if op_norm(a @ b - b @ a) > NORMAL_COMMUTE_TOL * scale:
-                    raise NotCommuting(f"entries {j} and {k} do not commute")
-                bs = b.conj().T
-                if op_norm(a @ bs - bs @ a) > NORMAL_COMMUTE_TOL * scale:
-                    raise NotCommuting(
-                        f"entry {j} does not commute with the adjoint of {k}"
-                    )
-        parts = [p(m) for m in t.mats for p in (herm_part, skew_part)]
-        u, vals = simdiag_hermitian(parts)
+        parts = np.stack((herm_part(t.stack), skew_part(t.stack)), axis=1)
+        u, vals = _simdiag(parts.reshape(2 * t.d, t.n, t.n), _part_name)
         column = vals[:, 0::2] if t.hermitian else vals[:, 0::2] + 1j * vals[:, 1::2]
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "column_values", column)
@@ -187,9 +178,10 @@ def block_diagonal_model(candidates: Sequence[OperatorTuple]) -> BlockModel:
 
     Rejects any candidate whose commutant has dimension above 1 (a
     reducible block can be split further and never belongs in the
-    model), deduplicates the rest up to unitary equivalence through
-    intertwiner dimensions (``words_equivalent``), and returns the
-    direct sum of the survivors.
+    model), deduplicates the rest up to unitary equivalence, and returns
+    the direct sum of the survivors.  Two irreducible tuples of one size
+    are equivalent exactly when ``dim Hom = 1`` (Schur's lemma), so one
+    intertwiner dimension decides each pair.
     """
     if not candidates:
         raise TupleMismatch("need at least one candidate tuple")
@@ -203,10 +195,7 @@ def block_diagonal_model(candidates: Sequence[OperatorTuple]) -> BlockModel:
     survivors: list[OperatorTuple] = []
     dropped: list[int] = []
     for i, c in enumerate(candidates):
-        dup = any(
-            s.n == c.n and words_equivalent(s, c) for s in survivors
-        )
-        if dup:
+        if any(s.n == c.n and _intertwiner_dimension(s, c) == 1 for s in survivors):
             dropped.append(i)
         else:
             survivors.append(c)

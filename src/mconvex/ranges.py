@@ -28,7 +28,6 @@ from scipy.linalg.lapack import zgees
 from .errors import (
     DimensionMismatch,
     NonHermitianInput,
-    NotCommuting,
     NotInKmax,
     TupleMismatch,
 )
@@ -46,6 +45,7 @@ from .geometry import (
 from .linalg import (
     OperatorTuple,
     _require_bytes,
+    _simdiag,
     as_matrix,
     circle_support,
     commutant_dimension,
@@ -53,7 +53,6 @@ from .linalg import (
     herm_part,
     op_norm,
     pencil_stack,
-    simdiag_hermitian,
     skew_part,
 )
 from .sdp import (
@@ -84,10 +83,6 @@ _CHOI_COPIES = 8
 
 #: deviation allowed when testing a_j^2 = I or a_j* a_j = I
 EXTREME_DEV = 1e-8
-
-#: commutator size, relative to the product of its entries' sizes less
-#: their scalar parts, below which ``_joint_spectrum`` diagonalizes a tuple
-COMMUTING_TOL = 1e-10
 
 #: a normalization constant sometimes quoted for the square-to-disc
 #: transform; it fails the scalar corner check and is kept only so the
@@ -402,27 +397,10 @@ def _support_cut(
 
 
 def _joint_spectrum(a: OperatorTuple) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ``(u, values)`` of ``simdiag_hermitian`` (``u = I`` for a
-    diagonal tuple) when every commutator is within ``COMMUTING_TOL``
-    times the product of its entries' sizes, less their scalar parts,
-    which no commutator sees; None otherwise, or when the joint
-    eigenbasis refuses the tuple (a near degenerate spectrum)."""
-    stack, eye = a.stack, np.eye(a.n)
-    parts = stack - np.trace(stack, axis1=1, axis2=2)[:, None, None] / a.n * eye
-    sizes = np.abs(parts).max(axis=(1, 2), keepdims=True)
-    # each part over its size: entries at most 1, so no product overflows
-    unit = np.divide(parts, np.maximum(sizes, np.finfo(float).tiny), out=parts)
-    for j in range(a.d):
-        for k in range(j + 1, a.d):
-            comm = unit[j] @ unit[k] - unit[k] @ unit[j]
-            if not np.abs(comm).max() <= COMMUTING_TOL:
-                return None
-    if not stack[:, eye == 0].any():
-        return eye.astype(complex), np.diagonal(stack, axis1=1, axis2=2).real.T.copy()
-    try:
-        return simdiag_hermitian(a.mats)
-    except NotCommuting:
-        return None
+    """The ``(u, values)`` of ``_simdiag`` on the tuple's stack (``u = I``
+    for a diagonal tuple), or None when it refuses the tuple: a failed
+    commutator test or a near degenerate spectrum."""
+    return _simdiag(a.stack)
 
 
 def _singleton_point(K: ConvexBody) -> np.ndarray | None:

@@ -364,6 +364,16 @@ class TestExitCodes:
         assert rep["error"].startswith("TooLarge: the Choi variable needs about ")
         assert "MiB" in rep["error"]
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-7])
+    def test_model_normal_of_a_non_commuting_pair_is_data_error(
+        self, tmp_path, capsys, scale
+    ):
+        # at 1e-7 the pair exited 0 with the joint spectrum {(+-1e-7, 0)}
+        t = write(tmp_path / "t.json", pauli_tuple(scale))
+        code, rep = run(capsys, ["model", "--kind", "normal", "--tuple", t])
+        assert code == 65
+        assert rep["error"].startswith("NotCommuting: ")
+
     def test_wrong_schema_is_data_error(self, tmp_path, capsys):
         t = write(tmp_path / "t.json", {"mats": "nope"})
         assert cli.main(["jnr", "--tuple", t]) == 65

@@ -514,6 +514,18 @@ def test_commutant_dimensions():
     assert commutant_dimension(doubled) == 4
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-15])
+def test_the_nullity_cut_is_at_the_tuples_scale(scale):
+    # the cut 1e-8 max(sigma_max, 1) was absolute below scale 1: the
+    # irreducible pair had a commutant of dimension 4, and it counted as
+    # equivalent to (X, Z / 2)
+    a = OperatorTuple((scale * X, scale * Z), hermitian=True)
+    b = OperatorTuple((scale * X, 0.5 * scale * Z), hermitian=True)
+    assert commutant_dimension(a) == commutant_dimension(b) == 1
+    assert not words_equivalent(a, b)
+    assert commutant_dimension(OperatorTuple((scale * Z,), hermitian=True)) == 2
+
+
 def _hadamard_pair():
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
     t1 = OperatorTuple((X, Z), hermitian=True)
@@ -589,6 +601,14 @@ def test_simdiag_planted():
 def test_simdiag_rejects_noncommuting():
     with pytest.raises(NotCommuting):
         simdiag_hermitian([X, np.diag([1.0, 2.0]).astype(complex)])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-7, 1e-9, 1e-12])
+def test_simdiag_rejects_a_non_commuting_pair_at_any_scale(scale):
+    # the off-diagonal mass test alone is absolute below scale 1, and
+    # accepted the pair at scale <= 1e-7
+    with pytest.raises(NotCommuting, match="matrix 0 and matrix 1 do not commute"):
+        simdiag_hermitian([scale * X, scale * Z])
 
 
 def test_random_isometry_columns():

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from mconvex.errors import EmptyEssentialSpectrum, NotCommuting, ReducibleCandidate
-from mconvex.linalg import OperatorTuple, direct_sum
+from mconvex.geometry import Polytope
+from mconvex.linalg import (
+    OperatorTuple,
+    direct_sum,
+    herm_part,
+    random_hermitian,
+    random_isometry,
+    words_equivalent,
+)
 from mconvex.models import (
     DiagonalTuple,
     NormalTuple,
@@ -16,6 +24,7 @@ from mconvex.models import (
     verify_complete_isometry,
     verify_local_sw,
 )
+from mconvex.ranges import kmin_member
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -54,6 +63,61 @@ class TestNormalTuple:
     def test_non_normal_rejected(self):
         with pytest.raises(NotCommuting):
             NormalTuple(OperatorTuple((X, Z), hermitian=True))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-7, 1e-9, 1e-12])
+    def test_a_non_commuting_pair_is_rejected_at_any_scale(self, scale):
+        # an absolute commutator test accepted the pair at scale <= 1e-7,
+        # with the joint spectrum {(+-scale, 0)}
+        a = OperatorTuple((scale * X, scale * Z), hermitian=True)
+        with pytest.raises(NotCommuting, match="entry 0 and .* entry 1 do not"):
+            NormalTuple(a)
+
+    def test_a_non_normal_entry_is_named(self):
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(NotCommuting, match="of entry 0 and .* of entry 0 do"):
+            NormalTuple(OperatorTuple((nilpotent,)))
+
+    def test_a_large_commuting_pair_is_accepted(self):
+        # conjugated diagonals at 1e6: the commutator is rounding, about
+        # 2e-5 in absolute terms
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        q, _ = np.linalg.qr(g)
+        diags = ([0.5, -0.2, 0.1], [0.1, 0.3, -0.4])
+        mats = tuple(herm_part(1e6 * q @ np.diag(d) @ q.conj().T) for d in diags)
+        t = NormalTuple(OperatorTuple(mats, hermitian=True))
+        got = {tuple(np.round(p / 1e6, 8)) for p in joint_spectrum(t)}
+        assert got == set(zip(*diags))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_same_joint_spectrum_as_kmin(self, seed):
+        # one commuting test and one joint eigenbasis serve both
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 3
+        q = random_isometry(n, n, rng)
+        diags = np.round(rng.uniform(-0.6, 0.6, (2, n)), 1)
+        a = OperatorTuple(
+            tuple(q @ np.diag(d) @ q.conj().T for d in diags), hermitian=True
+        )
+        corners = [[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]]
+        cert = kmin_member(Polytope(np.array(corners)), a).certificate
+        t = NormalTuple(a)
+        assert t.column_values.tobytes() == cert["joint_points"].tobytes()
+        assert t.unitary.tobytes() == cert["unitary"].tobytes()
+
+    def test_a_diagonal_tuple_keeps_its_listed_order(self):
+        # the identity basis, as kmin's certificate has it; the columns
+        # were sorted by the first entry's eigenvalues
+        a = diag_pair((2.0, 1.0), (0.0, -1.0), (1.0, 0.5))
+        t = NormalTuple(a)
+        assert t.unitary.tobytes() == np.eye(3, dtype=complex).tobytes()
+        np.testing.assert_array_equal(
+            t.column_values, [[2.0, 1.0], [0.0, -1.0], [1.0, 0.5]]
+        )
+        model = extreme_spectral_compression(t)
+        assert model.projector_rank == 3
+        for got, want in zip(model.compressed.mats, a.mats):
+            np.testing.assert_array_equal(got, want)
 
     def test_complex_columns_for_nonhermitian(self):
         n = np.array([[1.0 + 1.0j, 0.0], [0.0, 2.0 - 1.0j]])
@@ -131,6 +195,39 @@ class TestBlockModel:
         model = block_diagonal_model([t, s])
         assert len(model.summands) == 2
         assert model.direct_sum.n == 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_candidates_with_conjugated_duplicates(self, seed):
+        # each conjugate is dropped, and each candidate of one size that
+        # is not a conjugate is kept; words_equivalent agrees on every pair
+        rng = np.random.default_rng(seed)
+        firsts = [
+            OperatorTuple(tuple(random_hermitian(n, rng) for _ in range(2)), True)
+            for n in (2, 2, 3)
+        ]
+        conjugates = [
+            firsts[k].conjugated(random_isometry(firsts[k].n, firsts[k].n, rng))
+            for k in (1, 2, 0, 2)
+        ]
+        candidates = firsts + conjugates
+        classes = [0, 1, 2, 1, 2, 0, 2]
+        model = block_diagonal_model(candidates)
+        assert model.report["dropped_duplicates"] == [3, 4, 5, 6]
+        assert all(s is c for s, c in zip(model.summands, firsts))
+        for i, s in enumerate(candidates):
+            for j, c in enumerate(candidates):
+                if s.n == c.n:
+                    assert words_equivalent(s, c) == (classes[i] == classes[j])
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-15])
+    def test_small_inequivalent_candidates_are_kept(self, scale):
+        # the nullity cut was absolute below scale 1: both pairs counted
+        # as reducible
+        a = OperatorTuple((scale * X, scale * Z), hermitian=True)
+        b = OperatorTuple((scale * X, 0.5 * scale * Z), hermitian=True)
+        model = block_diagonal_model([a, b])
+        assert len(model.summands) == 2
+        assert model.report["dropped_duplicates"] == []
 
     def test_reducible_candidate_rejected(self):
         t = OperatorTuple(

@@ -751,10 +751,10 @@ class TestThetaCompiledOnce:
         assert kmax_member(SQUARE, a).status is MembershipStatus.BOUNDARY
         counts = traffic()
 
-        def no_joint_spectrum(*args, **kwargs):
-            raise AssertionError("theta needs no joint spectrum")
+        def no_eigenbasis(*args, **kwargs):
+            raise AssertionError("a diagonal tuple needs no eigendecomposition")
 
-        monkeypatch.setattr(ranges, "simdiag_hermitian", no_joint_spectrum)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigenbasis)
         trace = []
         est = theta_min_alpha(SQUARE, a, trace=trace)
         assert (est.lower, est.upper) == (1.0, 1.0)

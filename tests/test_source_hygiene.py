@@ -1,5 +1,5 @@
-"""Source hygiene of ``src/mconvex``: every module-level import is used in
-its module, every module-level private name is referenced somewhere in
+"""Source hygiene of ``src/mconvex``: every module-level import is read in
+its module outside import statements, every module-level private name is referenced somewhere in
 the package besides its definition, and every public function or class
 is too, or is exported in ``mconvex.__all__`` or traced by the benchmark
 (``perfbench.tracing.LAYERS``), and every method or property of a
@@ -25,18 +25,27 @@ TREES = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")
 MODULES = sorted(name for name in TREES if name != "__init__.py")
 
 
-def _references(tree: ast.AST) -> list[str]:
-    """Every name ``tree`` reads: bare names, attributes and the names
-    a ``from`` import takes."""
+def _reads(tree: ast.AST) -> list[str]:
+    """Every name ``tree`` reads outside import statements: bare names
+    and attributes."""
     names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.append(node.id)
         elif isinstance(node, ast.Attribute):
             names.append(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.extend(alias.name for alias in node.names)
     return names
+
+
+def _references(tree: ast.AST) -> list[str]:
+    """``_reads``, and the names a ``from`` import takes."""
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    return _reads(tree) + imported
 
 
 def _private_definitions(tree: ast.Module) -> list[str]:
@@ -53,8 +62,10 @@ def _private_definitions(tree: ast.Module) -> list[str]:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_module_level_import_is_used(module):
+    # a name counts as used only where the module reads it, not where
+    # another import statement brings it in again
     tree = TREES[module]
-    used = set(_references(tree))
+    used = set(_reads(tree))
     unused = [
         alias.asname or alias.name.split(".")[0]
         for node in tree.body
