@@ -479,37 +479,45 @@ def simdiag_hermitian(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarra
     stack, or ``NotCommuting``.  Returns ``(u, values)``, ``u`` unitary
     (``I`` for diagonal matrices) and ``values[k, j]`` the j-th matrix's
     eigenvalue along column k of ``u``."""
-    return _simdiag(OperatorTuple(tuple(mats)).stack, "matrix {}".format)
+    return _simdiag(OperatorTuple(tuple(mats)).stack[:, None], "matrix {}".format)
 
 
-def _simdiag(stack, name=None) -> tuple[np.ndarray, np.ndarray] | None:
-    """``simdiag_hermitian`` of a checked (d, n, n) stack.  A refused
-    stack gives None, so kmin and theta, which try every tuple, raise
-    nothing on that path; given ``name``, which names its rows, it
-    raises ``NotCommuting`` instead.  First the commutator test: the
-    rows less their scalar parts, which no commutator sees, each over
-    its own size, must commute pairwise within ``COMMUTING_TOL``, at any
-    scale or shift; a NaN fails.  A diagonal stack then has the basis
+def _simdiag(entries, name) -> tuple[np.ndarray, np.ndarray]:
+    """``simdiag_hermitian`` of a checked (d, p, n, n) stack of d entries,
+    each as p Hermitian rows, or ``NotCommuting`` naming two rows by
+    ``name(row)``, rows counted entry by entry.  First the commutator
+    test: the rows less their scalar parts, which no commutator sees,
+    each over its own size, must commute pairwise within
+    ``COMMUTING_TOL``, at any scale; a NaN fails.  A size is floored at
+    1e-4 of its entry's largest entry, above the entry's rounding, so a
+    part of rounding noise (as in ``Q (2I) Q*``) is not scaled up to
+    size 1; a part above 5e-15 of its entry is still seen against one of
+    full size.  A diagonal stack then has the basis
     ``I``.  Otherwise, partition refinement: diagonalize the first
     matrix, split the basis into eigenvalue clusters (gap
     ``SIMDIAG_GAP_RTOL`` times the matrix scale), then diagonalize each
     next matrix inside every cluster; a matrix with off-diagonal mass
     above ``1e-7`` times its scale in the refined basis (a near
     degenerate spectrum) is refused too."""
-    d, n = stack.shape[:2]
-    eye = np.eye(n)
-    shift = np.trace(stack, axis1=1, axis2=2) / max(n, 1)
-    parts = stack - shift[:, None, None] * eye
-    sizes = np.abs(parts).max(axis=(1, 2), initial=0.0, keepdims=True)
+    n = entries.shape[-1]
+    parts = entries.copy()
+    diag = parts.reshape(*parts.shape[:2], n * n)[..., :: n + 1]  # a view
+    peak, total = np.maximum.reduce, np.add.reduce  # not the slower methods
+    diag -= total(diag, -1, keepdims=True) / max(n, 1)
+    sizes = peak(np.abs(parts), axis=(2, 3), keepdims=True, initial=0.0)
+    # floored at a normal float: a complex division by a subnormal overflows
+    top = peak(np.abs(entries), axis=(1, 2, 3), keepdims=True, initial=1e-300)
     # each part over its size: entries at most 1, so no product overflows
-    unit = np.divide(parts, np.maximum(sizes, np.finfo(float).tiny), out=parts)
+    unit = np.divide(parts, np.maximum(sizes, 1e-4 * top), out=parts).reshape(-1, n, n)
+    stack = entries.reshape(-1, n, n)
+    d = len(stack)
     for j in range(d):
         for k in range(j + 1, d):
-            comm = unit[j] @ unit[k] - unit[k] @ unit[j]
-            if n and not np.abs(comm).max() <= COMMUTING_TOL:  # n = 0 commutes
-                if name is None:
-                    return None
+            prod = unit[j] @ unit[k]  # Hermitian rows: prod* = unit[k] @ unit[j]
+            comm = np.abs(prod - prod.conj().T)
+            if not peak(comm, None, initial=0.0) <= COMMUTING_TOL:  # n = 0 passes
                 raise NotCommuting(f"{name(j)} and {name(k)} do not commute")
+    eye = np.eye(n)
     if not stack[:, eye == 0].any():
         return eye.astype(complex), np.diagonal(stack, axis1=1, axis2=2).real.T.copy()
     u = np.eye(n, dtype=complex)
@@ -538,8 +546,6 @@ def _simdiag(stack, name=None) -> tuple[np.ndarray, np.ndarray] | None:
         off = t - np.diag(np.diag(t))
         scale = max(1.0, float(np.abs(t).max(initial=0.0)))
         if float(np.abs(off).max(initial=0.0)) > 1e-7 * scale:
-            if name is None:
-                return None
             raise NotCommuting(
                 f"{name(j)} is not diagonal in the joint eigenbasis "
                 f"(off-diagonal mass {float(np.abs(off).max()):.3e})"

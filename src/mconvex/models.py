@@ -82,7 +82,7 @@ class NormalTuple:
     def __post_init__(self) -> None:
         t = self.base
         parts = np.stack((herm_part(t.stack), skew_part(t.stack)), axis=1)
-        u, vals = _simdiag(parts.reshape(2 * t.d, t.n, t.n), _part_name)
+        u, vals = _simdiag(parts, _part_name)
         column = vals[:, 0::2] if t.hermitian else vals[:, 0::2] + 1j * vals[:, 1::2]
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "column_values", column)

@@ -28,6 +28,7 @@ from scipy.linalg.lapack import zgees
 from .errors import (
     DimensionMismatch,
     NonHermitianInput,
+    NotCommuting,
     NotInKmax,
     TupleMismatch,
 )
@@ -400,7 +401,10 @@ def _joint_spectrum(a: OperatorTuple) -> tuple[np.ndarray, np.ndarray] | None:
     """The ``(u, values)`` of ``_simdiag`` on the tuple's stack (``u = I``
     for a diagonal tuple), or None when it refuses the tuple: a failed
     commutator test or a near degenerate spectrum."""
-    return _simdiag(a.stack)
+    try:
+        return _simdiag(a.stack[:, None], "entry {}".format)
+    except NotCommuting:
+        return None
 
 
 def _singleton_point(K: ConvexBody) -> np.ndarray | None:

@@ -210,6 +210,19 @@ class TestCommands:
         assert rep["projector_rank"] == 3
         assert rep["isometry_check"]["slack"] <= 1e-9
 
+    def test_model_normal_of_a_real_spectrum_normal_matrix(self, tmp_path, capsys):
+        # its skew part is rounding noise; over its own size it commuted
+        # with nothing, and the matrix exited 65 (NotCommuting)
+        rng = np.random.default_rng(1)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        q, _ = np.linalg.qr(g)
+        c = q @ np.diag([0.0, 1.0, 2.0]) @ q.conj().T
+        mat = [[[z.real, z.imag] for z in row] for row in c]
+        t = write(tmp_path / "t.json", {"hermitian": False, "mats": [mat]})
+        code, rep = run(capsys, ["model", "--kind", "normal", "--tuple", t])
+        assert code == 0
+        assert rep["projector_rank"] == 2
+
     def test_sw_verify(self, tmp_path, capsys):
         diag = write(
             tmp_path / "d.json",

@@ -611,6 +611,34 @@ def test_simdiag_rejects_a_non_commuting_pair_at_any_scale(scale):
         simdiag_hermitian([scale * X, scale * Z])
 
 
+def _conjugates(*diagonals):
+    # Q (c I) Q* less its scalar part is rounding noise
+    q = random_isometry(3, 3, np.random.default_rng(1))
+    return [q @ np.diag(d) @ q.conj().T for d in diagonals]
+
+
+def test_simdiag_accepts_a_part_at_rounding_level():
+    # over its own size, the noise was scaled up to size 1 and commuted
+    # with nothing: NotCommuting
+    u, vals = simdiag_hermitian(_conjugates([1.0, 2.0, 3.0], [2.0, 2.0, 2.0]))
+    np.testing.assert_allclose(sorted(vals[:, 0]), [1.0, 2.0, 3.0], atol=1e-12)
+    np.testing.assert_allclose(vals[:, 1], 2.0, atol=1e-12)
+
+
+def test_simdiag_floors_each_part_at_its_own_entry():
+    # two parts of pure noise: a floor taken from the largest part of
+    # the stack would be noise too, and refuse the pair
+    u, vals = simdiag_hermitian(_conjugates([2.0, 2.0, 2.0], [3.0, 3.0, 3.0]))
+    np.testing.assert_allclose(vals, [[2.0, 3.0]] * 3, atol=1e-12)
+
+
+@pytest.mark.parametrize("small", [1e-6, 1e-12])
+def test_simdiag_rejects_a_small_non_commuting_part(small):
+    # the size floor, 1e-4 of the largest entry, hides no part this large
+    with pytest.raises(NotCommuting, match="matrix 0 and matrix 1 do not commute"):
+        simdiag_hermitian([X, small * Z])
+
+
 def test_random_isometry_columns():
     rng = np.random.default_rng(5)
     v = random_isometry(6, 3, rng)

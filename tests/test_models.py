@@ -72,6 +72,32 @@ class TestNormalTuple:
         with pytest.raises(NotCommuting, match="entry 0 and .* entry 1 do not"):
             NormalTuple(a)
 
+    def test_a_part_at_rounding_level_is_accepted(self):
+        # the pair (Q diag(1, 2, 3) Q*, Q (2I) Q*), and the skew part of
+        # Q diag(0, 1, 2) Q*: each is rounding noise, which over its own
+        # size commuted with nothing
+        q = random_isometry(3, 3, np.random.default_rng(1))
+        a, b, c = (
+            q @ np.diag(d) @ q.conj().T
+            for d in ([1.0, 2.0, 3.0], [2.0, 2.0, 2.0], [0.0, 1.0, 2.0])
+        )
+        pair = NormalTuple(OperatorTuple((a, b), hermitian=True))
+        np.testing.assert_allclose(
+            joint_spectrum(pair), [[1.0, 2.0], [2.0, 2.0], [3.0, 2.0]], atol=1e-12
+        )
+        single = NormalTuple(OperatorTuple((c,), hermitian=False))
+        np.testing.assert_allclose(
+            joint_spectrum(single), [[0.0], [1.0], [2.0]], atol=1e-12
+        )
+
+    def test_a_conjugated_scalar_is_accepted(self):
+        # both parts of Q (2I) Q* are rounding noise: each is floored at
+        # the entry's size, not at the other's
+        q = random_isometry(3, 3, np.random.default_rng(1))
+        c = q @ (2.0 * np.eye(3)) @ q.conj().T
+        single = NormalTuple(OperatorTuple((c,), hermitian=False))
+        np.testing.assert_allclose(joint_spectrum(single), [[2.0]], atol=1e-12)
+
     def test_a_non_normal_entry_is_named(self):
         nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(NotCommuting, match="of entry 0 and .* of entry 0 do"):
