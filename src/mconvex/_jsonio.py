@@ -26,7 +26,6 @@ import numpy as np
 
 from .geometry import Box, ConvexBody, Disc, Polytope, Sampled
 from .linalg import OperatorTuple
-from .models import DiagonalTuple
 
 
 class SchemaError(ValueError):
@@ -125,7 +124,10 @@ def _pairs(doc: dict, key: str) -> list:
     return items
 
 
-def decode_diagonal(doc) -> DiagonalTuple:
+def decode_diagonal(doc):
+    """A ``models.DiagonalTuple`` from its wire format."""
+    from .models import DiagonalTuple
+
     doc = read(doc, dict, "diagonal document")
     d = read(doc.get("d"), int, '"d"')
     atoms = tuple(
@@ -144,19 +146,14 @@ def decode_diagonal(doc) -> DiagonalTuple:
 
 def _members(obj) -> dict | None:
     """The string-keyed members of ``obj`` if it is written as a JSON object,
-    else None: tuples in their wire formats, other dataclasses by field."""
+    else None: an operator tuple in its wire format, other dataclasses by
+    field, which is a diagonal tuple's wire format."""
     if isinstance(obj, dict):
         return {str(k): v for k, v in obj.items()}
     if not hasattr(type(obj), "__dataclass_fields__"):
         return None
     if isinstance(obj, OperatorTuple):
         return {"n": obj.n, "d": obj.d, "hermitian": obj.hermitian, "mats": obj.mats}
-    if isinstance(obj, DiagonalTuple):
-        return {
-            "d": obj.d,
-            "atoms": [[list(p), m] for p, m in obj.atoms],
-            "sequences": [[list(q), [list(p) for p in ps]] for q, ps in obj.sequences],
-        }
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 

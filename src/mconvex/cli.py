@@ -8,7 +8,9 @@ and 70 when a solver gave up and ``--strict`` was set.  ``batch`` runs
 a list of inline job documents one after another and reports them in
 input order, so a rerun reproduces them byte for byte apart from wall
 times; an option key the job's command does not read is a usage
-error, as is a flag the command does not take.
+error, as is a flag the command does not take.  ``model``, ``sw`` and
+``verify-suite`` load the modules only they use when they run, so the
+query commands start without them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import sys
 import time
 from typing import Callable, NamedTuple
 
-from . import acceptance
 from ._jsonio import (
     SchemaError,
     decode_body,
@@ -37,16 +38,6 @@ from .geometry import (
     extreme_points,
     is_simplex,
     jnr_sandwich,
-)
-from .models import (
-    NormalTuple,
-    block_diagonal_model,
-    essential_spectrum_diag,
-    extreme_spectral_compression,
-    joint_spectrum,
-    sw_perturbation,
-    verify_complete_isometry,
-    verify_local_sw,
 )
 from .ranges import (
     choi_li_equiv_check,
@@ -209,6 +200,14 @@ def _run_choili(job: JobSpec) -> dict:
 
 
 def _run_model(job: JobSpec) -> dict:
+    from .models import (
+        NormalTuple,
+        block_diagonal_model,
+        extreme_spectral_compression,
+        joint_spectrum,
+        verify_complete_isometry,
+    )
+
     if job.inputs["kind"] == "normal":
         t = NormalTuple(decode_tuple(_need(job, "tuple")))
         model = extreme_spectral_compression(t)
@@ -230,6 +229,8 @@ def _run_model(job: JobSpec) -> dict:
 
 
 def _run_sw(job: JobSpec) -> dict:
+    from .models import essential_spectrum_diag, sw_perturbation, verify_local_sw
+
     kind = job.inputs["kind"]
     t = decode_diagonal(_need(job, "diag"))
     if kind == "ess":
@@ -258,7 +259,9 @@ def _run_toeplitz(job: JobSpec) -> dict:
 
 
 def _run_verify_suite(job: JobSpec) -> dict:
-    results = acceptance.run_all()
+    from .acceptance import run_all
+
+    results = run_all()
     for r in results:
         line = "PASS" if r.passed else "FAIL"
         print(f"{line} {r.name} ({r.seconds:.1f}s): {r.detail}", file=sys.stderr)

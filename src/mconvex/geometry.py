@@ -8,7 +8,8 @@ dimension, the extreme points of a point list, simplex detection and
 the drawn polygons of a range sandwich.  A sampled body's vertices come
 from Qhull's halfspace intersection, in any dimension.
 ``hull_membership_gap`` is a linear program kept as a reference that
-shares no code with Qhull.
+shares no code with Qhull.  ``scipy.spatial`` and ``scipy.optimize``
+load in the functions that call them, on first use.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import functools
 from typing import Sequence, Union
 
 import numpy as np
-import scipy.optimize
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import BadProblem, DimensionMismatch, NoInteriorZero, NonHermitianInput
 from .linalg import (
@@ -220,6 +219,9 @@ def clip_by_halfplanes(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     its own Chebyshev ball.  Raises ``BadProblem`` when the set is
     unbounded (0 not strictly inside the hull of the normals), empty or
     flat (a Chebyshev radius of at most ``EXTREME_TOL``)."""
+    from scipy.optimize import linprog
+    from scipy.spatial import HalfspaceIntersection
+
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     offsets = np.asarray(offsets, dtype=float)
     d = normals.shape[1]
@@ -228,7 +230,7 @@ def clip_by_halfplanes(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     scale = float(np.abs(offsets).max()) or 1.0
     b = offsets / scale
     # Chebyshev centre: maximize r subject to n_i . x + |n_i| r <= b_i
-    res = scipy.optimize.linprog(
+    res = linprog(
         np.r_[np.zeros(d), -1.0],
         A_ub=np.column_stack([normals, np.linalg.norm(normals, axis=1)]),
         b_ub=b, bounds=[(None, None)] * d + [(0, None)], method="highs",
@@ -309,6 +311,8 @@ def _span_hull(v: np.ndarray, tol: float = 0.0) -> tuple:
     """``_affine_span(v, tol)``, the rows ``y`` in the span, their Qhull
     hull at rank 2 or more (else None) and the extreme rows' indices: the
     hull's in Qhull's order, a segment's two ends or a point's row 0."""
+    from scipy.spatial import ConvexHull
+
     center, span, normals = _affine_span(v, tol)
     y = v @ span.T
     if span.shape[0] >= 2:
@@ -320,6 +324,8 @@ def _span_hull(v: np.ndarray, tol: float = 0.0) -> tuple:
 
 def _hull_vertices(points, tol: float) -> tuple[np.ndarray, int]:
     """``extreme_points`` of a point list or polytope, and its rank."""
+    from scipy.spatial import QhullError
+
     pts = points.vertices if isinstance(points, Polytope) else np.atleast_2d(points)
     pts = np.asarray(pts, dtype=float)
     if pts.size == 0:
@@ -354,6 +360,8 @@ def hull_membership_gap(points: np.ndarray, p: np.ndarray) -> float:
     which lower-bounds the Euclidean distance to the hull.  It shares no
     code with Qhull, so it is the reference for the hull routines.
     """
+    from scipy.optimize import linprog
+
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     p = np.asarray(p, dtype=float)
     k, d = pts.shape
@@ -370,7 +378,7 @@ def hull_membership_gap(points: np.ndarray, p: np.ndarray) -> float:
     b_ub[d:] = -p
     a_eq = np.zeros((1, k + 1))
     a_eq[0, :k] = 1.0
-    res = scipy.optimize.linprog(
+    res = linprog(
         cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
         bounds=[(0, None)] * k + [(0, None)], method="highs",
     )

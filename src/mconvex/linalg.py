@@ -17,7 +17,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NonHermitianInput, NotCommuting, TooLarge
 
@@ -146,9 +145,11 @@ def psd_part(v: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> bool:
-    """Every matrix of the stack ``m`` is Hermitian relative to the largest entry."""
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    return float(np.abs(m - _adjoint(m)).max(initial=0.0)) <= rtol * scale
+    """Every matrix of the stack ``m`` is Hermitian within ``rtol`` times its
+    own largest entry, at any scale: a zero matrix passes."""
+    axes = (-2, -1)
+    dev = np.abs(m - _adjoint(m)).max(axis=axes, initial=0.0)
+    return bool((dev <= rtol * np.abs(m).max(axis=axes, initial=0.0)).all())
 
 
 def pencil_stack(mats: Sequence[np.ndarray], dirs: np.ndarray) -> np.ndarray:
@@ -347,9 +348,10 @@ class OperatorTuple:
     """A d-tuple of n-by-n complex matrices.
 
     ``hermitian`` asserts that every entry equals its adjoint within
-    relative tolerance ``1e-12`` of its largest entry (or of 1); entries
-    are symmetrized on construction when the flag is set.  ``stack`` holds
-    the entries as one (d, n, n) array, and ``mats`` are its rows.
+    relative tolerance ``1e-12`` of its own largest entry, at any scale
+    (``is_hermitian``); entries are symmetrized on construction when the
+    flag is set.  ``stack`` holds the entries as one (d, n, n) array, and
+    ``mats`` are its rows.
     """
 
     mats: tuple[np.ndarray, ...]
@@ -369,9 +371,7 @@ class OperatorTuple:
         if not np.isfinite(stack).all():
             raise DimensionMismatch("matrix contains non-finite entries")
         if self.hermitian:
-            scale = np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), 1.0)
-            dev = np.abs(stack - _adjoint(stack)).max(axis=(1, 2), initial=0.0)
-            if not (dev <= HERM_RTOL * scale).all():
+            if not is_hermitian(stack):
                 raise NonHermitianInput(
                     "hermitian flag set but an entry is not Hermitian"
                 )
@@ -408,8 +408,12 @@ def direct_sum(*tuples: OperatorTuple) -> OperatorTuple:
     d = tuples[0].d
     if any(t.d != d for t in tuples):
         raise DimensionMismatch("direct sum requires equal tuple lengths")
-    mats = [scipy.linalg.block_diag(*(t.mats[j] for t in tuples)) for j in range(d)]
-    return OperatorTuple(mats, all(t.hermitian for t in tuples))
+    n = sum(t.n for t in tuples)
+    stack, at = np.zeros((d, n, n), dtype=complex), 0
+    for t in tuples:
+        stack[:, at:at + t.n, at:at + t.n] = t.stack
+        at += t.n
+    return OperatorTuple(stack, all(t.hermitian for t in tuples))
 
 
 def _intertwiner_system(t1: OperatorTuple, t2: OperatorTuple) -> np.ndarray:
@@ -495,10 +499,13 @@ def _simdiag(entries, name) -> tuple[np.ndarray, np.ndarray]:
     full size.  A diagonal stack then has the basis
     ``I``.  Otherwise, partition refinement: diagonalize the first
     matrix, split the basis into eigenvalue clusters (gap
-    ``SIMDIAG_GAP_RTOL`` times the matrix scale), then diagonalize each
-    next matrix inside every cluster; a matrix with off-diagonal mass
-    above ``1e-7`` times its scale in the refined basis (a near
-    degenerate spectrum) is refused too."""
+    ``SIMDIAG_GAP_RTOL`` times the stack's largest entry), then
+    diagonalize each next matrix inside every cluster; a matrix with
+    off-diagonal mass above ``1e-7`` times the stack's largest entry in
+    the refined basis (a near degenerate spectrum) is refused too.  Both
+    thresholds scale with the stack, so an answer does not depend on its
+    scale, and not with each matrix, so a row of rounding noise (the
+    skew part of a Hermitian entry) splits no cluster."""
     n = entries.shape[-1]
     parts = entries.copy()
     diag = parts.reshape(*parts.shape[:2], n * n)[..., :: n + 1]  # a view
@@ -522,8 +529,8 @@ def _simdiag(entries, name) -> tuple[np.ndarray, np.ndarray]:
         return eye.astype(complex), np.diagonal(stack, axis1=1, axis2=2).real.T.copy()
     u = np.eye(n, dtype=complex)
     blocks = [(0, n)]
+    scale = float(top.max())
     for m in stack:
-        scale = max(1.0, float(np.abs(m).max(initial=0.0)))
         refined: list[tuple[int, int]] = []
         for lo, hi in blocks:
             if hi - lo == 1:
@@ -544,7 +551,6 @@ def _simdiag(entries, name) -> tuple[np.ndarray, np.ndarray]:
         t = u.conj().T @ m @ u
         values[:, j] = np.real(np.diag(t))
         off = t - np.diag(np.diag(t))
-        scale = max(1.0, float(np.abs(t).max(initial=0.0)))
         if float(np.abs(off).max(initial=0.0)) > 1e-7 * scale:
             raise NotCommuting(
                 f"{name(j)} is not diagonal in the joint eigenbasis "

@@ -22,8 +22,6 @@ import math
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import zgees
 
 from .errors import (
     DimensionMismatch,
@@ -463,6 +461,8 @@ def _disc_member(K: Disc, a: OperatorTuple, tol: float) -> MembershipResult:
     u = np.empty((2 * n, 2 * n), dtype=complex)
     u[:n, :n], u[n:, n:] = t, -t.conj().T
     u[:n, n:], u[n:, :n] = (w * defect) @ w.conj().T, (vh.conj().T * defect) @ vh
+    from scipy.linalg.lapack import zgees
+
     # scipy.linalg.schur's LAPACK calls without its checks; the residual
     # below checks the Schur form, so LAPACK's status is not read
     lwork = zgees(lambda x: None, u, lwork=-1)[-2][0].real.astype(np.int_)
@@ -742,10 +742,12 @@ def _disc_theta(K: Disc, a: OperatorTuple, start: float) -> tuple:
     top generalized eigenvalue of ``(A, B)``.  The upper end, that raised
     by a relative 1e-12, is certified by ``_disc_member``'s dilation, or
     else is ``start``."""
+    from scipy.linalg import eigh
+
     t, c = a.mats[0] + 1j * a.mats[1], complex(*K.center)
     off = np.kron([[0.0, 1.0], [0.0, 0.0]], t)
     metric = np.kron([[K.radius, -c], [-c.conjugate(), K.radius]], np.eye(a.n))
-    alpha = float(scipy.linalg.eigh(-off - off.conj().T, metric, eigvals_only=True)[-1])
+    alpha = float(eigh(-off - off.conj().T, metric, eigvals_only=True)[-1])
     hi = max(1.0, alpha * (1.0 + 1e-12))
     if _disc_member(K, a.scaled(1.0 / hi), MEMBER_TOL).status is not MembershipStatus.IN:
         hi = start

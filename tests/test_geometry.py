@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings, strategies as st
 
 from mconvex._jsonio import decode_body
@@ -195,8 +196,8 @@ def test_polytopes_decoded_from_one_vertex_list_share_one_hull(monkeypatch):
         runs.append(args)
         return hull(*args, **kwargs)
 
-    hull = geometry.ConvexHull
-    monkeypatch.setattr(geometry, "ConvexHull", counted)
+    hull = scipy.spatial.ConvexHull
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counted)
     geometry._polytope_hull.cache_clear()
     doc = {"type": "polytope",
            "vertices": [[1.5, 0.25], [-0.75, 1.0], [-0.5, -1.25], [0.125, 0.0]]}

@@ -14,6 +14,7 @@ from mconvex.linalg import (
     direct_sum,
     herm_eigvalsh,
     herm_part,
+    is_hermitian,
     numerical_radius,
     op_norm,
     pencil_stack,
@@ -354,6 +355,31 @@ def test_operator_tuple_validation():
         OperatorTuple((X, np.eye(3, dtype=complex)), hermitian=True)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_a_non_hermitian_entry_is_refused_at_any_scale(scale):
+    # against max(1, |m|), 1e-12 N passed and was symmetrized to 5e-13 X;
+    # each entry is tested at its own scale, also beside a larger one
+    n = scale * np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert not is_hermitian(n)
+    for mats in ((n,), (X, n)):
+        with pytest.raises(NonHermitianInput):
+            OperatorTuple(mats, hermitian=True)
+
+
+def test_zero_entries_are_hermitian():
+    zero = np.zeros((2, 2))
+    assert is_hermitian(zero) and is_hermitian(np.zeros((0, 0)))
+    t = OperatorTuple((zero, X), hermitian=True)
+    assert np.array_equal(t.stack[0], zero)
+
+
+def test_exactly_hermitian_entries_pass_at_1e_300():
+    mats = (1e-300 * X, 1e-300 * np.array([[1.0, -2j], [2j, 0.0]]))
+    assert is_hermitian(np.array(mats))
+    t = OperatorTuple(mats, hermitian=True)
+    assert all(np.array_equal(g, w) for g, w in zip(t.mats, mats))
+
+
 def test_complex_views_are_accepted():
     # m.T and m.conj().T are views whose last axis is not contiguous
     m = np.array([[1.0 + 2.0j, 0.5j], [0.0, -1.0 + 0.25j]])
@@ -609,6 +635,17 @@ def test_simdiag_rejects_a_non_commuting_pair_at_any_scale(scale):
     # accepted the pair at scale <= 1e-7
     with pytest.raises(NotCommuting, match="matrix 0 and matrix 1 do not commute"):
         simdiag_hermitian([scale * X, scale * Z])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9])
+def test_simdiag_refuses_a_near_degenerate_pair_at_every_scale(scale):
+    # the eigenvalues 0.3 and 0.3 + 3e-9 of A split apart, and B is not
+    # diagonal in that basis; against max(1, |m|), the gap was too small
+    # to split below scale 1, and the pair was accepted at 1e-3 and less
+    a = 0.3 * scale * np.diag([1.0, 1.0 + 1e-8, -2.0 - 1e-8])
+    b = 0.3 * scale * np.array([[0, 0.01, 0], [0.01, 0, 0], [0, 0, 1]])
+    with pytest.raises(NotCommuting, match="not diagonal in the joint eigenbasis"):
+        simdiag_hermitian([a, b])
 
 
 def _conjugates(*diagonals):

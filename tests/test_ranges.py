@@ -10,11 +10,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.spatial
 from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import zgees
 
 from conftest import count_traffic, profile_max, range_sdp
-import mconvex.geometry as geometry
 import mconvex.linalg as linalg
 import mconvex.ranges as ranges
 import mconvex.sdp as sdp
@@ -366,9 +366,9 @@ class TestKmin:
         t = OperatorTuple(tuple(np.diag(x).astype(complex) for x in diags), hermitian=True)
         cube = Box(-np.ones(3), np.ones(3))
         calls = []
-        hull = geometry.ConvexHull
+        hull = scipy.spatial.ConvexHull
         monkeypatch.setattr(
-            geometry, "ConvexHull", lambda *a, **k: calls.append(1) or hull(*a, **k)
+            scipy.spatial, "ConvexHull", lambda *a, **k: calls.append(1) or hull(*a, **k)
         )
         res = kmin_member(Polytope(box_vertices(cube)), t)
         assert len(calls) == 1
@@ -696,9 +696,9 @@ class TestThetaCompiledOnce:
         # the kmax precheck and the inradius bound share one facet list,
         # built from vertices that cannot change under it
         calls = []
-        hull = geometry.ConvexHull
+        hull = scipy.spatial.ConvexHull
         monkeypatch.setattr(
-            geometry, "ConvexHull", lambda *a, **k: calls.append(1) or hull(*a, **k)
+            scipy.spatial, "ConvexHull", lambda *a, **k: calls.append(1) or hull(*a, **k)
         )
         square = Polytope(SQUARE.vertices.copy())
         est = theta_min_alpha(square, pauli(), tol=0.02)
@@ -1887,9 +1887,9 @@ def test_interior_points_of_a_polytope_pose_no_block(traffic):
 def test_a_sampled_body_clips_its_facet_list_once(monkeypatch):
     # two kmin queries and a theta bracket pose one vertex list
     calls = []
-    clip = geometry.HalfspaceIntersection
+    clip = scipy.spatial.HalfspaceIntersection
     monkeypatch.setattr(
-        geometry, "HalfspaceIntersection",
+        scipy.spatial, "HalfspaceIntersection",
         lambda *a, **k: calls.append(1) or clip(*a, **k),
     )
     body = Sampled(SQUARE_SAMPLED.directions, SQUARE_SAMPLED.support_values)
@@ -1907,9 +1907,9 @@ def test_choili_builds_its_square_once(monkeypatch):
     assert acceptance.SQUARE is ranges.SQUARE
     choi_li_equiv_check(0.3 * X)
     calls = []
-    hull = geometry.ConvexHull
+    hull = scipy.spatial.ConvexHull
     monkeypatch.setattr(
-        geometry, "ConvexHull", lambda *a, **k: calls.append(1) or hull(*a, **k)
+        scipy.spatial, "ConvexHull", lambda *a, **k: calls.append(1) or hull(*a, **k)
     )
     report = choi_li_equiv_check(np.array([[1.2, 0.1], [0.0, -0.3]]))
     assert report["square_min"].status is MembershipStatus.OUT
