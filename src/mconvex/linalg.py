@@ -125,7 +125,9 @@ def psd_part(v: np.ndarray) -> np.ndarray:
     when both vanish), one formula without branches: ``H`` itself when
     it is PSD, 0 when it is negative semidefinite, and ``hi u u*`` for
     the top eigenvector ``u`` in between.  The result is Hermitian to
-    the bit.  Other sizes clip LAPACK's ``eigh`` and reconstruct.
+    the bit.  Other sizes clip LAPACK's ``eigh`` and rebuild ``V
+    max(L, 0) V*`` as one batched matrix product (a GEMM, not an
+    unblocked loop) of ``V max(L, 0)`` by ``V*``.
     """
     if v.shape[-1] == 2:
         b, lo, hi = _spectrum2(v)
@@ -140,8 +142,8 @@ def psd_part(v: np.ndarray) -> np.ndarray:
         out[..., 0, 1] = np.conj(wb)
         return out
     vals, vecs = np.linalg.eigh(herm_part(v))
-    vals = np.maximum(vals, 0.0)
-    return np.einsum("nik,nk,njk->nij", vecs, vals, vecs.conj())
+    clipped = vecs * np.maximum(vals, 0.0)[..., None, :]
+    return np.matmul(clipped, vecs.conj().swapaxes(-1, -2))
 
 
 def is_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> bool:

@@ -72,7 +72,7 @@ MEMBER_TOL = 1e-7
 #: the least recently used dropped first
 CACHED_OPERATORS = 16
 
-#: directions of ucp's support scan in the plane
+#: directions of ucp's support scan in the plane, in antipodal pairs
 SCAN_DIRECTIONS = 64
 
 #: copies of the Choi variable a range solve holds at once: the
@@ -189,13 +189,25 @@ def _statuses(violation: float, tol: float) -> MembershipStatus:
 # ---------------------------------------------------------------------------
 
 
+def _pencil_tops(mats, dirs: np.ndarray) -> np.ndarray:
+    """``lambda_max(sum_j c_j mats_j)`` for each row c of ``dirs``, from
+    one ``eigvalsh`` over their ``pencil_stack``.  On ucp's ring
+    (``_scan_directions``: rows ``[half; -half]``, each pair exactly
+    antipodal) the ``eigvalsh`` runs over the half alone, and the top
+    eigenvalue at ``-c`` is read as ``-lambda_min`` at c."""
+    if dirs is not _scan_directions(dirs.shape[1]):
+        return np.linalg.eigvalsh(pencil_stack(mats, dirs))[:, -1]
+    vals = np.linalg.eigvalsh(pencil_stack(mats, dirs[:len(dirs) // 2]))
+    return np.concatenate([vals[:, -1], -vals[:, 0]])
+
+
 def _support_gaps(
     dirs: np.ndarray, offsets: np.ndarray, a: OperatorTuple
 ) -> tuple[float, int, dict]:
     """Worst violation of ``lambda_max(sum c_j a_j) <= offset`` over the
-    rows c of ``dirs``, from one ``eigvalsh`` over their ``pencil_stack``,
-    the row it is at, and a trace."""
-    gaps = np.linalg.eigvalsh(pencil_stack(a.mats, dirs))[:, -1] - offsets
+    rows c of ``dirs``, from ``_pencil_tops`` (one ``eigvalsh``, over
+    half of ucp's antipodal ring), the row it is at, and a trace."""
+    gaps = _pencil_tops(a.mats, dirs) - offsets
     k = int(np.argmax(gaps))
     return float(gaps[k]), k, {"direction": dirs[k], "gaps": gaps}
 
@@ -284,12 +296,15 @@ def _range_rows(
     return stack, at_a[posed], at_c[posed], np.concatenate([[True], posed])
 
 
-def _range_operator(stack: np.ndarray, n: int) -> _Compiled:
+def _range_operator(
+    stack: np.ndarray, n: int, rhs: np.ndarray | None = None
+) -> _Compiled:
     """The Choi operator of ``_range_rows``' ``stack`` at level ``n``: one
-    block of size k n per summand, compiled at a zero rhs, which every
-    solve re-poses."""
+    block of size k n per summand, compiled at the (rows, n, n) ``rhs``,
+    or at a zero rhs, which every solve re-poses."""
     rows, count, k, _ = stack.shape
-    return _Compiled((k * n,) * count, [stack], np.zeros((rows, n, n)))
+    rhs = np.zeros((rows, n, n)) if rhs is None else rhs
+    return _Compiled((k * n,) * count, [stack], rhs)
 
 
 @functools.lru_cache(maxsize=CACHED_OPERATORS)
@@ -311,9 +326,12 @@ def _range_solver(
     A vertex set's operator (1 x 1 summands: kmin, theta, and ucp over a
     scalar tuple) comes from ``_vertex_operator``, shared by every query
     on it; the Choi operator of a matrix tuple (ucp) is compiled on every
-    call.  The query holds the Douglas-Rachford iterate: its first solve
-    starts from zero, so no query's answer depends on the queries before
-    it, and each later one from where the solve before it stopped.
+    call, at the query's own rhs (f = alpha = 1), so its first
+    ``solve(1.0)`` runs on it with no ``with_rhs``: one rhs set per
+    compile.  The query holds the Douglas-Rachford iterate: its first
+    solve starts from zero, so no query's answer depends on the queries
+    before it, and each later one from where the solve before it
+    stopped.
 
     Returns ``solve(f, alpha=1)``, which poses the unit row as I and the
     tuple rows at the point ``c + f (a / alpha - c)``, ``(f / alpha)
@@ -326,11 +344,13 @@ def _range_solver(
     """
     stack, at_a, at_c, _ = rows
     n = at_a.shape[-1]
+    unit, z, key, posed = np.eye(n)[None], None, None, None
     if stack.shape[2] == 1:
         comp = _vertex_operator(stack.tobytes(), stack.shape, n)
     else:
-        comp = _range_operator(stack, n)
-    unit, z, key, posed = np.eye(n)[None], None, None, None
+        # the rhs of solve(1.0), to the last bit (see below)
+        comp = _range_operator(stack, n, np.concatenate([unit, at_a]))
+        key, posed = (1.0, 1.0), comp
 
     def solve(f: float, alpha: float = 1.0) -> Verdict:
         nonlocal z, key, posed
@@ -764,12 +784,17 @@ def _disc_theta(K: Disc, a: OperatorTuple, start: float) -> tuple:
 def _scan_directions(d: int) -> np.ndarray | None:
     """ucp's scan directions, read-only: ``SCAN_DIRECTIONS`` equally
     spaced angles in the plane, +-1 on the line, and None (no scan) in
-    d > 2, which no benchmark workload poses."""
+    d > 2, which no benchmark workload poses.  The ring is ``[half;
+    -half]``: the first half of the angles (just 1 on the line), then
+    those directions negated, so each pair is antipodal to the bit and
+    ``_pencil_tops`` reads both tops of a pair from one spectrum."""
     if d > 2:
         return None
-    angles = 2.0 * np.pi * np.arange(SCAN_DIRECTIONS) / SCAN_DIRECTIONS
-    ring = np.column_stack([np.cos(angles), np.sin(angles)])
-    dirs = ring if d == 2 else np.array([[1.0], [-1.0]])
+    half = np.ones((1, 1))
+    if d == 2:
+        angles = 2.0 * np.pi * np.arange(SCAN_DIRECTIONS // 2) / SCAN_DIRECTIONS
+        half = np.column_stack([np.cos(angles), np.sin(angles)])
+    dirs = np.concatenate([half, -half])
     dirs.flags.writeable = False
     return dirs
 
@@ -807,7 +832,7 @@ def ucp_member(
     rows = _range_rows(x.stack[None], a, center)
     eps = 10.0 * tol
     if (dirs := _scan_directions(x.d)) is not None:
-        h = np.linalg.eigvalsh(pencil_stack(x.mats, dirs))[:, -1]
+        h = _pencil_tops(x.mats, dirs)
         if (sep := _support_cut(rows, a, center, dirs, h, 1.0 - eps, tol)):
             detail = "outside the relaxed maximal set of the range's first level"
             return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)

@@ -437,6 +437,45 @@ def _separator(
     return Separator(dual=dual, margin=margin, psd_slack=max(mx, 0.0))
 
 
+def _shift_bound(comp: _Compiled, y: np.ndarray, s: np.ndarray, beta: float) -> float:
+    """An upper bound, before any eigensolve, on the margin that an
+    identity shift can give the unit candidate ``y`` of pencil ``s`` and
+    margin ``beta = Re<b, y>`` in ``_certificate_from_dual``: -inf when
+    the operator has no ``identity_combo`` c, and +inf (no bound) when a
+    shift could nearly cancel ``y``, where rounding moves its margin.
+
+    With ``gamma = Re<b, c>``, ``rho = Re<y, c>`` and ``kappa = ||c||^2``,
+    the shift t by c gives the margin ``m(t) = (beta - t gamma) / sqrt(1
+    - 2 t rho + t^2 kappa)``.  The shift is at least ``t0 = max(delta,
+    0)``, ``delta`` the largest diagonal entry of the pencil, a lower
+    bound on its top eigenvalue.  ``m'`` has the sign of ``(beta rho -
+    gamma) + t (gamma rho - beta kappa)``, linear in t, so ``m`` over ``t
+    >= t0`` is at most the largest of ``m(t0)``, ``m(tc)`` at the root
+    ``tc`` when it lies past t0 and m rises before it, and the limit
+    ``-gamma / sqrt(kappa)``."""
+    c = comp.identity_combo
+    if c is None:
+        return -math.inf
+    gamma, rho = float(np.vdot(comp.b, c).real), float(np.vdot(y, c).real)
+    kappa = float(np.vdot(c, c).real)
+    delta = max(float(g.diagonal(0, 1, 2).real.max()) for g in comp.views(s))
+    t0 = max(delta, 0.0)
+
+    def q(t: float) -> float:
+        return 1.0 - 2.0 * t * rho + t * t * kappa
+
+    # ||y - t c||^2 is least at rho / kappa: below 1e-6 on t >= t0, the
+    # shifted margin is left to the full test
+    if q(max(t0, rho / kappa)) < 1e-6:
+        return math.inf
+    bound = max((beta - t0 * gamma) / math.sqrt(q(t0)), -gamma / math.sqrt(kappa))
+    if (rise := beta * kappa - gamma * rho) > 0.0:
+        tc = (beta * rho - gamma) / rise
+        if tc > t0:
+            bound = max(bound, (beta - tc * gamma) / math.sqrt(q(tc)))
+    return bound
+
+
 def _certificate_from_dual(
     comp: _Compiled, coeffs: np.ndarray, tol: float
 ) -> Separator | None:
@@ -448,13 +487,22 @@ def _certificate_from_dual(
     lies in the normal cone at ``y``, so its pencil is negative
     semidefinite and its margin is ``||x - y||^2 > 0``; ``_iterate``
     also prices one, found on the projected rhs of the band, on its own
-    rhs."""
+    rhs.
+
+    A candidate whose margin, unshifted or under any identity shift
+    (``_shift_bound``), stays below ``10 tol - 1e-9 ||b||`` (``||b||``
+    bounds every unit dual's margin, so the slack is relative) is refused
+    before its pencil's eigensolve: the full test would refuse it too."""
     nrm = float(np.linalg.norm(coeffs))
     if nrm <= 1e-14:
         return None
     y = coeffs / nrm
     s = comp._pencil(y, np.empty(comp.length, dtype=complex))
-    mx = comp.eig_bounds(comp.views(s))[1]
+    beta = float(np.vdot(comp.b, y).real)
+    floor = 10.0 * tol - 1e-9 * float(np.linalg.norm(comp.b))
+    if beta < floor and _shift_bound(comp, y, s, beta) < floor:
+        return None
+    mx, margin = comp.eig_bounds(comp.views(s))[1], beta
     if mx > 0 and comp.identity_combo is not None:
         shift = mx + 1e-13 * max(1.0, float(np.abs(s).max()))
         y = y - shift * comp.identity_combo
@@ -462,11 +510,11 @@ def _certificate_from_dual(
         if nrm <= 1e-14:
             return None
         y = y / nrm
+        margin = float(np.vdot(comp.b, y).real)
         # short of the margin it fails whatever its pencil: skip the pencil
-        if float(np.vdot(comp.b, y).real) < 10.0 * tol:
+        if margin < 10.0 * tol:
             return None
         mx = comp.eig_bounds(comp.views(comp._pencil(y, s)))[1]
-    margin = float(np.vdot(comp.b, y).real)
     dual = y / comp.norms[:, None, None]
     return _separator(dual, mx, float(np.abs(s).max()), margin, tol)
 

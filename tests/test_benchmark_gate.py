@@ -58,7 +58,7 @@ THETA = {
     "pauli-square": (1.4142093197403263, 1.4192093197403262, 2),
     "nilpotent-disc": (1.9999980000000002, 2.000000000002, 1),
     "n2-square": (1.3654929666469666, 1.3704929666469665, 6),
-    "n3-square": (1.3934091825079906, 1.3984091825079905, 7),
+    "n3-square": (1.3934091825080128, 1.3984091825080127, 7),
     "n2-disc": (1.4472104455713721, 1.4472118927847122, 1),
 }
 
@@ -109,6 +109,46 @@ def test_round_zero_ucp_outs_compile_nothing(traffic):
             "Out", "outside the relaxed maximal set of the range's first level"
         )
     assert counts.compiles == 0
+
+
+def test_round_zero_ucp_pays_only_the_eigensolves_that_can_answer(monkeypatch):
+    # ucp reads both tops of an antipodal scan pair from one spectrum, so
+    # its two scans, over x and over a, hand eigvalsh 32 pencils each:
+    # 12 queries, 768 pencils (1536 with the full ring); and a candidate
+    # dual that no identity shift lifts to 10 tol is refused before its
+    # pencil's eigensolve: none of the round's 9 failed tries reaches one
+    scans, scanned, solved, tries = [], [0], [0], []
+    pencils, eigvalsh = ranges.pencil_stack, np.linalg.eigvalsh
+    spectra, certify = sdp.herm_eigvalsh, sdp._certificate_from_dual
+
+    def recorded(mats, dirs):
+        scans.append(pencils(mats, dirs))
+        return scans[-1]
+
+    def counted(a, *args, **kwargs):
+        scanned[0] += len(a) if any(a is p for p in scans) else 0
+        return eigvalsh(a, *args, **kwargs)
+
+    def solves(v):
+        solved[0] += 1
+        return spectra(v)
+
+    def tried(comp, coeffs, tol):
+        before = solved[0]
+        sep = certify(comp, coeffs, tol)
+        tries.append((sep is None, solved[0] > before))
+        return sep
+
+    monkeypatch.setattr(ranges, "pencil_stack", recorded)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(sdp, "herm_eigvalsh", solves)
+    monkeypatch.setattr(sdp, "_certificate_from_dual", tried)
+    for q in workloads.make_round("ucp-probes", 1, 0):
+        scans.clear()
+        cli.execute(cli.JobSpec(q.job["command"], q.job["inputs"], q.job["options"]))
+    assert scanned[0] == 768
+    failed = [reached for refused, reached in tries if refused]
+    assert (len(tries), len(failed), sum(failed)) == (9, 9, 0)
 
 
 def test_round_zero_disc_ins_are_dilations_on_the_circle(traffic):

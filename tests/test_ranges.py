@@ -2098,6 +2098,38 @@ def test_a_range_operator_is_the_compile_of_its_reference_problem(xs, a, zero_ro
     assert np.array_equal(posed.b_lsq, reference.b_lsq)
 
 
+@pytest.mark.parametrize("push", [0.9, 1.5])
+def test_a_choi_query_is_compiled_at_its_own_rhs(push, monkeypatch):
+    # the Choi operator of a matrix tuple is compiled at the query's rhs,
+    # so its first solve re-poses nothing, and it answers as the zero-rhs
+    # compile re-posed at the query does, to the bit: an In (a pulled-in
+    # compressed ampliation) and an Out (the same point pushed out)
+    rng = np.random.default_rng(40)
+    x = OperatorTuple(tuple(random_hermitian(3, rng) for _ in range(2)), hermitian=True)
+    g = np.linalg.qr(rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))[0]
+    a = OperatorTuple(tuple(
+        push * (g.conj().T @ np.kron(m, np.eye(2)) @ g) for m in x.mats
+    ), hermitian=True)
+    center = np.trace(x.stack, axis1=1, axis2=2) / x.n
+    rows = ranges._range_rows(x.stack[None], a, center)
+    shared = _shared_operators(monkeypatch)
+    verdict = ranges._range_solver(rows, ranges.MEMBER_TOL, 2000)[0](1.0)
+    assert shared == []
+    monkeypatch.undo()
+    rhs = np.concatenate([np.eye(a.n)[None], rows[1]])
+    posed = ranges._range_operator(rows[0], a.n).with_rhs(rhs)
+    again, _ = posed.solve(ranges._sdp_tol(ranges.MEMBER_TOL), 2000)
+    assert verdict.status is (Status.FEASIBLE if push < 1.0 else Status.INFEASIBLE)
+    assert (again.status, again.iterations, again.residual) == (
+        verdict.status, verdict.iterations, verdict.residual
+    )
+    if verdict.blocks is not None:
+        assert again.blocks[0].tobytes() == verdict.blocks[0].tobytes()
+    else:
+        assert again.separator.dual.tobytes() == verdict.separator.dual.tobytes()
+        assert again.separator.margin == verdict.separator.margin
+
+
 def test_the_direct_compile_is_priced_against_the_budget(monkeypatch):
     # ucp of (X, Z) at a 1 x 1 point: its Choi variable fits in 600
     # bytes, but the four copies of its 3 x 1 x 2 x 2 compiled
@@ -2300,6 +2332,37 @@ def test_a_ucp_scan_out_never_meets_a_feasible_choi_solve(seed, exponent):
     # the member is never cut off, and a point lifted by 1e-3 of the width
     # or more always is
     assert not cut[0] and (cut[1] or exponent < -3.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_the_halved_ring_scan_matches_the_full_scan(m, d, monkeypatch):
+    # ucp's ring is [half; -half], antipodal to the bit, and its tops come
+    # from one eigvalsh over the half, lambda_max at -c read as -lambda_min
+    # at c: within 8 eps max|pencil| of a full LAPACK scan at every
+    # direction, from 1e-150 to 1e150, with no warning
+    dirs = ranges._scan_directions(d)
+    half = len(dirs) // 2
+    assert dirs.shape == ((ranges.SCAN_DIRECTIONS, 2) if d == 2 else (2, 1))
+    assert np.array_equal(dirs[half:], -dirs[:half])
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    rng = np.random.default_rng(10 * m + d)
+    for scale in (1e-150, 1e-50, 1e-8, 1.0, 1e8, 1e50, 1e150):
+        x = OperatorTuple(
+            tuple(scale * random_hermitian(m, rng) for _ in range(d)), hermitian=True
+        )
+        pencils = pencil_stack(x.mats, dirs)
+        full = eigvalsh(pencils)[:, -1]
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tops = ranges._pencil_tops(x.mats, dirs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        bound = 8.0 * np.finfo(float).eps * np.abs(pencils).max(axis=(1, 2))
+        assert (np.abs(tops - full) <= bound).all()
+    assert calls == [half] * 7
 
 
 class TestUcp:

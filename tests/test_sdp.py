@@ -1,12 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from conftest import range_sdp
 from mconvex.errors import BadProblem, NoCertificate
-from mconvex import ranges
+from mconvex import ranges, sdp
 from mconvex.linalg import (
     OperatorTuple,
     compressed_ampliation,
@@ -668,3 +670,136 @@ def test_the_flat_step_is_the_two_projection_step_to_the_bit(kind):
         ref = _two_projection_step(comp, ref)
         assert z.tobytes() == np.concatenate([g.ravel() for g in ref]).tobytes()
     assert np.abs(z).max() > 1e-3
+
+
+#: the regular hexagon on the unit circle
+HEXAGON = np.column_stack([np.cos(np.pi * np.arange(6) / 3), np.sin(np.pi * np.arange(6) / 3)])
+
+
+def _refusal_operator(kind: str, seed: int) -> _Compiled:
+    """A seeded operator for ``_certificate_from_dual``'s early refusal:
+    kmin over the square or the hexagon at n = 2-4, a ucp Choi operator
+    at m, n <= 4 (a in the range or not), or a compiled problem of two
+    block sizes.  Posed at its own rhs, or, for odd seeds, at its
+    negation, where the unit row reads -I and an identity shift gains
+    margin instead of losing it."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    if kind == "blocks":
+        cons = [AffineConstraint([np.eye(3), np.eye(2)], np.eye(n))]
+        cons += [
+            AffineConstraint([random_hermitian(3, rng), random_hermitian(2, rng)],
+                             0.3 * random_hermitian(n, rng))
+            for _ in range(2)
+        ]
+        rhs = np.array([c.rhs for c in cons])
+        comp = _compile(SdpFeasibility(5 * n, tuple(cons), block_sizes=(3 * n, 2 * n)))
+    else:
+        if kind == "ucp":
+            m, n = 2 + seed % 3, 1 + (seed // 3) % 4
+            x = OperatorTuple(tuple(random_hermitian(m, rng) for _ in range(2)), True)
+            a = compressed_ampliation(x, n, rng) if seed % 4 < 2 else OperatorTuple(
+                tuple(random_hermitian(n, rng) for _ in range(2)), True
+            )
+            xs, center = x.stack[None], np.trace(x.stack, axis1=1, axis2=2) / m
+        else:
+            mats = [rng.uniform(0.2, 0.8) * random_hermitian(n, rng) for _ in range(2)]
+            a = OperatorTuple(tuple(mats), True)
+            verts = SQUARE if kind == "square" else HEXAGON
+            xs, center = verts[:, :, None, None], np.zeros(2)
+        stack, at_a, _, _ = _range_rows(xs, a, center)
+        rhs = np.concatenate([np.eye(n)[None], at_a])
+        comp = ranges._range_operator(stack, n, rhs)
+    return comp.with_rhs(-rhs) if seed % 2 else comp
+
+
+def _refusal_candidates(comp: _Compiled, seed: int) -> tuple[list, list]:
+    """Candidate duals for ``comp``: the Douglas-Rachford gap duals (and
+    affine residues) a budget of 120 iterations tries, seeded Gaussian
+    stacks and the identity combination c in both signs; and, apart,
+    each separator found plus 0.05, 0.5 and 2 c / ||c||, which the
+    identity shift takes back off."""
+    tried, certify = [], sdp._certificate_from_dual
+
+    def spied(comp, coeffs, tol):
+        tried.append(coeffs.copy())
+        return certify(comp, coeffs, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "_certificate_from_dual", spied)
+        comp.solve(1e-7, 120)
+    rng = np.random.default_rng(seed)
+    c = comp.identity_combo
+    found = [certify(comp, y, 1e-7) for y in tried]
+    seps = [s.dual * comp.norms[:, None, None] for s in found if s is not None]
+    shifted = [y + t * c / np.linalg.norm(c) for y in seps for t in (0.05, 0.5, 2.0)]
+    shape = comp.b.shape
+    noise = [herm_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+             for _ in range(4)]
+    return tried + noise + [c, -c], shifted
+
+
+def _early_refusals_agree(kind: str, seed: int) -> tuple[int, int]:
+    """Assert that every candidate of ``_refusal_candidates`` gets the same
+    answer from ``_certificate_from_dual`` with the early refusal as
+    without it (``_shift_bound`` made +inf): None, or a ``Separator``
+    equal field by field to the bit.  Each is tried at tol 1e-7 and, when
+    the full test certifies it with some margin M, at the tols that put
+    10 tol a relative 1e-7 either side of M, where a bound that misses
+    the shift the full test takes would refuse it.  Returns how many
+    tries were refused before any eigensolve, and how many the shift
+    rescued (certified with ``Re<b, y> < 10 tol`` for the unit y)."""
+    comp = _refusal_operator(kind, seed)
+    plain, shifted = _refusal_candidates(comp, seed)
+    eigensolves, refused, rescued = [0], 0, 0
+    spectra = sdp.herm_eigvalsh
+
+    def counted(v):
+        eigensolves[0] += 1
+        return spectra(v)
+
+    def answers(coeffs, tol):
+        # with the early refusal, whether it took an eigensolve, without
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdp, "herm_eigvalsh", counted)
+            before = eigensolves[0]
+            early = sdp._certificate_from_dual(comp, coeffs, tol)
+            solved = eigensolves[0] > before
+            mp.setattr(sdp, "_shift_bound", lambda *args: math.inf)
+            return early, solved, sdp._certificate_from_dual(comp, coeffs, tol)
+
+    for coeffs in plain + shifted:
+        tols = [1e-7]
+        if (sep := answers(coeffs, 1e-300)[2]) is not None:
+            tols += [0.1 * sep.margin * (1.0 + r) for r in (-1e-7, 1e-7)]
+        beta = float(np.vdot(comp.b, coeffs / np.linalg.norm(coeffs)).real)
+        for tol in tols:
+            early, solved, full = answers(coeffs, tol)
+            refused += early is None and not solved
+            assert (early is None) == (full is None)
+            if full is not None:
+                assert early.dual.tobytes() == full.dual.tobytes()
+                assert (early.margin, early.psd_slack) == (full.margin, full.psd_slack)
+                rescued += beta < 10.0 * tol
+    return refused, rescued
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["square", "hexagon", "ucp", "blocks"]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_an_early_refusal_is_a_refusal_of_the_full_test(kind, seed):
+    # the refusal before the eigensolve rests on a bound of the margin
+    # over every identity shift: it may only drop a candidate that the
+    # full test drops too, and leaves every certificate to the bit
+    _early_refusals_agree(kind, seed)
+
+
+@pytest.mark.parametrize("kind", ["square", "hexagon", "ucp", "blocks"])
+def test_the_early_refusal_fires_and_keeps_the_shifted_separators(kind):
+    # over seeds 0-7 of each kind, the refusal drops candidates before
+    # their eigensolve, and separators moved along the identity
+    # combination are still certified after the shift
+    refused, rescued = np.sum([_early_refusals_agree(kind, seed) for seed in range(8)], 0)
+    assert refused > 0 and rescued > 0
