@@ -147,7 +147,7 @@ def decode_diagonal(doc):
 def _members(obj) -> dict | None:
     """The string-keyed members of ``obj`` if it is written as a JSON object,
     else None: an operator tuple in its wire format, other dataclasses by
-    field, which is a diagonal tuple's wire format."""
+    field, the wire format of a diagonal tuple and of each certificate."""
     if isinstance(obj, dict):
         return {str(k): v for k, v in obj.items()}
     if not hasattr(type(obj), "__dataclass_fields__"):

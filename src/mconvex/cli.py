@@ -89,6 +89,7 @@ def _membership_payload(res) -> dict:
     payload = {
         "status": res.status.value,
         "margin": res.margin,
+        "path": res.path.value,
         "detail": res.detail,
         "has_unknown": res.status.value == "Unknown",
     }

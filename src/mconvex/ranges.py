@@ -102,19 +102,81 @@ class MembershipStatus(enum.Enum):
     UNKNOWN = "Unknown"
 
 
+IN, OUT, BOUNDARY, UNKNOWN = MembershipStatus
+
+
+class Path(enum.Enum):
+    """The rung of a membership query that answered it."""
+
+    SINGLETON = "singleton"
+    JOINT_SPECTRUM = "joint-spectrum"
+    SUPPORT_SCAN = "support-scan"
+    DISC_DILATION = "disc-dilation"
+    DISC_CUT = "disc-cut"
+    CIRCLE_SUPPORT = "circle-support"
+    SDP = "sdp"
+
+
+@dataclasses.dataclass(frozen=True)
+class Decomposition:
+    """Positive ``h_j`` summing to I with ``sum_j vertices[j, l] h_j = a_l``."""
+
+    h: list | np.ndarray
+    vertices: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class ChoiWitness:
+    """The Choi matrix of a ucp map onto the query: an In of ucp."""
+
+    choi: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class JointSpectrum:
+    """A commuting tuple's joint eigenvalues and its joint eigenbasis."""
+
+    joint_points: np.ndarray
+    unitary: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class SupportRecord:
+    """A support scan's gaps ``lambda_max(sum c_j a_j) - offset``; its worst row."""
+
+    direction: np.ndarray
+    gaps: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class CircleBracket:
+    """Both ends of a numerical radius bracket."""
+
+    radius: float
+    upper: float
+
+
+@dataclasses.dataclass(frozen=True)
+class SingletonPoint:
+    """The one point of a body."""
+
+    point: np.ndarray
+
+
 @dataclasses.dataclass(frozen=True)
 class MembershipResult:
-    """Answer to a membership query.
+    """Answer to a membership query, and the ``path`` it took.
 
     ``margin`` measures the strength of the certificate, not a Euclidean
     distance: for In it is the witness slack (smallest eigenvalue of the
     verified decomposition, the support-inequality slack, or a disc
-    dilation's ``r - ||T||``), for Out the
-    verified separation, for Boundary the bracketing half-width.
+    dilation's ``r - ||T||``), for Out the verified separation, for
+    Boundary the bracketing half-width.  ``detail`` is prose for people.
     """
 
     status: MembershipStatus
     margin: float
+    path: Path
     certificate: object = None
     detail: str = ""
 
@@ -178,10 +240,10 @@ def _sdp_tol(tol: float) -> float:
 def _statuses(violation: float, tol: float) -> MembershipStatus:
     """In / Out / Boundary from a signed support violation."""
     if violation <= tol:
-        return MembershipStatus.IN
+        return IN
     if violation > 10.0 * tol:
-        return MembershipStatus.OUT
-    return MembershipStatus.BOUNDARY
+        return OUT
+    return BOUNDARY
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +265,13 @@ def _pencil_tops(mats, dirs: np.ndarray) -> np.ndarray:
 
 def _support_gaps(
     dirs: np.ndarray, offsets: np.ndarray, a: OperatorTuple
-) -> tuple[float, int, dict]:
+) -> tuple[float, int, SupportRecord]:
     """Worst violation of ``lambda_max(sum c_j a_j) <= offset`` over the
     rows c of ``dirs``, from ``_pencil_tops`` (one ``eigvalsh``, over
-    half of ucp's antipodal ring), the row it is at, and a trace."""
+    half of ucp's antipodal ring), the row it is at, and the record."""
     gaps = _pencil_tops(a.mats, dirs) - offsets
     k = int(np.argmax(gaps))
-    return float(gaps[k]), k, {"direction": dirs[k], "gaps": gaps}
+    return float(gaps[k]), k, SupportRecord(dirs[k], gaps)
 
 
 def kmax_member(
@@ -233,7 +295,7 @@ def kmax_member(
         m = _recentered(K, a)
         return _radius_member(lambda k: circle_support(0.0, m, k)[:2], K.radius, tol)
     viol, _, cert = _support_gaps(*halfplanes(K), a)
-    return MembershipResult(_statuses(viol, tol), abs(viol), cert)
+    return MembershipResult(_statuses(viol, tol), abs(viol), Path.SUPPORT_SCAN, cert)
 
 
 def _recentered(K: Disc, a: OperatorTuple) -> np.ndarray:
@@ -247,8 +309,8 @@ def _radius_member(bracket: Callable, radius: float, tol: float) -> MembershipRe
     lower end of a numerical radius ``bracket(kernel tol)`` against
     ``radius``, with the statuses of a support gap and both ends kept."""
     w, up = bracket(min(tol * 1e-2, 1e-9))
-    cert = {"radius": w, "upper": up}
-    return MembershipResult(_statuses(w - radius, tol), abs(w - radius), cert)
+    gap, cert = w - radius, CircleBracket(w, up)
+    return MembershipResult(_statuses(gap, tol), abs(gap), Path.CIRCLE_SUPPORT, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -415,23 +477,24 @@ def _support_cut(
 # ---------------------------------------------------------------------------
 
 
-def _joint_spectrum(a: OperatorTuple) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ``(u, values)`` of ``_simdiag`` on the tuple's stack (``u = I``
-    for a diagonal tuple), or None when it refuses the tuple: a failed
-    commutator test or a near degenerate spectrum."""
+def _joint_spectrum(a: OperatorTuple) -> JointSpectrum | None:
+    """The joint points and eigenbasis ``u`` of ``_simdiag`` on the tuple's
+    stack (``u = I`` for a diagonal tuple), or None when it refuses the
+    tuple: a failed commutator test or a near degenerate spectrum."""
     try:
-        return _simdiag(a.stack[:, None], "entry {}".format)
+        u, values = _simdiag(a.stack[:, None], "entry {}".format)
     except NotCommuting:
         return None
+    return JointSpectrum(values, u)
 
 
-def _singleton_point(K: ConvexBody) -> np.ndarray | None:
+def _singleton_point(K: ConvexBody) -> SingletonPoint | None:
     if isinstance(K, Polytope) and (K.vertices == K.vertices[0]).all():
-        return K.vertices[0].copy()
+        return SingletonPoint(K.vertices[0].copy())
     if isinstance(K, Box) and (K.lo == K.hi).all():
-        return K.lo.copy()
+        return SingletonPoint(K.lo.copy())
     if isinstance(K, Disc) and K.radius == 0.0:
-        return K.center.copy()
+        return SingletonPoint(K.center.copy())
     return None
 
 
@@ -473,10 +536,10 @@ def _disc_member(K: Disc, a: OperatorTuple, tol: float) -> MembershipResult:
     if s[0] > 1.0 + 10.0 * tol:
         sep, _ = _disc_cut(K, a, w, vh)
         detail = "separated from the disc by the top singular pair of T"
-        return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
+        return MembershipResult(OUT, sep.margin, Path.DISC_CUT, sep, detail)
     if s[0] > 1.0:
         detail = "outside the disc, inside it dilated by 1 + 10 tol"
-        return MembershipResult(MembershipStatus.BOUNDARY, 10.0 * tol, None, detail)
+        return MembershipResult(BOUNDARY, 10.0 * tol, Path.DISC_CUT, None, detail)
     defect = np.sqrt((1.0 - s) * (1.0 + s))
     u = np.empty((2 * n, 2 * n), dtype=complex)
     u[:n, :n], u[n:, n:] = t, -t.conj().T
@@ -494,12 +557,11 @@ def _disc_member(K: Disc, a: OperatorTuple, tol: float) -> MembershipResult:
                 np.abs(np.einsum("k,kij->ij", lam, h) - t).max())
     if not resid <= WITNESS_RESIDUAL:
         detail = f"the unitary dilation misses its equations by {resid:.2e}"
-        return MembershipResult(MembershipStatus.UNKNOWN, 0.0, None, detail)
-    verts = K.center + K.radius * lam.view(float).reshape(-1, 2)
+        return MembershipResult(UNKNOWN, 0.0, Path.DISC_DILATION, None, detail)
+    cert = Decomposition(h, K.center + K.radius * lam.view(float).reshape(-1, 2))
     detail = "decomposed on the circle by a unitary dilation"
-    cert = {"h": h, "vertices": verts}
     margin = K.radius * (1.0 - float(s[0]))
-    return MembershipResult(MembershipStatus.IN, margin, cert, detail)
+    return MembershipResult(IN, margin, Path.DISC_DILATION, cert, detail)
 
 
 def _vertex_sets(K: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
@@ -528,7 +590,7 @@ def _bracket(
     < 1 the relaxed set, and ``push`` > 1, if given, a harder point.
 
     1. Feasible at f = 1 is In: ``accept`` makes the certificate, the
-       least eigenvalue of the blocks is the margin.
+       least eigenvalue of the blocks (``Verdict.min_eig``) the margin.
     2. An Infeasible separator, priced at ``pull`` by ``terms``, that
        clears ``10 _sdp_tol(tol)`` there is Out with no second solve; one
        that falls short is Out unless a solve at ``pull`` is Feasible,
@@ -538,31 +600,29 @@ def _bracket(
        point.  Then one solve at ``pull``: Infeasible is Out, Feasible
        Boundary, else Unknown.
 
-    Every Boundary has the margin ``10 tol``.
+    Every answer's path is ``Path.SDP``, every Boundary's margin ``10 tol``.
     """
-    band = 10.0 * tol
+    band, sdp = 10.0 * tol, Path.SDP
     verdict = solve(1.0)
     if verdict.status is Status.FEASIBLE:
-        slack = float(herm_eigvalsh(np.stack(verdict.blocks))[:, 0].min())
-        return MembershipResult(MembershipStatus.IN, max(slack, 0.0), accept(verdict))
+        return MembershipResult(IN, max(verdict.min_eig, 0.0), sdp, accept(verdict))
     if (sep := verdict.separator) is not None:
         c0, c1 = terms(sep, pull)
         if c0 + c1 >= 10.0 * _sdp_tol(tol) or solve(pull).status is not Status.FEASIBLE:
-            return MembershipResult(MembershipStatus.OUT, sep.margin, sep)
+            return MembershipResult(OUT, sep.margin, sdp, sep)
         detail = "outside at scale 1, inside at scale 1 + 10 tol"
-        return MembershipResult(MembershipStatus.BOUNDARY, band, sep, detail)
+        return MembershipResult(BOUNDARY, band, sdp, sep, detail)
     if push is not None and (pushed := solve(push)).status is Status.FEASIBLE:
         detail = "resolved by outward bracketing"
-        return MembershipResult(MembershipStatus.IN, band, accept(pushed), detail)
+        return MembershipResult(IN, band, sdp, accept(pushed), detail)
     outer = solve(pull)
     if outer.status is Status.INFEASIBLE:
         sep, detail = outer.separator, "resolved on the relaxed set"
-        return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
+        return MembershipResult(OUT, sep.margin, sdp, sep, detail)
     if outer.status is Status.FEASIBLE:
         detail = "undecided at scale 1, inside the relaxed set"
-        return MembershipResult(MembershipStatus.BOUNDARY, band, None, detail)
-    detail = "neither certificate closes"
-    return MembershipResult(MembershipStatus.UNKNOWN, 0.0, None, detail)
+        return MembershipResult(BOUNDARY, band, sdp, None, detail)
+    return MembershipResult(UNKNOWN, 0.0, sdp, None, "neither certificate closes")
 
 
 def kmin_member(
@@ -582,12 +642,12 @@ def kmin_member(
     and ``_bracket`` decides; its relaxed set, the body dilated about its
     center c by ``1 + 10 tol``, is the rhs at ``c + (a - c) / s``.  Before
     anything is compiled, a point outside the relaxed body's maximal set
-    is Out, with the detail "outside the relaxed body's maximal set", from
-    one support line of the body's facet normals (``_support_cut``).
+    is Out on the path ``Path.SUPPORT_SCAN``, from one support line of the
+    body's facet normals (``_support_cut``).
     Raises ``ValueError`` unless ``tol`` is positive and finite and
     ``max_iter`` nonnegative.
 
-    In answers carry the decomposition ``h_j`` on its ``vertices``, Out
+    In answers carry the ``Decomposition`` ``h_j`` on its ``vertices``, Out
     answers the verified separating functional, priced on the query.
     """
     _require_tol(tol)
@@ -597,17 +657,16 @@ def kmin_member(
     if K.dim != a.d:
         raise DimensionMismatch(f"body dim {K.dim} != tuple length {a.d}")
 
-    if (point := _singleton_point(K)) is not None:
+    if (cert := _singleton_point(K)) is not None:
         eye = np.eye(a.n)
-        dev = max(op_norm(m - lam * eye) for m, lam in zip(a.mats, point))
-        return MembershipResult(_statuses(dev, tol), dev, {"point": point})
+        dev = max(op_norm(m - lam * eye) for m, lam in zip(a.mats, cert.point))
+        return MembershipResult(_statuses(dev, tol), dev, Path.SINGLETON, cert)
 
-    if (spectrum := _joint_spectrum(a)) is not None:
-        u, values = spectrum
-        viol = point_gap(K, values)
+    if (cert := _joint_spectrum(a)) is not None:
+        viol = point_gap(K, cert.joint_points)
         detail = "commuting tuple: decided through the joint spectrum"
-        cert = {"joint_points": values, "unitary": u}
-        return MembershipResult(_statuses(viol, tol), abs(viol), cert, detail)
+        status = _statuses(viol, tol)
+        return MembershipResult(status, abs(viol), Path.JOINT_SPECTRUM, cert, detail)
 
     if isinstance(K, Disc):
         return _disc_member(K, a, tol)
@@ -619,11 +678,9 @@ def kmin_member(
     h = (verts @ dirs.T).max(axis=0)
     if (sep := _support_cut(rows, a, center, dirs, h, pull, tol)) is not None:
         detail = "outside the relaxed body's maximal set"
-        return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
+        return MembershipResult(OUT, sep.margin, Path.SUPPORT_SCAN, sep, detail)
     solve, terms = _range_solver(rows, tol, max_iter)
-    return _bracket(
-        solve, terms, tol, pull, lambda v: {"h": v.blocks, "vertices": verts}
-    )
+    return _bracket(solve, terms, tol, pull, lambda v: Decomposition(v.blocks, verts))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +748,7 @@ def theta_min_alpha(
     """
     _require_tol(tol)
     pre = kmax_member(K, a)
-    if pre.status not in (MembershipStatus.IN, MembershipStatus.BOUNDARY):
+    if pre.status not in (IN, BOUNDARY):
         raise NotInKmax(
             f"tuple is not a maximal-set point of the body "
             f"(status {pre.status.value}, margin {pre.margin:.3e})"
@@ -769,7 +826,7 @@ def _disc_theta(K: Disc, a: OperatorTuple, start: float) -> tuple:
     metric = np.kron([[K.radius, -c], [-c.conjugate(), K.radius]], np.eye(a.n))
     alpha = float(eigh(-off - off.conj().T, metric, eigvals_only=True)[-1])
     hi = max(1.0, alpha * (1.0 + 1e-12))
-    if _disc_member(K, a.scaled(1.0 / hi), MEMBER_TOL).status is not MembershipStatus.IN:
+    if _disc_member(K, a.scaled(1.0 / hi), MEMBER_TOL).status is not IN:
         hi = start
     w, _, vh = np.linalg.svd(_recentered(K, a.scaled(1.0 / alpha)))
     return hi, *_disc_cut(K, a, w, vh)
@@ -835,10 +892,10 @@ def ucp_member(
         h = _pencil_tops(x.mats, dirs)
         if (sep := _support_cut(rows, a, center, dirs, h, 1.0 - eps, tol)):
             detail = "outside the relaxed maximal set of the range's first level"
-            return MembershipResult(MembershipStatus.OUT, sep.margin, sep, detail)
+            return MembershipResult(OUT, sep.margin, Path.SUPPORT_SCAN, sep, detail)
     solve, terms = _range_solver(rows, tol, max_iter)
     return _bracket(
-        solve, terms, tol, 1.0 - eps, lambda v: {"choi": v.blocks[0]}, push=1.0 + eps
+        solve, terms, tol, 1.0 - eps, lambda v: ChoiWitness(v.blocks[0]), push=1.0 + eps
     )
 
 
@@ -1008,13 +1065,12 @@ def choi_li_equiv_check(y, tol: float = 1e-6) -> dict:
     tup = OperatorTuple((herm_part(a), skew_part(a)), hermitian=True)
     square_min = kmin_member(SQUARE, tup, tol=tol)
     disc_max = _radius_member(lambda k: _transform_radius(a, k), 1.0, tol)
-    decisive = {MembershipStatus.IN, MembershipStatus.OUT}
-    excluded = not {square_min.status, disc_max.status} <= decisive
+    excluded = not {square_min.status, disc_max.status} <= {IN, OUT}
     consistent = excluded or square_min.status is disc_max.status
     return {
         "square_min": square_min,
         "disc_max": disc_max,
-        "radius": disc_max.certificate["radius"],
+        "radius": disc_max.certificate.radius,
         "consistent": consistent,
         "excluded": excluded,
         "calibration": dict(_calibration()),

@@ -61,7 +61,7 @@ WITNESS_RESIDUAL = 1e-7
 ZERO_ROW_NORM = 1e-14
 
 #: relative deviation from Hermitian allowed in coefficients and rhs
-HERM_RTOL = 1e-10
+COEFF_HERM_RTOL = 1e-10
 
 #: the default iteration budget of a solve (``solve_feasibility``, and
 #: each decomposition or Choi SDP solve of ``ranges``)
@@ -146,13 +146,15 @@ class Separator:
 @dataclasses.dataclass(frozen=True)
 class Verdict:
     """A solve's answer.  ``blocks`` are the diagonal blocks of a Feasible
-    witness in declared order (``verify_witness`` re-checks them)."""
+    witness in declared order (``verify_witness`` re-checks them), and
+    ``min_eig`` their least eigenvalue (0.0 with no constraint)."""
 
     status: Status
     blocks: list[np.ndarray] | None
     separator: Separator | None
     iterations: int
     residual: float
+    min_eig: float | None
 
 
 def _groups(sizes: Sequence[int]) -> list[tuple[int, list[int]]]:
@@ -211,7 +213,7 @@ def _compile(problem: SdpFeasibility) -> _Compiled:
             )
         if not np.all(np.isfinite(t)):
             raise BadProblem(f"a coefficient block of size {s} is not finite")
-        if not is_hermitian(t, HERM_RTOL):
+        if not is_hermitian(t, COEFF_HERM_RTOL):
             raise BadProblem(f"a coefficient block of size {s} is not Hermitian")
         tensors.append(t)
     rhs = np.array([c.rhs for c in cons], dtype=complex).reshape(len(cons), n, n)
@@ -310,7 +312,7 @@ class _Compiled:
         finite = np.isfinite(rhs).all(axis=(1, 2))
         if not finite.all():
             raise BadProblem(f"constraint {int(np.argmin(finite))} rhs is not finite")
-        if not is_hermitian(rhs, HERM_RTOL):
+        if not is_hermitian(rhs, COEFF_HERM_RTOL):
             raise BadProblem("a right-hand side is not Hermitian")
         self.b = herm_part(rhs) / self.norms[:, None, None]
         self.b_lsq = (self.gram_pinv @ self.b.reshape(m, n * n)).reshape(m, n, n)
@@ -341,7 +343,7 @@ class _Compiled:
         """Run the certified iteration from the iterate ``z`` (zero when
         None); returns the verdict and the iterate to start the next solve
         from.  One DEBUG line per solve."""
-        status, v, sep, it, resid, z = _iterate(self, tol, max_iter, z)
+        status, v, sep, it, resid, low, z = _iterate(self, tol, max_iter, z)
         if _LOG.isEnabledFor(logging.DEBUG):
             _LOG.debug(
                 "sdp solve: %s after %d iterations, residual %.3e, "
@@ -349,7 +351,7 @@ class _Compiled:
                 status.value, it, resid, self.m, self.n, len(self.block_sizes),
             )
         blocks = None if v is None else self.blocks([herm_part(vg) for vg in v])
-        return Verdict(status, blocks, sep, it, resid), z
+        return Verdict(status, blocks, sep, it, resid, low), z
 
     # --- variable helpers (variables are lists of (count, s, s) arrays,
     # views into one flat array where the iteration builds them) ---
@@ -519,19 +521,20 @@ def _certificate_from_dual(
     return _separator(dual, mx, float(np.abs(s).max()), margin, tol)
 
 
-def _witness_ok(comp: _Compiled, v: list[np.ndarray]) -> tuple[bool, float]:
+def _witness_ok(comp: _Compiled, v: list[np.ndarray]) -> tuple[bool, float, float]:
     resid = comp.residual(v)
-    ok = resid <= WITNESS_RESIDUAL and comp.eig_bounds(v)[0] >= WITNESS_MIN_EIG
-    return ok, resid
+    low = comp.eig_bounds(v)[0] if resid <= WITNESS_RESIDUAL else -math.inf
+    return low >= WITNESS_MIN_EIG, resid, low
 
 
 def _iterate(
     comp: _Compiled, tol: float, max_iter: int, z: np.ndarray | None
-) -> tuple[Status, list | None, Separator | None, int, float, np.ndarray | None]:
+) -> tuple[Status, list | None, Separator | None, int, float, float | None,
+           np.ndarray | None]:
     """Decide a compiled problem from the Douglas-Rachford iterate ``z``.
     Returns the status, the witness as a group variable, the separator,
-    the iteration count, the residual and the iterate to start from next
-    (``z`` itself when nothing iterated).
+    the iteration count, the residual, the witness's least eigenvalue and
+    the iterate to start from next (``z`` itself when nothing iterated).
 
     First, at 0 iterations, the residue of the rhs against the range of
     the Gram: a separator of an inconsistent affine system.  A zero row
@@ -549,7 +552,7 @@ def _iterate(
     ``z`` (``_douglas_rachford``).
     """
     if comp.m == 0:
-        return Status.FEASIBLE, comp.zero(), None, 0, 0.0, z
+        return Status.FEASIBLE, comp.zero(), None, 0, 0.0, 0.0, z
     # the residue of b against range(Gram) has a zero pencil and margin
     # ||res_b||, and depends on b alone, so it is tried once
     res_b = comp.b - (comp.gram @ comp.b_lsq.reshape(comp.m, -1)).reshape(comp.b.shape)
@@ -557,26 +560,26 @@ def _iterate(
     if res_norm > 1e-13:
         sep = _certificate_from_dual(comp, res_b, tol)
         if sep is not None:
-            return Status.INFEASIBLE, None, sep, 0, res_norm, z
+            return Status.INFEASIBLE, None, sep, 0, res_norm, None, z
         zero_rhs = float(np.abs(comp.b[comp.zero_rows]).max(initial=0.0))
         floor = math.sqrt(res_b.size) * WITNESS_RESIDUAL
         if res_norm > floor or zero_rhs > WITNESS_RESIDUAL:
             # in the band: the projected rhs decides
             inner = comp.with_rhs((comp.b - res_b) * comp.norms[:, None, None])
-            status, _, sep, it, _, z = _iterate(inner, tol, max_iter, z)
+            status, _, sep, it, _, _, z = _iterate(inner, tol, max_iter, z)
             if status is Status.INFEASIBLE:
                 y = (sep.dual * comp.norms[:, None, None]).reshape(comp.m, -1)
                 in_range = (comp.gram @ (comp.gram_pinv @ y)).reshape(res_b.shape)
                 sep = _certificate_from_dual(comp, in_range, tol)
                 if sep is not None:
-                    return Status.INFEASIBLE, None, sep, it, res_norm, z
-            return Status.UNKNOWN, None, None, it, res_norm, z
+                    return Status.INFEASIBLE, None, sep, it, res_norm, None, z
+            return Status.UNKNOWN, None, None, it, res_norm, None, z
     return _douglas_rachford(comp, tol, max_iter, z)
 
 
 def _douglas_rachford(
     comp: _Compiled, tol: float, max_iter: int, z: np.ndarray | None
-) -> tuple[Status, list | None, Separator | None, int, float, np.ndarray]:
+) -> tuple[Status, list | None, Separator | None, int, float, float | None, np.ndarray]:
     """Douglas-Rachford from the iterate ``z`` (zero when None), which it
     only reads.  Every ``CHECK_EVERY`` iterations and at the last,
     ``_witness_ok`` checks the affine-exact iterate, then the cone-exact
@@ -606,16 +609,16 @@ def _douglas_rachford(
 
         # the affine-exact candidate, then the cone-exact one
         for cand in (xs, ys):
-            ok, resid = _witness_ok(comp, cand)
+            ok, resid, low = _witness_ok(comp, cand)
             if ok:
-                return Status.FEASIBLE, cand, None, it, resid, z
+                return Status.FEASIBLE, cand, None, it, resid, low, z
         best_resid = min(best_resid, resid)
         gap = x - y
         if it == max_iter or float(np.abs(gap).max()) > tol:
             sep = _certificate_from_dual(comp, comp.lsq_dual(comp.views(gap)), tol)
             if sep is not None:
-                return Status.INFEASIBLE, None, sep, it, best_resid, z
-    return Status.UNKNOWN, None, None, it, best_resid, z
+                return Status.INFEASIBLE, None, sep, it, best_resid, None, z
+    return Status.UNKNOWN, None, None, it, best_resid, None, z
 
 
 def solve_feasibility(

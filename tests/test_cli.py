@@ -428,7 +428,7 @@ class TestExitCodes:
 
     def test_strict_unknown_is_70(self, tmp_path, capsys, monkeypatch):
         def fake_ucp(x, a, tol=1e-7, max_iter=50000):
-            return MembershipResult(MembershipStatus.UNKNOWN, 0.0)
+            return MembershipResult(MembershipStatus.UNKNOWN, 0.0, ranges.Path.SDP)
 
         monkeypatch.setattr(cli, "ucp_member", fake_ucp)
         x = write(
@@ -448,7 +448,7 @@ class TestExitCodes:
         def fake_ucp(x, a, tol=1e-7, max_iter=50000):
             status = MembershipStatus.IN if calls else MembershipStatus.UNKNOWN
             calls.append(status)
-            return MembershipResult(status, 0.0)
+            return MembershipResult(status, 0.0, ranges.Path.SDP)
 
         monkeypatch.setattr(ranges, "ucp_member", fake_ucp)
         t = write(tmp_path / "t.json", pauli_tuple())
@@ -977,3 +977,83 @@ def test_member_disc_report_is_compact():
     assert rep["status"] == "In"
     assert np.shape(rep["certificate"]["h"]) == (8, 4, 4, 2)
     assert len(text.splitlines()) < 50
+
+
+
+UNIT_DISC_BODY = {"type": "disc", "center": [0.0, 0.0], "radius": 1.0}
+
+
+def nilpotent_tuple(s):
+    """(s X / 2, s Y / 2): T = a_1 + i a_2 is s [[0, 1], [0, 0]]."""
+    h = 0.5 * s
+    return {"hermitian": True, "mats": [
+        [[0.0, h], [h, 0.0]], [[0.0, [0.0, -h]], [[0.0, h], 0.0]],
+    ]}
+
+
+SEPARATOR_KEYS = {"dual", "margin", "psd_slack"}
+#: one member job per rung, and more for the support scan and the SDP:
+#: (kind, inputs, status, path, the certificate's keys)
+RUNGS = {
+    "one-vertex-polytope": (
+        "kmin",
+        {"tuple": {"mats": [[[0.5, 0.0], [0.0, 0.5]], [[-0.5, 0.0], [0.0, -0.5]]]},
+         "body": {"type": "polytope", "vertices": [[0.5, -0.5]]}},
+        "In", "singleton", {"point"},
+    ),
+    "commuting-pair": (
+        "kmin", {"tuple": {"mats": [[[1.0, 0.0], [0.0, -1.0]]] * 2},
+                 "body": SQUARE_BODY},
+        "In", "joint-spectrum", {"joint_points", "unitary"},
+    ),
+    "kmin-past-a-support-line": (
+        "kmin",
+        {"tuple": {"mats": [[[0.1, 1.2], [1.2, 0.1]], [[0.5, 0.0], [0.0, -0.5]]]},
+         "body": SQUARE_BODY},
+        "Out", "support-scan", SEPARATOR_KEYS,
+    ),
+    "kmax-over-the-square": (
+        "kmax", {"tuple": pauli_tuple(1.5), "body": SQUARE_BODY},
+        "Out", "support-scan", {"direction", "gaps"},
+    ),
+    "ucp-past-a-support-line": (
+        "ucp", {"tuple": pauli_tuple(1.2), "range_of": pauli_tuple()},
+        "Out", "support-scan", SEPARATOR_KEYS,
+    ),
+    "disc-in": (
+        "kmin", {"tuple": nilpotent_tuple(0.9), "body": UNIT_DISC_BODY},
+        "In", "disc-dilation", {"h", "vertices"},
+    ),
+    "disc-out": (
+        "kmin", {"tuple": nilpotent_tuple(1.1), "body": UNIT_DISC_BODY},
+        "Out", "disc-cut", SEPARATOR_KEYS,
+    ),
+    "kmax-over-a-disc": (
+        "kmax", {"tuple": pauli_tuple(0.5), "body": UNIT_DISC_BODY},
+        "In", "circle-support", {"radius", "upper"},
+    ),
+    "sdp-in-over-the-square": (
+        "kmin", {"tuple": pauli_tuple(0.6), "body": SQUARE_BODY},
+        "In", "sdp", {"h", "vertices"},
+    ),
+    "ucp-sdp-in": (
+        "ucp", {"tuple": pauli_tuple(0.3), "range_of": pauli_tuple()},
+        "In", "sdp", {"choi"},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, inputs, status, path, keys", RUNGS.values(), ids=list(RUNGS)
+)
+def test_a_member_report_names_its_rung_and_certificate(
+    kind, inputs, status, path, keys
+):
+    report, code = cli.execute(cli.JobSpec("member", {"kind": kind, **inputs}, {}))
+    rep = _strict_loads(_dumped(report))
+    assert (code, rep["status"], rep["path"]) == (0, status, path)
+    assert set(rep["certificate"]) == keys
+
+
+def test_the_rung_jobs_reach_every_path():
+    assert {path for *_, path, _ in RUNGS.values()} == {p.value for p in ranges.Path}

@@ -128,8 +128,8 @@ class TestNormalTuple:
         corners = [[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]]
         cert = kmin_member(Polytope(np.array(corners)), a).certificate
         t = NormalTuple(a)
-        assert t.column_values.tobytes() == cert["joint_points"].tobytes()
-        assert t.unitary.tobytes() == cert["unitary"].tobytes()
+        assert t.column_values.tobytes() == cert.joint_points.tobytes()
+        assert t.unitary.tobytes() == cert.unitary.tobytes()
 
     def test_a_diagonal_tuple_keeps_its_listed_order(self):
         # the identity basis, as kmin's certificate has it; the columns

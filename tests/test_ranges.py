@@ -52,7 +52,9 @@ from mconvex.linalg import (
     skew_part,
 )
 from mconvex.ranges import (
+    Decomposition,
     MembershipStatus,
+    Path,
     calibrate_choi_li,
     choi_li_equiv_check,
     choi_li_transform,
@@ -235,7 +237,7 @@ def test_polytope_agrees_with_its_halfplanes(poly, seed):
         want, got = kmax_member(poly, a), kmax_member(sampled, a)
         assert want.status is got.status
         np.testing.assert_allclose(
-            got.certificate["gaps"], want.certificate["gaps"], rtol=0, atol=1e-12
+            got.certificate.gaps, want.certificate.gaps, rtol=0, atol=1e-12
         )
     # points about the vertex mean, so that some of them fall inside
     center = poly.vertices.mean(axis=0)
@@ -264,7 +266,7 @@ class TestKmin:
     def test_square_boundary_point(self):
         res = kmin_member(SQUARE, pauli(1.0 / ROOT2))
         assert res.status is MembershipStatus.IN
-        h = res.certificate["h"]
+        h = res.certificate.h
         assert len(h) == 4
         total = sum(h)
         np.testing.assert_allclose(total, np.eye(2), atol=1e-7)
@@ -283,7 +285,7 @@ class TestKmin:
         t = OperatorTuple((Z, Z), hermitian=True)
         res = kmin_member(SQUARE, t)
         assert res.status is MembershipStatus.IN
-        assert "joint spectrum" in res.detail
+        assert res.path is Path.JOINT_SPECTRUM
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-7])
     def test_a_small_non_commuting_pair_goes_through_the_sdp(self, scale):
@@ -291,8 +293,8 @@ class TestKmin:
         # to the entries' sizes
         res = kmin_member(SQUARE, pauli(scale))
         assert res.status is MembershipStatus.IN
-        assert "joint spectrum" not in res.detail
-        assert len(res.certificate["h"]) == 4
+        assert res.path is Path.SDP
+        assert len(res.certificate.h) == 4
 
     def test_a_large_commuting_pair_keeps_the_joint_spectrum(self):
         # conjugated diagonals at 1e6: the commutator is rounding, about
@@ -306,7 +308,7 @@ class TestKmin:
         )
         res = kmin_member(SQUARE, OperatorTuple(mats, hermitian=True))
         assert res.status is MembershipStatus.OUT
-        assert "joint spectrum" in res.detail
+        assert res.path is Path.JOINT_SPECTRUM
 
     @pytest.mark.parametrize("e", [3e-7, 5e-7, 1e-6, 3e-6])
     @pytest.mark.parametrize("body", [SQUARE, UNIT_DISC], ids=["square", "disc"])
@@ -318,7 +320,7 @@ class TestKmin:
         a = OperatorTuple((0.5 * eye + e * X, -0.5 * eye + e * Z), hermitian=True)
         res = kmin_member(body, a)
         assert res.status is MembershipStatus.IN
-        assert "joint spectrum" not in res.detail
+        assert res.path is (Path.SDP if body is SQUARE else Path.DISC_DILATION)
 
     def test_a_near_degenerate_pair_the_eigenbasis_refuses_is_posed(
         self, traffic
@@ -334,7 +336,7 @@ class TestKmin:
         ), hermitian=True)
         res = kmin_member(SQUARE, a)
         assert res.status is MembershipStatus.IN
-        assert len(res.certificate["h"]) == 4
+        assert len(res.certificate.h) == 4
         counts = traffic()
         est = theta_min_alpha(SQUARE, a)
         assert (est.lower, est.upper) == (1.0, 1.0)
@@ -395,16 +397,16 @@ class TestKmin:
         inside = nilpotent_pair().scaled(0.45)
         res = kmin_member(UNIT_DISC, inside)
         assert res.status is MembershipStatus.IN
-        assert res.detail == "decomposed on the circle by a unitary dilation"
+        assert res.path is Path.DISC_DILATION
         assert res.margin == pytest.approx(0.1, abs=1e-15)
-        assert np.shape(res.certificate["h"]) == (4, 2, 2)
-        assert np.linalg.norm(res.certificate["vertices"], axis=1) == pytest.approx(1.0)
+        assert np.shape(res.certificate.h) == (4, 2, 2)
+        assert np.linalg.norm(res.certificate.vertices, axis=1) == pytest.approx(1.0)
         # ||T|| = 1.1: Out, separated with the margin ||T|| - 1 by the
         # dual of the top singular pair, whose pencil is NSD on the disc
         outside = nilpotent_pair().scaled(0.55)
         res = kmin_member(UNIT_DISC, outside)
         assert res.status is MembershipStatus.OUT
-        assert res.detail == "separated from the disc by the top singular pair of T"
+        assert res.path is Path.DISC_CUT
         assert res.margin == res.certificate.margin == pytest.approx(0.1, abs=1e-15)
         assert _circle_pencil_max(UNIT_DISC, res.certificate.dual) <= 1e-12
         # ||T|| = 1 + 5e-7, inside the disc dilated by 1 + 10 tol: Boundary
@@ -413,13 +415,19 @@ class TestKmin:
             MembershipStatus.BOUNDARY, 1e-6, None
         )
 
-    def test_an_sdp_in_margin_is_the_least_block_eigenvalue(self):
+    def test_an_sdp_in_margin_is_the_least_block_eigenvalue(self, monkeypatch):
+        # the solve's witness check took it (Verdict.min_eig); the ladder
+        # computes no spectrum of its own
+        calls = []
+        monkeypatch.setattr(ranges, "herm_eigvalsh", calls.append)
         res = kmin_member(SQUARE, pauli(0.6))
-        assert res.status is MembershipStatus.IN
+        assert ucp_member(pauli(), pauli(0.3)).status is MembershipStatus.IN
+        monkeypatch.undo()
+        assert res.status is MembershipStatus.IN and calls == []
         # the margin is the smallest eigenvalue of the blocks h_j, from the
         # library's spectrum helper (closed form at n = 2), and LAPACK's
         # agrees to rounding
-        h = np.stack(res.certificate["h"])
+        h = np.stack(res.certificate.h)
         assert res.margin == max(float(herm_eigvalsh(h)[:, 0].min()), 0.0)
         slack = min(float(np.linalg.eigvalsh(hj)[0]) for hj in h)
         assert res.margin == pytest.approx(max(slack, 0.0), rel=0, abs=1e-15)
@@ -510,7 +518,7 @@ class TestKmin:
         a = OperatorTuple((0.5 * X, 0.3 * Z), hermitian=True)
         res = kmin_member(segment, a)
         assert res.status is MembershipStatus.OUT
-        assert res.detail == "outside the relaxed body's maximal set"
+        assert res.path is Path.SUPPORT_SCAN
         assert res.margin == pytest.approx(0.3, rel=1e-9)
         _check_separator(_kmin_problem(segment.vertices, a.mats), res.certificate)
         # a_2 = 1e-9 Z is met to within the witness residual
@@ -533,13 +541,13 @@ class TestKmin:
         a = pauli(scale / ROOT2)
         res = kmin_member(SQUARE, a, tol=1e-3)
         assert res.status is MembershipStatus.BOUNDARY
-        assert res.detail == "outside at scale 1, inside at scale 1 + 10 tol"
+        assert res.path is Path.SDP
         assert res.margin == pytest.approx(0.01)
         sep = res.certificate
         assert isinstance(sep, Separator)
         report = dual_witness(
             _kmin_problem(SQUARE.vertices, a.mats),
-            Verdict(Status.INFEASIBLE, None, sep, 0, 0.0),
+            Verdict(Status.INFEASIBLE, None, sep, 0, 0.0, None),
         )
         assert report["margin"] > 0
         assert report["margin_gap"] <= 1e-9
@@ -663,13 +671,12 @@ def _shared_operators(monkeypatch) -> list:
 
 
 def _bits(result: ranges.MembershipResult) -> tuple:
-    """A membership answer's status, margin and certificate arrays, each
-    array as its shape and bytes, so that equal answers agree to the
+    """A membership answer's status, margin, path and certificate arrays,
+    each array as its shape and bytes, so that equal answers agree to the
     bit."""
-    cert = result.certificate
-    fields = dataclasses.asdict(cert) if dataclasses.is_dataclass(cert) else cert
+    fields = dataclasses.asdict(result.certificate)
     arrays = {k: v if isinstance(v, list) else [v] for k, v in fields.items()}
-    return result.status, result.margin, {
+    return result.status, result.margin, result.path, {
         k: [(np.shape(x), np.asarray(x).tobytes()) for x in v]
         for k, v in arrays.items()
     }
@@ -810,7 +817,7 @@ def _check_cold_steps(body, steps) -> list:
 
 
 def _check_separator(problem, sep) -> None:
-    report = dual_witness(problem, Verdict(Status.INFEASIBLE, None, sep, 0, 0.0))
+    report = dual_witness(problem, Verdict(Status.INFEASIBLE, None, sep, 0, 0.0, None))
     assert report["margin"] >= 10 * 1e-7
     assert report["margin_gap"] <= 1e-9
     assert report["pencil_max_eig"] <= sep.psd_slack + 1e-12
@@ -862,13 +869,13 @@ class TestWarmSteps:
         # inside the 96-gon's maximal set (w = 0.55), so the support scan
         # finds nothing; the nominal separator, which also clears 10 tol
         # on the relaxed polygon's rhs: no second solve
-        assert res.detail == ""
+        assert res.path is Path.SDP
         assert [v.status for _, v in steps] == [Status.INFEASIBLE]
         assert _check_cold_steps(DISC_96, steps) == [Status.INFEASIBLE]
         verts, mats = _relaxed_point(DISC_96, a)
         relaxed = dual_witness(
             _kmin_problem(verts, mats),
-            Verdict(Status.INFEASIBLE, None, res.certificate, 0, 0.0),
+            Verdict(Status.INFEASIBLE, None, res.certificate, 0, 0.0, None),
         )
         assert relaxed["margin"] >= 10 * 1e-7
         _check_separator(_kmin_problem(verts, a.mats), res.certificate)
@@ -941,7 +948,8 @@ class TestThetaFromSeparators:
             calls.append(None)
             verdict, z = solve(self, *args)
             if len(calls) == 2:
-                return Verdict(Status.UNKNOWN, None, None, verdict.iterations, 1.0), z
+                unknown = Verdict(Status.UNKNOWN, None, None, verdict.iterations, 1.0, None)
+                return unknown, z
             return verdict, z
 
         monkeypatch.setattr(_Compiled, "solve", unknown_second)
@@ -956,7 +964,7 @@ class TestThetaFromSeparators:
 
     def test_an_unknown_first_step_keeps_the_start(self, monkeypatch):
         def unknown(self, tol, max_iter, z=None):
-            return Verdict(Status.UNKNOWN, None, None, max_iter, 1.0), z
+            return Verdict(Status.UNKNOWN, None, None, max_iter, 1.0, None), z
 
         monkeypatch.setattr(_Compiled, "solve", unknown)
         trace = []
@@ -1380,7 +1388,6 @@ def _no_scan(*args, **kwargs):
     return None
 
 
-UCP_SCAN_DETAIL = "outside the relaxed maximal set of the range's first level"
 
 
 TRIANGLE = Polytope(np.array([[2.0, 0.0], [-1.0, 1.5], [-1.0, -1.5]]))
@@ -1406,14 +1413,15 @@ class TestSupportScan:
         res = kmin_member(body, a)
         assert (counts.compiles, counts.solves) == (0, 0)
         assert res.status is MembershipStatus.OUT
-        assert res.detail == "outside the relaxed body's maximal set"
+        assert res.path is Path.SUPPORT_SCAN
         sep = res.certificate
         assert res.margin == sep.margin
         # the pencil is negative semidefinite and the margin clears 10 tol
         # on the relaxed body
         verts, mats = _relaxed_point(body, a)
         relaxed = dual_witness(
-            _kmin_problem(verts, mats), Verdict(Status.INFEASIBLE, None, sep, 0, 0.0)
+            _kmin_problem(verts, mats),
+            Verdict(Status.INFEASIBLE, None, sep, 0, 0.0, None),
         )
         assert relaxed["margin"] >= 10 * 1e-7
         assert relaxed["pencil_max_eig"] <= sep.psd_slack + 1e-12
@@ -1441,7 +1449,7 @@ class TestSupportScan:
         res = ucp_member(x, a)
         assert (counts.compiles, counts.solves) == (0, 0)
         assert res.status is MembershipStatus.OUT
-        assert res.detail == UCP_SCAN_DETAIL
+        assert res.path is Path.SUPPORT_SCAN
         assert res.margin == res.certificate.margin >= 10 * 1e-7
         assert core_reprices() == 1
         monkeypatch.setattr(ranges, "_support_cut", _no_scan)
@@ -1454,7 +1462,7 @@ class TestSupportScan:
         counts = traffic()
         res = ucp_member(triple, triple.scaled(1.2))
         assert res.status is MembershipStatus.OUT
-        assert res.detail != UCP_SCAN_DETAIL
+        assert res.path is Path.SDP
         assert counts.compiles == 1
 
     def test_the_separator_is_the_support_line_of_a_rank_one_pencil(self):
@@ -1493,8 +1501,7 @@ class TestSupportScan:
         without = [kmin_member(body, p).status for p in points]
         assert [r.status for r in with_scan] == without
         assert set(without) == {MembershipStatus.IN, MembershipStatus.OUT}
-        scanned = [r.detail == "outside the relaxed body's maximal set"
-                   for r in with_scan]
+        scanned = [r.path is Path.SUPPORT_SCAN for r in with_scan]
         # the scan answers exactly the points past the K^max boundary
         assert scanned == [f > 1.0 for _ in range(4) for f in (0.9, 0.97, 1.0, 1.03, 1.1)]
 
@@ -1601,7 +1608,7 @@ def test_kmin_is_invariant_under_unitary_conjugation(seed):
                kmin_member(body, _conjugate(u, p), max_iter=_IDENTITY_ITER))
 
 
-_DILATION = "decomposed on the circle by a unitary dilation"
+_DILATION = (MembershipStatus.IN, Path.DISC_DILATION)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -1634,7 +1641,7 @@ def test_a_disc_is_decided_as_its_dilation_says(seed):
             res = kmin_member(disc, p)
         assert (counts.compiles, counts.solves) == (0, 0)
         if norm <= 1.0:
-            assert (res.status, res.detail) == (MembershipStatus.IN, _DILATION)
+            assert (res.status, res.path) == _DILATION
         elif norm <= 1.0 + 10 * ranges.MEMBER_TOL:
             assert res.status is MembershipStatus.BOUNDARY
         else:
@@ -1661,7 +1668,7 @@ def test_a_dilation_that_misses_its_equations_is_unknown(monkeypatch, traffic):
     assert (res.status, res.margin, res.certificate) == (
         MembershipStatus.UNKNOWN, 0.0, None
     )
-    assert res.detail.startswith("the unitary dilation misses its equations by ")
+    assert res.path is Path.DISC_DILATION
     assert (counts.compiles, counts.solves) == (0, 0)
 
 
@@ -1681,7 +1688,7 @@ def _block_dilation(K: Disc, a: OperatorTuple) -> tuple:
     lam = np.diagonal(schur) / np.abs(np.diagonal(schur))
     top = z[:n].T
     verts = K.center + K.radius * np.column_stack([lam.real, lam.imag])
-    cert = {"h": top[:, :, None] * top.conj()[:, None, :], "vertices": verts}
+    cert = Decomposition(top[:, :, None] * top.conj()[:, None, :], verts)
     return u, (schur, z), cert
 
 
@@ -1702,9 +1709,9 @@ def test_the_in_place_dilation_is_the_block_dilation_to_the_bit(n):
         got = zgees(lambda x: None, u, lwork=lwork)
         assert got[0].tobytes() == schur.tobytes() and got[3].tobytes() == z.tobytes()
         res = ranges._disc_member(disc, a, ranges.MEMBER_TOL)
-        assert (res.status, res.detail) == (MembershipStatus.IN, _DILATION)
-        for key in ("h", "vertices"):
-            assert res.certificate[key].tobytes() == want[key].tobytes()
+        assert (res.status, res.path) == (MembershipStatus.IN, Path.DISC_DILATION)
+        assert res.certificate.h.tobytes() == want.h.tobytes()
+        assert res.certificate.vertices.tobytes() == want.vertices.tobytes()
 
 
 def test_an_overflowing_pair_is_out_without_a_warning():
@@ -1760,7 +1767,8 @@ def test_theta_over_a_disc_is_its_closed_form(seed):
     assert est.upper - est.lower <= 0.01
     alpha = _disc_alpha_by_bisection(disc, a)
     assert est.lower <= max(alpha, 1.0) <= est.upper
-    assert kmin_member(disc, est.witness_point).detail == _DILATION
+    res = kmin_member(disc, est.witness_point)
+    assert (res.status, res.path) == _DILATION
     sep = est.lower_separator
     if est.lower == 1.0:
         assert sep is None
@@ -1789,7 +1797,9 @@ def test_theta_over_a_disc_keeps_its_start_when_the_dilation_fails():
     # all the same, and re-prices on a / lower to its stored margin
     a = nilpotent_pair()
     closed = theta_min_alpha(UNIT_DISC, a)
-    unknown = ranges.MembershipResult(MembershipStatus.UNKNOWN, 0.0, None, "planted")
+    unknown = ranges.MembershipResult(
+        MembershipStatus.UNKNOWN, 0.0, Path.DISC_DILATION, None, "planted"
+    )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ranges, "_disc_member", lambda *args: unknown)
         est = theta_min_alpha(UNIT_DISC, a)
@@ -1839,13 +1849,11 @@ def test_a_disc_point_off_a_coarse_polygon_is_a_dilation(traffic, r):
                       hermitian=True)
     twelve = 2.0 * np.pi * np.arange(12) / 12
     res = kmin_member(Polytope(np.column_stack([np.cos(twelve), np.sin(twelve)])), a)
-    assert (res.status, res.detail) == (
-        MembershipStatus.OUT, "outside the relaxed body's maximal set"
-    )
+    assert (res.status, res.path) == (MembershipStatus.OUT, Path.SUPPORT_SCAN)
     counts = traffic()
     res = kmin_member(UNIT_DISC, a)
-    assert (res.status, res.detail) == (MembershipStatus.IN, _DILATION)
-    assert np.shape(res.certificate["h"]) == (4, 2, 2)
+    assert (res.status, res.path) == _DILATION
+    assert np.shape(res.certificate.h) == (4, 2, 2)
     assert (counts.compiles, counts.solves) == (0, 0)
 
 
@@ -1878,9 +1886,9 @@ def test_interior_points_of_a_polytope_pose_no_block(traffic):
     want = kmin_member(SQUARE, a)
     assert [op.block_sizes for op in counts.compiled] == [(2,) * 4]
     assert res.status is want.status is MembershipStatus.IN
-    assert np.array_equal(res.certificate["vertices"], SQUARE.vertices)
+    assert np.array_equal(res.certificate.vertices, SQUARE.vertices)
     assert all(np.array_equal(g, w) for g, w in
-               zip(res.certificate["h"], want.certificate["h"]))
+               zip(res.certificate.h, want.certificate.h))
     assert res.margin == want.margin
 
 
@@ -2212,7 +2220,7 @@ class TestOperatorCache:
         assert first.status is again.status is MembershipStatus.IN
         assert first.margin == again.margin
         assert all(np.array_equal(g, w) for g, w in
-                   zip(first.certificate["h"], again.certificate["h"]))
+                   zip(first.certificate.h, again.certificate.h))
         assert ranges._vertex_operator.cache_info().currsize == 1
         assert len(shared) > 2 and all(op is shared[0] for op in shared)
         # one solve each for the kmin queries, the rest theta's
@@ -2324,7 +2332,7 @@ def test_a_ucp_scan_out_never_meets_a_feasible_choi_solve(seed, exponent):
     center = np.array([np.trace(xl) / m for xl in x.mats])
     cut = []
     for point in (b, a):
-        cut.append(ucp_member(x, point).detail == UCP_SCAN_DETAIL)
+        cut.append(ucp_member(x, point).path is Path.SUPPORT_SCAN)
         if cut[-1]:
             rows = ranges._range_rows(np.array(x.mats)[None], point, center)
             solve, _ = ranges._range_solver(rows, ranges.MEMBER_TOL, 2000)
@@ -2432,18 +2440,18 @@ class TestUcp:
         def first_unknown(self, tol, *args):
             calls.append(tol)
             if len(calls) == 1:
-                return Verdict(Status.UNKNOWN, None, None, 0, np.inf), None
+                return Verdict(Status.UNKNOWN, None, None, 0, np.inf, None), None
             return solve(self, tol, *args)
 
         monkeypatch.setattr(_Compiled, "solve", first_unknown)
         res = ucp_member(x, a)
         eps = 10 * ranges.MEMBER_TOL
         assert res.status is MembershipStatus.IN
-        assert res.detail == "resolved by outward bracketing"
+        assert res.path is Path.SDP
         assert res.margin == eps
         assert len(calls) == 2
         # the Choi matrix: a 3 x 3 grid of 2 x 2 blocks C_pq
-        choi = res.certificate["choi"]
+        choi = res.certificate.choi
         assert np.linalg.eigvalsh(choi)[0] >= 0
         blocks = choi.reshape(3, 2, 3, 2).transpose(0, 2, 1, 3)
         np.testing.assert_allclose(np.einsum("ppij->ij", blocks), np.eye(2), atol=1e-9)
@@ -2461,19 +2469,19 @@ def _sep(margin: float) -> Separator:
 #: scripted verdicts of ``_bracket``'s solves; the nominal separators
 #: price at f = pull to the (c0, c1) of ``_PRICED``, against the floor
 #: 10 _sdp_tol(1e-7) = 1e-6
-_FEASIBLE = Verdict(Status.FEASIBLE, [0.25 * np.eye(2)], None, 4, 0.0)
+_FEASIBLE = Verdict(Status.FEASIBLE, [0.25 * np.eye(2)], None, 4, 0.0, 0.25)
 _CLEARS, _SHORT, _OUTER = _sep(3e-6), _sep(2e-6), _sep(5e-6)
 _PRICED = {id(_CLEARS): (1e-6, 5e-7), id(_SHORT): (2e-7, 5e-7)}
 _NOMINAL = {
     "feasible": _FEASIBLE,
-    "clears": Verdict(Status.INFEASIBLE, None, _CLEARS, 4, 0.0),
-    "short": Verdict(Status.INFEASIBLE, None, _SHORT, 4, 0.0),
-    "unknown": Verdict(Status.UNKNOWN, None, None, 4, 1.0),
+    "clears": Verdict(Status.INFEASIBLE, None, _CLEARS, 4, 0.0, None),
+    "short": Verdict(Status.INFEASIBLE, None, _SHORT, 4, 0.0, None),
+    "unknown": Verdict(Status.UNKNOWN, None, None, 4, 1.0, None),
 }
 _OTHER = {
     "feasible": _FEASIBLE,
-    "infeasible": Verdict(Status.INFEASIBLE, None, _OUTER, 4, 0.0),
-    "unknown": Verdict(Status.UNKNOWN, None, None, 4, 1.0),
+    "infeasible": Verdict(Status.INFEASIBLE, None, _OUTER, 4, 0.0, None),
+    "unknown": Verdict(Status.UNKNOWN, None, None, 4, 1.0, None),
 }
 _PULL, _PUSH, _BAND = 0.5, 2.0, 1e-6
 #: kmin's pull over a polytope, at tol 1e-7: the body dilated by 1 + 10 tol
@@ -2481,30 +2489,28 @@ _KMIN_PULL = 1.0 / (1.0 + 1e-6)
 
 
 def _ladder_oracle(nominal, push, outer):
-    """(status, separator, margin, detail, solves) of the ladder, row by
-    row: the nominal solve, then the push (only after Unknown), then the
-    outer solve."""
+    """(status, separator, margin, solves) of the ladder, row by row: the
+    nominal solve, then the push (only after Unknown), then the outer
+    solve."""
     if nominal == "feasible":
-        return "In", None, 0.25, "", [1.0]
+        return "In", None, 0.25, [1.0]
     if nominal == "clears":
-        return "Out", _CLEARS, 3e-6, "", [1.0]
+        return "Out", _CLEARS, 3e-6, [1.0]
     if nominal == "short":
         if outer == "feasible":
-            detail = "outside at scale 1, inside at scale 1 + 10 tol"
-            return "Boundary", _SHORT, _BAND, detail, [1.0, _PULL]
-        return "Out", _SHORT, 2e-6, "", [1.0, _PULL]
+            return "Boundary", _SHORT, _BAND, [1.0, _PULL]
+        return "Out", _SHORT, 2e-6, [1.0, _PULL]
     solves = [1.0]
     if push != "absent":
         solves.append(_PUSH)
         if push == "feasible":
-            return "In", None, _BAND, "resolved by outward bracketing", solves
+            return "In", None, _BAND, solves
     solves.append(_PULL)
     if outer == "infeasible":
-        return "Out", _OUTER, 5e-6, "resolved on the relaxed set", solves
+        return "Out", _OUTER, 5e-6, solves
     if outer == "feasible":
-        detail = "undecided at scale 1, inside the relaxed set"
-        return "Boundary", None, _BAND, detail, solves
-    return "Unknown", None, 0.0, "neither certificate closes", solves
+        return "Boundary", None, _BAND, solves
+    return "Unknown", None, 0.0, solves
 
 
 class TestBracket:
@@ -2539,15 +2545,15 @@ class TestBracket:
         else:
             monkeypatch.setattr(ranges, "_range_solver", lambda *args: (solve, terms))
             res = kmin_member(SQUARE, pauli(0.6))
-            push, witness = "absent", {"h": _FEASIBLE.blocks, "vertices": SQUARE.vertices}
-        status, sep, margin, detail, solves = _ladder_oracle(nominal, push, outer)
-        assert (res.status.value, res.margin, res.detail) == (status, margin, detail)
+            push = "absent"
+        status, sep, margin, solves = _ladder_oracle(nominal, push, outer)
+        assert (res.status.value, res.margin, res.path) == (status, margin, Path.SDP)
         assert posed == [pull if f == _PULL else f for f in solves]
         if status == "In" and caller == "exact":
             assert res.certificate == witness
         elif status == "In":
-            assert res.certificate["h"] is witness["h"]
-            assert np.array_equal(res.certificate["vertices"], witness["vertices"])
+            assert res.certificate.h is _FEASIBLE.blocks
+            assert np.array_equal(res.certificate.vertices, SQUARE.vertices)
         elif sep is None:
             assert res.certificate is None
         else:
@@ -2685,7 +2691,7 @@ class TestChoiLi:
             rep = choi_li_equiv_check(y)
             assert abs(rep["radius"] - ref) <= 1e-10
             # the bracket holds the radius to the kernel's 1e-9
-            upper = rep["disc_max"].certificate["upper"]
+            upper = rep["disc_max"].certificate.upper
             assert ref - 1e-12 <= upper <= rep["radius"] + 1e-9
 
     def test_a_transform_profile_symmetric_about_a_scanned_angle(self):
@@ -2697,4 +2703,4 @@ class TestChoiLi:
         assert rep["square_min"].status is MembershipStatus.OUT
         assert rep["disc_max"].status is MembershipStatus.OUT
         assert rep["consistent"] and not rep["excluded"]
-        assert rep["disc_max"].certificate["upper"] >= rep["radius"]
+        assert rep["disc_max"].certificate.upper >= rep["radius"]

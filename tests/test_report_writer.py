@@ -23,6 +23,7 @@ from perfbench import workloads  # noqa: E402
 import mconvex.cli as cli  # noqa: E402
 from mconvex.linalg import OperatorTuple  # noqa: E402
 from mconvex.models import DiagonalTuple  # noqa: E402
+import mconvex.ranges as ranges  # noqa: E402
 from mconvex.ranges import MembershipResult, MembershipStatus  # noqa: E402
 from mconvex.sdp import Separator  # noqa: E402
 
@@ -161,7 +162,9 @@ def test_lists_of_objects_match_the_oracle():
         "jobs": [
             {"status": "In", "certificate": {"h": stack, "vertices": np.eye(2)}},
             {"empty": {}, "none": [], "kind": _Kind.A},
-            MembershipResult(MembershipStatus.OUT, 0.25, Separator(stack, 0.25, 0.0)),
+            MembershipResult(
+                MembershipStatus.OUT, 0.25, ranges.Path.SDP, Separator(stack, 0.25, 0.0)
+            ),
         ],
         "objects": (pair, DiagonalTuple(1, (((1.0,), None), ((3.0,), 2)), ())),
         "nested": [[{"b": 1, "a": [np.int64(2), np.bool_(True)]}], 3],
@@ -176,3 +179,44 @@ def test_lists_of_objects_match_the_oracle():
 class _Opaque:
     def __repr__(self):
         return "<opaque>"
+
+
+
+_RNG = np.random.default_rng(7)
+_STACK = _RNG.standard_normal((3, 2, 2)) + 1j * _RNG.standard_normal((3, 2, 2))
+_VERTS, _POINTS = _RNG.standard_normal((3, 2)), _RNG.standard_normal((2, 3))
+_GAPS = np.array([-0.25, np.inf, 0.5])
+#: each certificate class beside the dict it replaced, with fields shaped
+#: as its rung writes them: the SDP's list of blocks, a dilation's stack
+_CERTIFICATES = {
+    "decomposition-sdp": (
+        ranges.Decomposition(list(_STACK), _VERTS),
+        {"h": list(_STACK), "vertices": _VERTS},
+    ),
+    "decomposition-dilation": (
+        ranges.Decomposition(_STACK, _VERTS), {"h": _STACK, "vertices": _VERTS}
+    ),
+    "choi": (ranges.ChoiWitness(_STACK[0]), {"choi": _STACK[0]}),
+    "joint-spectrum": (
+        ranges.JointSpectrum(_POINTS, _STACK[1]),
+        {"joint_points": _POINTS, "unitary": _STACK[1]},
+    ),
+    "support": (
+        ranges.SupportRecord(_VERTS[0], _GAPS), {"direction": _VERTS[0], "gaps": _GAPS}
+    ),
+    "circle": (
+        ranges.CircleBracket(0.75, 0.7500000001),
+        {"radius": 0.75, "upper": 0.7500000001},
+    ),
+    "singleton": (ranges.SingletonPoint(_VERTS[1]), {"point": _VERTS[1]}),
+}
+
+
+@pytest.mark.parametrize(
+    "cert, as_dict", _CERTIFICATES.values(), ids=list(_CERTIFICATES)
+)
+def test_a_certificate_class_is_written_as_the_dict_it_replaced(cert, as_dict):
+    # by itself, in a member report and in a batch job's list of objects
+    for wrap in (lambda c: c, lambda c: {"certificate": c, "status": "In"},
+                 lambda c: {"jobs": [{"certificate": c}, 1]}):
+        assert _dumped(wrap(cert)) == _dumped(wrap(as_dict))

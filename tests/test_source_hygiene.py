@@ -2,8 +2,9 @@
 its module outside import statements, every module-level private name is referenced somewhere in
 the package besides its definition, and every public function or class
 is too, or is exported in ``mconvex.__all__`` or traced by the benchmark
-(``perfbench.tracing.LAYERS``), and every method or property of a
-package class is referenced by name in the package, so unused code gets
+(``perfbench.tracing.LAYERS``), every method or property of a
+package class is referenced by name in the package, and every rung of
+``ranges.Path`` is named outside its definition, so unused code gets
 deleted rather than left behind."""
 
 import ast
@@ -115,3 +116,17 @@ def test_every_method_or_property_is_referenced(module):
         and item.name not in used
     ]
     assert unreferenced == []
+
+
+def test_every_path_is_named_outside_its_definition():
+    # a rung that no return site names answers nothing: delete it
+    (path,) = [node for node in TREES["ranges.py"].body
+               if isinstance(node, ast.ClassDef) and node.name == "Path"]
+    rungs = [t.id for node in path.body if isinstance(node, ast.Assign)
+             for t in node.targets]
+    named = {
+        node.attr for tree in TREES.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "Path"
+    }
+    assert rungs and [r for r in rungs if r not in named] == []
