@@ -147,15 +147,14 @@ def _run_equal(job: JobSpec) -> dict:
 def _run_theta(job: JobSpec) -> dict:
     body = decode_body(_need(job, "body"))
     t = decode_tuple(_need(job, "tuple"))
-    trace: list = []
-    est = theta_min_alpha(body, t, trace=trace, **_opts(job, "tol"))
+    est = theta_min_alpha(body, t, **_opts(job, "tol"))
     if svg := job.options.get("svg"):
-        trace_svg([(i, hi - lo) for i, (lo, hi) in enumerate(trace)], svg)
+        trace_svg([(i, hi - lo) for i, (lo, hi) in enumerate(est.trace)], svg)
     return {
         "lower": est.lower,
         "upper": est.upper,
         "witness_point": est.witness_point,
-        "trace": trace,
+        "trace": est.trace,
     }
 
 

@@ -39,7 +39,7 @@ def _require_finite(what: str, *values) -> None:
         raise DimensionMismatch(f"{what} must be finite")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Polytope:
     """Convex hull of a finite vertex list, stored as a read-only copy in
     a (k, d) array, so the facet list built from it stays valid."""
@@ -90,7 +90,7 @@ def _polytope_hull(data: bytes, shape: tuple[int, int]) -> tuple:
     return facets, extreme
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned product of intervals [lo_j, hi_j]."""
 
@@ -111,7 +111,7 @@ class Box:
         return self.lo.shape[0]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Disc:
     """Planar disc with given center and radius."""
 
@@ -132,7 +132,7 @@ class Disc:
         return 2
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Sampled:
     """Outer description by support values along sampled unit directions."""
 
@@ -167,7 +167,7 @@ class Sampled:
 ConvexBody = Union[Polytope, Box, Disc, Sampled]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class PolygonSandwich:
     """Inner and outer polygonal approximations of a planar convex set,
     and a certified upper bound on the Hausdorff distance between them,
@@ -275,7 +275,7 @@ def jnr_sandwich(t: OperatorTuple, m: int = 64) -> PolygonSandwich:
     normals = np.column_stack([np.cos(thetas), np.sin(thetas)])
     vals, vecs = np.linalg.eigh(pencil_stack(t.mats, normals))
     h, psi = vals[:, -1], vecs[:, :, -1]
-    inner_pts = np.einsum("ki,jil,kl->kj", psi.conj(), t.stack, psi).real
+    inner_pts = np.einsum("ki,jil,kl->kj", psi.conj(), t.mats, psi).real
     c, s = normals.T
     c1, s1, h1 = np.roll(c, -1), np.roll(s, -1), np.roll(h, -1)
     # where the supporting lines of directions k and k + 1 meet

@@ -34,13 +34,10 @@ SIMDIAG_GAP_RTOL = 1e-9
 #: their scalar parts, above which ``_simdiag`` refuses to diagonalize
 COMMUTING_TOL = 1e-10
 
-#: angles of the ``circle_support`` scan at n >= 3 (at n <= 2, 16 start
-#: the climb, and the certificate makes it global)
+#: angles of the ``circle_support`` scan at n >= 3, one ``eigvalsh`` over
+#: their pencils (at n <= 2, 16 start the climb, and the certificate makes
+#: it global)
 _SCAN_GRID = 64
-
-#: angles per ``eigvalsh`` call in that scan: one (64, n, n) stack would
-#: set a small query's peak memory
-_SCAN_CHUNK = 8
 
 #: bytes one query may ask for in the arrays that grow with its input
 #: (``_require_bytes``); fixed, so a query either fits everywhere or is
@@ -302,11 +299,7 @@ def circle_support(y0, t, tol: float = 1e-8) -> tuple[float, ...]:
     if n > 2:
         parts = [herm_part(a), -skew_part(a)]
         stack = np.stack([herm_part(y), *parts] if y.any() else parts)
-        dirs = dirs[:, 3 - len(stack):]
-        vals = np.concatenate([
-            np.linalg.eigvalsh(pencil_stack(stack, dirs[k:k + _SCAN_CHUNK]))[:, -1]
-            for k in range(0, size, _SCAN_CHUNK)
-        ])
+        vals = np.linalg.eigvalsh(pencil_stack(stack, dirs[:, 3 - len(stack):]))[:, -1]
     else:
         stack = []
         for m in (y, a, 1j * a):
@@ -345,18 +338,18 @@ def numerical_radius(m, tol: float = 1e-8) -> float:
     return circle_support(0.0, m, tol)[0]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class OperatorTuple:
-    """A d-tuple of n-by-n complex matrices.
+    """A d-tuple of n-by-n complex matrices, held as one (d, n, n) array.
 
-    ``hermitian`` asserts that every entry equals its adjoint within
-    relative tolerance ``1e-12`` of its own largest entry, at any scale
-    (``is_hermitian``); entries are symmetrized on construction when the
-    flag is set.  ``stack`` holds the entries as one (d, n, n) array, and
-    ``mats`` are its rows.
+    ``mats`` is given as any sequence of square matrices of one size (or
+    an array of them) and stored as that complex array.  ``hermitian``
+    asserts that every entry equals its adjoint within relative tolerance
+    ``1e-12`` of its own largest entry, at any scale (``is_hermitian``);
+    entries are symmetrized on construction when the flag is set.
     """
 
-    mats: tuple[np.ndarray, ...]
+    mats: np.ndarray
     hermitian: bool = False
 
     def __post_init__(self):
@@ -378,26 +371,25 @@ class OperatorTuple:
                     "hermitian flag set but an entry is not Hermitian"
                 )
             stack = herm_part(stack)
-        object.__setattr__(self, "mats", tuple(stack))
-        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "mats", stack)
 
     @property
     def d(self) -> int:
-        return len(self.mats)
+        return self.mats.shape[0]
 
     @property
     def n(self) -> int:
-        return self.mats[0].shape[0]
+        return self.mats.shape[1]
 
     def scaled(self, factor: float) -> "OperatorTuple":
         """``(factor a_j)_j``, unchecked when a real ``factor`` maps a
         Hermitian tuple to complex finite, so Hermitian, entries."""
-        stack = factor * self.stack
+        stack = factor * self.mats
         if not (self.hermitian and np.isrealobj(factor)
                 and stack.dtype == complex and np.isfinite(stack).all()):
             return OperatorTuple(stack, self.hermitian)
         out = object.__new__(OperatorTuple)
-        out.__dict__.update(mats=tuple(stack), hermitian=True, stack=stack)
+        out.__dict__.update(mats=stack, hermitian=True)
         return out
 
     def conjugated(self, u: np.ndarray) -> "OperatorTuple":
@@ -413,7 +405,7 @@ def direct_sum(*tuples: OperatorTuple) -> OperatorTuple:
     n = sum(t.n for t in tuples)
     stack, at = np.zeros((d, n, n), dtype=complex), 0
     for t in tuples:
-        stack[:, at:at + t.n, at:at + t.n] = t.stack
+        stack[:, at:at + t.n, at:at + t.n] = t.mats
         at += t.n
     return OperatorTuple(stack, all(t.hermitian for t in tuples))
 
@@ -443,7 +435,7 @@ def _intertwiner_dimension(t1: OperatorTuple, t2: OperatorTuple) -> int:
     """
     sys = _intertwiner_system(t1, t2)
     svals = np.linalg.svd(sys, compute_uv=False)
-    size = max(np.abs(t.stack).max(initial=0.0) for t in (t1, t2))
+    size = max(np.abs(t.mats).max(initial=0.0) for t in (t1, t2))
     return sys.shape[1] - int(np.sum(svals > NULLITY_RTOL * size))
 
 
@@ -485,7 +477,7 @@ def simdiag_hermitian(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarra
     stack, or ``NotCommuting``.  Returns ``(u, values)``, ``u`` unitary
     (``I`` for diagonal matrices) and ``values[k, j]`` the j-th matrix's
     eigenvalue along column k of ``u``."""
-    return _simdiag(OperatorTuple(tuple(mats)).stack[:, None], "matrix {}".format)
+    return _simdiag(OperatorTuple(tuple(mats)).mats[:, None], "matrix {}".format)
 
 
 def _simdiag(entries, name) -> tuple[np.ndarray, np.ndarray]:

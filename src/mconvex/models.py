@@ -61,7 +61,7 @@ def _part_name(row: int) -> str:
     return f"the {('Hermitian', 'skew')[row % 2]} part of entry {row // 2}"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class NormalTuple:
     """A tuple of pairwise commuting normal matrices, jointly diagonalized.
 
@@ -75,13 +75,13 @@ class NormalTuple:
     """
 
     base: OperatorTuple
-    unitary: np.ndarray = dataclasses.field(repr=False, compare=False, default=None)
-    column_values: np.ndarray = dataclasses.field(repr=False, compare=False, default=None)
-    joint_points: np.ndarray = dataclasses.field(repr=False, compare=False, default=None)
+    unitary: np.ndarray = dataclasses.field(init=False, repr=False)
+    column_values: np.ndarray = dataclasses.field(init=False, repr=False)
+    joint_points: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = self.base
-        parts = np.stack((herm_part(t.stack), skew_part(t.stack)), axis=1)
+        parts = np.stack((herm_part(t.mats), skew_part(t.mats)), axis=1)
         u, vals = _simdiag(parts, _part_name)
         column = vals[:, 0::2] if t.hermitian else vals[:, 0::2] + 1j * vals[:, 1::2]
         object.__setattr__(self, "unitary", u)
@@ -89,7 +89,7 @@ class NormalTuple:
         object.__setattr__(self, "joint_points", _dedup_points(column))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SpectralModel:
     """Restriction of a normal tuple to eigenspaces at extreme spectrum points."""
 
@@ -164,13 +164,13 @@ def verify_complete_isometry(full: NormalTuple, model: SpectralModel) -> dict:
     return {"slack": slack}
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class BlockModel:
     """Direct sum of pairwise inequivalent irreducible tuples."""
 
     summands: tuple[OperatorTuple, ...]
     direct_sum: OperatorTuple
-    report: dict = dataclasses.field(default_factory=dict, compare=False)
+    report: dict = dataclasses.field(default_factory=dict)
 
 
 def block_diagonal_model(candidates: Sequence[OperatorTuple]) -> BlockModel:

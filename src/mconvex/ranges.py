@@ -117,7 +117,7 @@ class Path(enum.Enum):
     SDP = "sdp"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Decomposition:
     """Positive ``h_j`` summing to I with ``sum_j vertices[j, l] h_j = a_l``."""
 
@@ -125,14 +125,14 @@ class Decomposition:
     vertices: np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ChoiWitness:
     """The Choi matrix of a ucp map onto the query: an In of ucp."""
 
     choi: np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class JointSpectrum:
     """A commuting tuple's joint eigenvalues and its joint eigenbasis."""
 
@@ -140,7 +140,7 @@ class JointSpectrum:
     unitary: np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SupportRecord:
     """A support scan's gaps ``lambda_max(sum c_j a_j) - offset``; its worst row."""
 
@@ -156,14 +156,14 @@ class CircleBracket:
     upper: float
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SingletonPoint:
     """The one point of a body."""
 
     point: np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class MembershipResult:
     """Answer to a membership query, and the ``path`` it took.
 
@@ -181,7 +181,7 @@ class MembershipResult:
     detail: str = ""
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ThetaEstimate:
     """Certified bracket for the minimal alpha with ``a`` in (alpha K)^min.
 
@@ -211,12 +211,17 @@ class ThetaEstimate:
     ``a / lower`` itself.  It is None when ``lower`` is the starting 1.0:
     for every commuting tuple, and when the first probe is Feasible or
     Unknown.
+
+    ``trace`` holds the (lower, upper) bracket, as floats, after each
+    solve, a continuation included: one entry over a disc, and ``((1.0,
+    1.0),)`` for a commuting tuple.
     """
 
     lower: float
     upper: float
     witness_point: OperatorTuple
-    lower_separator: Separator | None = None
+    lower_separator: Separator | None
+    trace: tuple[tuple[float, float], ...]
 
 
 def _require_tol(tol: float) -> None:
@@ -350,7 +355,7 @@ def _range_rows(
     conj = np.conj(xs.swapaxes(0, 1))
     # the Hermitian parts of the d image equations, then their skew parts
     patterns = np.concatenate([herm_part(conj), skew_part(conj)])
-    at_a = np.concatenate([herm_part(a.stack), -skew_part(a.stack)])
+    at_a = np.concatenate([herm_part(a.mats), -skew_part(a.mats)])
     at_c = np.concatenate([center.real, -center.imag])[:, None, None] * np.eye(a.n)
     posed = patterns.any(axis=(1, 2, 3)) | at_a.any(axis=(1, 2)) | at_c.any(axis=(1, 2))
     unit = np.broadcast_to(np.eye(k), (1, *patterns.shape[1:]))
@@ -482,7 +487,7 @@ def _joint_spectrum(a: OperatorTuple) -> JointSpectrum | None:
     stack (``u = I`` for a diagonal tuple), or None when it refuses the
     tuple: a failed commutator test or a near degenerate spectrum."""
     try:
-        u, values = _simdiag(a.stack[:, None], "entry {}".format)
+        u, values = _simdiag(a.mats[:, None], "entry {}".format)
     except NotCommuting:
         return None
     return JointSpectrum(values, u)
@@ -513,7 +518,7 @@ def _disc_cut(K: Disc, a: OperatorTuple, w: np.ndarray, vh: np.ndarray) -> tuple
     y0 = -0.5 * K.radius * (u[:, None] * u.conj() + v[:, None] * v.conj())
     dual = np.array([y0 - K.center[0] * y1 - K.center[1] * y2, y1, y2])
     c0 = float(np.trace(dual[0]).real)
-    c1 = float(np.einsum("rij,rji->", dual[1:], a.stack).real)
+    c1 = float(np.einsum("rij,rji->", dual[1:], a.mats).real)
     return Separator(dual=dual, margin=c0 + c1, psd_slack=0.0), (c0, c1)
 
 
@@ -689,10 +694,7 @@ def kmin_member(
 
 
 def theta_min_alpha(
-    K: ConvexBody,
-    a: OperatorTuple,
-    tol: float = 1e-2,
-    trace: list | None = None,
+    K: ConvexBody, a: OperatorTuple, tol: float = 1e-2
 ) -> ThetaEstimate:
     """The least ``alpha >= 1`` with ``a`` in (alpha K)^min, bracketed by
     certificates at both ends.
@@ -703,7 +705,7 @@ def theta_min_alpha(
     the scaled bodies ``alpha K`` are nested.  Scales the tuple, not the
     body: ``a`` is in (alpha K)^min exactly when ``a / alpha`` is in K^min.
     Over a disc of center c and radius r that is a closed form
-    (``_disc_theta``): one trace entry, nothing compiled, and a bracket
+    (``_disc_theta``): one ``trace`` entry, nothing compiled, and a bracket
     at most about ``1e-6 theta / (r - |c|)`` wide, whatever ``tol``.
     Otherwise the decomposition SDP of ``kmin_member`` is compiled once
     per body and level, and shared with ``kmin_member``
@@ -742,9 +744,8 @@ def theta_min_alpha(
     tuple (``_joint_spectrum``) gets [1, 1] before anything is compiled: its
     joint numerical range is the hull of its joint spectrum, so K^max
     and K^min agree at it.  Values below 1 are reported as the
-    degenerate bracket [1, 1].  Pass a list as ``trace`` to collect the
-    (lower, upper) bracket, as floats, after each solve, a continuation
-    included.
+    degenerate bracket [1, 1].  The estimate's ``trace`` records the
+    bracket after each solve.
     """
     _require_tol(tol)
     pre = kmax_member(K, a)
@@ -755,12 +756,10 @@ def theta_min_alpha(
         )
     slack = require_interior_zero(K)
 
-    trace = [] if trace is None else trace
     if _joint_spectrum(a) is not None:
-        trace.append((1.0, 1.0))
-        return ThetaEstimate(1.0, 1.0, a)
+        return ThetaEstimate(1.0, 1.0, a, None, ((1.0, 1.0),))
     floor = 10.0 * _sdp_tol(MEMBER_TOL)
-    lo, lo_sep = 1.0, None
+    lo, lo_sep, trace = 1.0, None, []
     hi = max(2.0, 2.0 * a.d * max(op_norm(m) for m in a.mats) / slack)
 
     def lift(sep: Separator, priced: tuple[float, float], alpha: float) -> None:
@@ -806,7 +805,7 @@ def theta_min_alpha(
             if tight > 0:
                 tight -= 1
                 alpha = min(lo + 0.5 * tol, alpha)
-    return ThetaEstimate(lo, hi, a.scaled(1.0 / hi), lo_sep)
+    return ThetaEstimate(lo, hi, a.scaled(1.0 / hi), lo_sep, tuple(trace))
 
 
 def _disc_theta(K: Disc, a: OperatorTuple, start: float) -> tuple:
@@ -885,8 +884,8 @@ def ucp_member(
     _require_max_iter(max_iter)
     if x.d != a.d:
         raise TupleMismatch(f"tuple lengths differ: {x.d} vs {a.d}")
-    center = np.trace(x.stack, axis1=1, axis2=2) / x.n
-    rows = _range_rows(x.stack[None], a, center)
+    center = np.trace(x.mats, axis1=1, axis2=2) / x.n
+    rows = _range_rows(x.mats[None], a, center)
     eps = 10.0 * tol
     if (dirs := _scan_directions(x.d)) is not None:
         h = _pencil_tops(x.mats, dirs)

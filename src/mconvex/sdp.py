@@ -80,7 +80,7 @@ class Status(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class AffineConstraint:
     """One linear equation on the diagonal blocks ``V_j`` of the variable.
 
@@ -101,7 +101,7 @@ class AffineConstraint:
     rhs: float | np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SdpFeasibility:
     """Find Hermitian ``V >= 0`` of size ``var_size`` meeting the constraints.
 
@@ -123,7 +123,7 @@ class SdpFeasibility:
             object.__setattr__(self, "block_sizes", tuple(self.block_sizes))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Separator:
     """Infeasibility certificate.
 
@@ -143,7 +143,7 @@ class Separator:
     psd_slack: float
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Verdict:
     """A solve's answer.  ``blocks`` are the diagonal blocks of a Feasible
     witness in declared order (``verify_witness`` re-checks them), and
@@ -226,9 +226,9 @@ class _Compiled:
     Constraint r is the matrix equation ``A(V)_r = B_r`` between n x n
     Hermitian matrices, where ``A(V)_r`` sums ``conj(P_r[p, q]) (V_j)_pq``
     over the n x n sub-blocks of every block (n = 1 for scalar
-    constraints).  ``coeff_groups[g]`` stacks the patterns ``P_r`` of size
-    group ``g`` of ``_groups(block_sizes)`` as an ``(m, count, s/n, s/n)``
-    tensor, each constraint scaled to unit Frobenius norm; a pattern of
+    constraints).  ``coeff_mats[g]`` holds the patterns ``P_r`` of size
+    group ``g`` of ``_groups(block_sizes)`` as an ``(m, count (s/n)^2)``
+    matrix, each constraint scaled to unit Frobenius norm; a pattern of
     norm at most ``ZERO_ROW_NORM`` is a zero row, the equation ``0 = B_r``
     (its ``B_r`` is kept, unscaled).  The Gram is the m x m
     pattern Gram (the Gram over a Hermitian basis of the n x n matrices
@@ -273,12 +273,10 @@ class _Compiled:
         norms, self.zero_rows = _row_norms(coeff_groups)
         self.norms = norms
         zero = self.zero_rows[:, None, None, None]
-        self.coeff_groups = [
-            np.where(zero, 0.0, t / norms[:, None, None, None]) for t in coeff_groups
-        ]
         # each group as an (m, count (s/n)^2) matrix, and its conjugate
         self.coeff_mats = [
-            t.reshape(m, math.prod(t.shape[1:])) for t in self.coeff_groups
+            np.where(zero, 0.0, t / norms[:, None, None, None])
+            .reshape(m, math.prod(t.shape[1:])) for t in coeff_groups
         ]
         self.coeff_conj = [mat.conj() for mat in self.coeff_mats]
 
@@ -296,7 +294,8 @@ class _Compiled:
         ident = [z + np.eye(s) for z, (s, _) in zip(self.zero(), self.groups)]
         t = self.lsq_dual(ident)
         gap = sum(
-            float(np.abs(pg - ig).max()) for pg, ig in zip(self.pencil(t), ident)
+            float(np.abs(pg - ig).max())
+            for pg, ig in zip(self.views(self.pencil(t)), ident)
         )
         self.identity_combo = t if gap <= 1e-9 else None
 
@@ -343,15 +342,14 @@ class _Compiled:
         """Run the certified iteration from the iterate ``z`` (zero when
         None); returns the verdict and the iterate to start the next solve
         from.  One DEBUG line per solve."""
-        status, v, sep, it, resid, low, z = _iterate(self, tol, max_iter, z)
+        verdict, z = _iterate(self, tol, max_iter, z)
         if _LOG.isEnabledFor(logging.DEBUG):
             _LOG.debug(
                 "sdp solve: %s after %d iterations, residual %.3e, "
-                "m=%d, n=%d, %d blocks",
-                status.value, it, resid, self.m, self.n, len(self.block_sizes),
+                "m=%d, n=%d, %d blocks", verdict.status.value, verdict.iterations,
+                verdict.residual, self.m, self.n, len(self.block_sizes),
             )
-        blocks = None if v is None else self.blocks([herm_part(vg) for vg in v])
-        return Verdict(status, blocks, sep, it, resid, low), z
+        return verdict, z
 
     # --- variable helpers (variables are lists of (count, s, s) arrays,
     # views into one flat array where the iteration builds them) ---
@@ -384,13 +382,11 @@ class _Compiled:
         """``G+ A(V)``: the duals whose pencil is the least-squares fit."""
         return self._rows(self.coeff_lsq, v)
 
-    def pencil(self, y: np.ndarray) -> list[np.ndarray]:
-        """The adjoint map A*(Y) = sum_r P_r kron Y_r as a block variable."""
-        return self.views(self._pencil(y, np.empty(self.length, dtype=complex)))
-
-    def _pencil(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``pencil(y)`` written into the flat variable ``out``, returned."""
+    def pencil(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The adjoint map A*(Y) = sum_r P_r kron Y_r as a flat variable
+        (``views`` gives its groups), written into ``out`` when given."""
         n = self.n
+        out = np.empty(self.length, dtype=complex) if out is None else out
         ys = y.reshape(self.m, n * n)
         for mat, (a, b, (count, s, _)) in zip(self.coeff_mats, self.spans):
             out[a:b].reshape(count, s // n, n, s // n, n)[...] = (
@@ -499,7 +495,7 @@ def _certificate_from_dual(
     if nrm <= 1e-14:
         return None
     y = coeffs / nrm
-    s = comp._pencil(y, np.empty(comp.length, dtype=complex))
+    s = comp.pencil(y)
     beta = float(np.vdot(comp.b, y).real)
     floor = 10.0 * tol - 1e-9 * float(np.linalg.norm(comp.b))
     if beta < floor and _shift_bound(comp, y, s, beta) < floor:
@@ -516,7 +512,7 @@ def _certificate_from_dual(
         # short of the margin it fails whatever its pencil: skip the pencil
         if margin < 10.0 * tol:
             return None
-        mx = comp.eig_bounds(comp.views(comp._pencil(y, s)))[1]
+        mx = comp.eig_bounds(comp.views(comp.pencil(y, s)))[1]
     dual = y / comp.norms[:, None, None]
     return _separator(dual, mx, float(np.abs(s).max()), margin, tol)
 
@@ -529,12 +525,10 @@ def _witness_ok(comp: _Compiled, v: list[np.ndarray]) -> tuple[bool, float, floa
 
 def _iterate(
     comp: _Compiled, tol: float, max_iter: int, z: np.ndarray | None
-) -> tuple[Status, list | None, Separator | None, int, float, float | None,
-           np.ndarray | None]:
+) -> tuple[Verdict, np.ndarray | None]:
     """Decide a compiled problem from the Douglas-Rachford iterate ``z``.
-    Returns the status, the witness as a group variable, the separator,
-    the iteration count, the residual, the witness's least eigenvalue and
-    the iterate to start from next (``z`` itself when nothing iterated).
+    Returns the verdict of the exit that decides it and the iterate to
+    start from next (``z`` itself when nothing iterated).
 
     First, at 0 iterations, the residue of the rhs against the range of
     the Gram: a separator of an inconsistent affine system.  A zero row
@@ -552,7 +546,7 @@ def _iterate(
     ``z`` (``_douglas_rachford``).
     """
     if comp.m == 0:
-        return Status.FEASIBLE, comp.zero(), None, 0, 0.0, 0.0, z
+        return Verdict(Status.FEASIBLE, comp.blocks(comp.zero()), None, 0, 0.0, 0.0), z
     # the residue of b against range(Gram) has a zero pencil and margin
     # ||res_b||, and depends on b alone, so it is tried once
     res_b = comp.b - (comp.gram @ comp.b_lsq.reshape(comp.m, -1)).reshape(comp.b.shape)
@@ -560,26 +554,27 @@ def _iterate(
     if res_norm > 1e-13:
         sep = _certificate_from_dual(comp, res_b, tol)
         if sep is not None:
-            return Status.INFEASIBLE, None, sep, 0, res_norm, None, z
+            return Verdict(Status.INFEASIBLE, None, sep, 0, res_norm, None), z
         zero_rhs = float(np.abs(comp.b[comp.zero_rows]).max(initial=0.0))
         floor = math.sqrt(res_b.size) * WITNESS_RESIDUAL
         if res_norm > floor or zero_rhs > WITNESS_RESIDUAL:
             # in the band: the projected rhs decides
             inner = comp.with_rhs((comp.b - res_b) * comp.norms[:, None, None])
-            status, _, sep, it, _, _, z = _iterate(inner, tol, max_iter, z)
-            if status is Status.INFEASIBLE:
+            verdict, z = _iterate(inner, tol, max_iter, z)
+            sep, it = verdict.separator, verdict.iterations
+            if verdict.status is Status.INFEASIBLE:
                 y = (sep.dual * comp.norms[:, None, None]).reshape(comp.m, -1)
                 in_range = (comp.gram @ (comp.gram_pinv @ y)).reshape(res_b.shape)
                 sep = _certificate_from_dual(comp, in_range, tol)
                 if sep is not None:
-                    return Status.INFEASIBLE, None, sep, it, res_norm, None, z
-            return Status.UNKNOWN, None, None, it, res_norm, None, z
+                    return Verdict(Status.INFEASIBLE, None, sep, it, res_norm, None), z
+            return Verdict(Status.UNKNOWN, None, None, it, res_norm, None), z
     return _douglas_rachford(comp, tol, max_iter, z)
 
 
 def _douglas_rachford(
     comp: _Compiled, tol: float, max_iter: int, z: np.ndarray | None
-) -> tuple[Status, list | None, Separator | None, int, float, float | None, np.ndarray]:
+) -> tuple[Verdict, np.ndarray]:
     """Douglas-Rachford from the iterate ``z`` (zero when None), which it
     only reads.  Every ``CHECK_EVERY`` iterations and at the last,
     ``_witness_ok`` checks the affine-exact iterate, then the cone-exact
@@ -587,9 +582,10 @@ def _douglas_rachford(
     iteration whatever it is), ``_certificate_from_dual`` prices the
     gap's least-squares dual.  So a witness and a dual certificate are
     tried at every check, and an Infeasible answer closes at the first
-    check whose gap certifies.  Returns ``_iterate``'s answer and the
-    iterate it stopped at.  A step on the flat iterate (``views``) forms
-    x = z - A* G+ (A z - b), y the groupwise PSD part of 2x - z, z + y - x."""
+    check whose gap certifies.  Returns the verdict, a witness as its
+    declared blocks' Hermitian parts, and the iterate it stopped at.  A
+    step on the flat iterate (``views``) forms x = z - A* G+ (A z - b), y
+    the groupwise PSD part of 2x - z, z + y - x."""
     z = np.zeros(comp.length, dtype=complex) if z is None else z.copy()
     x, y = np.empty_like(z), np.empty_like(z)
     zs, xs, ys = comp.views(z), comp.views(x), comp.views(y)
@@ -597,7 +593,7 @@ def _douglas_rachford(
 
     it = 0
     while it < max_iter:
-        np.subtract(z, comp._pencil(comp.lsq_dual(zs) - comp.b_lsq, x), out=x)
+        np.subtract(z, comp.pencil(comp.lsq_dual(zs) - comp.b_lsq, x), out=x)
         # y is 2x - z, then, group by group, its PSD part
         np.subtract(np.multiply(2.0, x, out=y), z, out=y)
         for yg in ys:
@@ -611,14 +607,15 @@ def _douglas_rachford(
         for cand in (xs, ys):
             ok, resid, low = _witness_ok(comp, cand)
             if ok:
-                return Status.FEASIBLE, cand, None, it, resid, low, z
+                blocks = comp.blocks([herm_part(vg) for vg in cand])
+                return Verdict(Status.FEASIBLE, blocks, None, it, resid, low), z
         best_resid = min(best_resid, resid)
         gap = x - y
         if it == max_iter or float(np.abs(gap).max()) > tol:
             sep = _certificate_from_dual(comp, comp.lsq_dual(comp.views(gap)), tol)
             if sep is not None:
-                return Status.INFEASIBLE, None, sep, it, best_resid, None, z
-    return Status.UNKNOWN, None, None, it, best_resid, None, z
+                return Verdict(Status.INFEASIBLE, None, sep, it, best_resid, None), z
+    return Verdict(Status.UNKNOWN, None, None, it, best_resid, None), z
 
 
 def solve_feasibility(
@@ -668,7 +665,7 @@ def dual_witness(problem: SdpFeasibility, verdict: Verdict) -> dict:
     comp = _compile(problem)
     sep = verdict.separator
     y_norm = np.asarray(sep.dual, dtype=complex) * comp.norms[:, None, None]
-    s_blocks = comp.pencil(y_norm)
+    s_blocks = comp.views(comp.pencil(y_norm))
     margin = float(np.vdot(comp.b, y_norm).real)
     return {
         "margin": margin,

@@ -108,7 +108,8 @@ def core_reprices(monkeypatch):
             core = sdp._certificate_from_dual(comp, y, ranges._sdp_tol(tol))
             assert core is not None
             assert core.margin == pytest.approx(sep.margin, rel=1e-9)
-            assert comp.eig_bounds(comp.pencil(y))[1] <= sep.psd_slack + 1e-12
+            pencil = comp.views(comp.pencil(y))
+            assert comp.eig_bounds(pencil)[1] <= sep.psd_slack + 1e-12
         return len(cuts)
 
     return check

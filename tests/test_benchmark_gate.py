@@ -18,6 +18,7 @@ if str(ROOT) not in sys.path:
 from perfbench import checker, workloads  # noqa: E402
 
 import mconvex.cli as cli  # noqa: E402
+from mconvex._jsonio import decode_body, decode_tuple  # noqa: E402
 import mconvex.ranges as ranges  # noqa: E402
 import mconvex.sdp as sdp  # noqa: E402
 
@@ -78,6 +79,18 @@ def test_round_zero_theta_brackets_are_pinned():
     for name, constant in [("pauli-square", np.sqrt(2.0)),
                            ("n2-square", 0.5 * (1.0 + np.sqrt(3.0)))]:
         assert got[name][0] <= constant <= got[name][1]
+
+
+def test_round_zero_theta_reports_write_the_estimates_trace():
+    # the report's trace is the estimate's own record, one bracket a solve
+    for q in workloads.make_round("theta-bisect", 1, 0):
+        inputs, options = q.job["inputs"], q.job["options"]
+        report, _ = cli.execute(cli.JobSpec(q.job["command"], inputs, options))
+        est = ranges.theta_min_alpha(
+            decode_body(inputs["body"]), decode_tuple(inputs["tuple"]), **options
+        )
+        assert est.trace == report["trace"]
+        assert len(est.trace) == THETA[q.qid.split(".")[-1]][2]
 
 
 def _solved(counts) -> tuple[int, int, int]:
@@ -229,7 +242,7 @@ def test_round_zero_disc_thetas_hold_their_constants_in_closed_form(traffic):
         )
         assert report["lower"] <= q.planted["constant"] <= report["upper"]
         assert report["upper"] - report["lower"] <= 1e-5
-        assert report["trace"] == [(report["lower"], report["upper"])]
+        assert report["trace"] == ((report["lower"], report["upper"]),)
     assert _solved(counts) == (0, 0, 0)
 
 

@@ -1055,5 +1055,25 @@ def test_a_member_report_names_its_rung_and_certificate(
     assert set(rep["certificate"]) == keys
 
 
+@pytest.mark.parametrize(
+    "kind, inputs, status, path, keys", RUNGS.values(), ids=list(RUNGS)
+)
+def test_a_member_answer_compares_by_identity(
+    monkeypatch, kind, inputs, status, path, keys
+):
+    # the generated value equality compared ndarray certificates inside a
+    # tuple and raised; two answers to one job are two answers
+    answers, payload = [], cli._membership_payload
+    monkeypatch.setattr(
+        cli, "_membership_payload", lambda res: answers.append(res) or payload(res)
+    )
+    for _ in range(2):
+        cli.execute(cli.JobSpec("member", {"kind": kind, **inputs}, {}))
+    first, second = answers
+    assert first == first and second == second and first != second
+    assert first.certificate == first.certificate
+    assert (first.certificate == second.certificate) in (True, False)
+
+
 def test_the_rung_jobs_reach_every_path():
     assert {path for *_, path, _ in RUNGS.values()} == {p.value for p in ranges.Path}

@@ -370,7 +370,7 @@ def test_zero_entries_are_hermitian():
     zero = np.zeros((2, 2))
     assert is_hermitian(zero) and is_hermitian(np.zeros((0, 0)))
     t = OperatorTuple((zero, X), hermitian=True)
-    assert np.array_equal(t.stack[0], zero)
+    assert np.array_equal(t.mats[0], zero)
 
 
 def test_exactly_hermitian_entries_pass_at_1e_300():
@@ -507,17 +507,17 @@ def test_stacked_entries_are_the_hermitian_parts_to_the_bit():
             g = random_hermitian(n, rng) * 10.0 ** rng.integers(-3, 4)
             mats.append(g + 1e-13 * np.abs(g).max() * rng.standard_normal((n, n)))
         t = OperatorTuple(tuple(mats), hermitian=True)
-        assert t.stack.shape == (d, n, n)
-        for m, got, row in zip(mats, t.mats, t.stack):
-            assert np.shares_memory(got, t.stack) and got is not m
-            assert got.tobytes() == row.tobytes() == herm_part(m).tobytes()
+        assert isinstance(t.mats, np.ndarray) and t.mats.shape == (d, n, n)
+        for m, got in zip(mats, t.mats):
+            assert not np.shares_memory(got, m)
+            assert got.tobytes() == herm_part(m).tobytes()
             assert got.tobytes() == (0.5 * (m + m.conj().T)).tobytes()
 
 
 def test_symmetrizing_a_huge_entry_does_not_overflow():
     # (m + m*) / 2 overflowed to inf for entries near the float limit
     t = OperatorTuple((np.array([[0.0, 1e308], [1e308, 0.0]]), Z), hermitian=True)
-    assert t.mats[0][0, 1] == 1e308 and np.isfinite(t.stack).all()
+    assert t.mats[0][0, 1] == 1e308 and np.isfinite(t.mats).all()
 
 
 def test_direct_sum_shapes():

@@ -145,6 +145,13 @@ class TestNormalTuple:
         for got, want in zip(model.compressed.mats, a.mats):
             np.testing.assert_array_equal(got, want)
 
+    def test_derived_fields_are_not_constructor_arguments(self):
+        # the basis, columns and points come from the base alone
+        a = diag_pair((2.0, 1.0), (0.0, -1.0))
+        for name in ("unitary", "column_values", "joint_points"):
+            with pytest.raises(TypeError):
+                NormalTuple(a, **{name: np.eye(2)})
+
     def test_complex_columns_for_nonhermitian(self):
         n = np.array([[1.0 + 1.0j, 0.0], [0.0, 2.0 - 1.0j]])
         model = NormalTuple(OperatorTuple((n,), hermitian=False))

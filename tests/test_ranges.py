@@ -569,11 +569,10 @@ class TestTheta:
         # compiled, the upper end a hair above 2 and the lower end where
         # the separator at a / 2 prices to 10 tol
         counts = traffic()
-        trace = []
-        est = theta_min_alpha(UNIT_DISC, nilpotent_pair(), tol=0.02, trace=trace)
+        est = theta_min_alpha(UNIT_DISC, nilpotent_pair(), tol=0.02)
         assert est.lower <= 2.0 <= est.upper
         assert est.upper - est.lower <= 2.0 * 1e-6 * 1.01
-        assert trace == [(est.lower, est.upper)]
+        assert est.trace == ((est.lower, est.upper),)
         assert (counts.compiles, counts.solves) == (0, 0)
         assert est.lower_separator.margin >= 10 * 1e-7
 
@@ -596,8 +595,8 @@ class TestTheta:
         assert est.lower <= np.sqrt(3.0) <= est.upper
 
     def test_trace_collects_brackets(self):
-        trace = []
-        est = theta_min_alpha(SQUARE, pauli(), tol=0.05, trace=trace)
+        est = theta_min_alpha(SQUARE, pauli(), tol=0.05)
+        trace = est.trace
         # alpha = 1's separator lifts the lower end at once; the upper end
         # starts at the certified hi = 4 and ends at the probe tol / 2 above
         assert len(trace) == 2 and trace[0][1] == 4.0
@@ -693,11 +692,10 @@ class TestThetaCompiledOnce:
     )
     def test_one_compile_and_one_solve_per_step(self, traffic, body, pair):
         counts = traffic()
-        trace = []
-        theta_min_alpha(body, pair(), tol=0.02, trace=trace)
+        est = theta_min_alpha(body, pair(), tol=0.02)
         # alpha = 1, then one solve per bisection step: the first upper
         # end is certified without one
-        assert (counts.compiles, counts.solves) == (1, len(trace))
+        assert (counts.compiles, counts.solves) == (1, len(est.trace))
 
     def test_one_hull_per_polytope(self, monkeypatch):
         # the kmax precheck and the inradius bound share one facet list,
@@ -762,18 +760,16 @@ class TestThetaCompiledOnce:
             raise AssertionError("a diagonal tuple needs no eigendecomposition")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigenbasis)
-        trace = []
-        est = theta_min_alpha(SQUARE, a, trace=trace)
+        est = theta_min_alpha(SQUARE, a)
         assert (est.lower, est.upper) == (1.0, 1.0)
-        assert trace == [(1.0, 1.0)]
+        assert est.trace == ((1.0, 1.0),)
         assert (counts.compiles, counts.solves) == (0, 0)
 
     def test_logs_one_debug_line_per_solve(self, caplog):
-        trace = []
         with caplog.at_level(logging.DEBUG, logger="mconvex"):
-            theta_min_alpha(SQUARE, pauli(), tol=0.05, trace=trace)
+            est = theta_min_alpha(SQUARE, pauli(), tol=0.05)
         lines = [r.getMessage() for r in caplog.records if r.name == "mconvex"]
-        assert len(lines) == len(trace)
+        assert len(lines) == len(est.trace)
         assert all(line.startswith("sdp solve: ") for line in lines)
         assert all("m=3, n=2, 4 blocks" in line for line in lines)
 
@@ -835,10 +831,9 @@ class TestWarmSteps:
     )
     def test_theta_skipped_steps_match_a_cold_solve(self, monkeypatch, body, pair):
         steps = _record_steps(monkeypatch)
-        trace = []
-        theta_min_alpha(body, pair(), tol=0.01, trace=trace)
+        est = theta_min_alpha(body, pair(), tol=0.01)
         monkeypatch.undo()
-        assert len(steps) == len(trace)
+        assert len(steps) == len(est.trace)
         # alpha = 1's separator certifies to within tol / 2 of theta, and
         # the probe there is Feasible: two cold-speed steps, none skipped
         assert [(v.status, v.iterations) for _, v in steps] == [
@@ -953,12 +948,11 @@ class TestThetaFromSeparators:
             return verdict, z
 
         monkeypatch.setattr(_Compiled, "solve", unknown_second)
-        trace = []
-        est = theta_min_alpha(SQUARE, pauli(), tol=0.01, trace=trace)
+        est = theta_min_alpha(SQUARE, pauli(), tol=0.01)
         # the bracket stays the certified [alpha*(alpha = 1), 4]
         assert len(calls) == 2
-        assert trace == [trace[0]] * 2
-        assert (est.lower, est.upper) == trace[0] and est.upper == 4.0
+        assert est.trace == (est.trace[0],) * 2
+        assert (est.lower, est.upper) == est.trace[0] and est.upper == 4.0
         assert est.lower == pytest.approx(ROOT2, abs=1e-4)
         assert _alpha_star(SQUARE, pauli(), est.lower_separator)[2] >= est.lower
 
@@ -967,12 +961,11 @@ class TestThetaFromSeparators:
             return Verdict(Status.UNKNOWN, None, None, max_iter, 1.0, None), z
 
         monkeypatch.setattr(_Compiled, "solve", unknown)
-        trace = []
-        est = theta_min_alpha(SQUARE, pauli(), tol=0.01, trace=trace)
+        est = theta_min_alpha(SQUARE, pauli(), tol=0.01)
         assert (est.lower, est.upper, est.lower_separator) == (1.0, 4.0, None)
         # the opener at alpha = 1 is followed by one probe, at 1 + tol / 2,
         # whose Unknown ends the search
-        assert trace == [(1.0, 4.0)] * 2
+        assert est.trace == ((1.0, 4.0),) * 2
 
     def test_weak_separators_cost_at_most_twice_the_bisection(self, monkeypatch):
         # every separator weakened until it certifies just its own probe:
@@ -1014,42 +1007,48 @@ class TestThetaFromSeparators:
         # every separator cut back, as above, until it certifies just over
         # tol / 2 past max(lo, alpha): each probe past alpha = 1 stays put,
         # and its continuations spend the tight probes' budget
-        tol, trace, alphas = 0.01, [], []
+        tol, alphas = 0.01, []
         floor = 10 * ranges._sdp_tol(ranges.MEMBER_TOL)
         range_solver = ranges._range_solver
+        lo = 1.0  # theta's lower end before each probe
 
         def steady(rows, *args):
             solve, terms = range_solver(rows, *args)
 
             def stepped(f, alpha=1.0):
+                nonlocal lo
                 alphas.append(alpha)
-                lo = trace[-1][0] if trace else 1.0
                 reach = max(lo, alpha) + 0.5 * tol * (1.0 + 1e-3)
                 verdict = solve(f, alpha)
                 if (sep := verdict.separator) is None:
                     return verdict
                 c0, c1 = terms(sep, f)
                 excess = c0 - (floor - c1 / reach)
-                if excess <= 0.0:
-                    return verdict
-                n = sep.dual.shape[-1]
-                dual = sep.dual.copy()
-                dual[0] -= excess / n * np.eye(n)
-                sep = dataclasses.replace(sep, dual=dual, margin=sep.margin - excess)
-                return dataclasses.replace(verdict, separator=sep)
+                if excess > 0.0:
+                    n = sep.dual.shape[-1]
+                    dual = sep.dual.copy()
+                    dual[0] -= excess / n * np.eye(n)
+                    sep = dataclasses.replace(sep, dual=dual, margin=sep.margin - excess)
+                    verdict = dataclasses.replace(verdict, separator=sep)
+                    c0 -= excess
+                # the alpha*, rounded down as theta rounds it, to which
+                # theta lifts its lower end
+                if c1 > 0.0 and c0 < floor:
+                    lo = max(lo, c1 / (floor - c0) * (1.0 - 1e-12))
+                return verdict
 
             return stepped, terms
 
         monkeypatch.setattr(ranges, "_range_solver", steady)
         a = pauli()
-        est = theta_min_alpha(SQUARE, a, tol=tol, trace=trace)
+        est = theta_min_alpha(SQUARE, a, tol=tol)
         tight = math.ceil(math.log2((4.0 - 1.0) / tol))
         bisection = 1 + tight
         # the opener, one tight probe, then a continuation for each step
         # of the budget left, and bisection
         stays = sum(p == q for p, q in zip(alphas, alphas[1:]))
         assert stays == tight - 1 and alphas[2:tight + 1] == [alphas[1]] * (tight - 1)
-        assert len(alphas) == len(trace) <= 2 * bisection
+        assert len(alphas) == len(est.trace) <= 2 * bisection
         assert est.lower <= ROOT2 <= est.upper
         assert est.upper - est.lower <= tol
         verts, center = ranges._vertex_sets(SQUARE)
@@ -1207,10 +1206,10 @@ def test_theta_after_an_unknown_opener_probes_just_past_one(monkeypatch):
     rng = np.random.default_rng(38)
     mats = [random_hermitian(5, rng) for _ in range(2)]
     a = OperatorTuple(tuple(m / np.linalg.norm(m, 2) for m in mats), hermitian=True)
-    trace = []
-    est = theta_min_alpha(SQUARE, a, tol=0.01, trace=trace)
+    est = theta_min_alpha(SQUARE, a, tol=0.01)
     assert statuses == [Status.UNKNOWN, Status.FEASIBLE]
     assert (est.lower, est.upper) == (1.0, 1.0 + 0.5 * 0.01)
+    trace = est.trace
     assert len(trace) == 2 and trace[0][0] == 1.0 and trace[0][1] > 2.0
     assert kmin_member(SQUARE, est.witness_point).status is MembershipStatus.IN
 
@@ -1760,10 +1759,9 @@ def test_theta_over_a_disc_is_its_closed_form(seed):
     a = _around(disc.center, 1.0, b)
     with pytest.MonkeyPatch.context() as mp:
         counts = count_traffic(mp)
-        trace = []
-        est = theta_min_alpha(disc, a, tol=0.01, trace=trace)
+        est = theta_min_alpha(disc, a, tol=0.01)
     assert (counts.compiles, counts.solves) == (0, 0)
-    assert trace == [(est.lower, est.upper)]
+    assert est.trace == ((est.lower, est.upper),)
     assert est.upper - est.lower <= 0.01
     alpha = _disc_alpha_by_bisection(disc, a)
     assert est.lower <= max(alpha, 1.0) <= est.upper
@@ -1784,10 +1782,9 @@ def test_theta_over_a_disc_is_its_closed_form(seed):
 
 def test_theta_below_one_over_a_disc_is_one():
     # ||T|| = 0.8 < 1: a is in D^min itself
-    trace = []
-    est = theta_min_alpha(UNIT_DISC, nilpotent_pair().scaled(0.4), trace=trace)
+    est = theta_min_alpha(UNIT_DISC, nilpotent_pair().scaled(0.4))
     assert (est.lower, est.upper, est.lower_separator) == (1.0, 1.0, None)
-    assert trace == [(1.0, 1.0)]
+    assert est.trace == ((1.0, 1.0),)
 
 
 def test_theta_over_a_disc_keeps_its_start_when_the_dilation_fails():
@@ -2006,7 +2003,7 @@ def _scalar_rows(problem: SdpFeasibility):
 
 #: what ``_Compiled`` derives from its patterns alone
 OPERATOR_ARRAYS = (
-    "coeff_groups", "norms", "zero_rows", "gram_pinv", "coeff_lsq", "identity_combo"
+    "coeff_mats", "norms", "zero_rows", "gram_pinv", "coeff_lsq", "identity_combo"
 )
 
 
@@ -2068,10 +2065,9 @@ def test_matrix_equations_match_their_scalar_rows(traffic, pose):
     assert np.abs(rows.apply(v) - coords(mat.apply(v))).max() <= 1e-13
     y = herm_part(rng.standard_normal((mat.m, mat.n, mat.n))
                   + 1j * rng.standard_normal((mat.m, mat.n, mat.n)))
-    for got, want in zip(mat.pencil(y), rows.pencil(coords(y))):
-        assert np.abs(got - want).max() <= 1e-13
+    assert np.abs(mat.pencil(y) - rows.pencil(coords(y))).max() <= 1e-13
     # pencil is the adjoint of apply: sum_r Re tr(Y_r A(V)_r) = Re tr(A*(Y) V)
-    pairing = sum(np.vdot(p, vg).real for p, vg in zip(mat.pencil(y), v))
+    pairing = sum(np.vdot(p, vg).real for p, vg in zip(mat.views(mat.pencil(y)), v))
     assert abs(np.vdot(y, mat.apply(v)).real - pairing) <= 1e-12
 
 
@@ -2118,8 +2114,8 @@ def test_a_choi_query_is_compiled_at_its_own_rhs(push, monkeypatch):
     a = OperatorTuple(tuple(
         push * (g.conj().T @ np.kron(m, np.eye(2)) @ g) for m in x.mats
     ), hermitian=True)
-    center = np.trace(x.stack, axis1=1, axis2=2) / x.n
-    rows = ranges._range_rows(x.stack[None], a, center)
+    center = np.trace(x.mats, axis1=1, axis2=2) / x.n
+    rows = ranges._range_rows(x.mats[None], a, center)
     shared = _shared_operators(monkeypatch)
     verdict = ranges._range_solver(rows, ranges.MEMBER_TOL, 2000)[0](1.0)
     assert shared == []
@@ -2248,7 +2244,7 @@ class TestOperatorCache:
         with pytest.raises(ValueError, match="read-only"):
             shared.gram_pinv[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            shared.coeff_groups[0][...] = 0.0
+            shared.coeff_mats[0][...] = 0.0
 
     def test_the_cache_keeps_the_most_recent_operators(self, traffic):
         bodies = [Polytope(SQUARE.vertices * (1.0 + 0.1 * i))

@@ -22,6 +22,7 @@ from mconvex.sdp import (
     AffineConstraint,
     SdpFeasibility,
     Status,
+    Verdict,
     _Compiled,
     _compile,
     WITNESS_MIN_EIG,
@@ -302,6 +303,57 @@ def test_a_zero_row_entry_above_the_witness_residual_is_in_the_band():
     assert verdict.iterations <= 8
 
 
+def _zero_row_beside_trace(rhs: float, trace: float) -> SdpFeasibility:
+    """0 = rhs beside tr V = trace, over one 2 x 2 block."""
+    return SdpFeasibility(
+        2, (AffineConstraint(np.zeros((2, 2)), rhs), AffineConstraint(np.eye(2), trace))
+    )
+
+
+def _nilpotent_in_the_96_gon(scale: float) -> SdpFeasibility:
+    s = scale * np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
+    return _disc_kmin_problem(96, [(s + s.conj().T) / 2, (s - s.conj().T) / 2j])
+
+
+#: a problem, a budget, and the status and iteration count of each exit
+#: of ``sdp._iterate``: no constraint, the rhs residue, the two ends of
+#: the band, and Douglas-Rachford's witness, separator and budget
+ITERATE_EXITS = {
+    "no-constraint": (lambda: SdpFeasibility(2, ()), MAX_ITER, Status.FEASIBLE, 0),
+    "residue": (lambda: _zero_row_beside_trace(1e-3, 1.0), MAX_ITER,
+                Status.INFEASIBLE, 0),
+    "band-infeasible": (lambda: _zero_row_beside_trace(5e-7, -1.0), MAX_ITER,
+                        Status.INFEASIBLE, 4),
+    "band-unknown": (lambda: _zero_row_beside_trace(5e-7, 1.0), MAX_ITER,
+                     Status.UNKNOWN, 4),
+    "feasible": (lambda: _trace_one(3), MAX_ITER, Status.FEASIBLE, 4),
+    "infeasible": (lambda: _nilpotent_in_the_96_gon(0.55), MAX_ITER,
+                   Status.INFEASIBLE, 4),
+    "budget": (lambda: _nilpotent_in_the_96_gon(0.55), 1, Status.UNKNOWN, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "pose, max_iter, status, iterations",
+    ITERATE_EXITS.values(), ids=list(ITERATE_EXITS),
+)
+def test_each_exit_of_iterate_answers_with_one_verdict(
+    pose, max_iter, status, iterations
+):
+    comp = _compile(pose())
+    verdict, _ = sdp._iterate(comp, 1e-7, max_iter, None)
+    assert isinstance(verdict, Verdict)
+    assert (verdict.status, verdict.iterations) == (status, iterations)
+    assert (verdict.separator is not None) == (status is Status.INFEASIBLE)
+    # a Feasible exit's witness: Hermitian blocks, in declared order
+    assert (verdict.blocks is not None) == (status is Status.FEASIBLE)
+    if verdict.blocks is not None:
+        assert [b.shape for b in verdict.blocks] == [(s, s) for s in comp.block_sizes]
+        assert all(np.array_equal(b, b.conj().T) for b in verdict.blocks)
+    # the solve answers with the exit's verdict as it stands
+    assert _verdicts_equal(comp.solve(1e-7, max_iter)[0], verdict)
+
+
 def test_a_gap_that_certifies_at_the_first_check_answers_there():
     # the nilpotent pair at 0.55 against the inscribed 96-gon: the gap
     # of the first check, at iteration 4, already prices a separator
@@ -475,7 +527,7 @@ def test_compiled_data_match_the_whole_stack_formulas():
     sq = np.einsum("mnij,mnij->m", t.conj(), t).real
     norms = np.sqrt(np.maximum(sq, 1e-300))
     unit = t / norms[:, None, None, None]
-    assert np.array_equal(comp.coeff_groups[0], unit)
+    assert np.array_equal(comp.coeff_mats[0], unit.reshape(len(unit), -1))
     assert np.abs(comp.b[:, 0, 0] - np.array(rhs) / norms).max() <= 1e-15
     gram = np.einsum("mnij,knij->mk", unit.conj(), unit).real
     assert np.abs(comp.gram - gram).max() <= 1e-13
@@ -484,7 +536,7 @@ def test_compiled_data_match_the_whole_stack_formulas():
     assert np.abs(comp.apply([v])[:, 0, 0] - want).max() <= 1e-13
     # pencil is the adjoint of apply: y . A(V) = Re tr(A*(y)* V)
     y = rng.standard_normal(shape[0])[:, None, None]
-    pairing = np.vdot(comp.pencil(y)[0], v).real
+    pairing = np.vdot(comp.views(comp.pencil(y))[0], v).real
     assert abs(np.vdot(y, comp.apply([v])).real - pairing) <= 1e-13
 
 
@@ -512,8 +564,7 @@ def test_compiled_reads_a_non_contiguous_stack():
     v = [herm(*t.shape[1:]) for t in stacks]
     assert np.array_equal(strided.apply(v), dense.apply(v))
     y = rng.standard_normal((m, 1, 1))
-    for a, b in zip(strided.pencil(y), dense.pencil(y)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(strided.pencil(y), dense.pencil(y))
 
 
 def _matrix_problem(rhs, sizes=(2, 2), second=None):
@@ -594,26 +645,27 @@ def test_witness_blocks_are_symmetrized_per_group(monkeypatch):
         h = random_hermitian(4, rng)
         mats.append(0.2 * h / np.linalg.norm(h, 2))
     comp = _compile(_disc_kmin_problem(96, mats))
-    raw = []
+    accepted = []
 
-    def iterate(*args, **kwargs):
-        out = real_iterate(*args, **kwargs)
-        raw.append(out[1])
-        return out
+    def witness_ok(comp, v):
+        ok, resid, low = real_witness_ok(comp, v)
+        if ok:
+            accepted.append([vg.copy() for vg in v])
+        return ok, resid, low
 
-    real_iterate = sdp._iterate
-    monkeypatch.setattr(sdp, "_iterate", iterate)
+    real_witness_ok = sdp._witness_ok
+    monkeypatch.setattr(sdp, "_witness_ok", witness_ok)
     verdict, _ = comp.solve(1e-7, MAX_ITER)
     assert verdict.status is Status.FEASIBLE
     assert len(verdict.blocks) == 96
-    for got, block in zip(verdict.blocks, comp.blocks(raw[0])):
+    for got, block in zip(verdict.blocks, comp.blocks(accepted[0])):
         assert np.array_equal(got, herm_part(block))
 
 
 def _two_projection_step(comp, z):
     """The reference step, on group lists: x the affine projection of z,
     y = psd_part(2x - z), then z + y - x."""
-    corr = comp.pencil(comp.lsq_dual(z) - comp.b_lsq)
+    corr = comp.views(comp.pencil(comp.lsq_dual(z) - comp.b_lsq))
     x = [zg - cg for zg, cg in zip(z, corr)]
     y = [psd_part(2.0 * xg - zg) for xg, zg in zip(x, z)]
     return [zg + yg - xg for zg, yg, xg in zip(z, y, x)]
@@ -701,7 +753,7 @@ def _refusal_operator(kind: str, seed: int) -> _Compiled:
             a = compressed_ampliation(x, n, rng) if seed % 4 < 2 else OperatorTuple(
                 tuple(random_hermitian(n, rng) for _ in range(2)), True
             )
-            xs, center = x.stack[None], np.trace(x.stack, axis1=1, axis2=2) / m
+            xs, center = x.mats[None], np.trace(x.mats, axis1=1, axis2=2) / m
         else:
             mats = [rng.uniform(0.2, 0.8) * random_hermitian(n, rng) for _ in range(2)]
             a = OperatorTuple(tuple(mats), True)
